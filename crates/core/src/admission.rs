@@ -3,8 +3,8 @@
 //!
 //! Independent clients [`submit`] single typed [`Query`] values and get a
 //! [`Ticket`] back immediately; pump threads drain the queue in
-//! [`AdmissionConfig::coalesce`]-sized slices and drive each slice
-//! through the existing mixed-family batch path
+//! [`AdmissionConfig::coalesce`]-sized slices and drive each slice,
+//! heaviest families first, through the existing mixed-family batch path
 //! ([`crate::ConnService::execute_batch_threads`]), so single-query
 //! clients transparently get batch economics — warm pooled engines,
 //! pooled tree I/O — without holding a service reference themselves.
@@ -20,7 +20,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::error::Error;
-use crate::query::{Query, Response};
+use crate::query::{Query, QueryKind, Response};
 use crate::service::ConnService;
 
 /// Tunables of the admission queue.
@@ -165,7 +165,7 @@ impl Admission {
     /// a loop from one or more pump threads; returns 0 when the queue was
     /// empty.
     pub fn pump(&self, service: &ConnService<'_>, threads: usize) -> usize {
-        let slice: Vec<Pending> = {
+        let mut slice: Vec<Pending> = {
             let mut queue = self.lock_queue();
             let n = queue.len().min(self.cfg.coalesce.max(1));
             queue.drain(..n).collect()
@@ -173,6 +173,10 @@ impl Admission {
         if slice.is_empty() {
             return 0;
         }
+        // Heaviest families first: every ticket is fulfilled when the
+        // slice's last query ends, so the order is invisible to the clients
+        // but a segment query reached last runs alone, the others idle.
+        slice.sort_by_key(|p| cost_rank(p.query.kind()));
         let queries: Vec<Query> = slice.iter().map(|p| p.query.clone()).collect();
         let n = slice.len();
         match service.execute_batch_threads(&queries, threads) {
@@ -232,6 +236,20 @@ impl Admission {
     }
 }
 
+/// Coarse cost order of the families (cheapest last): polylines and joins
+/// run many searches, segment and range queries one over a neighbourhood,
+/// the point-to-point families settle a handful of nodes.
+fn cost_rank(kind: &QueryKind) -> u8 {
+    match kind {
+        QueryKind::Trajectory { .. }
+        | QueryKind::EDistanceJoin { .. }
+        | QueryKind::ClosestPair { .. } => 0,
+        QueryKind::Coknn { .. } | QueryKind::Range { .. } | QueryKind::Rnn { .. } => 1,
+        QueryKind::Conn { .. } => 2,
+        _ => 3,
+    }
+}
+
 /// Posts `result` into the ticket's completion cell and wakes the waiter.
 fn fulfil(state: &TicketState, result: Result<Response, Error>) {
     *lock_done(state) = Some(result);
@@ -260,21 +278,24 @@ mod tests {
         let service = service();
         let admission = Admission::new(AdmissionConfig::default());
         let q = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
+        // lightest first, so the pump's heaviest-first order has to permute
+        // the slice and still hand every ticket its own answer
         let queries = [
-            Query::conn(q).build().unwrap(),
-            Query::onn(Point::new(50.0, 0.0), 1).build().unwrap(),
             Query::odist(Point::new(0.0, 0.0), Point::new(100.0, 0.0))
                 .build()
                 .unwrap(),
+            Query::onn(Point::new(50.0, 0.0), 1).build().unwrap(),
+            Query::conn(q).build().unwrap(),
+            Query::coknn(q, 2).build().unwrap(),
         ];
         let tickets: Vec<Ticket> = queries
             .iter()
             .map(|q| admission.submit(q.clone()).unwrap())
             .collect();
-        assert_eq!(admission.pending(), 3);
-        assert_eq!(admission.pump(&service, 1), 3);
+        assert_eq!(admission.pending(), 4);
+        assert_eq!(admission.pump(&service, 1), 4);
         assert_eq!(admission.pending(), 0);
-        assert_eq!(admission.served(), 3);
+        assert_eq!(admission.served(), 4);
         assert_eq!(admission.batches(), 1);
         for (ticket, query) in tickets.into_iter().zip(&queries) {
             let via_queue = ticket.wait().unwrap();
@@ -284,7 +305,7 @@ mod tests {
                 format!("{:?}", direct.answer)
             );
         }
-        assert_eq!(admission.take_latencies().len(), 3);
+        assert_eq!(admission.take_latencies().len(), 4);
     }
 
     #[test]

@@ -1,5 +1,12 @@
 //! Reference baselines.
 //!
+//! * [`obstructed_distance`] / [`obstructed_path`] / [`obstructed_route`] —
+//!   point-to-point obstructed distance (paper Definition 4) over the
+//!   *whole* obstacle list: build every obstacle into one graph, run one
+//!   blind Dijkstra. No engine, no cache, no tree and no code shared with
+//!   the obstacle loader ([`crate::odist`]) — which is what makes them the
+//!   oracle the loader is tested against. `O(n²)`-ish in the obstacle
+//!   count; serving uses `Query::odist` / `Query::route`.
 //! * [`brute_force_oknn`] — exact obstructed kNN at a single location by
 //!   exhaustive Dijkstra over the full visibility graph. Ground truth for
 //!   every correctness test.
@@ -12,6 +19,53 @@ use conn_geom::{Point, Rect, Segment};
 use conn_vgraph::{DijkstraEngine, NodeId, NodeKind, VisGraph};
 
 use crate::types::DataPoint;
+
+/// Length of the shortest obstacle-avoiding path from `a` to `b` (∞ when
+/// no path exists) — the whole-field reference, see the module docs.
+///
+/// ```
+/// use conn_core::obstructed_distance;
+/// use conn_geom::{Point, Rect};
+///
+/// let a = Point::new(0.0, 0.0);
+/// let b = Point::new(100.0, 0.0);
+/// assert_eq!(obstructed_distance(&[], a, b), 100.0);
+///
+/// // a wall across the straight line forces a detour through (40, 30)
+/// let wall = Rect::new(40.0, -10.0, 60.0, 30.0);
+/// let d = obstructed_distance(&[wall], a, b);
+/// assert!(d > 100.0);
+/// ```
+pub fn obstructed_distance(obstacles: &[Rect], a: Point, b: Point) -> f64 {
+    obstructed_route(obstacles, a, b).0
+}
+
+/// The shortest obstacle-avoiding path itself (polyline through obstacle
+/// corners), or `None` when unreachable.
+pub fn obstructed_path(obstacles: &[Rect], a: Point, b: Point) -> Option<Vec<Point>> {
+    obstructed_route(obstacles, a, b).1
+}
+
+/// Distance and path of the whole-field reference in one Dijkstra run.
+pub fn obstructed_route(obstacles: &[Rect], a: Point, b: Point) -> (f64, Option<Vec<Point>>) {
+    // an endpoint strictly inside an obstacle is unreachable by definition
+    // (blocking is open-interior containment), `a == b` included
+    if obstacles
+        .iter()
+        .any(|r| r.strictly_contains(a) || r.strictly_contains(b))
+    {
+        return (f64::INFINITY, None);
+    }
+    let mut g = full_graph(obstacles);
+    let na = g.add_point(a, NodeKind::DataPoint);
+    let nb = g.add_point(b, NodeKind::DataPoint);
+    let mut dij = DijkstraEngine::new(&g, na);
+    let d = dij.run_until_settled(&mut g, nb);
+    let path = d
+        .is_finite()
+        .then(|| dij.path_to(nb).iter().map(|&n| g.node_pos(n)).collect());
+    (d, path)
+}
 
 /// Exact obstructed k-nearest-neighbors of the location `s`, by full-graph
 /// Dijkstra. Returns up to `k` `(point, obstructed distance)` pairs in

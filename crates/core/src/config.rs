@@ -149,13 +149,6 @@ impl ConnConfig {
         g.set_growth_margin(self.growth_margin);
     }
 
-    /// A fresh visibility graph sized and tuned by this config.
-    pub(crate) fn new_graph(&self) -> conn_vgraph::VisGraph {
-        let mut g = conn_vgraph::VisGraph::new(self.vgraph_cell);
-        self.tune_graph(&mut g);
-        g
-    }
-
     /// The pre-goal-directed kernel on otherwise default settings: blind
     /// Dijkstra, no label continuation, no RLU expansion cap. This is the
     /// baseline the `BENCH_conn.json` speedup and the `odist_kernel` bench

@@ -244,9 +244,9 @@ impl VrCache {
     /// Empties the cache (between queries of a reused workspace), keeping
     /// the slot vector's allocation.
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
-        }
+        // truncating (not overwriting) keeps the next clear proportional
+        // to the slots the next query ensures, not to the largest ever
+        self.slots.clear();
     }
 }
 

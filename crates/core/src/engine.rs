@@ -21,30 +21,34 @@
 //! ## Reuse contract
 //!
 //! Between queries, `Workspace::begin_query` **clears** all query-visible
-//! state — the node set, the loaded obstacle set, the visible-region cache,
-//! the IOR loading threshold and all Dijkstra labels — so a reused engine is
-//! *byte-identical* in its answers to fresh per-query state (guarded by the
-//! `engine_equivalence` proptest suite). It **keeps** heap allocations: node
-//! slots, per-slot edge lists, grid cell buckets, Dijkstra label arrays and
-//! heap capacity, and the result-list scratch buffers. The
-//! [`ReuseCounters`] on [`QueryStats`] report how much retained capacity
-//! each query re-bound.
+//! state — the node set, the loaded obstacle set (graph and dedupe keys
+//! together), the visible-region cache, the IOR loading threshold and all
+//! Dijkstra labels — so a reused engine is *byte-identical* in its answers
+//! to fresh per-query state (guarded by the `engine_equivalence` proptest
+//! suite). Every family starts from that rewind, the point-anchored ones
+//! included: they load what they need through [`crate::odist`] on this same
+//! workspace, so no family leaves state behind that another would have to
+//! detect and clear. It **keeps** heap allocations: node slots, per-slot
+//! edge lists, grid cell buckets, Dijkstra label arrays and heap capacity,
+//! and the result-list scratch buffers. The [`ReuseCounters`] on
+//! [`QueryStats`] report how much retained capacity each query re-bound.
 
 use std::time::Instant;
 
-use conn_geom::{Point, Rect, Segment};
+use conn_geom::{Rect, Segment};
 use conn_index::RStarTree;
-use conn_vgraph::{DijkstraEngine, NodeKind, VisGraph};
+use conn_vgraph::{DijkstraEngine, VisGraph};
 
 use crate::coknn::{CoknnResult, KnnResultList};
 use crate::config::ConnConfig;
 use crate::conn::{run_search, ConnResult, ResultSink};
 use crate::cpl::VrCache;
 use crate::ior::IorState;
+use crate::odist::Resolver;
 use crate::rlu::{ResultList, RluScratch};
 use crate::single_tree::{OneTreeStreams, SpatialObject};
 use crate::stats::{QueryStats, ReuseCounters};
-use crate::streams::{QueryStreams, TwoTreeStreams};
+use crate::streams::{LoadedObstacles, QueryStreams, TwoTreeStreams};
 use crate::types::DataPoint;
 
 /// All per-query scratch state, owned long-term and re-bound per query.
@@ -55,20 +59,12 @@ pub struct Workspace {
     pub(crate) vr_cache: VrCache,
     pub(crate) ior_state: IorState,
     pub(crate) rlu_scratch: RluScratch,
+    /// The tree obstacles `g` holds, for the point-anchored loader
+    /// ([`crate::odist`]) to skip when its anchor moves within a query.
+    pub(crate) loaded: LoadedObstacles,
     /// Set once the workspace has served a query (reuse is counted from the
     /// second query on).
     primed: bool,
-    /// True while the graph holds a full odist obstacle field that the next
-    /// odist call may reuse verbatim.
-    odist_primed: bool,
-    /// Source point and node of the last odist search, kept alive so a
-    /// repeated call from the same origin can continue (or retarget) the
-    /// retained labels instead of starting cold.
-    odist_src: Option<(Point, conn_vgraph::NodeId)>,
-    /// Target nodes of previous odist calls on the primed field, kept
-    /// alive (removal would invalidate the retained labels); capped, then
-    /// the field is re-primed from scratch.
-    odist_targets: Vec<(Point, conn_vgraph::NodeId)>,
     /// Reuse telemetry of the query in flight.
     current: ReuseCounters,
     heap_reuse_mark: u64,
@@ -96,10 +92,8 @@ impl Workspace {
             vr_cache: VrCache::default(),
             ior_state: IorState::default(),
             rlu_scratch: RluScratch::default(),
+            loaded: LoadedObstacles::default(),
             primed: false,
-            odist_primed: false,
-            odist_src: None,
-            odist_targets: Vec::new(),
             current: ReuseCounters::default(),
             heap_reuse_mark: 0,
             continuation_mark: 0,
@@ -117,13 +111,7 @@ impl Workspace {
     /// graph picks up `cfg`'s substrate tuning (cell size, sweep mode,
     /// growth margin) for the query.
     pub(crate) fn begin_query(&mut self, cfg: &ConnConfig) {
-        self.begin_query_with_cell(cfg, cfg.vgraph_cell);
-    }
-
-    /// [`Workspace::begin_query`] with an explicit grid cell size (the
-    /// odist priming path adapts the cell to the obstacle field instead of
-    /// using `cfg.vgraph_cell`).
-    pub(crate) fn begin_query_with_cell(&mut self, cfg: &ConnConfig, cell: f64) {
+        let cell = cfg.vgraph_cell;
         self.current = ReuseCounters::default();
         if self.primed {
             self.current.graph_reuses = 1;
@@ -131,6 +119,7 @@ impl Workspace {
         } else if (self.g.grid_cell() - cell).abs() > f64::EPSILON {
             self.g = VisGraph::new(cell);
         }
+        self.loaded.clear();
         cfg.tune_graph(&mut self.g);
         self.begin_window();
     }
@@ -155,9 +144,6 @@ impl Workspace {
     /// two entry points treat differently) must be reset here.
     fn begin_window(&mut self) {
         self.primed = true;
-        self.odist_primed = false;
-        self.odist_src = None;
-        self.odist_targets.clear();
         self.vr_cache.clear();
         self.ior_state = IorState::default();
         self.heap_reuse_mark = self.dij.reuses();
@@ -171,6 +157,16 @@ impl Workspace {
         self.sweep_mark = self.g.sweep_events();
         self.invalidated_mark = self.dij.labels_invalidated();
         self.repair_mark = self.g.adjacency_repairs();
+    }
+
+    /// The point-anchored obstacle loader over this workspace (rewound by
+    /// [`Workspace::begin_query`] first) and `tree`.
+    pub(crate) fn resolver<'t>(
+        &mut self,
+        tree: &'t RStarTree<Rect>,
+        cfg: &ConnConfig,
+    ) -> Resolver<'_, 't> {
+        Resolver::new(&mut self.g, &mut self.dij, &mut self.loaded, tree, cfg)
     }
 
     /// Closes the reuse-counter window of the current query.
@@ -243,13 +239,6 @@ impl QueryEngine {
     /// size; retained allocations survive.
     pub fn set_config(&mut self, cfg: ConnConfig) {
         self.cfg = cfg;
-    }
-
-    /// Lifetime total of goal-retargeted warm searches this engine served
-    /// (the moving-target odist pattern; per-query counts are in
-    /// [`QueryStats::reuse`](crate::QueryStats)).
-    pub fn label_retargets(&self) -> u64 {
-        self.ws.dij.retargets()
     }
 
     /// CONN search (paper Algorithm 4) on the reused workspace. Tree I/O
@@ -393,149 +382,7 @@ impl QueryEngine {
         (CoknnResult::new(*q, list), stats)
     }
 
-    // ----- point-to-point obstructed distance ----------------------------
-
-    /// Ensures the workspace graph holds exactly `obstacles` (rebuilding
-    /// only when the field changed since the last odist call on this
-    /// engine).
-    fn prime_odist(&mut self, obstacles: &[Rect]) {
-        let expected = 4 * obstacles.len()
-            + usize::from(self.ws.odist_src.is_some())
-            + self.ws.odist_targets.len();
-        if self.ws.odist_primed
-            && self.ws.g.obstacles() == obstacles
-            && self.ws.g.num_nodes() == expected
-        {
-            return;
-        }
-        // cell size adapted to the obstacle field's typical extent, as the
-        // historical free functions did
-        let cell = obstacles
-            .iter()
-            .map(|r| r.width().max(r.height()))
-            .fold(0.0f64, f64::max)
-            .max(20.0);
-        self.ws.begin_query_with_cell(&self.cfg, cell);
-        for r in obstacles {
-            self.ws.g.add_obstacle(*r);
-        }
-        let _ = self.ws.finish_query();
-        self.ws.odist_primed = true;
-    }
-
-    /// Retained odist endpoint nodes are capped so the transient overlay
-    /// (walked once per settled node) stays small; past the cap the kept
-    /// targets are dropped and the next search starts cold.
-    const ODIST_TARGET_CAP: usize = 32;
-
-    /// Endpoint nodes for an odist run on the primed field. The source and
-    /// every target node stay *alive* between calls: node additions no
-    /// longer disturb the Dijkstra engine's shape snapshot, so a repeated
-    /// call from the same origin replays (same target), reseeds, or
-    /// retargets (moved target) the retained labels instead of starting
-    /// cold — the moving-target serving pattern of fleet tracking.
-    fn odist_nodes(&mut self, a: Point, b: Point) -> (conn_vgraph::NodeId, conn_vgraph::NodeId) {
-        let na = match self.ws.odist_src {
-            Some((p, n)) if p == a => n,
-            _ => {
-                // a new origin invalidates the retained labels anyway;
-                // drop the kept transients so the overlay stays small
-                if let Some((_, n)) = self.ws.odist_src.take() {
-                    self.ws.g.remove_node(n);
-                }
-                for (_, n) in std::mem::take(&mut self.ws.odist_targets) {
-                    self.ws.g.remove_node(n);
-                }
-                let n = self.ws.g.add_point(a, NodeKind::DataPoint);
-                self.ws.odist_src = Some((a, n));
-                n
-            }
-        };
-        let nb = match self.ws.odist_targets.iter().find(|(p, _)| *p == b) {
-            Some(&(_, n)) => n,
-            None => {
-                if self.ws.odist_targets.len() >= Self::ODIST_TARGET_CAP {
-                    for (_, n) in std::mem::take(&mut self.ws.odist_targets) {
-                        self.ws.g.remove_node(n);
-                    }
-                }
-                let n = self.ws.g.add_point(b, NodeKind::DataPoint);
-                self.ws.odist_targets.push((b, n));
-                n
-            }
-        };
-        (na, nb)
-    }
-
-    /// An endpoint strictly inside some obstacle is unreachable by
-    /// definition — blocking is open-interior containment — so the search
-    /// can answer ∞ without running. Without this the goal-directed
-    /// Dijkstra would settle every reachable node of the primed graph
-    /// before concluding the target cannot be reached.
-    fn odist_endpoint_swallowed(obstacles: &[Rect], a: Point, b: Point) -> bool {
-        obstacles
-            .iter()
-            .any(|r| r.strictly_contains(a) || r.strictly_contains(b))
-    }
-
-    /// Obstructed distance *and* path in one Dijkstra run (∞ / `None` when
-    /// unreachable). Repeated calls against the same obstacle slice reuse
-    /// the primed graph instead of rebuilding it, and repeated calls from
-    /// the same origin reuse the retained labels — retargeted when only
-    /// the destination moved.
-    pub fn obstructed_route(
-        &mut self,
-        obstacles: &[Rect],
-        a: Point,
-        b: Point,
-    ) -> (f64, Option<Vec<Point>>) {
-        if Self::odist_endpoint_swallowed(obstacles, a, b) {
-            return (f64::INFINITY, None);
-        }
-        self.prime_odist(obstacles);
-        let (na, nb) = self.odist_nodes(a, b);
-        let goal = self.cfg.kernel.point_goal(b);
-        self.ws
-            .dij
-            .ensure_prepared(&self.ws.g, na, goal, self.cfg.label_continuation);
-        let d = self.ws.dij.run_until_settled(&mut self.ws.g, nb);
-        let g = &self.ws.g;
-        let path = d.is_finite().then(|| {
-            self.ws
-                .dij
-                .path_to(nb)
-                .iter()
-                .map(|&n| g.node_pos(n))
-                .collect()
-        });
-        (d, path)
-    }
-
-    /// Engine-backed [`crate::obstructed_distance`].
-    pub fn obstructed_distance(&mut self, obstacles: &[Rect], a: Point, b: Point) -> f64 {
-        if Self::odist_endpoint_swallowed(obstacles, a, b) {
-            return f64::INFINITY;
-        }
-        self.prime_odist(obstacles);
-        let (na, nb) = self.odist_nodes(a, b);
-        let goal = self.cfg.kernel.point_goal(b);
-        self.ws
-            .dij
-            .ensure_prepared(&self.ws.g, na, goal, self.cfg.label_continuation);
-        self.ws.dij.run_until_settled(&mut self.ws.g, nb)
-    }
-
-    /// Engine-backed [`crate::obstructed_path`].
-    pub fn obstructed_path(
-        &mut self,
-        obstacles: &[Rect],
-        a: Point,
-        b: Point,
-    ) -> Option<Vec<Point>> {
-        self.obstructed_route(obstacles, a, b).1
-    }
-
-    /// The workspace, for algorithm layers that drive it directly (joins).
+    /// The workspace, for the family modules that drive it directly.
     pub(crate) fn workspace(&mut self) -> &mut Workspace {
         &mut self.ws
     }
@@ -546,6 +393,7 @@ mod tests {
     use super::*;
     use crate::coknn::coknn_search;
     use crate::conn::conn_search;
+    use conn_geom::Point;
 
     fn setup() -> (RStarTree<DataPoint>, RStarTree<Rect>, Vec<Segment>) {
         let points = vec![
@@ -626,10 +474,9 @@ mod tests {
         let (dt, ot, queries) = setup();
         let cfg = ConnConfig::default();
         let mut engine = QueryEngine::new(cfg);
-        let obstacles: Vec<Rect> = ot.iter_items().copied().collect();
         for q in &queries {
             let (c1, _) = engine.conn(&dt, &ot, q);
-            let d = engine.obstructed_distance(&obstacles, q.a, q.b);
+            let (d, _) = engine.obstructed_distance(&ot, q.a, q.b);
             assert!(d >= q.len() - 1e-9);
             let (k1, _) = engine.coknn(&dt, &ot, q, 2);
             let (c2, _) = conn_search(&dt, &ot, q, &cfg);
@@ -662,28 +509,5 @@ mod tests {
             on_events += sa.reuse.sweep_events;
         }
         assert!(on_events > 0, "forced sweep recorded no events");
-    }
-
-    #[test]
-    fn odist_reuses_primed_field() {
-        let obstacles = vec![
-            Rect::new(40.0, -10.0, 60.0, 30.0),
-            Rect::new(10.0, 50.0, 30.0, 70.0),
-        ];
-        let mut engine = QueryEngine::default();
-        let d1 =
-            engine.obstructed_distance(&obstacles, Point::new(0.0, 0.0), Point::new(100.0, 0.0));
-        let before = engine.ws.dij.reuses();
-        let d2 =
-            engine.obstructed_distance(&obstacles, Point::new(0.0, 0.0), Point::new(100.0, 0.0));
-        assert_eq!(d1.to_bits(), d2.to_bits());
-        assert!(engine.ws.dij.reuses() > before);
-        // changing the field rebuilds
-        let d3 = engine.obstructed_distance(
-            &obstacles[..1],
-            Point::new(0.0, 0.0),
-            Point::new(100.0, 0.0),
-        );
-        assert!(d3 <= d1 + 1e-9);
     }
 }

@@ -1,12 +1,11 @@
 //! Epoch-snapshot publication of scenes (serving layer).
 //!
 //! A [`SceneEpoch`] is one immutable, numbered snapshot of the world: the
-//! [`Scene`] itself, the lazily collected flat obstacle field the
-//! point-to-point distance family primes from, and (on sharded services)
-//! the [`ShardSet`] tiling. Readers *pin* the current epoch at query
-//! start ([`crate::ConnService::pin`]) and run entirely against that
-//! snapshot; a writer builds the next epoch off to the side and publishes
-//! it with one atomic pointer swap ([`crate::ConnService::publish`]).
+//! [`Scene`] itself and (on sharded services) the [`ShardSet`] tiling.
+//! Readers *pin* the current epoch at query start
+//! ([`crate::ConnService::pin`]) and run entirely against that snapshot; a
+//! writer builds the next epoch off to the side and publishes it with one
+//! atomic pointer swap ([`crate::ConnService::publish`]).
 //!
 //! Retirement is deferred, not reference-counted by hand: a published-over
 //! epoch stays fully alive for as long as any [`PinnedEpoch`] still holds
@@ -18,9 +17,9 @@
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
-use conn_geom::{Point, Rect};
+use conn_geom::Point;
 
 use crate::config::ConnConfig;
 use crate::service::Scene;
@@ -33,9 +32,6 @@ use crate::shard::{ShardSet, ShardSpec};
 pub struct SceneEpoch<'a> {
     epoch: u64,
     scene: Scene<'a>,
-    /// Obstacles collected once per epoch for the point-to-point distance
-    /// family (`OnceLock`, not `OnceCell`: many readers share the epoch).
-    field: OnceLock<Vec<Rect>>,
     shards: Option<ShardSet>,
     retired: Arc<AtomicU64>,
 }
@@ -55,12 +51,6 @@ impl<'a> SceneEpoch<'a> {
     /// The snapshot's shard tiling, if the service is sharded.
     pub fn shards(&self) -> Option<&ShardSet> {
         self.shards.as_ref()
-    }
-
-    /// The flat obstacle field of this snapshot, collected from the
-    /// obstacle tree on first use and shared by every reader thereafter.
-    pub fn obstacle_field(&self) -> &[Rect] {
-        self.field.get_or_init(|| self.scene.obstacles())
     }
 
     /// Opens a streaming trajectory CONN session against this snapshot
@@ -103,7 +93,7 @@ impl Drop for SceneEpoch<'_> {
 
 /// A reader's pin on one epoch: a cheap clone of the snapshot `Arc`.
 /// Everything on [`SceneEpoch`] is reachable through `Deref`; the pinned
-/// snapshot stays fully alive — trees, field, shards — until the last
+/// snapshot stays fully alive — trees and shards — until the last
 /// clone drops, however many epochs publish in the meantime.
 #[derive(Debug, Clone)]
 pub struct PinnedEpoch<'a> {
@@ -139,7 +129,6 @@ impl<'a> EpochCell<'a> {
         let initial = Arc::new(SceneEpoch {
             epoch: 0,
             scene,
-            field: OnceLock::new(),
             shards,
             retired: Arc::clone(&retired),
         });
@@ -175,7 +164,6 @@ impl<'a> EpochCell<'a> {
         *guard = Arc::new(SceneEpoch {
             epoch,
             scene,
-            field: OnceLock::new(),
             shards,
             retired: Arc::clone(&self.retired),
         });
@@ -211,6 +199,7 @@ impl<'a> EpochCell<'a> {
 mod tests {
     use super::*;
     use crate::types::DataPoint;
+    use conn_geom::Rect;
 
     fn scene(tag: u32) -> Scene<'static> {
         Scene::new(
@@ -263,19 +252,5 @@ mod tests {
         assert_eq!(cell.retired(), 0, "clone still pins epoch 0");
         drop(b);
         assert_eq!(cell.retired(), 1);
-    }
-
-    #[test]
-    fn obstacle_field_is_per_epoch() {
-        let cell = EpochCell::new(scene(0), None);
-        let pin = cell.pin();
-        assert_eq!(pin.obstacle_field().len(), 1);
-        cell.publish(
-            Scene::new(vec![DataPoint::new(9, Point::new(1.0, 1.0))], vec![]),
-            None,
-        );
-        assert_eq!(cell.pin().obstacle_field().len(), 0);
-        // the old pin keeps its own field
-        assert_eq!(pin.obstacle_field().len(), 1);
     }
 }

@@ -9,12 +9,11 @@
 //! candidate pairs that survive the bound.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use conn_geom::{OrdF64, Point, Rect};
+use conn_geom::{OrdF64, Rect};
 use conn_index::{Mbr, RStarTree, Slot};
-use conn_vgraph::NodeKind;
 
 use crate::config::ConnConfig;
 use crate::engine::{QueryEngine, Workspace};
@@ -154,7 +153,7 @@ fn closest_pair_on(
     }
 
     let mut best: Option<(DataPoint, DataPoint, f64)> = None;
-    let mut resolver = OdistResolver::new(ws, obstacle_tree, cfg);
+    let mut resolver = ws.resolver(obstacle_tree, cfg);
     let mut pairs_resolved = 0u64;
 
     if !tree_a.is_empty() && !tree_b.is_empty() {
@@ -278,7 +277,7 @@ fn edistance_join_on(
     }
 
     let mut out: Vec<(DataPoint, DataPoint, f64)> = Vec::new();
-    let mut resolver = OdistResolver::new(ws, obstacle_tree, cfg);
+    let mut resolver = ws.resolver(obstacle_tree, cfg);
     let mut pairs_resolved = 0u64;
 
     let mut stack: Vec<(Side, Side)> = Vec::new();
@@ -345,79 +344,6 @@ fn node_sides<'n>(node: &'n conn_index::Node<DataPoint>) -> impl Iterator<Item =
         .map(|(m, s)| slot_side(m, s))
 }
 
-/// Shared pairwise obstructed-distance resolver over the workspace's
-/// visibility graph and Dijkstra scratch. Exactness: after loading every
-/// obstacle with `mindist(o, a) ≤ B`, any computed path of length ≤ B is
-/// valid and any true shortest path of length ≤ B is present (Lemma 3's
-/// argument with the anchor degenerated to the point `a`).
-struct OdistResolver<'a, 'w> {
-    ws: &'w mut Workspace,
-    obstacle_tree: &'a RStarTree<Rect>,
-    loaded: HashSet<[u64; 4]>,
-    noe: u64,
-    kernel: crate::config::KernelMode,
-    warm: bool,
-}
-
-impl<'a, 'w> OdistResolver<'a, 'w> {
-    /// The workspace must already be rewound (`begin_query`) by the caller.
-    fn new(ws: &'w mut Workspace, obstacle_tree: &'a RStarTree<Rect>, cfg: &ConnConfig) -> Self {
-        OdistResolver {
-            ws,
-            obstacle_tree,
-            loaded: HashSet::new(),
-            noe: 0,
-            kernel: cfg.kernel,
-            warm: cfg.label_continuation,
-        }
-    }
-
-    fn load_upto(&mut self, anchor: Point, bound: f64) -> usize {
-        let mut added = 0;
-        for (r, od) in self.obstacle_tree.nearest_iter(anchor) {
-            if od > bound {
-                break;
-            }
-            if self.loaded.insert(r.bit_key()) {
-                self.ws.g.add_obstacle(r);
-                self.noe += 1;
-                added += 1;
-            }
-        }
-        added
-    }
-
-    fn resolve(&mut self, a: Point, b: Point) -> f64 {
-        let na = self.ws.g.add_point(a, NodeKind::DataPoint);
-        let nb = self.ws.g.add_point(b, NodeKind::DataPoint);
-        let mut bound = a.dist(b);
-        let total = self.obstacle_tree.len();
-        let goal = self.kernel.point_goal(b);
-        let d = loop {
-            self.load_upto(a, bound);
-            let ws = &mut *self.ws;
-            // rounds only add obstacles, so the warm path reseeds the
-            // previous round's labels instead of re-running from scratch
-            ws.dij.ensure_prepared(&ws.g, na, goal, self.warm);
-            let d = ws.dij.run_until_settled(&mut ws.g, nb);
-            if d.is_finite() {
-                if d <= bound + conn_geom::EPS {
-                    break d; // certified exact at this load level
-                }
-                bound = d;
-            } else {
-                if self.loaded.len() >= total {
-                    break f64::INFINITY; // genuinely disconnected
-                }
-                bound = bound * 2.0 + 1.0;
-            }
-        };
-        self.ws.g.remove_node(na);
-        self.ws.g.remove_node(nb);
-        d
-    }
-}
-
 fn join_stats(
     started: Instant,
     tree_a: &RStarTree<DataPoint>,
@@ -452,6 +378,7 @@ fn join_stats(
 mod tests {
     use super::*;
     use crate::obstructed_distance;
+    use conn_geom::Point;
 
     fn sets() -> (Vec<DataPoint>, Vec<DataPoint>, Vec<Rect>) {
         let a = vec![

@@ -19,7 +19,8 @@
 //! | CONN search (Alg. 4, Lemma 2) | [`conn`] |
 //! | COkNN extension (§4.5) | [`coknn`] |
 //! | single unified R-tree variant (§4.5) | [`single_tree`] |
-//! | baselines (sampling, brute force) | [`baseline`] |
+//! | baselines (sampling, brute force, whole-field odist oracle) | [`baseline`] |
+//! | the obstacle loader of every point-anchored family (IOR at a point, Lemma 3) | [`odist`] |
 //! | reusable engine & per-query workspace (beyond the paper) | [`engine`] |
 //! | parallel batch execution (beyond the paper) | [`batch`] |
 //! | trajectory CONN/COkNN (§6 future work) | [`trajectory`] |
@@ -98,6 +99,7 @@ pub mod types;
 pub mod visible;
 
 pub use admission::{Admission, AdmissionConfig, Ticket};
+pub use baseline::{obstructed_distance, obstructed_path, obstructed_route};
 pub use batch::{coknn_batch, conn_batch, trajectory_conn_batch, BatchStats};
 pub use coknn::{coknn_search, CoknnResult};
 pub use config::{ConnConfig, KernelMode};
@@ -109,7 +111,6 @@ pub use epoch::{PinnedEpoch, SceneEpoch};
 pub use error::Error;
 pub use joins::{obstructed_closest_pair, obstructed_edistance_join};
 pub use live::{answers_equivalent, LiveScene, PatchReport, SceneDelta, StandingHandle};
-pub use odist::{obstructed_distance, obstructed_path, obstructed_route};
 pub use onn::{naive_conn_by_onn, onn_search};
 pub use orange::obstructed_range_search;
 pub use pool::EnginePool;

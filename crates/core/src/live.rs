@@ -47,24 +47,37 @@
 //!   Deltas inside the region are repaired at the cheapest sound level:
 //!   ONN/range tuple lists absorb a site insertion by one point-to-point
 //!   distance evaluation, point-to-point entries (odist/route) keep a
-//!   resident [`conn_vgraph::VisGraph`] + Dijkstra kernel and re-settle
-//!   from the surviving labels, and everything else falls back to a
-//!   re-run of that one query. The full re-run is also the proptest
+//!   resident kernel — a [`conn_vgraph::VisGraph`] + Dijkstra engine of
+//!   their own, filled by the same tree-driven obstacle loader every
+//!   point-anchored query uses ([`crate::odist`]) from whichever epoch is
+//!   pinned, never from a copy of the field — and re-settle from the
+//!   surviving labels, and everything else falls back to a re-run of that
+//!   one query. CONN and COkNN entries re-run on a resident engine of
+//!   their own, as the next warm leg of a one-segment trajectory session:
+//!   the graph loaded by earlier runs is kept, an obstacle the scene lost
+//!   leaves it by the same surgery. The cold re-run is also the proptest
 //!   oracle: `live_equivalence.rs` pins every patched answer to a cold
 //!   rebuild at 1e-6.
 
 use std::sync::{Arc, Mutex};
 
-use conn_geom::{Point, Rect};
-use conn_index::{RStarTree, DEFAULT_PAGE_SIZE};
-use conn_vgraph::{DijkstraEngine, Goal, NodeId, NodeKind, VisGraph};
+use conn_geom::{Point, Rect, Segment};
+use conn_index::{DistShape, RStarTree, DEFAULT_PAGE_SIZE};
+use conn_vgraph::{DijkstraEngine, NodeId, NodeKind, VisGraph};
 
+use crate::coknn::{CoknnResult, KnnResultList};
 use crate::config::ConnConfig;
+use crate::conn::{ConnResult, ResultSink};
 use crate::engine::QueryEngine;
 use crate::epoch::PinnedEpoch;
+use crate::error::Error;
+use crate::odist::{affected, settled_path, Anchor, Resolver};
 use crate::query::{Answer, Query, QueryKind, Response};
+use crate::rlu::ResultList;
 use crate::service::{coknn_dmax, conn_dmax, dispatch, onn_dmax, ConnService, Scene};
+use crate::session::warm_leg;
 use crate::stats::QueryStats;
+use crate::streams::LoadedObstacles;
 use crate::types::DataPoint;
 
 /// One mutation of a live scene, as published alongside its derived
@@ -142,13 +155,6 @@ pub struct PatchReport {
     pub adjacency_repairs: u64,
 }
 
-/// Conservative slack for "can this delta touch the answer" tests: the
-/// certificate must err toward *recomputing*, never toward keeping a
-/// stale answer.
-fn affected(lower_bound: f64, dmax: f64) -> bool {
-    lower_bound <= dmax + 1e-9 * dmax.max(1.0)
-}
-
 /// The kinetic certificate of one standing query: the region a delta
 /// must touch to be able to change the answer.
 #[derive(Debug, Clone, Copy)]
@@ -221,31 +227,38 @@ fn answer_mentions(answer: &Answer, id: u32) -> bool {
     }
 }
 
-/// The resident point-to-point kernel of a standing odist/route entry:
-/// its own visibility graph and Dijkstra engine, repaired per delta
-/// instead of rebuilt — obstacle insertion grows the graph and reseeds,
-/// removal runs the in-place CSR surgery plus the paths-only-shorten
-/// reseed, then the answer re-settles from whatever labels survived.
+/// The resident point-to-point kernel of a standing odist/route entry: a
+/// visibility graph, Dijkstra engine and loaded set of its own, kept across
+/// epochs and filled by the same obstacle loader every point-anchored
+/// query uses ([`crate::odist`]), each time from the pinned epoch's tree.
+/// Per delta it is repaired instead of rebuilt — an inserted obstacle is
+/// picked up by the loader and reseeds, a removed one gets the in-place
+/// CSR surgery plus the paths-only-shorten reseed — then the answer
+/// re-settles from whatever labels survived.
 ///
-/// The graph holds only the *ellipse subset* of the field: every obstacle
+/// The graph holds only the *ellipse subset* of the scene: every obstacle
 /// `R` with `mindist(a,R) + mindist(b,R) ≤ bound`. Any point `x` on a
 /// path of length `≤ bound` satisfies `|ax| + |xb| ≤ bound`, so an
 /// obstacle outside the subset cannot touch such a path — once the
 /// settled distance lands `≤ bound`, the witness provably avoids the
-/// excluded obstacles too and the subset answer *is* the full-field
+/// excluded obstacles too and the subset answer *is* the full-scene
 /// answer. This is the same locality the engine's lazily-grown local
 /// visibility graphs exploit, and what keeps a resident kernel cheap on
 /// the paper-scale field (131 k obstacles, of which a handful matter).
+/// Every patch ends in the loader's fix-point, which re-establishes
+/// `graph == tree ∩ ellipse(bound)` from the tree itself (growing `bound`
+/// when an insertion pushed the distance past it), so [`LiveKernel::holds`]
+/// is exact about which deltas the graph can ignore.
 #[derive(Debug)]
 struct LiveKernel {
     g: VisGraph,
     dij: DijkstraEngine,
+    loaded: LoadedObstacles,
     src: NodeId,
     dst: NodeId,
-    goal: Goal,
     a: Point,
     b: Point,
-    /// Ellipse radius of the resident subset: the graph holds every field
+    /// Ellipse radius of the resident subset: the graph holds every scene
     /// obstacle with `mindist(a,R) + mindist(b,R) ≤ bound`, and the
     /// settled distance is `≤ bound` (or `∞`, which a subset can only
     /// over-report, so `∞` is exact too).
@@ -253,95 +266,115 @@ struct LiveKernel {
 }
 
 impl LiveKernel {
-    /// Cold build over the ellipse subset of the obstacle field
-    /// (registration time and the repair-failure fallback — never the
-    /// per-delta path). Grows the subset geometrically until the settled
+    /// An empty kernel settled against `tree` (registration time and the
+    /// repair-failure fallback — never the per-delta path).
+    fn build(tree: &RStarTree<Rect>, a: Point, b: Point, cfg: &ConnConfig) -> (Self, f64) {
+        let mut g = VisGraph::new(cfg.vgraph_cell); // lint:allow(no-full-rebuild-in-delta-path): construction-time empty graph, filled by the loader
+        cfg.tune_graph(&mut g);
+        let src = g.add_point(a, NodeKind::DataPoint);
+        let dst = g.add_point(b, NodeKind::DataPoint);
+        let mut kernel = LiveKernel {
+            g,
+            dij: DijkstraEngine::default(),
+            loaded: LoadedObstacles::default(),
+            src,
+            dst,
+            a,
+            b,
+            bound: a.dist(b),
+        };
+        let d = kernel.settle(tree, cfg);
+        (kernel, d)
+    }
+
+    fn anchor(&self) -> Anchor {
+        Anchor::Ellipse(self.a, self.b)
+    }
+
+    /// The loader's fix-point from the resident bound over `tree`: loads
+    /// whatever of the ellipse subset the graph lacks — an obstacle the
+    /// scene just gained included — and grows the subset until the settled
     /// distance certifies itself against the bound.
-    fn build(field: &[Rect], a: Point, b: Point, cfg: &ConnConfig) -> (Self, f64) {
-        let mut bound = (2.0 * a.dist(b)).max(40.0);
-        loop {
-            let subset: Vec<Rect> = field
-                .iter()
-                .filter(|r| affected(r.mindist_point(a) + r.mindist_point(b), bound))
-                .copied()
-                .collect();
-            // cell size adapted to the subset's typical extent, matching
-            // the engine's odist priming
-            let cell = subset
-                .iter()
-                .map(|r| r.width().max(r.height()))
-                .fold(0.0f64, f64::max)
-                .max(20.0);
-            let mut g = VisGraph::new(cell); // lint:allow(no-full-rebuild-in-delta-path): construction-time cold build, not a delta
-            cfg.tune_graph(&mut g);
-            for r in &subset {
-                g.add_obstacle(*r);
-            }
-            let src = g.add_point(a, NodeKind::DataPoint);
-            let dst = g.add_point(b, NodeKind::DataPoint);
-            let goal = cfg.kernel.point_goal(b);
-            let mut dij = DijkstraEngine::default();
-            dij.prepare_directed(&g, src, goal); // lint:allow(no-full-rebuild-in-delta-path): construction-time cold build, not a delta
-            let d = dij.run_until_settled(&mut g, dst);
-            // `∞` over a subset forces `∞` over the superset (obstacles
-            // only block), so both exits below return exact distances.
-            if !d.is_finite() || affected(d, bound) {
-                return (
-                    LiveKernel {
-                        g,
-                        dij,
-                        src,
-                        dst,
-                        goal,
-                        a,
-                        b,
-                        bound,
-                    },
-                    d,
-                );
-            }
-            bound = d.max(2.0 * bound);
-        }
+    fn settle(&mut self, tree: &RStarTree<Rect>, cfg: &ConnConfig) -> f64 {
+        let anchor = self.anchor();
+        let mut resolver = Resolver::new(&mut self.g, &mut self.dij, &mut self.loaded, tree, cfg);
+        let (d, bound) = resolver.settle(anchor, self.src, self.dst, self.bound);
+        self.bound = bound;
+        d
     }
 
     /// True when `r` falls inside the resident ellipse subset.
     fn holds(&self, r: &Rect) -> bool {
-        affected(
-            r.mindist_point(self.a) + r.mindist_point(self.b),
-            self.bound,
-        )
-    }
-
-    /// Absorbs an obstacle insertion: grow the graph, keep every label
-    /// whose witness path avoids the new rectangle, re-settle. `None`
-    /// when the new distance overflows the resident bound — the subset
-    /// is then no longer provably sufficient (caller rebuilds cold).
-    fn insert_obstacle(&mut self, r: Rect) -> Option<f64> {
-        self.g.add_obstacle(r);
-        self.dij.ensure_prepared(&self.g, self.src, self.goal, true);
-        let d = self.dij.run_until_settled(&mut self.g, self.dst);
-        (!d.is_finite() || affected(d, self.bound)).then_some(d)
+        affected(self.anchor().dist_rect(r), self.bound)
     }
 
     /// Absorbs an obstacle removal: in-place CSR surgery plus the
     /// paths-only-shorten reseed, then re-settle. `None` when the graph
     /// holds no such rectangle (caller falls back to a cold rebuild).
-    fn remove_obstacle(&mut self, r: &Rect) -> Option<f64> {
+    fn remove_obstacle(
+        &mut self,
+        r: &Rect,
+        tree: &RStarTree<Rect>,
+        cfg: &ConnConfig,
+    ) -> Option<f64> {
         self.g.remove_obstacle(r)?;
-        self.dij
-            .reseed_after_removal(&self.g, self.src, self.goal, r);
-        Some(self.dij.run_until_settled(&mut self.g, self.dst))
+        self.loaded.remove(r);
+        let goal = cfg.kernel.point_goal(self.b);
+        self.dij.reseed_after_removal(&self.g, self.src, goal, r);
+        Some(self.settle(tree, cfg))
     }
 
     /// The settled shortest path polyline (`None` when unreachable).
     fn path(&self, d: f64) -> Option<Vec<Point>> {
-        d.is_finite().then(|| {
-            self.dij
-                .path_to(self.dst)
-                .iter()
-                .map(|&n| self.g.node_pos(n))
-                .collect()
-        })
+        settled_path(&self.g, &self.dij, self.dst, d)
+    }
+}
+
+/// The resident segment kernel of a standing CONN/COkNN entry: an engine
+/// of its own whose visibility graph outlives the re-run, so the next
+/// re-run of the same segment is a warm leg of a trajectory session
+/// ([`crate::session`]). A loaded rectangle stays a real obstacle of every
+/// later epoch until a delta removes it — it then leaves the graph by the
+/// CSR surgery the point-to-point kernel uses, and the shape epoch that
+/// advances makes every search start cold — and an inserted one is simply
+/// not loaded yet, so the graph is always a subset of the pinned tree and a
+/// superset of what a cold run loads: the session's exactness argument.
+#[derive(Debug)]
+struct SegmentKernel {
+    engine: QueryEngine,
+    loaded: LoadedObstacles,
+    ends: Option<(NodeId, NodeId)>,
+}
+
+impl SegmentKernel {
+    fn new(cfg: ConnConfig) -> Self {
+        SegmentKernel {
+            engine: QueryEngine::new(cfg),
+            loaded: LoadedObstacles::default(),
+            ends: None,
+        }
+    }
+
+    /// Algorithm 4 over `q` against the pinned scene, warm from the second
+    /// run on.
+    fn run<R: ResultSink>(&mut self, scene: &Scene<'_>, q: &Segment, sink: R) -> (R, QueryStats) {
+        let (sink, ends, stats) = warm_leg(
+            &mut self.engine,
+            &mut self.loaded,
+            (scene.data_tree(), scene.obstacle_tree()),
+            q,
+            (self.ends.map(|e| e.0), self.ends.map(|e| e.1)),
+            sink,
+            f64::INFINITY,
+        );
+        self.ends = Some(ends);
+        (sink, stats)
+    }
+
+    /// Takes a removed obstacle out of the graph. False when the graph
+    /// should hold it and does not (the caller drops the kernel).
+    fn forget(&mut self, r: &Rect) -> bool {
+        !self.loaded.remove(r) || self.engine.workspace().g.remove_obstacle(r).is_some()
     }
 }
 
@@ -353,6 +386,7 @@ struct StandingEntry {
     answer: Answer,
     cert: Certificate,
     kernel: Option<LiveKernel>,
+    segment: Option<SegmentKernel>,
 }
 
 impl StandingEntry {
@@ -385,18 +419,25 @@ struct RegistryInner {
 }
 
 impl StandingRegistry {
+    /// Makes `query` resident. CONN and COkNN take their first answer from
+    /// the segment kernel the entry keeps, so every later re-run is warm;
+    /// the other families from `execute`.
     pub(crate) fn register(
         &self,
         pin: &PinnedEpoch<'_>,
         cfg: &ConnConfig,
         query: Query,
-        response: Response,
-    ) -> StandingHandle {
-        let answer = response.answer;
+        execute: impl FnOnce(&Query) -> Result<Response, Error>,
+    ) -> Result<StandingHandle, Error> {
+        let mut segment = None;
+        let answer = match segment_rerun(&mut segment, &query, pin.scene(), cfg) {
+            Some((answer, _)) => answer,
+            None => execute(&query)?.answer,
+        };
         let cert = certificate_for(&query, &answer);
         let kernel = match query.kind() {
             QueryKind::Odist { a, b } | QueryKind::Route { a, b } => {
-                Some(LiveKernel::build(pin.obstacle_field(), *a, *b, cfg).0)
+                Some(LiveKernel::build(pin.scene().obstacle_tree(), *a, *b, cfg).0)
             }
             _ => None,
         };
@@ -409,8 +450,9 @@ impl StandingRegistry {
             answer,
             cert,
             kernel,
+            segment,
         });
-        StandingHandle { id }
+        Ok(StandingHandle { id })
     }
 
     pub(crate) fn answer(&self, handle: &StandingHandle) -> Option<Answer> {
@@ -485,6 +527,12 @@ fn patch_entry(
     if entry.kernel.is_some() {
         return patch_kernel_entry(entry, pin, cfg, delta, report);
     }
+    // a resident segment graph follows every removal, kept answer or not
+    if let (Some(segment), SceneDelta::ObstacleRemoved(r)) = (entry.segment.as_mut(), delta) {
+        if !segment.forget(r) {
+            entry.segment = None;
+        }
+    }
     let decision = match (entry.cert, delta) {
         (Certificate::Always, _) => Outcome::Recomputed,
         // A removed site the answer never mentions cannot change it.
@@ -526,25 +574,45 @@ fn patch_entry(
                 // lint:allow(no-panic-in-query-path): TuplePatched is only picked under the SiteInserted arm above
                 unreachable!("tuple patch is only chosen for site insertions");
             };
-            tuple_patch_insert(entry, engine, pin, *p);
+            tuple_patch_insert(entry, engine, pin, *p, pooled);
             entry.recertify();
             Outcome::TuplePatched
         }
         Outcome::Recomputed => {
-            let (answer, stats) = dispatch(
-                engine,
-                pin.scene(),
-                pin.obstacle_field(),
-                *cfg,
-                &entry.query,
-                false,
-            );
+            let scene = pin.scene();
+            let (answer, stats) = segment_rerun(&mut entry.segment, &entry.query, scene, cfg)
+                .unwrap_or_else(|| dispatch(engine, scene, *cfg, &entry.query, false));
             pooled.accumulate(&stats);
             entry.answer = answer;
             entry.recertify();
             Outcome::Recomputed
         }
         other => other,
+    }
+}
+
+/// The full re-run of a standing CONN or COkNN query on its resident
+/// segment kernel (started here when the entry has none); `None` for every
+/// other family.
+fn segment_rerun(
+    kernel: &mut Option<SegmentKernel>,
+    query: &Query,
+    scene: &Scene<'_>,
+    cfg: &ConnConfig,
+) -> Option<(Answer, QueryStats)> {
+    let cfg = query.config().copied().unwrap_or(*cfg);
+    match *query.kind() {
+        QueryKind::Conn { q } => {
+            let kernel = kernel.get_or_insert_with(|| SegmentKernel::new(cfg));
+            let (list, stats) = kernel.run(scene, &q, ResultList::new(q.len()));
+            Some((Answer::Conn(ConnResult::new(q, list)), stats))
+        }
+        QueryKind::Coknn { q, k } => {
+            let kernel = kernel.get_or_insert_with(|| SegmentKernel::new(cfg));
+            let (list, stats) = kernel.run(scene, &q, KnnResultList::new(q.len(), k));
+            Some((Answer::Coknn(CoknnResult::new(q, list)), stats))
+        }
+        _ => None,
     }
 }
 
@@ -577,19 +645,21 @@ fn patch_kernel_entry(
     // of length ≤ bound (so the settled answer stands), a removal there
     // deletes an obstacle the subset never held (and a subset distance
     // of ∞ still forces ∞ over the thinned field). The graph stays
-    // consistent with `field ∩ ellipse(bound)` without absorbing anything.
+    // consistent with `tree ∩ ellipse(bound)` without absorbing anything.
     if !kernel.holds(&rect) {
         return Outcome::Kept;
     }
     // Inside the subset the graph absorbs the delta surgically so its
     // obstacle set keeps tracking the scene — but only deltas inside the
     // *answer's* ellipse (`inside`) can actually move the settled value.
+    let tree = pin.scene().obstacle_tree();
     let labels_before = kernel.dij.labels_invalidated();
     let repairs_before = kernel.g.adjacency_repairs();
     let patched = if removal {
-        kernel.remove_obstacle(&rect)
+        kernel.remove_obstacle(&rect, tree, cfg)
     } else {
-        kernel.insert_obstacle(rect)
+        // the pinned tree already holds `rect`: the loader picks it up
+        Some(kernel.settle(tree, cfg))
     };
     let (d, outcome) = match patched {
         Some(d) => {
@@ -605,10 +675,9 @@ fn patch_kernel_entry(
             )
         }
         None => {
-            // the graph held no such rectangle (duplicate-removal skew),
-            // or the insertion pushed the distance past the resident
-            // bound: rebuild the kernel cold from the published field
-            let (fresh, d) = LiveKernel::build(pin.obstacle_field(), a, b, cfg);
+            // the graph held no such rectangle: the kernel no longer
+            // tracks the scene, so start it over from the published tree
+            let (fresh, d) = LiveKernel::build(tree, a, b, cfg);
             *kernel = fresh;
             (d, Outcome::Recomputed)
         }
@@ -630,13 +699,14 @@ fn patch_kernel_entry(
 }
 
 /// Absorbs a site insertion into an ONN/range tuple list: one obstructed
-/// distance evaluation against the published field, merged in ascending
-/// order (ONN truncates back to `k`).
+/// distance evaluation against the published obstacle tree, merged in
+/// ascending order (ONN truncates back to `k`).
 fn tuple_patch_insert(
     entry: &mut StandingEntry,
     engine: &mut QueryEngine,
     pin: &PinnedEpoch<'_>,
     p: DataPoint,
+    pooled: &mut QueryStats,
 ) {
     let (s, cap, radius) = match entry.query.kind() {
         QueryKind::Onn { s, k } => (*s, Some(*k), f64::INFINITY),
@@ -644,7 +714,8 @@ fn tuple_patch_insert(
         // lint:allow(no-panic-in-query-path): patch_entry routes only ONN/range here
         _ => unreachable!("tuple patch is only chosen for ONN/range"),
     };
-    let d = engine.obstructed_distance(pin.obstacle_field(), s, p.pos);
+    let ((d, _), stats) = engine.odist(pin.scene().obstacle_tree(), s, p.pos, false, false);
+    pooled.accumulate(&stats);
     let (Answer::Onn(list) | Answer::Range(list)) = &mut entry.answer else {
         // lint:allow(no-panic-in-query-path): ONN/range queries always hold ONN/range answers
         unreachable!("tuple patch is only chosen for ONN/range answers");
@@ -1080,5 +1151,46 @@ mod tests {
             &cold_answer(&live, &q),
             1e-6
         ));
+    }
+    #[test]
+    fn standing_segment_kernels_rerun_warm_and_follow_removals() {
+        let scene = Scene::new(points(), obstacles());
+        let seg = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
+        let mut kernel = SegmentKernel::new(ConnConfig::default());
+        let mut noe = || kernel.run(&scene, &seg, ResultList::new(seg.len())).1.noe;
+        assert!(noe() > 0);
+        assert_eq!(noe(), 0, "a warm re-run loads nothing twice");
+        // a removed obstacle leaves the graph; one it never held is fine
+        assert!(kernel.forget(&obstacles()[0]));
+        assert!(kernel.forget(&Rect::new(500.0, 500.0, 510.0, 510.0)));
+        let (_, again) = kernel.run(&scene, &seg, ResultList::new(seg.len()));
+        assert_eq!(again.noe, 1, "the tree still holds it: loaded back by need");
+
+        // through the service: every mutation near the segment, a twin of an
+        // existing obstacle included, against the cold rebuild
+        let mut live = LiveScene::new(points(), obstacles(), ConnConfig::default());
+        let queries = [
+            Query::conn(seg).build().unwrap(),
+            Query::coknn(seg, 2).build().unwrap(),
+        ];
+        let handles = queries.clone().map(|q| live.service().register(q).unwrap());
+        let (wall, twin) = (Rect::new(48.0, -20.0, 52.0, 12.0), obstacles()[0]);
+        let site = DataPoint::new(11, Point::new(48.0, 1.0));
+        for step in 0..7 {
+            let report = match step {
+                0 => live.insert_obstacle(wall).1,
+                1 => live.insert_site(site).1,
+                2 => live.insert_obstacle(twin).1,
+                3 | 6 => live.remove_obstacle(&twin).unwrap().1,
+                4 => live.remove_obstacle(&wall).unwrap().1,
+                _ => live.remove_site(site.pos).unwrap().1,
+            };
+            assert_eq!(report.recomputed, 2, "step {step}: {report:?}");
+            for (q, h) in queries.iter().zip(&handles) {
+                let got = live.service().standing(h).unwrap();
+                let want = cold_answer(&live, q);
+                assert!(answers_equivalent(&got, &want, 1e-9), "step {step}");
+            }
+        }
     }
 }

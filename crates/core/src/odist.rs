@@ -1,86 +1,357 @@
-//! Point-to-point obstructed distance (paper Definition 4), as a standalone
-//! utility.
+//! The obstacle loader: the one way a point-anchored query family gets
+//! obstacles into a visibility graph, and the point-to-point resolver built
+//! on it.
 //!
-//! Builds a visibility graph over the *entire* obstacle list — suitable for
-//! examples, tests and small workloads. Query processing never calls this;
-//! it uses the incremental local graph instead.
+//! CONN/COkNN/trajectories load obstacles around a *segment*
+//! ([`crate::streams`], paper Algorithm 1). Everything anchored at points —
+//! odist, route, ONN, range, reverse NN, the joins, visible kNN, and the
+//! resident kernels of standing odist/route queries — loads through the
+//! `Resolver` here, incrementally from the obstacle R\*-tree and bounded
+//! by the current best distance, never from a flat copy of the field.
 //!
-//! All three free functions route through one thread-local
-//! [`crate::QueryEngine`], which keeps the obstacle field primed between
-//! calls: computing a distance and then its path (or repeating either
-//! against the same obstacle slice) no longer rebuilds the graph. Callers
-//! that already hold an engine should use
-//! [`crate::QueryEngine::obstructed_route`] directly.
+//! ## Contract
+//!
+//! After `Resolver::load``(anchor, B)` the graph holds every tree obstacle
+//! `R` with `anchor.dist_rect(R) ≤ B` (`affected` adds float slack):
+//!
+//! * `Anchor::Disc``(s)` — `mindist(s, R) ≤ B`. Every point of a path of
+//!   length `≤ B` that starts or ends at `s` lies within `B` of `s`, so no
+//!   unloaded obstacle can touch such a path (Lemma 3 with `q` degenerated
+//!   to the point `s`). One anchor serves many targets: the `nearest_iter`
+//!   stream stays open while the anchor is unchanged.
+//! * `Anchor::Ellipse``(a, b)` — `mindist(a, R) + mindist(b, R) ≤ B`. Any
+//!   point `x` of an `a`–`b` path of length `≤ B` has `|ax| + |xb| ≤ B`, so
+//!   again no unloaded obstacle can touch it. The sum lower-bounds itself
+//!   over R-tree nodes (an MBR is no farther from either focus than its
+//!   contents), so the tree streams obstacles in ascending sum directly.
+//!
+//! When the anchor moves the stream is re-opened and deduplicated against
+//! the graph's [`LoadedObstacles`], so a graph shared by many pairs (joins,
+//! reverse NN) or kept resident across epochs (live kernels) accumulates
+//! each obstacle once.
+//!
+//! `Resolver::settle` is the fix-point on top: load to `B`, search, and
+//! stop when the distance `d ≤ B` — the graph then holds only real
+//! obstacles (so `d` is no longer than the true distance) and every
+//! obstacle that could touch a path that short (so the witness is valid):
+//! `d` is exact. Otherwise `B = d` and the next round loads further.
+//! `d = ∞` is final at *any* load level: obstacles only block, so endpoints
+//! a subset already disconnects stay disconnected under the whole field.
+//!
+//! The whole-field reference the tests compare against lives in
+//! [`crate::baseline`] and shares no code with this module.
 
-use std::cell::RefCell;
+use std::time::Instant;
 
 use conn_geom::{Point, Rect};
+use conn_index::{DistShape, NearestIter, RStarTree};
+use conn_vgraph::{DijkstraEngine, NodeId, NodeKind, VisGraph};
 
-use crate::config::ConnConfig;
+use crate::config::{ConnConfig, KernelMode};
 use crate::engine::QueryEngine;
+use crate::stats::QueryStats;
+use crate::streams::LoadedObstacles;
+use crate::types::DataPoint;
 
-thread_local! {
-    /// Shared engine behind the free functions — one per thread, so the
-    /// primed obstacle graph survives across calls without locking.
-    static ODIST_ENGINE: RefCell<QueryEngine> =
-        RefCell::new(QueryEngine::new(ConnConfig::default()));
+/// Can something at lower-bound distance `lower` matter to paths of length
+/// `≤ bound`? Conservative float slack: the loader must err toward loading,
+/// a standing query's certificate toward recomputing.
+pub(crate) fn affected(lower: f64, bound: f64) -> bool {
+    lower <= bound + 1e-9 * bound.max(1.0)
 }
 
-/// Obstacle fields larger than this are served by a throwaway engine so the
-/// thread-local cache never pins an arbitrarily large visibility graph in
-/// memory between calls.
-const ODIST_RETAIN_MAX: usize = 4096;
+/// True when `p` lies strictly inside some tree obstacle: nothing is
+/// reachable from such a point (blocking is open-interior containment), so
+/// callers answer `∞` / empty without searching. One tree point query.
+pub(crate) fn point_swallowed(tree: &RStarTree<Rect>, p: Point) -> bool {
+    tree.nearest_iter(p)
+        .take_while(|(_, d)| *d <= 0.0)
+        .any(|(r, _)| r.strictly_contains(p))
+}
 
-fn with_odist_engine<T>(obstacles: &[Rect], f: impl FnOnce(&mut QueryEngine) -> T) -> T {
-    if obstacles.len() > ODIST_RETAIN_MAX {
-        return f(&mut QueryEngine::new(ConnConfig::default()));
+/// What an obstacle load is anchored at (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Anchor {
+    /// Paths that start or end at one point.
+    Disc(Point),
+    /// Paths between two points.
+    Ellipse(Point, Point),
+}
+
+impl DistShape for Anchor {
+    #[inline]
+    fn dist_rect(&self, r: &Rect) -> f64 {
+        match *self {
+            Anchor::Disc(p) => r.mindist_point(p),
+            Anchor::Ellipse(a, b) => r.mindist_point(a) + r.mindist_point(b),
+        }
     }
-    ODIST_ENGINE.with(|e| f(&mut e.borrow_mut()))
 }
 
-/// Length of the shortest obstacle-avoiding path from `a` to `b`
-/// (∞ when no path exists). `O(n²)`-ish in the obstacle count — see module
-/// docs.
-///
-/// ```
-/// use conn_core::obstructed_distance;
-/// use conn_geom::{Point, Rect};
-///
-/// let a = Point::new(0.0, 0.0);
-/// let b = Point::new(100.0, 0.0);
-/// assert_eq!(obstructed_distance(&[], a, b), 100.0);
-///
-/// // a wall across the straight line forces a detour through (40, 30)
-/// let wall = Rect::new(40.0, -10.0, 60.0, 30.0);
-/// let d = obstructed_distance(&[wall], a, b);
-/// assert!(d > 100.0);
-/// ```
-pub fn obstructed_distance(obstacles: &[Rect], a: Point, b: Point) -> f64 {
-    with_odist_engine(obstacles, |e| e.obstructed_distance(obstacles, a, b))
+/// The obstacle stream of the current anchor.
+struct OpenStream<'t> {
+    anchor: Anchor,
+    iter: NearestIter<'t, Rect, Anchor>,
+    /// Popped but beyond the bound of the load that popped it.
+    pending: Option<(Rect, f64)>,
+    /// The largest bound this stream has been drained to (none yet: even
+    /// a zero bound loads what touches the anchor).
+    upto: f64,
 }
 
-/// The shortest obstacle-avoiding path itself (polyline through obstacle
-/// corners), or `None` when unreachable.
-pub fn obstructed_path(obstacles: &[Rect], a: Point, b: Point) -> Option<Vec<Point>> {
-    with_odist_engine(obstacles, |e| e.obstructed_path(obstacles, a, b))
+/// The loader and resolver over a visibility graph, a Dijkstra engine and
+/// the graph's loaded set — borrowed from whoever owns them (the engine
+/// [`crate::engine::Workspace`] for one query, a resident live kernel for
+/// one patch) — and one obstacle tree.
+pub(crate) struct Resolver<'w, 't> {
+    pub(crate) g: &'w mut VisGraph,
+    pub(crate) dij: &'w mut DijkstraEngine,
+    loaded: &'w mut LoadedObstacles,
+    tree: &'t RStarTree<Rect>,
+    kernel: KernelMode,
+    warm: bool,
+    stream: Option<OpenStream<'t>>,
+    /// Obstacles this resolver inserted into the graph (the NOE metric).
+    pub(crate) noe: u64,
 }
 
-/// Distance and path in a single Dijkstra run — cheaper than calling
-/// [`obstructed_distance`] and [`obstructed_path`] separately.
-pub fn obstructed_route(obstacles: &[Rect], a: Point, b: Point) -> (f64, Option<Vec<Point>>) {
-    with_odist_engine(obstacles, |e| e.obstructed_route(obstacles, a, b))
+impl<'w, 't> Resolver<'w, 't> {
+    /// `loaded` must describe `g`: exactly the tree obstacles it holds.
+    pub(crate) fn new(
+        g: &'w mut VisGraph,
+        dij: &'w mut DijkstraEngine,
+        loaded: &'w mut LoadedObstacles,
+        tree: &'t RStarTree<Rect>,
+        cfg: &ConnConfig,
+    ) -> Self {
+        Resolver {
+            g,
+            dij,
+            loaded,
+            tree,
+            kernel: cfg.kernel,
+            warm: cfg.label_continuation,
+            stream: None,
+            noe: 0,
+        }
+    }
+
+    /// Loads every not-yet-loaded tree obstacle within `bound` of `anchor`
+    /// and returns the bound the anchor is now loaded to (a previous call
+    /// may already have gone further).
+    pub(crate) fn load(&mut self, anchor: Anchor, bound: f64) -> f64 {
+        let s = match &mut self.stream {
+            Some(s) if s.anchor == anchor => s,
+            slot => slot.insert(OpenStream {
+                anchor,
+                iter: self.tree.nearest_iter(anchor),
+                pending: None,
+                upto: f64::NEG_INFINITY,
+            }),
+        };
+        if bound <= s.upto {
+            return s.upto;
+        }
+        loop {
+            if s.pending.is_none() {
+                s.pending = s.iter.next();
+            }
+            match s.pending {
+                Some((r, d)) if affected(d, bound) => {
+                    s.pending = None;
+                    if self.loaded.insert(&r) {
+                        self.g.add_obstacle(r);
+                        self.noe += 1;
+                    }
+                }
+                _ => break,
+            }
+        }
+        s.upto = bound;
+        bound
+    }
+
+    /// Exact obstructed distance from node `src` to node `dst` (`∞` when
+    /// unreachable) by the load–search fix-point of the module docs,
+    /// starting at `bound`; also returns the bound it certified at. Every
+    /// `src`–`dst` path must be one `anchor` covers.
+    pub(crate) fn settle(
+        &mut self,
+        anchor: Anchor,
+        src: NodeId,
+        dst: NodeId,
+        mut bound: f64,
+    ) -> (f64, f64) {
+        let goal = self.kernel.point_goal(self.g.node_pos(dst));
+        loop {
+            bound = self.load(anchor, bound);
+            // rounds only add obstacles, so the warm path reseeds the
+            // previous round's labels instead of re-running from scratch
+            self.dij.ensure_prepared(self.g, src, goal, self.warm);
+            let d = self.dij.run_until_settled(self.g, dst);
+            if !d.is_finite() || affected(d, bound) {
+                return (d, bound);
+            }
+            bound = d;
+        }
+    }
+
+    fn pair(&mut self, a: Point, b: Point) -> (f64, NodeId, NodeId) {
+        let na = self.g.add_point(a, NodeKind::DataPoint);
+        let nb = self.g.add_point(b, NodeKind::DataPoint);
+        let (d, _) = self.settle(Anchor::Ellipse(a, b), na, nb, a.dist(b));
+        (d, na, nb)
+    }
+
+    /// Obstructed distance between two points.
+    pub(crate) fn resolve(&mut self, a: Point, b: Point) -> f64 {
+        let (d, na, nb) = self.pair(a, b);
+        self.g.remove_node(na);
+        self.g.remove_node(nb);
+        d
+    }
+
+    /// Obstructed distance and shortest path between two points.
+    pub(crate) fn resolve_route(&mut self, a: Point, b: Point) -> (f64, Option<Vec<Point>>) {
+        let (d, na, nb) = self.pair(a, b);
+        let path = settled_path(self.g, self.dij, nb, d);
+        self.g.remove_node(na);
+        self.g.remove_node(nb);
+        (d, path)
+    }
+}
+
+/// The settled shortest path to `dst` as a polyline (`None` when `d = ∞`).
+pub(crate) fn settled_path(
+    g: &VisGraph,
+    dij: &DijkstraEngine,
+    dst: NodeId,
+    d: f64,
+) -> Option<Vec<Point>> {
+    d.is_finite()
+        .then(|| dij.path_to(dst).iter().map(|&n| g.node_pos(n)).collect())
+}
+
+impl QueryEngine {
+    /// Runs one point-anchored family on the rewound workspace: opens the
+    /// I/O and reuse-counter windows, hands `body` the [`Resolver`] over
+    /// `obstacle_tree`, and assembles the stats around what it returns —
+    /// the answer, the points evaluated (NPE) and the result tuples.
+    /// `track_io = false` leaves the shared trees' counters to be pooled at
+    /// the batch level (see the batch module docs).
+    pub(crate) fn point_family<T>(
+        &mut self,
+        data_tree: Option<&RStarTree<DataPoint>>,
+        obstacle_tree: &RStarTree<Rect>,
+        track_io: bool,
+        body: impl FnOnce(&mut Resolver<'_, '_>) -> (T, u64, u64),
+    ) -> (T, QueryStats) {
+        if track_io {
+            if let Some(dt) = data_tree {
+                dt.reset_stats();
+            }
+            obstacle_tree.reset_stats();
+        }
+        // Query-boundary elapsed time for QueryStats; the kernel loops
+        // never read the clock.
+        let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
+        let cfg = *self.config();
+        let ws = self.workspace();
+        ws.begin_query(&cfg);
+        let mut resolver = ws.resolver(obstacle_tree, &cfg);
+        let (answer, npe, result_tuples) = body(&mut resolver);
+        let noe = resolver.noe;
+        let mut stats = QueryStats {
+            cpu: started.elapsed(),
+            npe,
+            noe,
+            svg_nodes: ws.g.num_nodes() as u64,
+            result_tuples,
+            reuse: ws.finish_query(),
+            ..QueryStats::default()
+        };
+        if track_io {
+            stats.data_io = data_tree.map(|dt| dt.stats()).unwrap_or_default();
+            stats.obstacle_io = obstacle_tree.stats();
+        }
+        (answer, stats)
+    }
+
+    /// Point-to-point obstructed distance, with the path when asked for.
+    pub(crate) fn odist(
+        &mut self,
+        obstacle_tree: &RStarTree<Rect>,
+        a: Point,
+        b: Point,
+        want_path: bool,
+        track_io: bool,
+    ) -> ((f64, Option<Vec<Point>>), QueryStats) {
+        self.point_family(None, obstacle_tree, track_io, |r| {
+            let route = if point_swallowed(obstacle_tree, a) || point_swallowed(obstacle_tree, b) {
+                (f64::INFINITY, None)
+            } else if want_path {
+                r.resolve_route(a, b)
+            } else {
+                (r.resolve(a, b), None)
+            };
+            (route, 0, 1)
+        })
+    }
+
+    /// Length of the shortest obstacle-avoiding path from `a` to `b` (`∞`
+    /// when no path exists), loading only the obstacles that can matter
+    /// from `obstacle_tree`.
+    pub fn obstructed_distance(
+        &mut self,
+        obstacle_tree: &RStarTree<Rect>,
+        a: Point,
+        b: Point,
+    ) -> (f64, QueryStats) {
+        let ((d, _), stats) = self.odist(obstacle_tree, a, b, false, true);
+        (d, stats)
+    }
+
+    /// Obstructed distance *and* path (polyline through obstacle corners;
+    /// `None` when unreachable) in one search.
+    pub fn obstructed_route(
+        &mut self,
+        obstacle_tree: &RStarTree<Rect>,
+        a: Point,
+        b: Point,
+    ) -> ((f64, Option<Vec<Point>>), QueryStats) {
+        self.odist(obstacle_tree, a, b, true, true)
+    }
+
+    /// The shortest obstacle-avoiding path itself.
+    pub fn obstructed_path(
+        &mut self,
+        obstacle_tree: &RStarTree<Rect>,
+        a: Point,
+        b: Point,
+    ) -> (Option<Vec<Point>>, QueryStats) {
+        let ((_, path), stats) = self.odist(obstacle_tree, a, b, true, true);
+        (path, stats)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline;
+
+    fn tree(obstacles: &[Rect]) -> RStarTree<Rect> {
+        RStarTree::bulk_load(obstacles.to_vec(), 4096)
+    }
 
     #[test]
     fn free_space_is_euclid() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(30.0, 40.0);
-        assert_eq!(obstructed_distance(&[], a, b), 50.0);
-        assert_eq!(obstructed_path(&[], a, b).unwrap(), vec![a, b]);
+        let mut engine = QueryEngine::default();
+        let ((d, path), stats) = engine.obstructed_route(&tree(&[]), a, b);
+        assert_eq!(d, 50.0);
+        assert_eq!(path.unwrap(), vec![a, b]);
+        assert_eq!(stats.noe, 0);
     }
 
     /// The paper's Figure 1(b) `a`–`g` example shape: one obstacle, detour
@@ -90,37 +361,78 @@ mod tests {
         let o = Rect::new(40.0, -10.0, 60.0, 30.0);
         let a = Point::new(0.0, 0.0);
         let g = Point::new(100.0, 0.0);
-        let d = obstructed_distance(&[o], a, g);
+        let mut engine = QueryEngine::default();
+        let ((d, path), _) = engine.obstructed_route(&tree(&[o]), a, g);
         let via_top = a.dist(Point::new(40.0, 30.0))
             + Point::new(40.0, 30.0).dist(Point::new(60.0, 30.0))
             + Point::new(60.0, 30.0).dist(g);
         let via_bottom = a.dist(Point::new(40.0, -10.0)) + 20.0 + Point::new(60.0, -10.0).dist(g);
         assert!((d - via_top.min(via_bottom)).abs() < 1e-9);
-        let path = obstructed_path(&[o], a, g).unwrap();
+        assert!((d - baseline::obstructed_distance(&[o], a, g)).abs() < 1e-9);
+        let path = path.unwrap();
         assert!(path.len() == 4, "two corner bends expected: {path:?}");
     }
 
     #[test]
     fn route_combines_distance_and_path() {
-        let o = Rect::new(40.0, -10.0, 60.0, 30.0);
+        let t = tree(&[Rect::new(40.0, -10.0, 60.0, 30.0)]);
         let a = Point::new(0.0, 0.0);
         let b = Point::new(100.0, 0.0);
-        let (d, path) = obstructed_route(&[o], a, b);
-        assert_eq!(d.to_bits(), obstructed_distance(&[o], a, b).to_bits());
-        assert_eq!(path.unwrap(), obstructed_path(&[o], a, b).unwrap());
+        let mut engine = QueryEngine::default();
+        let ((d, path), stats) = engine.obstructed_route(&t, a, b);
+        assert_eq!(
+            d.to_bits(),
+            engine.obstructed_distance(&t, a, b).0.to_bits()
+        );
+        assert_eq!(path, engine.obstructed_path(&t, a, b).0);
+        // the stats window is the workspace's, like every other family
+        assert_eq!(stats.noe, 1);
+        assert!(stats.obstacle_io.reads > 0 && stats.reuse.sight_tests > 0);
     }
 
     #[test]
     fn unreachable_is_infinite() {
         // target boxed in by overlapping walls
-        let walls = [
+        let walls = tree(&[
             Rect::new(40.0, 40.0, 60.0, 45.0),
             Rect::new(40.0, 55.0, 60.0, 60.0),
             Rect::new(40.0, 40.0, 45.0, 60.0),
             Rect::new(55.0, 40.0, 60.0, 60.0),
-        ];
-        let d = obstructed_distance(&walls, Point::new(0.0, 0.0), Point::new(50.0, 50.0));
+        ]);
+        let mut engine = QueryEngine::default();
+        let ((d, path), _) =
+            engine.obstructed_route(&walls, Point::new(0.0, 0.0), Point::new(50.0, 50.0));
         assert!(d.is_infinite());
-        assert!(obstructed_path(&walls, Point::new(0.0, 0.0), Point::new(50.0, 50.0)).is_none());
+        assert!(path.is_none());
+    }
+
+    #[test]
+    fn loads_follow_the_anchor_and_never_repeat() {
+        let far = Rect::new(500.0, 500.0, 510.0, 510.0);
+        let t = tree(&[
+            Rect::new(10.0, -5.0, 20.0, 5.0),
+            Rect::new(60.0, -5.0, 70.0, 5.0),
+            far,
+        ]);
+        let cfg = ConnConfig::default();
+        let mut ws = crate::engine::Workspace::default();
+        ws.begin_query(&cfg);
+        let mut r = ws.resolver(&t, &cfg);
+        let s = Point::new(0.0, 0.0);
+        // a zero bound still loads what touches the anchor
+        r.load(Anchor::Disc(Point::new(10.0, 0.0)), 0.0);
+        assert_eq!(r.noe, 1);
+        // one anchor, growing bound: the open stream continues
+        assert_eq!(r.load(Anchor::Disc(s), 15.0), 15.0);
+        assert_eq!(r.noe, 1, "already in the graph");
+        assert_eq!(r.load(Anchor::Disc(s), 5.0), 15.0, "already loaded further");
+        r.load(Anchor::Disc(s), 65.0);
+        assert_eq!(r.noe, 2);
+        // a moved anchor re-opens the stream; loaded obstacles are skipped
+        r.load(Anchor::Ellipse(s, Point::new(100.0, 0.0)), 100.0);
+        assert_eq!(r.noe, 2);
+        r.load(Anchor::Ellipse(s, far.center()), 2000.0);
+        assert_eq!(r.noe, 3);
+        assert_eq!(ws.g.num_obstacles(), 3);
     }
 }

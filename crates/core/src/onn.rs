@@ -5,19 +5,19 @@
 //! (paper §1), and the building block of the honest sampling baseline with
 //! R-tree I/O accounting. The implementation mirrors the CONN machinery at
 //! a point: stream data points by ascending `mindist(p, s)`, compute each
-//! candidate's obstructed distance on a local visibility graph fed by
-//! incremental obstacle retrieval anchored at `s`, and stop once the next
-//! candidate's Euclidean lower bound exceeds the current k-th best.
-
-// lint:allow-file(no-panic-in-query-path[index]): indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)
-use std::time::Instant;
+//! candidate's obstructed distance on the engine workspace's visibility
+//! graph, fed by the obstacle loader ([`crate::odist`]) anchored at `s`, and
+//! stop once the next candidate's Euclidean lower bound exceeds the current
+//! k-th best.
 
 use conn_geom::{Point, Rect};
 use conn_index::RStarTree;
-use conn_vgraph::{DijkstraEngine, NodeId, NodeKind, VisGraph};
+use conn_vgraph::NodeKind;
 
 use crate::config::ConnConfig;
-use crate::stats::{IoWindow, QueryStats};
+use crate::engine::QueryEngine;
+use crate::odist::{point_swallowed, Anchor};
+use crate::stats::QueryStats;
 use crate::types::DataPoint;
 
 /// Obstructed k-nearest neighbors of location `s`, with per-query metrics.
@@ -65,156 +65,65 @@ pub fn onn_search(
     }
 }
 
-/// [`onn_search`] with the tree-counter handling factored out: batch
-/// workers (`track_io = false`) share the trees with other in-flight
-/// queries, so per-query resets would race — I/O is pooled at the batch
-/// level instead and the returned stats report zero I/O.
-pub(crate) fn onn_search_impl(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    s: Point,
-    k: usize,
-    cfg: &ConnConfig,
-    track_io: bool,
-) -> (Vec<(DataPoint, f64)>, QueryStats) {
-    assert!(k >= 1, "k must be positive");
-    let io = IoWindow::begin(track_io, data_tree, obstacle_tree);
-    // Query-boundary elapsed time for QueryStats; the kernel loop
-    // below never reads the clock.
-    let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-
-    // An anchor strictly inside an obstacle reaches nothing: every
-    // obstructed distance is ∞, the k-th bound never tightens, and the
-    // candidate stream would be walked to exhaustion with a full obstacle
-    // load per candidate. The answer is exactly empty — say so now.
-    if obstacle_tree
-        .nearest_iter(s)
-        .take_while(|(_, d)| *d <= 0.0)
-        .any(|(r, _)| r.strictly_contains(s))
-    {
-        let (data_io, obstacle_io) = io.end(data_tree, obstacle_tree);
-        return (
-            Vec::new(),
-            QueryStats {
-                data_io,
-                obstacle_io,
-                cpu: started.elapsed(),
-                ..QueryStats::default()
-            },
-        );
+impl QueryEngine {
+    /// Engine-backed [`onn_search`]: the local visibility graph and the
+    /// Dijkstra scratch come from the reused workspace.
+    pub fn onn(
+        &mut self,
+        data_tree: &RStarTree<DataPoint>,
+        obstacle_tree: &RStarTree<Rect>,
+        s: Point,
+        k: usize,
+    ) -> (Vec<(DataPoint, f64)>, QueryStats) {
+        self.onn_impl(data_tree, obstacle_tree, s, k, true)
     }
 
-    let mut g = cfg.new_graph();
-    let s_node = g.add_point(s, NodeKind::Endpoint);
-    let mut obstacles = obstacle_tree.nearest_iter(s);
-    let mut pending: Option<(Rect, f64)> = None;
-    let mut loaded_bound = 0.0f64;
-    let mut noe = 0u64;
-
-    // loads every obstacle with mindist(o, s) <= bound; returns #added
-    let mut load_until = |g: &mut VisGraph, bound: f64, noe: &mut u64| -> usize {
-        let mut added = 0;
-        loop {
-            if pending.is_none() {
-                pending = obstacles.next();
+    /// [`QueryEngine::onn`] with tree-counter handling factored out
+    /// (`track_io = false` for batch workers — see the batch module docs).
+    pub(crate) fn onn_impl(
+        &mut self,
+        data_tree: &RStarTree<DataPoint>,
+        obstacle_tree: &RStarTree<Rect>,
+        s: Point,
+        k: usize,
+        track_io: bool,
+    ) -> (Vec<(DataPoint, f64)>, QueryStats) {
+        assert!(k >= 1, "k must be positive");
+        self.point_family(Some(data_tree), obstacle_tree, track_io, |r| {
+            // An anchor strictly inside an obstacle reaches nothing: every
+            // obstructed distance is ∞, the k-th bound never tightens, and
+            // the candidate stream would be walked to exhaustion. The
+            // answer is exactly empty — say so now.
+            if point_swallowed(obstacle_tree, s) {
+                return (Vec::new(), 0, 0);
             }
-            match pending {
-                Some((r, d)) if d <= bound => {
-                    g.add_obstacle(r);
-                    pending = None;
-                    added += 1;
-                    *noe += 1;
+            let s_node = r.g.add_point(s, NodeKind::Endpoint);
+            let mut results: Vec<(DataPoint, f64)> = Vec::new();
+            let mut points = data_tree.nearest_iter(s);
+            let mut npe = 0u64;
+            while let Some(lower) = points.peek_dist() {
+                let kth = results.get(k - 1).map_or(f64::INFINITY, |(_, d)| *d);
+                if lower > kth {
+                    break;
                 }
-                _ => break,
+                let Some((p, _)) = points.next() else { break };
+                npe += 1;
+                // goal-directed from the candidate toward `s`; every path
+                // ends at `s`, so one disc around it serves all candidates
+                let p_node = r.g.add_point(p.pos, NodeKind::DataPoint);
+                let (od, _) = r.settle(Anchor::Disc(s), p_node, s_node, s.dist(p.pos));
+                r.g.remove_node(p_node);
+                if od.is_finite() {
+                    let at = results.partition_point(|(_, d)| *d <= od);
+                    if at < k {
+                        results.insert(at, (p, od));
+                        results.truncate(k);
+                    }
+                }
             }
-        }
-        added
-    };
-
-    let mut results: Vec<(DataPoint, f64)> = Vec::new();
-    let kth_bound = |results: &[(DataPoint, f64)]| -> f64 {
-        if results.len() < k {
-            f64::INFINITY
-        } else {
-            results[k - 1].1
-        }
-    };
-
-    let mut points = data_tree.nearest_iter(s);
-    let mut npe = 0u64;
-    while let Some(lower) = points.peek_dist() {
-        if lower > kth_bound(&results) {
-            break;
-        }
-        // Infallible: the peek above returned Some for this same stream.
-        // lint:allow(no-panic-in-query-path)
-        let (p, _) = points.next().expect("peeked point");
-        npe += 1;
-        let p_node = g.add_point(p.pos, NodeKind::DataPoint);
-        let od = odist_incremental(
-            &mut g,
-            p_node,
-            s_node,
-            &mut loaded_bound,
-            &mut |g, bound| load_until(g, bound, &mut noe),
-            cfg,
-        );
-        g.remove_node(p_node);
-        if od.is_finite() {
-            let at = results.partition_point(|(_, d)| *d <= od);
-            if at < k {
-                results.insert(at, (p, od));
-                results.truncate(k);
-            }
-        }
-    }
-    results.truncate(k);
-
-    let (data_io, obstacle_io) = io.end(data_tree, obstacle_tree);
-    let stats = QueryStats {
-        data_io,
-        obstacle_io,
-        cpu: started.elapsed(),
-        npe,
-        noe,
-        svg_nodes: g.num_nodes() as u64,
-        result_tuples: results.len() as u64,
-        reuse: Default::default(),
-    };
-    (results, stats)
-}
-
-/// Point-to-point incremental obstructed distance: goal-directed search +
-/// obstacle loading to a fix-point (the point analogue of Algorithm 1,
-/// justified by the same Lemma 3 argument with `q` degenerated to `s`).
-/// Retrieval rounds only add obstacles, so each re-run reseeds the previous
-/// round's labels instead of starting from a cold heap.
-fn odist_incremental(
-    g: &mut VisGraph,
-    p_node: NodeId,
-    s_node: NodeId,
-    loaded_bound: &mut f64,
-    load_until: &mut dyn FnMut(&mut VisGraph, f64) -> usize,
-    cfg: &ConnConfig,
-) -> f64 {
-    let goal = cfg.kernel.point_goal(g.node_pos(s_node));
-    let mut dij = DijkstraEngine::default();
-    loop {
-        dij.ensure_prepared(g, p_node, goal, cfg.label_continuation);
-        let d = dij.run_until_settled(g, s_node);
-        if d.is_infinite() {
-            if load_until(g, f64::INFINITY) == 0 {
-                return d;
-            }
-            continue;
-        }
-        if d > *loaded_bound {
-            *loaded_bound = d;
-            if load_until(g, d) > 0 {
-                continue;
-            }
-        }
-        return d;
+            let tuples = results.len() as u64;
+            (results, npe, tuples)
+        })
     }
 }
 

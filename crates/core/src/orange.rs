@@ -5,16 +5,17 @@
 //! Same skeleton as [`crate::onn::onn_search`]: stream candidates by
 //! Euclidean `mindist` (a lower bound of the obstructed distance, so the
 //! stream can stop at `r`), resolve each candidate's obstructed distance on
-//! the incrementally-fed local visibility graph, and keep those within `r`.
-
-use std::time::Instant;
+//! the engine workspace's visibility graph — loaded once to `r` around the
+//! anchor by [`crate::odist`] — and keep those within `r`.
 
 use conn_geom::{Point, Rect};
 use conn_index::RStarTree;
-use conn_vgraph::{DijkstraEngine, NodeKind};
+use conn_vgraph::NodeKind;
 
 use crate::config::ConnConfig;
-use crate::stats::{IoWindow, QueryStats};
+use crate::engine::QueryEngine;
+use crate::odist::Anchor;
+use crate::stats::QueryStats;
 use crate::types::DataPoint;
 
 /// All data points whose obstructed distance to `s` is at most `radius`,
@@ -40,75 +41,62 @@ pub fn obstructed_range_search(
     }
 }
 
-/// [`obstructed_range_search`] with tree-counter handling factored out
-/// (`track_io = false` for batch workers — see the batch module docs).
-pub(crate) fn range_search_impl(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    s: Point,
-    radius: f64,
-    cfg: &ConnConfig,
-    track_io: bool,
-) -> (Vec<(DataPoint, f64)>, QueryStats) {
-    assert!(radius >= 0.0, "negative radius");
-    let io = IoWindow::begin(track_io, data_tree, obstacle_tree);
-    // Query-boundary elapsed time for QueryStats; the kernel loop
-    // below never reads the clock.
-    let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-
-    let mut g = cfg.new_graph();
-    let s_node = g.add_point(s, NodeKind::Endpoint);
-
-    // obstacles within mindist(o, s) <= radius are the only ones that can
-    // affect paths of length <= radius (every point of such a path lies
-    // within radius of s); load them all up front
-    let mut noe = 0u64;
-    for (r, d) in obstacle_tree.nearest_iter(s) {
-        if d > radius {
-            break;
-        }
-        g.add_obstacle(r);
-        noe += 1;
+impl QueryEngine {
+    /// Engine-backed [`obstructed_range_search`] on the reused workspace.
+    pub fn range(
+        &mut self,
+        data_tree: &RStarTree<DataPoint>,
+        obstacle_tree: &RStarTree<Rect>,
+        s: Point,
+        radius: f64,
+    ) -> (Vec<(DataPoint, f64)>, QueryStats) {
+        self.range_impl(data_tree, obstacle_tree, s, radius, true)
     }
 
-    let mut results: Vec<(DataPoint, f64)> = Vec::new();
-    let mut npe = 0u64;
-    let mut points = data_tree.nearest_iter(s);
-    let mut dij = DijkstraEngine::default();
-    while let Some(lower) = points.peek_dist() {
-        if lower > radius {
-            break; // euclidean lower bound exceeds the radius
-        }
-        // Infallible: the peek above returned Some for this same stream.
-        // lint:allow(no-panic-in-query-path)
-        let (p, _) = points.next().expect("peeked point");
-        npe += 1;
-        let p_node = g.add_point(p.pos, NodeKind::DataPoint);
-        // goal-directed toward s, with the radius as expansion bound: a
-        // point whose search exhausts inside the bound reports ∞ and is
-        // rejected exactly like an over-radius distance
-        dij.prepare_directed(&g, p_node, cfg.kernel.point_goal(s));
-        dij.set_bound(radius);
-        let od = dij.run_until_settled(&mut g, s_node);
-        g.remove_node(p_node);
-        if od <= radius {
-            let at = results.partition_point(|(_, d)| *d <= od);
-            results.insert(at, (p, od));
-        }
+    /// [`QueryEngine::range`] with tree-counter handling factored out
+    /// (`track_io = false` for batch workers — see the batch module docs).
+    pub(crate) fn range_impl(
+        &mut self,
+        data_tree: &RStarTree<DataPoint>,
+        obstacle_tree: &RStarTree<Rect>,
+        s: Point,
+        radius: f64,
+        track_io: bool,
+    ) -> (Vec<(DataPoint, f64)>, QueryStats) {
+        assert!(radius >= 0.0, "negative radius");
+        let goal = self.config().kernel.point_goal(s);
+        self.point_family(Some(data_tree), obstacle_tree, track_io, |r| {
+            let s_node = r.g.add_point(s, NodeKind::Endpoint);
+            // every path of length <= radius into s stays within radius of
+            // it, so one load up front serves all candidates
+            r.load(Anchor::Disc(s), radius);
+            let mut results: Vec<(DataPoint, f64)> = Vec::new();
+            let mut npe = 0u64;
+            let mut points = data_tree.nearest_iter(s);
+            while let Some(lower) = points.peek_dist() {
+                if lower > radius {
+                    break; // euclidean lower bound exceeds the radius
+                }
+                let Some((p, _)) = points.next() else { break };
+                npe += 1;
+                let p_node = r.g.add_point(p.pos, NodeKind::DataPoint);
+                // goal-directed toward s, with the radius as expansion
+                // bound: a point whose search exhausts inside the bound
+                // reports ∞ and is rejected exactly like an over-radius
+                // distance
+                r.dij.prepare_directed(r.g, p_node, goal);
+                r.dij.set_bound(radius);
+                let od = r.dij.run_until_settled(r.g, s_node);
+                r.g.remove_node(p_node);
+                if od <= radius {
+                    let at = results.partition_point(|(_, d)| *d <= od);
+                    results.insert(at, (p, od));
+                }
+            }
+            let tuples = results.len() as u64;
+            (results, npe, tuples)
+        })
     }
-
-    let (data_io, obstacle_io) = io.end(data_tree, obstacle_tree);
-    let stats = QueryStats {
-        data_io,
-        obstacle_io,
-        cpu: started.elapsed(),
-        npe,
-        noe,
-        svg_nodes: g.num_nodes() as u64,
-        result_tuples: results.len() as u64,
-        reuse: Default::default(),
-    };
-    (results, stats)
 }
 
 #[cfg(test)]

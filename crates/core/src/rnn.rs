@@ -13,17 +13,15 @@
 //!    nearest neighbor. Since `‖p, s‖ ≥ dist(p, s)`, any `p` with
 //!    `dist(p, s) > ub(p)` can never be reversed to `s` and is dropped.
 //! 2. **Refine.** For survivors, compare the exact `‖p, s‖` against the
-//!    exact obstructed NN distance (via [`crate::onn::onn_search`]-style
-//!    resolution on a shared visibility graph).
-
-use std::time::Instant;
+//!    exact obstructed NN distance (pairwise, through the obstacle loader
+//!    of [`crate::odist`] on the engine workspace's one growing graph).
 
 use conn_geom::{Point, Rect};
 use conn_index::RStarTree;
-use conn_vgraph::{DijkstraEngine, NodeKind, VisGraph};
 
 use crate::config::ConnConfig;
-use crate::stats::{IoWindow, QueryStats};
+use crate::engine::QueryEngine;
+use crate::stats::QueryStats;
 use crate::types::DataPoint;
 
 /// All data points that would adopt a facility at `s` as their obstructed
@@ -48,150 +46,82 @@ pub fn obstructed_rnn(
     }
 }
 
-/// [`obstructed_rnn`] with tree-counter handling factored out
-/// (`track_io = false` for batch workers — see the batch module docs).
-pub(crate) fn rnn_impl(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    s: Point,
-    cfg: &ConnConfig,
-    track_io: bool,
-) -> (Vec<(DataPoint, f64)>, QueryStats) {
-    // Query-boundary elapsed time for QueryStats; the kernel loop
-    // below never reads the clock.
-    let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-    let io = IoWindow::begin(track_io, data_tree, obstacle_tree);
-
-    let mut resolver = PairResolver::new(cfg, obstacle_tree);
-    let mut out: Vec<(DataPoint, f64)> = Vec::new();
-    let mut npe = 0u64;
-
-    // iterate candidates nearest-to-s first: they are the likeliest RNNs
-    let candidates: Vec<DataPoint> = data_tree.nearest_iter(s).map(|(p, _)| p).collect();
-    for p in candidates {
-        npe += 1;
-        // ---- filter: ub(p) = odist(p, euclid-NN of p in P ∖ {p})
-        let euclid_nn = data_tree
-            .nearest_iter(p.pos)
-            .find(|(other, _)| other.id != p.id);
-        let Some((nn, _)) = euclid_nn else {
-            // singleton data set: s wins by default
-            let d = resolver.resolve(p.pos, s);
-            if d.is_finite() {
-                out.push((p, d));
-            }
-            continue;
-        };
-        let ub = resolver.resolve(p.pos, nn.pos);
-        if p.pos.dist(s) > ub {
-            continue; // s cannot beat p's best-in-set upper bound
-        }
-        // ---- refine: exact comparison
-        let d_s = resolver.resolve(p.pos, s);
-        if !d_s.is_finite() {
-            continue;
-        }
-        // exact obstructed NN distance of p within the set: scan candidates
-        // in ascending euclidean order until the lower bound passes d_s
-        let mut beaten = false;
-        for (other, lower) in data_tree.nearest_iter(p.pos) {
-            if other.id == p.id {
-                continue;
-            }
-            if lower > d_s {
-                break; // even the euclidean lower bound exceeds s's distance
-            }
-            // ties count: s must be *strictly* closer than every other point
-            if resolver.resolve(p.pos, other.pos) <= d_s {
-                beaten = true;
-                break;
-            }
-        }
-        if !beaten {
-            out.push((p, d_s));
-        }
+impl QueryEngine {
+    /// Engine-backed [`obstructed_rnn`]: every pairwise distance resolves
+    /// on the reused workspace's one growing graph.
+    pub fn rnn(
+        &mut self,
+        data_tree: &RStarTree<DataPoint>,
+        obstacle_tree: &RStarTree<Rect>,
+        s: Point,
+    ) -> (Vec<(DataPoint, f64)>, QueryStats) {
+        self.rnn_impl(data_tree, obstacle_tree, s, true)
     }
 
-    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
-    let (data_io, obstacle_io) = io.end(data_tree, obstacle_tree);
-    let stats = QueryStats {
-        data_io,
-        obstacle_io,
-        cpu: started.elapsed(),
-        npe,
-        noe: resolver.noe,
-        svg_nodes: resolver.g.num_nodes() as u64,
-        result_tuples: out.len() as u64,
-        reuse: Default::default(),
-    };
-    (out, stats)
-}
+    /// [`QueryEngine::rnn`] with tree-counter handling factored out
+    /// (`track_io = false` for batch workers — see the batch module docs).
+    pub(crate) fn rnn_impl(
+        &mut self,
+        data_tree: &RStarTree<DataPoint>,
+        obstacle_tree: &RStarTree<Rect>,
+        s: Point,
+        track_io: bool,
+    ) -> (Vec<(DataPoint, f64)>, QueryStats) {
+        self.point_family(Some(data_tree), obstacle_tree, track_io, |resolver| {
+            let mut out: Vec<(DataPoint, f64)> = Vec::new();
+            let mut npe = 0u64;
 
-/// Pairwise obstructed-distance resolver sharing one growing graph
-/// (the joins module's resolver, duplicated locally to keep the join and
-/// RNN modules independently readable).
-struct PairResolver<'a> {
-    g: VisGraph,
-    dij: DijkstraEngine,
-    obstacle_tree: &'a RStarTree<Rect>,
-    loaded: std::collections::HashSet<[u64; 4]>,
-    noe: u64,
-    kernel: crate::config::KernelMode,
-    warm: bool,
-}
-
-impl<'a> PairResolver<'a> {
-    fn new(cfg: &ConnConfig, obstacle_tree: &'a RStarTree<Rect>) -> Self {
-        PairResolver {
-            g: cfg.new_graph(),
-            dij: DijkstraEngine::default(),
-            obstacle_tree,
-            loaded: std::collections::HashSet::new(),
-            noe: 0,
-            kernel: cfg.kernel,
-            warm: cfg.label_continuation,
-        }
-    }
-
-    fn load_upto(&mut self, anchor: Point, bound: f64) {
-        for (r, od) in self.obstacle_tree.nearest_iter(anchor) {
-            if od > bound {
-                break;
-            }
-            if self.loaded.insert(r.bit_key()) {
-                self.g.add_obstacle(r);
-                self.noe += 1;
-            }
-        }
-    }
-
-    fn resolve(&mut self, a: Point, b: Point) -> f64 {
-        let na = self.g.add_point(a, NodeKind::DataPoint);
-        let nb = self.g.add_point(b, NodeKind::DataPoint);
-        let mut bound = a.dist(b);
-        let total = self.obstacle_tree.len();
-        let goal = self.kernel.point_goal(b);
-        let d = loop {
-            self.load_upto(a, bound);
-            // rounds only add obstacles: the warm path reseeds retained
-            // labels instead of re-running the search from scratch
-            self.dij.ensure_prepared(&self.g, na, goal, self.warm);
-            let d = self.dij.run_until_settled(&mut self.g, nb);
-            if d.is_finite() {
-                if d <= bound + conn_geom::EPS {
-                    break d;
+            // iterate candidates nearest-to-s first: they are the likeliest RNNs
+            let candidates: Vec<DataPoint> = data_tree.nearest_iter(s).map(|(p, _)| p).collect();
+            for p in candidates {
+                npe += 1;
+                // ---- filter: ub(p) = odist(p, euclid-NN of p in P ∖ {p})
+                let euclid_nn = data_tree
+                    .nearest_iter(p.pos)
+                    .find(|(other, _)| other.id != p.id);
+                let Some((nn, _)) = euclid_nn else {
+                    // singleton data set: s wins by default
+                    let d = resolver.resolve(p.pos, s);
+                    if d.is_finite() {
+                        out.push((p, d));
+                    }
+                    continue;
+                };
+                let ub = resolver.resolve(p.pos, nn.pos);
+                if p.pos.dist(s) > ub {
+                    continue; // s cannot beat p's best-in-set upper bound
                 }
-                bound = d;
-            } else {
-                if self.loaded.len() >= total {
-                    break f64::INFINITY;
+                // ---- refine: exact comparison
+                let d_s = resolver.resolve(p.pos, s);
+                if !d_s.is_finite() {
+                    continue;
                 }
-                bound = bound * 2.0 + 1.0;
+                // exact obstructed NN distance of p within the set: scan
+                // candidates in ascending euclidean order until the lower
+                // bound passes d_s
+                let mut beaten = false;
+                for (other, lower) in data_tree.nearest_iter(p.pos) {
+                    if other.id == p.id {
+                        continue;
+                    }
+                    if lower > d_s {
+                        break; // even the euclidean lower bound exceeds s's distance
+                    }
+                    // ties count: s must be *strictly* closer than every other point
+                    if resolver.resolve(p.pos, other.pos) <= d_s {
+                        beaten = true;
+                        break;
+                    }
+                }
+                if !beaten {
+                    out.push((p, d_s));
+                }
             }
-        };
-        self.g.remove_node(na);
-        self.g.remove_node(nb);
-        d
+
+            out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
+            let tuples = out.len() as u64;
+            (out, npe, tuples)
+        })
     }
 }
 

@@ -202,8 +202,8 @@ impl<'a> Scene<'a> {
         self.obstacle_tree().len()
     }
 
-    /// All obstacles, collected from the tree (the flat field the
-    /// point-to-point distance kernel primes its graph from).
+    /// All obstacles, collected from the tree (an accessor for callers and
+    /// oracles that want the flat list; no query path reads it).
     pub fn obstacles(&self) -> Vec<Rect> {
         self.obstacle_tree().iter_items().copied().collect()
     }
@@ -376,7 +376,7 @@ impl<'a> ConnService<'a> {
 
     /// Pins the currently published scene epoch: a cheap `Arc` clone
     /// every query in flight runs against. The snapshot stays fully
-    /// alive — trees, obstacle field, shards — until the last pin drops,
+    /// alive — trees and shards — until the last pin drops,
     /// however many epochs publish in the meantime.
     pub fn pin(&self) -> PinnedEpoch<'a> {
         self.epochs.pin()
@@ -423,8 +423,8 @@ impl<'a> ConnService<'a> {
     /// [`ConnService::standing`].
     pub fn register(&self, query: Query) -> Result<StandingHandle, Error> {
         let pin = self.pin();
-        let response = self.execute_at(&pin, &query)?;
-        Ok(self.standing.register(&pin, &self.cfg, query, response))
+        self.standing
+            .register(&pin, &self.cfg, query, |q| self.execute_at(&pin, q))
     }
 
     /// The resident answer of a standing query (`None` after
@@ -501,17 +501,10 @@ impl<'a> ConnService<'a> {
     /// snapshot-isolation primitive: every read of this call sees `pin`'s
     /// scene, whatever publishes concurrently.
     pub fn execute_at(&self, pin: &PinnedEpoch<'a>, query: &Query) -> Result<Response, Error> {
-        // the flat obstacle field is only read by the point-to-point
-        // distance family; collecting it for every query would tax each
-        // free-function wrapper call with an O(|O|) tree scan
-        let field: &[Rect] = match query.kind() {
-            QueryKind::Odist { .. } | QueryKind::Route { .. } => pin.obstacle_field(),
-            _ => &[],
-        };
         let cfg = self.cfg;
         let (answer, stats) = self
             .pool
-            .with_engine(|engine| shard_dispatch(engine, pin, field, cfg, query, true));
+            .with_engine(|engine| shard_dispatch(engine, pin, cfg, query, true));
         Ok(Response { answer, stats })
     }
 
@@ -553,16 +546,6 @@ impl<'a> ConnService<'a> {
     ) -> Result<(Vec<Response>, BatchStats), Error> {
         let dt = pin.scene().data_tree();
         let ot = pin.scene().obstacle_tree();
-        // The epoch's field cache is filled before fanning out so workers
-        // share one collection pass.
-        let field: &[Rect] = if queries
-            .iter()
-            .any(|q| matches!(q.kind(), QueryKind::Odist { .. } | QueryKind::Route { .. }))
-        {
-            pin.obstacle_field()
-        } else {
-            &[]
-        };
         dt.reset_stats();
         ot.reset_stats();
         // Query-boundary elapsed time for QueryStats; the kernel loop
@@ -570,7 +553,7 @@ impl<'a> ConnService<'a> {
         let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
         let cfg = self.cfg;
         let (answers, threads, per_query) = self.pool.run(queries, threads, |engine, q| {
-            shard_dispatch(engine, pin, field, cfg, q, false)
+            shard_dispatch(engine, pin, cfg, q, false)
         });
         let wall = started.elapsed();
         let mut pooled = QueryStats::default();
@@ -598,7 +581,6 @@ impl<'a> ConnService<'a> {
 fn shard_dispatch(
     engine: &mut QueryEngine,
     epoch: &SceneEpoch<'_>,
-    field: &[Rect],
     default_cfg: ConnConfig,
     query: &Query,
     track_io: bool,
@@ -611,14 +593,14 @@ fn shard_dispatch(
             }
             ShardOutcome::Straddles => {
                 let (answer, mut stats) =
-                    dispatch(engine, epoch.scene(), field, default_cfg, query, track_io);
+                    dispatch(engine, epoch.scene(), default_cfg, query, track_io);
                 stats.reuse.shard_merges = 1;
                 return (answer, stats);
             }
             ShardOutcome::NotShardable => {}
         }
     }
-    dispatch(engine, epoch.scene(), field, default_cfg, query, track_io)
+    dispatch(engine, epoch.scene(), default_cfg, query, track_io)
 }
 
 /// Outcome of a shard-local attempt.
@@ -644,14 +626,13 @@ fn try_shard(
     query: &Query,
     track_io: bool,
 ) -> ShardOutcome {
-    let cfg = query.config().copied().unwrap_or(default_cfg);
+    engine.set_config(query.config().copied().unwrap_or(default_cfg));
     match query.kind() {
         QueryKind::Conn { q } => {
             let anchor = Rect::from_segment(q);
             let Some(shard) = shards.route(&anchor) else {
                 return ShardOutcome::Straddles;
             };
-            engine.set_config(cfg);
             let (res, stats) = if track_io {
                 engine.conn(shard.data_tree(), shard.obstacle_tree(), q)
             } else {
@@ -669,7 +650,6 @@ fn try_shard(
             let Some(shard) = shards.route(&anchor) else {
                 return ShardOutcome::Straddles;
             };
-            engine.set_config(cfg);
             let (res, stats) = if track_io {
                 engine.coknn(shard.data_tree(), shard.obstacle_tree(), q, *k)
             } else {
@@ -687,14 +667,8 @@ fn try_shard(
             let Some(shard) = shards.route(&anchor) else {
                 return ShardOutcome::Straddles;
             };
-            let (v, stats) = crate::onn::onn_search_impl(
-                shard.data_tree(),
-                shard.obstacle_tree(),
-                *s,
-                *k,
-                &cfg,
-                track_io,
-            );
+            let (v, stats) =
+                engine.onn_impl(shard.data_tree(), shard.obstacle_tree(), *s, *k, track_io);
             match onn_dmax(&v, *k) {
                 Some(dmax) if shard.certifies(&anchor, dmax) => {
                     ShardOutcome::Served(Answer::Onn(v), Box::new(stats))
@@ -712,12 +686,11 @@ fn try_shard(
             if !shard.certifies(&anchor, *radius) {
                 return ShardOutcome::Straddles;
             }
-            let (v, stats) = crate::orange::range_search_impl(
+            let (v, stats) = engine.range_impl(
                 shard.data_tree(),
                 shard.obstacle_tree(),
                 *s,
                 *radius,
-                &cfg,
                 track_io,
             );
             ShardOutcome::Served(Answer::Range(v), Box::new(stats))
@@ -788,7 +761,6 @@ pub(crate) fn onn_dmax(v: &[(DataPoint, f64)], k: usize) -> Option<f64> {
 pub(crate) fn dispatch(
     engine: &mut QueryEngine,
     scene: &Scene<'_>,
-    field: &[Rect],
     default_cfg: ConnConfig,
     query: &Query,
     track_io: bool,
@@ -815,43 +787,23 @@ pub(crate) fn dispatch(
             (Answer::Coknn(res), stats)
         }
         QueryKind::Onn { s, k } => {
-            let (v, stats) = crate::onn::onn_search_impl(dt, ot, *s, *k, &cfg, track_io);
+            let (v, stats) = engine.onn_impl(dt, ot, *s, *k, track_io);
             (Answer::Onn(v), stats)
         }
         QueryKind::Range { s, radius } => {
-            let (v, stats) = crate::orange::range_search_impl(dt, ot, *s, *radius, &cfg, track_io);
+            let (v, stats) = engine.range_impl(dt, ot, *s, *radius, track_io);
             (Answer::Range(v), stats)
         }
         QueryKind::Rnn { s } => {
-            let (v, stats) = crate::rnn::rnn_impl(dt, ot, *s, &cfg, track_io);
+            let (v, stats) = engine.rnn_impl(dt, ot, *s, track_io);
             (Answer::Rnn(v), stats)
         }
         QueryKind::Odist { a, b } => {
-            // Query-boundary elapsed time for QueryStats; the kernel loop
-            // below never reads the clock.
-            let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-            let retargets = engine.label_retargets();
-            let d = engine.obstructed_distance(field, *a, *b);
-            let mut stats = QueryStats {
-                cpu: started.elapsed(),
-                result_tuples: 1,
-                ..QueryStats::default()
-            };
-            stats.reuse.label_retargets = engine.label_retargets() - retargets;
+            let ((d, _), stats) = engine.odist(ot, *a, *b, false, track_io);
             (Answer::Odist(d), stats)
         }
         QueryKind::Route { a, b } => {
-            // Query-boundary elapsed time for QueryStats; the kernel loop
-            // below never reads the clock.
-            let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-            let retargets = engine.label_retargets();
-            let (dist, path) = engine.obstructed_route(field, *a, *b);
-            let mut stats = QueryStats {
-                cpu: started.elapsed(),
-                result_tuples: 1,
-                ..QueryStats::default()
-            };
-            stats.reuse.label_retargets = engine.label_retargets() - retargets;
+            let ((dist, path), stats) = engine.odist(ot, *a, *b, true, track_io);
             (Answer::Route { dist, path }, stats)
         }
         QueryKind::EDistanceJoin { other, e } => {
@@ -1037,6 +989,24 @@ mod tests {
                 }
                 _ => {}
             }
+        }
+    }
+
+    /// odist/route run through the workspace window like every other
+    /// family, so their stats say what the answer cost.
+    #[test]
+    fn odist_and_route_report_their_work() {
+        let service = ConnService::new(scene());
+        // the straight line crosses both obstacles
+        let (a, b) = (Point::new(0.0, 15.0), Point::new(100.0, 15.0));
+        for query in [Query::odist(a, b), Query::route(a, b)] {
+            let resp = service.execute(&query.build().unwrap()).unwrap();
+            assert!(resp.answer.distance().unwrap() > 100.0);
+            let stats = resp.stats;
+            assert_eq!(stats.noe, 2);
+            assert!(stats.obstacle_io.reads > 0);
+            assert!(stats.svg_nodes > 0 && stats.reuse.sight_tests > 0);
+            assert_eq!(stats.result_tuples, 1);
         }
     }
 

@@ -195,42 +195,16 @@ impl<'t, 'e> SessionCore<'t, 'e> {
             }
             _ => f64::INFINITY,
         };
-        let ws = self.engine.get().workspace();
-        let s_node = match self.joint_node {
-            Some(n) => {
-                ws.begin_leg(&cfg);
-                n
-            }
-            None => {
-                // first leg: a clean query start on (possibly reused) state
-                ws.begin_query(&cfg);
-                self.loaded.clear();
-                ws.g.add_point(leg.a, NodeKind::Endpoint)
-            }
-        };
-        let e_node = ws.g.add_point(leg.b, NodeKind::Endpoint);
-        let mut sink = make_sink(leg.len());
-        let mut streams =
-            SessionStreams::new(self.data_tree, self.obstacle_tree, &leg, &mut self.loaded);
-        let telemetry = run_leg(
-            &mut streams,
+        let (sink, (_, e_node), mut stats) = warm_leg(
+            self.engine.get(),
+            &mut self.loaded,
+            (self.data_tree, self.obstacle_tree),
             &leg,
-            &cfg,
-            &mut sink,
-            ws,
-            s_node,
-            e_node,
+            (self.joint_node, None),
+            make_sink(leg.len()),
             seed_bound,
         );
-        let mut stats = QueryStats {
-            cpu: started.elapsed(),
-            npe: telemetry.npe,
-            noe: telemetry.noe,
-            svg_nodes: telemetry.svg_nodes,
-            result_tuples: sink.tuples(),
-            reuse: ws.finish_query(),
-            ..QueryStats::default()
-        };
+        stats.cpu = started.elapsed();
         if self.track_io {
             stats.data_io = self.data_tree.stats();
             stats.obstacle_io = self.obstacle_tree.stats();
@@ -253,6 +227,64 @@ impl<'t, 'e> SessionCore<'t, 'e> {
         );
         Trajectory::new(self.vertices.clone())
     }
+}
+
+/// One run of Algorithm 4 over `leg` on `engine`: warm when `ends.0` names
+/// the start node an earlier run left in the graph (graph, adjacency caches
+/// and `loaded` are kept; the obstacle stream skips what is loaded), a clean
+/// query start otherwise. `ends.1` is the end node when an earlier run left
+/// that too (a standing query re-running its segment, [`crate::live`]).
+/// Returns the sink, both endpoint nodes and the stats, tree I/O excluded.
+pub(crate) fn warm_leg<R: ResultSink>(
+    engine: &mut QueryEngine,
+    loaded: &mut LoadedObstacles,
+    (data_tree, obstacle_tree): (&RStarTree<DataPoint>, &RStarTree<Rect>),
+    leg: &Segment,
+    ends: (Option<NodeId>, Option<NodeId>),
+    mut sink: R,
+    seed_bound: f64,
+) -> (R, (NodeId, NodeId), QueryStats) {
+    let cfg = *engine.config();
+    // query-boundary elapsed time; the kernel loop never reads the clock
+    let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
+    let ws = engine.workspace();
+    let s_node = match ends.0 {
+        Some(n) => {
+            ws.begin_leg(&cfg);
+            n
+        }
+        None => {
+            // a clean query start on (possibly reused) state
+            ws.begin_query(&cfg);
+            loaded.clear();
+            ws.g.add_point(leg.a, NodeKind::Endpoint)
+        }
+    };
+    let e_node = match ends {
+        (Some(_), Some(e)) => e,
+        _ => ws.g.add_point(leg.b, NodeKind::Endpoint),
+    };
+    let mut streams = SessionStreams::new(data_tree, obstacle_tree, leg, loaded);
+    let telemetry = run_leg(
+        &mut streams,
+        leg,
+        &cfg,
+        &mut sink,
+        ws,
+        s_node,
+        e_node,
+        seed_bound,
+    );
+    let stats = QueryStats {
+        cpu: started.elapsed(),
+        npe: telemetry.npe,
+        noe: telemetry.noe,
+        svg_nodes: telemetry.svg_nodes,
+        result_tuples: sink.tuples(),
+        reuse: ws.finish_query(),
+        ..QueryStats::default()
+    };
+    (sink, (s_node, e_node), stats)
 }
 
 /// No loaded obstacle may cross the leg — the precondition of the seeded

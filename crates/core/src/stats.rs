@@ -5,46 +5,10 @@
 
 use std::time::Duration;
 
-use conn_index::{Mbr, RStarTree, StatsSnapshot};
+use conn_index::StatsSnapshot;
 
 /// Milliseconds charged per R-tree page fault (paper §5.1).
 pub const IO_MS_PER_FAULT: f64 = 10.0;
-
-/// Tree-counter window shared by the point-anchored families (ONN, range,
-/// RNN): resets both trees' counters at query start when `track_io` (the
-/// serial / free-function contract) and snapshots them at the end. In
-/// pooled mode (`track_io = false`, batch workers on shared trees) both
-/// steps are skipped — resets would race across workers — and the
-/// snapshots read zero, with I/O pooled at the batch level instead.
-pub(crate) struct IoWindow {
-    track: bool,
-}
-
-impl IoWindow {
-    pub(crate) fn begin<A: Mbr + Clone, B: Mbr + Clone>(
-        track_io: bool,
-        a: &RStarTree<A>,
-        b: &RStarTree<B>,
-    ) -> Self {
-        if track_io {
-            a.reset_stats();
-            b.reset_stats();
-        }
-        IoWindow { track: track_io }
-    }
-
-    pub(crate) fn end<A: Mbr + Clone, B: Mbr + Clone>(
-        &self,
-        a: &RStarTree<A>,
-        b: &RStarTree<B>,
-    ) -> (StatsSnapshot, StatsSnapshot) {
-        if self.track {
-            (a.stats(), b.stats())
-        } else {
-            (StatsSnapshot::default(), StatsSnapshot::default())
-        }
-    }
-}
 
 /// Allocation-avoidance counters of the reusable query engine. All three
 /// are zero when a query runs on fresh per-query state (the legacy
@@ -67,9 +31,9 @@ pub struct ReuseCounters {
     /// whose witness paths the new obstacles do not cross.
     pub label_reseeds: u64,
     /// Searches warm-restarted under a *changed goal* (trajectory sessions
-    /// moving to the next leg, odist calls toward a moved target): settled
-    /// labels are exact regardless of the heuristic, so they re-enter the
-    /// heap re-keyed by the new goal instead of a cold start.
+    /// moving to the next leg): settled labels are exact regardless of the
+    /// heuristic, so they re-enter the heap re-keyed by the new goal
+    /// instead of a cold start.
     pub label_retargets: u64,
     /// Segment-vs-rectangle sight tests charged by the visibility substrate
     /// during this query: edge derivations, visible-region shadow

@@ -110,11 +110,12 @@ impl QueryStreams for TwoTreeStreams<'_> {
     }
 }
 
-/// The set of obstacles a trajectory session has already loaded into its
-/// long-lived visibility graph. Obstacle loads are monotone within a
-/// session — a loaded rectangle is a real obstacle for every later leg —
-/// so the per-leg streams consult this set to avoid re-inserting (and
-/// re-counting) rectangles when the goal segment changes.
+/// The set of tree obstacles a long-lived visibility graph already holds.
+/// Loads are monotone while a graph lives — a loaded rectangle is a real
+/// obstacle for every later leg of a trajectory session, and for every
+/// later anchor of the point-anchored loader ([`crate::odist`]) — so a
+/// stream re-opened for a new goal consults this set to avoid re-inserting
+/// (and re-counting) rectangles.
 #[derive(Debug, Default)]
 pub struct LoadedObstacles {
     keys: std::collections::HashSet<[u64; 4]>,
@@ -122,8 +123,14 @@ pub struct LoadedObstacles {
 
 impl LoadedObstacles {
     /// Records `r` as loaded; returns `false` when it already was.
-    fn insert(&mut self, r: &Rect) -> bool {
+    pub(crate) fn insert(&mut self, r: &Rect) -> bool {
         self.keys.insert(r.bit_key())
+    }
+
+    /// Forgets `r` (it was removed from the graph); returns `false` when
+    /// it was not loaded.
+    pub(crate) fn remove(&mut self, r: &Rect) -> bool {
+        self.keys.remove(&r.bit_key())
     }
 
     fn contains(&self, r: &Rect) -> bool {
@@ -140,7 +147,7 @@ impl LoadedObstacles {
         self.keys.is_empty()
     }
 
-    /// Forgets everything (the owning session's graph was reset).
+    /// Forgets everything (the owning graph was reset).
     pub fn clear(&mut self) {
         self.keys.clear();
     }

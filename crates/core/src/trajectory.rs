@@ -530,7 +530,7 @@ mod tests {
                 (Some(g), Some((w, wd))) => {
                     if g.id != w.id {
                         // only acceptable under a tie
-                        let gd = crate::odist::obstructed_distance(&obstacles, g.pos, traj.at(t));
+                        let gd = crate::obstructed_distance(&obstacles, g.pos, traj.at(t));
                         assert!((gd - wd).abs() < 1e-6, "t={t}: {} vs {}", g.id, w.id);
                     }
                 }

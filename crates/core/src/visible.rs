@@ -9,18 +9,17 @@
 //! distance (any obstacle blocking the sight-line `s → p` must intersect
 //! it, hence lies within `dist(s, p)` of `s`).
 
-use std::time::Instant;
-
 use conn_geom::{Point, Rect};
 use conn_index::RStarTree;
-use conn_vgraph::NodeKind;
 
 use crate::config::ConnConfig;
+use crate::engine::QueryEngine;
+use crate::odist::Anchor;
 use crate::stats::QueryStats;
 use crate::types::DataPoint;
 
 /// The `k` nearest data points visible from `s`, in ascending Euclidean
-/// distance.
+/// distance. One-shot wrapper over [`QueryEngine::visible_knn`].
 pub fn visible_knn(
     data_tree: &RStarTree<DataPoint>,
     obstacle_tree: &RStarTree<Rect>,
@@ -28,60 +27,37 @@ pub fn visible_knn(
     k: usize,
     cfg: &ConnConfig,
 ) -> (Vec<(DataPoint, f64)>, QueryStats) {
-    assert!(k >= 1, "k must be positive");
-    data_tree.reset_stats();
-    obstacle_tree.reset_stats();
-    // Query-boundary elapsed time for QueryStats; the kernel loop
-    // below never reads the clock.
-    let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
+    QueryEngine::new(*cfg).visible_knn(data_tree, obstacle_tree, s, k)
+}
 
-    let mut g = cfg.new_graph();
-    g.add_point(s, NodeKind::Endpoint);
-    let mut obstacles = obstacle_tree.nearest_iter(s);
-    let mut pending: Option<(Rect, f64)> = None;
-    let mut loaded_upto = 0.0f64;
-    let mut noe = 0u64;
-
-    let mut out: Vec<(DataPoint, f64)> = Vec::with_capacity(k);
-    let mut npe = 0u64;
-    for (p, d) in data_tree.nearest_iter(s) {
-        if out.len() >= k {
-            break;
-        }
-        npe += 1;
-        // make sure every obstacle that could block s→p is present
-        if d > loaded_upto {
-            loop {
-                if pending.is_none() {
-                    pending = obstacles.next();
+impl QueryEngine {
+    /// Engine-backed [`visible_knn`] on the reused workspace.
+    pub fn visible_knn(
+        &mut self,
+        data_tree: &RStarTree<DataPoint>,
+        obstacle_tree: &RStarTree<Rect>,
+        s: Point,
+        k: usize,
+    ) -> (Vec<(DataPoint, f64)>, QueryStats) {
+        assert!(k >= 1, "k must be positive");
+        self.point_family(Some(data_tree), obstacle_tree, true, |r| {
+            let mut out: Vec<(DataPoint, f64)> = Vec::with_capacity(k);
+            let mut npe = 0u64;
+            for (p, d) in data_tree.nearest_iter(s) {
+                if out.len() >= k {
+                    break;
                 }
-                match pending {
-                    Some((r, od)) if od <= d => {
-                        g.add_obstacle(r);
-                        noe += 1;
-                        pending = None;
-                    }
-                    _ => break,
+                npe += 1;
+                // make sure every obstacle that could block s→p is present
+                r.load(Anchor::Disc(s), d);
+                if r.g.visible(s, p.pos) {
+                    out.push((p, d));
                 }
             }
-            loaded_upto = d;
-        }
-        if g.visible(s, p.pos) {
-            out.push((p, d));
-        }
+            let tuples = out.len() as u64;
+            (out, npe, tuples)
+        })
     }
-
-    let stats = QueryStats {
-        data_io: data_tree.stats(),
-        obstacle_io: obstacle_tree.stats(),
-        cpu: started.elapsed(),
-        npe,
-        noe,
-        svg_nodes: g.num_nodes() as u64,
-        result_tuples: out.len() as u64,
-        reuse: Default::default(),
-    };
-    (out, stats)
 }
 
 #[cfg(test)]

@@ -217,3 +217,77 @@ fn obstacle_touching_query_endpoint() {
     let want = brute_force_oknn(&points, &obstacles, Point::new(100.0, 0.0), 1)[0].1;
     assert!((got - want).abs() < 1e-6);
 }
+
+/// Unreachable targets answer at the first load level that disconnects
+/// them — obstacles only block, so `∞` over a loaded subset is final —
+/// instead of loading the whole obstacle tree to be sure. A walled
+/// courtyard stands in a cleared plaza inside a 10 000-obstacle field;
+/// odist into it, ONN whose Euclidean-nearest candidate is enclosed, and a
+/// closest pair whose Euclidean-closest pair is enclosed all answer
+/// correctly after loading a vanishing share of the field.
+#[test]
+fn unreachable_targets_load_a_sliver_of_the_field() {
+    use conn_core::{obstructed_distance, ConnService, Query, Scene};
+    use std::sync::Arc;
+
+    let plaza = Rect::new(4800.0, 4800.0, 5200.0, 5200.0);
+    let walls = [
+        Rect::new(4980.0, 4980.0, 5020.0, 4985.0),
+        Rect::new(4980.0, 5015.0, 5020.0, 5020.0),
+        Rect::new(4980.0, 4980.0, 4985.0, 5020.0),
+        Rect::new(5015.0, 4980.0, 5020.0, 5020.0),
+    ];
+    let mut field: Vec<Rect> = conn_datasets::la_like(10_100, 14)
+        .into_iter()
+        .filter(|r| !r.intersects(&plaza))
+        .collect();
+    assert!(field.len() >= 10_000, "field too thin: {}", field.len());
+    field.extend(walls);
+    let budget = field.len() as u64 / 100;
+
+    let enclosed = DataPoint::new(0, Point::new(5000.0, 5000.0));
+    let west = Point::new(4950.0, 5000.0);
+    let mut points = vec![enclosed, DataPoint::new(1, Point::new(4890.0, 5000.0))];
+    points.extend(
+        conn_datasets::uniform_points(200, 15, &field)
+            .into_iter()
+            .filter(|p| !plaza.contains(*p))
+            .enumerate()
+            .map(|(i, p)| DataPoint::new(10 + i as u32, p)),
+    );
+    let service = ConnService::new(Scene::new(points, field));
+
+    // odist into the courtyard
+    let resp = service
+        .execute(&Query::odist(west, enclosed.pos).build().unwrap())
+        .unwrap();
+    assert!(resp.answer.distance().unwrap().is_infinite());
+    assert!(resp.stats.noe < budget, "odist loaded {}", resp.stats.noe);
+
+    // ONN: the enclosed point is Euclidean-nearest (50 < 60) and unreachable
+    let resp = service
+        .execute(&Query::onn(west, 1).build().unwrap())
+        .unwrap();
+    let nn = resp.answer.neighbors().unwrap();
+    assert_eq!((nn[0].0.id, nn[0].1), (1, 60.0));
+    assert!(resp.stats.noe < budget, "onn loaded {}", resp.stats.noe);
+
+    // closest pair: (enclosed, east) is Euclidean-closest and unreachable;
+    // (point 1, east) rounds the courtyard through the cleared plaza
+    let east = DataPoint::new(900, Point::new(5060.0, 5000.0));
+    let other = Arc::new(RStarTree::bulk_load(vec![east], 4096));
+    let resp = service
+        .execute(&Query::closest_pair(other).build().unwrap())
+        .unwrap();
+    let conn_core::Answer::ClosestPair(Some((a, b, d))) = resp.answer else {
+        panic!("no pair: {:?}", resp.answer);
+    };
+    assert_eq!((a.id, b.id), (1, 900));
+    let want = obstructed_distance(&walls, a.pos, east.pos);
+    assert!((d - want).abs() < 1e-9, "{d} vs {want}");
+    assert!(
+        resp.stats.noe < budget,
+        "closest pair loaded {}",
+        resp.stats.noe
+    );
+}

@@ -4,10 +4,20 @@
 //! free functions). Guards against stale-scratch bugs — a leaked interval,
 //! a surviving obstacle, an unreset Dijkstra label would all surface as a
 //! divergence somewhere in the sequence.
+//!
+//! The point-anchored families get their obstacles from the tree-driven
+//! loader (`conn_core::odist`); one property holds them against the
+//! whole-field oracle (`conn_core::baseline`), interleaved with CONN on the
+//! same engine.
 
+mod common;
+
+use common::{check_route, close};
+use conn_core::baseline::brute_force_oknn;
 use conn_core::{
-    coknn_search, conn_search, CoknnResult, ConnConfig, ConnResult, DataPoint, QueryEngine,
+    coknn_search, conn_search, CoknnResult, ConnConfig, ConnResult, DataPoint, QueryEngine, Scene,
 };
+use conn_datasets::ObstacleLookup;
 use conn_geom::{Point, Rect, Segment};
 use conn_index::RStarTree;
 use conn_vgraph::{DijkstraEngine, Goal, NodeKind, Prep, VisGraph};
@@ -57,6 +67,135 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         .prop_flat_map(points)
         .prop_flat_map(|(obstacles, ps)| {
             query_seq().prop_map(move |qs| (obstacles.clone(), ps.clone(), qs.clone()))
+        })
+}
+
+/// A query endpoint of the loader property: a free-standing point, or a
+/// place on the boundary of the free-space model, relative to obstacle
+/// `i mod n` of the world it is resolved against.
+#[derive(Debug, Clone, Copy)]
+enum Probe {
+    Free(Point),
+    /// Strictly inside the obstacle.
+    Inside(usize),
+    /// The midpoint of its bottom edge.
+    OnEdge(usize),
+    /// Its top-right corner.
+    OnCorner(usize),
+}
+
+impl Probe {
+    fn resolve(self, obstacles: &[Rect]) -> Point {
+        let rect = |i: usize| obstacles.get(i % obstacles.len().max(1)).copied();
+        match self {
+            Probe::Free(p) => p,
+            Probe::Inside(i) => rect(i).map_or(Point::new(0.0, 0.0), |r| r.center()),
+            Probe::OnEdge(i) => rect(i).map_or(Point::new(1.0, 0.0), |r| {
+                Point::new(0.5 * (r.min_x + r.max_x), r.min_y)
+            }),
+            Probe::OnCorner(i) => {
+                rect(i).map_or(Point::new(0.0, 1.0), |r| Point::new(r.max_x, r.max_y))
+            }
+        }
+    }
+}
+
+fn probe() -> impl Strategy<Value = Probe> {
+    (0..6usize, pt(), 0..64usize).prop_map(|(which, p, i)| match which {
+        0 => Probe::Inside(i),
+        1 => Probe::OnEdge(i),
+        2 => Probe::OnCorner(i),
+        _ => Probe::Free(p),
+    })
+}
+
+/// A paper-style uniform or clustered scene, scaled down from the dataset
+/// generators' space into `pt()`'s square.
+fn paper_world(
+    clustered: bool,
+    n_pts: usize,
+    n_obs: usize,
+    seed: u64,
+) -> (Vec<DataPoint>, Vec<Rect>) {
+    let scene = if clustered {
+        Scene::clustered(n_pts, n_obs, seed)
+    } else {
+        Scene::uniform(n_pts, n_obs, seed)
+    };
+    let ps = scene
+        .data_tree()
+        .iter_items()
+        .map(|p| DataPoint::new(p.id, Point::new(p.pos.x / 10.0, p.pos.y / 10.0)))
+        .collect();
+    let obstacles = scene
+        .obstacles()
+        .iter()
+        .map(|r| {
+            Rect::new(
+                r.min_x / 10.0,
+                r.min_y / 10.0,
+                r.max_x / 10.0,
+                r.max_y / 10.0,
+            )
+        })
+        .collect();
+    (ps, obstacles)
+}
+
+/// A handful of rectangles chained so that each touches the previous one
+/// along an edge (`overlap < 0.5`) or is pushed into it.
+fn chained_world(
+    origin: Point,
+    specs: &[(f64, f64, usize, f64)],
+    raw: &[Point],
+) -> (Vec<DataPoint>, Vec<Rect>) {
+    let mut obstacles: Vec<Rect> = Vec::new();
+    for &(w, h, side, overlap) in specs {
+        let r = match obstacles.last() {
+            None => Rect::new(origin.x, origin.y, origin.x + w, origin.y + h),
+            Some(prev) => {
+                let push = if overlap < 0.5 {
+                    0.0
+                } else {
+                    overlap * w.min(h) * 0.5
+                };
+                let (x, y) = match side {
+                    0 => (prev.max_x - push, prev.min_y),
+                    1 => (prev.min_x, prev.max_y - push),
+                    2 => (prev.min_x - w + push, prev.min_y),
+                    _ => (prev.min_x, prev.min_y - h + push),
+                };
+                Rect::new(x, y, x + w, y + h)
+            }
+        };
+        obstacles.push(r);
+    }
+    let ps = raw
+        .iter()
+        .enumerate()
+        .map(|(i, p)| DataPoint::new(i as u32, *p))
+        .collect();
+    (ps, obstacles)
+}
+
+/// The worlds of the loader property: uniform, clustered or chained.
+fn oracle_world() -> impl Strategy<Value = (Vec<DataPoint>, Vec<Rect>)> {
+    (
+        0..3usize,
+        (6..18usize, 10..40usize, 0..1000u64),
+        pt(),
+        prop::collection::vec(
+            (10.0..120.0f64, 10.0..120.0f64, 0..4usize, 0.0..1.0f64),
+            2..7,
+        ),
+        prop::collection::vec(pt(), 1..14),
+    )
+        .prop_map(|(which, (n_pts, n_obs, seed), origin, specs, raw)| {
+            if which < 2 {
+                paper_world(which == 1, n_pts, n_obs, seed)
+            } else {
+                chained_world(origin, &specs, &raw)
+            }
         })
 }
 
@@ -160,15 +299,70 @@ proptest! {
                 continue;
             }
             let q = Segment::new(a, b);
-            // odist through the engine vs a fresh graph (free function uses
-            // its own thread-local engine — also exercised)
-            let d_engine = engine.obstructed_distance(&obstacles, a, b);
+            // odist through the engine's loader vs the whole-field oracle
+            // (1e-9, not bitwise — see `common::close`)
+            let (d_engine, _) = engine.obstructed_distance(&obstacle_tree, a, b);
             let d_free = conn_core::obstructed_distance(&obstacles, a, b);
-            prop_assert_eq!(d_engine.to_bits(), d_free.to_bits());
+            prop_assert!(close(d_engine, d_free), "{d_engine} vs {d_free}");
 
             let (fresh, _) = conn_search(&data_tree, &obstacle_tree, &q, &cfg);
             let (reused, _) = engine.conn(&data_tree, &obstacle_tree, &q);
             assert_conn_identical(&fresh, &reused)?;
+        }
+    }
+
+    /// The loader's one equivalence property: odist, route, ONN and range
+    /// through the engine's tree-driven loader answer what the whole-field
+    /// oracle answers, on paper-style scenes and on a cluster of touching
+    /// and overlapping rectangles, with endpoints on the free-space
+    /// model's boundary — strictly inside an obstacle (⇒ ∞ / empty), on an
+    /// edge, on a corner, `a == b` — and with CONN interleaved on the same
+    /// engine (no state leaks either way).
+    #[test]
+    fn resolver_matches_whole_field_oracle(
+        world in oracle_world(),
+        probes in prop::collection::vec((probe(), probe(), 1..4usize, 50.0..1500.0f64), 2..6),
+    ) {
+        let (ps, obstacles) = world;
+        let data_tree = RStarTree::bulk_load(ps.clone(), 4096);
+        let obstacle_tree = RStarTree::bulk_load(obstacles.clone(), 4096);
+        let lookup = ObstacleLookup::build(&obstacles);
+        let cfg = ConnConfig::default();
+        let mut engine = QueryEngine::new(cfg);
+
+        for (pa, pb, k, radius) in probes {
+            let (a, b) = (pa.resolve(&obstacles), pb.resolve(&obstacles));
+            for (a, b) in [(a, b), (a, a)] {
+                let want = conn_core::obstructed_distance(&obstacles, a, b);
+                let (d, _) = engine.obstructed_distance(&obstacle_tree, a, b);
+                prop_assert!(close(d, want), "odist {a}→{b}: {d} vs oracle {want}");
+                let ((d, path), _) = engine.obstructed_route(&obstacle_tree, a, b);
+                prop_assert!(close(d, want), "route {a}→{b}: {d} vs oracle {want}");
+                if let Err(why) = check_route(&lookup, (a, b), d, path.as_deref()) {
+                    prop_assert!(false, "route {a}→{b}: {why}");
+                }
+            }
+
+            let all = brute_force_oknn(&ps, &obstacles, a, ps.len());
+            let (got, _) = engine.onn(&data_tree, &obstacle_tree, a, k);
+            let want = &all[..k.min(all.len())];
+            prop_assert_eq!(got.len(), want.len(), "onn at {}", a);
+            for ((_, gd), (_, wd)) in got.iter().zip(want) {
+                prop_assert!(close(*gd, *wd), "onn at {a}: {gd} vs oracle {wd}");
+            }
+            let (got, _) = engine.range(&data_tree, &obstacle_tree, a, radius);
+            let want: Vec<_> = all.iter().filter(|(_, d)| *d <= radius).collect();
+            prop_assert_eq!(got.len(), want.len(), "range {} at {}", radius, a);
+            for ((_, gd), (_, wd)) in got.iter().zip(want) {
+                prop_assert!(close(*gd, *wd), "range at {a}: {gd} vs oracle {wd}");
+            }
+
+            if a.dist(b) >= 1e-9 {
+                let q = Segment::new(a, b);
+                let (fresh, _) = conn_search(&data_tree, &obstacle_tree, &q, &cfg);
+                let (reused, _) = engine.conn(&data_tree, &obstacle_tree, &q);
+                assert_conn_identical(&fresh, &reused)?;
+            }
         }
     }
 

@@ -1,21 +1,28 @@
 //! Equivalence suite for the typed front door: [`ConnService::execute`]
 //! and [`ConnService::execute_batch`] must answer **byte-identically** to
 //! the corresponding free-function calls, for a random *mixed-family*
-//! workload, on uniform and clustered scenes, under both kernels.
+//! workload, on uniform and clustered scenes, under both kernels. The one
+//! exception is odist/route, whose free functions are the whole-field
+//! oracle rather than a wrapper over the service: those compare by value
+//! (see `common`).
 //!
 //! This is the service-level analogue of `engine_equivalence`: a leaked
 //! config override, a worker picking up stale workspace state from a
 //! different family, or a family dispatched to the wrong internals would
 //! all surface as a divergence somewhere in the sequence.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{check_route, close};
 use conn_core::{
     coknn_search, conn_search, obstructed_closest_pair, obstructed_distance,
     obstructed_edistance_join, obstructed_range_search, obstructed_rnn, obstructed_route,
     onn_search, trajectory_conn_search, Answer, ConnConfig, ConnService, DataPoint, Query,
     Response, Scene, Trajectory,
 };
+use conn_datasets::ObstacleLookup;
 use conn_geom::{Point, Segment};
 use conn_index::RStarTree;
 use proptest::prelude::*;
@@ -169,24 +176,18 @@ fn assert_matches_free_fn(
             let conn_core::QueryKind::Odist { a, b } = query.kind() else {
                 unreachable!()
             };
-            prop_assert_eq!(
-                got.to_bits(),
-                obstructed_distance(obstacles, *a, *b).to_bits()
-            );
+            let want = obstructed_distance(obstacles, *a, *b);
+            prop_assert!(close(*got, want), "odist {got} vs oracle {want}");
         }
         ("route", Answer::Route { dist, path }) => {
             let conn_core::QueryKind::Route { a, b } = query.kind() else {
                 unreachable!()
             };
-            let (want_d, want_p) = obstructed_route(obstacles, *a, *b);
-            prop_assert_eq!(dist.to_bits(), want_d.to_bits());
-            prop_assert_eq!(path.is_some(), want_p.is_some());
-            if let (Some(p), Some(wp)) = (path, want_p) {
-                prop_assert_eq!(p.len(), wp.len());
-                for (x, y) in p.iter().zip(&wp) {
-                    prop_assert_eq!(x.x.to_bits(), y.x.to_bits());
-                    prop_assert_eq!(x.y.to_bits(), y.y.to_bits());
-                }
+            let (want_d, _) = obstructed_route(obstacles, *a, *b);
+            prop_assert!(close(*dist, want_d), "route {dist} vs oracle {want_d}");
+            let lookup = ObstacleLookup::build(obstacles);
+            if let Err(why) = check_route(&lookup, (*a, *b), *dist, path.as_deref()) {
+                prop_assert!(false, "route {a}→{b}: {why}");
             }
         }
         ("closest_pair", Answer::ClosestPair(got)) => {

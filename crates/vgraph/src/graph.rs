@@ -259,7 +259,21 @@ impl VisGraph {
             // with is still intact — audit it before it is torn down.
             self.audit_adjacency();
         }
-        let retained = self.adj.iter().filter(|m| m.len > 0).count();
+        // Only the slots this query used can hold a range or a live cache:
+        // slots past them were rewound by the reset that ended *their*
+        // query and not touched since. `adj` itself never shrinks, so
+        // walking all of it would charge every later query for the
+        // largest one this graph ever served.
+        let used = &mut self.adj[..self.node_pos.len()];
+        let retained = used.iter().filter(|m| m.len > 0).count();
+        // the edge arena restarts empty (allocations retained); stale
+        // metas must not keep ranges into the cleared arena
+        for m in used {
+            m.version = STALE;
+            m.radius = 0.0;
+            m.start = 0;
+            m.len = 0;
+        }
         self.node_pos.clear();
         self.node_kind.clear();
         self.node_alive.clear();
@@ -270,17 +284,9 @@ impl VisGraph {
         self.endpoints.clear();
         self.rect_corners.clear();
         self.grid.reset();
-        // the edge arena restarts empty (allocations retained); stale
-        // metas must not keep ranges into the cleared arena
         self.adj_targets.clear();
         self.adj_weights.clear();
         self.adj_dead = 0;
-        for m in &mut self.adj {
-            m.version = STALE;
-            m.radius = 0.0;
-            m.start = 0;
-            m.len = 0;
-        }
         self.version += 1;
         self.base_version = self.version;
         self.shape_epoch += 1;
@@ -523,9 +529,10 @@ impl VisGraph {
         // node-append pass
         self.node_log.retain(|&(_, nid)| !corners.contains(&nid));
         let mut dropped = 0_u64;
-        for i in 0..self.adj.len() {
+        // slots past the nodes in use hold no cache (see `reset`)
+        for i in 0..self.node_alive.len() {
             let m = self.adj[i];
-            if m.version == STALE || i >= self.node_alive.len() || !self.node_alive[i] {
+            if m.version == STALE || !self.node_alive[i] {
                 continue;
             }
             let hit = if m.radius.is_finite() {
@@ -1314,6 +1321,29 @@ mod tests {
         assert_eq!(a2.0, 0, "slot storage reused from the start");
         assert!(g.nodes_visible(a2, b2));
         assert_eq!(g.neighbors(a2), &[(b2.0, 200.0)]);
+    }
+
+    /// A reset costs what the query just served used, not what the largest
+    /// query this graph ever served left behind in `adj`.
+    #[test]
+    fn reset_touches_only_the_slots_in_use() {
+        let mut g = graph();
+        // a big query: 50 obstacles, 200 node slots
+        for i in 0..50 {
+            let x = 30.0 * i as f64;
+            g.add_obstacle(Rect::new(x, 0.0, x + 10.0, 10.0));
+        }
+        g.reset();
+        // a small one: five slots, one cached edge list
+        let a = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
+        g.add_obstacle(Rect::new(90.0, 0.0, 110.0, 100.0));
+        let _ = g.neighbors(a);
+        // mark a slot only the big query ever used
+        assert_eq!(g.adj[100].version, STALE, "rewound by the first reset");
+        g.adj[100].radius = 7.0;
+        assert_eq!(g.reset(), 1, "the small query's one cache");
+        assert_eq!(g.adj[100].radius, 7.0, "reset walked past the slots in use");
+        assert!(g.adj[..5].iter().all(|m| m.version == STALE && m.len == 0));
     }
 
     #[test]

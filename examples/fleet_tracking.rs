@@ -10,9 +10,9 @@
 //!
 //! Dispatch also keeps an ETA line per van: a typed `Route` query from
 //! the depot to the van's latest position, answered per ping on the
-//! service's warm engine — the repeated same-origin/moved-target pattern
-//! that the Dijkstra kernel's *goal retargeting* serves without cold
-//! restarts (watch the `label_retargets` counter).
+//! service's warm engine, which loads only the blocks inside the
+//! depot–van ellipse from the obstacle tree (watch the `obstacle loads`
+//! counter against the city's block count).
 //!
 //! ```text
 //! cargo run --release --example fleet_tracking
@@ -71,19 +71,19 @@ fn main() {
             let (depot_tree, block_tree) = (&depot_tree, &block_tree);
             scope.spawn(move || {
                 // one service per van thread over the shared trees: the
-                // session streams legs, the Route queries reuse the same
-                // warm engine for the moving-target ETA line
+                // session streams legs, the Route queries run on the
+                // service's warm engine for the moving-target ETA line
                 let service = ConnService::new(Scene::borrowing(depot_tree, block_tree));
                 let pin = service.pin();
                 let mut session = pin.open_session(pings[0], *service.config());
                 let depot = dispatch_depot;
-                let mut eta_retargets = 0;
+                let mut eta_loads = 0;
                 for &ping in &pings[1..] {
                     let delta = session.push_leg(ping);
                     let eta = service
                         .execute(&Query::route(depot, ping).build().expect("finite route"))
                         .expect("route query");
-                    eta_retargets += eta.stats.reuse.label_retargets;
+                    eta_loads += eta.stats.noe;
                     let eta_dist = eta.answer.distance().expect("route answer");
                     for (nn, iv) in &delta {
                         let who =
@@ -98,14 +98,14 @@ fn main() {
                 plan.check_cover().expect("route fully covered");
                 println!(
                     "van {van}: {} legs, {:.0} total length, {} tuples | warm legs {} | \
-                     obstacle loads {} | label reseeds {} | ETA retargets {}",
+                     obstacle loads {} | label reseeds {} | ETA obstacle loads {}",
                     plan.trajectory().num_legs(),
                     plan.trajectory().len(),
                     plan.segments().len(),
                     stats.reuse.graph_reuses,
                     stats.noe,
                     stats.reuse.label_reseeds,
-                    eta_retargets,
+                    eta_loads,
                 );
             });
         }

@@ -56,14 +56,20 @@ fn rnn_counts_are_sane_and_exact() {
     let cfg = ConnConfig::default();
     let s = datasets::uniform_points(1, 5, &obstacles)[0];
     let (rnn, _) = obstructed_rnn(&dt, &ot, s, &cfg);
-    // brute force cross-check
+    // brute force cross-check: one whole-field Dijkstra per point, over
+    // the other points plus the facility
+    let facility = u32::MAX;
     for p in &points {
-        let d_s = conn::obstructed_distance(&obstacles, p.pos, s);
-        let best_other = points
-            .iter()
-            .filter(|o| o.id != p.id)
-            .map(|o| conn::obstructed_distance(&obstacles, p.pos, o.pos))
-            .fold(f64::INFINITY, f64::min);
+        let mut rivals: Vec<DataPoint> = points.iter().filter(|o| o.id != p.id).copied().collect();
+        rivals.push(DataPoint::new(facility, s));
+        let reach = brute_force_oknn(&rivals, &obstacles, p.pos, rivals.len());
+        let dist_to = |want_facility: bool| {
+            reach
+                .iter()
+                .find(|(o, _)| (o.id == facility) == want_facility)
+                .map_or(f64::INFINITY, |(_, d)| *d)
+        };
+        let (d_s, best_other) = (dist_to(true), dist_to(false));
         let is_rnn = d_s.is_finite() && d_s < best_other;
         assert_eq!(
             rnn.iter().any(|(r, _)| r.id == p.id),
@@ -93,8 +99,8 @@ fn closest_pair_and_join_on_workload() {
     // brute force
     let mut best = f64::INFINITY;
     for x in &a {
-        for y in &b {
-            best = best.min(conn::obstructed_distance(&obstacles, x.pos, y.pos));
+        if let Some((_, d)) = brute_force_oknn(&b, &obstacles, x.pos, 1).first() {
+            best = best.min(*d);
         }
     }
     assert!((d - best).abs() < 1e-6, "{d} vs {best}");

@@ -126,16 +126,15 @@ fn mixed_family_batch_matches_free_functions() {
                         .collect::<Vec<_>>()
                 );
             }
-            (QueryKind::Odist { a, b }, Answer::Odist(got)) => {
-                assert_eq!(
-                    got.to_bits(),
-                    obstructed_distance(&obstacles, *a, *b).to_bits()
-                );
-            }
-            (QueryKind::Route { a, b }, Answer::Route { dist, .. }) => {
-                assert_eq!(
-                    dist.to_bits(),
-                    obstructed_distance(&obstacles, *a, *b).to_bits()
+            // by value, not bitwise: the free function is the whole-field
+            // oracle, the service loads a subset goal-directed, and two
+            // equal-length paths may sum a few ULPs apart
+            (QueryKind::Odist { a, b }, Answer::Odist(got))
+            | (QueryKind::Route { a, b }, Answer::Route { dist: got, .. }) => {
+                let want = obstructed_distance(&obstacles, *a, *b);
+                assert!(
+                    *got == want || (got - want).abs() <= 1e-9 * want.max(1.0),
+                    "{got} vs {want}"
                 );
             }
             (QueryKind::ClosestPair { .. }, Answer::ClosestPair(got)) => {
