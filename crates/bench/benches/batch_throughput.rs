@@ -1,6 +1,6 @@
 //! Batch-layer throughput: the legacy one-shot API looped over a 64-query
 //! mixed workload vs a single reused `QueryEngine` vs the parallel
-//! `conn_batch` front-end. All three produce identical results (asserted
+//! `ConnService::execute_batch` path. All three produce identical results (asserted
 //! before timing); the deltas isolate substrate amortization
 //! (serial engine) and the worker pool (batch).
 
@@ -20,7 +20,7 @@ fn bench_batch_throughput(c: &mut Criterion) {
     // correctness gate: all three execution paths agree bit-for-bit
     let serial = w.run_conn_serial(&cfg);
     let (engine, _) = w.run_conn_engine(&cfg);
-    let (batch, _) = w.run_conn_batch(&cfg, 0);
+    let (batch, _) = w.run_conn_parallel(&cfg, 0);
     assert!(
         conn_results_identical(&serial, &engine),
         "engine path diverged"
@@ -39,7 +39,7 @@ fn bench_batch_throughput(c: &mut Criterion) {
         b.iter(|| black_box(w.run_conn_engine(&cfg).0.len()))
     });
     group.bench_function("parallel_batch_64q", |b| {
-        b.iter(|| black_box(w.run_conn_batch(&cfg, 0).0.len()))
+        b.iter(|| black_box(w.run_conn_parallel(&cfg, 0).0.len()))
     });
     group.finish();
 }

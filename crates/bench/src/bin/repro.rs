@@ -633,7 +633,9 @@ fn live(args: &Args) {
 /// informational parallel fleet line. Records `BENCH_traj.json`.
 fn traj(args: &Args) {
     use conn_bench::trajectory_results_equivalent;
-    use conn_core::{trajectory_conn_batch, trajectory_conn_search, trajectory_conn_search_cold};
+    use conn_core::{
+        trajectory_conn_search, trajectory_conn_search_cold, Answer, ConnService, Query, Scene,
+    };
 
     let n_traj = args.queries.unwrap_or(12).max(1);
     // 8 legs of 7% of the space side each (the top of the paper's Figure 9
@@ -688,10 +690,23 @@ fn traj(args: &Args) {
     }
     let speedup = cold_wall / sess_wall;
 
-    // informational: the parallel fleet front-end over the same routes
-    let (fleet_results, fleet) =
-        trajectory_conn_batch(&w.data_tree, &w.obstacle_tree, &routes, &cfg, args.threads);
-    for (a, b) in cold_results.iter().zip(&fleet_results) {
+    // informational: the same routes as one parallel service batch
+    let service = ConnService::with_config(Scene::borrowing(&w.data_tree, &w.obstacle_tree), cfg);
+    let fleet_queries: Vec<Query> = routes
+        .iter()
+        .map(|t| {
+            Query::trajectory(t.clone(), 1)
+                .build()
+                .expect("valid route")
+        })
+        .collect();
+    let (fleet_responses, fleet) = service
+        .execute_batch_threads(&fleet_queries, args.threads)
+        .expect("fleet batch");
+    for (a, b) in cold_results.iter().zip(&fleet_responses) {
+        let Answer::Trajectory(b) = &b.answer else {
+            panic!("trajectory query answered as {}", b.answer.family());
+        };
         assert!(trajectory_results_equivalent(a, b), "fleet path diverged");
     }
 
@@ -928,13 +943,10 @@ fn conn_smoke(args: &Args) {
 }
 
 /// `batch`: the batch-layer comparison — legacy one-shot loop vs serial
-/// engine reuse vs the parallel batch front-end vs the typed
-/// `ConnService::execute_batch` dispatch, on a mixed workload. Asserts
-/// identical results across all four paths and records the numbers
-/// (including the service dispatch overhead) as JSON.
+/// engine reuse vs the parallel `ConnService::execute_batch` path, on a
+/// mixed workload. Asserts identical results across all three paths and
+/// records the numbers as JSON.
 fn batch(args: &Args) {
-    use conn_core::{ConnService, Query, Scene};
-
     let n_queries = args.batch_queries();
     println!("\n## Batch layer — mixed workload (uniform + clustered + trajectory), k = 1");
     let w = Workload::build_mixed(
@@ -955,45 +967,8 @@ fn batch(args: &Args) {
     let (engine_results, engine_pooled) = w.run_conn_engine(&cfg);
     let engine_s = t1.elapsed().as_secs_f64();
 
-    // single-run walls stay the recorded batch_s / service_batch_s (the
-    // same estimator as serial_s and engine_s, so the speedup series in
-    // BENCH_batch.json keeps its meaning run over run)
-    let (batch_results, stats) = w.run_conn_batch(&cfg, args.threads);
+    let (batch_results, stats) = w.run_conn_parallel(&cfg, args.threads);
     let batch_s = stats.wall.as_secs_f64();
-
-    // the same workload through the typed front door: one mixed-capable
-    // service batch (here all-CONN, so the answers must be identical)
-    let service = ConnService::with_config(Scene::borrowing(&w.data_tree, &w.obstacle_tree), cfg);
-    let typed: Vec<Query> = w
-        .queries
-        .iter()
-        .map(|q| Query::conn(*q).build().expect("workload query is valid"))
-        .collect();
-    let (service_responses, service_stats) = service
-        .execute_batch_threads(&typed, args.threads)
-        .expect("service batch");
-    let service_s = service_stats.wall.as_secs_f64();
-    let service_results: Vec<conn_core::ConnResult> = service_responses
-        .into_iter()
-        .map(|r| r.answer.into_conn().expect("conn answer"))
-        .collect();
-
-    // the overhead ratio divides one short wall-clock by another, so it
-    // uses best-of-3 minima on BOTH sides (min/min is the stable,
-    // apples-to-apples estimator under scheduler noise)
-    let mut batch_best = batch_s;
-    for _ in 0..2 {
-        let (_, again) = w.run_conn_batch(&cfg, args.threads);
-        batch_best = batch_best.min(again.wall.as_secs_f64());
-    }
-    let mut service_best = service_s;
-    for _ in 0..2 {
-        let (_, again) = service
-            .execute_batch_threads(&typed, args.threads)
-            .expect("service batch");
-        service_best = service_best.min(again.wall.as_secs_f64());
-    }
-    let service_overhead_pct = (service_best / batch_best - 1.0) * 100.0;
 
     assert!(
         conn_results_identical(&serial, &engine_results),
@@ -1002,10 +977,6 @@ fn batch(args: &Args) {
     assert!(
         conn_results_identical(&serial, &batch_results),
         "batch path diverged from the one-shot API"
-    );
-    assert!(
-        conn_results_identical(&serial, &service_results),
-        "service dispatch diverged from the one-shot API"
     );
 
     println!(
@@ -1022,12 +993,10 @@ fn batch(args: &Args) {
     };
     row("one-shot API loop", serial_s);
     row("serial engine reuse", engine_s);
-    row(&format!("batch ({} threads)", stats.threads), batch_s);
     row(
-        &format!("service batch ({} threads)", service_stats.threads),
-        service_s,
+        &format!("service batch ({} threads)", stats.threads),
+        batch_s,
     );
-    println!("service dispatch overhead vs per-family batch: {service_overhead_pct:+.2}%");
     println!(
         "latency: mean {:.3} ms, p50 {:.3} ms, p99 {:.3} ms",
         stats.mean_s * 1e3,
@@ -1048,8 +1017,7 @@ fn batch(args: &Args) {
     let json = format!(
         "{{\n  \"scale\": {},\n  \"queries\": {},\n  \"threads\": {},\n  \
          \"serial_one_shot_s\": {:.6},\n  \"serial_engine_s\": {:.6},\n  \
-         \"batch_s\": {:.6},\n  \"service_batch_s\": {:.6},\n  \
-         \"service_overhead_pct\": {:.4},\n  \"speedup_engine\": {:.4},\n  \
+         \"batch_s\": {:.6},\n  \"speedup_engine\": {:.4},\n  \
          \"speedup_batch\": {:.4},\n  \"throughput_qps\": {:.2},\n  \
          \"latency_mean_ms\": {:.4},\n  \"latency_p50_ms\": {:.4},\n  \
          \"latency_p99_ms\": {:.4},\n  \"graph_reuses\": {},\n  \
@@ -1060,8 +1028,6 @@ fn batch(args: &Args) {
         serial_s,
         engine_s,
         batch_s,
-        service_s,
-        service_overhead_pct,
         serial_s / engine_s,
         serial_s / batch_s,
         stats.throughput_qps,

@@ -7,9 +7,8 @@
 
 use conn_core::stats::AveragedStats;
 use conn_core::{
-    build_unified_tree, coknn_search, coknn_search_single_tree, conn_batch, conn_search,
-    BatchStats, ConnConfig, ConnResult, DataPoint, QueryEngine, QueryStats, SpatialObject,
-    Trajectory, TrajectoryResult,
+    build_unified_tree, conn_search, BatchStats, ConnConfig, ConnResult, ConnService, DataPoint,
+    Query, QueryEngine, QueryStats, Scene, SpatialObject, Trajectory, TrajectoryResult,
 };
 use conn_datasets::{
     la_like, mixed_batch, query_segments, trajectory_routes, Combo, PAPER_CA_SIZE, PAPER_LA_SIZE,
@@ -134,7 +133,9 @@ impl Workload {
     /// Runs the COkNN workload on the two-tree layout, averaging metrics.
     /// `buffer_frac` sizes the LRU buffer per tree (Figure 12); with a
     /// non-zero buffer the first `warmup` queries are excluded from the
-    /// averages, as in the paper.
+    /// averages, as in the paper. The whole workload runs on one engine —
+    /// the buffers are the engine's, so that is what lets a query hit the
+    /// pages an earlier one brought in.
     pub fn run_two_tree(
         &self,
         k: usize,
@@ -142,21 +143,28 @@ impl Workload {
         buffer_frac: f64,
         warmup: usize,
     ) -> AveragedStats {
-        self.data_tree.set_buffer_frac(buffer_frac);
-        self.obstacle_tree.set_buffer_frac(buffer_frac);
-        self.data_tree.clear_buffer();
-        self.obstacle_tree.clear_buffer();
+        let mut engine = QueryEngine::new(*cfg);
+        engine.set_buffer_frac(buffer_frac, &self.data_tree, Some(&self.obstacle_tree));
+        self.averaged(warmup, |q| {
+            engine.coknn(&self.data_tree, &self.obstacle_tree, q, k).1
+        })
+    }
+
+    /// Averages `run`'s stats over the workload, `warmup` queries excluded.
+    fn averaged(
+        &self,
+        warmup: usize,
+        mut run: impl FnMut(&Segment) -> QueryStats,
+    ) -> AveragedStats {
         let mut acc = QueryStats::default();
         let mut counted = 0u64;
         for (i, q) in self.queries.iter().enumerate() {
-            let (_, stats) = coknn_search(&self.data_tree, &self.obstacle_tree, q, k, cfg);
+            let stats = run(q);
             if i >= warmup {
                 acc.accumulate(&stats);
                 counted += 1;
             }
         }
-        self.data_tree.set_buffer_pages(0);
-        self.obstacle_tree.set_buffer_pages(0);
         acc.averaged(counted)
     }
 
@@ -186,19 +194,31 @@ impl Workload {
         (results, pooled)
     }
 
-    /// The batch front-end over this workload's trees and queries.
-    pub fn run_conn_batch(
+    /// The service's batch path over this workload's trees and queries.
+    pub fn run_conn_parallel(
         &self,
         cfg: &ConnConfig,
         threads: usize,
     ) -> (Vec<ConnResult>, BatchStats) {
-        conn_batch(
-            &self.data_tree,
-            &self.obstacle_tree,
-            &self.queries,
-            cfg,
-            threads,
-        )
+        let service =
+            ConnService::with_config(Scene::borrowing(&self.data_tree, &self.obstacle_tree), *cfg);
+        let queries: Vec<Query> = self
+            .queries
+            .iter()
+            .map(|q| {
+                Query::conn(*q)
+                    .build()
+                    .expect("workload segments are valid")
+            })
+            .collect();
+        let (responses, stats) = service
+            .execute_batch_threads(&queries, threads)
+            .expect("batch execution is infallible for built queries");
+        let results = responses
+            .into_iter()
+            .map(|r| r.answer.into_conn().expect("conn query, conn answer"))
+            .collect();
+        (results, stats)
     }
 
     /// Polyline routes over this workload's obstacle field for the
@@ -220,18 +240,9 @@ impl Workload {
         warmup: usize,
     ) -> AveragedStats {
         let tree = self.unified_tree();
-        tree.set_buffer_frac(buffer_frac);
-        tree.clear_buffer();
-        let mut acc = QueryStats::default();
-        let mut counted = 0u64;
-        for (i, q) in self.queries.iter().enumerate() {
-            let (_, stats) = coknn_search_single_tree(&tree, q, k, cfg);
-            if i >= warmup {
-                acc.accumulate(&stats);
-                counted += 1;
-            }
-        }
-        acc.averaged(counted)
+        let mut engine = QueryEngine::new(*cfg);
+        engine.set_buffer_frac(buffer_frac, &tree, None);
+        self.averaged(warmup, |q| engine.coknn_single_tree(&tree, q, k).1)
     }
 }
 

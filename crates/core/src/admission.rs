@@ -6,8 +6,9 @@
 //! [`AdmissionConfig::coalesce`]-sized slices and drive each slice,
 //! heaviest families first, through the existing mixed-family batch path
 //! ([`crate::ConnService::execute_batch_threads`]), so single-query
-//! clients transparently get batch economics — warm pooled engines,
-//! pooled tree I/O — without holding a service reference themselves.
+//! clients transparently get batch economics — warm pooled engines, all
+//! workers busy — without holding a service reference themselves, and
+//! each [`Response`] still carries its own query's stats and tree I/O.
 //! When the queue is full, [`submit`] rejects with [`Error::Overloaded`]
 //! instead of buffering unboundedly: admission is where backpressure
 //! belongs, not inside the kernels.

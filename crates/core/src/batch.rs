@@ -1,31 +1,19 @@
-//! Parallel batch execution over shared R\*-trees.
+//! Batch telemetry.
 //!
-//! [`conn_batch`] / [`coknn_batch`] fan a workload of query segments out
-//! across a small `std::thread` worker pool. The trees are shared immutably
-//! (`RStarTree` is `Sync`: page counters are atomic, the LRU buffer is
-//! mutex-guarded); each worker owns one [`QueryEngine`], so per-query
-//! substrate allocations are amortized across the whole batch. Results come
-//! back in workload order, together with aggregated [`BatchStats`].
-//!
-//! I/O accounting: per-query counter resets would race on the shared trees,
-//! so the batch resets each tree's counters once up front and pools the
-//! totals into [`BatchStats::pooled`]. The per-query [`QueryStats`] inside
-//! a batch therefore report zero tree I/O and real CPU/NPE/NOE.
+//! There is one way to run a batch — [`crate::ConnService::execute_batch`]
+//! (any mix of families, over [`crate::Scene::borrowing`] when the caller
+//! holds the trees) on the service's persistent [`crate::EnginePool`] — and
+//! [`BatchStats`] is what it reports beside the responses. Every response
+//! carries its own query's stats, tree I/O included (the page meters are the
+//! worker engines', not the shared trees'), so the batch totals are plain
+//! sums.
 
-// lint:allow-file(no-panic-in-query-path[index]): chunk bounds are computed from the same slice's length
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use conn_geom::{Rect, Segment};
-use conn_index::RStarTree;
-
-use crate::coknn::CoknnResult;
-use crate::config::ConnConfig;
-use crate::conn::ConnResult;
-use crate::engine::QueryEngine;
 use crate::stats::QueryStats;
-use crate::types::DataPoint;
 
-/// Aggregated telemetry of one batch run.
+/// Aggregated telemetry of one batch run
+/// ([`crate::ConnService::execute_batch`]).
 #[derive(Debug, Clone, Copy)]
 #[must_use]
 pub struct BatchStats {
@@ -35,8 +23,7 @@ pub struct BatchStats {
     pub threads: usize,
     /// Wall-clock time of the whole batch.
     pub wall: Duration,
-    /// Pooled counters: per-query stats summed, plus the shared trees' I/O
-    /// totals for the batch.
+    /// The per-query stats, summed.
     pub pooled: QueryStats,
     /// Mean per-query CPU latency, in seconds.
     pub mean_s: f64,
@@ -49,36 +36,29 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
-    pub(crate) fn from_parts(
-        queries: usize,
-        threads: usize,
-        wall: Duration,
-        pooled: QueryStats,
-        mut lat: Vec<f64>,
-    ) -> Self {
+    /// The telemetry of a batch whose queries reported `per_query`, run on
+    /// `threads` workers in `wall`.
+    pub(crate) fn new(threads: usize, wall: Duration, per_query: &[QueryStats]) -> Self {
+        let mut pooled = QueryStats::default();
+        for s in per_query {
+            pooled.accumulate(s);
+        }
+        let mut lat: Vec<f64> = per_query.iter().map(|s| s.cpu.as_secs_f64()).collect();
         lat.sort_by(f64::total_cmp);
         let pick = |p: f64| -> f64 {
-            if lat.is_empty() {
-                return 0.0;
-            }
             let idx = ((lat.len() as f64 - 1.0) * p).round() as usize;
-            lat[idx.min(lat.len() - 1)]
-        };
-        let mean = if lat.is_empty() {
-            0.0
-        } else {
-            lat.iter().sum::<f64>() / lat.len() as f64
+            lat.get(idx).or(lat.last()).copied().unwrap_or(0.0)
         };
         BatchStats {
-            queries,
+            queries: per_query.len(),
             threads,
             wall,
             pooled,
-            mean_s: mean,
+            mean_s: lat.iter().sum::<f64>() / lat.len().max(1) as f64,
             p50_s: pick(0.5),
             p99_s: pick(0.99),
             throughput_qps: if wall.as_secs_f64() > 0.0 {
-                queries as f64 / wall.as_secs_f64()
+                per_query.len() as f64 / wall.as_secs_f64()
             } else {
                 f64::INFINITY
             },
@@ -86,197 +66,16 @@ impl BatchStats {
     }
 }
 
-/// Generic batch driver: a one-shot [`EnginePool`] work-steals workload
-/// indices off a shared atomic cursor, one warm engine per worker, results
-/// re-assembled in workload order. Items are whatever the workload is made
-/// of — query segments for CONN/COkNN, whole trajectories for the session
-/// batch. (The service's mixed-family batch runs the same driver on its
-/// *persistent* pool instead, so engines stay warm across batches.)
-///
-/// [`EnginePool`]: crate::EnginePool
-pub(crate) fn run_batch<I, R, F>(
-    items: &[I],
-    cfg: &ConnConfig,
-    threads: usize,
-    f: F,
-) -> (Vec<R>, usize, Vec<(usize, QueryStats)>)
-where
-    I: Sync,
-    R: Send,
-    F: Fn(&mut QueryEngine, &I) -> (R, QueryStats) + Sync,
-{
-    crate::pool::EnginePool::new(*cfg).run(items, threads, f)
-}
-
-/// Answers every CONN query of `queries` over the shared trees with a pool
-/// of `threads` workers (`0` = available parallelism). Results are in
-/// workload order and identical to answering each query with
-/// [`crate::conn_search`].
-///
-/// ```
-/// use conn_core::{conn_batch, ConnConfig, DataPoint};
-/// use conn_geom::{Point, Rect, Segment};
-/// use conn_index::RStarTree;
-///
-/// let points = RStarTree::bulk_load(vec![DataPoint::new(0, Point::new(20.0, 30.0))], 4096);
-/// let obstacles = RStarTree::bulk_load(vec![Rect::new(40.0, 5.0, 55.0, 35.0)], 4096);
-/// let queries: Vec<Segment> = (0..8)
-///     .map(|i| {
-///         let x = 10.0 * i as f64;
-///         Segment::new(Point::new(x, 0.0), Point::new(x + 50.0, 0.0))
-///     })
-///     .collect();
-///
-/// let (results, stats) = conn_batch(&points, &obstacles, &queries, &ConnConfig::default(), 0);
-/// assert_eq!(results.len(), 8);
-/// assert_eq!(stats.queries, 8);
-/// assert!(stats.pooled.reuse.graph_reuses >= 8 - stats.threads as u64);
-/// ```
-pub fn conn_batch(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    queries: &[Segment],
-    cfg: &ConnConfig,
-    threads: usize,
-) -> (Vec<ConnResult>, BatchStats) {
-    batch_over(
-        data_tree,
-        obstacle_tree,
-        queries,
-        cfg,
-        threads,
-        |engine, q| engine.conn_pooled_io(data_tree, obstacle_tree, q),
-    )
-}
-
-/// Trajectory-session batch: a *fleet* workload. Each trajectory is
-/// answered by a [`crate::TrajectorySession`] (warm engine across its
-/// legs); the sessions fan out across the worker pool and each worker's
-/// engine is reused across the trajectories it picks up, so a fleet of N
-/// vehicles costs one substrate allocation per worker, not per vehicle or
-/// per leg. Per-trajectory latencies feed the percentile stats.
-///
-/// ```
-/// use conn_core::{trajectory_conn_batch, ConnConfig, DataPoint, Trajectory};
-/// use conn_geom::{Point, Rect};
-/// use conn_index::RStarTree;
-///
-/// let points = RStarTree::bulk_load(vec![DataPoint::new(0, Point::new(20.0, 30.0))], 4096);
-/// let obstacles = RStarTree::bulk_load(vec![Rect::new(40.0, 5.0, 55.0, 35.0)], 4096);
-/// let fleet: Vec<Trajectory> = (0..4)
-///     .map(|i| {
-///         let y = 10.0 * i as f64;
-///         Trajectory::new(vec![
-///             Point::new(0.0, y),
-///             Point::new(60.0, y),
-///             Point::new(60.0, y + 50.0),
-///         ])
-///     })
-///     .collect();
-///
-/// let (results, stats) = trajectory_conn_batch(&points, &obstacles, &fleet, &ConnConfig::default(), 0);
-/// assert_eq!(results.len(), 4);
-/// results.iter().for_each(|r| r.check_cover().unwrap());
-/// assert_eq!(stats.queries, 4);
-/// ```
-pub fn trajectory_conn_batch(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    trajectories: &[crate::Trajectory],
-    cfg: &ConnConfig,
-    threads: usize,
-) -> (Vec<crate::TrajectoryResult>, BatchStats) {
-    data_tree.reset_stats();
-    obstacle_tree.reset_stats();
-    // Batch-boundary wall time for BatchStats, not kernel-side timing.
-    let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-    let (results, threads, per_traj) = run_batch(trajectories, cfg, threads, |engine, traj| {
-        let mut session = crate::TrajectorySession::with_engine(
-            data_tree,
-            obstacle_tree,
-            traj.vertices()[0],
-            engine,
-        )
-        .pooled_io();
-        for &v in &traj.vertices()[1..] {
-            session.push_leg(v);
-        }
-        session.finish()
-    });
-    let wall = started.elapsed();
-    let mut pooled = QueryStats::default();
-    let mut lat = Vec::with_capacity(per_traj.len());
-    for (_, s) in &per_traj {
-        pooled.accumulate(s);
-        lat.push(s.cpu.as_secs_f64());
-    }
-    pooled.data_io = data_tree.stats();
-    pooled.obstacle_io = obstacle_tree.stats();
-    (
-        results,
-        BatchStats::from_parts(trajectories.len(), threads, wall, pooled, lat),
-    )
-}
-
-/// COkNN batch: like [`conn_batch`] with a per-query `k`.
-pub fn coknn_batch(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    queries: &[Segment],
-    k: usize,
-    cfg: &ConnConfig,
-    threads: usize,
-) -> (Vec<CoknnResult>, BatchStats) {
-    batch_over(
-        data_tree,
-        obstacle_tree,
-        queries,
-        cfg,
-        threads,
-        |engine, q| engine.coknn_pooled_io(data_tree, obstacle_tree, q, k),
-    )
-}
-
-/// Shared front-end: reset shared-tree counters, fan out, pool counters and
-/// latencies into [`BatchStats`].
-fn batch_over<R, F>(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    queries: &[Segment],
-    cfg: &ConnConfig,
-    threads: usize,
-    f: F,
-) -> (Vec<R>, BatchStats)
-where
-    R: Send,
-    F: Fn(&mut QueryEngine, &Segment) -> (R, QueryStats) + Sync,
-{
-    data_tree.reset_stats();
-    obstacle_tree.reset_stats();
-    // Batch-boundary wall time for BatchStats, not kernel-side timing.
-    let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-    let (results, threads, per_query) = run_batch(queries, cfg, threads, f);
-    let wall = started.elapsed();
-    let mut pooled = QueryStats::default();
-    let mut lat = Vec::with_capacity(per_query.len());
-    for (_, s) in &per_query {
-        pooled.accumulate(s);
-        lat.push(s.cpu.as_secs_f64());
-    }
-    pooled.data_io = data_tree.stats();
-    pooled.obstacle_io = obstacle_tree.stats();
-    (
-        results,
-        BatchStats::from_parts(queries.len(), threads, wall, pooled, lat),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coknn::coknn_search;
+    use crate::config::ConnConfig;
     use crate::conn::conn_search;
-    use conn_geom::Point;
+    use crate::types::DataPoint;
+    use crate::{Answer, ConnService, Query, Response, Scene, Trajectory};
+    use conn_geom::{Point, Rect, Segment};
+    use conn_index::{RStarTree, StatsSnapshot};
 
     fn setup(n_queries: usize) -> (RStarTree<DataPoint>, RStarTree<Rect>, Vec<Segment>) {
         let points: Vec<DataPoint> = (0..24)
@@ -306,22 +105,43 @@ mod tests {
         )
     }
 
+    /// One batch of `queries` over borrowed trees, `threads` workers.
+    fn run(
+        dt: &RStarTree<DataPoint>,
+        ot: &RStarTree<Rect>,
+        queries: Vec<Query>,
+        threads: usize,
+    ) -> (Vec<Response>, BatchStats) {
+        ConnService::new(Scene::borrowing(dt, ot))
+            .execute_batch_threads(&queries, threads)
+            .unwrap()
+    }
+
+    fn conn_queries(segs: &[Segment]) -> Vec<Query> {
+        segs.iter()
+            .map(|q| Query::conn(*q).build().unwrap())
+            .collect()
+    }
+
     #[test]
     fn batch_matches_serial_conn() {
         let (dt, ot, queries) = setup(16);
         let cfg = ConnConfig::default();
-        let (batch, stats) = conn_batch(&dt, &ot, &queries, &cfg, 2);
+        let (batch, stats) = run(&dt, &ot, conn_queries(&queries), 2);
         assert_eq!(batch.len(), queries.len());
         assert_eq!(stats.queries, queries.len());
         assert!(stats.threads >= 1 && stats.threads <= 2);
-        for (res, q) in batch.iter().zip(&queries) {
-            let (serial, _) = conn_search(&dt, &ot, q, &cfg);
+        for (resp, q) in batch.iter().zip(&queries) {
+            let (serial, serial_stats) = conn_search(&dt, &ot, q, &cfg);
+            let res = resp.answer.as_conn().unwrap();
             assert_eq!(res.entries().len(), serial.entries().len());
             for (x, y) in res.entries().iter().zip(serial.entries()) {
                 assert_eq!(x.point.map(|p| p.id), y.point.map(|p| p.id));
                 assert_eq!(x.interval.lo.to_bits(), y.interval.lo.to_bits());
                 assert_eq!(x.interval.hi.to_bits(), y.interval.hi.to_bits());
             }
+            assert_eq!(resp.stats.data_io, serial_stats.data_io);
+            assert_eq!(resp.stats.obstacle_io, serial_stats.obstacle_io);
         }
         // engines are reused: at most one fresh workspace per worker
         assert!(stats.pooled.reuse.graph_reuses >= (queries.len() - stats.threads) as u64);
@@ -332,10 +152,15 @@ mod tests {
     fn batch_matches_serial_coknn() {
         let (dt, ot, queries) = setup(10);
         let cfg = ConnConfig::default();
-        let (batch, stats) = coknn_batch(&dt, &ot, &queries, 3, &cfg, 0);
+        let typed = queries
+            .iter()
+            .map(|q| Query::coknn(*q, 3).build().unwrap())
+            .collect();
+        let (batch, stats) = run(&dt, &ot, typed, 0);
         assert_eq!(batch.len(), queries.len());
-        for (res, q) in batch.iter().zip(&queries) {
+        for (resp, q) in batch.iter().zip(&queries) {
             let (serial, _) = coknn_search(&dt, &ot, q, 3, &cfg);
+            let res = resp.answer.as_coknn().unwrap();
             assert_eq!(res.entries().len(), serial.entries().len());
         }
         assert!(stats.p50_s <= stats.p99_s + 1e-12);
@@ -346,11 +171,11 @@ mod tests {
     #[test]
     fn trajectory_batch_matches_serial_sessions() {
         let (dt, ot, _) = setup(0);
-        let routes: Vec<crate::Trajectory> = (0..6)
+        let routes: Vec<Trajectory> = (0..6)
             .map(|i| {
                 let x = (i as f64 * 31.0) % 180.0;
                 let y = (i as f64 * 19.0) % 120.0;
-                crate::Trajectory::new(vec![
+                Trajectory::new(vec![
                     Point::new(x, y),
                     Point::new(x + 50.0, y + 5.0),
                     Point::new(x + 50.0, y + 60.0),
@@ -359,10 +184,17 @@ mod tests {
             })
             .collect();
         let cfg = ConnConfig::default();
-        let (batch, stats) = trajectory_conn_batch(&dt, &ot, &routes, &cfg, 2);
+        let fleet = routes
+            .iter()
+            .map(|r| Query::trajectory(r.clone(), 1).build().unwrap())
+            .collect();
+        let (batch, stats) = run(&dt, &ot, fleet, 2);
         assert_eq!(batch.len(), routes.len());
         assert_eq!(stats.queries, routes.len());
-        for (res, traj) in batch.iter().zip(&routes) {
+        for (resp, traj) in batch.iter().zip(&routes) {
+            let Answer::Trajectory(res) = &resp.answer else {
+                panic!("trajectory query answered as {}", resp.answer.family());
+            };
             res.check_cover().unwrap();
             let (serial, _) = crate::trajectory::trajectory_conn_search(&dt, &ot, traj, &cfg);
             assert_eq!(res.segments().len(), serial.segments().len());
@@ -381,16 +213,35 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let (dt, ot, _) = setup(0);
-        let (res, stats) = conn_batch(&dt, &ot, &[], &ConnConfig::default(), 4);
+        let (res, stats) = run(&dt, &ot, Vec::new(), 4);
         assert!(res.is_empty());
         assert_eq!(stats.queries, 0);
-        assert_eq!(stats.mean_s, 0.0);
+        assert_eq!((stats.mean_s, stats.p99_s), (0.0, 0.0));
     }
 
     #[test]
     fn oversized_pool_is_clamped() {
         let (dt, ot, queries) = setup(3);
-        let (_, stats) = conn_batch(&dt, &ot, &queries, &ConnConfig::default(), 64);
+        let (_, stats) = run(&dt, &ot, conn_queries(&queries), 64);
         assert!(stats.threads <= 3);
+    }
+
+    #[test]
+    fn pooled_is_the_sum_of_the_queries() {
+        let snap = |reads, faults| StatsSnapshot { reads, faults };
+        let per_query: Vec<QueryStats> = (1..=4u64)
+            .map(|i| QueryStats {
+                data_io: snap(10 * i, i),
+                obstacle_io: snap(i, i),
+                cpu: Duration::from_millis(100 * i),
+                ..Default::default()
+            })
+            .collect();
+        let b = BatchStats::new(2, Duration::from_secs(1), &per_query);
+        assert_eq!((b.queries, b.threads), (4, 2));
+        assert_eq!(b.pooled.data_io, snap(100, 10));
+        assert_eq!(b.pooled.obstacle_io, snap(10, 10));
+        assert!((b.mean_s - 0.25).abs() < 1e-12 && b.p50_s <= b.p99_s);
+        assert!((b.throughput_qps - 4.0).abs() < 1e-12);
     }
 }

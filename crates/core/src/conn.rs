@@ -16,7 +16,7 @@ use conn_vgraph::NodeKind;
 
 use crate::config::ConnConfig;
 use crate::cpl::{cplc_bounded, ControlPointList};
-use crate::engine::Workspace;
+use crate::engine::{Meters, Workspace};
 use crate::ior::ior;
 use crate::rlu::{ResultEntry, ResultList, RluScratch};
 use crate::stats::QueryStats;
@@ -63,8 +63,8 @@ impl ResultSink for ResultList {
     }
 }
 
-/// Loop-level telemetry (everything except R-tree I/O, which the callers
-/// snapshot around the loop).
+/// Loop-level telemetry (everything except R-tree I/O, which the workspace
+/// window reads off the engine's meters).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LoopTelemetry {
     /// Data points evaluated (paper metric NPE).
@@ -77,15 +77,17 @@ pub struct LoopTelemetry {
 
 /// The shared search loop of Algorithm 4, running on a (possibly reused)
 /// workspace: the graph, Dijkstra labels, VR cache and IOR threshold all
-/// come from `ws` and are rewound by `Workspace::begin_query`.
+/// come from `ws` and are rewound by `Workspace::begin_query`, which also
+/// opens the counter window over `io` (the meters `streams` charges).
 pub(crate) fn run_search<S: QueryStreams, R: ResultSink>(
     streams: &mut S,
     q: &Segment,
     cfg: &ConnConfig,
     sink: &mut R,
     ws: &mut Workspace,
+    io: &Meters,
 ) -> LoopTelemetry {
-    ws.begin_query(cfg);
+    ws.begin_query(cfg, io);
     let s_node = ws.g.add_point(q.a, NodeKind::Endpoint);
     let e_node = ws.g.add_point(q.b, NodeKind::Endpoint);
     run_leg(streams, q, cfg, sink, ws, s_node, e_node, f64::INFINITY)
@@ -324,15 +326,14 @@ impl ConnResult {
 
 /// CONN search over two separate R-trees (paper Algorithm 4).
 ///
-/// Returns the result list and the paper's per-query metrics. Counters of
-/// both trees are reset at query start, so the returned statistics are
-/// exactly this query's footprint.
+/// Returns the result list and the paper's per-query metrics — exactly
+/// this query's footprint, tree I/O included.
 ///
 /// This is the legacy one-shot API, kept as a thin wrapper over the typed
 /// service ([`crate::ConnService`]) so both surfaces answer byte-identically
 /// by construction. It builds a throwaway service (and engine) per call;
 /// callers answering many queries should hold a [`crate::ConnService`] or a
-/// [`crate::QueryEngine`] (or use [`crate::conn_batch`]) to amortize substrate
+/// [`crate::QueryEngine`] (or use [`crate::ConnService::execute_batch`]) to amortize substrate
 /// allocations across queries. Invalid input (degenerate/NaN segment)
 /// panics here — the service's [`crate::Query::conn`] builder is the
 /// non-panicking path.

@@ -9,10 +9,13 @@
 //! [`QueryEngine`] owns all of that per-query scratch state in a
 //! [`Workspace`] behind reset-and-reuse APIs: answering N queries performs
 //! O(1) substrate allocations instead of O(N). The engine is deliberately
-//! `!Sync` — one engine serves one thread; the batch layer
-//! ([`crate::conn_batch`]) and the persistent [`crate::EnginePool`] keep
-//! one engine per worker slot (each slot mutex-owned, so the pool itself
-//! is `Sync`) over the shared (immutable, `Sync`) R\*-trees.
+//! `!Sync` — one engine serves one thread; the persistent
+//! [`crate::EnginePool`] keeps one engine per worker slot (each slot
+//! mutex-owned, so the pool itself is `Sync`) over the shared (immutable,
+//! `Sync`) R\*-trees. The engine also owns what those trees do not: the
+//! page meters (and their LRU buffers) that every tree traversal of its
+//! queries is charged to, read off per query by the same counter window
+//! that produces the [`ReuseCounters`].
 //! [`crate::ConnService`] holds such a pool for its whole lifetime: warm
 //! engines survive across queries, batches *and* epoch publishes, since
 //! the reuse contract below never lets retained capacity leak answers
@@ -36,7 +39,7 @@
 use std::time::Instant;
 
 use conn_geom::{Rect, Segment};
-use conn_index::RStarTree;
+use conn_index::{IoMeter, Mbr, RStarTree, StatsSnapshot};
 use conn_vgraph::{DijkstraEngine, VisGraph};
 
 use crate::coknn::{CoknnResult, KnnResultList};
@@ -50,6 +53,24 @@ use crate::single_tree::{OneTreeStreams, SpatialObject};
 use crate::stats::{QueryStats, ReuseCounters};
 use crate::streams::{LoadedObstacles, QueryStreams, TwoTreeStreams};
 use crate::types::DataPoint;
+
+/// The engine's page meters, one per tree role. They sit *beside* the
+/// [`Workspace`] so that tree streams can hold them shared while a search
+/// holds the workspace exclusively.
+#[derive(Debug, Default)]
+pub(crate) struct Meters {
+    /// Point trees: the data tree, both point trees of a join, the unified
+    /// tree of the single-tree layout.
+    pub(crate) data: IoMeter,
+    /// The obstacle tree.
+    pub(crate) obstacle: IoMeter,
+}
+
+impl Meters {
+    fn snapshot(&self) -> (StatsSnapshot, StatsSnapshot) {
+        (self.data.snapshot(), self.obstacle.snapshot())
+    }
+}
 
 /// All per-query scratch state, owned long-term and re-bound per query.
 #[derive(Debug)]
@@ -65,16 +86,13 @@ pub struct Workspace {
     /// Set once the workspace has served a query (reuse is counted from the
     /// second query on).
     primed: bool,
-    /// Reuse telemetry of the query in flight.
+    /// What the query in flight reused at its start (`graph_reuses`,
+    /// `nodes_retained`).
     current: ReuseCounters,
-    heap_reuse_mark: u64,
-    continuation_mark: u64,
-    reseed_mark: u64,
-    retarget_mark: u64,
-    sight_mark: u64,
-    sweep_mark: u64,
-    invalidated_mark: u64,
-    repair_mark: u64,
+    /// The lifetime counters and the engine's meters as they stood when
+    /// the query's window opened.
+    mark: ReuseCounters,
+    io_mark: (StatsSnapshot, StatsSnapshot),
 }
 
 impl Default for Workspace {
@@ -95,22 +113,16 @@ impl Workspace {
             loaded: LoadedObstacles::default(),
             primed: false,
             current: ReuseCounters::default(),
-            heap_reuse_mark: 0,
-            continuation_mark: 0,
-            reseed_mark: 0,
-            retarget_mark: 0,
-            sight_mark: 0,
-            sweep_mark: 0,
-            invalidated_mark: 0,
-            repair_mark: 0,
+            mark: ReuseCounters::default(),
+            io_mark: Default::default(),
         }
     }
 
     /// Rewinds the workspace for a new query: clears all query-visible
-    /// state, retains allocations, starts the reuse-counter window. The
-    /// graph picks up `cfg`'s substrate tuning (cell size, sweep mode,
-    /// growth margin) for the query.
-    pub(crate) fn begin_query(&mut self, cfg: &ConnConfig) {
+    /// state, retains allocations, opens the counter window over the
+    /// substrate and `io`. The graph picks up `cfg`'s substrate tuning
+    /// (cell size, sweep mode, growth margin) for the query.
+    pub(crate) fn begin_query(&mut self, cfg: &ConnConfig, io: &Meters) {
         let cell = cfg.vgraph_cell;
         self.current = ReuseCounters::default();
         if self.primed {
@@ -121,7 +133,7 @@ impl Workspace {
         }
         self.loaded.clear();
         cfg.tune_graph(&mut self.g);
-        self.begin_window();
+        self.begin_window(io);
     }
 
     /// Rewinds the workspace for the next *leg* of a trajectory session:
@@ -130,60 +142,84 @@ impl Workspace {
     /// rectangle (and every previous leg's endpoint node) stays valid. The
     /// visible-region cache and the IOR loading threshold are cleared
     /// because both are keyed to the goal segment, which changes per leg.
-    pub(crate) fn begin_leg(&mut self, cfg: &ConnConfig) {
+    pub(crate) fn begin_leg(&mut self, cfg: &ConnConfig, io: &Meters) {
         self.current = ReuseCounters::default();
         self.current.graph_reuses = 1; // the graph survives, loaded
         self.current.nodes_retained = self.g.num_nodes() as u64;
         cfg.tune_graph(&mut self.g);
-        self.begin_window();
+        self.begin_window(io);
     }
 
     /// Shared tail of [`Workspace::begin_query`] / [`Workspace::begin_leg`]:
-    /// clears the goal-keyed caches and opens the reuse-counter window.
-    /// Every query-visible `Workspace` field except the graph (which the
-    /// two entry points treat differently) must be reset here.
-    fn begin_window(&mut self) {
+    /// clears the goal-keyed caches and opens the counter window. Every
+    /// query-visible `Workspace` field except the graph (which the two
+    /// entry points treat differently) must be reset here.
+    fn begin_window(&mut self, io: &Meters) {
         self.primed = true;
         self.vr_cache.clear();
         self.ior_state = IorState::default();
-        self.heap_reuse_mark = self.dij.reuses();
-        self.continuation_mark = self.dij.continuations();
-        self.reseed_mark = self.dij.reseeds();
-        self.retarget_mark = self.dij.retargets();
-        // the graph's sight-test and sweep-event counters are lifetime
-        // counters (they survive workspace resets), so per-query
-        // attribution is a window diff
-        self.sight_mark = self.g.sight_tests();
-        self.sweep_mark = self.g.sweep_events();
-        self.invalidated_mark = self.dij.labels_invalidated();
-        self.repair_mark = self.g.adjacency_repairs();
+        self.mark = self.lifetime();
+        self.io_mark = io.snapshot();
+    }
+
+    /// The substrate's lifetime counters (they survive workspace resets),
+    /// so per-query attribution is a window diff.
+    fn lifetime(&self) -> ReuseCounters {
+        ReuseCounters {
+            heap_reuses: self.dij.reuses(),
+            label_continuations: self.dij.continuations(),
+            label_reseeds: self.dij.reseeds(),
+            label_retargets: self.dij.retargets(),
+            sight_tests: self.g.sight_tests(),
+            sweep_events: self.g.sweep_events(),
+            labels_invalidated: self.dij.labels_invalidated(),
+            adjacency_repairs: self.g.adjacency_repairs(),
+            ..ReuseCounters::default()
+        }
     }
 
     /// The point-anchored obstacle loader over this workspace (rewound by
-    /// [`Workspace::begin_query`] first) and `tree`.
-    pub(crate) fn resolver<'t>(
-        &mut self,
-        tree: &'t RStarTree<Rect>,
+    /// [`Workspace::begin_query`] first) and `tree`, charging `io`.
+    pub(crate) fn resolver<'w>(
+        &'w mut self,
+        tree: &'w RStarTree<Rect>,
         cfg: &ConnConfig,
-    ) -> Resolver<'_, 't> {
-        Resolver::new(&mut self.g, &mut self.dij, &mut self.loaded, tree, cfg)
+        io: &'w IoMeter,
+    ) -> Resolver<'w> {
+        Resolver::new(
+            &mut self.g,
+            &mut self.dij,
+            &mut self.loaded,
+            tree,
+            cfg,
+            Some(io),
+        )
     }
 
-    /// Closes the reuse-counter window of the current query.
-    pub(crate) fn finish_query(&mut self) -> ReuseCounters {
-        self.current.heap_reuses = self.dij.reuses() - self.heap_reuse_mark;
-        self.current.label_continuations = self.dij.continuations() - self.continuation_mark;
-        self.current.label_reseeds = self.dij.reseeds() - self.reseed_mark;
-        self.current.label_retargets = self.dij.retargets() - self.retarget_mark;
-        self.current.sight_tests = self.g.sight_tests() - self.sight_mark;
-        self.current.sweep_events = self.g.sweep_events() - self.sweep_mark;
-        self.current.labels_invalidated = self.dij.labels_invalidated() - self.invalidated_mark;
-        self.current.adjacency_repairs = self.g.adjacency_repairs() - self.repair_mark;
-        self.current
+    /// Closes the window of the current query: what the substrate counted
+    /// and what `io` was charged since it opened. This is the one place a
+    /// query's tree I/O enters its [`QueryStats`]; callers fill in the rest.
+    pub(crate) fn finish_query(&mut self, io: &Meters) -> QueryStats {
+        let mut reuse = self.lifetime().since(&self.mark);
+        reuse.accumulate(&self.current);
+        let (data, obstacle) = io.snapshot();
+        QueryStats {
+            data_io: data.since(&self.io_mark.0),
+            obstacle_io: obstacle.since(&self.io_mark.1),
+            reuse,
+            ..QueryStats::default()
+        }
     }
 }
 
-/// A long-lived query engine: configuration plus a reusable [`Workspace`].
+/// A long-lived query engine: configuration, a reusable [`Workspace`] and
+/// the page meters every tree traversal of its queries is charged to.
+///
+/// Each returned [`QueryStats`] carries exactly the tree I/O of its own
+/// query — the meters are the engine's, not the trees', so engines running
+/// concurrently over shared trees never see each other's reads. The meters
+/// also own the LRU page buffers of Figure 12 (off by default; see
+/// [`QueryEngine::set_buffer_pages`]).
 ///
 /// ```
 /// use conn_core::{ConnConfig, DataPoint, QueryEngine};
@@ -201,6 +237,7 @@ impl Workspace {
 ///     let q = Segment::new(Point::new(x, 0.0), Point::new(x + 100.0, 0.0));
 ///     let (result, stats) = engine.conn(&points, &obstacles, &q);
 ///     assert!(!result.entries().is_empty());
+///     assert!(stats.data_io.reads > 0 && stats.obstacle_io.reads > 0);
 ///     if x > 0.0 {
 ///         // from the second query on, the substrate is reused
 ///         assert_eq!(stats.reuse.graph_reuses, 1);
@@ -211,6 +248,7 @@ impl Workspace {
 pub struct QueryEngine {
     cfg: ConnConfig,
     ws: Workspace,
+    io: Meters,
 }
 
 impl Default for QueryEngine {
@@ -225,6 +263,7 @@ impl QueryEngine {
         QueryEngine {
             ws: Workspace::new(cfg.vgraph_cell),
             cfg,
+            io: Meters::default(),
         }
     }
 
@@ -241,74 +280,54 @@ impl QueryEngine {
         self.cfg = cfg;
     }
 
-    /// CONN search (paper Algorithm 4) on the reused workspace. Tree I/O
-    /// counters are reset at query start, exactly like
-    /// [`crate::conn_search`].
+    /// Sizes the engine's LRU page buffers, in pages: `data` for the point
+    /// trees' meter, `obstacle` for the obstacle tree's. 0 (the default)
+    /// disables buffering: every logical read is a fault. Only the fault
+    /// counts react to the buffers — Figure 12's experiment — and only
+    /// queries run on *this* engine share them, so a buffered workload runs
+    /// on one engine. Frames are keyed by tree identity, so a page of one
+    /// tree never hits on a frame of another (another epoch, shard or join
+    /// side) that happens to reuse the page id.
+    pub fn set_buffer_pages(&mut self, data: usize, obstacle: usize) {
+        self.io.data.set_buffer_pages(data);
+        self.io.obstacle.set_buffer_pages(obstacle);
+    }
+
+    /// [`QueryEngine::set_buffer_pages`] in Figure 12's unit: `frac` of
+    /// each tree's size in pages (`obstacle_tree` is `None` for the
+    /// single-tree layout, whose unified tree is charged as the data tree).
+    pub fn set_buffer_frac<T: Mbr + Clone>(
+        &mut self,
+        frac: f64,
+        data_tree: &RStarTree<T>,
+        obstacle_tree: Option<&RStarTree<Rect>>,
+    ) {
+        let pages = |n: usize| (n as f64 * frac).floor() as usize;
+        self.set_buffer_pages(
+            pages(data_tree.num_pages()),
+            obstacle_tree.map_or(0, |t| pages(t.num_pages())),
+        );
+    }
+
+    /// Drops every buffered page (capacities are kept): the next query
+    /// starts cold.
+    pub fn clear_buffers(&mut self) {
+        self.io.data.clear_buffer();
+        self.io.obstacle.clear_buffer();
+    }
+
+    /// CONN search (paper Algorithm 4) on the reused workspace.
     pub fn conn(
         &mut self,
         data_tree: &RStarTree<DataPoint>,
         obstacle_tree: &RStarTree<Rect>,
         q: &Segment,
     ) -> (ConnResult, QueryStats) {
-        self.conn_impl(data_tree, obstacle_tree, q, true)
-    }
-
-    /// Like [`QueryEngine::conn`], but leaves the shared trees' I/O
-    /// counters alone (batch workers pool tree I/O at the batch level; the
-    /// returned per-query stats report zero I/O).
-    pub fn conn_pooled_io(
-        &mut self,
-        data_tree: &RStarTree<DataPoint>,
-        obstacle_tree: &RStarTree<Rect>,
-        q: &Segment,
-    ) -> (ConnResult, QueryStats) {
-        self.conn_impl(data_tree, obstacle_tree, q, false)
-    }
-
-    /// The one shared query driver: runs Algorithm 4's loop over any
-    /// stream source and result sink on the reused workspace, returning
-    /// the filled sink plus assembled stats (I/O snapshots are layered on
-    /// by the caller, since their source differs per tree layout).
-    fn drive<S: QueryStreams, R: ResultSink>(
-        &mut self,
-        q: &Segment,
-        mut streams: S,
-        mut sink: R,
-    ) -> (R, QueryStats) {
-        assert!(!q.is_degenerate(), "degenerate query segment");
-        // Query-boundary elapsed time for QueryStats; the kernel loop
-        // below never reads the clock.
-        let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-        let telemetry = run_search(&mut streams, q, &self.cfg, &mut sink, &mut self.ws);
-        let stats = QueryStats {
-            cpu: started.elapsed(),
-            npe: telemetry.npe,
-            noe: telemetry.noe,
-            svg_nodes: telemetry.svg_nodes,
-            result_tuples: sink.tuples(),
-            reuse: self.ws.finish_query(),
-            ..QueryStats::default()
-        };
-        (sink, stats)
-    }
-
-    fn conn_impl(
-        &mut self,
-        data_tree: &RStarTree<DataPoint>,
-        obstacle_tree: &RStarTree<Rect>,
-        q: &Segment,
-        track_io: bool,
-    ) -> (ConnResult, QueryStats) {
-        if track_io {
-            data_tree.reset_stats();
-            obstacle_tree.reset_stats();
-        }
-        let streams = TwoTreeStreams::new(data_tree, obstacle_tree, q);
-        let (list, mut stats) = self.drive(q, streams, ResultList::new(q.len()));
-        if track_io {
-            stats.data_io = data_tree.stats();
-            stats.obstacle_io = obstacle_tree.stats();
-        }
+        let (list, stats) = self.drive(
+            q,
+            |io| TwoTreeStreams::new(data_tree, obstacle_tree, q, io),
+            ResultList::new(q.len()),
+        );
         (ConnResult::new(*q, list), stats)
     }
 
@@ -320,51 +339,26 @@ impl QueryEngine {
         q: &Segment,
         k: usize,
     ) -> (CoknnResult, QueryStats) {
-        self.coknn_impl(data_tree, obstacle_tree, q, k, true)
-    }
-
-    /// Pooled-I/O variant of [`QueryEngine::coknn`] for batch workers.
-    pub fn coknn_pooled_io(
-        &mut self,
-        data_tree: &RStarTree<DataPoint>,
-        obstacle_tree: &RStarTree<Rect>,
-        q: &Segment,
-        k: usize,
-    ) -> (CoknnResult, QueryStats) {
-        self.coknn_impl(data_tree, obstacle_tree, q, k, false)
-    }
-
-    fn coknn_impl(
-        &mut self,
-        data_tree: &RStarTree<DataPoint>,
-        obstacle_tree: &RStarTree<Rect>,
-        q: &Segment,
-        k: usize,
-        track_io: bool,
-    ) -> (CoknnResult, QueryStats) {
-        if track_io {
-            data_tree.reset_stats();
-            obstacle_tree.reset_stats();
-        }
-        let streams = TwoTreeStreams::new(data_tree, obstacle_tree, q);
-        let (list, mut stats) = self.drive(q, streams, KnnResultList::new(q.len(), k));
-        if track_io {
-            stats.data_io = data_tree.stats();
-            stats.obstacle_io = obstacle_tree.stats();
-        }
+        let (list, stats) = self.drive(
+            q,
+            |io| TwoTreeStreams::new(data_tree, obstacle_tree, q, io),
+            KnnResultList::new(q.len(), k),
+        );
         (CoknnResult::new(*q, list), stats)
     }
 
-    /// CONN over a single unified R-tree (§4.5) on the reused workspace.
+    /// CONN over a single unified R-tree (§4.5) on the reused workspace;
+    /// the unified tree's I/O is reported in `data_io`.
     pub fn conn_single_tree(
         &mut self,
         tree: &RStarTree<SpatialObject>,
         q: &Segment,
     ) -> (ConnResult, QueryStats) {
-        tree.reset_stats();
-        let streams = OneTreeStreams::new(tree, q);
-        let (list, mut stats) = self.drive(q, streams, ResultList::new(q.len()));
-        stats.data_io = tree.stats();
+        let (list, stats) = self.drive(
+            q,
+            |io| OneTreeStreams::new(tree, q, &io.data),
+            ResultList::new(q.len()),
+        );
         (ConnResult::new(*q, list), stats)
     }
 
@@ -375,16 +369,47 @@ impl QueryEngine {
         q: &Segment,
         k: usize,
     ) -> (CoknnResult, QueryStats) {
-        tree.reset_stats();
-        let streams = OneTreeStreams::new(tree, q);
-        let (list, mut stats) = self.drive(q, streams, KnnResultList::new(q.len(), k));
-        stats.data_io = tree.stats();
+        let (list, stats) = self.drive(
+            q,
+            |io| OneTreeStreams::new(tree, q, &io.data),
+            KnnResultList::new(q.len(), k),
+        );
         (CoknnResult::new(*q, list), stats)
     }
 
-    /// The workspace, for the family modules that drive it directly.
-    pub(crate) fn workspace(&mut self) -> &mut Workspace {
-        &mut self.ws
+    /// The one shared query driver: runs Algorithm 4's loop over any
+    /// stream source (opened over the engine's meters) and result sink on
+    /// the reused workspace, returning the filled sink plus the query's
+    /// stats.
+    fn drive<'e, S: QueryStreams, R: ResultSink>(
+        &'e mut self,
+        q: &Segment,
+        open: impl FnOnce(&'e Meters) -> S,
+        mut sink: R,
+    ) -> (R, QueryStats) {
+        assert!(!q.is_degenerate(), "degenerate query segment");
+        let QueryEngine { cfg, ws, io } = self;
+        let io: &'e Meters = io;
+        // Query-boundary elapsed time for QueryStats; the kernel loop
+        // below never reads the clock.
+        let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
+        let mut streams = open(io);
+        let telemetry = run_search(&mut streams, q, cfg, &mut sink, ws, io);
+        let stats = QueryStats {
+            cpu: started.elapsed(),
+            npe: telemetry.npe,
+            noe: telemetry.noe,
+            svg_nodes: telemetry.svg_nodes,
+            result_tuples: sink.tuples(),
+            ..ws.finish_query(io)
+        };
+        (sink, stats)
+    }
+
+    /// The configuration, the workspace and the meters, for the family
+    /// modules that drive them directly.
+    pub(crate) fn parts(&mut self) -> (ConnConfig, &mut Workspace, &Meters) {
+        (self.cfg, &mut self.ws, &self.io)
     }
 }
 
@@ -483,6 +508,59 @@ mod tests {
             assert_same_conn(&c1, &c2);
             k1.check_cover().unwrap();
         }
+    }
+
+    /// Figure 12 on the engine-owned buffers: logical reads do not react,
+    /// faults do, a cleared buffer is cold again — and a page of another
+    /// tree (a fork reuses every page id) is never a hit.
+    #[test]
+    fn buffers_cut_faults_only_and_never_hit_across_trees() {
+        let (dt, ot, queries) = setup();
+        let q = &queries[0];
+        let (_, unbuffered) = QueryEngine::default().conn(&dt, &ot, q);
+        assert_eq!(unbuffered.faults(), unbuffered.reads());
+
+        let mut engine = QueryEngine::default();
+        engine.set_buffer_pages(16, 16);
+        let (_, cold) = engine.conn(&dt, &ot, q);
+        let (_, warm) = engine.conn(&dt, &ot, q);
+        assert_eq!(cold.faults(), cold.reads(), "nothing buffered yet");
+        assert_eq!(cold.data_io.reads, unbuffered.data_io.reads);
+        assert_eq!(cold.obstacle_io.reads, unbuffered.obstacle_io.reads);
+        assert_eq!(warm.reads(), cold.reads());
+        assert_eq!(
+            warm.faults(),
+            0,
+            "every page was brought in by the first run"
+        );
+
+        let (dt2, ot2) = (dt.fork(), ot.fork());
+        let (_, other) = engine.conn(&dt2, &ot2, q);
+        assert_eq!(
+            other.faults(),
+            other.reads(),
+            "a fork starts cold: no frame of its twin is a hit"
+        );
+        let (_, back) = engine.conn(&dt, &ot, q);
+        assert_eq!(back.faults(), 0, "both trees' frames fit side by side");
+
+        engine.clear_buffers();
+        let (_, cleared) = engine.conn(&dt, &ot, q);
+        assert_eq!(cleared.faults(), cleared.reads());
+        engine.set_buffer_pages(0, 0);
+        let (_, off) = engine.conn(&dt, &ot, q);
+        assert_eq!(off.faults(), off.reads());
+    }
+
+    /// The shared artifacts are shareable, the engine moves between
+    /// threads but is one thread's at a time.
+    #[test]
+    fn trees_are_sync_and_engines_are_send() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        fn assert_send<T: Send>() {}
+        assert_send_sync::<RStarTree<DataPoint>>();
+        assert_send_sync::<RStarTree<SpatialObject>>();
+        assert_send::<QueryEngine>();
     }
 
     /// Satellite of the plane-sweep PR: forcing the sweep on and off must

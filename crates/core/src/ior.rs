@@ -134,7 +134,8 @@ mod tests {
         let data = RStarTree::bulk_load(vec![DataPoint::new(0, ppos)], 4096);
         let obs = RStarTree::bulk_load(obstacles, 4096);
         let q = q();
-        let mut streams = TwoTreeStreams::new(&data, &obs, &q);
+        let io = crate::engine::Meters::default();
+        let mut streams = TwoTreeStreams::new(&data, &obs, &q, &io);
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(q.a, NodeKind::Endpoint);
         let e = g.add_point(q.b, NodeKind::Endpoint);
@@ -202,7 +203,8 @@ mod tests {
         let data = RStarTree::bulk_load(vec![DataPoint::new(0, Point::new(50.0, 30.0))], 4096);
         let obs = RStarTree::bulk_load(vec![far_wall], 4096);
         let q = q();
-        let mut streams = TwoTreeStreams::new(&data, &obs, &q);
+        let io = crate::engine::Meters::default();
+        let mut streams = TwoTreeStreams::new(&data, &obs, &q, &io);
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(q.a, NodeKind::Endpoint);
         let e = g.add_point(q.b, NodeKind::Endpoint);
@@ -270,7 +272,8 @@ mod tests {
         );
         let obs = RStarTree::bulk_load(vec![Rect::new(40.0, 10.0, 60.0, 20.0)], 4096);
         let q = q();
-        let mut streams = TwoTreeStreams::new(&data, &obs, &q);
+        let io = crate::engine::Meters::default();
+        let mut streams = TwoTreeStreams::new(&data, &obs, &q, &io);
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(q.a, NodeKind::Endpoint);
         let e = g.add_point(q.b, NodeKind::Endpoint);

@@ -8,15 +8,13 @@
 //! distances are resolved on a shared local visibility graph only for the
 //! candidate pairs that survive the bound.
 
+use conn_geom::{OrdF64, Rect};
+use conn_index::{IoMeter, Mbr, RStarTree, Slot};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
-
-use conn_geom::{OrdF64, Rect};
-use conn_index::{Mbr, RStarTree, Slot};
 
 use crate::config::ConnConfig;
-use crate::engine::{QueryEngine, Workspace};
+use crate::engine::QueryEngine;
 use crate::stats::QueryStats;
 use crate::types::DataPoint;
 
@@ -77,34 +75,59 @@ pub fn obstructed_closest_pair(
 
 impl QueryEngine {
     /// Engine-backed obstructed closest pair: the shared local visibility
-    /// graph and Dijkstra scratch come from the reused workspace.
+    /// graph and Dijkstra scratch come from the reused workspace. Both point
+    /// trees are charged to `data_io`; NPE counts the pairs resolved.
     pub fn closest_pair(
         &mut self,
         tree_a: &RStarTree<DataPoint>,
         tree_b: &RStarTree<DataPoint>,
         obstacle_tree: &RStarTree<Rect>,
     ) -> (Option<(DataPoint, DataPoint, f64)>, QueryStats) {
-        self.closest_pair_impl(tree_a, tree_b, obstacle_tree, true)
+        self.point_family(obstacle_tree, |resolver, io| {
+            let mut best: Option<(DataPoint, DataPoint, f64)> = None;
+            let mut pairs_resolved = 0u64;
+            let mut heap: BinaryHeap<PairElem> = BinaryHeap::new();
+            let mut seq = 0u64;
+            if !tree_a.is_empty() && !tree_b.is_empty() {
+                heap.push(PairElem {
+                    key: Reverse(OrdF64::new(tree_a.bounds().mindist_rect(&tree_b.bounds()))),
+                    seq,
+                    a: Side::Node(tree_a.root(), tree_a.bounds()),
+                    b: Side::Node(tree_b.root(), tree_b.bounds()),
+                });
+            }
+            while let Some(PairElem {
+                key: Reverse(OrdF64(lower)),
+                a,
+                b,
+                ..
+            }) = heap.pop()
+            {
+                if best.as_ref().is_some_and(|(_, _, bd)| lower >= *bd) {
+                    break; // no unseen pair can beat the incumbent
+                }
+                let pair = expand(tree_a, tree_b, a, b, io, |a, b| {
+                    seq += 1;
+                    heap.push(PairElem {
+                        key: Reverse(OrdF64::new(a.mbr().mindist_rect(&b.mbr()))),
+                        seq,
+                        a,
+                        b,
+                    });
+                });
+                let Some((pa, pb)) = pair else { continue };
+                pairs_resolved += 1;
+                let d = resolver.resolve(pa.pos, pb.pos);
+                if d.is_finite() && best.as_ref().is_none_or(|(_, _, bd)| d < *bd) {
+                    best = Some((pa, pb, d));
+                }
+            }
+            (best, pairs_resolved, u64::from(best.is_some()))
+        })
     }
 
-    /// [`QueryEngine::closest_pair`] with tree-counter handling factored
-    /// out (`track_io = false` for batch workers).
-    pub(crate) fn closest_pair_impl(
-        &mut self,
-        tree_a: &RStarTree<DataPoint>,
-        tree_b: &RStarTree<DataPoint>,
-        obstacle_tree: &RStarTree<Rect>,
-        track_io: bool,
-    ) -> (Option<(DataPoint, DataPoint, f64)>, QueryStats) {
-        let cfg = *self.config();
-        let ws = self.workspace();
-        ws.begin_query(&cfg);
-        let (best, mut stats) = closest_pair_on(ws, tree_a, tree_b, obstacle_tree, &cfg, track_io);
-        stats.reuse = ws.finish_query();
-        (best, stats)
-    }
-
-    /// Engine-backed obstructed e-distance join.
+    /// Engine-backed obstructed e-distance join (accounting as in
+    /// [`QueryEngine::closest_pair`]).
     pub fn edistance_join(
         &mut self,
         tree_a: &RStarTree<DataPoint>,
@@ -112,136 +135,63 @@ impl QueryEngine {
         obstacle_tree: &RStarTree<Rect>,
         e: f64,
     ) -> (Vec<(DataPoint, DataPoint, f64)>, QueryStats) {
-        self.edistance_join_impl(tree_a, tree_b, obstacle_tree, e, true)
-    }
-
-    /// [`QueryEngine::edistance_join`] with tree-counter handling factored
-    /// out (`track_io = false` for batch workers).
-    pub(crate) fn edistance_join_impl(
-        &mut self,
-        tree_a: &RStarTree<DataPoint>,
-        tree_b: &RStarTree<DataPoint>,
-        obstacle_tree: &RStarTree<Rect>,
-        e: f64,
-        track_io: bool,
-    ) -> (Vec<(DataPoint, DataPoint, f64)>, QueryStats) {
-        let cfg = *self.config();
-        let ws = self.workspace();
-        ws.begin_query(&cfg);
-        let (pairs, mut stats) =
-            edistance_join_on(ws, tree_a, tree_b, obstacle_tree, e, &cfg, track_io);
-        stats.reuse = ws.finish_query();
-        (pairs, stats)
-    }
-}
-
-fn closest_pair_on(
-    ws: &mut Workspace,
-    tree_a: &RStarTree<DataPoint>,
-    tree_b: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    cfg: &ConnConfig,
-    track_io: bool,
-) -> (Option<(DataPoint, DataPoint, f64)>, QueryStats) {
-    // Query-boundary elapsed time for QueryStats; the kernel loop
-    // below never reads the clock.
-    let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-    if track_io {
-        tree_a.reset_stats();
-        tree_b.reset_stats();
-        obstacle_tree.reset_stats();
-    }
-
-    let mut best: Option<(DataPoint, DataPoint, f64)> = None;
-    let mut resolver = ws.resolver(obstacle_tree, cfg);
-    let mut pairs_resolved = 0u64;
-
-    if !tree_a.is_empty() && !tree_b.is_empty() {
-        let mut heap: BinaryHeap<PairElem> = BinaryHeap::new();
-        let mut seq = 0u64;
-        heap.push(PairElem {
-            key: Reverse(OrdF64::new(tree_a.bounds().mindist_rect(&tree_b.bounds()))),
-            seq,
-            a: Side::Node(tree_a.root(), tree_a.bounds()),
-            b: Side::Node(tree_b.root(), tree_b.bounds()),
-        });
-        while let Some(PairElem {
-            key: Reverse(OrdF64(lower)),
-            a,
-            b,
-            ..
-        }) = heap.pop()
-        {
-            if let Some((_, _, bd)) = &best {
-                if lower >= *bd {
-                    break; // no unseen pair can beat the incumbent
-                }
+        assert!(e >= 0.0, "negative join distance");
+        self.point_family(obstacle_tree, |resolver, io| {
+            let mut out: Vec<(DataPoint, DataPoint, f64)> = Vec::new();
+            let mut pairs_resolved = 0u64;
+            let mut stack: Vec<(Side, Side)> = Vec::new();
+            if !tree_a.is_empty() && !tree_b.is_empty() {
+                stack.push((
+                    Side::Node(tree_a.root(), tree_a.bounds()),
+                    Side::Node(tree_b.root(), tree_b.bounds()),
+                ));
             }
-            match (a, b) {
-                (Side::Item(pa), Side::Item(pb)) => {
+            while let Some((a, b)) = stack.pop() {
+                if a.mbr().mindist_rect(&b.mbr()) > e {
+                    continue; // euclidean lower bound already exceeds e
+                }
+                let pair = expand(tree_a, tree_b, a, b, io, |a, b| stack.push((a, b)));
+                if let Some((pa, pb)) = pair {
                     pairs_resolved += 1;
                     let d = resolver.resolve(pa.pos, pb.pos);
-                    if d.is_finite() && best.as_ref().is_none_or(|(_, _, bd)| d < *bd) {
-                        best = Some((pa, pb, d));
-                    }
-                }
-                // expand the node with the larger MBR (classic heuristic)
-                (Side::Node(na, ma), rhs) if expand_left(&Side::Node(na, ma), &rhs) => {
-                    for side in node_sides(tree_a.read_node(na)) {
-                        seq += 1;
-                        heap.push(PairElem {
-                            key: Reverse(OrdF64::new(side.mbr().mindist_rect(&rhs.mbr()))),
-                            seq,
-                            a: side,
-                            b: rhs,
-                        });
-                    }
-                }
-                (lhs, Side::Node(nb, _)) => {
-                    for side in node_sides(tree_b.read_node(nb)) {
-                        seq += 1;
-                        heap.push(PairElem {
-                            key: Reverse(OrdF64::new(lhs.mbr().mindist_rect(&side.mbr()))),
-                            seq,
-                            a: lhs,
-                            b: side,
-                        });
-                    }
-                }
-                (Side::Node(na, _), rhs) => {
-                    for side in node_sides(tree_a.read_node(na)) {
-                        seq += 1;
-                        heap.push(PairElem {
-                            key: Reverse(OrdF64::new(side.mbr().mindist_rect(&rhs.mbr()))),
-                            seq,
-                            a: side,
-                            b: rhs,
-                        });
+                    if d <= e {
+                        out.push((pa, pb, d));
                     }
                 }
             }
-        }
+            out.sort_by(|x, y| x.2.total_cmp(&y.2).then(x.0.id.cmp(&y.0.id)));
+            let tuples = out.len() as u64;
+            (out, pairs_resolved, tuples)
+        })
     }
-    let stats = join_stats(
-        started,
-        tree_a,
-        tree_b,
-        obstacle_tree,
-        pairs_resolved,
-        resolver.noe,
-        track_io,
-    );
-    (best, stats)
 }
 
-/// Should the left side be the one expanded? Expand nodes before items and
-/// larger MBRs before smaller ones.
-fn expand_left(a: &Side, b: &Side) -> bool {
+/// One step of the dual-tree descent: a concrete point pair to resolve, or
+/// `None` after handing `push` the candidate pairs below `(a, b)` — the side
+/// that is a node (the one with the larger MBR when both are: the classic
+/// heuristic) read, charged to `io`, and paired child by child with the
+/// other side.
+fn expand(
+    tree_a: &RStarTree<DataPoint>,
+    tree_b: &RStarTree<DataPoint>,
+    a: Side,
+    b: Side,
+    io: &IoMeter,
+    mut push: impl FnMut(Side, Side),
+) -> Option<(DataPoint, DataPoint)> {
     match (a, b) {
-        (Side::Node(_, ma), Side::Node(_, mb)) => ma.area() >= mb.area(),
-        (Side::Node(..), Side::Item(_)) => true,
-        _ => false,
+        (Side::Item(pa), Side::Item(pb)) => return Some((pa, pb)),
+        (Side::Node(na, ma), Side::Node(_, mb)) if ma.area() >= mb.area() => {
+            node_sides(tree_a.read_node(na, io)).for_each(|side| push(side, b));
+        }
+        (_, Side::Node(nb, _)) => {
+            node_sides(tree_b.read_node(nb, io)).for_each(|side| push(a, side));
+        }
+        (Side::Node(na, _), Side::Item(_)) => {
+            node_sides(tree_a.read_node(na, io)).for_each(|side| push(side, b));
+        }
     }
+    None
 }
 
 /// Obstructed e-distance join: all pairs `(a, b)` with `‖a, b‖ ≤ e`,
@@ -257,121 +207,15 @@ pub fn obstructed_edistance_join(
     QueryEngine::new(*cfg).edistance_join(tree_a, tree_b, obstacle_tree, e)
 }
 
-fn edistance_join_on(
-    ws: &mut Workspace,
-    tree_a: &RStarTree<DataPoint>,
-    tree_b: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    e: f64,
-    cfg: &ConnConfig,
-    track_io: bool,
-) -> (Vec<(DataPoint, DataPoint, f64)>, QueryStats) {
-    assert!(e >= 0.0, "negative join distance");
-    // Query-boundary elapsed time for QueryStats; the kernel loop
-    // below never reads the clock.
-    let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-    if track_io {
-        tree_a.reset_stats();
-        tree_b.reset_stats();
-        obstacle_tree.reset_stats();
-    }
-
-    let mut out: Vec<(DataPoint, DataPoint, f64)> = Vec::new();
-    let mut resolver = ws.resolver(obstacle_tree, cfg);
-    let mut pairs_resolved = 0u64;
-
-    let mut stack: Vec<(Side, Side)> = Vec::new();
-    if !tree_a.is_empty() && !tree_b.is_empty() {
-        stack.push((
-            Side::Node(tree_a.root(), tree_a.bounds()),
-            Side::Node(tree_b.root(), tree_b.bounds()),
-        ));
-    }
-    while let Some((a, b)) = stack.pop() {
-        if a.mbr().mindist_rect(&b.mbr()) > e {
-            continue; // euclidean lower bound already exceeds e
-        }
-        match (a, b) {
-            (Side::Item(pa), Side::Item(pb)) => {
-                pairs_resolved += 1;
-                let d = resolver.resolve(pa.pos, pb.pos);
-                if d <= e {
-                    out.push((pa, pb, d));
-                }
-            }
-            (Side::Node(na, ma), rhs) if expand_left(&Side::Node(na, ma), &rhs) => {
-                for side in node_sides(tree_a.read_node(na)) {
-                    stack.push((side, rhs));
-                }
-            }
-            (lhs, Side::Node(nb, _)) => {
-                for side in node_sides(tree_b.read_node(nb)) {
-                    stack.push((lhs, side));
-                }
-            }
-            (Side::Node(na, _), rhs) => {
-                for side in node_sides(tree_a.read_node(na)) {
-                    stack.push((side, rhs));
-                }
-            }
-        }
-    }
-    out.sort_by(|x, y| x.2.total_cmp(&y.2).then(x.0.id.cmp(&y.0.id)));
-    let stats = join_stats(
-        started,
-        tree_a,
-        tree_b,
-        obstacle_tree,
-        pairs_resolved,
-        resolver.noe,
-        track_io,
-    );
-    (out, stats)
-}
-
-fn slot_side(mbr: &Rect, slot: &Slot<DataPoint>) -> Side {
-    match slot {
-        Slot::Child(page) => Side::Node(*page, *mbr),
-        Slot::Item(p) => Side::Item(*p),
-    }
-}
-
 /// Iterates a node's slots as [`Side`]s, zipping the envelope lane back in.
 fn node_sides<'n>(node: &'n conn_index::Node<DataPoint>) -> impl Iterator<Item = Side> + 'n {
     node.mbrs
         .iter()
         .zip(&node.slots)
-        .map(|(m, s)| slot_side(m, s))
-}
-
-fn join_stats(
-    started: Instant,
-    tree_a: &RStarTree<DataPoint>,
-    tree_b: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    pairs_resolved: u64,
-    noe: u64,
-    track_io: bool,
-) -> QueryStats {
-    let (data_io, obstacle_io) = if track_io {
-        let mut data_io = tree_a.stats();
-        let b = tree_b.stats();
-        data_io.reads += b.reads;
-        data_io.faults += b.faults;
-        (data_io, obstacle_tree.stats())
-    } else {
-        (Default::default(), Default::default())
-    };
-    QueryStats {
-        data_io,
-        obstacle_io,
-        cpu: started.elapsed(),
-        npe: pairs_resolved,
-        noe,
-        svg_nodes: 0,
-        result_tuples: 0,
-        reuse: Default::default(),
-    }
+        .map(|(mbr, slot)| match slot {
+            Slot::Child(page) => Side::Node(*page, *mbr),
+            Slot::Item(p) => Side::Item(*p),
+        })
 }
 
 #[cfg(test)]

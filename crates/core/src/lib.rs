@@ -22,7 +22,7 @@
 //! | baselines (sampling, brute force, whole-field odist oracle) | [`baseline`] |
 //! | the obstacle loader of every point-anchored family (IOR at a point, Lemma 3) | [`odist`] |
 //! | reusable engine & per-query workspace (beyond the paper) | [`engine`] |
-//! | parallel batch execution (beyond the paper) | [`batch`] |
+//! | batch telemetry (beyond the paper) | [`batch`] |
 //! | trajectory CONN/COkNN (§6 future work) | [`trajectory`] |
 //! | streaming trajectory sessions (beyond the paper) | [`session`] |
 //! | typed `Query`/`Answer` front door (beyond the paper) | [`query`] |
@@ -100,7 +100,7 @@ pub mod visible;
 
 pub use admission::{Admission, AdmissionConfig, Ticket};
 pub use baseline::{obstructed_distance, obstructed_path, obstructed_route};
-pub use batch::{coknn_batch, conn_batch, trajectory_conn_batch, BatchStats};
+pub use batch::BatchStats;
 pub use coknn::{coknn_search, CoknnResult};
 pub use config::{ConnConfig, KernelMode};
 pub use conn::{conn_search, ConnResult};

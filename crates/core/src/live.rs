@@ -297,7 +297,14 @@ impl LiveKernel {
     /// distance certifies itself against the bound.
     fn settle(&mut self, tree: &RStarTree<Rect>, cfg: &ConnConfig) -> f64 {
         let anchor = self.anchor();
-        let mut resolver = Resolver::new(&mut self.g, &mut self.dij, &mut self.loaded, tree, cfg);
+        let mut resolver = Resolver::new(
+            &mut self.g,
+            &mut self.dij,
+            &mut self.loaded,
+            tree,
+            cfg,
+            None,
+        );
         let (d, bound) = resolver.settle(anchor, self.src, self.dst, self.bound);
         self.bound = bound;
         d
@@ -365,7 +372,7 @@ impl SegmentKernel {
             q,
             (self.ends.map(|e| e.0), self.ends.map(|e| e.1)),
             sink,
-            f64::INFINITY,
+            None,
         );
         self.ends = Some(ends);
         (sink, stats)
@@ -374,7 +381,7 @@ impl SegmentKernel {
     /// Takes a removed obstacle out of the graph. False when the graph
     /// should hold it and does not (the caller drops the kernel).
     fn forget(&mut self, r: &Rect) -> bool {
-        !self.loaded.remove(r) || self.engine.workspace().g.remove_obstacle(r).is_some()
+        !self.loaded.remove(r) || self.engine.parts().1.g.remove_obstacle(r).is_some()
     }
 }
 
@@ -581,7 +588,7 @@ fn patch_entry(
         Outcome::Recomputed => {
             let scene = pin.scene();
             let (answer, stats) = segment_rerun(&mut entry.segment, &entry.query, scene, cfg)
-                .unwrap_or_else(|| dispatch(engine, scene, *cfg, &entry.query, false));
+                .unwrap_or_else(|| dispatch(engine, scene, *cfg, &entry.query));
             pooled.accumulate(&stats);
             entry.answer = answer;
             entry.recertify();
@@ -714,7 +721,7 @@ fn tuple_patch_insert(
         // lint:allow(no-panic-in-query-path): patch_entry routes only ONN/range here
         _ => unreachable!("tuple patch is only chosen for ONN/range"),
     };
-    let ((d, _), stats) = engine.odist(pin.scene().obstacle_tree(), s, p.pos, false, false);
+    let ((d, _), stats) = engine.odist(pin.scene().obstacle_tree(), s, p.pos, false);
     pooled.accumulate(&stats);
     let (Answer::Onn(list) | Answer::Range(list)) = &mut entry.answer else {
         // lint:allow(no-panic-in-query-path): ONN/range queries always hold ONN/range answers

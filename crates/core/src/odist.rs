@@ -44,29 +44,19 @@
 use std::time::Instant;
 
 use conn_geom::{Point, Rect};
-use conn_index::{DistShape, NearestIter, RStarTree};
+use conn_index::{DistShape, IoMeter, NearestIter, RStarTree};
 use conn_vgraph::{DijkstraEngine, NodeId, NodeKind, VisGraph};
 
 use crate::config::{ConnConfig, KernelMode};
 use crate::engine::QueryEngine;
 use crate::stats::QueryStats;
 use crate::streams::LoadedObstacles;
-use crate::types::DataPoint;
 
 /// Can something at lower-bound distance `lower` matter to paths of length
 /// `≤ bound`? Conservative float slack: the loader must err toward loading,
 /// a standing query's certificate toward recomputing.
 pub(crate) fn affected(lower: f64, bound: f64) -> bool {
     lower <= bound + 1e-9 * bound.max(1.0)
-}
-
-/// True when `p` lies strictly inside some tree obstacle: nothing is
-/// reachable from such a point (blocking is open-interior containment), so
-/// callers answer `∞` / empty without searching. One tree point query.
-pub(crate) fn point_swallowed(tree: &RStarTree<Rect>, p: Point) -> bool {
-    tree.nearest_iter(p)
-        .take_while(|(_, d)| *d <= 0.0)
-        .any(|(r, _)| r.strictly_contains(p))
 }
 
 /// What an obstacle load is anchored at (see the module docs).
@@ -88,10 +78,22 @@ impl DistShape for Anchor {
     }
 }
 
+/// `tree`'s mindist-ordered stream around `shape`, charged to `io` if any.
+fn open<'w, Q: DistShape>(
+    tree: &'w RStarTree<Rect>,
+    io: Option<&'w IoMeter>,
+    shape: Q,
+) -> NearestIter<'w, Rect, Q> {
+    match io {
+        Some(io) => tree.nearest_iter_metered(shape, io),
+        None => tree.nearest_iter(shape),
+    }
+}
+
 /// The obstacle stream of the current anchor.
-struct OpenStream<'t> {
+struct OpenStream<'w> {
     anchor: Anchor,
-    iter: NearestIter<'t, Rect, Anchor>,
+    iter: NearestIter<'w, Rect, Anchor>,
     /// Popped but beyond the bound of the load that popped it.
     pending: Option<(Rect, f64)>,
     /// The largest bound this stream has been drained to (none yet: even
@@ -102,38 +104,53 @@ struct OpenStream<'t> {
 /// The loader and resolver over a visibility graph, a Dijkstra engine and
 /// the graph's loaded set — borrowed from whoever owns them (the engine
 /// [`crate::engine::Workspace`] for one query, a resident live kernel for
-/// one patch) — and one obstacle tree.
-pub(crate) struct Resolver<'w, 't> {
+/// one patch) — and one obstacle tree, whose page reads are charged to
+/// `io` (a live kernel's patch work is not part of any query's stats and
+/// runs unmetered).
+pub(crate) struct Resolver<'w> {
     pub(crate) g: &'w mut VisGraph,
     pub(crate) dij: &'w mut DijkstraEngine,
     loaded: &'w mut LoadedObstacles,
-    tree: &'t RStarTree<Rect>,
+    tree: &'w RStarTree<Rect>,
+    io: Option<&'w IoMeter>,
     kernel: KernelMode,
     warm: bool,
-    stream: Option<OpenStream<'t>>,
+    stream: Option<OpenStream<'w>>,
     /// Obstacles this resolver inserted into the graph (the NOE metric).
     pub(crate) noe: u64,
 }
 
-impl<'w, 't> Resolver<'w, 't> {
+impl<'w> Resolver<'w> {
     /// `loaded` must describe `g`: exactly the tree obstacles it holds.
     pub(crate) fn new(
         g: &'w mut VisGraph,
         dij: &'w mut DijkstraEngine,
         loaded: &'w mut LoadedObstacles,
-        tree: &'t RStarTree<Rect>,
+        tree: &'w RStarTree<Rect>,
         cfg: &ConnConfig,
+        io: Option<&'w IoMeter>,
     ) -> Self {
         Resolver {
             g,
             dij,
             loaded,
             tree,
+            io,
             kernel: cfg.kernel,
             warm: cfg.label_continuation,
             stream: None,
             noe: 0,
         }
+    }
+
+    /// True when `p` lies strictly inside some tree obstacle: nothing is
+    /// reachable from such a point (blocking is open-interior containment),
+    /// so callers answer `∞` / empty without searching. One tree point
+    /// query.
+    pub(crate) fn swallowed(&self, p: Point) -> bool {
+        open(self.tree, self.io, p)
+            .take_while(|(_, d)| *d <= 0.0)
+            .any(|(r, _)| r.strictly_contains(p))
     }
 
     /// Loads every not-yet-loaded tree obstacle within `bound` of `anchor`
@@ -144,7 +161,7 @@ impl<'w, 't> Resolver<'w, 't> {
             Some(s) if s.anchor == anchor => s,
             slot => slot.insert(OpenStream {
                 anchor,
-                iter: self.tree.nearest_iter(anchor),
+                iter: open(self.tree, self.io, anchor),
                 pending: None,
                 upto: f64::NEG_INFINITY,
             }),
@@ -234,46 +251,31 @@ pub(crate) fn settled_path(
 
 impl QueryEngine {
     /// Runs one point-anchored family on the rewound workspace: opens the
-    /// I/O and reuse-counter windows, hands `body` the [`Resolver`] over
-    /// `obstacle_tree`, and assembles the stats around what it returns —
-    /// the answer, the points evaluated (NPE) and the result tuples.
-    /// `track_io = false` leaves the shared trees' counters to be pooled at
-    /// the batch level (see the batch module docs).
+    /// counter window, hands `body` the [`Resolver`] over `obstacle_tree`
+    /// and the meter its point-tree traversals are charged to, and
+    /// assembles the stats around what it returns — the answer, the points
+    /// evaluated (NPE) and the result tuples.
     pub(crate) fn point_family<T>(
         &mut self,
-        data_tree: Option<&RStarTree<DataPoint>>,
         obstacle_tree: &RStarTree<Rect>,
-        track_io: bool,
-        body: impl FnOnce(&mut Resolver<'_, '_>) -> (T, u64, u64),
+        body: impl FnOnce(&mut Resolver<'_>, &IoMeter) -> (T, u64, u64),
     ) -> (T, QueryStats) {
-        if track_io {
-            if let Some(dt) = data_tree {
-                dt.reset_stats();
-            }
-            obstacle_tree.reset_stats();
-        }
         // Query-boundary elapsed time for QueryStats; the kernel loops
         // never read the clock.
         let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-        let cfg = *self.config();
-        let ws = self.workspace();
-        ws.begin_query(&cfg);
-        let mut resolver = ws.resolver(obstacle_tree, &cfg);
-        let (answer, npe, result_tuples) = body(&mut resolver);
+        let (cfg, ws, io) = self.parts();
+        ws.begin_query(&cfg, io);
+        let mut resolver = ws.resolver(obstacle_tree, &cfg, &io.obstacle);
+        let (answer, npe, result_tuples) = body(&mut resolver, &io.data);
         let noe = resolver.noe;
-        let mut stats = QueryStats {
+        let stats = QueryStats {
             cpu: started.elapsed(),
             npe,
             noe,
             svg_nodes: ws.g.num_nodes() as u64,
             result_tuples,
-            reuse: ws.finish_query(),
-            ..QueryStats::default()
+            ..ws.finish_query(io)
         };
-        if track_io {
-            stats.data_io = data_tree.map(|dt| dt.stats()).unwrap_or_default();
-            stats.obstacle_io = obstacle_tree.stats();
-        }
         (answer, stats)
     }
 
@@ -284,10 +286,9 @@ impl QueryEngine {
         a: Point,
         b: Point,
         want_path: bool,
-        track_io: bool,
     ) -> ((f64, Option<Vec<Point>>), QueryStats) {
-        self.point_family(None, obstacle_tree, track_io, |r| {
-            let route = if point_swallowed(obstacle_tree, a) || point_swallowed(obstacle_tree, b) {
+        self.point_family(obstacle_tree, |r, _| {
+            let route = if r.swallowed(a) || r.swallowed(b) {
                 (f64::INFINITY, None)
             } else if want_path {
                 r.resolve_route(a, b)
@@ -307,7 +308,7 @@ impl QueryEngine {
         a: Point,
         b: Point,
     ) -> (f64, QueryStats) {
-        let ((d, _), stats) = self.odist(obstacle_tree, a, b, false, true);
+        let ((d, _), stats) = self.odist(obstacle_tree, a, b, false);
         (d, stats)
     }
 
@@ -319,7 +320,7 @@ impl QueryEngine {
         a: Point,
         b: Point,
     ) -> ((f64, Option<Vec<Point>>), QueryStats) {
-        self.odist(obstacle_tree, a, b, true, true)
+        self.odist(obstacle_tree, a, b, true)
     }
 
     /// The shortest obstacle-avoiding path itself.
@@ -329,7 +330,7 @@ impl QueryEngine {
         a: Point,
         b: Point,
     ) -> (Option<Vec<Point>>, QueryStats) {
-        let ((_, path), stats) = self.odist(obstacle_tree, a, b, true, true);
+        let ((_, path), stats) = self.odist(obstacle_tree, a, b, true);
         (path, stats)
     }
 }
@@ -415,9 +416,10 @@ mod tests {
             far,
         ]);
         let cfg = ConnConfig::default();
+        let io = crate::engine::Meters::default();
         let mut ws = crate::engine::Workspace::default();
-        ws.begin_query(&cfg);
-        let mut r = ws.resolver(&t, &cfg);
+        ws.begin_query(&cfg, &io);
+        let mut r = ws.resolver(&t, &cfg, &io.obstacle);
         let s = Point::new(0.0, 0.0);
         // a zero bound still loads what touches the anchor
         r.load(Anchor::Disc(Point::new(10.0, 0.0)), 0.0);

@@ -16,7 +16,7 @@ use conn_vgraph::NodeKind;
 
 use crate::config::ConnConfig;
 use crate::engine::QueryEngine;
-use crate::odist::{point_swallowed, Anchor};
+use crate::odist::Anchor;
 use crate::stats::QueryStats;
 use crate::types::DataPoint;
 
@@ -75,31 +75,18 @@ impl QueryEngine {
         s: Point,
         k: usize,
     ) -> (Vec<(DataPoint, f64)>, QueryStats) {
-        self.onn_impl(data_tree, obstacle_tree, s, k, true)
-    }
-
-    /// [`QueryEngine::onn`] with tree-counter handling factored out
-    /// (`track_io = false` for batch workers — see the batch module docs).
-    pub(crate) fn onn_impl(
-        &mut self,
-        data_tree: &RStarTree<DataPoint>,
-        obstacle_tree: &RStarTree<Rect>,
-        s: Point,
-        k: usize,
-        track_io: bool,
-    ) -> (Vec<(DataPoint, f64)>, QueryStats) {
         assert!(k >= 1, "k must be positive");
-        self.point_family(Some(data_tree), obstacle_tree, track_io, |r| {
+        self.point_family(obstacle_tree, |r, data_io| {
             // An anchor strictly inside an obstacle reaches nothing: every
             // obstructed distance is ∞, the k-th bound never tightens, and
             // the candidate stream would be walked to exhaustion. The
             // answer is exactly empty — say so now.
-            if point_swallowed(obstacle_tree, s) {
+            if r.swallowed(s) {
                 return (Vec::new(), 0, 0);
             }
             let s_node = r.g.add_point(s, NodeKind::Endpoint);
             let mut results: Vec<(DataPoint, f64)> = Vec::new();
-            let mut points = data_tree.nearest_iter(s);
+            let mut points = data_tree.nearest_iter_metered(s, data_io);
             let mut npe = 0u64;
             while let Some(lower) = points.peek_dist() {
                 let kth = results.get(k - 1).map_or(f64::INFINITY, |(_, d)| *d);

@@ -50,29 +50,16 @@ impl QueryEngine {
         s: Point,
         radius: f64,
     ) -> (Vec<(DataPoint, f64)>, QueryStats) {
-        self.range_impl(data_tree, obstacle_tree, s, radius, true)
-    }
-
-    /// [`QueryEngine::range`] with tree-counter handling factored out
-    /// (`track_io = false` for batch workers — see the batch module docs).
-    pub(crate) fn range_impl(
-        &mut self,
-        data_tree: &RStarTree<DataPoint>,
-        obstacle_tree: &RStarTree<Rect>,
-        s: Point,
-        radius: f64,
-        track_io: bool,
-    ) -> (Vec<(DataPoint, f64)>, QueryStats) {
         assert!(radius >= 0.0, "negative radius");
         let goal = self.config().kernel.point_goal(s);
-        self.point_family(Some(data_tree), obstacle_tree, track_io, |r| {
+        self.point_family(obstacle_tree, |r, data_io| {
             let s_node = r.g.add_point(s, NodeKind::Endpoint);
             // every path of length <= radius into s stays within radius of
             // it, so one load up front serves all candidates
             r.load(Anchor::Disc(s), radius);
             let mut results: Vec<(DataPoint, f64)> = Vec::new();
             let mut npe = 0u64;
-            let mut points = data_tree.nearest_iter(s);
+            let mut points = data_tree.nearest_iter_metered(s, data_io);
             while let Some(lower) = points.peek_dist() {
                 if lower > radius {
                     break; // euclidean lower bound exceeds the radius

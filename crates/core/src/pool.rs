@@ -106,7 +106,7 @@ impl EnginePool {
         items: &[I],
         threads: usize,
         f: F,
-    ) -> (Vec<R>, usize, Vec<(usize, QueryStats)>)
+    ) -> (Vec<R>, usize, Vec<QueryStats>)
     where
         I: Sync,
         R: Send,
@@ -150,9 +150,9 @@ impl EnginePool {
         collected.sort_by_key(|(i, _, _)| *i);
         let mut results = Vec::with_capacity(collected.len());
         let mut stats = Vec::with_capacity(collected.len());
-        for (i, r, s) in collected {
+        for (_, r, s) in collected {
             results.push(r);
-            stats.push((i, s));
+            stats.push(s);
         }
         (results, threads, stats)
     }
@@ -229,12 +229,11 @@ mod tests {
                 Segment::new(Point::new(x, 0.0), Point::new(x + 50.0, 0.0))
             })
             .collect();
-        let (results, threads, per_query) =
-            pool.run(&queries, 3, |e, q| e.conn_pooled_io(&dt, &ot, q));
+        let (results, threads, per_query) = pool.run(&queries, 3, |e, q| e.conn(&dt, &ot, q));
         assert_eq!(results.len(), queries.len());
         assert!(threads <= 3 && pool.size() >= threads);
         let mut summed = ReuseCounters::default();
-        for (_, s) in &per_query {
+        for s in &per_query {
             summed.accumulate(&s.reuse);
         }
         assert_eq!(

@@ -508,8 +508,8 @@ impl Answer {
 pub struct Response {
     /// The typed answer.
     pub answer: Answer,
-    /// Per-query metrics (inside a batch, tree I/O is pooled at the batch
-    /// level and reads as zero here).
+    /// Per-query metrics: this query's own work and tree I/O, on every
+    /// path through the service.
     pub stats: QueryStats,
 }
 

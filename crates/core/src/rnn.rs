@@ -55,29 +55,20 @@ impl QueryEngine {
         obstacle_tree: &RStarTree<Rect>,
         s: Point,
     ) -> (Vec<(DataPoint, f64)>, QueryStats) {
-        self.rnn_impl(data_tree, obstacle_tree, s, true)
-    }
-
-    /// [`QueryEngine::rnn`] with tree-counter handling factored out
-    /// (`track_io = false` for batch workers — see the batch module docs).
-    pub(crate) fn rnn_impl(
-        &mut self,
-        data_tree: &RStarTree<DataPoint>,
-        obstacle_tree: &RStarTree<Rect>,
-        s: Point,
-        track_io: bool,
-    ) -> (Vec<(DataPoint, f64)>, QueryStats) {
-        self.point_family(Some(data_tree), obstacle_tree, track_io, |resolver| {
+        self.point_family(obstacle_tree, |resolver, data_io| {
             let mut out: Vec<(DataPoint, f64)> = Vec::new();
             let mut npe = 0u64;
 
             // iterate candidates nearest-to-s first: they are the likeliest RNNs
-            let candidates: Vec<DataPoint> = data_tree.nearest_iter(s).map(|(p, _)| p).collect();
+            let candidates: Vec<DataPoint> = data_tree
+                .nearest_iter_metered(s, data_io)
+                .map(|(p, _)| p)
+                .collect();
             for p in candidates {
                 npe += 1;
                 // ---- filter: ub(p) = odist(p, euclid-NN of p in P ∖ {p})
                 let euclid_nn = data_tree
-                    .nearest_iter(p.pos)
+                    .nearest_iter_metered(p.pos, data_io)
                     .find(|(other, _)| other.id != p.id);
                 let Some((nn, _)) = euclid_nn else {
                     // singleton data set: s wins by default
@@ -100,7 +91,7 @@ impl QueryEngine {
                 // candidates in ascending euclidean order until the lower
                 // bound passes d_s
                 let mut beaten = false;
-                for (other, lower) in data_tree.nearest_iter(p.pos) {
+                for (other, lower) in data_tree.nearest_iter_metered(p.pos, data_io) {
                     if other.id == p.id {
                         continue;
                     }

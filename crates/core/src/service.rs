@@ -16,11 +16,9 @@
 //!   query start ([`ConnService::pin`]), while a writer publishes whole
 //!   replacement scenes ([`ConnService::publish`]) without blocking
 //!   readers — see [`crate::epoch`];
-//! * [`ConnService::execute_batch`] is the **mixed-family** batch path:
-//!   where [`crate::conn_batch`] / [`crate::coknn_batch`] /
-//!   [`crate::trajectory_conn_batch`] each fan one homogeneous family,
-//!   the service schedules a heterogeneous workload across the same
-//!   engine pool and pools one [`BatchStats`];
+//! * [`ConnService::execute_batch`] is the one batch path: it schedules
+//!   a workload of any mix of families across the same engine pool and
+//!   sums the responses' stats into one [`BatchStats`];
 //! * [`ConnService::sharded`] tiles giant scenes spatially
 //!   ([`crate::shard`]): queries whose expansion bound fits one tile's
 //!   coverage run on that shard alone, the rest fall back to the full
@@ -483,10 +481,10 @@ impl<'a> ConnService<'a> {
 
     /// Answers one query of any family against the *current* epoch on a
     /// warm pool engine. Answers are byte-identical to the corresponding
-    /// legacy free function; tree I/O counters are reset per query
-    /// exactly like the free functions do (under concurrent executes the
-    /// per-query I/O attribution on the shared trees is best-effort —
-    /// the counters themselves are atomic).
+    /// legacy free function. The response's stats carry exactly this
+    /// query's tree I/O — page reads are charged to the meters of the
+    /// engine that ran it, never to the shared trees, so concurrent
+    /// executes and batches cannot disturb each other's counts.
     ///
     /// Note on empty scenes: a scene with no data points (or no
     /// obstacles) is *legal* — CONN reports an unassigned cover, the
@@ -504,23 +502,16 @@ impl<'a> ConnService<'a> {
         let cfg = self.cfg;
         let (answer, stats) = self
             .pool
-            .with_engine(|engine| shard_dispatch(engine, pin, cfg, query, true));
+            .with_engine(|engine| shard_dispatch(engine, pin, cfg, query));
         Ok(Response { answer, stats })
     }
 
     /// Answers a **mixed-family** workload across the persistent engine
     /// pool (`0` workers = available parallelism — see
     /// [`ConnService::execute_batch_threads`]). Responses come back in
-    /// workload order; per-query tree I/O is pooled into the returned
-    /// [`BatchStats`] (the per-response stats report zero I/O), exactly
-    /// like the per-family batch entry points.
-    ///
-    /// Pooling covers the **epoch's** two trees. The `other` tree a join
-    /// query carries is owned by the caller (and possibly shared with
-    /// concurrent users), so the batch neither resets nor reads its
-    /// counters — accesses to it are not part of `pooled`; run joins
-    /// through [`ConnService::execute`] when their full I/O footprint
-    /// matters.
+    /// workload order, each with the same stats — tree I/O included, a
+    /// join's caller-owned `other` tree too — [`ConnService::execute`]
+    /// reports for that query; [`BatchStats::pooled`] is their sum.
     pub fn execute_batch(&self, queries: &[Query]) -> Result<(Vec<Response>, BatchStats), Error> {
         self.execute_batch_threads(queries, 0)
     }
@@ -544,31 +535,17 @@ impl<'a> ConnService<'a> {
         queries: &[Query],
         threads: usize,
     ) -> Result<(Vec<Response>, BatchStats), Error> {
-        let dt = pin.scene().data_tree();
-        let ot = pin.scene().obstacle_tree();
-        dt.reset_stats();
-        ot.reset_stats();
-        // Query-boundary elapsed time for QueryStats; the kernel loop
-        // below never reads the clock.
+        // Batch-boundary wall time for BatchStats, not kernel-side timing.
         let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
         let cfg = self.cfg;
         let (answers, threads, per_query) = self.pool.run(queries, threads, |engine, q| {
-            shard_dispatch(engine, pin, cfg, q, false)
+            shard_dispatch(engine, pin, cfg, q)
         });
-        let wall = started.elapsed();
-        let mut pooled = QueryStats::default();
-        let mut lat = Vec::with_capacity(per_query.len());
-        for (_, s) in &per_query {
-            pooled.accumulate(s);
-            lat.push(s.cpu.as_secs_f64());
-        }
-        pooled.data_io = dt.stats();
-        pooled.obstacle_io = ot.stats();
-        let stats = BatchStats::from_parts(queries.len(), threads, wall, pooled, lat);
+        let stats = BatchStats::new(threads, started.elapsed(), &per_query);
         let responses = answers
             .into_iter()
             .zip(per_query)
-            .map(|(answer, (_, stats))| Response { answer, stats })
+            .map(|(answer, stats)| Response { answer, stats })
             .collect();
         Ok((responses, stats))
     }
@@ -583,24 +560,22 @@ fn shard_dispatch(
     epoch: &SceneEpoch<'_>,
     default_cfg: ConnConfig,
     query: &Query,
-    track_io: bool,
 ) -> (Answer, QueryStats) {
     if let Some(shards) = epoch.shards() {
-        match try_shard(engine, shards, default_cfg, query, track_io) {
+        match try_shard(engine, shards, default_cfg, query) {
             ShardOutcome::Served(answer, mut stats) => {
                 stats.reuse.shard_local = 1;
                 return (answer, *stats);
             }
             ShardOutcome::Straddles => {
-                let (answer, mut stats) =
-                    dispatch(engine, epoch.scene(), default_cfg, query, track_io);
+                let (answer, mut stats) = dispatch(engine, epoch.scene(), default_cfg, query);
                 stats.reuse.shard_merges = 1;
                 return (answer, stats);
             }
             ShardOutcome::NotShardable => {}
         }
     }
-    dispatch(engine, epoch.scene(), default_cfg, query, track_io)
+    dispatch(engine, epoch.scene(), default_cfg, query)
 }
 
 /// Outcome of a shard-local attempt.
@@ -624,7 +599,6 @@ fn try_shard(
     shards: &ShardSet,
     default_cfg: ConnConfig,
     query: &Query,
-    track_io: bool,
 ) -> ShardOutcome {
     engine.set_config(query.config().copied().unwrap_or(default_cfg));
     match query.kind() {
@@ -633,11 +607,7 @@ fn try_shard(
             let Some(shard) = shards.route(&anchor) else {
                 return ShardOutcome::Straddles;
             };
-            let (res, stats) = if track_io {
-                engine.conn(shard.data_tree(), shard.obstacle_tree(), q)
-            } else {
-                engine.conn_pooled_io(shard.data_tree(), shard.obstacle_tree(), q)
-            };
+            let (res, stats) = engine.conn(shard.data_tree(), shard.obstacle_tree(), q);
             match conn_dmax(&res, q) {
                 Some(dmax) if shard.certifies(&anchor, dmax) => {
                     ShardOutcome::Served(Answer::Conn(res), Box::new(stats))
@@ -650,11 +620,7 @@ fn try_shard(
             let Some(shard) = shards.route(&anchor) else {
                 return ShardOutcome::Straddles;
             };
-            let (res, stats) = if track_io {
-                engine.coknn(shard.data_tree(), shard.obstacle_tree(), q, *k)
-            } else {
-                engine.coknn_pooled_io(shard.data_tree(), shard.obstacle_tree(), q, *k)
-            };
+            let (res, stats) = engine.coknn(shard.data_tree(), shard.obstacle_tree(), q, *k);
             match coknn_dmax(&res, q, *k) {
                 Some(dmax) if shard.certifies(&anchor, dmax) => {
                     ShardOutcome::Served(Answer::Coknn(res), Box::new(stats))
@@ -667,8 +633,7 @@ fn try_shard(
             let Some(shard) = shards.route(&anchor) else {
                 return ShardOutcome::Straddles;
             };
-            let (v, stats) =
-                engine.onn_impl(shard.data_tree(), shard.obstacle_tree(), *s, *k, track_io);
+            let (v, stats) = engine.onn(shard.data_tree(), shard.obstacle_tree(), *s, *k);
             match onn_dmax(&v, *k) {
                 Some(dmax) if shard.certifies(&anchor, dmax) => {
                     ShardOutcome::Served(Answer::Onn(v), Box::new(stats))
@@ -686,13 +651,7 @@ fn try_shard(
             if !shard.certifies(&anchor, *radius) {
                 return ShardOutcome::Straddles;
             }
-            let (v, stats) = engine.range_impl(
-                shard.data_tree(),
-                shard.obstacle_tree(),
-                *s,
-                *radius,
-                track_io,
-            );
+            let (v, stats) = engine.range(shard.data_tree(), shard.obstacle_tree(), *s, *radius);
             ShardOutcome::Served(Answer::Range(v), Box::new(stats))
         }
         _ => ShardOutcome::NotShardable,
@@ -754,16 +713,13 @@ pub(crate) fn onn_dmax(v: &[(DataPoint, f64)], k: usize) -> Option<f64> {
     Some(dmax)
 }
 
-/// The one family dispatcher `execute` and the batch workers share.
-/// `track_io = true` resets the scene trees' counters per query (the
-/// serial / free-function contract); `false` leaves them to be pooled at
-/// the batch level.
+/// The one family dispatcher `execute`, the batch workers and the standing
+/// re-runs share.
 pub(crate) fn dispatch(
     engine: &mut QueryEngine,
     scene: &Scene<'_>,
     default_cfg: ConnConfig,
     query: &Query,
-    track_io: bool,
 ) -> (Answer, QueryStats) {
     let cfg = query.config().copied().unwrap_or(default_cfg);
     engine.set_config(cfg);
@@ -771,56 +727,45 @@ pub(crate) fn dispatch(
     let ot = scene.obstacle_tree();
     match query.kind() {
         QueryKind::Conn { q } => {
-            let (res, stats) = if track_io {
-                engine.conn(dt, ot, q)
-            } else {
-                engine.conn_pooled_io(dt, ot, q)
-            };
+            let (res, stats) = engine.conn(dt, ot, q);
             (Answer::Conn(res), stats)
         }
         QueryKind::Coknn { q, k } => {
-            let (res, stats) = if track_io {
-                engine.coknn(dt, ot, q, *k)
-            } else {
-                engine.coknn_pooled_io(dt, ot, q, *k)
-            };
+            let (res, stats) = engine.coknn(dt, ot, q, *k);
             (Answer::Coknn(res), stats)
         }
         QueryKind::Onn { s, k } => {
-            let (v, stats) = engine.onn_impl(dt, ot, *s, *k, track_io);
+            let (v, stats) = engine.onn(dt, ot, *s, *k);
             (Answer::Onn(v), stats)
         }
         QueryKind::Range { s, radius } => {
-            let (v, stats) = engine.range_impl(dt, ot, *s, *radius, track_io);
+            let (v, stats) = engine.range(dt, ot, *s, *radius);
             (Answer::Range(v), stats)
         }
         QueryKind::Rnn { s } => {
-            let (v, stats) = engine.rnn_impl(dt, ot, *s, track_io);
+            let (v, stats) = engine.rnn(dt, ot, *s);
             (Answer::Rnn(v), stats)
         }
         QueryKind::Odist { a, b } => {
-            let ((d, _), stats) = engine.odist(ot, *a, *b, false, track_io);
+            let ((d, _), stats) = engine.odist(ot, *a, *b, false);
             (Answer::Odist(d), stats)
         }
         QueryKind::Route { a, b } => {
-            let ((dist, path), stats) = engine.odist(ot, *a, *b, true, track_io);
+            let ((dist, path), stats) = engine.odist(ot, *a, *b, true);
             (Answer::Route { dist, path }, stats)
         }
         QueryKind::EDistanceJoin { other, e } => {
-            let (pairs, stats) = engine.edistance_join_impl(dt, other, ot, *e, track_io);
+            let (pairs, stats) = engine.edistance_join(dt, other, ot, *e);
             (Answer::EDistanceJoin(pairs), stats)
         }
         QueryKind::ClosestPair { other } => {
-            let (best, stats) = engine.closest_pair_impl(dt, other, ot, track_io);
+            let (best, stats) = engine.closest_pair(dt, other, ot);
             (Answer::ClosestPair(best), stats)
         }
         QueryKind::Trajectory { route, k } => {
             if *k == 1 {
                 let mut session =
                     TrajectorySession::with_engine(dt, ot, route.vertices()[0], engine);
-                if !track_io {
-                    session = session.pooled_io();
-                }
                 for &v in &route.vertices()[1..] {
                     session.push_leg(v);
                 }
@@ -829,9 +774,6 @@ pub(crate) fn dispatch(
             } else {
                 let mut session =
                     TrajectoryCoknnSession::with_engine(dt, ot, route.vertices()[0], *k, engine);
-                if !track_io {
-                    session = session.pooled_io();
-                }
                 for &v in &route.vertices()[1..] {
                     session.push_leg(v);
                 }
@@ -933,9 +875,8 @@ mod tests {
             .values_equivalent(b.answer.as_conn().unwrap(), 1e-6));
     }
 
-    #[test]
-    fn mixed_batch_covers_every_family() {
-        let service = ConnService::new(scene());
+    /// One query of each of the ten families.
+    fn every_family() -> Vec<Query> {
         let q = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
         let other = std::sync::Arc::new(RStarTree::bulk_load(
             vec![
@@ -949,47 +890,134 @@ mod tests {
             Point::new(60.0, 0.0),
             Point::new(60.0, 50.0),
         ]);
-        let batch = vec![
-            Query::conn(q).build().unwrap(),
-            Query::coknn(q, 3).build().unwrap(),
-            Query::onn(Point::new(50.0, 0.0), 2).build().unwrap(),
-            Query::range(Point::new(50.0, 0.0), 60.0).build().unwrap(),
-            Query::rnn(Point::new(20.0, 30.0)).build().unwrap(),
-            Query::odist(Point::new(0.0, 0.0), Point::new(100.0, 0.0))
-                .build()
-                .unwrap(),
-            Query::route(Point::new(0.0, 0.0), Point::new(100.0, 0.0))
-                .build()
-                .unwrap(),
-            Query::edistance_join(std::sync::Arc::clone(&other), 80.0)
-                .build()
-                .unwrap(),
-            Query::closest_pair(other).build().unwrap(),
-            Query::trajectory(route, 1).build().unwrap(),
-        ];
-        let (responses, stats) = service.execute_batch_threads(&batch, 2).unwrap();
-        assert_eq!(responses.len(), batch.len());
+        let (a, b) = (Point::new(0.0, 0.0), Point::new(100.0, 0.0));
+        [
+            Query::conn(q),
+            Query::coknn(q, 3),
+            Query::onn(Point::new(50.0, 0.0), 2),
+            Query::range(Point::new(50.0, 0.0), 60.0),
+            Query::rnn(Point::new(20.0, 30.0)),
+            Query::odist(a, b),
+            Query::route(a, b),
+            Query::edistance_join(std::sync::Arc::clone(&other), 80.0),
+            Query::closest_pair(other),
+            Query::trajectory(route, 1),
+        ]
+        .map(|builder| builder.build().unwrap())
+        .to_vec()
+    }
+
+    fn io_of(r: &Response) -> (conn_index::StatsSnapshot, conn_index::StatsSnapshot) {
+        (r.stats.data_io, r.stats.obstacle_io)
+    }
+
+    /// Every path a query can take through the service reports the same
+    /// tree I/O for it — its own — and a batch's pooled I/O is the sum over
+    /// its responses. (At the parent the batch and admission paths reported
+    /// zero per response and read the totals off the shared trees.)
+    #[test]
+    fn mixed_batch_covers_every_family() {
+        let service = ConnService::new(scene());
+        let batch = every_family();
+        let serial: Vec<Response> = batch.iter().map(|q| service.execute(q).unwrap()).collect();
+        let (batched, stats) = service.execute_batch_threads(&batch, 2).unwrap();
+        let admission = crate::Admission::new(crate::AdmissionConfig::default());
+        let tickets: Vec<crate::Ticket> = batch
+            .iter()
+            .map(|q| admission.submit(q.clone()).unwrap())
+            .collect();
+        assert_eq!(admission.pump(&service, 2), batch.len());
+        let admitted: Vec<Response> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+
         assert_eq!(stats.queries, batch.len());
-        assert!(stats.pooled.reads() > 0, "pooled tree I/O missing");
-        for (resp, q) in responses.iter().zip(&batch) {
-            assert_eq!(resp.answer.family(), q.kind().family());
-            // inside a batch, per-query I/O is pooled at the batch level
-            assert_eq!(resp.stats.reads(), 0);
-        }
-        // spot-check against serial execution
-        for (resp, q) in responses.iter().zip(&batch) {
-            let serial = service.execute(q).unwrap();
-            match (&resp.answer, &serial.answer) {
-                (Answer::Conn(a), Answer::Conn(b)) => {
-                    assert_eq!(a.entries().len(), b.entries().len())
-                }
-                (Answer::Odist(a), Answer::Odist(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-                (Answer::ClosestPair(a), Answer::ClosestPair(b)) => {
-                    assert_eq!(a.is_some(), b.is_some())
-                }
-                _ => {}
+        let mut sum = QueryStats::default();
+        for (((q, s), b), a) in batch.iter().zip(&serial).zip(&batched).zip(&admitted) {
+            let family = q.kind().family();
+            assert_eq!(b.answer.family(), family);
+            assert!(s.stats.obstacle_io.reads > 0, "{family}: no obstacle I/O");
+            if !matches!(q.kind(), QueryKind::Odist { .. } | QueryKind::Route { .. }) {
+                assert!(s.stats.data_io.reads > 0, "{family}: no data I/O");
             }
+            assert_eq!(s.stats.faults(), s.stats.reads(), "{family}: unbuffered");
+            assert_eq!(io_of(b), io_of(s), "{family}: batch vs execute");
+            assert_eq!(io_of(a), io_of(s), "{family}: admission vs execute");
+            assert_eq!(
+                format!("{:?}", b.answer),
+                format!("{:?}", s.answer),
+                "{family}: batch answer"
+            );
+            sum.accumulate(&b.stats);
         }
+        assert_eq!(stats.pooled.data_io, sum.data_io);
+        assert_eq!(stats.pooled.obstacle_io, sum.obstacle_io);
+        assert_eq!(stats.pooled.npe, sum.npe);
+    }
+
+    /// A join reads the caller-owned `other` tree too; those reads are part
+    /// of its `data_io` on the batch path exactly as on the serial one.
+    #[test]
+    fn batched_joins_count_the_other_tree() {
+        let service = ConnService::new(scene());
+        let joins: Vec<Query> = every_family()
+            .into_iter()
+            .filter(|q| {
+                matches!(
+                    q.kind(),
+                    QueryKind::EDistanceJoin { .. } | QueryKind::ClosestPair { .. }
+                )
+            })
+            .collect();
+        assert_eq!(joins.len(), 2);
+        let (batched, _) = service.execute_batch_threads(&joins, 2).unwrap();
+        for (q, b) in joins.iter().zip(&batched) {
+            let serial = service.execute(q).unwrap();
+            assert_eq!(io_of(b), io_of(&serial));
+            // a dual-tree descent reads at least both roots
+            assert!(b.stats.data_io.reads >= 2, "{:?}", b.stats.data_io);
+        }
+    }
+
+    /// Four clients execute one query list while a fifth batches it on the
+    /// same pin: every response carries the single-threaded reference I/O.
+    /// Counters on the shared trees could not give this; meters on the
+    /// engines do by construction.
+    #[test]
+    fn concurrent_clients_get_exact_per_query_io() {
+        let service = ConnService::new(scene());
+        let queries = every_family();
+        let pin = service.pin();
+        let reference: Vec<_> = queries
+            .iter()
+            .map(|q| io_of(&service.execute_at(&pin, q).unwrap()))
+            .collect();
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        for _ in 0..3 {
+                            for (q, want) in queries.iter().zip(&reference) {
+                                let got = service.execute_at(&pin, q).unwrap();
+                                assert_eq!(io_of(&got), *want, "{}", q.kind().family());
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let batcher = scope.spawn(|| {
+                start.wait();
+                for _ in 0..3 {
+                    let (responses, _) = service.execute_batch_at(&pin, &queries, 2).unwrap();
+                    for (r, want) in responses.iter().zip(&reference) {
+                        assert_eq!(io_of(r), *want, "{}", r.answer.family());
+                    }
+                }
+            });
+            for handle in clients.into_iter().chain([batcher]) {
+                handle.join().expect("client panicked");
+            }
+        });
     }
 
     /// odist/route run through the workspace window like every other

@@ -76,7 +76,7 @@
 use std::time::Instant;
 
 use conn_geom::{Interval, Point, Rect, Segment};
-use conn_index::RStarTree;
+use conn_index::{IoMeter, RStarTree};
 use conn_vgraph::{NodeId, NodeKind};
 
 use crate::coknn::{CoknnResult, KnnResultList};
@@ -121,7 +121,6 @@ struct SessionCore<'t, 'e> {
     /// COkNN), when one exists.
     joint_bound: Option<f64>,
     stats: QueryStats,
-    track_io: bool,
 }
 
 impl<'t, 'e> SessionCore<'t, 'e> {
@@ -145,7 +144,6 @@ impl<'t, 'e> SessionCore<'t, 'e> {
             joint_node: None,
             joint_bound: None,
             stats: QueryStats::default(),
-            track_io: true,
         }
     }
 
@@ -172,43 +170,15 @@ impl<'t, 'e> SessionCore<'t, 'e> {
         // Infallible: cum starts as vec![0.0] and only grows.
         // lint:allow(no-panic-in-query-path)
         let offset = *self.cum.last().unwrap();
-        let cfg = *self.engine.get().config();
-
-        if self.track_io {
-            self.data_tree.reset_stats();
-            self.obstacle_tree.reset_stats();
-        }
-        // Query-boundary elapsed time for QueryStats; the kernel loop
-        // below never reads the clock.
-        let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-
-        // Lipschitz continuation bound: along an unblocked leg the NN
-        // distance moves at most 1:1 with the parameter, so the previous
-        // joint's answer caps this leg's final RLMAX. Blocked legs (a
-        // trajectory cutting through an obstacle) fall back to ∞ — the
-        // 1-Lipschitz argument needs the straight run back to the joint.
-        // (Inside the stats window: the clearance check is a real per-leg
-        // cost the session pays and the cold path does not.)
-        let seed_bound = match self.joint_bound {
-            Some(d) if cfg.seed_leg_bound && leg_is_clear(self.obstacle_tree, &leg) => {
-                d + leg.len()
-            }
-            _ => f64::INFINITY,
-        };
-        let (sink, (_, e_node), mut stats) = warm_leg(
+        let (sink, (_, e_node), stats) = warm_leg(
             self.engine.get(),
             &mut self.loaded,
             (self.data_tree, self.obstacle_tree),
             &leg,
             (self.joint_node, None),
             make_sink(leg.len()),
-            seed_bound,
+            self.joint_bound,
         );
-        stats.cpu = started.elapsed();
-        if self.track_io {
-            stats.data_io = self.data_tree.stats();
-            stats.obstacle_io = self.obstacle_tree.stats();
-        }
         self.stats.accumulate(&stats);
         self.joint_node = Some(e_node);
         self.vertices.push(to);
@@ -234,7 +204,9 @@ impl<'t, 'e> SessionCore<'t, 'e> {
 /// and `loaded` are kept; the obstacle stream skips what is loaded), a clean
 /// query start otherwise. `ends.1` is the end node when an earlier run left
 /// that too (a standing query re-running its segment, [`crate::live`]).
-/// Returns the sink, both endpoint nodes and the stats, tree I/O excluded.
+/// `joint_bound` is the answer value at the leg's start when the caller
+/// knows it (a session's previous leg): the basis of the seeded `RLMAX`
+/// bound. Returns the sink, both endpoint nodes and the leg's stats.
 pub(crate) fn warm_leg<R: ResultSink>(
     engine: &mut QueryEngine,
     loaded: &mut LoadedObstacles,
@@ -242,20 +214,19 @@ pub(crate) fn warm_leg<R: ResultSink>(
     leg: &Segment,
     ends: (Option<NodeId>, Option<NodeId>),
     mut sink: R,
-    seed_bound: f64,
+    joint_bound: Option<f64>,
 ) -> (R, (NodeId, NodeId), QueryStats) {
-    let cfg = *engine.config();
     // query-boundary elapsed time; the kernel loop never reads the clock
     let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-    let ws = engine.workspace();
+    let (cfg, ws, io) = engine.parts();
     let s_node = match ends.0 {
         Some(n) => {
-            ws.begin_leg(&cfg);
+            ws.begin_leg(&cfg, io);
             n
         }
         None => {
             // a clean query start on (possibly reused) state
-            ws.begin_query(&cfg);
+            ws.begin_query(&cfg, io);
             loaded.clear();
             ws.g.add_point(leg.a, NodeKind::Endpoint)
         }
@@ -264,7 +235,20 @@ pub(crate) fn warm_leg<R: ResultSink>(
         (Some(_), Some(e)) => e,
         _ => ws.g.add_point(leg.b, NodeKind::Endpoint),
     };
-    let mut streams = SessionStreams::new(data_tree, obstacle_tree, leg, loaded);
+    // Lipschitz continuation bound: along an unblocked leg the NN distance
+    // moves at most 1:1 with the parameter, so the previous joint's answer
+    // caps this leg's final RLMAX. Blocked legs (a trajectory cutting
+    // through an obstacle) fall back to ∞ — the 1-Lipschitz argument needs
+    // the straight run back to the joint. (Inside the stats window: the
+    // clearance check is a real per-leg cost the session pays and the cold
+    // path does not.)
+    let seed_bound = match joint_bound {
+        Some(d) if cfg.seed_leg_bound && leg_is_clear(obstacle_tree, leg, &io.obstacle) => {
+            d + leg.len()
+        }
+        _ => f64::INFINITY,
+    };
+    let mut streams = SessionStreams::new(data_tree, obstacle_tree, leg, io, loaded);
     let telemetry = run_leg(
         &mut streams,
         leg,
@@ -281,8 +265,7 @@ pub(crate) fn warm_leg<R: ResultSink>(
         noe: telemetry.noe,
         svg_nodes: telemetry.svg_nodes,
         result_tuples: sink.tuples(),
-        reuse: ws.finish_query(),
-        ..QueryStats::default()
+        ..ws.finish_query(io)
     };
     (sink, (s_node, e_node), stats)
 }
@@ -290,9 +273,9 @@ pub(crate) fn warm_leg<R: ResultSink>(
 /// No loaded obstacle may cross the leg — the precondition of the seeded
 /// bound's 1-Lipschitz argument (checked against the *full* obstacle tree,
 /// not just the loaded subset, so the bound is sound unconditionally).
-fn leg_is_clear(obstacle_tree: &RStarTree<Rect>, leg: &Segment) -> bool {
+fn leg_is_clear(obstacle_tree: &RStarTree<Rect>, leg: &Segment, io: &IoMeter) -> bool {
     obstacle_tree
-        .range(&Rect::from_segment(leg))
+        .range_metered(&Rect::from_segment(leg), io)
         .iter()
         .all(|r| !r.blocks(leg))
 }
@@ -344,13 +327,6 @@ impl<'t, 'e> TrajectorySession<'t, 'e> {
             ),
             segments: Vec::new(),
         }
-    }
-
-    /// Builder: disable per-leg tree-counter resets (batch workers pool
-    /// I/O at the batch level; per-leg stats then report zero I/O).
-    pub fn pooled_io(mut self) -> Self {
-        self.core.track_io = false;
-        self
     }
 
     /// Extends the trajectory to `to` and answers the new leg, keeping the
@@ -490,12 +466,6 @@ impl<'t, 'e> TrajectoryCoknnSession<'t, 'e> {
             k,
             legs: Vec::new(),
         }
-    }
-
-    /// See [`TrajectorySession::pooled_io`].
-    pub fn pooled_io(mut self) -> Self {
-        self.core.track_io = false;
-        self
     }
 
     /// Extends the trajectory to `to`; returns the new leg's result.

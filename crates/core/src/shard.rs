@@ -200,10 +200,13 @@ impl ShardSet {
     /// `anchor` (clamped to the grid, so anchors outside the scene bounds
     /// land in the nearest edge tile). `None` only for non-finite anchors.
     pub fn route(&self, anchor: &Rect) -> Option<&Shard> {
-        let c = anchor.center();
-        if !c.x.is_finite() || !c.y.is_finite() {
+        // checked on the raw coordinates: the center of a non-finite rect
+        // is not a point the (sanitized) constructors accept
+        let coords = [anchor.min_x, anchor.min_y, anchor.max_x, anchor.max_y];
+        if !coords.iter().all(|v| v.is_finite()) {
             return None;
         }
+        let c = anchor.center();
         let tile = |v: f64, lo: f64, extent: f64, n: usize| -> usize {
             if extent <= 0.0 {
                 return 0;
@@ -290,7 +293,14 @@ mod tests {
             // the shard's core tile, never outside the grid
             assert!(shard.core().width() > 0.0);
         }
-        let nan = Rect::from_point(Point::new(f64::NAN, 0.0));
+        // built field by field: the audited constructors would reject the
+        // NaN (under `sanitize-invariants`) before `route` ever saw it
+        let nan = Rect {
+            min_x: f64::NAN,
+            min_y: 0.0,
+            max_x: f64::NAN,
+            max_y: 0.0,
+        };
         assert!(set.route(&nan).is_none());
     }
 

@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 
 use conn_geom::{Rect, Segment};
-use conn_index::{Mbr, NearestIter, RStarTree};
+use conn_index::{IoMeter, Mbr, NearestIter, RStarTree};
 use conn_vgraph::VisGraph;
 
 use crate::coknn::CoknnResult;
@@ -100,10 +100,11 @@ pub struct OneTreeStreams<'a> {
 }
 
 impl<'a> OneTreeStreams<'a> {
-    /// Streams over the unified tree, ordered by `mindist` to `q`.
-    pub fn new(tree: &'a RStarTree<SpatialObject>, q: &Segment) -> Self {
+    /// Streams over the unified tree, ordered by `mindist` to `q` and
+    /// charged to `io`.
+    pub fn new(tree: &'a RStarTree<SpatialObject>, q: &Segment, io: &'a IoMeter) -> Self {
         OneTreeStreams {
-            iter: tree.nearest_iter(*q),
+            iter: tree.nearest_iter_metered(*q, io),
             point_buf: VecDeque::new(),
             obstacle_buf: VecDeque::new(),
             loaded: 0,
@@ -277,7 +278,8 @@ mod tests {
     fn mixed_stream_orders_each_kind() {
         let (points, obstacles) = setup();
         let ut = build_unified_tree(&points, &obstacles, 4096);
-        let mut s = OneTreeStreams::new(&ut, &q());
+        let io = IoMeter::default();
+        let mut s = OneTreeStreams::new(&ut, &q(), &io);
         let mut g = VisGraph::new(50.0);
         // points arrive ascending
         let mut prev = 0.0;

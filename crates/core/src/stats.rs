@@ -2,6 +2,12 @@
 //! I/O cost, CPU time, query cost (CPU + 10 ms per page fault), visibility
 //! graph size |SVG|, number of points evaluated (NPE) and number of
 //! obstacles evaluated (NOE).
+//!
+//! Tree I/O is counted by the page meters of the [`crate::QueryEngine`] that
+//! ran the query, not by the (shared) trees, so every [`QueryStats`] carries
+//! exactly its own query's reads and faults on every path — serial, batch,
+//! admitted, sharded — and a batch's totals ([`crate::BatchStats`]) are the
+//! sum of its queries'.
 
 use std::time::Duration;
 
@@ -72,6 +78,26 @@ pub struct ReuseCounters {
 }
 
 impl ReuseCounters {
+    /// Element-wise difference since an `earlier` reading of the same
+    /// monotone counters — the window diff behind per-query attribution.
+    pub(crate) fn since(&self, earlier: &ReuseCounters) -> ReuseCounters {
+        ReuseCounters {
+            graph_reuses: self.graph_reuses - earlier.graph_reuses,
+            nodes_retained: self.nodes_retained - earlier.nodes_retained,
+            heap_reuses: self.heap_reuses - earlier.heap_reuses,
+            label_continuations: self.label_continuations - earlier.label_continuations,
+            label_reseeds: self.label_reseeds - earlier.label_reseeds,
+            label_retargets: self.label_retargets - earlier.label_retargets,
+            sight_tests: self.sight_tests - earlier.sight_tests,
+            sweep_events: self.sweep_events - earlier.sweep_events,
+            shard_local: self.shard_local - earlier.shard_local,
+            shard_merges: self.shard_merges - earlier.shard_merges,
+            labels_invalidated: self.labels_invalidated - earlier.labels_invalidated,
+            adjacency_repairs: self.adjacency_repairs - earlier.adjacency_repairs,
+            delta_publishes: self.delta_publishes - earlier.delta_publishes,
+        }
+    }
+
     /// Element-wise sum.
     pub fn accumulate(&mut self, other: &ReuseCounters) {
         self.graph_reuses += other.graph_reuses;
@@ -231,5 +257,24 @@ mod tests {
         assert!((avg.noe - 5.0).abs() < 1e-9);
         assert!((avg.cpu_s - 0.1).abs() < 1e-9);
         assert_eq!(avg.svg_nodes, 5.0);
+    }
+
+    #[test]
+    fn since_undoes_accumulate() {
+        let a = ReuseCounters {
+            heap_reuses: 3,
+            sight_tests: 40,
+            delta_publishes: 1,
+            ..Default::default()
+        };
+        let mut b = a;
+        b.accumulate(&ReuseCounters {
+            sight_tests: 2,
+            shard_local: 1,
+            ..Default::default()
+        });
+        let d = b.since(&a);
+        assert_eq!((d.sight_tests, d.shard_local, d.heap_reuses), (2, 1, 0));
+        assert_eq!(a.since(&a), ReuseCounters::default());
     }
 }

@@ -9,6 +9,7 @@ use conn_geom::{Rect, Segment};
 use conn_index::{NearestIter, RStarTree};
 use conn_vgraph::VisGraph;
 
+use crate::engine::Meters;
 use crate::types::DataPoint;
 
 /// The search loop's view of its inputs.
@@ -40,15 +41,16 @@ pub struct TwoTreeStreams<'a> {
 }
 
 impl<'a> TwoTreeStreams<'a> {
-    /// Opens both mindist-ordered streams for `q`.
-    pub fn new(
+    /// Opens both mindist-ordered streams for `q`, charged to `io`.
+    pub(crate) fn new(
         data_tree: &'a RStarTree<DataPoint>,
         obstacle_tree: &'a RStarTree<Rect>,
         q: &Segment,
+        io: &'a Meters,
     ) -> Self {
         TwoTreeStreams {
-            points: data_tree.nearest_iter(*q),
-            obstacles: obstacle_tree.nearest_iter(*q),
+            points: data_tree.nearest_iter_metered(*q, &io.data),
+            obstacles: obstacle_tree.nearest_iter_metered(*q, &io.obstacle),
             pending_obstacle: None,
             loaded: 0,
         }
@@ -167,16 +169,18 @@ pub struct SessionStreams<'a, 's> {
 }
 
 impl<'a, 's> SessionStreams<'a, 's> {
-    /// Opens the leg's streams, deduplicating against `loaded`.
-    pub fn new(
+    /// Opens the leg's streams, charged to `io`, deduplicating against
+    /// `loaded`.
+    pub(crate) fn new(
         data_tree: &'a RStarTree<DataPoint>,
         obstacle_tree: &'a RStarTree<Rect>,
         q: &Segment,
+        io: &'a Meters,
         loaded: &'s mut LoadedObstacles,
     ) -> Self {
         SessionStreams {
-            points: data_tree.nearest_iter(*q),
-            obstacles: obstacle_tree.nearest_iter(*q),
+            points: data_tree.nearest_iter_metered(*q, &io.data),
+            obstacles: obstacle_tree.nearest_iter_metered(*q, &io.obstacle),
             pending_obstacle: None,
             loaded,
             loaded_this_leg: 0,
@@ -273,7 +277,8 @@ mod tests {
     #[test]
     fn points_arrive_in_mindist_order() {
         let (dt, ot, q) = setup();
-        let mut s = TwoTreeStreams::new(&dt, &ot, &q);
+        let io = Meters::default();
+        let mut s = TwoTreeStreams::new(&dt, &ot, &q, &io);
         let mut prev = 0.0;
         while let Some(d) = s.peek_point_dist() {
             let (_, got) = s.next_point().unwrap();
@@ -287,7 +292,8 @@ mod tests {
     #[test]
     fn load_until_respects_bound_and_counts() {
         let (dt, ot, q) = setup();
-        let mut s = TwoTreeStreams::new(&dt, &ot, &q);
+        let io = Meters::default();
+        let mut s = TwoTreeStreams::new(&dt, &ot, &q, &io);
         let mut g = VisGraph::new(50.0);
         // nearest obstacle at dist 20, second at 50, third ~ 283
         assert_eq!(s.load_obstacles_until(&mut g, 10.0), 0);
@@ -306,10 +312,11 @@ mod tests {
     #[test]
     fn session_streams_dedupe_across_legs() {
         let (dt, ot, q1) = setup();
+        let io = Meters::default();
         let mut loaded = LoadedObstacles::default();
         let mut g = VisGraph::new(50.0);
         {
-            let mut s = SessionStreams::new(&dt, &ot, &q1, &mut loaded);
+            let mut s = SessionStreams::new(&dt, &ot, &q1, &io, &mut loaded);
             assert_eq!(s.load_obstacles_until(&mut g, 60.0), 2);
             assert_eq!(s.obstacles_loaded(), 2);
         }
@@ -317,7 +324,7 @@ mod tests {
         // second leg near the far obstacle: the two already-loaded rects
         // must not be re-inserted, the third must
         let q2 = Segment::new(Point::new(200.0, 205.0), Point::new(260.0, 205.0));
-        let mut s = SessionStreams::new(&dt, &ot, &q2, &mut loaded);
+        let mut s = SessionStreams::new(&dt, &ot, &q2, &io, &mut loaded);
         assert_eq!(s.load_obstacles_until(&mut g, 1e9), 1);
         assert_eq!(s.obstacles_loaded(), 1, "per-leg NOE counts new loads only");
         assert_eq!(g.num_obstacles(), 3);

@@ -40,10 +40,10 @@ impl QueryEngine {
         k: usize,
     ) -> (Vec<(DataPoint, f64)>, QueryStats) {
         assert!(k >= 1, "k must be positive");
-        self.point_family(Some(data_tree), obstacle_tree, true, |r| {
+        self.point_family(obstacle_tree, |r, data_io| {
             let mut out: Vec<(DataPoint, f64)> = Vec::with_capacity(k);
             let mut npe = 0u64;
-            for (p, d) in data_tree.nearest_iter(s) {
+            for (p, d) in data_tree.nearest_iter_metered(s, data_io) {
                 if out.len() >= k {
                     break;
                 }

@@ -480,8 +480,8 @@ proptest! {
         }
     }
 
-    /// The batch front-end agrees with the serial reference for any
-    /// workload and worker count.
+    /// The service batch agrees with the serial reference for any workload
+    /// and worker count.
     #[test]
     fn batch_is_byte_identical_to_serial(scn in scenario(), threads in 1..5usize) {
         let (obstacles, ps, queries) = scn;
@@ -493,12 +493,22 @@ proptest! {
             .filter(|(a, b, _)| a.dist(*b) >= 1e-9)
             .map(|(a, b, _)| Segment::new(*a, *b))
             .collect();
-        let (batch, stats) = conn_core::conn_batch(&data_tree, &obstacle_tree, &segs, &cfg, threads);
+        let service = conn_core::ConnService::with_config(
+            conn_core::Scene::borrowing(&data_tree, &obstacle_tree),
+            cfg,
+        );
+        let typed: Vec<conn_core::Query> = segs
+            .iter()
+            .map(|q| conn_core::Query::conn(*q).build().unwrap())
+            .collect();
+        let (batch, stats) = service.execute_batch_threads(&typed, threads).unwrap();
         prop_assert_eq!(batch.len(), segs.len());
         prop_assert_eq!(stats.queries, segs.len());
-        for (res, q) in batch.iter().zip(&segs) {
-            let (fresh, _) = conn_search(&data_tree, &obstacle_tree, q, &cfg);
-            assert_conn_identical(&fresh, res)?;
+        for (resp, q) in batch.iter().zip(&segs) {
+            let (fresh, fresh_stats) = conn_search(&data_tree, &obstacle_tree, q, &cfg);
+            assert_conn_identical(&fresh, resp.answer.as_conn().unwrap())?;
+            prop_assert_eq!(resp.stats.data_io, fresh_stats.data_io);
+            prop_assert_eq!(resp.stats.obstacle_io, fresh_stats.obstacle_io);
         }
     }
 }

@@ -2,34 +2,38 @@
 //!
 //! Figure 12 of the paper varies the buffer size from 0 to 32 % of the tree
 //! size; only the I/O metric reacts. The buffer here is a textbook O(1) LRU:
-//! a hash map from page id to a slot in an intrusive doubly-linked list.
+//! a hash map from frame key to a slot in an intrusive doubly-linked list.
+//! The key is whatever names a page for the buffer's owner — a bare page id
+//! for one tree, `(tree, page)` for the [`crate::IoMeter`], whose frames
+//! come from several trees.
 
 // lint:allow-file(no-panic-in-query-path[index]): frame indices come from the LRU list the same struct maintains
 use crate::node::PageId;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 const NIL: usize = usize::MAX;
 
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    page: PageId,
+struct Slot<K> {
+    page: K,
     prev: usize,
     next: usize,
 }
 
-/// Fixed-capacity LRU cache over page ids (contents live in the page store;
-/// the buffer only tracks *which* pages are resident).
-#[derive(Debug, Default)]
-pub struct LruBuffer {
+/// Fixed-capacity LRU cache over frame keys (contents live in the page
+/// store; the buffer only tracks *which* pages are resident).
+#[derive(Debug)]
+pub struct LruBuffer<K = PageId> {
     capacity: usize,
-    map: HashMap<PageId, usize>,
-    slots: Vec<Slot>,
+    map: HashMap<K, usize>,
+    slots: Vec<Slot<K>>,
     head: usize, // most recently used
     tail: usize, // least recently used
     free: Vec<usize>,
 }
 
-impl LruBuffer {
+impl<K: Copy + Eq + Hash> LruBuffer<K> {
     /// A buffer that can hold `capacity` pages; 0 disables caching entirely.
     pub fn new(capacity: usize) -> Self {
         LruBuffer {
@@ -76,7 +80,7 @@ impl LruBuffer {
 
     /// Records an access to `page`. Returns `true` on a buffer hit, `false`
     /// on a fault (the page is then brought in, evicting the LRU page).
-    pub fn access(&mut self, page: PageId) -> bool {
+    pub fn access(&mut self, page: K) -> bool {
         if self.capacity == 0 {
             return false;
         }

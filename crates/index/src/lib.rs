@@ -9,8 +9,15 @@
 //!
 //! * [`RStarTree`] — insertion with forced reinsertion and the R\* split, or
 //!   STR bulk loading; 4 KB pages by default, fanout derived from entry size.
-//! * [`PageStats`] — logical reads and page faults, observable mid-query.
-//! * [`LruBuffer`] — page cache; faults are charged only on misses.
+//! * [`IoMeter`] — logical reads and page faults, observable mid-query,
+//!   and the [`LruBuffer`] page cache that decides which reads fault. The
+//!   meter is *caller-owned*: charged traversals
+//!   ([`RStarTree::nearest_iter_metered`], [`RStarTree::range_metered`],
+//!   [`RStarTree::read_node`]) take it as an argument, the tree itself is
+//!   plain immutable `Send + Sync` data with no counter, lock or cell in it,
+//!   and the meter is `!Sync` — one per thread of execution, so per-query
+//!   attribution needs no reset and cannot race (see [`stats`], which also
+//!   has the Figure 12 recipe).
 //! * [`NearestIter`] — incremental best-first (Hjaltason & Samet) neighbor
 //!   stream ordered by `mindist` to a [`Point`] or a [`Segment`] query, the
 //!   access pattern Algorithms 1 and 4 of the paper are built on.
@@ -35,5 +42,5 @@ pub use buffer::LruBuffer;
 pub use node::{Mbr, Node, PageId, Slot};
 pub use persist::PersistItem;
 pub use query::{DistShape, NearestIter};
-pub use stats::{PageStats, StatsSnapshot};
+pub use stats::{IoMeter, StatsSnapshot};
 pub use tree::{RStarTree, DEFAULT_PAGE_SIZE};

@@ -14,6 +14,7 @@ use std::collections::BinaryHeap;
 use conn_geom::{OrdF64, Point, Rect, Segment};
 
 use crate::node::{Mbr, PageId, Slot};
+use crate::stats::IoMeter;
 use crate::tree::RStarTree;
 
 /// A query shape that can lower-bound its distance to an MBR.
@@ -73,18 +74,21 @@ impl<T> Ord for HeapElem<T> {
 ///
 /// Yields `(item, mindist)` pairs in ascending distance order; lazily reads
 /// tree pages as the frontier advances, so consuming only a prefix of the
-/// stream only pays for the pages that prefix needed.
+/// stream only pays for the pages that prefix needed. Page reads are
+/// charged to the meter the stream was opened with, if any.
 pub struct NearestIter<'a, T, Q: DistShape> {
     tree: &'a RStarTree<T>,
+    meter: Option<&'a IoMeter>,
     query: Q,
     heap: BinaryHeap<HeapElem<T>>,
     seq: u64,
 }
 
 impl<'a, T: Mbr + Clone, Q: DistShape> NearestIter<'a, T, Q> {
-    pub(crate) fn new(tree: &'a RStarTree<T>, query: Q) -> Self {
+    fn new(tree: &'a RStarTree<T>, query: Q, meter: Option<&'a IoMeter>) -> Self {
         let mut it = NearestIter {
             tree,
+            meter,
             query,
             heap: BinaryHeap::new(),
             seq: 0,
@@ -126,7 +130,7 @@ impl<'a, T: Mbr + Clone, Q: DistShape> Iterator for NearestIter<'a, T, Q> {
                     // expansion streams the contiguous envelope lane
                     // straight onto the heap, no intermediate buffer
                     let tree = self.tree;
-                    let node = tree.read(page);
+                    let node = tree.read(page, self.meter);
                     for (mbr, slot) in node.mbrs.iter().zip(&node.slots) {
                         let d = OrdF64::new(self.query.dist_rect(mbr));
                         match slot {
@@ -142,25 +146,44 @@ impl<'a, T: Mbr + Clone, Q: DistShape> Iterator for NearestIter<'a, T, Q> {
 }
 
 impl<T: Mbr + Clone> RStarTree<T> {
-    /// Incremental nearest-neighbor stream ordered by `mindist` to `query`.
+    /// Incremental nearest-neighbor stream ordered by `mindist` to `query`,
+    /// unmetered: the same traversal with no page accounting attached.
     pub fn nearest_iter<Q: DistShape>(&self, query: Q) -> NearestIter<'_, T, Q> {
-        NearestIter::new(self, query)
+        NearestIter::new(self, query, None)
     }
 
-    /// The `k` nearest items to `query` with their distances.
+    /// [`RStarTree::nearest_iter`] charging every page it reads to `meter`.
+    pub fn nearest_iter_metered<'a, Q: DistShape>(
+        &'a self,
+        query: Q,
+        meter: &'a IoMeter,
+    ) -> NearestIter<'a, T, Q> {
+        NearestIter::new(self, query, Some(meter))
+    }
+
+    /// The `k` nearest items to `query` with their distances (unmetered).
     pub fn knn<Q: DistShape>(&self, query: Q, k: usize) -> Vec<(T, f64)> {
         self.nearest_iter(query).take(k).collect()
     }
 
-    /// All items whose MBR intersects `window` (charged traversal).
+    /// All items whose MBR intersects `window` (unmetered).
     pub fn range(&self, window: &Rect) -> Vec<T> {
+        self.range_with(window, None)
+    }
+
+    /// [`RStarTree::range`] charging every page it reads to `meter`.
+    pub fn range_metered(&self, window: &Rect, meter: &IoMeter) -> Vec<T> {
+        self.range_with(window, Some(meter))
+    }
+
+    fn range_with(&self, window: &Rect, meter: Option<&IoMeter>) -> Vec<T> {
         let mut out = Vec::new();
         if self.is_empty() {
             return out;
         }
         let mut stack = vec![self.root];
         while let Some(page) = stack.pop() {
-            let node = self.read(page);
+            let node = self.read(page, meter);
             let mut child_pages = Vec::new();
             for (mbr, slot) in node.mbrs.iter().zip(&node.slots) {
                 if mbr.intersects(window) {
@@ -253,7 +276,9 @@ mod tests {
     fn range_query_matches_filter() {
         let (t, items) = build(400);
         let window = Rect::new(100.0, 100.0, 400.0, 500.0);
-        let mut got: Vec<Point> = t.range(&window);
+        let meter = IoMeter::default();
+        let mut got: Vec<Point> = t.range_metered(&window, &meter);
+        assert!(meter.snapshot().reads > 0);
         let mut want: Vec<Point> = items.into_iter().filter(|p| window.contains(*p)).collect();
         let key = |p: &Point| (p.x, p.y);
         got.sort_by(|a, b| key(a).partial_cmp(&key(b)).unwrap());
@@ -262,6 +287,7 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g, w);
         }
+        assert_eq!(t.range(&window).len(), want.len(), "unmetered twin agrees");
     }
 
     #[test]
@@ -269,33 +295,69 @@ mod tests {
         let t: RStarTree<Point> = RStarTree::with_fanout(8, 3);
         assert!(t.nearest_iter(Point::new(0.0, 0.0)).next().is_none());
         assert!(t.knn(Point::new(0.0, 0.0), 5).is_empty());
+        let meter = IoMeter::default();
+        assert!(t
+            .nearest_iter_metered(Point::new(0.0, 0.0), &meter)
+            .next()
+            .is_none());
+        assert!(t
+            .range_metered(&Rect::new(0.0, 0.0, 10.0, 10.0), &meter)
+            .is_empty());
         assert!(t.range(&Rect::new(0.0, 0.0, 10.0, 10.0)).is_empty());
+        assert_eq!(
+            meter.snapshot().reads,
+            0,
+            "an empty tree has no page to read"
+        );
+    }
+
+    /// The reads a metered prefix of the stream charges.
+    fn reads_of(t: &RStarTree<Point>, meter: &IoMeter, take: usize) -> crate::StatsSnapshot {
+        let before = meter.snapshot();
+        let q = Point::new(500.0, 500.0);
+        let _: Vec<_> = t.nearest_iter_metered(q, meter).take(take).collect();
+        meter.snapshot().since(&before)
     }
 
     #[test]
     fn partial_consumption_reads_fewer_pages() {
         let (t, _) = build(2000);
-        t.reset_stats();
-        let _: Vec<_> = t.nearest_iter(Point::new(1.0, 1.0)).take(5).collect();
-        let partial = t.stats().reads;
-        t.reset_stats();
-        let _: Vec<_> = t.nearest_iter(Point::new(1.0, 1.0)).collect();
-        let full = t.stats().reads;
+        let meter = IoMeter::default();
+        let partial = reads_of(&t, &meter, 5).reads;
+        let full = reads_of(&t, &meter, usize::MAX).reads;
         assert!(partial < full / 2, "partial {partial} vs full {full}");
+    }
+
+    #[test]
+    fn metered_and_unmetered_streams_agree() {
+        let (t, _) = build(700);
+        let q = Segment::new(Point::new(0.0, 0.0), Point::new(900.0, 100.0));
+        let meter = IoMeter::default();
+        let metered: Vec<(Point, f64)> = t.nearest_iter_metered(q, &meter).collect();
+        let plain: Vec<(Point, f64)> = t.nearest_iter(q).collect();
+        assert_eq!(metered, plain);
+        // a full drain reads each reachable page once, and only metered
+        // streams charge
+        let reads = meter.snapshot().reads;
+        assert!(reads > 1 && reads <= t.num_pages() as u64, "{reads} reads");
     }
 
     #[test]
     fn buffer_reduces_faults_on_repeat_queries() {
         let (t, _) = build(2000);
-        t.set_buffer_frac(0.5);
-        t.clear_buffer();
-        t.reset_stats();
-        let _: Vec<_> = t.nearest_iter(Point::new(500.0, 500.0)).take(50).collect();
-        let cold = t.stats();
-        t.reset_stats();
-        let _: Vec<_> = t.nearest_iter(Point::new(500.0, 500.0)).take(50).collect();
-        let warm = t.stats();
+        let mut meter = IoMeter::default();
+        let unbuffered = reads_of(&t, &meter, 50);
+        assert_eq!(
+            unbuffered.faults, unbuffered.reads,
+            "capacity 0: all faults"
+        );
+        meter.set_buffer_pages(t.num_pages() / 2);
+        let cold = reads_of(&t, &meter, 50);
+        let warm = reads_of(&t, &meter, 50);
+        assert_eq!(cold.reads, unbuffered.reads, "reads ignore the buffer");
         assert_eq!(cold.reads, warm.reads);
         assert!(warm.faults < cold.faults, "warm {warm:?} vs cold {cold:?}");
+        meter.clear_buffer();
+        assert_eq!(reads_of(&t, &meter, 50), cold, "a cleared buffer is cold");
     }
 }

@@ -1,13 +1,10 @@
 //! The tree structure, simulated page store, and maintenance entry points.
 
 // lint:allow-file(no-panic-in-query-path[index]): page ids and entry indices are tree-structural invariants (children exist, fanout within bounds) re-audited after every mutation by check_invariants / sanitize-invariants
-use std::sync::Mutex;
-
 use conn_geom::{Point, Rect};
 
-use crate::buffer::LruBuffer;
 use crate::node::{Mbr, Node, PageId, Slot};
-use crate::stats::{PageStats, StatsSnapshot};
+use crate::stats::{fresh_tree_id, IoMeter};
 
 /// Paper §5.1: "the page size fixed at 4KB".
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
@@ -22,10 +19,12 @@ const PAGE_HEADER_BYTES: usize = 16;
 
 /// An R\*-tree over items of type `T` stored on simulated 4 KB pages.
 ///
-/// All query traversals go through the internal `read` accessor, which charges the
-/// access to [`PageStats`] and consults the [`LruBuffer`]. Structure
-/// modifications (insert, bulk load) do not charge I/O — the paper resets
-/// counters per query, and its trees are built before measurement begins.
+/// The tree is plain data: nothing in it changes under `&self`, so it is
+/// `Send + Sync` and shared freely between threads and epochs. Every query
+/// traversal goes through the internal `read` accessor, which charges the
+/// access to the [`IoMeter`] its caller handed in (or to nothing, for the
+/// unmetered traversals). Structure modifications (insert, bulk load) do not
+/// charge I/O — the paper's trees are built before measurement begins.
 #[derive(Debug)]
 pub struct RStarTree<T> {
     pub(crate) pages: Vec<Node<T>>,
@@ -33,8 +32,9 @@ pub struct RStarTree<T> {
     pub(crate) max_entries: usize,
     pub(crate) min_entries: usize,
     len: usize,
-    stats: PageStats,
-    buffer: Mutex<LruBuffer>,
+    /// What an [`IoMeter`]'s buffer tells this tree's pages from another's
+    /// by; fresh for every constructed, forked or loaded tree.
+    id: u64,
 }
 
 impl<T: Mbr + Clone> RStarTree<T> {
@@ -60,17 +60,15 @@ impl<T: Mbr + Clone> RStarTree<T> {
             max_entries,
             min_entries,
             len: 0,
-            stats: PageStats::default(),
-            buffer: Mutex::new(LruBuffer::new(0)),
+            id: fresh_tree_id(),
         }
     }
 
     /// A structural copy of this tree for copy-on-write mutation: pages,
-    /// root, fanout and length are cloned; access counters start at zero
-    /// and the LRU buffer starts empty (the fork is a *new* serving
-    /// artifact — live-scene deltas fork the shared tree, mutate the fork
-    /// in place, and publish it as the next epoch while readers keep the
-    /// original).
+    /// root, fanout and length are cloned under a new identity (the fork
+    /// is a *new* serving artifact — live-scene deltas fork the shared
+    /// tree, mutate the fork in place, and publish it as the next epoch
+    /// while readers keep the original).
     pub fn fork(&self) -> RStarTree<T> {
         RStarTree {
             pages: self.pages.clone(),
@@ -78,8 +76,7 @@ impl<T: Mbr + Clone> RStarTree<T> {
             max_entries: self.max_entries,
             min_entries: self.min_entries,
             len: self.len,
-            stats: PageStats::default(),
-            buffer: Mutex::new(LruBuffer::new(0)),
+            id: fresh_tree_id(),
         }
     }
 
@@ -121,15 +118,13 @@ impl<T: Mbr + Clone> RStarTree<T> {
 
     // ----- page access layer -------------------------------------------------
 
-    /// Reads a page, charging the access (and a fault on buffer miss).
+    /// Reads a page, charging the access (and a fault on buffer miss) to
+    /// `meter` when there is one.
     #[inline]
-    pub(crate) fn read(&self, page: PageId) -> &Node<T> {
-        let hit = self
-            .buffer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .access(page);
-        self.stats.record(!hit);
+    pub(crate) fn read(&self, page: PageId, meter: Option<&IoMeter>) -> &Node<T> {
+        if let Some(meter) = meter {
+            meter.charge(self.id, page);
+        }
         &self.pages[page as usize]
     }
 
@@ -140,41 +135,8 @@ impl<T: Mbr + Clone> RStarTree<T> {
 
     /// Public charged page read for custom traversals: same accounting as
     /// the built-in queries.
-    pub fn read_node(&self, page: PageId) -> &Node<T> {
-        self.read(page)
-    }
-
-    /// Access counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Zeroes the access counters (the paper resets them per query).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
-    /// Sets the LRU buffer capacity to an absolute number of pages.
-    pub fn set_buffer_pages(&self, pages: usize) {
-        self.buffer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .set_capacity(pages);
-    }
-
-    /// Sets the buffer capacity as a fraction of the tree size (the unit of
-    /// Figure 12's x-axis: `bs` % of the tree).
-    pub fn set_buffer_frac(&self, frac: f64) {
-        let pages = (self.num_pages() as f64 * frac).floor() as usize;
-        self.set_buffer_pages(pages);
-    }
-
-    /// Drops all buffered pages (capacity is kept).
-    pub fn clear_buffer(&self) {
-        self.buffer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
+    pub fn read_node(&self, page: PageId, meter: &IoMeter) -> &Node<T> {
+        self.read(page, Some(meter))
     }
 
     // ----- whole-tree iteration (untracked; for tests and validation) -------
@@ -300,8 +262,7 @@ impl<T: Mbr + Clone> RStarTree<T> {
             max_entries,
             min_entries,
             len,
-            stats: PageStats::default(),
-            buffer: Mutex::new(LruBuffer::new(0)),
+            id: fresh_tree_id(),
         }
     }
 
@@ -342,17 +303,51 @@ mod tests {
     #[test]
     fn read_charges_stats_and_buffer() {
         let t: RStarTree<Point> = RStarTree::with_fanout(8, 3);
-        t.read(0);
-        t.read(0);
-        assert_eq!(t.stats().reads, 2);
-        assert_eq!(t.stats().faults, 2); // no buffer
-        t.set_buffer_pages(4);
-        t.reset_stats();
-        t.read(0);
-        t.read(0);
-        let s = t.stats();
+        let mut meter = IoMeter::default();
+        t.read(0, Some(&meter));
+        t.read_node(0, &meter);
+        t.read(0, None); // unmetered: charged to nobody
+        assert_eq!(meter.snapshot().reads, 2);
+        assert_eq!(meter.snapshot().faults, 2); // no buffer
+        meter.set_buffer_pages(4);
+        let before = meter.snapshot();
+        t.read(0, Some(&meter));
+        t.read(0, Some(&meter));
+        let s = meter.snapshot().since(&before);
         assert_eq!(s.reads, 2);
         assert_eq!(s.faults, 1); // second read hits
+    }
+
+    /// Forks and same-shaped trees reuse page ids; one buffered meter must
+    /// keep their frames apart.
+    #[test]
+    fn buffered_meter_never_hits_across_trees() {
+        let pts: Vec<Point> = (0..40).map(|i| Point::new(i as f64, 0.0)).collect();
+        let a = RStarTree::bulk_load_with_fanout(pts.clone(), 4, 2);
+        let twin = RStarTree::bulk_load_with_fanout(pts, 4, 2);
+        let fork = a.fork();
+        let mut meter = IoMeter::default();
+        meter.set_buffer_pages(16);
+        for tree in [&a, &twin, &fork] {
+            tree.read(tree.root(), Some(&meter));
+        }
+        assert_eq!(meter.snapshot().faults, 3, "one cold read per tree");
+        for tree in [&a, &twin, &fork] {
+            tree.read(tree.root(), Some(&meter));
+        }
+        assert_eq!(meter.snapshot().faults, 3, "each hits its own frame");
+        assert_eq!(meter.snapshot().reads, 6);
+    }
+
+    /// The tree is shareable plain data; the meter is one thread's.
+    #[test]
+    fn tree_is_sync_and_meter_is_not() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<RStarTree<Point>>();
+        assert_send_sync::<RStarTree<Rect>>();
+        // that `IoMeter` is not `Sync` is the compile_fail doctest on it
+        fn assert_send<T: Send>() {}
+        assert_send::<IoMeter>();
     }
 
     #[test]

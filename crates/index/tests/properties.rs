@@ -2,7 +2,7 @@
 //! with linear scans, under both incremental insertion and bulk loading.
 
 use conn_geom::{Point, Rect, Segment};
-use conn_index::RStarTree;
+use conn_index::{IoMeter, RStarTree};
 use proptest::prelude::*;
 
 fn pt() -> impl Strategy<Value = Point> {
@@ -65,9 +65,42 @@ proptest! {
     ) {
         let t = RStarTree::bulk_load_with_fanout(pts.clone(), 8, 3);
         let window = Rect::new(w.0.x, w.0.y, w.0.x + w.1, w.0.y + w.2);
-        let got = t.range(&window);
+        let meter = IoMeter::default();
+        let got = t.range_metered(&window, &meter);
         let want = pts.iter().filter(|p| window.contains(**p)).count();
         prop_assert_eq!(got.len(), want);
+        prop_assert_eq!(t.range(&window).len(), want);
+        prop_assert!(pts.is_empty() || meter.snapshot().reads >= 1);
+    }
+
+    /// The meter observes the traversal, it never steers it: metered and
+    /// unmetered streams are the same sequence, logical reads do not depend
+    /// on the buffer size, and faults never exceed reads (with equality
+    /// when nothing is buffered).
+    #[test]
+    fn meter_observes_without_steering(
+        pts in prop::collection::vec(pt(), 1..300),
+        queries in prop::collection::vec((pt(), 1usize..40), 1..6),
+        buffer_pages in 0usize..24,
+    ) {
+        let t = RStarTree::bulk_load_with_fanout(pts, 6, 2);
+        let unbuffered = IoMeter::default();
+        let mut buffered = IoMeter::default();
+        buffered.set_buffer_pages(buffer_pages);
+        for (q, take) in queries {
+            let plain: Vec<(Point, f64)> = t.nearest_iter(q).take(take).collect();
+            for meter in [&unbuffered, &buffered] {
+                let got: Vec<(Point, f64)> = t.nearest_iter_metered(q, meter).take(take).collect();
+                prop_assert_eq!(&got, &plain);
+            }
+        }
+        let (cold, warm) = (unbuffered.snapshot(), buffered.snapshot());
+        prop_assert_eq!(cold.faults, cold.reads);
+        prop_assert_eq!(warm.reads, cold.reads);
+        prop_assert!(warm.faults <= warm.reads);
+        if buffer_pages == 0 {
+            prop_assert_eq!(warm.faults, warm.reads);
+        }
     }
 
     #[test]

@@ -37,6 +37,16 @@ fn ok(x: Option<u32>) -> u32 { x.unwrap_or(0) }
 fn fine() {}
 ";
     fs::write(dir.join("crates/core/src/lib.rs"), src).expect("write fixture source");
+    // The shared R*-tree regrowing its page counters and buffer lock.
+    fs::create_dir_all(dir.join("crates/index/src")).expect("mkdir index fixture");
+    let tree = "\
+pub struct RStarTree {
+    reads: std::cell::Cell<u64>,                                        // line 2
+    buffer: std::sync::Mutex<Vec<u32>>,                                 // line 3
+    len: usize,
+}
+";
+    fs::write(dir.join("crates/index/src/tree.rs"), tree).expect("write tree fixture");
 }
 
 fn fixture_dir(tag: &str) -> PathBuf {
@@ -67,6 +77,8 @@ fn binary_flags_seeded_fixture_with_file_line_diagnostics() {
         "crates/core/src/lib.rs:5: [no-thread-spawn-outside-pool]",
         "crates/core/src/lib.rs:6: [feature-gate-hygiene]",
         "crates/core/src/lib.rs:8: [no-panic-in-query-path[panic]]",
+        "crates/index/src/tree.rs:2: [no-interior-mutability-in-service[cell]]",
+        "crates/index/src/tree.rs:3: [no-interior-mutability-in-service[lock]]",
     ] {
         assert!(
             stdout.contains(expected),

@@ -38,9 +38,9 @@
 //!   [`coknn_search`], the single-tree variants, baselines) — thin
 //!   wrappers over the service, answering byte-identically;
 //! * the serving internals: [`QueryEngine`] (reset-and-reuse workspace —
-//!   answer many queries with O(1) substrate allocations) and the
-//!   per-family batch front-ends [`conn_batch`] / [`coknn_batch`] with
-//!   [`BatchStats`].
+//!   answer many queries with O(1) substrate allocations; it also owns the
+//!   page meters and LRU buffers its queries' tree I/O is counted on) and
+//!   the [`BatchStats`] of [`ConnService::execute_batch`].
 //!
 //! ## Example
 //!
@@ -100,27 +100,27 @@ pub use conn_vgraph as vgraph;
 
 pub use conn_core::baseline;
 pub use conn_core::{
-    answers_equivalent, build_unified_tree, coknn_batch, coknn_search, coknn_search_single_tree,
-    conn_batch, conn_search, conn_search_single_tree, naive_conn_by_onn, obstructed_closest_pair,
-    obstructed_distance, obstructed_edistance_join, obstructed_path, obstructed_range_search,
-    obstructed_rnn, obstructed_route, onn_search, trajectory_coknn_search, trajectory_conn_batch,
-    trajectory_conn_search, visible_knn, Admission, AdmissionConfig, Answer, BatchStats,
-    CoknnResult, ConnConfig, ConnResult, ConnService, ControlPoint, DataPoint, EnginePool, Error,
-    LiveScene, PatchReport, PinnedEpoch, Query, QueryBuilder, QueryEngine, QueryKind, QueryStats,
-    Response, ResultEntry, ResultList, ReuseCounters, Scene, SceneDelta, SceneEpoch, Shard,
-    ShardSet, ShardSpec, SpatialObject, StandingHandle, SweepMode, Ticket, Trajectory,
-    TrajectoryCoknnSession, TrajectoryResult, TrajectorySession,
+    answers_equivalent, build_unified_tree, coknn_search, coknn_search_single_tree, conn_search,
+    conn_search_single_tree, naive_conn_by_onn, obstructed_closest_pair, obstructed_distance,
+    obstructed_edistance_join, obstructed_path, obstructed_range_search, obstructed_rnn,
+    obstructed_route, onn_search, trajectory_coknn_search, trajectory_conn_search, visible_knn,
+    Admission, AdmissionConfig, Answer, BatchStats, CoknnResult, ConnConfig, ConnResult,
+    ConnService, ControlPoint, DataPoint, EnginePool, Error, LiveScene, PatchReport, PinnedEpoch,
+    Query, QueryBuilder, QueryEngine, QueryKind, QueryStats, Response, ResultEntry, ResultList,
+    ReuseCounters, Scene, SceneDelta, SceneEpoch, Shard, ShardSet, ShardSpec, SpatialObject,
+    StandingHandle, SweepMode, Ticket, Trajectory, TrajectoryCoknnSession, TrajectoryResult,
+    TrajectorySession,
 };
 
 /// Everything a typical user needs, in one import.
 pub mod prelude {
     pub use conn_core::{
-        build_unified_tree, coknn_batch, coknn_search, coknn_search_single_tree, conn_batch,
-        conn_search, conn_search_single_tree, obstructed_distance, obstructed_range_search,
-        obstructed_rnn, onn_search, trajectory_conn_search, Admission, AdmissionConfig, Answer,
-        BatchStats, CoknnResult, ConnConfig, ConnResult, ConnService, DataPoint, Error, LiveScene,
-        PatchReport, PinnedEpoch, Query, QueryEngine, QueryStats, Response, ReuseCounters, Scene,
-        SceneDelta, SceneEpoch, ShardSpec, StandingHandle, Ticket, Trajectory, TrajectorySession,
+        build_unified_tree, coknn_search, coknn_search_single_tree, conn_search,
+        conn_search_single_tree, obstructed_distance, obstructed_range_search, obstructed_rnn,
+        onn_search, trajectory_conn_search, Admission, AdmissionConfig, Answer, BatchStats,
+        CoknnResult, ConnConfig, ConnResult, ConnService, DataPoint, Error, LiveScene, PatchReport,
+        PinnedEpoch, Query, QueryEngine, QueryStats, Response, ReuseCounters, Scene, SceneDelta,
+        SceneEpoch, ShardSpec, StandingHandle, Ticket, Trajectory, TrajectorySession,
     };
     pub use conn_geom::{Interval, Point, Rect, Segment};
     pub use conn_index::{RStarTree, DEFAULT_PAGE_SIZE};

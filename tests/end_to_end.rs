@@ -99,15 +99,15 @@ fn buffer_only_affects_faults() {
     let queries = datasets::query_segments(6, 0.045, 77, &obstacles);
     let cfg = ConnConfig::default();
 
-    let run = |frac: f64| -> (u64, u64) {
-        dt.set_buffer_frac(frac);
-        ot.set_buffer_frac(frac);
-        dt.clear_buffer();
-        ot.clear_buffer();
+    // the buffers are the engine's: one engine runs the whole workload
+    let mut engine = QueryEngine::new(cfg);
+    let mut run = |frac: f64| -> (u64, u64) {
+        engine.set_buffer_frac(frac, &dt, Some(&ot));
+        engine.clear_buffers();
         let mut reads = 0;
         let mut faults = 0;
         for q in &queries {
-            let (_, s) = coknn_search(&dt, &ot, q, 5, &cfg);
+            let (_, s) = engine.coknn(&dt, &ot, q, 5);
             reads += s.reads();
             faults += s.faults();
         }
@@ -115,8 +115,6 @@ fn buffer_only_affects_faults() {
     };
     let (reads0, faults0) = run(0.0);
     let (reads32, faults32) = run(0.32);
-    dt.set_buffer_pages(0);
-    ot.set_buffer_pages(0);
     assert_eq!(reads0, reads32, "logical reads must not depend on buffer");
     assert!(
         faults32 < faults0,
