@@ -1,13 +1,13 @@
-//! Ablation benches (DESIGN.md A1/A2): what each pruning lemma buys, what
-//! the strict refinement loop costs, and the local (IOR) visibility graph
-//! vs the global one.
+//! Ablation benches: what each pruning lemma buys, what the strict
+//! refinement loop costs, and the local (IOR) visibility graph vs the
+//! global one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use conn_bench::{Scale, Workload};
 use conn_core::baseline::sampled_conn;
-use conn_core::{coknn_search, ConnConfig};
+use conn_core::{ConnConfig, QueryEngine};
 use conn_datasets::{Combo, DEFAULT_K, DEFAULT_QL};
 
 fn bench_lemmas(c: &mut Criterion) {
@@ -46,8 +46,9 @@ fn bench_lemmas(c: &mut Criterion) {
     for (label, cfg) in configs {
         group.bench_with_input(BenchmarkId::from_parameter(label), &cfg, |b, cfg| {
             b.iter(|| {
+                let mut engine = QueryEngine::new(*cfg);
                 for q in &w.queries {
-                    let (res, _) = coknn_search(&w.data_tree, &w.obstacle_tree, q, DEFAULT_K, cfg);
+                    let (res, _) = engine.coknn(&w.data_tree, &w.obstacle_tree, q, DEFAULT_K);
                     let _ = black_box(res);
                 }
             })
@@ -69,8 +70,9 @@ fn bench_local_vs_global(c: &mut Criterion) {
     let cfg = ConnConfig::default();
     group.bench_function("exact_local_conn", |b| {
         b.iter(|| {
+            let mut engine = QueryEngine::new(cfg);
             for q in &w.queries {
-                let (res, _) = coknn_search(&w.data_tree, &w.obstacle_tree, q, 1, &cfg);
+                let (res, _) = engine.coknn(&w.data_tree, &w.obstacle_tree, q, 1);
                 let _ = black_box(res);
             }
         })

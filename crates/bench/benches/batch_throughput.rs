@@ -1,4 +1,4 @@
-//! Batch-layer throughput: the legacy one-shot API looped over a 64-query
+//! Batch-layer throughput: a fresh engine per query looped over a 64-query
 //! mixed workload vs a single reused `QueryEngine` vs the parallel
 //! `ConnService::execute_batch` path. All three produce identical results (asserted
 //! before timing); the deltas isolate substrate amortization

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use conn_bench::{Scale, Workload};
-use conn_core::{coknn_search, ConnConfig};
+use conn_core::{ConnConfig, QueryEngine};
 use conn_datasets::DEFAULT_K;
 
 fn bench(c: &mut Criterion) {
@@ -22,8 +22,9 @@ fn bench(c: &mut Criterion) {
         let w = Workload::cl(Scale::SMOKE, ql_pct / 100.0, 3, 2009);
         group.bench_with_input(BenchmarkId::from_parameter(ql_pct), &w, |b, w| {
             b.iter(|| {
+                let mut engine = QueryEngine::new(cfg);
                 for q in &w.queries {
-                    let (res, _) = coknn_search(&w.data_tree, &w.obstacle_tree, q, DEFAULT_K, &cfg);
+                    let (res, _) = engine.coknn(&w.data_tree, &w.obstacle_tree, q, DEFAULT_K);
                     let _ = black_box(res);
                 }
             })

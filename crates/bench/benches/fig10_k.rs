@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use conn_bench::{Scale, Workload};
-use conn_core::{coknn_search, ConnConfig};
+use conn_core::{ConnConfig, QueryEngine};
 use conn_datasets::DEFAULT_QL;
 
 fn bench(c: &mut Criterion) {
@@ -18,8 +18,9 @@ fn bench(c: &mut Criterion) {
     for k in [1usize, 3, 5, 7, 9] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
+                let mut engine = QueryEngine::new(cfg);
                 for q in &w.queries {
-                    let (res, _) = coknn_search(&w.data_tree, &w.obstacle_tree, q, k, &cfg);
+                    let (res, _) = engine.coknn(&w.data_tree, &w.obstacle_tree, q, k);
                     let _ = black_box(res);
                 }
             })

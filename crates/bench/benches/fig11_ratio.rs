@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use conn_bench::{Scale, Workload};
-use conn_core::{coknn_search, ConnConfig};
+use conn_core::{ConnConfig, QueryEngine};
 use conn_datasets::{Combo, DEFAULT_K, DEFAULT_QL};
 
 fn bench(c: &mut Criterion) {
@@ -22,9 +22,9 @@ fn bench(c: &mut Criterion) {
             let w = Workload::with_ratio(combo, Scale::SMOKE, ratio, DEFAULT_QL, 3, 2009);
             group.bench_with_input(BenchmarkId::from_parameter(ratio), &w, |b, w| {
                 b.iter(|| {
+                    let mut engine = QueryEngine::new(cfg);
                     for q in &w.queries {
-                        let (res, _) =
-                            coknn_search(&w.data_tree, &w.obstacle_tree, q, DEFAULT_K, &cfg);
+                        let (res, _) = engine.coknn(&w.data_tree, &w.obstacle_tree, q, DEFAULT_K);
                         let _ = black_box(res);
                     }
                 })

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use conn_bench::{Scale, Workload};
-use conn_core::{coknn_search, coknn_search_single_tree, ConnConfig};
+use conn_core::{ConnConfig, QueryEngine};
 use conn_datasets::{Combo, DEFAULT_K, DEFAULT_QL};
 
 fn bench(c: &mut Criterion) {
@@ -25,16 +25,18 @@ fn bench(c: &mut Criterion) {
         let unified = w.unified_tree();
         group.bench_with_input(BenchmarkId::new("2T", combo.label()), &w, |b, w| {
             b.iter(|| {
+                let mut engine = QueryEngine::new(cfg);
                 for q in &w.queries {
-                    let (res, _) = coknn_search(&w.data_tree, &w.obstacle_tree, q, DEFAULT_K, &cfg);
+                    let (res, _) = engine.coknn(&w.data_tree, &w.obstacle_tree, q, DEFAULT_K);
                     let _ = black_box(res);
                 }
             })
         });
         group.bench_with_input(BenchmarkId::new("1T", combo.label()), &w, |b, w| {
             b.iter(|| {
+                let mut engine = QueryEngine::new(cfg);
                 for q in &w.queries {
-                    let (res, _) = coknn_search_single_tree(&unified, q, DEFAULT_K, &cfg);
+                    let (res, _) = engine.coknn_single_tree(&unified, q, DEFAULT_K);
                     let _ = black_box(res);
                 }
             })

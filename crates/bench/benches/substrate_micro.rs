@@ -1,4 +1,4 @@
-//! Microbenchmarks of the substrates (DESIGN.md S1–S3): R*-tree build and
+//! Microbenchmarks of the substrates: R*-tree build and
 //! query, visibility-graph Dijkstra, visible regions, the split-point
 //! solver, and the arena/SoA sight-test and adjacency kernels.
 

@@ -633,9 +633,8 @@ fn live(args: &Args) {
 /// informational parallel fleet line. Records `BENCH_traj.json`.
 fn traj(args: &Args) {
     use conn_bench::trajectory_results_equivalent;
-    use conn_core::{
-        trajectory_conn_search, trajectory_conn_search_cold, Answer, ConnService, Query, Scene,
-    };
+    use conn_core::baseline::trajectory_conn_cold;
+    use conn_core::{Answer, ConnService, Query, Scene};
 
     let n_traj = args.queries.unwrap_or(12).max(1);
     // 8 legs of 7% of the space side each (the top of the paper's Figure 9
@@ -677,10 +676,17 @@ fn traj(args: &Args) {
         (wall, pct(0.50), pct(0.99), results, pooled)
     };
 
+    let service = ConnService::with_config(Scene::borrowing(&w.data_tree, &w.obstacle_tree), cfg);
     let (cold_wall, cold_p50, cold_p99, cold_results, cold_stats) =
-        timed(&|t| trajectory_conn_search_cold(&w.data_tree, &w.obstacle_tree, t, &cfg));
-    let (sess_wall, sess_p50, sess_p99, sess_results, sess_stats) =
-        timed(&|t| trajectory_conn_search(&w.data_tree, &w.obstacle_tree, t, &cfg));
+        timed(&|t| trajectory_conn_cold(&w.data_tree, &w.obstacle_tree, t, &cfg));
+    let (sess_wall, sess_p50, sess_p99, sess_results, sess_stats) = timed(&|t| {
+        let query = Query::trajectory(t.clone(), 1)
+            .build()
+            .expect("valid route");
+        let resp = service.execute(&query).expect("trajectory query");
+        let plan = resp.answer.into_trajectory().expect("trajectory answer");
+        (plan, resp.stats)
+    });
 
     for (i, (a, b)) in cold_results.iter().zip(&sess_results).enumerate() {
         assert!(
@@ -691,7 +697,6 @@ fn traj(args: &Args) {
     let speedup = cold_wall / sess_wall;
 
     // informational: the same routes as one parallel service batch
-    let service = ConnService::with_config(Scene::borrowing(&w.data_tree, &w.obstacle_tree), cfg);
     let fleet_queries: Vec<Query> = routes
         .iter()
         .map(|t| {
@@ -942,10 +947,11 @@ fn conn_smoke(args: &Args) {
     println!("recorded {out}");
 }
 
-/// `batch`: the batch-layer comparison — legacy one-shot loop vs serial
-/// engine reuse vs the parallel `ConnService::execute_batch` path, on a
-/// mixed workload. Asserts identical results across all three paths and
-/// records the numbers as JSON.
+/// `batch`: the batch-layer comparison — one-shot loop (a fresh engine per
+/// query) vs serial engine reuse vs the parallel
+/// `ConnService::execute_batch` path, on a mixed workload. Asserts
+/// identical results across all three paths and records the numbers as
+/// JSON.
 fn batch(args: &Args) {
     let n_queries = args.batch_queries();
     println!("\n## Batch layer — mixed workload (uniform + clustered + trajectory), k = 1");
@@ -972,11 +978,11 @@ fn batch(args: &Args) {
 
     assert!(
         conn_results_identical(&serial, &engine_results),
-        "engine path diverged from the one-shot API"
+        "engine path diverged from the one-shot loop"
     );
     assert!(
         conn_results_identical(&serial, &batch_results),
-        "batch path diverged from the one-shot API"
+        "batch path diverged from the one-shot loop"
     );
 
     println!(
@@ -991,7 +997,7 @@ fn batch(args: &Args) {
             serial_s / secs
         );
     };
-    row("one-shot API loop", serial_s);
+    row("one-shot loop", serial_s);
     row("serial engine reuse", engine_s);
     row(
         &format!("service batch ({} threads)", stats.threads),
@@ -1338,7 +1344,8 @@ fn serve(args: &Args) {
 /// The paper's §1 motivation: a naive CONN built from m snapshot ONN
 /// queries vs one exact CONN query (same R-trees, same I/O accounting).
 fn motivation(args: &Args) {
-    use conn_core::{conn_search, naive_conn_by_onn};
+    use conn_core::baseline::naive_conn_by_onn;
+    use conn_core::{ConnService, Query, Scene};
     println!("\n## Motivation — naive m-point ONN sampling vs one exact CONN (UL, k = 1)");
     let scale = Scale(args.scale().0.min(1.0 / 64.0)); // the naive side is slow
     let w = Workload::with_ratio(
@@ -1354,10 +1361,13 @@ fn motivation(args: &Args) {
         "{:<16} {:>10} {:>9} {:>9} {:>9}",
         "strategy", "total(s)", "cpu(s)", "reads", "faults"
     );
+    let service = ConnService::with_config(Scene::borrowing(&w.data_tree, &w.obstacle_tree), cfg);
     let mut exact = conn_core::QueryStats::default();
     for q in &w.queries {
-        let (_, s) = conn_search(&w.data_tree, &w.obstacle_tree, q, &cfg);
-        exact.accumulate(&s);
+        let query = Query::conn(*q)
+            .build()
+            .expect("workload segments are valid");
+        exact.accumulate(&service.execute(&query).expect("conn query").stats);
     }
     let e = exact.averaged(w.queries.len() as u64);
     println!(
@@ -1535,7 +1545,8 @@ fn fig13(args: &Args) {
     }
 }
 
-/// Ablation (DESIGN.md A1): pruning lemmas and the strict refinement loop.
+/// Ablation: what each pruning lemma and the strict refinement loop cost
+/// or buy, one switch off at a time against the all-on default.
 fn ablation(args: &Args) {
     println!("\n## Ablation — pruning lemmas & strict mode (UL, k = 5, ql = 4.5%)");
     let w = Workload::with_ratio(

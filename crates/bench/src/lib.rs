@@ -7,8 +7,8 @@
 
 use conn_core::stats::AveragedStats;
 use conn_core::{
-    build_unified_tree, conn_search, BatchStats, ConnConfig, ConnResult, ConnService, DataPoint,
-    Query, QueryEngine, QueryStats, Scene, SpatialObject, Trajectory, TrajectoryResult,
+    build_unified_tree, BatchStats, ConnConfig, ConnResult, ConnService, DataPoint, Query,
+    QueryEngine, QueryStats, Scene, SpatialObject, Trajectory, TrajectoryResult,
 };
 use conn_datasets::{
     la_like, mixed_batch, query_segments, trajectory_routes, Combo, PAPER_CA_SIZE, PAPER_LA_SIZE,
@@ -168,12 +168,16 @@ impl Workload {
         acc.averaged(counted)
     }
 
-    /// Baseline for the batch comparison: loops the legacy one-shot CONN
-    /// API over the workload (fresh substrate per query).
+    /// Baseline for the batch comparison: one-shot CONN, a fresh
+    /// [`QueryEngine`] (fresh substrate) per query.
     pub fn run_conn_serial(&self, cfg: &ConnConfig) -> Vec<ConnResult> {
         self.queries
             .iter()
-            .map(|q| conn_search(&self.data_tree, &self.obstacle_tree, q, cfg).0)
+            .map(|q| {
+                QueryEngine::new(*cfg)
+                    .conn(&self.data_tree, &self.obstacle_tree, q)
+                    .0
+            })
             .collect()
     }
 

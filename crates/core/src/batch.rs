@@ -69,11 +69,11 @@ impl BatchStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coknn::coknn_search;
     use crate::config::ConnConfig;
-    use crate::conn::conn_search;
     use crate::types::DataPoint;
-    use crate::{Answer, ConnService, Query, Response, Scene, Trajectory};
+    use crate::{
+        Answer, ConnService, Query, QueryEngine, Response, Scene, Trajectory, TrajectorySession,
+    };
     use conn_geom::{Point, Rect, Segment};
     use conn_index::{RStarTree, StatsSnapshot};
 
@@ -132,7 +132,7 @@ mod tests {
         assert_eq!(stats.queries, queries.len());
         assert!(stats.threads >= 1 && stats.threads <= 2);
         for (resp, q) in batch.iter().zip(&queries) {
-            let (serial, serial_stats) = conn_search(&dt, &ot, q, &cfg);
+            let (serial, serial_stats) = QueryEngine::new(cfg).conn(&dt, &ot, q);
             let res = resp.answer.as_conn().unwrap();
             assert_eq!(res.entries().len(), serial.entries().len());
             for (x, y) in res.entries().iter().zip(serial.entries()) {
@@ -159,7 +159,7 @@ mod tests {
         let (batch, stats) = run(&dt, &ot, typed, 0);
         assert_eq!(batch.len(), queries.len());
         for (resp, q) in batch.iter().zip(&queries) {
-            let (serial, _) = coknn_search(&dt, &ot, q, 3, &cfg);
+            let (serial, _) = QueryEngine::new(cfg).coknn(&dt, &ot, q, 3);
             let res = resp.answer.as_coknn().unwrap();
             assert_eq!(res.entries().len(), serial.entries().len());
         }
@@ -196,7 +196,11 @@ mod tests {
                 panic!("trajectory query answered as {}", resp.answer.family());
             };
             res.check_cover().unwrap();
-            let (serial, _) = crate::trajectory::trajectory_conn_search(&dt, &ot, traj, &cfg);
+            let mut session = TrajectorySession::new(&dt, &ot, traj.vertices()[0], cfg);
+            for &v in &traj.vertices()[1..] {
+                session.push_leg(v);
+            }
+            let (serial, _) = session.finish();
             assert_eq!(res.segments().len(), serial.segments().len());
             for (a, b) in res.segments().iter().zip(serial.segments()) {
                 assert_eq!(a.0.map(|p| p.id), b.0.map(|p| p.id));

@@ -15,15 +15,13 @@
 //! traversal instead of merely being filtered out of the result.
 
 // lint:allow-file(no-panic-in-query-path[index]): k-list slots are allocated up front; member indices are bounded by k
-use conn_geom::{Interval, Rect, Segment, EPS};
-use conn_index::RStarTree;
+use conn_geom::{Interval, Segment, EPS};
 
 use crate::config::ConnConfig;
 use crate::conn::ResultSink;
 use crate::cpl::ControlPointList;
 use crate::dist::ControlPoint;
 use crate::split::crossing_params;
-use crate::stats::QueryStats;
 use crate::types::DataPoint;
 
 /// One member of an interval's ONN set.
@@ -267,6 +265,28 @@ impl ResultSink for KnnResultList {
 }
 
 /// Answer of a COkNN query.
+///
+/// ```
+/// use conn_core::{ConnService, DataPoint, Query, Scene};
+/// use conn_geom::{Point, Rect, Segment};
+///
+/// let service = ConnService::new(Scene::new(
+///     vec![
+///         DataPoint::new(0, Point::new(20.0, 30.0)),
+///         DataPoint::new(1, Point::new(60.0, 20.0)),
+///         DataPoint::new(2, Point::new(90.0, 40.0)),
+///     ],
+///     vec![Rect::new(45.0, 5.0, 55.0, 35.0)],
+/// ));
+/// let q = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
+///
+/// let response = service.execute(&Query::coknn(q, 2).build()?)?;
+/// let result = response.answer.as_coknn().expect("coknn answer");
+/// let two_nearest = result.knn_at(50.0);
+/// assert_eq!(two_nearest.len(), 2);
+/// assert!(two_nearest[0].1 <= two_nearest[1].1);
+/// # Ok::<(), conn_core::Error>(())
+/// ```
 #[derive(Debug, Clone)]
 #[must_use]
 pub struct CoknnResult {
@@ -329,52 +349,12 @@ impl CoknnResult {
     }
 }
 
-/// COkNN search over two separate R-trees.
-///
-/// ```
-/// use conn_core::{coknn_search, ConnConfig, DataPoint};
-/// use conn_geom::{Point, Rect, Segment};
-/// use conn_index::RStarTree;
-///
-/// let points = RStarTree::bulk_load(
-///     vec![
-///         DataPoint::new(0, Point::new(20.0, 30.0)),
-///         DataPoint::new(1, Point::new(60.0, 20.0)),
-///         DataPoint::new(2, Point::new(90.0, 40.0)),
-///     ],
-///     4096,
-/// );
-/// let obstacles = RStarTree::bulk_load(vec![Rect::new(45.0, 5.0, 55.0, 35.0)], 4096);
-/// let q = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
-///
-/// let (result, _) = coknn_search(&points, &obstacles, &q, 2, &ConnConfig::default());
-/// let two_nearest = result.knn_at(50.0);
-/// assert_eq!(two_nearest.len(), 2);
-/// assert!(two_nearest[0].1 <= two_nearest[1].1);
-/// ```
-pub fn coknn_search(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    q: &Segment,
-    k: usize,
-    cfg: &ConnConfig,
-) -> (CoknnResult, QueryStats) {
-    let service =
-        crate::ConnService::with_config(crate::Scene::borrowing(data_tree, obstacle_tree), *cfg);
-    let query = crate::Query::coknn(*q, k)
-        .build()
-        .unwrap_or_else(|e| panic!("{e}")); // lint:allow(no-panic-in-query-path)
-    let resp = service.execute(&query).unwrap_or_else(|e| panic!("{e}")); // lint:allow(no-panic-in-query-path)
-                                                                          // Infallible: the service answers each query kind with its own family.
-                                                                          // lint:allow(no-panic-in-query-path)
-    let res = resp.answer.into_coknn().expect("coknn answer");
-    (res, resp.stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conn_geom::Point;
+    use crate::{QueryEngine, QueryStats};
+    use conn_geom::{Point, Rect};
+    use conn_index::RStarTree;
 
     fn q() -> Segment {
         Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0))
@@ -383,7 +363,7 @@ mod tests {
     fn search(points: Vec<DataPoint>, obstacles: Vec<Rect>, k: usize) -> (CoknnResult, QueryStats) {
         let dt = RStarTree::bulk_load(points, 4096);
         let ot = RStarTree::bulk_load(obstacles, 4096);
-        coknn_search(&dt, &ot, &q(), k, &ConnConfig::default())
+        QueryEngine::default().coknn(&dt, &ot, &q(), k)
     }
 
     fn pts() -> Vec<DataPoint> {

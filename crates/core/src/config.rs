@@ -1,23 +1,34 @@
 //! Tunables for the CONN/COkNN search algorithms.
 
 use conn_geom::Segment;
-use conn_vgraph::{Goal, SweepMode, DEFAULT_GROWTH_MARGIN};
+use conn_vgraph::{Goal, SweepMode};
 
-/// Which obstructed-distance kernel the query families run on.
+/// Which obstructed-distance kernel the query families run on. The two
+/// kernels answer identically (the `engine_equivalence` suite pins it);
+/// they differ only in the work spent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Blind Dijkstra expansion (`h ≡ 0`): the paper's traversal *order*.
-    /// Engine-level machinery that is heuristic-independent still applies
-    /// under this mode — Lemma 7's `CPLMAX` acts as an expansion bound
-    /// (keyed by plain `d`), and the radius-bounded adjacency caches
-    /// follow from whatever bound is active — so `Blind` isolates the
-    /// *goal heuristic* for comparison rather than reverting every
-    /// engine optimization.
+    /// The reference kernel every speedup is measured against: blind
+    /// Dijkstra expansion (`h ≡ 0`, the paper's traversal *order*), a cold
+    /// heap per search, and no result-list cap on CPLC or the obstacle
+    /// loads that certify it. Machinery that depends on neither heuristic
+    /// nor warm labels still applies — Lemma 7's `CPLMAX` acts as an
+    /// expansion bound (keyed by plain `d`), and the radius-bounded
+    /// adjacency caches follow from whatever bound is active — so the
+    /// recorded speedups *understate* the distance to the original literal
+    /// traversal.
     Blind,
-    /// Goal-directed A*: searches are keyed by `d + h` with an admissible
-    /// Euclidean heuristic toward the query (segment for IOR/CPLC, point
-    /// for odist), so pruning thresholds stop *expansion* instead of just
-    /// filtering settled nodes. Results are identical to `Blind`.
+    /// The served kernel. Goal-directed A*: searches are keyed by `d + h`
+    /// with an admissible Euclidean heuristic toward the query (segment
+    /// for IOR/CPLC, point for odist), so pruning thresholds stop
+    /// *expansion* instead of just filtering settled nodes. Warm labels:
+    /// CPLC replays the settled prefix of the IOR search it follows (same
+    /// source, goal and graph), and repeated searches across obstacle
+    /// loads reseed from labels whose witness paths the new obstacles do
+    /// not cross. Result-list cap: the sink's Lemma 2 bound (`RLMAX`, or
+    /// the k-th bound for COkNN) caps CPLC's expansion and the
+    /// strict-refinement loads — control points whose best possible value
+    /// exceeds it can never change the result.
     #[default]
     GoalDirected,
 }
@@ -41,13 +52,33 @@ impl KernelMode {
             KernelMode::GoalDirected => Goal::Point(target),
         }
     }
+
+    /// Whether searches continue from the labels of the search before them
+    /// (replay, reseed) instead of starting on a cold heap.
+    #[inline]
+    pub(crate) fn warm_labels(self) -> bool {
+        self == KernelMode::GoalDirected
+    }
+
+    /// The result sink's Lemma 2 bound as a cap on CPLC expansion and on
+    /// the obstacle loads that certify its values (∞ = uncapped, under the
+    /// reference kernel).
+    #[inline]
+    pub(crate) fn result_cap(self, outer_bound: f64) -> f64 {
+        match self {
+            KernelMode::Blind => f64::INFINITY,
+            KernelMode::GoalDirected => outer_bound,
+        }
+    }
 }
 
-/// Configuration of the search pipeline.
+/// Configuration of the search pipeline, fixed per engine (and per
+/// service) at construction.
 ///
-/// The three lemma switches exist for the ablation experiments (DESIGN.md
-/// A1); production use keeps everything on. All switches preserve
-/// correctness — they only trade pruning work.
+/// The three lemma switches exist for the pruning-ablation experiment
+/// (`repro ablation`, the `ablation_pruning` bench); production use keeps
+/// everything on. All switches preserve correctness — they only trade
+/// pruning work.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnConfig {
     /// Lemma 1 endpoint shortcut in RLU/CPLC: skip the quadratic when the
@@ -58,47 +89,27 @@ pub struct ConnConfig {
     pub use_lemma6: bool,
     /// Lemma 7 early termination of the CPLC graph traversal.
     pub use_lemma7: bool,
-    /// Strict refinement loop (DESIGN.md §4): after CPLC, if a control-point
-    /// value exceeds the obstacle-loading threshold, load further obstacles
-    /// and recompute. Guarantees exactness in deep-shadow corner cases the
-    /// paper's literal IOR bound does not cover. Off = the paper's literal
-    /// algorithm.
+    /// Strict refinement loop: after CPLC, if a control-point value exceeds
+    /// the obstacle-loading threshold, load further obstacles and
+    /// recompute. IOR (Lemma 4) loads the obstacles within
+    /// `max(‖p,S‖, ‖p,E‖)` of `q`, but the obstructed distance from `p` to
+    /// an *interior* point of `q` can exceed both endpoint distances (a
+    /// stretch of `q` deep in an obstacle's shadow), and a path that long
+    /// may cross obstacles IOR never loaded. A control-point value is exact
+    /// only once every obstacle within that value of `q` is loaded; the
+    /// loop loads up to it and recomputes until that holds. Off = the
+    /// paper's literal algorithm.
     pub strict_refinement: bool,
     /// Spatial-hash cell size for the local visibility graph's obstacle
     /// index, in workspace units.
     pub vgraph_cell: f64,
     /// Which obstructed-distance kernel to run searches on.
     pub kernel: KernelMode,
-    /// Warm label continuation: let CPLC replay the settled prefix of the
-    /// IOR search it follows (same source, goal and graph), and let
-    /// repeated searches across obstacle loads reseed from labels whose
-    /// witness paths the new obstacles do not cross, instead of cold
-    /// heaps. Results are identical either way.
-    pub label_continuation: bool,
-    /// Feed the result sink's Lemma 2 bound (`RLMAX`, or the k-th bound
-    /// for COkNN) into CPLC as an extra expansion/refinement cap: control
-    /// points whose best possible value exceeds it can never change the
-    /// result, so their expansion — and the strict-refinement loads that
-    /// would certify them — is skipped. Results are identical either way.
-    pub use_rlu_bound: bool,
-    /// Trajectory sessions only: seed each new leg's pruning bound from
-    /// the previous leg's answer at the shared joint. The obstructed NN
-    /// distance is 1-Lipschitz along an unblocked leg, so
-    /// `d(joint) + leg_len` upper-bounds the final `RLMAX` of the leg
-    /// before a single point is evaluated — capping the point stream and
-    /// the early obstacle loads. Applied only when the leg is verified
-    /// unblocked; answers are identical either way.
-    pub seed_leg_bound: bool,
     /// When adjacency-cache builds use the rotational plane-sweep instead
     /// of per-candidate grid walks. Edge lists — and therefore results —
     /// are bit-identical in every mode; only the work to derive them
     /// changes (see `conn_vgraph::sweep`).
     pub sweep: SweepMode,
-    /// Speculative radius-growth margin of bounded adjacency-cache builds:
-    /// a request for radius `r` builds out to `r ×` this so the next
-    /// slightly-larger request costs only the annulus. Values below `1.0`
-    /// are clamped at the use site — any setting yields correct caches.
-    pub growth_margin: f64,
 }
 
 impl Default for ConnConfig {
@@ -110,24 +121,18 @@ impl Default for ConnConfig {
             strict_refinement: true,
             vgraph_cell: 50.0,
             kernel: KernelMode::GoalDirected,
-            label_continuation: true,
-            use_rlu_bound: true,
-            seed_leg_bound: true,
             sweep: SweepMode::Auto,
-            growth_margin: DEFAULT_GROWTH_MARGIN,
         }
     }
 }
 
 impl ConnConfig {
-    /// The paper's literal algorithm: all pruning lemmas, blind Dijkstra,
-    /// cold heaps, no strict refinement loop.
+    /// The paper's literal algorithm: all pruning lemmas, the reference
+    /// kernel, no strict refinement loop.
     pub fn paper() -> Self {
         ConnConfig {
             strict_refinement: false,
             kernel: KernelMode::Blind,
-            label_continuation: false,
-            use_rlu_bound: false,
             ..ConnConfig::default()
         }
     }
@@ -142,26 +147,12 @@ impl ConnConfig {
         }
     }
 
-    /// Applies this config's visibility-substrate tuning — sweep mode and
-    /// speculative growth margin — to a graph a query family builds on.
-    pub(crate) fn tune_graph(&self, g: &mut conn_vgraph::VisGraph) {
-        g.set_sweep_mode(self.sweep);
-        g.set_growth_margin(self.growth_margin);
-    }
-
-    /// The pre-goal-directed kernel on otherwise default settings: blind
-    /// Dijkstra, no label continuation, no RLU expansion cap. This is the
-    /// baseline the `BENCH_conn.json` speedup and the `odist_kernel` bench
-    /// measure the goal-directed kernel against. Heuristic-independent
-    /// engine machinery (Lemma 7 as an expansion stopper, radius-bounded
-    /// adjacency caches) stays on — see [`KernelMode::Blind`] — so the
-    /// recorded speedup isolates heuristic + continuation + RLU capping
-    /// and *understates* the distance to the original literal traversal.
+    /// The reference kernel ([`KernelMode::Blind`]) on otherwise default
+    /// settings — the baseline the `BENCH_conn.json` speedup and the
+    /// `odist_kernel` bench measure the served kernel against.
     pub fn baseline_kernel() -> Self {
         ConnConfig {
             kernel: KernelMode::Blind,
-            label_continuation: false,
-            use_rlu_bound: false,
             ..ConnConfig::default()
         }
     }
@@ -177,10 +168,9 @@ mod tests {
         assert!(c.use_lemma1 && c.use_lemma6 && c.use_lemma7 && c.strict_refinement);
         assert!(c.vgraph_cell > 0.0);
         assert_eq!(c.kernel, KernelMode::GoalDirected);
-        assert!(c.label_continuation && c.use_rlu_bound);
-        assert!(c.seed_leg_bound);
+        assert!(c.kernel.warm_labels());
+        assert_eq!(c.kernel.result_cap(7.0), 7.0);
         assert_eq!(c.sweep, SweepMode::Auto);
-        assert!((c.growth_margin - DEFAULT_GROWTH_MARGIN).abs() < 1e-12);
     }
 
     #[test]
@@ -192,9 +182,16 @@ mod tests {
         assert!(!np.use_lemma1 && !np.use_lemma6 && !np.use_lemma7);
         assert!(np.strict_refinement);
         let base = ConnConfig::baseline_kernel();
-        assert_eq!(base.kernel, KernelMode::Blind);
-        assert!(!base.label_continuation && !base.use_rlu_bound);
-        assert!(base.strict_refinement, "baseline differs only in kernel");
+        assert!(!base.kernel.warm_labels());
+        assert_eq!(base.kernel.result_cap(7.0), f64::INFINITY);
+        assert_eq!(
+            base,
+            ConnConfig {
+                kernel: KernelMode::Blind,
+                ..ConnConfig::default()
+            },
+            "baseline differs only in kernel"
+        );
     }
 
     #[test]

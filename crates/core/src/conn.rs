@@ -10,8 +10,7 @@
 //! allocations.
 
 // lint:allow-file(no-panic-in-query-path[index]): indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)
-use conn_geom::{Interval, Rect, Segment, EPS};
-use conn_index::RStarTree;
+use conn_geom::{Interval, Segment, EPS};
 use conn_vgraph::NodeKind;
 
 use crate::config::ConnConfig;
@@ -19,7 +18,6 @@ use crate::cpl::{cplc_bounded, ControlPointList};
 use crate::engine::{Meters, Workspace};
 use crate::ior::ior;
 use crate::rlu::{ResultEntry, ResultList, RluScratch};
-use crate::stats::QueryStats;
 use crate::streams::QueryStreams;
 use crate::types::DataPoint;
 
@@ -87,7 +85,7 @@ pub(crate) fn run_search<S: QueryStreams, R: ResultSink>(
     ws: &mut Workspace,
     io: &Meters,
 ) -> LoopTelemetry {
-    ws.begin_query(cfg, io);
+    ws.begin_query(io);
     let s_node = ws.g.add_point(q.a, NodeKind::Endpoint);
     let e_node = ws.g.add_point(q.b, NodeKind::Endpoint);
     run_leg(streams, q, cfg, sink, ws, s_node, e_node, f64::INFINITY)
@@ -134,11 +132,6 @@ pub(crate) fn run_leg<S: QueryStreams, R: ResultSink>(
 
         let p_node = ws.g.add_point(p.pos, NodeKind::DataPoint);
         ws.vr_cache.invalidate(p_node);
-        let ior_cap = if cfg.use_rlu_bound {
-            outer_bound
-        } else {
-            f64::INFINITY
-        };
         ior(
             q,
             &mut ws.g,
@@ -149,7 +142,7 @@ pub(crate) fn run_leg<S: QueryStreams, R: ResultSink>(
             &mut ws.ior_state,
             &mut ws.dij,
             cfg,
-            ior_cap,
+            cfg.kernel.result_cap(outer_bound),
         );
         let mut cpl = cplc_bounded(
             q,
@@ -176,14 +169,15 @@ pub(crate) fn run_leg<S: QueryStreams, R: ResultSink>(
     }
 }
 
-/// Strict refinement loop (DESIGN.md §4): re-run CPLC after loading more
-/// obstacles whenever (a) parts of `q` are still invisible to every local
-/// node, or (b) a control-point value exceeds the loaded threshold, meaning
-/// an unloaded obstacle could still shorten it. Terminates because the
-/// threshold grows monotonically and the obstacle set is finite.
+/// Strict refinement loop ([`ConnConfig::strict_refinement`]): re-run CPLC
+/// after loading more obstacles whenever (a) parts of `q` are still
+/// invisible to every local node, or (b) a control-point value exceeds the
+/// loaded threshold, meaning an unloaded obstacle could still block its
+/// path. Terminates because the threshold grows monotonically and the
+/// obstacle set is finite.
 ///
-/// `outer_bound` (the sink's Lemma 2 bound, under `use_rlu_bound`) caps the
-/// certification threshold: a recorded value can only decide the result
+/// `outer_bound` (the sink's Lemma 2 bound, under the served kernel) caps
+/// the certification threshold: a recorded value can only decide the result
 /// where it beats the incumbent, which requires it to be below the bound —
 /// values above it may stay uncertified upper bounds without affecting the
 /// answer, and the obstacle loads that would certify them are skipped. Each
@@ -198,11 +192,7 @@ fn refine_to_fixpoint<S: QueryStreams>(
     cpl: &mut ControlPointList,
     outer_bound: f64,
 ) {
-    let cap = if cfg.use_rlu_bound {
-        outer_bound
-    } else {
-        f64::INFINITY
-    };
+    let cap = cfg.kernel.result_cap(outer_bound);
     loop {
         // Unassigned intervals mean geometry under-coverage only in an
         // *uncapped* traversal. Under a finite cap, every parameter whose
@@ -324,41 +314,12 @@ impl ConnResult {
     }
 }
 
-/// CONN search over two separate R-trees (paper Algorithm 4).
-///
-/// Returns the result list and the paper's per-query metrics — exactly
-/// this query's footprint, tree I/O included.
-///
-/// This is the legacy one-shot API, kept as a thin wrapper over the typed
-/// service ([`crate::ConnService`]) so both surfaces answer byte-identically
-/// by construction. It builds a throwaway service (and engine) per call;
-/// callers answering many queries should hold a [`crate::ConnService`] or a
-/// [`crate::QueryEngine`] (or use [`crate::ConnService::execute_batch`]) to amortize substrate
-/// allocations across queries. Invalid input (degenerate/NaN segment)
-/// panics here — the service's [`crate::Query::conn`] builder is the
-/// non-panicking path.
-pub fn conn_search(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    q: &Segment,
-    cfg: &ConnConfig,
-) -> (ConnResult, QueryStats) {
-    let service =
-        crate::ConnService::with_config(crate::Scene::borrowing(data_tree, obstacle_tree), *cfg);
-    let query = crate::Query::conn(*q)
-        .build()
-        .unwrap_or_else(|e| panic!("{e}")); // lint:allow(no-panic-in-query-path)
-    let resp = service.execute(&query).unwrap_or_else(|e| panic!("{e}")); // lint:allow(no-panic-in-query-path)
-                                                                          // Infallible: the service answers each query kind with its own family.
-                                                                          // lint:allow(no-panic-in-query-path)
-    let conn = resp.answer.into_conn().expect("conn answer");
-    (conn, resp.stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conn_geom::Point;
+    use crate::{QueryEngine, QueryStats};
+    use conn_geom::{Point, Rect};
+    use conn_index::RStarTree;
 
     fn q() -> Segment {
         Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0))
@@ -367,7 +328,7 @@ mod tests {
     fn search(points: Vec<DataPoint>, obstacles: Vec<Rect>) -> (ConnResult, QueryStats) {
         let dt = RStarTree::bulk_load(points, 4096);
         let ot = RStarTree::bulk_load(obstacles, 4096);
-        conn_search(&dt, &ot, &q(), &ConnConfig::default())
+        QueryEngine::default().conn(&dt, &ot, &q())
     }
 
     #[test]
@@ -497,6 +458,6 @@ mod tests {
         let dt = RStarTree::bulk_load(vec![DataPoint::new(0, Point::new(1.0, 1.0))], 4096);
         let ot: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
         let bad = Segment::new(Point::new(5.0, 5.0), Point::new(5.0, 5.0));
-        let _ = conn_search(&dt, &ot, &bad, &ConnConfig::default());
+        let _ = QueryEngine::default().conn(&dt, &ot, &bad);
     }
 }

@@ -270,7 +270,7 @@ pub fn cplc(
 /// [`crate::KernelMode::GoalDirected`] nodes settle in ascending
 /// `f(v) = d(v) + mindist(v, q)` — a lower bound on the best value `v` can
 /// contribute *anywhere* on `q` — which makes the Lemma 7 cut strictly
-/// sharper than the paper's `d(v) ≥ CPLMAX`. With label continuation on,
+/// sharper than the paper's `d(v) ≥ CPLMAX`. With its warm labels,
 /// the search **replays** the settled prefix of the IOR run that preceded
 /// it (same source, goal and graph version) instead of re-expanding it.
 ///
@@ -300,12 +300,8 @@ pub fn cplc_bounded(
 ) -> ControlPointList {
     let mut cpl = ControlPointList::new(q.len());
     let goal = cfg.kernel.goal(q);
-    let outer = if cfg.use_rlu_bound {
-        outer_bound
-    } else {
-        f64::INFINITY
-    };
-    dij.ensure_prepared(g, p_node, goal, cfg.label_continuation);
+    let outer = cfg.kernel.result_cap(outer_bound);
+    dij.ensure_prepared(g, p_node, goal, cfg.kernel.warm_labels());
     // The break threshold mirrors the engine's expansion bound (the outer
     // cap while any interval is unassigned, then `min(CPLMAX, outer)`); it
     // must be checked here too because a replayed settlement tape bypasses

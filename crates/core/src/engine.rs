@@ -1,25 +1,28 @@
 //! The reusable query engine and its workspace.
 //!
-//! The free functions ([`crate::conn_search`], [`crate::coknn_search`], …)
-//! answer one query on fresh state: a new visibility graph, new Dijkstra
-//! labels, a new visible-region cache. That is faithful to the paper but
-//! wasteful for a server answering a stream of queries — every query pays
-//! the same substrate allocations again.
+//! The paper answers one query on fresh state: a new visibility graph, new
+//! Dijkstra labels, a new visible-region cache. A server answering a stream
+//! of queries would pay the same substrate allocations again per query.
 //!
 //! [`QueryEngine`] owns all of that per-query scratch state in a
 //! [`Workspace`] behind reset-and-reuse APIs: answering N queries performs
-//! O(1) substrate allocations instead of O(N). The engine is deliberately
-//! `!Sync` — one engine serves one thread; the persistent
-//! [`crate::EnginePool`] keeps one engine per worker slot (each slot
-//! mutex-owned, so the pool itself is `Sync`) over the shared (immutable,
-//! `Sync`) R\*-trees. The engine also owns what those trees do not: the
-//! page meters (and their LRU buffers) that every tree traversal of its
-//! queries is charged to, read off per query by the same counter window
-//! that produces the [`ReuseCounters`].
-//! [`crate::ConnService`] holds such a pool for its whole lifetime: warm
-//! engines survive across queries, batches *and* epoch publishes, since
-//! the reuse contract below never lets retained capacity leak answers
-//! from one scene into another.
+//! O(1) substrate allocations instead of O(N). It is what
+//! [`crate::ConnService`] runs every query on, and the direct entry point
+//! for single-threaded figure and bench code and for the two families
+//! without a [`crate::QueryKind`] (the single-tree layout of §4.5 and
+//! [`QueryEngine::visible_knn`]). Its [`ConnConfig`] is fixed at
+//! construction.
+//!
+//! The engine is deliberately `!Sync` — one engine serves one thread; the
+//! persistent [`crate::EnginePool`] keeps one engine per worker slot (each
+//! slot mutex-owned, so the pool itself is `Sync`) over the shared
+//! (immutable, `Sync`) R\*-trees. The engine also owns what those trees do
+//! not: the page meters (and their LRU buffers) that every tree traversal
+//! of its queries is charged to, read off per query by the same counter
+//! window that produces the [`ReuseCounters`]. [`crate::ConnService`] holds
+//! such a pool for its whole lifetime: warm engines survive across queries,
+//! batches *and* epoch publishes, since the reuse contract below never lets
+//! retained capacity leak answers from one scene into another.
 //!
 //! ## Reuse contract
 //!
@@ -95,17 +98,14 @@ pub struct Workspace {
     io_mark: (StatsSnapshot, StatsSnapshot),
 }
 
-impl Default for Workspace {
-    fn default() -> Self {
-        Workspace::new(ConnConfig::default().vgraph_cell)
-    }
-}
-
 impl Workspace {
-    /// A workspace whose obstacle grid uses the given cell size.
-    pub fn new(cell: f64) -> Self {
+    /// A workspace whose visibility graph carries `cfg`'s substrate tuning
+    /// (grid cell size, sweep mode) for every query it will serve.
+    pub fn new(cfg: &ConnConfig) -> Self {
+        let mut g = VisGraph::new(cfg.vgraph_cell);
+        g.set_sweep_mode(cfg.sweep);
         Workspace {
-            g: VisGraph::new(cell),
+            g,
             dij: DijkstraEngine::default(),
             vr_cache: VrCache::default(),
             ior_state: IorState::default(),
@@ -120,19 +120,14 @@ impl Workspace {
 
     /// Rewinds the workspace for a new query: clears all query-visible
     /// state, retains allocations, opens the counter window over the
-    /// substrate and `io`. The graph picks up `cfg`'s substrate tuning
-    /// (cell size, sweep mode, growth margin) for the query.
-    pub(crate) fn begin_query(&mut self, cfg: &ConnConfig, io: &Meters) {
-        let cell = cfg.vgraph_cell;
+    /// substrate and `io`.
+    pub(crate) fn begin_query(&mut self, io: &Meters) {
         self.current = ReuseCounters::default();
         if self.primed {
             self.current.graph_reuses = 1;
-            self.current.nodes_retained = self.g.reset_with_cell(cell) as u64;
-        } else if (self.g.grid_cell() - cell).abs() > f64::EPSILON {
-            self.g = VisGraph::new(cell);
+            self.current.nodes_retained = self.g.reset() as u64;
         }
         self.loaded.clear();
-        cfg.tune_graph(&mut self.g);
         self.begin_window(io);
     }
 
@@ -142,11 +137,10 @@ impl Workspace {
     /// rectangle (and every previous leg's endpoint node) stays valid. The
     /// visible-region cache and the IOR loading threshold are cleared
     /// because both are keyed to the goal segment, which changes per leg.
-    pub(crate) fn begin_leg(&mut self, cfg: &ConnConfig, io: &Meters) {
+    pub(crate) fn begin_leg(&mut self, io: &Meters) {
         self.current = ReuseCounters::default();
         self.current.graph_reuses = 1; // the graph survives, loaded
         self.current.nodes_retained = self.g.num_nodes() as u64;
-        cfg.tune_graph(&mut self.g);
         self.begin_window(io);
     }
 
@@ -212,8 +206,9 @@ impl Workspace {
     }
 }
 
-/// A long-lived query engine: configuration, a reusable [`Workspace`] and
-/// the page meters every tree traversal of its queries is charged to.
+/// A long-lived query engine: a configuration fixed at construction, a
+/// reusable [`Workspace`] and the page meters every tree traversal of its
+/// queries is charged to.
 ///
 /// Each returned [`QueryStats`] carries exactly the tree I/O of its own
 /// query — the meters are the engine's, not the trees', so engines running
@@ -261,7 +256,7 @@ impl QueryEngine {
     /// An engine with a fresh workspace sized for `cfg`.
     pub fn new(cfg: ConnConfig) -> Self {
         QueryEngine {
-            ws: Workspace::new(cfg.vgraph_cell),
+            ws: Workspace::new(&cfg),
             cfg,
             io: Meters::default(),
         }
@@ -270,14 +265,6 @@ impl QueryEngine {
     /// The configuration every query on this engine runs under.
     pub fn config(&self) -> &ConnConfig {
         &self.cfg
-    }
-
-    /// Swaps the engine's configuration for subsequent queries (the typed
-    /// service applies per-query [`ConnConfig`] overrides this way). The
-    /// workspace rewind at the next query start picks up the new grid cell
-    /// size; retained allocations survive.
-    pub fn set_config(&mut self, cfg: ConnConfig) {
-        self.cfg = cfg;
     }
 
     /// Sizes the engine's LRU page buffers, in pages: `data` for the point
@@ -416,8 +403,6 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coknn::coknn_search;
-    use crate::conn::conn_search;
     use conn_geom::Point;
 
     fn setup() -> (RStarTree<DataPoint>, RStarTree<Rect>, Vec<Segment>) {
@@ -453,18 +438,22 @@ mod tests {
         }
     }
 
+    /// The reference a reused engine is held to is a fresh engine per
+    /// query: bitwise the same answer, the same work and the same tree I/O.
     #[test]
     fn reused_engine_matches_free_functions() {
         let (dt, ot, queries) = setup();
-        let cfg = ConnConfig::default();
-        let mut engine = QueryEngine::new(cfg);
+        let mut engine = QueryEngine::default();
         for (i, q) in queries.iter().enumerate() {
-            let (fresh, fresh_stats) = conn_search(&dt, &ot, q, &cfg);
+            let (fresh, fresh_stats) = QueryEngine::default().conn(&dt, &ot, q);
             let (reused, stats) = engine.conn(&dt, &ot, q);
             assert_same_conn(&fresh, &reused);
             assert_eq!(stats.npe, fresh_stats.npe);
             assert_eq!(stats.noe, fresh_stats.noe);
             assert_eq!(stats.svg_nodes, fresh_stats.svg_nodes);
+            assert_eq!(stats.data_io, fresh_stats.data_io);
+            assert_eq!(stats.obstacle_io, fresh_stats.obstacle_io);
+            assert_eq!(fresh_stats.reuse.graph_reuses, 0);
             assert_eq!(stats.reuse.graph_reuses, u64::from(i > 0));
             if i > 0 {
                 assert!(stats.reuse.heap_reuses > 0, "no Dijkstra reuse recorded");
@@ -475,11 +464,10 @@ mod tests {
     #[test]
     fn reused_engine_matches_coknn() {
         let (dt, ot, queries) = setup();
-        let cfg = ConnConfig::default();
-        let mut engine = QueryEngine::new(cfg);
+        let mut engine = QueryEngine::default();
         for q in &queries {
             for k in [1usize, 2, 3] {
-                let (fresh, _) = coknn_search(&dt, &ot, q, k, &cfg);
+                let (fresh, _) = QueryEngine::default().coknn(&dt, &ot, q, k);
                 let (reused, _) = engine.coknn(&dt, &ot, q, k);
                 assert_eq!(fresh.entries().len(), reused.entries().len());
                 for (x, y) in fresh.entries().iter().zip(reused.entries()) {
@@ -497,14 +485,13 @@ mod tests {
     #[test]
     fn interleaved_query_kinds_stay_clean() {
         let (dt, ot, queries) = setup();
-        let cfg = ConnConfig::default();
-        let mut engine = QueryEngine::new(cfg);
+        let mut engine = QueryEngine::default();
         for q in &queries {
             let (c1, _) = engine.conn(&dt, &ot, q);
             let (d, _) = engine.obstructed_distance(&ot, q.a, q.b);
             assert!(d >= q.len() - 1e-9);
             let (k1, _) = engine.coknn(&dt, &ot, q, 2);
-            let (c2, _) = conn_search(&dt, &ot, q, &cfg);
+            let (c2, _) = QueryEngine::default().conn(&dt, &ot, q);
             assert_same_conn(&c1, &c2);
             k1.check_cover().unwrap();
         }

@@ -23,7 +23,7 @@ use conn_geom::Point;
 
 use crate::config::ConnConfig;
 use crate::service::Scene;
-use crate::session::{TrajectoryCoknnSession, TrajectorySession};
+use crate::session::TrajectorySession;
 use crate::shard::{ShardSet, ShardSpec};
 
 /// One immutable, numbered snapshot of the scene (plus its derived
@@ -62,22 +62,6 @@ impl<'a> SceneEpoch<'a> {
             self.scene.data_tree(),
             self.scene.obstacle_tree(),
             start,
-            cfg,
-        )
-    }
-
-    /// Opens a streaming trajectory COkNN session against this snapshot.
-    pub fn open_coknn_session(
-        &self,
-        start: Point,
-        k: usize,
-        cfg: ConnConfig,
-    ) -> TrajectoryCoknnSession<'_, 'static> {
-        TrajectoryCoknnSession::new(
-            self.scene.data_tree(),
-            self.scene.obstacle_tree(),
-            start,
-            k,
             cfg,
         )
     }

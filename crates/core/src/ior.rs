@@ -16,7 +16,7 @@
 //! searches keyed toward the query segment (`S` and `E` both lie on it, so
 //! the heuristic is admissible for either target), expanding a corridor
 //! between `p` and `q` instead of a full disk of radius `max(‖p,S‖,‖p,E‖)`.
-//! With label continuation on, each retrieval round *reseeds* the previous
+//! With its warm labels, each retrieval round *reseeds* the previous
 //! round's labels — only labels whose witness paths cross the newly loaded
 //! obstacles are recomputed — and the converged search is left in the
 //! workspace for CPLC to replay instead of re-running it from a cold heap.
@@ -75,7 +75,7 @@ pub fn ior<S: QueryStreams>(
 ) -> EndpointPaths {
     let goal = cfg.kernel.goal(q);
     loop {
-        dij.ensure_prepared(g, p_node, goal, cfg.label_continuation);
+        dij.ensure_prepared(g, p_node, goal, cfg.kernel.warm_labels());
         if cap.is_finite() {
             dij.set_bound(cap);
         }

@@ -13,7 +13,6 @@ use conn_index::{IoMeter, Mbr, RStarTree, Slot};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::config::ConnConfig;
 use crate::engine::QueryEngine;
 use crate::stats::QueryStats;
 use crate::types::DataPoint;
@@ -59,24 +58,12 @@ impl Ord for PairElem {
     }
 }
 
-/// Incremental closest pair under the obstructed distance:
-/// `argmin_{a ∈ A, b ∈ B} ‖a, b‖`. One-shot wrapper over
-/// [`QueryEngine::closest_pair`].
-///
-/// Returns `None` when either set is empty or no pair is connected.
-pub fn obstructed_closest_pair(
-    tree_a: &RStarTree<DataPoint>,
-    tree_b: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    cfg: &ConnConfig,
-) -> (Option<(DataPoint, DataPoint, f64)>, QueryStats) {
-    QueryEngine::new(*cfg).closest_pair(tree_a, tree_b, obstacle_tree)
-}
-
 impl QueryEngine {
-    /// Engine-backed obstructed closest pair: the shared local visibility
-    /// graph and Dijkstra scratch come from the reused workspace. Both point
-    /// trees are charged to `data_io`; NPE counts the pairs resolved.
+    /// Incremental closest pair under the obstructed distance:
+    /// `argmin_{a ∈ A, b ∈ B} ‖a, b‖` — `None` when either set is empty or
+    /// no pair is connected. The shared local visibility graph and Dijkstra
+    /// scratch come from the reused workspace. Both point trees are charged
+    /// to `data_io`; NPE counts the pairs resolved.
     pub fn closest_pair(
         &mut self,
         tree_a: &RStarTree<DataPoint>,
@@ -126,7 +113,8 @@ impl QueryEngine {
         })
     }
 
-    /// Engine-backed obstructed e-distance join (accounting as in
+    /// Obstructed e-distance join: all pairs `(a, b)` with `‖a, b‖ ≤ e`,
+    /// ascending by distance (accounting as in
     /// [`QueryEngine::closest_pair`]).
     pub fn edistance_join(
         &mut self,
@@ -194,19 +182,6 @@ fn expand(
     None
 }
 
-/// Obstructed e-distance join: all pairs `(a, b)` with `‖a, b‖ ≤ e`,
-/// ascending by distance. One-shot wrapper over
-/// [`QueryEngine::edistance_join`].
-pub fn obstructed_edistance_join(
-    tree_a: &RStarTree<DataPoint>,
-    tree_b: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    e: f64,
-    cfg: &ConnConfig,
-) -> (Vec<(DataPoint, DataPoint, f64)>, QueryStats) {
-    QueryEngine::new(*cfg).edistance_join(tree_a, tree_b, obstacle_tree, e)
-}
-
 /// Iterates a node's slots as [`Side`]s, zipping the envelope lane back in.
 fn node_sides<'n>(node: &'n conn_index::Node<DataPoint>) -> impl Iterator<Item = Side> + 'n {
     node.mbrs
@@ -221,7 +196,7 @@ fn node_sides<'n>(node: &'n conn_index::Node<DataPoint>) -> impl Iterator<Item =
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obstructed_distance;
+    use crate::baseline::obstructed_distance;
     use conn_geom::Point;
 
     fn sets() -> (Vec<DataPoint>, Vec<DataPoint>, Vec<Rect>) {
@@ -258,7 +233,7 @@ mod tests {
         let ta = RStarTree::bulk_load(a.clone(), 4096);
         let tb = RStarTree::bulk_load(b.clone(), 4096);
         let to = RStarTree::bulk_load(obs.clone(), 4096);
-        let (got, stats) = obstructed_closest_pair(&ta, &tb, &to, &ConnConfig::default());
+        let (got, stats) = QueryEngine::default().closest_pair(&ta, &tb, &to);
         let (pa, pb, d) = got.expect("non-empty sets");
         let want = brute_closest(&a, &b, &obs);
         assert!((d - want.2).abs() < 1e-6, "{d} vs {}", want.2);
@@ -273,9 +248,8 @@ mod tests {
         let tb = RStarTree::bulk_load(b.clone(), 4096);
         let empty: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
         let to = RStarTree::bulk_load(obs, 4096);
-        let cfg = ConnConfig::default();
-        let (free, _) = obstructed_closest_pair(&ta, &tb, &empty, &cfg);
-        let (blocked, _) = obstructed_closest_pair(&ta, &tb, &to, &cfg);
+        let (free, _) = QueryEngine::default().closest_pair(&ta, &tb, &empty);
+        let (blocked, _) = QueryEngine::default().closest_pair(&ta, &tb, &to);
         assert!(blocked.unwrap().2 >= free.unwrap().2 - 1e-9);
     }
 
@@ -305,7 +279,7 @@ mod tests {
         let ta = RStarTree::bulk_load(a.clone(), 4096);
         let tb = RStarTree::bulk_load(b.clone(), 4096);
         let to = RStarTree::bulk_load(obs.clone(), 4096);
-        let (got, _) = obstructed_closest_pair(&ta, &tb, &to, &ConnConfig::default());
+        let (got, _) = QueryEngine::default().closest_pair(&ta, &tb, &to);
         let (_, _, d) = got.unwrap();
         let want = brute_closest(&a, &b, &obs);
         assert!((d - want.2).abs() < 1e-6, "{d} vs {}", want.2);
@@ -318,7 +292,7 @@ mod tests {
         let tb = RStarTree::bulk_load(b.clone(), 4096);
         let to = RStarTree::bulk_load(obs.clone(), 4096);
         for e in [10.0, 35.0, 60.0, 200.0] {
-            let (got, _) = obstructed_edistance_join(&ta, &tb, &to, e, &ConnConfig::default());
+            let (got, _) = QueryEngine::default().edistance_join(&ta, &tb, &to, e);
             let mut want = Vec::new();
             for x in &a {
                 for y in &b {
@@ -349,10 +323,9 @@ mod tests {
         let ta = RStarTree::bulk_load(a, 4096);
         let tempty: RStarTree<DataPoint> = RStarTree::bulk_load(vec![], 4096);
         let to: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
-        let cfg = ConnConfig::default();
-        let (cp, _) = obstructed_closest_pair(&ta, &tempty, &to, &cfg);
+        let (cp, _) = QueryEngine::default().closest_pair(&ta, &tempty, &to);
         assert!(cp.is_none());
-        let (join, _) = obstructed_edistance_join(&tempty, &ta, &to, 100.0, &cfg);
+        let (join, _) = QueryEngine::default().edistance_join(&tempty, &ta, &to, 100.0);
         assert!(join.is_empty());
     }
 }

@@ -19,7 +19,7 @@
 //! | CONN search (Alg. 4, Lemma 2) | [`conn`] |
 //! | COkNN extension (§4.5) | [`coknn`] |
 //! | single unified R-tree variant (§4.5) | [`single_tree`] |
-//! | baselines (sampling, brute force, whole-field odist oracle) | [`baseline`] |
+//! | reference baselines and oracles (sampling, brute force, whole-field odist, cold-per-leg trajectory) | [`baseline`] |
 //! | the obstacle loader of every point-anchored family (IOR at a point, Lemma 3) | [`odist`] |
 //! | reusable engine & per-query workspace (beyond the paper) | [`engine`] |
 //! | batch telemetry (beyond the paper) | [`batch`] |
@@ -60,8 +60,11 @@
 //! # Ok::<(), conn_core::Error>(())
 //! ```
 //!
-//! The legacy free functions ([`conn_search`], [`coknn_search`], …) remain
-//! as thin wrappers over the service, answering byte-identically.
+//! [`ConnService::execute`] (and its batch and pinned-epoch variants) is the
+//! one way to run a query. Underneath it, a [`QueryEngine`] serves
+//! single-threaded figure and bench code directly and carries the two
+//! families that have no [`QueryKind`]: the single-tree layout of §4.5 and
+//! `visible_knn`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -99,34 +102,23 @@ pub mod types;
 pub mod visible;
 
 pub use admission::{Admission, AdmissionConfig, Ticket};
-pub use baseline::{obstructed_distance, obstructed_path, obstructed_route};
 pub use batch::BatchStats;
-pub use coknn::{coknn_search, CoknnResult};
+pub use coknn::CoknnResult;
 pub use config::{ConnConfig, KernelMode};
-pub use conn::{conn_search, ConnResult};
+pub use conn::ConnResult;
 pub use conn_vgraph::SweepMode;
 pub use dist::ControlPoint;
 pub use engine::QueryEngine;
 pub use epoch::{PinnedEpoch, SceneEpoch};
 pub use error::Error;
-pub use joins::{obstructed_closest_pair, obstructed_edistance_join};
 pub use live::{answers_equivalent, LiveScene, PatchReport, SceneDelta, StandingHandle};
-pub use onn::{naive_conn_by_onn, onn_search};
-pub use orange::obstructed_range_search;
 pub use pool::EnginePool;
 pub use query::{Answer, Query, QueryBuilder, QueryKind, Response};
 pub use rlu::{ResultEntry, ResultList};
-pub use rnn::obstructed_rnn;
 pub use service::{ConnService, Scene};
 pub use session::{TrajectoryCoknnSession, TrajectorySession};
 pub use shard::{Shard, ShardSet, ShardSpec};
-pub use single_tree::{
-    build_unified_tree, coknn_search_single_tree, conn_search_single_tree, SpatialObject,
-};
+pub use single_tree::{build_unified_tree, SpatialObject};
 pub use stats::{QueryStats, ReuseCounters};
-pub use trajectory::{
-    trajectory_coknn_search, trajectory_coknn_search_cold, trajectory_conn_search,
-    trajectory_conn_search_cold, Trajectory, TrajectoryResult,
-};
+pub use trajectory::{Trajectory, TrajectoryResult};
 pub use types::DataPoint;
-pub use visible::visible_knn;

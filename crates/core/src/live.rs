@@ -270,7 +270,7 @@ impl LiveKernel {
     /// repair-failure fallback — never the per-delta path).
     fn build(tree: &RStarTree<Rect>, a: Point, b: Point, cfg: &ConnConfig) -> (Self, f64) {
         let mut g = VisGraph::new(cfg.vgraph_cell); // lint:allow(no-full-rebuild-in-delta-path): construction-time empty graph, filled by the loader
-        cfg.tune_graph(&mut g);
+        g.set_sweep_mode(cfg.sweep);
         let src = g.add_point(a, NodeKind::DataPoint);
         let dst = g.add_point(b, NodeKind::DataPoint);
         let mut kernel = LiveKernel {
@@ -588,7 +588,7 @@ fn patch_entry(
         Outcome::Recomputed => {
             let scene = pin.scene();
             let (answer, stats) = segment_rerun(&mut entry.segment, &entry.query, scene, cfg)
-                .unwrap_or_else(|| dispatch(engine, scene, *cfg, &entry.query));
+                .unwrap_or_else(|| dispatch(engine, scene, &entry.query));
             pooled.accumulate(&stats);
             entry.answer = answer;
             entry.recertify();
@@ -607,15 +607,14 @@ fn segment_rerun(
     scene: &Scene<'_>,
     cfg: &ConnConfig,
 ) -> Option<(Answer, QueryStats)> {
-    let cfg = query.config().copied().unwrap_or(*cfg);
     match *query.kind() {
         QueryKind::Conn { q } => {
-            let kernel = kernel.get_or_insert_with(|| SegmentKernel::new(cfg));
+            let kernel = kernel.get_or_insert_with(|| SegmentKernel::new(*cfg));
             let (list, stats) = kernel.run(scene, &q, ResultList::new(q.len()));
             Some((Answer::Conn(ConnResult::new(q, list)), stats))
         }
         QueryKind::Coknn { q, k } => {
-            let kernel = kernel.get_or_insert_with(|| SegmentKernel::new(cfg));
+            let kernel = kernel.get_or_insert_with(|| SegmentKernel::new(*cfg));
             let (list, stats) = kernel.run(scene, &q, KnnResultList::new(q.len(), k));
             Some((Answer::Coknn(CoknnResult::new(q, list)), stats))
         }

@@ -114,7 +114,6 @@ pub(crate) struct Resolver<'w> {
     tree: &'w RStarTree<Rect>,
     io: Option<&'w IoMeter>,
     kernel: KernelMode,
-    warm: bool,
     stream: Option<OpenStream<'w>>,
     /// Obstacles this resolver inserted into the graph (the NOE metric).
     pub(crate) noe: u64,
@@ -137,7 +136,6 @@ impl<'w> Resolver<'w> {
             tree,
             io,
             kernel: cfg.kernel,
-            warm: cfg.label_continuation,
             stream: None,
             noe: 0,
         }
@@ -204,7 +202,8 @@ impl<'w> Resolver<'w> {
             bound = self.load(anchor, bound);
             // rounds only add obstacles, so the warm path reseeds the
             // previous round's labels instead of re-running from scratch
-            self.dij.ensure_prepared(self.g, src, goal, self.warm);
+            self.dij
+                .ensure_prepared(self.g, src, goal, self.kernel.warm_labels());
             let d = self.dij.run_until_settled(self.g, dst);
             if !d.is_finite() || affected(d, bound) {
                 return (d, bound);
@@ -264,7 +263,7 @@ impl QueryEngine {
         // never read the clock.
         let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
         let (cfg, ws, io) = self.parts();
-        ws.begin_query(&cfg, io);
+        ws.begin_query(io);
         let mut resolver = ws.resolver(obstacle_tree, &cfg, &io.obstacle);
         let (answer, npe, result_tuples) = body(&mut resolver, &io.data);
         let noe = resolver.noe;
@@ -417,8 +416,8 @@ mod tests {
         ]);
         let cfg = ConnConfig::default();
         let io = crate::engine::Meters::default();
-        let mut ws = crate::engine::Workspace::default();
-        ws.begin_query(&cfg, &io);
+        let mut ws = crate::engine::Workspace::new(&cfg);
+        ws.begin_query(&io);
         let mut r = ws.resolver(&t, &cfg, &io.obstacle);
         let s = Point::new(0.0, 0.0);
         // a zero bound still loads what touches the anchor

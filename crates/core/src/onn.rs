@@ -3,71 +3,46 @@
 //!
 //! This is the operation a naive CONN would issue at every location of `q`
 //! (paper §1), and the building block of the honest sampling baseline with
-//! R-tree I/O accounting. The implementation mirrors the CONN machinery at
-//! a point: stream data points by ascending `mindist(p, s)`, compute each
-//! candidate's obstructed distance on the engine workspace's visibility
-//! graph, fed by the obstacle loader ([`crate::odist`]) anchored at `s`, and
-//! stop once the next candidate's Euclidean lower bound exceeds the current
-//! k-th best.
+//! R-tree I/O accounting ([`crate::baseline::naive_conn_by_onn`]). The
+//! implementation mirrors the CONN machinery at a point: stream data points
+//! by ascending `mindist(p, s)`, compute each candidate's obstructed
+//! distance on the engine workspace's visibility graph, fed by the obstacle
+//! loader ([`crate::odist`]) anchored at `s`, and stop once the next
+//! candidate's Euclidean lower bound exceeds the current k-th best.
 
 use conn_geom::{Point, Rect};
 use conn_index::RStarTree;
 use conn_vgraph::NodeKind;
 
-use crate::config::ConnConfig;
 use crate::engine::QueryEngine;
 use crate::odist::Anchor;
 use crate::stats::QueryStats;
 use crate::types::DataPoint;
 
-/// Obstructed k-nearest neighbors of location `s`, with per-query metrics.
-///
-/// Returns up to `k` `(point, obstructed distance)` pairs in ascending
-/// distance; unreachable points never qualify.
-///
-/// ```
-/// use conn_core::{onn_search, ConnConfig, DataPoint};
-/// use conn_geom::{Point, Rect};
-/// use conn_index::RStarTree;
-///
-/// let points = RStarTree::bulk_load(
-///     vec![
-///         DataPoint::new(0, Point::new(0.0, 30.0)),  // blocked by the wall
-///         DataPoint::new(1, Point::new(35.0, 10.0)), // clear line of sight
-///     ],
-///     4096,
-/// );
-/// let wall = RStarTree::bulk_load(vec![Rect::new(-40.0, 10.0, 20.0, 20.0)], 4096);
-///
-/// let (nn, _) = onn_search(&points, &wall, Point::new(0.0, 0.0), 1, &ConnConfig::default());
-/// // point 0 is euclidean-closer (30 < ~36.4) but the wall forces a detour,
-/// // so point 1 is the obstructed NN
-/// assert_eq!(nn[0].0.id, 1);
-/// ```
-pub fn onn_search(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    s: Point,
-    k: usize,
-    cfg: &ConnConfig,
-) -> (Vec<(DataPoint, f64)>, QueryStats) {
-    let service =
-        crate::ConnService::with_config(crate::Scene::borrowing(data_tree, obstacle_tree), *cfg);
-    let query = crate::Query::onn(s, k)
-        .build()
-        .unwrap_or_else(|e| panic!("{e}")); // lint:allow(no-panic-in-query-path)
-    let resp = service.execute(&query).unwrap_or_else(|e| panic!("{e}")); // lint:allow(no-panic-in-query-path)
-    match resp.answer {
-        crate::Answer::Onn(v) => (v, resp.stats),
-        // Infallible: the service answers each kind with its own family.
-        // lint:allow(no-panic-in-query-path)
-        _ => unreachable!("onn query answered by another family"),
-    }
-}
-
 impl QueryEngine {
-    /// Engine-backed [`onn_search`]: the local visibility graph and the
-    /// Dijkstra scratch come from the reused workspace.
+    /// Obstructed k-nearest neighbors of location `s`, with per-query
+    /// metrics: up to `k` `(point, obstructed distance)` pairs in ascending
+    /// distance; unreachable points never qualify.
+    ///
+    /// ```
+    /// use conn_core::{DataPoint, QueryEngine};
+    /// use conn_geom::{Point, Rect};
+    /// use conn_index::RStarTree;
+    ///
+    /// let points = RStarTree::bulk_load(
+    ///     vec![
+    ///         DataPoint::new(0, Point::new(0.0, 30.0)),  // blocked by the wall
+    ///         DataPoint::new(1, Point::new(35.0, 10.0)), // clear line of sight
+    ///     ],
+    ///     4096,
+    /// );
+    /// let wall = RStarTree::bulk_load(vec![Rect::new(-40.0, 10.0, 20.0, 20.0)], 4096);
+    ///
+    /// let (nn, _) = QueryEngine::default().onn(&points, &wall, Point::new(0.0, 0.0), 1);
+    /// // point 0 is euclidean-closer (30 < ~36.4) but the wall forces a detour,
+    /// // so point 1 is the obstructed NN
+    /// assert_eq!(nn[0].0.id, 1);
+    /// ```
     pub fn onn(
         &mut self,
         data_tree: &RStarTree<DataPoint>,
@@ -114,36 +89,11 @@ impl QueryEngine {
     }
 }
 
-/// One sample of the naive strategy: the parameter and its kNN set.
-pub type OnnSample = (f64, Vec<(DataPoint, f64)>);
-
-/// The naive CONN of §1: `samples` independent [`onn_search`] calls along
-/// `q`, with R-tree I/O charged per call. Exists to quantify how badly the
-/// per-point strategy loses against one exact CONN query.
-pub fn naive_conn_by_onn(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    q: &conn_geom::Segment,
-    samples: usize,
-    k: usize,
-    cfg: &ConnConfig,
-) -> (Vec<OnnSample>, QueryStats) {
-    assert!(samples >= 2);
-    let mut total = QueryStats::default();
-    let mut out = Vec::with_capacity(samples);
-    for i in 0..samples {
-        let t = q.len() * (i as f64) / ((samples - 1) as f64);
-        let (res, stats) = onn_search(data_tree, obstacle_tree, q.at(t), k, cfg);
-        total.accumulate(&stats);
-        out.push((t, res));
-    }
-    (out, total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::brute_force_oknn;
+    use crate::baseline::{brute_force_oknn, naive_conn_by_onn};
+    use crate::config::ConnConfig;
 
     fn world() -> (Vec<DataPoint>, Vec<Rect>) {
         let points = vec![
@@ -166,14 +116,13 @@ mod tests {
         let (points, obstacles) = world();
         let dt = RStarTree::bulk_load(points.clone(), 4096);
         let ot = RStarTree::bulk_load(obstacles.clone(), 4096);
-        let cfg = ConnConfig::default();
         for s in [
             Point::new(0.0, 0.0),
             Point::new(55.0, 22.0),
             Point::new(100.0, 0.0),
         ] {
             for k in [1usize, 3, 5] {
-                let (got, stats) = onn_search(&dt, &ot, s, k, &cfg);
+                let (got, stats) = QueryEngine::default().onn(&dt, &ot, s, k);
                 let want = brute_force_oknn(&points, &obstacles, s, k);
                 assert_eq!(got.len(), want.len(), "s={s} k={k}");
                 for ((_, gd), (_, wd)) in got.iter().zip(&want) {
@@ -192,7 +141,7 @@ mod tests {
         }
         let dt = RStarTree::bulk_load(points, 4096);
         let ot: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
-        let (res, stats) = onn_search(&dt, &ot, Point::new(0.0, 0.0), 1, &ConnConfig::default());
+        let (res, stats) = QueryEngine::default().onn(&dt, &ot, Point::new(0.0, 0.0), 1);
         assert_eq!(res[0].0.id, 0);
         assert!(stats.npe <= 3, "NPE {}", stats.npe);
     }
@@ -207,7 +156,7 @@ mod tests {
         let (samples, naive_stats) = naive_conn_by_onn(&dt, &ot, &q, 11, 1, &cfg);
         assert_eq!(samples.len(), 11);
         // agreement with the exact CONN at sample points
-        let (exact, exact_stats) = crate::conn::conn_search(&dt, &ot, &q, &cfg);
+        let (exact, exact_stats) = QueryEngine::new(cfg).conn(&dt, &ot, &q);
         for (t, nns) in &samples {
             if let (Some((_, gd)), Some((_, wd))) = (nns.first(), exact.nn_at(*t)) {
                 assert!((gd - wd).abs() < 1e-6, "t = {t}");
@@ -228,7 +177,7 @@ mod tests {
         let dt = RStarTree::bulk_load(points, 4096);
         let ot = RStarTree::bulk_load(obstacles, 4096);
         // strictly inside obstacle (30,5)-(40,30): nothing is reachable
-        let (res, stats) = onn_search(&dt, &ot, Point::new(35.0, 15.0), 3, &ConnConfig::default());
+        let (res, stats) = QueryEngine::default().onn(&dt, &ot, Point::new(35.0, 15.0), 3);
         assert!(res.is_empty());
         assert_eq!(stats.npe, 0, "no candidates should be evaluated");
     }
@@ -247,7 +196,7 @@ mod tests {
         ];
         let dt = RStarTree::bulk_load(points, 4096);
         let ot = RStarTree::bulk_load(boxed, 4096);
-        let (res, _) = onn_search(&dt, &ot, Point::new(0.0, 0.0), 2, &ConnConfig::default());
+        let (res, _) = QueryEngine::default().onn(&dt, &ot, Point::new(0.0, 0.0), 2);
         assert_eq!(res.len(), 1);
         assert_eq!(res[0].0.id, 1);
     }

@@ -2,7 +2,7 @@
 //! of a location (one of the obstructed query types of Zhang et al., EDBT
 //! 2004 — reference \[31\] — whose machinery the CONN paper generalizes).
 //!
-//! Same skeleton as [`crate::onn::onn_search`]: stream candidates by
+//! Same skeleton as [`QueryEngine::onn`]: stream candidates by
 //! Euclidean `mindist` (a lower bound of the obstructed distance, so the
 //! stream can stop at `r`), resolve each candidate's obstructed distance on
 //! the engine workspace's visibility graph — loaded once to `r` around the
@@ -12,37 +12,14 @@ use conn_geom::{Point, Rect};
 use conn_index::RStarTree;
 use conn_vgraph::NodeKind;
 
-use crate::config::ConnConfig;
 use crate::engine::QueryEngine;
 use crate::odist::Anchor;
 use crate::stats::QueryStats;
 use crate::types::DataPoint;
 
-/// All data points whose obstructed distance to `s` is at most `radius`,
-/// in ascending distance order.
-pub fn obstructed_range_search(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    s: Point,
-    radius: f64,
-    cfg: &ConnConfig,
-) -> (Vec<(DataPoint, f64)>, QueryStats) {
-    let service =
-        crate::ConnService::with_config(crate::Scene::borrowing(data_tree, obstacle_tree), *cfg);
-    let query = crate::Query::range(s, radius)
-        .build()
-        .unwrap_or_else(|e| panic!("{e}")); // lint:allow(no-panic-in-query-path)
-    let resp = service.execute(&query).unwrap_or_else(|e| panic!("{e}")); // lint:allow(no-panic-in-query-path)
-    match resp.answer {
-        crate::Answer::Range(v) => (v, resp.stats),
-        // Infallible: the service answers each kind with its own family.
-        // lint:allow(no-panic-in-query-path)
-        _ => unreachable!("range query answered by another family"),
-    }
-}
-
 impl QueryEngine {
-    /// Engine-backed [`obstructed_range_search`] on the reused workspace.
+    /// All data points whose obstructed distance to `s` is at most
+    /// `radius`, in ascending distance order.
     pub fn range(
         &mut self,
         data_tree: &RStarTree<DataPoint>,
@@ -109,7 +86,7 @@ mod tests {
         let ot = RStarTree::bulk_load(obstacles.clone(), 4096);
         let s = Point::new(0.0, 0.0);
         for radius in [5.0, 15.0, 40.0, 60.0, 500.0] {
-            let (got, _) = obstructed_range_search(&dt, &ot, s, radius, &ConnConfig::default());
+            let (got, _) = QueryEngine::default().range(&dt, &ot, s, radius);
             let want: Vec<(DataPoint, f64)> = brute_force_oknn(&points, &obstacles, s, 10)
                 .into_iter()
                 .filter(|(_, d)| *d <= radius)
@@ -129,10 +106,9 @@ mod tests {
         let empty: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
         let ot = RStarTree::bulk_load(obstacles, 4096);
         let s = Point::new(0.0, 0.0);
-        let cfg = ConnConfig::default();
         // point 1 is 30 away euclidean; the wall forces a detour > 31
-        let (free, _) = obstructed_range_search(&dt, &empty, s, 31.0, &cfg);
-        let (blocked, _) = obstructed_range_search(&dt, &ot, s, 31.0, &cfg);
+        let (free, _) = QueryEngine::default().range(&dt, &empty, s, 31.0);
+        let (blocked, _) = QueryEngine::default().range(&dt, &ot, s, 31.0);
         assert!(free.iter().any(|(p, _)| p.id == 1));
         assert!(!blocked.iter().any(|(p, _)| p.id == 1));
     }
@@ -145,8 +121,7 @@ mod tests {
         ];
         let dt = RStarTree::bulk_load(points, 4096);
         let ot: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
-        let (got, _) =
-            obstructed_range_search(&dt, &ot, Point::new(5.0, 5.0), 0.0, &ConnConfig::default());
+        let (got, _) = QueryEngine::default().range(&dt, &ot, Point::new(5.0, 5.0), 0.0);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0.id, 0);
     }
@@ -156,13 +131,7 @@ mod tests {
         let (points, obstacles) = world();
         let dt = RStarTree::bulk_load(points, 4096);
         let ot = RStarTree::bulk_load(obstacles, 4096);
-        let (got, stats) = obstructed_range_search(
-            &dt,
-            &ot,
-            Point::new(0.0, 0.0),
-            1000.0,
-            &ConnConfig::default(),
-        );
+        let (got, stats) = QueryEngine::default().range(&dt, &ot, Point::new(0.0, 0.0), 1000.0);
         assert_eq!(got.len(), 4);
         for w in got.windows(2) {
             assert!(w[0].1 <= w[1].1);

@@ -1,15 +1,13 @@
 //! The typed query front door: one [`Query`] type for every family.
 //!
 //! The paper defines CONN/COkNN as one family of obstructed queries over a
-//! shared substrate (R\*-trees, visibility graph, Dijkstra kernel), and the
-//! crate grew one free function per family around that substrate. [`Query`]
-//! unifies them behind a single request type the way a database exposes one
-//! query interface over many plans:
+//! shared substrate (R\*-trees, visibility graph, Dijkstra kernel).
+//! [`Query`] puts every family behind a single request type the way a
+//! database exposes one query interface over many plans:
 //!
 //! * a [`QueryKind`] variant per family — CONN, COkNN, snapshot ONN,
 //!   obstructed range / reverse-NN, point-to-point distance and route, the
 //!   two join queries, and trajectory CONN/COkNN;
-//! * a builder with an optional per-query [`ConnConfig`] override;
 //! * **upfront validation**: [`QueryBuilder::build`] rejects NaN and
 //!   infinite coordinates, degenerate segments, `k = 0`, negative radii and
 //!   empty join sets with [`Error::InvalidQuery`] — inputs that historically
@@ -26,7 +24,6 @@ use conn_geom::{Point, Segment};
 use conn_index::RStarTree;
 
 use crate::coknn::CoknnResult;
-use crate::config::ConnConfig;
 use crate::conn::ConnResult;
 use crate::error::Error;
 use crate::stats::QueryStats;
@@ -134,14 +131,11 @@ impl QueryKind {
 /// validation.
 ///
 /// ```
-/// use conn_core::{ConnConfig, Query};
+/// use conn_core::Query;
 /// use conn_geom::{Point, Segment};
 ///
 /// let q = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
-/// let query = Query::coknn(q, 3)
-///     .config(ConnConfig::paper())
-///     .build()
-///     .unwrap();
+/// let query = Query::coknn(q, 3).build().unwrap();
 /// assert_eq!(query.kind().family(), "coknn");
 ///
 /// // malformed requests never reach an algorithm
@@ -152,7 +146,6 @@ impl QueryKind {
 #[derive(Debug, Clone)]
 pub struct Query {
     kind: QueryKind,
-    cfg: Option<ConnConfig>,
 }
 
 impl Query {
@@ -210,20 +203,13 @@ impl Query {
     pub fn kind(&self) -> &QueryKind {
         &self.kind
     }
-
-    /// The per-query configuration override, if any (the service default
-    /// applies otherwise).
-    pub fn config(&self) -> Option<&ConnConfig> {
-        self.cfg.as_ref()
-    }
 }
 
-/// Builder for [`Query`]: set the optional per-query config, then
-/// [`build`](QueryBuilder::build) to validate.
+/// Builder for [`Query`]: [`build`](QueryBuilder::build) validates the
+/// request.
 #[derive(Debug, Clone)]
 pub struct QueryBuilder {
     kind: QueryKind,
-    cfg: Option<ConnConfig>,
 }
 
 fn finite(p: Point) -> bool {
@@ -262,13 +248,7 @@ fn check_k(k: usize, family: &str) -> Result<(), Error> {
 
 impl QueryBuilder {
     fn new(kind: QueryKind) -> Self {
-        QueryBuilder { kind, cfg: None }
-    }
-
-    /// Overrides the service's default [`ConnConfig`] for this one query.
-    pub fn config(mut self, cfg: ConnConfig) -> Self {
-        self.cfg = Some(cfg);
-        self
+        QueryBuilder { kind }
     }
 
     /// Validates the request. Malformed parameters — the inputs that used
@@ -334,10 +314,7 @@ impl QueryBuilder {
                 }
             }
         }
-        Ok(Query {
-            kind: self.kind,
-            cfg: self.cfg,
-        })
+        Ok(Query { kind: self.kind })
     }
 }
 
@@ -638,16 +615,6 @@ mod tests {
         ])
         .is_err());
         assert!(Trajectory::try_new(vec![Point::new(0.0, 0.0), Point::new(9.0, 1.0)]).is_ok());
-    }
-
-    #[test]
-    fn builder_carries_the_config_override() {
-        let q = Query::conn(seg())
-            .config(ConnConfig::paper())
-            .build()
-            .unwrap();
-        assert_eq!(q.config().unwrap().kernel, crate::KernelMode::Blind);
-        assert!(Query::conn(seg()).build().unwrap().config().is_none());
     }
 
     #[test]

@@ -19,36 +19,15 @@
 use conn_geom::{Point, Rect};
 use conn_index::RStarTree;
 
-use crate::config::ConnConfig;
 use crate::engine::QueryEngine;
 use crate::stats::QueryStats;
 use crate::types::DataPoint;
 
-/// All data points that would adopt a facility at `s` as their obstructed
-/// nearest neighbor, with their obstructed distances to `s`.
-pub fn obstructed_rnn(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    s: Point,
-    cfg: &ConnConfig,
-) -> (Vec<(DataPoint, f64)>, QueryStats) {
-    let service =
-        crate::ConnService::with_config(crate::Scene::borrowing(data_tree, obstacle_tree), *cfg);
-    let query = crate::Query::rnn(s)
-        .build()
-        .unwrap_or_else(|e| panic!("{e}")); // lint:allow(no-panic-in-query-path)
-    let resp = service.execute(&query).unwrap_or_else(|e| panic!("{e}")); // lint:allow(no-panic-in-query-path)
-    match resp.answer {
-        crate::Answer::Rnn(v) => (v, resp.stats),
-        // Infallible: the service answers each kind with its own family.
-        // lint:allow(no-panic-in-query-path)
-        _ => unreachable!("rnn query answered by another family"),
-    }
-}
-
 impl QueryEngine {
-    /// Engine-backed [`obstructed_rnn`]: every pairwise distance resolves
-    /// on the reused workspace's one growing graph.
+    /// All data points that would adopt a facility at `s` as their
+    /// obstructed nearest neighbor, with their obstructed distances to `s`.
+    /// Every pairwise distance resolves on the reused workspace's one
+    /// growing graph.
     pub fn rnn(
         &mut self,
         data_tree: &RStarTree<DataPoint>,
@@ -119,7 +98,7 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obstructed_distance;
+    use crate::baseline::obstructed_distance;
 
     fn brute_rnn(points: &[DataPoint], obstacles: &[Rect], s: Point) -> Vec<u32> {
         let mut out = Vec::new();
@@ -144,7 +123,7 @@ mod tests {
     fn check(points: Vec<DataPoint>, obstacles: Vec<Rect>, s: Point) {
         let dt = RStarTree::bulk_load(points.clone(), 4096);
         let ot = RStarTree::bulk_load(obstacles.clone(), 4096);
-        let (got, _) = obstructed_rnn(&dt, &ot, s, &ConnConfig::default());
+        let (got, _) = QueryEngine::default().rnn(&dt, &ot, s);
         let mut got_ids: Vec<u32> = got.iter().map(|(p, _)| p.id).collect();
         got_ids.sort_unstable();
         let want = brute_rnn(&points, &obstacles, s);
@@ -185,7 +164,7 @@ mod tests {
         let s_far = Point::new(10.0, 85.0); // euclid 45 > 40, no wall between
         let dt = RStarTree::bulk_load(points.clone(), 4096);
         let ot = RStarTree::bulk_load(vec![wall], 4096);
-        let (got, _) = obstructed_rnn(&dt, &ot, s_far, &ConnConfig::default());
+        let (got, _) = QueryEngine::default().rnn(&dt, &ot, s_far);
         // p0's obstructed distance to p1 is a long detour around the wall
         let d01 = obstructed_distance(&[wall], points[0].pos, points[1].pos);
         assert!(d01 > 45.0, "wall must make the in-set NN expensive: {d01}");
@@ -219,12 +198,12 @@ mod tests {
     fn empty_and_singleton_sets() {
         let dt: RStarTree<DataPoint> = RStarTree::bulk_load(vec![], 4096);
         let ot: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
-        let (got, _) = obstructed_rnn(&dt, &ot, Point::new(0.0, 0.0), &ConnConfig::default());
+        let (got, _) = QueryEngine::default().rnn(&dt, &ot, Point::new(0.0, 0.0));
         assert!(got.is_empty());
 
         let one = vec![DataPoint::new(0, Point::new(5.0, 5.0))];
         let dt = RStarTree::bulk_load(one, 4096);
-        let (got, _) = obstructed_rnn(&dt, &ot, Point::new(0.0, 0.0), &ConnConfig::default());
+        let (got, _) = QueryEngine::default().rnn(&dt, &ot, Point::new(0.0, 0.0));
         assert_eq!(got.len(), 1, "a singleton always adopts the facility");
     }
 }

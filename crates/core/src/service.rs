@@ -9,8 +9,8 @@
 //!   already holds;
 //! * [`ConnService::execute`] answers one validated [`Query`] of *any*
 //!   family on a warm engine from the service's persistent
-//!   [`EnginePool`], with answers byte-identical to the legacy free
-//!   functions (the `service_equivalence` suite enforces it);
+//!   [`EnginePool`], with answers byte-identical to a fresh
+//!   [`QueryEngine`]'s (the `service_equivalence` suite enforces it);
 //! * the service is `Send + Sync`: independent client threads call
 //!   [`ConnService::execute`] concurrently, each against the scene epoch it pins at
 //!   query start ([`ConnService::pin`]), while a writer publishes whole
@@ -26,9 +26,6 @@
 //! * streaming trajectory sessions hang off the pinned epoch
 //!   ([`crate::SceneEpoch::open_session`]), so a session keeps its
 //!   snapshot alive across legs however many epochs publish meanwhile.
-//!
-//! The legacy free functions remain as thin wrappers over this service,
-//! so both surfaces stay in lock-step by construction.
 
 // lint:allow-file(no-panic-in-query-path[index]): indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)
 use std::sync::Arc;
@@ -96,8 +93,7 @@ impl<T> TreeSlot<'_, T> {
 /// [`Scene::with_page_size`]), from the paper-style dataset generators
 /// ([`Scene::uniform`] / [`Scene::clustered`]), from trees you already
 /// own ([`Scene::from_trees`]), or borrow trees in place
-/// ([`Scene::borrowing`] — the zero-copy path the legacy free-function
-/// wrappers use).
+/// ([`Scene::borrowing`] — zero-copy, for callers that keep the trees).
 #[derive(Debug)]
 pub struct Scene<'a> {
     data: TreeSlot<'a, DataPoint>,
@@ -169,7 +165,7 @@ impl Scene<'static> {
 
 impl<'a> Scene<'a> {
     /// Borrows trees in place — no copy, the scene lives as long as the
-    /// borrow. This is how the legacy free functions wrap the service.
+    /// borrow.
     pub fn borrowing(
         data_tree: &'a RStarTree<DataPoint>,
         obstacle_tree: &'a RStarTree<Rect>,
@@ -330,9 +326,9 @@ pub struct ConnService<'a> {
     pool: EnginePool,
     shard_spec: Option<ShardSpec>,
     /// Standing queries kept resident and patched per scene delta (see
-    /// [`crate::live`]). Justified lock: held per registry operation, never
-    /// across an epoch build.
-    standing: StandingRegistry, // lint:allow(no-interior-mutability-in-service)
+    /// [`crate::live`], which owns and justifies the registry's lock: held
+    /// per registry operation, never across an epoch build).
+    standing: StandingRegistry,
 }
 
 impl<'a> ConnService<'a> {
@@ -341,17 +337,10 @@ impl<'a> ConnService<'a> {
         ConnService::with_config(scene, ConnConfig::default())
     }
 
-    /// A service over `scene` with an explicit default [`ConnConfig`]
-    /// (individual queries may still override it via
-    /// [`crate::QueryBuilder::config`]).
+    /// A service over `scene` with an explicit [`ConnConfig`], which every
+    /// query it executes runs under.
     pub fn with_config(scene: Scene<'a>, cfg: ConnConfig) -> Self {
-        ConnService {
-            cfg,
-            epochs: EpochCell::new(scene, None),
-            pool: EnginePool::new(cfg),
-            shard_spec: None,
-            standing: StandingRegistry::default(),
-        }
+        ConnService::build(scene, cfg, None)
     }
 
     /// A spatially sharded service: the scene (and every scene published
@@ -363,11 +352,15 @@ impl<'a> ConnService<'a> {
     /// split positions may differ by Dijkstra tie-break ULPs on the
     /// rebuilt shard trees).
     pub fn sharded(scene: Scene<'a>, cfg: ConnConfig, spec: ShardSpec) -> Self {
+        ConnService::build(scene, cfg, Some(spec))
+    }
+
+    fn build(scene: Scene<'a>, cfg: ConnConfig, shard_spec: Option<ShardSpec>) -> Self {
         ConnService {
             cfg,
-            epochs: EpochCell::new(scene, Some(spec)),
+            epochs: EpochCell::new(scene, shard_spec),
             pool: EnginePool::new(cfg),
-            shard_spec: Some(spec),
+            shard_spec,
             standing: StandingRegistry::default(),
         }
     }
@@ -394,12 +387,6 @@ impl<'a> ConnService<'a> {
 
     /// How many published-over epochs have been fully released (their
     /// last pin dropped) — the deferred-retirement ledger.
-    pub fn retired_epochs(&self) -> u64 {
-        self.epochs.retired()
-    }
-
-    /// [`ConnService::retired_epochs`] under the ledger's canonical name:
-    /// epochs whose last pin has dropped.
     pub fn epochs_retired(&self) -> u64 {
         self.epochs.retired()
     }
@@ -460,7 +447,7 @@ impl<'a> ConnService<'a> {
         (epoch, report)
     }
 
-    /// The service's default configuration.
+    /// The configuration every query of this service runs under.
     pub fn config(&self) -> &ConnConfig {
         &self.cfg
     }
@@ -480,17 +467,17 @@ impl<'a> ConnService<'a> {
     }
 
     /// Answers one query of any family against the *current* epoch on a
-    /// warm pool engine. Answers are byte-identical to the corresponding
-    /// legacy free function. The response's stats carry exactly this
+    /// warm pool engine. Answers are byte-identical to a fresh
+    /// [`QueryEngine`]'s. The response's stats carry exactly this
     /// query's tree I/O — page reads are charged to the meters of the
     /// engine that ran it, never to the shared trees, so concurrent
     /// executes and batches cannot disturb each other's counts.
     ///
     /// Note on empty scenes: a scene with no data points (or no
     /// obstacles) is *legal* — CONN reports an unassigned cover, the
-    /// point families report empty answers — matching the free-function
-    /// semantics. Only the emptiness a [`Query`] itself can see (the join
-    /// families' `other` set) is rejected at build time.
+    /// point families report empty answers. Only the emptiness a [`Query`]
+    /// itself can see (the join families' `other` set) is rejected at
+    /// build time.
     pub fn execute(&self, query: &Query) -> Result<Response, Error> {
         self.execute_at(&self.pin(), query)
     }
@@ -499,10 +486,9 @@ impl<'a> ConnService<'a> {
     /// snapshot-isolation primitive: every read of this call sees `pin`'s
     /// scene, whatever publishes concurrently.
     pub fn execute_at(&self, pin: &PinnedEpoch<'a>, query: &Query) -> Result<Response, Error> {
-        let cfg = self.cfg;
         let (answer, stats) = self
             .pool
-            .with_engine(|engine| shard_dispatch(engine, pin, cfg, query));
+            .with_engine(|engine| shard_dispatch(engine, pin, query));
         Ok(Response { answer, stats })
     }
 
@@ -537,10 +523,9 @@ impl<'a> ConnService<'a> {
     ) -> Result<(Vec<Response>, BatchStats), Error> {
         // Batch-boundary wall time for BatchStats, not kernel-side timing.
         let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-        let cfg = self.cfg;
-        let (answers, threads, per_query) = self.pool.run(queries, threads, |engine, q| {
-            shard_dispatch(engine, pin, cfg, q)
-        });
+        let (answers, threads, per_query) = self
+            .pool
+            .run(queries, threads, |engine, q| shard_dispatch(engine, pin, q));
         let stats = BatchStats::new(threads, started.elapsed(), &per_query);
         let responses = answers
             .into_iter()
@@ -558,24 +543,23 @@ impl<'a> ConnService<'a> {
 fn shard_dispatch(
     engine: &mut QueryEngine,
     epoch: &SceneEpoch<'_>,
-    default_cfg: ConnConfig,
     query: &Query,
 ) -> (Answer, QueryStats) {
     if let Some(shards) = epoch.shards() {
-        match try_shard(engine, shards, default_cfg, query) {
+        match try_shard(engine, shards, query) {
             ShardOutcome::Served(answer, mut stats) => {
                 stats.reuse.shard_local = 1;
                 return (answer, *stats);
             }
             ShardOutcome::Straddles => {
-                let (answer, mut stats) = dispatch(engine, epoch.scene(), default_cfg, query);
+                let (answer, mut stats) = dispatch(engine, epoch.scene(), query);
                 stats.reuse.shard_merges = 1;
                 return (answer, stats);
             }
             ShardOutcome::NotShardable => {}
         }
     }
-    dispatch(engine, epoch.scene(), default_cfg, query)
+    dispatch(engine, epoch.scene(), query)
 }
 
 /// Outcome of a shard-local attempt.
@@ -594,67 +578,46 @@ enum ShardOutcome {
 
 /// Runs the query on its home shard if the family supports a locality
 /// certificate (see [`crate::shard`] for the soundness argument).
-fn try_shard(
-    engine: &mut QueryEngine,
-    shards: &ShardSet,
-    default_cfg: ConnConfig,
-    query: &Query,
-) -> ShardOutcome {
-    engine.set_config(query.config().copied().unwrap_or(default_cfg));
-    match query.kind() {
+fn try_shard(engine: &mut QueryEngine, shards: &ShardSet, query: &Query) -> ShardOutcome {
+    let anchor = match query.kind() {
+        QueryKind::Conn { q } | QueryKind::Coknn { q, .. } => Rect::from_segment(q),
+        QueryKind::Onn { s, .. } | QueryKind::Range { s, .. } => Rect::from_point(*s),
+        _ => return ShardOutcome::NotShardable,
+    };
+    let Some(shard) = shards.route(&anchor) else {
+        return ShardOutcome::Straddles;
+    };
+    let (dt, ot) = (shard.data_tree(), shard.obstacle_tree());
+    // the answer on the shard, and the expansion bound it turned out to need
+    let (answer, stats, dmax) = match query.kind() {
         QueryKind::Conn { q } => {
-            let anchor = Rect::from_segment(q);
-            let Some(shard) = shards.route(&anchor) else {
-                return ShardOutcome::Straddles;
-            };
-            let (res, stats) = engine.conn(shard.data_tree(), shard.obstacle_tree(), q);
-            match conn_dmax(&res, q) {
-                Some(dmax) if shard.certifies(&anchor, dmax) => {
-                    ShardOutcome::Served(Answer::Conn(res), Box::new(stats))
-                }
-                _ => ShardOutcome::Straddles,
-            }
+            let (res, stats) = engine.conn(dt, ot, q);
+            let dmax = conn_dmax(&res, q);
+            (Answer::Conn(res), stats, dmax)
         }
         QueryKind::Coknn { q, k } => {
-            let anchor = Rect::from_segment(q);
-            let Some(shard) = shards.route(&anchor) else {
-                return ShardOutcome::Straddles;
-            };
-            let (res, stats) = engine.coknn(shard.data_tree(), shard.obstacle_tree(), q, *k);
-            match coknn_dmax(&res, q, *k) {
-                Some(dmax) if shard.certifies(&anchor, dmax) => {
-                    ShardOutcome::Served(Answer::Coknn(res), Box::new(stats))
-                }
-                _ => ShardOutcome::Straddles,
-            }
+            let (res, stats) = engine.coknn(dt, ot, q, *k);
+            let dmax = coknn_dmax(&res, q, *k);
+            (Answer::Coknn(res), stats, dmax)
         }
         QueryKind::Onn { s, k } => {
-            let anchor = Rect::from_point(*s);
-            let Some(shard) = shards.route(&anchor) else {
-                return ShardOutcome::Straddles;
-            };
-            let (v, stats) = engine.onn(shard.data_tree(), shard.obstacle_tree(), *s, *k);
-            match onn_dmax(&v, *k) {
-                Some(dmax) if shard.certifies(&anchor, dmax) => {
-                    ShardOutcome::Served(Answer::Onn(v), Box::new(stats))
-                }
-                _ => ShardOutcome::Straddles,
-            }
+            let (v, stats) = engine.onn(dt, ot, *s, *k);
+            let dmax = onn_dmax(&v, *k);
+            (Answer::Onn(v), stats, dmax)
         }
-        QueryKind::Range { s, radius } => {
-            let anchor = Rect::from_point(*s);
-            let Some(shard) = shards.route(&anchor) else {
-                return ShardOutcome::Straddles;
-            };
-            // The radius *is* the expansion bound, so the certificate is
-            // decidable before running anything.
-            if !shard.certifies(&anchor, *radius) {
-                return ShardOutcome::Straddles;
-            }
-            let (v, stats) = engine.range(shard.data_tree(), shard.obstacle_tree(), *s, *radius);
-            ShardOutcome::Served(Answer::Range(v), Box::new(stats))
+        // The radius *is* the expansion bound, so the certificate is
+        // decidable before running anything.
+        QueryKind::Range { s, radius } if shard.certifies(&anchor, *radius) => {
+            let (v, stats) = engine.range(dt, ot, *s, *radius);
+            (Answer::Range(v), stats, Some(*radius))
         }
-        _ => ShardOutcome::NotShardable,
+        _ => return ShardOutcome::Straddles,
+    };
+    match dmax {
+        Some(dmax) if shard.certifies(&anchor, dmax) => {
+            ShardOutcome::Served(answer, Box::new(stats))
+        }
+        _ => ShardOutcome::Straddles,
     }
 }
 
@@ -718,11 +681,8 @@ pub(crate) fn onn_dmax(v: &[(DataPoint, f64)], k: usize) -> Option<f64> {
 pub(crate) fn dispatch(
     engine: &mut QueryEngine,
     scene: &Scene<'_>,
-    default_cfg: ConnConfig,
     query: &Query,
 ) -> (Answer, QueryStats) {
-    let cfg = query.config().copied().unwrap_or(default_cfg);
-    engine.set_config(cfg);
     let dt = scene.data_tree();
     let ot = scene.obstacle_tree();
     match query.kind() {
@@ -787,7 +747,7 @@ pub(crate) fn dispatch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{coknn_search, conn_search, Query, Trajectory};
+    use crate::{Query, Trajectory};
     use conn_geom::Point;
 
     fn scene() -> Scene<'static> {
@@ -818,61 +778,38 @@ mod tests {
         assert_eq!(cl.num_points(), 30);
     }
 
+    /// `execute` on a warm pool engine against a fresh [`QueryEngine`], bit
+    /// for bit (`Debug` covers every field), work counters included; and
+    /// against a service on the reference kernel, by value.
     #[test]
     fn execute_matches_free_functions() {
         let service = ConnService::new(scene());
+        let reference = ConnService::with_config(scene(), ConnConfig::baseline_kernel());
         let pin = service.pin();
+        let (dt, ot) = (pin.scene().data_tree(), pin.scene().obstacle_tree());
         let q = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
-        let cfg = ConnConfig::default();
 
-        let resp = service.execute(&Query::conn(q).build().unwrap()).unwrap();
-        let (free, free_stats) = conn_search(
-            pin.scene().data_tree(),
-            pin.scene().obstacle_tree(),
-            &q,
-            &cfg,
-        );
-        let got = resp.answer.as_conn().unwrap();
-        assert_eq!(got.entries().len(), free.entries().len());
-        for (a, b) in got.entries().iter().zip(free.entries()) {
-            assert_eq!(a.point.map(|p| p.id), b.point.map(|p| p.id));
-            assert_eq!(a.interval.lo.to_bits(), b.interval.lo.to_bits());
+        let conn = Query::conn(q).build().unwrap();
+        let (fresh, fresh_stats) = QueryEngine::default().conn(dt, ot, &q);
+        let want = format!("{:?}", Answer::Conn(fresh.clone()));
+        for warm in [0, 1] {
+            let resp = service.execute(&conn).unwrap();
+            assert_eq!(format!("{:?}", resp.answer), want);
+            assert_eq!(resp.stats.reuse.graph_reuses, warm);
+            assert_eq!(resp.stats.npe, fresh_stats.npe);
+            assert_eq!(resp.stats.noe, fresh_stats.noe);
         }
-        assert_eq!(resp.stats.npe, free_stats.npe);
-        assert_eq!(resp.stats.noe, free_stats.noe);
+        let blind = reference.execute(&conn).unwrap().answer;
+        assert!(blind.as_conn().unwrap().values_equivalent(&fresh, 1e-6));
 
         let resp = service
             .execute(&Query::coknn(q, 2).build().unwrap())
             .unwrap();
-        let (free, _) = coknn_search(
-            pin.scene().data_tree(),
-            pin.scene().obstacle_tree(),
-            &q,
-            2,
-            &cfg,
-        );
+        let (fresh, _) = QueryEngine::default().coknn(dt, ot, &q, 2);
         assert_eq!(
-            resp.answer.as_coknn().unwrap().entries().len(),
-            free.entries().len()
+            format!("{:?}", resp.answer),
+            format!("{:?}", Answer::Coknn(fresh))
         );
-    }
-
-    #[test]
-    fn per_query_config_override_applies() {
-        let service = ConnService::new(scene());
-        let q = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
-        let blind = Query::conn(q)
-            .config(ConnConfig::baseline_kernel())
-            .build()
-            .unwrap();
-        let a = service.execute(&blind).unwrap();
-        let b = service.execute(&Query::conn(q).build().unwrap()).unwrap();
-        // both kernels agree on the answer values
-        assert!(a
-            .answer
-            .as_conn()
-            .unwrap()
-            .values_equivalent(b.answer.as_conn().unwrap(), 1e-6));
     }
 
     /// One query of each of the ten families.
@@ -1053,12 +990,15 @@ mod tests {
         }
         let (plan, _) = session.finish();
         plan.check_cover().unwrap();
-        let (free, _) = crate::trajectory_conn_search(
-            pin.scene().data_tree(),
-            pin.scene().obstacle_tree(),
-            &Trajectory::new(verts.to_vec()),
-            service.config(),
-        );
+        let query = Query::trajectory(Trajectory::new(verts.to_vec()), 1)
+            .build()
+            .unwrap();
+        let free = service
+            .execute_at(&pin, &query)
+            .unwrap()
+            .answer
+            .into_trajectory()
+            .unwrap();
         assert_eq!(plan.segments().len(), free.segments().len());
         for (a, b) in plan.segments().iter().zip(free.segments()) {
             assert_eq!(a.0.map(|p| p.id), b.0.map(|p| p.id));
@@ -1098,9 +1038,9 @@ mod tests {
         let new = service.execute(&probe).unwrap();
         assert_eq!(new.answer.neighbors().unwrap()[0].0.id, 7);
 
-        assert_eq!(service.retired_epochs(), 0);
+        assert_eq!(service.epochs_retired(), 0);
         drop(pin0);
-        assert_eq!(service.retired_epochs(), 1);
+        assert_eq!(service.epochs_retired(), 1);
     }
 
     #[test]

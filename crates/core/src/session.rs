@@ -1,8 +1,8 @@
 //! Streaming trajectory sessions — trajectory CONN as a *moving-client
 //! serving primitive* rather than a batch reproduction artifact.
 //!
-//! The batch API ([`crate::trajectory_conn_search`]) answers a complete
-//! polyline. A session answers it **one leg at a time**: the caller pushes
+//! A [`crate::Query::trajectory`] answers a complete polyline. A session
+//! answers it **one leg at a time**: the caller pushes
 //! the next vertex as the client reports it, receives the delta tuples of
 //! the new leg in cumulative arclength, and the session keeps one
 //! [`QueryEngine`] warm across the legs:
@@ -26,8 +26,7 @@
 //!   — the obstructed NN distance is 1-Lipschitz along an unblocked leg,
 //!   so `d(joint) + leg_len` upper-bounds the new leg's final `RLMAX`
 //!   before any point is evaluated, capping the point stream and the
-//!   early obstacle certification loads
-//!   ([`crate::ConnConfig::seed_leg_bound`]). Early legs thereby pre-pay
+//!   early obstacle certification loads. Early legs thereby pre-pay
 //!   obstacle loads that later legs reuse for free.
 //!
 //! Every leg remains an exact Algorithm-4 run: the shared state is a
@@ -221,12 +220,12 @@ pub(crate) fn warm_leg<R: ResultSink>(
     let (cfg, ws, io) = engine.parts();
     let s_node = match ends.0 {
         Some(n) => {
-            ws.begin_leg(&cfg, io);
+            ws.begin_leg(io);
             n
         }
         None => {
             // a clean query start on (possibly reused) state
-            ws.begin_query(&cfg, io);
+            ws.begin_query(io);
             loaded.clear();
             ws.g.add_point(leg.a, NodeKind::Endpoint)
         }
@@ -243,9 +242,7 @@ pub(crate) fn warm_leg<R: ResultSink>(
     // clearance check is a real per-leg cost the session pays and the cold
     // path does not.)
     let seed_bound = match joint_bound {
-        Some(d) if cfg.seed_leg_bound && leg_is_clear(obstacle_tree, leg, &io.obstacle) => {
-            d + leg.len()
-        }
+        Some(d) if leg_is_clear(obstacle_tree, leg, &io.obstacle) => d + leg.len(),
         _ => f64::INFINITY,
     };
     let mut streams = SessionStreams::new(data_tree, obstacle_tree, leg, io, loaded);
@@ -281,8 +278,8 @@ fn leg_is_clear(obstacle_tree: &RStarTree<Rect>, leg: &Segment, io: &IoMeter) ->
 }
 
 /// A streaming trajectory CONN session (k = 1). See the module docs for
-/// the reuse model; [`crate::trajectory_conn_search`] is the batch facade
-/// that replays a complete [`Trajectory`] through one of these.
+/// the reuse model; the service answers a [`crate::Query::trajectory`] by
+/// replaying the complete [`Trajectory`] through one of these.
 pub struct TrajectorySession<'t, 'e> {
     core: SessionCore<'t, 'e>,
     segments: Vec<(Option<DataPoint>, Interval)>,
@@ -414,8 +411,8 @@ impl<'t, 'e> TrajectorySession<'t, 'e> {
 
 /// A streaming trajectory COkNN session: like [`TrajectorySession`] but
 /// each pushed leg yields its full [`CoknnResult`] (kNN sets keep every
-/// member's control points, so the per-leg structure is the honest API —
-/// see [`crate::trajectory_coknn_search`]). The new leg's pruning bound is
+/// member's control points, so the per-leg structure is the honest API).
+/// The new leg's pruning bound is
 /// seeded from the k-th distance at the joint.
 pub struct TrajectoryCoknnSession<'t, 'e> {
     core: SessionCore<'t, 'e>,
@@ -510,7 +507,7 @@ impl<'t, 'e> TrajectoryCoknnSession<'t, 'e> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trajectory::{trajectory_conn_search_cold, Trajectory};
+    use crate::baseline::trajectory_conn_cold;
 
     fn setup() -> (RStarTree<DataPoint>, RStarTree<Rect>) {
         let points = vec![
@@ -545,7 +542,7 @@ mod tests {
         let verts = route();
         let traj = Trajectory::new(verts.clone());
         let cfg = ConnConfig::default();
-        let (cold, _) = trajectory_conn_search_cold(&dt, &ot, &traj, &cfg);
+        let (cold, _) = trajectory_conn_cold(&dt, &ot, &traj, &cfg);
 
         let mut session = TrajectorySession::new(&dt, &ot, verts[0], cfg);
         let mut concat: Vec<(Option<DataPoint>, Interval)> = Vec::new();
@@ -582,40 +579,6 @@ mod tests {
             assert_eq!(p1.map(|x| x.id), p2.map(|x| x.id));
             assert!((iv1.lo - iv2.lo).abs() < 1e-9 && (iv1.hi - iv2.hi).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn seeded_bound_does_not_change_answers() {
-        let (dt, ot) = setup();
-        let verts = route();
-        let mut seeded = TrajectorySession::new(&dt, &ot, verts[0], ConnConfig::default());
-        let mut unseeded = TrajectorySession::new(
-            &dt,
-            &ot,
-            verts[0],
-            ConnConfig {
-                seed_leg_bound: false,
-                ..ConnConfig::default()
-            },
-        );
-        for &v in &verts[1..] {
-            seeded.push_leg(v);
-            unseeded.push_leg(v);
-        }
-        let (a, sa) = seeded.finish();
-        let (b, sb) = unseeded.finish();
-        assert_eq!(a.segments().len(), b.segments().len());
-        for ((p1, iv1), (p2, iv2)) in a.segments().iter().zip(b.segments()) {
-            assert_eq!(p1.map(|x| x.id), p2.map(|x| x.id));
-            assert_eq!(iv1.lo.to_bits(), iv2.lo.to_bits());
-            assert_eq!(iv1.hi.to_bits(), iv2.hi.to_bits());
-        }
-        assert!(
-            sa.npe <= sb.npe,
-            "the seeded bound may only prune: {} vs {}",
-            sa.npe,
-            sb.npe
-        );
     }
 
     #[test]

@@ -19,11 +19,6 @@ use conn_geom::{Rect, Segment};
 use conn_index::{IoMeter, Mbr, NearestIter, RStarTree};
 use conn_vgraph::VisGraph;
 
-use crate::coknn::CoknnResult;
-use crate::config::ConnConfig;
-use crate::conn::ConnResult;
-use crate::engine::QueryEngine;
-use crate::stats::QueryStats;
 use crate::streams::QueryStreams;
 use crate::types::DataPoint;
 
@@ -201,32 +196,10 @@ impl QueryStreams for OneTreeStreams<'_> {
     }
 }
 
-/// CONN search over a single unified R-tree (§4.5). The unified tree's I/O
-/// is reported in `data_io`; `obstacle_io` stays zero. One-shot wrapper
-/// over [`QueryEngine::conn_single_tree`].
-pub fn conn_search_single_tree(
-    tree: &RStarTree<SpatialObject>,
-    q: &Segment,
-    cfg: &ConnConfig,
-) -> (ConnResult, QueryStats) {
-    QueryEngine::new(*cfg).conn_single_tree(tree, q)
-}
-
-/// COkNN search over a single unified R-tree (§4.5). One-shot wrapper over
-/// [`QueryEngine::coknn_single_tree`].
-pub fn coknn_search_single_tree(
-    tree: &RStarTree<SpatialObject>,
-    q: &Segment,
-    k: usize,
-    cfg: &ConnConfig,
-) -> (CoknnResult, QueryStats) {
-    QueryEngine::new(*cfg).coknn_single_tree(tree, q, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::conn_search;
+    use crate::{ConnConfig, QueryEngine};
     use conn_geom::Point;
 
     fn q() -> Segment {
@@ -255,8 +228,8 @@ mod tests {
         let ot = RStarTree::bulk_load(obstacles.clone(), 4096);
         let ut = build_unified_tree(&points, &obstacles, 4096);
         let cfg = ConnConfig::default();
-        let (two, _) = conn_search(&dt, &ot, &q(), &cfg);
-        let (one, _) = conn_search_single_tree(&ut, &q(), &cfg);
+        let (two, _) = QueryEngine::new(cfg).conn(&dt, &ot, &q());
+        let (one, _) = QueryEngine::new(cfg).conn_single_tree(&ut, &q());
         one.check_cover().unwrap();
         for i in 0..=50 {
             let t = 100.0 * (i as f64) / 50.0;
@@ -302,7 +275,7 @@ mod tests {
     fn single_tree_io_reported_on_data_side() {
         let (points, obstacles) = setup();
         let ut = build_unified_tree(&points, &obstacles, 4096);
-        let (_, stats) = conn_search_single_tree(&ut, &q(), &ConnConfig::default());
+        let (_, stats) = QueryEngine::default().conn_single_tree(&ut, &q());
         assert!(stats.data_io.reads > 0);
         assert_eq!(stats.obstacle_io.reads, 0);
     }

@@ -17,8 +17,8 @@ use conn_index::StatsSnapshot;
 pub const IO_MS_PER_FAULT: f64 = 10.0;
 
 /// Allocation-avoidance counters of the reusable query engine. All three
-/// are zero when a query runs on fresh per-query state (the legacy
-/// free-function API) and grow once a [`crate::QueryEngine`] is reused.
+/// are zero when a query runs on fresh per-query state (a new
+/// [`crate::QueryEngine`]) and grow once the engine is reused.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReuseCounters {
     /// Queries that reused an already-allocated visibility graph (i.e. ran

@@ -2,32 +2,26 @@
 //! "retrieving the ONN of every point on a specified moving trajectory that
 //! consists of several consecutive line segments".
 //!
-//! A trajectory query runs the CONN/COkNN machinery per leg and stitches
-//! the per-leg result lists into one answer parameterized by cumulative
-//! arclength. The batch entry points here replay the trajectory's legs
-//! through a [`crate::TrajectorySession`], which keeps one query engine —
-//! visibility graph, loaded obstacles, Dijkstra substrate — alive across
-//! the legs instead of paying a cold Algorithm-4 start per leg; each leg
-//! is still its own exact run (the session only shares monotone state), so
-//! the exactness argument holds leg by leg. The stitching re-indexes
-//! parameters into cumulative arclength, merges equal answers across the
-//! joints, and absorbs sub-`EPS` slivers produced by per-leg float drift
-//! at the shared vertices.
+//! A trajectory query ([`crate::Query::trajectory`]) runs the CONN/COkNN
+//! machinery per leg and stitches the per-leg result lists into one answer
+//! parameterized by cumulative arclength. The service replays the
+//! trajectory's legs through a [`crate::TrajectorySession`], which keeps
+//! one query engine — visibility graph, loaded obstacles, Dijkstra
+//! substrate — alive across the legs instead of paying a cold Algorithm-4
+//! start per leg; each leg is still its own exact run (the session only
+//! shares monotone state), so the exactness argument holds leg by leg. The
+//! stitching re-indexes parameters into cumulative arclength, merges equal
+//! answers across the joints, and absorbs sub-`EPS` slivers produced by
+//! per-leg float drift at the shared vertices.
 //!
-//! [`trajectory_conn_search_cold`] keeps the original cold-per-leg
-//! execution as the reference implementation — it is the baseline that
-//! `repro --target traj` measures the session against, and the oracle the
-//! streaming-equivalence proptests compare to.
+//! [`crate::baseline::trajectory_conn_cold`] keeps the original
+//! cold-per-leg execution as the reference implementation — it is the
+//! baseline that `repro --target traj` measures the session against, and
+//! the oracle the streaming-equivalence proptests compare to.
 
 // lint:allow-file(no-panic-in-query-path[index]): leg/vertex indices are bounded by the constructor-validated vertex count
-use conn_geom::{Interval, Point, Rect, Segment, EPS};
-use conn_index::RStarTree;
+use conn_geom::{Interval, Point, Segment, EPS};
 
-use crate::coknn::coknn_search;
-use crate::config::ConnConfig;
-use crate::conn::conn_search;
-use crate::session::TrajectoryCoknnSession;
-use crate::stats::QueryStats;
 use crate::types::DataPoint;
 
 /// A polyline trajectory: consecutive line segments through `vertices`.
@@ -131,7 +125,33 @@ impl Trajectory {
 }
 
 /// Answer of a trajectory CONN query: `⟨point, interval⟩` tuples over the
-/// trajectory's cumulative arclength.
+/// trajectory's cumulative arclength. Statistics are summed over the legs
+/// (each leg is one Algorithm-4 run).
+///
+/// ```
+/// use conn_core::{ConnService, DataPoint, Query, Scene, Trajectory};
+/// use conn_geom::Point;
+///
+/// let service = ConnService::new(Scene::new(
+///     vec![
+///         DataPoint::new(0, Point::new(10.0, 30.0)),
+///         DataPoint::new(1, Point::new(100.0, 60.0)),
+///     ],
+///     vec![],
+/// ));
+/// let route = Trajectory::new(vec![
+///     Point::new(0.0, 0.0),
+///     Point::new(100.0, 0.0),
+///     Point::new(100.0, 80.0),
+/// ]);
+///
+/// let response = service.execute(&Query::trajectory(route.clone(), 1).build()?)?;
+/// let plan = response.answer.as_trajectory().expect("trajectory answer");
+/// plan.check_cover().unwrap();
+/// assert_eq!(plan.nn_at(0.0).unwrap().id, 0);
+/// assert_eq!(plan.nn_at(route.len()).unwrap().id, 1);
+/// # Ok::<(), conn_core::Error>(())
+/// ```
 #[derive(Debug, Clone)]
 pub struct TrajectoryResult {
     trajectory: Trajectory,
@@ -161,10 +181,10 @@ impl TrajectoryResult {
 
     /// The ONN at cumulative arclength `t` — identity only. The stitched
     /// tuples do not retain the per-leg control points, so the obstructed
-    /// distance is not stored here; re-derive it with
-    /// [`crate::obstructed_distance`] against the trajectory point, or run
-    /// the per-leg [`crate::conn_search`] when distances are needed along
-    /// a whole leg.
+    /// distance is not stored here; re-derive it with a
+    /// [`crate::Query::odist`] against the trajectory point, or run a
+    /// [`crate::Query::conn`] per leg when distances are needed along a
+    /// whole leg.
     pub fn nn_at(&self, t: f64) -> Option<DataPoint> {
         self.segments
             .iter()
@@ -272,126 +292,25 @@ fn push_stitched(out: &mut Vec<(Option<DataPoint>, Interval)>, p: Option<DataPoi
     out.push((p, iv));
 }
 
-/// Trajectory CONN (k = 1): the ONN of every point along a polyline.
-///
-/// Statistics are summed over the legs (each leg is one Algorithm-4 run).
-///
-/// ```
-/// use conn_core::{trajectory_conn_search, ConnConfig, DataPoint, Trajectory};
-/// use conn_geom::{Point, Rect};
-/// use conn_index::RStarTree;
-///
-/// let points = RStarTree::bulk_load(
-///     vec![
-///         DataPoint::new(0, Point::new(10.0, 30.0)),
-///         DataPoint::new(1, Point::new(100.0, 60.0)),
-///     ],
-///     4096,
-/// );
-/// let obstacles: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
-/// let route = Trajectory::new(vec![
-///     Point::new(0.0, 0.0),
-///     Point::new(100.0, 0.0),
-///     Point::new(100.0, 80.0),
-/// ]);
-///
-/// let (plan, _) = trajectory_conn_search(&points, &obstacles, &route, &ConnConfig::default());
-/// plan.check_cover().unwrap();
-/// assert_eq!(plan.nn_at(0.0).unwrap().id, 0);
-/// assert_eq!(plan.nn_at(route.len()).unwrap().id, 1);
-/// ```
-pub fn trajectory_conn_search(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    trajectory: &Trajectory,
-    cfg: &ConnConfig,
-) -> (TrajectoryResult, QueryStats) {
-    let service =
-        crate::ConnService::with_config(crate::Scene::borrowing(data_tree, obstacle_tree), *cfg);
-    let query = crate::Query::trajectory(trajectory.clone(), 1)
-        .build()
-        .unwrap_or_else(|e| panic!("{e}")); // lint:allow(no-panic-in-query-path)
-    let resp = service.execute(&query).unwrap_or_else(|e| panic!("{e}")); // lint:allow(no-panic-in-query-path)
-                                                                          // Infallible: the service answers each query kind with its own family.
-                                                                          // lint:allow(no-panic-in-query-path)
-    let res = resp.answer.into_trajectory().expect("trajectory answer");
-    (res, resp.stats)
-}
-
-/// Reference implementation of [`trajectory_conn_search`]: every leg is a
-/// fully cold [`conn_search`] run (fresh engine, fresh visibility graph,
-/// all obstacle loads repaid). This is the baseline `repro --target traj`
-/// measures [`crate::TrajectorySession`] against, and the oracle of the
-/// streaming-equivalence tests. Answers are equivalent to the session path
-/// (identical tuples, distances within float noise from the session's
-/// larger loaded-obstacle superset).
-pub fn trajectory_conn_search_cold(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    trajectory: &Trajectory,
-    cfg: &ConnConfig,
-) -> (TrajectoryResult, QueryStats) {
-    let mut total = QueryStats::default();
-    let mut segments: Vec<(Option<DataPoint>, Interval)> = Vec::new();
-    for i in 0..trajectory.num_legs() {
-        let leg = trajectory.leg(i);
-        let offset = trajectory.leg_offset(i);
-        let (res, stats) = conn_search(data_tree, obstacle_tree, &leg, cfg);
-        total.accumulate(&stats);
-        stitch_leg(&mut segments, &res.segments(), offset, offset + leg.len());
-    }
-    total.result_tuples = segments.len() as u64;
-    (TrajectoryResult::new(trajectory.clone(), segments), total)
-}
-
-/// Trajectory COkNN: the k nearest per point along a polyline, replayed
-/// through a [`crate::TrajectoryCoknnSession`] so the visibility substrate
-/// survives across legs. Returns the per-leg results
-/// (cumulative-arclength stitching of full kNN sets keeps every member's
-/// control points; exposing the per-leg structure is the honest API) plus
-/// summed statistics.
-pub fn trajectory_coknn_search(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    trajectory: &Trajectory,
-    k: usize,
-    cfg: &ConnConfig,
-) -> (Vec<crate::coknn::CoknnResult>, QueryStats) {
-    // k = 1 keeps the per-leg COkNN structure this function promises, so it
-    // drives the session directly instead of the service's `Trajectory`
-    // query (which answers k = 1 as stitched trajectory CONN).
-    let mut session =
-        TrajectoryCoknnSession::new(data_tree, obstacle_tree, trajectory.vertices()[0], k, *cfg);
-    for &v in &trajectory.vertices()[1..] {
-        session.push_leg(v);
-    }
-    session.finish()
-}
-
-/// Cold-per-leg reference of [`trajectory_coknn_search`] (see
-/// [`trajectory_conn_search_cold`]).
-pub fn trajectory_coknn_search_cold(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    trajectory: &Trajectory,
-    k: usize,
-    cfg: &ConnConfig,
-) -> (Vec<crate::coknn::CoknnResult>, QueryStats) {
-    let mut total = QueryStats::default();
-    let mut legs = Vec::with_capacity(trajectory.num_legs());
-    for i in 0..trajectory.num_legs() {
-        let leg = trajectory.leg(i);
-        let (res, stats) = coknn_search(data_tree, obstacle_tree, &leg, k, cfg);
-        total.accumulate(&stats);
-        legs.push(res);
-    }
-    (legs, total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::brute_force_oknn;
+    use crate::baseline::{brute_force_oknn, obstructed_distance};
+    use crate::{ConnService, Query, QueryStats, Scene};
+    use conn_geom::Rect;
+    use conn_index::RStarTree;
+
+    fn trajectory_conn(
+        dt: &RStarTree<DataPoint>,
+        ot: &RStarTree<Rect>,
+        route: &Trajectory,
+    ) -> (TrajectoryResult, QueryStats) {
+        let query = Query::trajectory(route.clone(), 1).build().unwrap();
+        let resp = ConnService::new(Scene::borrowing(dt, ot))
+            .execute(&query)
+            .unwrap();
+        (resp.answer.into_trajectory().unwrap(), resp.stats)
+    }
 
     fn l_shape() -> Trajectory {
         Trajectory::new(vec![
@@ -519,7 +438,7 @@ mod tests {
         let dt = RStarTree::bulk_load(points.clone(), 4096);
         let ot = RStarTree::bulk_load(obstacles.clone(), 4096);
         let traj = l_shape();
-        let (res, stats) = trajectory_conn_search(&dt, &ot, &traj, &ConnConfig::default());
+        let (res, stats) = trajectory_conn(&dt, &ot, &traj);
         res.check_cover().unwrap();
         assert!(stats.npe >= 3, "per-leg runs accumulate NPE");
         for i in 0..=36 {
@@ -530,7 +449,7 @@ mod tests {
                 (Some(g), Some((w, wd))) => {
                     if g.id != w.id {
                         // only acceptable under a tie
-                        let gd = crate::obstructed_distance(&obstacles, g.pos, traj.at(t));
+                        let gd = obstructed_distance(&obstacles, g.pos, traj.at(t));
                         assert!((gd - wd).abs() < 1e-6, "t={t}: {} vs {}", g.id, w.id);
                     }
                 }
@@ -545,7 +464,7 @@ mod tests {
         let points = vec![DataPoint::new(0, Point::new(50.0, 40.0))];
         let dt = RStarTree::bulk_load(points, 4096);
         let ot: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
-        let (res, _) = trajectory_conn_search(&dt, &ot, &l_shape(), &ConnConfig::default());
+        let (res, _) = trajectory_conn(&dt, &ot, &l_shape());
         assert_eq!(res.segments().len(), 1);
         assert_eq!(res.split_points().len(), 0);
     }
@@ -560,10 +479,14 @@ mod tests {
         let dt = RStarTree::bulk_load(points, 4096);
         let ot: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
         let traj = l_shape();
-        let (legs, stats) = trajectory_coknn_search(&dt, &ot, &traj, 2, &ConnConfig::default());
+        let query = Query::trajectory(traj, 2).build().unwrap();
+        let resp = ConnService::new(Scene::borrowing(&dt, &ot))
+            .execute(&query)
+            .unwrap();
+        let legs = resp.answer.as_trajectory_knn().unwrap();
         assert_eq!(legs.len(), 2);
-        assert!(stats.npe >= 3);
-        for leg in &legs {
+        assert!(resp.stats.npe >= 3);
+        for leg in legs {
             leg.check_cover().unwrap();
             assert_eq!(leg.knn_at(10.0).len(), 2);
         }

@@ -12,26 +12,14 @@
 use conn_geom::{Point, Rect};
 use conn_index::RStarTree;
 
-use crate::config::ConnConfig;
 use crate::engine::QueryEngine;
 use crate::odist::Anchor;
 use crate::stats::QueryStats;
 use crate::types::DataPoint;
 
-/// The `k` nearest data points visible from `s`, in ascending Euclidean
-/// distance. One-shot wrapper over [`QueryEngine::visible_knn`].
-pub fn visible_knn(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    s: Point,
-    k: usize,
-    cfg: &ConnConfig,
-) -> (Vec<(DataPoint, f64)>, QueryStats) {
-    QueryEngine::new(*cfg).visible_knn(data_tree, obstacle_tree, s, k)
-}
-
 impl QueryEngine {
-    /// Engine-backed [`visible_knn`] on the reused workspace.
+    /// The `k` nearest data points visible from `s`, in ascending Euclidean
+    /// distance.
     pub fn visible_knn(
         &mut self,
         data_tree: &RStarTree<DataPoint>,
@@ -82,7 +70,7 @@ mod tests {
         let dt = RStarTree::bulk_load(points.clone(), 4096);
         let ot = RStarTree::bulk_load(obstacles.clone(), 4096);
         let s = Point::new(0.0, 0.0);
-        let (got, _) = visible_knn(&dt, &ot, s, 3, &ConnConfig::default());
+        let (got, _) = QueryEngine::default().visible_knn(&dt, &ot, s, 3);
         let ids: Vec<u32> = got.iter().map(|(p, _)| p.id).collect();
         assert_eq!(ids, vec![0, 2, 3], "point 1 is behind the wall");
         // distances are euclidean and ascending
@@ -97,7 +85,7 @@ mod tests {
         let dt = RStarTree::bulk_load(points.clone(), 4096);
         let empty: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
         let s = Point::new(0.0, 0.0);
-        let (got, _) = visible_knn(&dt, &empty, s, 4, &ConnConfig::default());
+        let (got, _) = QueryEngine::default().visible_knn(&dt, &empty, s, 4);
         let want = dt.knn(s, 4);
         assert_eq!(got.len(), want.len());
         for ((gp, _), (wp, _)) in got.iter().zip(&want) {
@@ -115,7 +103,7 @@ mod tests {
             Point::new(-20.0, 15.0),
             Point::new(30.0, -10.0),
         ] {
-            let (got, _) = visible_knn(&dt, &ot, s, 10, &ConnConfig::default());
+            let (got, _) = QueryEngine::default().visible_knn(&dt, &ot, s, 10);
             let mut want: Vec<(DataPoint, f64)> = points
                 .iter()
                 .filter(|p| !obstacles.iter().any(|r| r.blocks(&Segment::new(s, p.pos))))

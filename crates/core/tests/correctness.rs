@@ -3,9 +3,7 @@
 //! of the query segment, across randomized instances.
 
 use conn_core::baseline::{brute_force_oknn, sampled_conn};
-use conn_core::{
-    build_unified_tree, coknn_search, coknn_search_single_tree, conn_search, ConnConfig, DataPoint,
-};
+use conn_core::{build_unified_tree, ConnConfig, DataPoint, QueryEngine};
 use conn_geom::{Point, Rect, Segment};
 use conn_index::RStarTree;
 use proptest::prelude::*;
@@ -72,7 +70,7 @@ fn instance() -> impl Strategy<Value = Instance> {
 fn check_against_brute_force(inst: &Instance, k: usize, cfg: &ConnConfig) {
     let dt = RStarTree::bulk_load(inst.points.clone(), 4096);
     let ot = RStarTree::bulk_load(inst.obstacles.clone(), 4096);
-    let (res, stats) = coknn_search(&dt, &ot, &inst.q, k, cfg);
+    let (res, stats) = QueryEngine::new(*cfg).coknn(&dt, &ot, &inst.q, k);
     res.check_cover().unwrap();
     assert!(stats.npe as usize <= inst.points.len());
 
@@ -124,8 +122,8 @@ proptest! {
     fn pruning_lemmas_do_not_change_answers(inst in instance()) {
         let dt = RStarTree::bulk_load(inst.points.clone(), 4096);
         let ot = RStarTree::bulk_load(inst.obstacles.clone(), 4096);
-        let (full, _) = conn_search(&dt, &ot, &inst.q, &ConnConfig::default());
-        let (bare, _) = conn_search(&dt, &ot, &inst.q, &ConnConfig::no_pruning());
+        let (full, _) = QueryEngine::default().conn(&dt, &ot, &inst.q);
+        let (bare, _) = QueryEngine::new(ConnConfig::no_pruning()).conn(&dt, &ot, &inst.q);
         for i in 0..=30 {
             let t = inst.q.len() * (i as f64) / 30.0;
             match (full.nn_at(t), bare.nn_at(t)) {
@@ -141,8 +139,8 @@ proptest! {
         let ot = RStarTree::bulk_load(inst.obstacles.clone(), 4096);
         let ut = build_unified_tree(&inst.points, &inst.obstacles, 4096);
         let cfg = ConnConfig::default();
-        let (two, _) = coknn_search(&dt, &ot, &inst.q, 2, &cfg);
-        let (one, _) = coknn_search_single_tree(&ut, &inst.q, 2, &cfg);
+        let (two, _) = QueryEngine::new(cfg).coknn(&dt, &ot, &inst.q, 2);
+        let (one, _) = QueryEngine::new(cfg).coknn_single_tree(&ut, &inst.q, 2);
         for i in 0..=30 {
             let t = inst.q.len() * (i as f64) / 30.0;
             let a = two.knn_at(t);
@@ -159,8 +157,8 @@ proptest! {
         let dt = RStarTree::bulk_load(inst.points.clone(), 4096);
         let ot = RStarTree::bulk_load(inst.obstacles.clone(), 4096);
         let cfg = ConnConfig::default();
-        let (conn, _) = conn_search(&dt, &ot, &inst.q, &cfg);
-        let (k1, _) = coknn_search(&dt, &ot, &inst.q, 1, &cfg);
+        let (conn, _) = QueryEngine::new(cfg).conn(&dt, &ot, &inst.q);
+        let (k1, _) = QueryEngine::new(cfg).coknn(&dt, &ot, &inst.q, 1);
         for i in 0..=30 {
             let t = inst.q.len() * (i as f64) / 30.0;
             let a = conn.nn_at(t);
@@ -176,7 +174,7 @@ proptest! {
     fn sampled_baseline_agrees_with_exact(inst in instance()) {
         let dt = RStarTree::bulk_load(inst.points.clone(), 4096);
         let ot = RStarTree::bulk_load(inst.obstacles.clone(), 4096);
-        let (res, _) = conn_search(&dt, &ot, &inst.q, &ConnConfig::default());
+        let (res, _) = QueryEngine::default().conn(&dt, &ot, &inst.q);
         let samples = sampled_conn(&inst.points, &inst.obstacles, &inst.q, 21, 1);
         for s in &samples {
             let got = res.nn_at(s.t);

@@ -3,8 +3,8 @@
 //! distance `‖p, q(t)‖` at every parameter — the distance that a
 //! full-visibility-graph Dijkstra from `q(t)` computes.
 
+use conn_core::baseline::obstructed_distance;
 use conn_core::cpl::{cplc, VrCache};
-use conn_core::obstructed_distance;
 use conn_core::ConnConfig;
 use conn_geom::{Point, Rect, Segment};
 use conn_vgraph::{DijkstraEngine, NodeKind, VisGraph};

@@ -3,7 +3,7 @@
 //! pathological layouts.
 
 use conn_core::baseline::brute_force_oknn;
-use conn_core::{coknn_search, conn_search, onn_search, ConnConfig, DataPoint};
+use conn_core::{DataPoint, QueryEngine};
 use conn_geom::{Point, Rect, Segment};
 use conn_index::RStarTree;
 
@@ -19,7 +19,7 @@ fn run(
 ) -> (conn_core::CoknnResult, conn_core::QueryStats) {
     let dt = RStarTree::bulk_load(points, 4096);
     let ot = RStarTree::bulk_load(obstacles, 4096);
-    coknn_search(&dt, &ot, q, k, &ConnConfig::default())
+    QueryEngine::default().coknn(&dt, &ot, q, k)
 }
 
 #[test]
@@ -109,7 +109,7 @@ fn very_short_query_segment() {
     ];
     let dt = RStarTree::bulk_load(points, 4096);
     let ot: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
-    let (res, _) = conn_search(&dt, &ot, &q, &ConnConfig::default());
+    let (res, _) = QueryEngine::default().conn(&dt, &ot, &q);
     res.check_cover().unwrap();
     assert!(res.nn_at(0.05).is_some());
 }
@@ -180,7 +180,7 @@ fn onn_at_point_on_wall() {
     let ot = RStarTree::bulk_load(vec![wall], 4096);
     // query location exactly on the wall's bottom edge
     let s = Point::new(50.0, 10.0);
-    let (got, _) = onn_search(&dt, &ot, s, 2, &ConnConfig::default());
+    let (got, _) = QueryEngine::default().onn(&dt, &ot, s, 2);
     let want = brute_force_oknn(&points, &[wall], s, 2);
     assert_eq!(got.len(), want.len());
     for ((_, gd), (_, wd)) in got.iter().zip(&want) {
@@ -227,7 +227,8 @@ fn obstacle_touching_query_endpoint() {
 /// correctly after loading a vanishing share of the field.
 #[test]
 fn unreachable_targets_load_a_sliver_of_the_field() {
-    use conn_core::{obstructed_distance, ConnService, Query, Scene};
+    use conn_core::baseline::obstructed_distance;
+    use conn_core::{ConnService, Query, Scene};
     use std::sync::Arc;
 
     let plaza = Rect::new(4800.0, 4800.0, 5200.0, 5200.0);

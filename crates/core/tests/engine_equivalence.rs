@@ -1,7 +1,7 @@
 //! Equivalence suite for the reusable query engine: one `QueryEngine`
 //! answering a random *sequence* of CONN / COkNN / odist queries must
-//! produce byte-identical results to fresh per-query state (the legacy
-//! free functions). Guards against stale-scratch bugs — a leaked interval,
+//! produce byte-identical results to fresh per-query state (a new engine
+//! per query). Guards against stale-scratch bugs — a leaked interval,
 //! a surviving obstacle, an unreset Dijkstra label would all surface as a
 //! divergence somewhere in the sequence.
 //!
@@ -14,9 +14,7 @@ mod common;
 
 use common::{check_route, close};
 use conn_core::baseline::brute_force_oknn;
-use conn_core::{
-    coknn_search, conn_search, CoknnResult, ConnConfig, ConnResult, DataPoint, QueryEngine, Scene,
-};
+use conn_core::{CoknnResult, ConnConfig, ConnResult, DataPoint, QueryEngine, Scene};
 use conn_datasets::ObstacleLookup;
 use conn_geom::{Point, Rect, Segment};
 use conn_index::RStarTree;
@@ -267,7 +265,7 @@ proptest! {
             }
             let q = Segment::new(a, b);
             if k == 0 {
-                let (fresh, fresh_stats) = conn_search(&data_tree, &obstacle_tree, &q, &cfg);
+                let (fresh, fresh_stats) = QueryEngine::new(cfg).conn(&data_tree, &obstacle_tree, &q);
                 let (reused, stats) = engine.conn(&data_tree, &obstacle_tree, &q);
                 assert_conn_identical(&fresh, &reused)?;
                 // the paper's counters must agree too — they are part of
@@ -277,7 +275,7 @@ proptest! {
                 prop_assert_eq!(fresh_stats.svg_nodes, stats.svg_nodes);
                 prop_assert_eq!(fresh_stats.result_tuples, stats.result_tuples);
             } else {
-                let (fresh, _) = coknn_search(&data_tree, &obstacle_tree, &q, k, &cfg);
+                let (fresh, _) = QueryEngine::new(cfg).coknn(&data_tree, &obstacle_tree, &q, k);
                 let (reused, _) = engine.coknn(&data_tree, &obstacle_tree, &q, k);
                 assert_coknn_identical(&fresh, &reused)?;
             }
@@ -302,10 +300,10 @@ proptest! {
             // odist through the engine's loader vs the whole-field oracle
             // (1e-9, not bitwise — see `common::close`)
             let (d_engine, _) = engine.obstructed_distance(&obstacle_tree, a, b);
-            let d_free = conn_core::obstructed_distance(&obstacles, a, b);
+            let d_free = conn_core::baseline::obstructed_distance(&obstacles, a, b);
             prop_assert!(close(d_engine, d_free), "{d_engine} vs {d_free}");
 
-            let (fresh, _) = conn_search(&data_tree, &obstacle_tree, &q, &cfg);
+            let (fresh, _) = QueryEngine::new(cfg).conn(&data_tree, &obstacle_tree, &q);
             let (reused, _) = engine.conn(&data_tree, &obstacle_tree, &q);
             assert_conn_identical(&fresh, &reused)?;
         }
@@ -333,7 +331,7 @@ proptest! {
         for (pa, pb, k, radius) in probes {
             let (a, b) = (pa.resolve(&obstacles), pb.resolve(&obstacles));
             for (a, b) in [(a, b), (a, a)] {
-                let want = conn_core::obstructed_distance(&obstacles, a, b);
+                let want = conn_core::baseline::obstructed_distance(&obstacles, a, b);
                 let (d, _) = engine.obstructed_distance(&obstacle_tree, a, b);
                 prop_assert!(close(d, want), "odist {a}→{b}: {d} vs oracle {want}");
                 let ((d, path), _) = engine.obstructed_route(&obstacle_tree, a, b);
@@ -359,7 +357,7 @@ proptest! {
 
             if a.dist(b) >= 1e-9 {
                 let q = Segment::new(a, b);
-                let (fresh, _) = conn_search(&data_tree, &obstacle_tree, &q, &cfg);
+                let (fresh, _) = QueryEngine::new(cfg).conn(&data_tree, &obstacle_tree, &q);
                 let (reused, _) = engine.conn(&data_tree, &obstacle_tree, &q);
                 assert_conn_identical(&fresh, &reused)?;
             }
@@ -505,7 +503,7 @@ proptest! {
         prop_assert_eq!(batch.len(), segs.len());
         prop_assert_eq!(stats.queries, segs.len());
         for (resp, q) in batch.iter().zip(&segs) {
-            let (fresh, fresh_stats) = conn_search(&data_tree, &obstacle_tree, q, &cfg);
+            let (fresh, fresh_stats) = QueryEngine::new(cfg).conn(&data_tree, &obstacle_tree, q);
             assert_conn_identical(&fresh, resp.answer.as_conn().unwrap())?;
             prop_assert_eq!(resp.stats.data_io, fresh_stats.data_io);
             prop_assert_eq!(resp.stats.obstacle_io, fresh_stats.obstacle_io);

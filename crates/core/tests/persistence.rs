@@ -1,10 +1,7 @@
 //! Persistence round-trips for the query-layer item types, including a
 //! "build once, query later" flow over a saved unified tree.
 
-use conn_core::{
-    build_unified_tree, coknn_search, coknn_search_single_tree, ConnConfig, DataPoint,
-    SpatialObject,
-};
+use conn_core::{build_unified_tree, ConnConfig, DataPoint, QueryEngine, SpatialObject};
 use conn_geom::{Point, Rect, Segment};
 use conn_index::RStarTree;
 
@@ -56,8 +53,8 @@ fn unified_tree_roundtrip_preserves_query_answers() {
 
     let q = Segment::new(Point::new(100.0, 100.0), Point::new(400.0, 250.0));
     let cfg = ConnConfig::default();
-    let (orig, _) = coknn_search_single_tree(&unified, &q, 3, &cfg);
-    let (from_disk, _) = coknn_search_single_tree(&loaded, &q, 3, &cfg);
+    let (orig, _) = QueryEngine::new(cfg).coknn_single_tree(&unified, &q, 3);
+    let (from_disk, _) = QueryEngine::new(cfg).coknn_single_tree(&loaded, &q, 3);
     for i in 0..=20 {
         let t = q.len() * (i as f64) / 20.0;
         let (a, b) = (orig.knn_at(t), from_disk.knn_at(t));
@@ -82,8 +79,8 @@ fn saved_trees_give_same_answers_as_fresh_builds() {
 
     let q = Segment::new(Point::new(50.0, 700.0), Point::new(420.0, 640.0));
     let cfg = ConnConfig::default();
-    let (a, _) = coknn_search(&dt, &ot, &q, 2, &cfg);
-    let (b, _) = coknn_search(&dt2, &ot2, &q, 2, &cfg);
+    let (a, _) = QueryEngine::new(cfg).coknn(&dt, &ot, &q, 2);
+    let (b, _) = QueryEngine::new(cfg).coknn(&dt2, &ot2, &q, 2);
     for i in 0..=15 {
         let t = q.len() * (i as f64) / 15.0;
         let (x, y) = (a.knn_at(t), b.knn_at(t));

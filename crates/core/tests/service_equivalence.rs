@@ -1,26 +1,32 @@
-//! Equivalence suite for the typed front door: [`ConnService::execute`]
-//! and [`ConnService::execute_batch`] must answer **byte-identically** to
-//! the corresponding free-function calls, for a random *mixed-family*
-//! workload, on uniform and clustered scenes, under both kernels. The one
-//! exception is odist/route, whose free functions are the whole-field
-//! oracle rather than a wrapper over the service: those compare by value
-//! (see `common`).
+//! Equivalence suite for the typed front door, for a random *mixed-family*
+//! workload over all ten families, on uniform and clustered scenes, under
+//! both kernels:
 //!
-//! This is the service-level analogue of `engine_equivalence`: a leaked
-//! config override, a worker picking up stale workspace state from a
-//! different family, or a family dispatched to the wrong internals would
-//! all surface as a divergence somewhere in the sequence.
+//! * [`ConnService::execute`] on a warm pool engine (which has served other
+//!   families before) must answer **byte-identically** to a fresh
+//!   [`QueryEngine`] driven directly for that one query;
+//! * [`ConnService::execute_batch_threads`] must answer byte-identically to
+//!   `execute`;
+//! * the served kernel must answer like a [`ConnConfig::baseline_kernel`]
+//!   service, by value (equal-length paths may settle in different order);
+//! * odist/route must agree by value with the whole-field oracle of
+//!   `baseline`, which shares no code with the obstacle loader (see
+//!   `common`).
+//!
+//! This is the service-level analogue of `engine_equivalence`: a worker
+//! picking up stale workspace state from a different family, a family
+//! dispatched to the wrong internals, or a kernel mode leaking between
+//! services would all surface as a divergence somewhere in the sequence.
 
 mod common;
 
 use std::sync::Arc;
 
 use common::{check_route, close};
+use conn_core::baseline::obstructed_route;
 use conn_core::{
-    coknn_search, conn_search, obstructed_closest_pair, obstructed_distance,
-    obstructed_edistance_join, obstructed_range_search, obstructed_rnn, obstructed_route,
-    onn_search, trajectory_conn_search, Answer, ConnConfig, ConnService, DataPoint, Query,
-    Response, Scene, Trajectory,
+    Answer, ConnConfig, ConnService, DataPoint, Query, QueryEngine, QueryKind, Response, Scene,
+    Trajectory, TrajectorySession,
 };
 use conn_datasets::ObstacleLookup;
 use conn_geom::{Point, Segment};
@@ -107,123 +113,128 @@ fn build_query(s: &Spec, other: &Arc<RStarTree<DataPoint>>) -> Option<Query> {
     built.build().ok()
 }
 
-fn ids(v: &[(DataPoint, f64)]) -> Vec<(u32, u64)> {
-    v.iter().map(|(p, d)| (p.id, d.to_bits())).collect()
+/// The query answered the way a one-shot caller would: a fresh engine,
+/// the family's method called directly — no service, no pool, no dispatch.
+fn answer_on_fresh_engine(query: &Query, scene: &Scene<'_>, cfg: ConnConfig) -> Answer {
+    let (dt, ot) = (scene.data_tree(), scene.obstacle_tree());
+    let mut engine = QueryEngine::new(cfg);
+    match query.kind() {
+        QueryKind::Conn { q } => Answer::Conn(engine.conn(dt, ot, q).0),
+        QueryKind::Coknn { q, k } => Answer::Coknn(engine.coknn(dt, ot, q, *k).0),
+        QueryKind::Onn { s, k } => Answer::Onn(engine.onn(dt, ot, *s, *k).0),
+        QueryKind::Range { s, radius } => Answer::Range(engine.range(dt, ot, *s, *radius).0),
+        QueryKind::Rnn { s } => Answer::Rnn(engine.rnn(dt, ot, *s).0),
+        QueryKind::Odist { a, b } => Answer::Odist(engine.obstructed_distance(ot, *a, *b).0),
+        QueryKind::Route { a, b } => {
+            let ((dist, path), _) = engine.obstructed_route(ot, *a, *b);
+            Answer::Route { dist, path }
+        }
+        QueryKind::EDistanceJoin { other, e } => {
+            Answer::EDistanceJoin(engine.edistance_join(dt, other, ot, *e).0)
+        }
+        QueryKind::ClosestPair { other } => {
+            Answer::ClosestPair(engine.closest_pair(dt, other, ot).0)
+        }
+        QueryKind::Trajectory { route, .. } => {
+            let mut session = TrajectorySession::new(dt, ot, route.vertices()[0], cfg);
+            for &v in &route.vertices()[1..] {
+                session.push_leg(v);
+            }
+            Answer::Trajectory(session.finish().0)
+        }
+        other => unreachable!("family {} is not generated here", other.family()),
+    }
 }
 
-/// Asserts one service answer equals the corresponding free-function
-/// answer, bit for bit.
-fn assert_matches_free_fn(
+/// odist/route against the whole-field oracle, by value.
+fn assert_matches_oracle(
     resp: &Response,
     query: &Query,
-    scene: &Scene<'_>,
     obstacles: &[conn_geom::Rect],
-    other: &Arc<RStarTree<DataPoint>>,
-    cfg: &ConnConfig,
 ) -> Result<(), TestCaseError> {
-    let dt = scene.data_tree();
-    let ot = scene.obstacle_tree();
-    match (resp.answer.family(), &resp.answer) {
-        ("conn", Answer::Conn(got)) => {
-            let Some(conn_core::QueryKind::Conn { q }) = Some(query.kind()) else {
-                unreachable!()
-            };
-            let (want, _) = conn_search(dt, ot, q, cfg);
-            prop_assert_eq!(got.entries().len(), want.entries().len());
-            for (x, y) in got.entries().iter().zip(want.entries()) {
-                prop_assert_eq!(x.point.map(|p| p.id), y.point.map(|p| p.id));
-                prop_assert_eq!(x.interval.lo.to_bits(), y.interval.lo.to_bits());
-                prop_assert_eq!(x.interval.hi.to_bits(), y.interval.hi.to_bits());
-            }
+    let (QueryKind::Odist { a, b } | QueryKind::Route { a, b }) = query.kind() else {
+        return Ok(());
+    };
+    let (want, _) = obstructed_route(obstacles, *a, *b);
+    let got = resp.answer.distance().expect("odist/route answer");
+    prop_assert!(close(got, want), "{a}→{b}: {got} vs oracle {want}");
+    if let Answer::Route { dist, path } = &resp.answer {
+        let lookup = ObstacleLookup::build(obstacles);
+        if let Err(why) = check_route(&lookup, (*a, *b), *dist, path.as_deref()) {
+            prop_assert!(false, "route {a}→{b}: {why}");
         }
-        ("coknn", Answer::Coknn(got)) => {
-            let conn_core::QueryKind::Coknn { q, k } = query.kind() else {
-                unreachable!()
-            };
-            let (want, _) = coknn_search(dt, ot, q, *k, cfg);
-            prop_assert_eq!(got.entries().len(), want.entries().len());
-            for (x, y) in got.entries().iter().zip(want.entries()) {
-                prop_assert_eq!(x.interval.lo.to_bits(), y.interval.lo.to_bits());
-                prop_assert_eq!(x.members.len(), y.members.len());
-                for (mx, my) in x.members.iter().zip(&y.members) {
-                    prop_assert_eq!(mx.point.id, my.point.id);
-                    prop_assert_eq!(mx.cp.base.to_bits(), my.cp.base.to_bits());
+    }
+    Ok(())
+}
+
+/// `(id, distance)` lists of two kernels: same distances, and the same
+/// points except where two candidates tie.
+fn assert_neighbors_equivalent(
+    x: &[(DataPoint, f64)],
+    y: &[(DataPoint, f64)],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(x.len(), y.len());
+    for (i, ((px, dx), (py, dy))) in x.iter().zip(y).enumerate() {
+        prop_assert!(close(*dx, *dy), "{dx} vs {dy}");
+        let tied = |v: &[(DataPoint, f64)]| {
+            v.iter()
+                .enumerate()
+                .any(|(j, (_, d))| j != i && close(*d, *dx))
+        };
+        prop_assert!(px.id == py.id || tied(x) || tied(y), "{px:?} vs {py:?}");
+    }
+    Ok(())
+}
+
+/// The served kernel's answer against the reference kernel's, by value.
+fn assert_kernels_equivalent(served: &Answer, reference: &Answer) -> Result<(), TestCaseError> {
+    match (served, reference) {
+        (Answer::Conn(x), Answer::Conn(y)) => prop_assert!(x.values_equivalent(y, 1e-6)),
+        (Answer::Coknn(x), Answer::Coknn(y)) => {
+            for i in 0..=32 {
+                let t = x.query().len() * f64::from(i) / 32.0;
+                let (kx, ky) = (x.knn_at(t), y.knn_at(t));
+                prop_assert_eq!(kx.len(), ky.len(), "t = {}", t);
+                for ((_, dx), (_, dy)) in kx.iter().zip(&ky) {
+                    prop_assert!((dx - dy).abs() <= 1e-6, "t = {t}: {dx} vs {dy}");
                 }
             }
         }
-        ("onn", Answer::Onn(got)) => {
-            let conn_core::QueryKind::Onn { s, k } = query.kind() else {
-                unreachable!()
-            };
-            let (want, _) = onn_search(dt, ot, *s, *k, cfg);
-            prop_assert_eq!(ids(got), ids(&want));
+        (Answer::Onn(x), Answer::Onn(y))
+        | (Answer::Range(x), Answer::Range(y))
+        | (Answer::Rnn(x), Answer::Rnn(y)) => assert_neighbors_equivalent(x, y)?,
+        (Answer::Odist(x), Answer::Odist(y)) => prop_assert!(close(*x, *y), "{x} vs {y}"),
+        (Answer::Route { dist: x, .. }, Answer::Route { dist: y, .. }) => {
+            prop_assert!(close(*x, *y), "{x} vs {y}")
         }
-        ("range", Answer::Range(got)) => {
-            let conn_core::QueryKind::Range { s, radius } = query.kind() else {
-                unreachable!()
-            };
-            let (want, _) = obstructed_range_search(dt, ot, *s, *radius, cfg);
-            prop_assert_eq!(ids(got), ids(&want));
-        }
-        ("rnn", Answer::Rnn(got)) => {
-            let conn_core::QueryKind::Rnn { s } = query.kind() else {
-                unreachable!()
-            };
-            let (want, _) = obstructed_rnn(dt, ot, *s, cfg);
-            prop_assert_eq!(ids(got), ids(&want));
-        }
-        ("odist", Answer::Odist(got)) => {
-            let conn_core::QueryKind::Odist { a, b } = query.kind() else {
-                unreachable!()
-            };
-            let want = obstructed_distance(obstacles, *a, *b);
-            prop_assert!(close(*got, want), "odist {got} vs oracle {want}");
-        }
-        ("route", Answer::Route { dist, path }) => {
-            let conn_core::QueryKind::Route { a, b } = query.kind() else {
-                unreachable!()
-            };
-            let (want_d, _) = obstructed_route(obstacles, *a, *b);
-            prop_assert!(close(*dist, want_d), "route {dist} vs oracle {want_d}");
-            let lookup = ObstacleLookup::build(obstacles);
-            if let Err(why) = check_route(&lookup, (*a, *b), *dist, path.as_deref()) {
-                prop_assert!(false, "route {a}→{b}: {why}");
+        (Answer::ClosestPair(x), Answer::ClosestPair(y)) => {
+            prop_assert_eq!(x.is_some(), y.is_some());
+            if let (Some((.., dx)), Some((.., dy))) = (x, y) {
+                prop_assert!(close(*dx, *dy), "{dx} vs {dy}");
             }
         }
-        ("closest_pair", Answer::ClosestPair(got)) => {
-            let (want, _) = obstructed_closest_pair(dt, other, ot, cfg);
-            prop_assert_eq!(
-                got.map(|(a, b, d)| (a.id, b.id, d.to_bits())),
-                want.map(|(a, b, d)| (a.id, b.id, d.to_bits()))
-            );
-        }
-        ("edistance_join", Answer::EDistanceJoin(got)) => {
-            let conn_core::QueryKind::EDistanceJoin { e, .. } = query.kind() else {
-                unreachable!()
-            };
-            let (want, _) = obstructed_edistance_join(dt, other, ot, *e, cfg);
-            prop_assert_eq!(
-                got.iter()
-                    .map(|(a, b, d)| (a.id, b.id, d.to_bits()))
-                    .collect::<Vec<_>>(),
-                want.iter()
-                    .map(|(a, b, d)| (a.id, b.id, d.to_bits()))
-                    .collect::<Vec<_>>()
-            );
-        }
-        ("trajectory", Answer::Trajectory(got)) => {
-            let conn_core::QueryKind::Trajectory { route, .. } = query.kind() else {
-                unreachable!()
-            };
-            let (want, _) = trajectory_conn_search(dt, ot, route, cfg);
-            prop_assert_eq!(got.segments().len(), want.segments().len());
-            for (x, y) in got.segments().iter().zip(want.segments()) {
-                prop_assert_eq!(x.0.map(|p| p.id), y.0.map(|p| p.id));
-                prop_assert_eq!(x.1.lo.to_bits(), y.1.lo.to_bits());
-                prop_assert_eq!(x.1.hi.to_bits(), y.1.hi.to_bits());
+        (Answer::EDistanceJoin(x), Answer::EDistanceJoin(y)) => {
+            prop_assert_eq!(x.len(), y.len());
+            for ((.., dx), (.., dy)) in x.iter().zip(y) {
+                prop_assert!(close(*dx, *dy), "{dx} vs {dy}");
             }
         }
-        (fam, ans) => prop_assert!(false, "family {fam} answered with {ans:?}"),
+        (Answer::Trajectory(x), Answer::Trajectory(y)) => {
+            // identities agree except within float drift of a split point,
+            // where the adjacent answers tie by continuity
+            let near_split = |t: f64| {
+                x.segments()
+                    .iter()
+                    .chain(y.segments())
+                    .any(|(_, iv)| (t - iv.lo).abs() < 1e-6 || (t - iv.hi).abs() < 1e-6)
+            };
+            for i in 0..=64 {
+                let t = x.trajectory().len() * f64::from(i) / 64.0;
+                let same = x.nn_at(t).map(|p| p.id) == y.nn_at(t).map(|p| p.id);
+                prop_assert!(same || near_split(t), "t = {t}");
+            }
+        }
+        (x, y) => prop_assert!(false, "{} answered beside {}", x.family(), y.family()),
     }
     Ok(())
 }
@@ -240,9 +251,10 @@ fn assert_same_answer(x: &Answer, y: &Answer) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// `execute` answers every family byte-identically to the free
-    /// functions, and `execute_batch` answers byte-identically to
-    /// `execute`, across scene layouts and kernels.
+    /// `execute` answers every family byte-identically to the family's
+    /// function called on a fresh `QueryEngine`, `execute_batch_threads`
+    /// byte-identically to `execute`, the two kernels agree by value, and
+    /// odist/route agree with the whole-field oracle, across scene layouts.
     #[test]
     fn service_matches_free_functions(scn in scenario(), threads in 1..4usize) {
         let (clustered, n_pts, n_obs, seed, specs) = scn;
@@ -258,6 +270,7 @@ proptest! {
             .filter_map(|s| build_query(s, &other))
             .collect();
 
+        let mut per_kernel: Vec<Vec<Response>> = Vec::new();
         for cfg in [ConnConfig::default(), ConnConfig::baseline_kernel()] {
             let service = ConnService::with_config(
                 Scene::borrowing(scene.data_tree(), scene.obstacle_tree()),
@@ -266,7 +279,8 @@ proptest! {
             let mut serial: Vec<Response> = Vec::with_capacity(queries.len());
             for q in &queries {
                 let resp = service.execute(q).unwrap();
-                assert_matches_free_fn(&resp, q, &scene, &obstacles, &other, &cfg)?;
+                assert_same_answer(&resp.answer, &answer_on_fresh_engine(q, &scene, cfg))?;
+                assert_matches_oracle(&resp, q, &obstacles)?;
                 serial.push(resp);
             }
             let (batch, stats) = service.execute_batch_threads(&queries, threads).unwrap();
@@ -275,6 +289,10 @@ proptest! {
             for (b, s) in batch.iter().zip(&serial) {
                 assert_same_answer(&b.answer, &s.answer)?;
             }
+            per_kernel.push(serial);
+        }
+        for (served, reference) in per_kernel[0].iter().zip(&per_kernel[1]) {
+            assert_kernels_equivalent(&served.answer, &reference.answer)?;
         }
     }
 }

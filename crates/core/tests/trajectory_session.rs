@@ -10,10 +10,8 @@
 //! tuples) are asserted on every generated trajectory, which doubles as
 //! the multi-leg joint-sliver regression suite.
 
-use conn_core::{
-    obstructed_distance, trajectory_conn_search_cold, ConnConfig, DataPoint, KernelMode,
-    Trajectory, TrajectorySession,
-};
+use conn_core::baseline::{obstructed_distance, trajectory_conn_cold};
+use conn_core::{ConnConfig, DataPoint, KernelMode, Trajectory, TrajectorySession};
 use conn_geom::{Interval, Point, Rect};
 use conn_index::RStarTree;
 use proptest::prelude::*;
@@ -142,7 +140,7 @@ fn check_kernel(scn: &Scenario, kernel: KernelMode) -> Result<(), TestCaseError>
         ..ConnConfig::default()
     };
 
-    let (cold, _) = trajectory_conn_search_cold(&data_tree, &obstacle_tree, &traj, &cfg);
+    let (cold, _) = trajectory_conn_cold(&data_tree, &obstacle_tree, &traj, &cfg);
     prop_assert!(cold.check_cover().is_ok(), "{:?}", cold.check_cover());
 
     let mut session = TrajectorySession::new(&data_tree, &obstacle_tree, verts[0], cfg);

@@ -12,8 +12,11 @@
 //! The real datasets are not redistributable here, so [`ca_like`] and
 //! [`la_like`] generate synthetic stand-ins that preserve the properties the
 //! experiments exercise — CA's clustered density skew, LA's dense field of
-//! small elongated obstacles (see DESIGN.md §3 for the substitution
-//! rationale). Obstacles are generated **disjoint**, and data points never
+//! small elongated obstacles. The paper's cost metrics (NPE, NOE, |SVG|,
+//! page faults) react to how many points and obstacles sit near a query
+//! and how thin the obstacles are, not to which city they came from, so
+//! matching cardinality, density skew and aspect ratio keeps the figures'
+//! trends comparable. Obstacles are generated **disjoint**, and data points never
 //! fall in obstacle interiors, matching the paper's stated conventions.
 //!
 //! Every generator is deterministic in its seed.

@@ -3,9 +3,9 @@
 //! Paper §5.1: "The starting point and the orientation (in [0, 2π)) of the
 //! query line segment are randomly generated, while its length is controlled
 //! by the parameter ql" (a percentage of the space side). The query segment
-//! models a movement trajectory, so segments crossing obstacle interiors are
-//! rejection-resampled (the library itself tolerates crossing segments; the
-//! *workload* avoids them — DESIGN.md §3).
+//! models a movement trajectory — nobody drives through a building — so
+//! segments crossing obstacle interiors are rejection-resampled (the library
+//! itself tolerates crossing segments; the *workload* avoids them).
 
 use conn_geom::{Point, Rect, Segment};
 use rand::rngs::StdRng;

@@ -32,11 +32,8 @@
 //! equivalence is pinned by the proptests below and by the vgraph-level
 //! suites.
 //!
-//! The lane loops come in two flavors: a plain autovectorizable form
-//! (default) and an explicit fixed-width form behind the `explicit-simd`
-//! cargo feature that mirrors a `std::simd` kernel on stable Rust (4-wide
-//! blocks + scalar remainder). Both run the same per-lane operations, so
-//! their outputs are bit-identical; CI builds both.
+//! The lane loops are plain loops over fixed-size chunks, written for the
+//! autovectorizer; they are the reference semantics of the batched test.
 
 use crate::approx::EPS;
 use crate::point::Point;
@@ -204,60 +201,6 @@ impl SegProbe {
     }
 }
 
-/// Explicit fixed-width lane primitives (`explicit-simd` feature): the same
-/// three slab folds as the autovectorized loops, written as 4-wide blocks
-/// with a scalar remainder — the shape a `std::simd` port would take.
-/// Per-lane operations are identical, so results are bit-identical.
-#[cfg(feature = "explicit-simd")]
-mod lane4 {
-    const W: usize = 4;
-
-    #[inline]
-    pub fn or_lt_zero(miss: &mut [bool], qs: &[f64], n: usize) {
-        let blocks = n / W;
-        for b in 0..blocks {
-            let o = b * W;
-            let m: [bool; W] = std::array::from_fn(|i| qs[o + i] < 0.0);
-            for i in 0..W {
-                miss[o + i] |= m[i];
-            }
-        }
-        for j in (blocks * W)..n {
-            miss[j] |= qs[j] < 0.0;
-        }
-    }
-
-    #[inline]
-    pub fn fold_max_div(t0: &mut [f64], qs: &[f64], p: f64, n: usize) {
-        let blocks = n / W;
-        for b in 0..blocks {
-            let o = b * W;
-            let r: [f64; W] = std::array::from_fn(|i| qs[o + i] / p);
-            for i in 0..W {
-                t0[o + i] = t0[o + i].max(r[i]);
-            }
-        }
-        for j in (blocks * W)..n {
-            t0[j] = t0[j].max(qs[j] / p);
-        }
-    }
-
-    #[inline]
-    pub fn fold_min_div(t1: &mut [f64], qs: &[f64], p: f64, n: usize) {
-        let blocks = n / W;
-        for b in 0..blocks {
-            let o = b * W;
-            let r: [f64; W] = std::array::from_fn(|i| qs[o + i] / p);
-            for i in 0..W {
-                t1[o + i] = t1[o + i].min(r[i]);
-            }
-        }
-        for j in (blocks * W)..n {
-            t1[j] = t1[j].min(qs[j] / p);
-        }
-    }
-}
-
 /// Branch-free Liang–Barsky fold over one chunk: `p` is the shared slab
 /// vector of the segment, `q` the per-lane offset vectors in slab order.
 /// On return, lane `j` missed the (closed) rect iff
@@ -276,26 +219,17 @@ fn clip_lanes(
         let pi = p[slab];
         let qs = &q[slab];
         if pi.abs() <= f64::MIN_POSITIVE {
-            #[cfg(not(feature = "explicit-simd"))]
             for j in 0..n {
                 miss[j] |= qs[j] < 0.0;
             }
-            #[cfg(feature = "explicit-simd")]
-            lane4::or_lt_zero(miss, qs, n);
         } else if pi < 0.0 {
-            #[cfg(not(feature = "explicit-simd"))]
             for j in 0..n {
                 t0[j] = t0[j].max(qs[j] / pi);
             }
-            #[cfg(feature = "explicit-simd")]
-            lane4::fold_max_div(t0, qs, pi, n);
         } else {
-            #[cfg(not(feature = "explicit-simd"))]
             for j in 0..n {
                 t1[j] = t1[j].min(qs[j] / pi);
             }
-            #[cfg(feature = "explicit-simd")]
-            lane4::fold_min_div(t1, qs, pi, n);
         }
     }
 }

@@ -59,9 +59,8 @@ pub const fn compiled() -> bool {
 
 /// Reports an invariant violation. Sanitizer audits detect internal bugs,
 /// not user error, so this panics loudly instead of returning a `Result`.
-// lint:allow(no-panic-in-query-path): the sanitizer's entire job is to
-// panic on internal invariant violations; it is compiled out of release
-// servings builds.
+// The sanitizer's entire job is to panic on internal invariant violations;
+// it is compiled out of release serving builds.
 #[cold]
 #[inline(never)]
 pub fn violation(context: &str, detail: &str) -> ! {

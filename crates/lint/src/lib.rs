@@ -14,7 +14,9 @@
 //! * `// lint:allow-file(<rule>): <justification>` for a whole file —
 //!   the justification is mandatory;
 //! * facets narrow a rule: `lint:allow(no-panic-in-query-path[index])`
-//!   allows indexing but keeps unwrap/expect/panic enforcement.
+//!   allows indexing but keeps unwrap/expect/panic enforcement;
+//! * an allow that suppresses no diagnostic is itself a violation, so a
+//!   marker cannot outlive the code it excused.
 //!
 //! Run it as `cargo run -p conn-lint` (exit 0 = clean, 1 = violations).
 

@@ -85,7 +85,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "lint-allow-hygiene",
         summary: "file-scoped allows (`lint:allow-file(rule): why`) must carry a \
-                  non-empty justification after the closing paren",
+                  non-empty justification after the closing paren, and every allow \
+                  (line or file scope) must suppress at least one diagnostic",
     },
 ];
 
@@ -264,12 +265,17 @@ pub fn run_all(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
 }
 
 /// Filters diagnostics through the file's `lint:allow` markers and emits
-/// `lint-allow-hygiene` findings for unjustified file-scope allows.
+/// `lint-allow-hygiene` findings for the markers themselves: a file-scope
+/// allow without a justification, and any allow that suppressed nothing
+/// (its subject was deleted or moved — the marker must go with it).
 pub fn apply_allows(ctx: &FileContext<'_>, diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    let allows = &ctx.lexed.allows;
+    let mut used = vec![false; allows.len()];
     let mut out: Vec<Diagnostic> = diags
         .into_iter()
         .filter(|d| {
-            !ctx.lexed.allows.iter().any(|a| {
+            let mut suppressed = false;
+            for (a, used) in allows.iter().zip(&mut used) {
                 let target_hits = a.target == d.code
                     || d.code
                         .split_once('[')
@@ -280,11 +286,15 @@ pub fn apply_allows(ctx: &FileContext<'_>, diags: Vec<Diagnostic>) -> Vec<Diagno
                 } else {
                     a.line == d.line || a.line + 1 == d.line
                 };
-                target_hits && scope_hits
-            })
+                if target_hits && scope_hits {
+                    *used = true;
+                    suppressed = true;
+                }
+            }
+            !suppressed
         })
         .collect();
-    for a in &ctx.lexed.allows {
+    for (a, used) in allows.iter().zip(used) {
         if a.file_scope && !a.justified {
             ctx.diag(
                 &mut out,
@@ -292,6 +302,17 @@ pub fn apply_allows(ctx: &FileContext<'_>, diags: Vec<Diagnostic>) -> Vec<Diagno
                 "lint-allow-hygiene",
                 "lint:allow-file(...) must carry a justification: \
                  `// lint:allow-file(rule): <why this whole file is exempt>`",
+            );
+        } else if !used {
+            ctx.diag(
+                &mut out,
+                a.line,
+                "lint-allow-hygiene",
+                &format!(
+                    "lint:allow{}({}) suppresses no diagnostic — delete it",
+                    if a.file_scope { "-file" } else { "" },
+                    a.target
+                ),
             );
         }
     }
@@ -964,6 +985,29 @@ mod tests {
         let test_src = "#[cfg(test)]\nmod tests {\n  fn g() { \
                         let s = Scene::new(points, obstacles); }\n}\n";
         assert!(ctx_diags("crates/core/src/live.rs", test_src, &[]).is_empty());
+    }
+
+    #[test]
+    fn allow_that_suppresses_nothing_is_flagged() {
+        // the unwrap the line allow covered is gone; the file never indexes
+        let src = "// lint:allow-file(no-panic-in-query-path[index]): dense arrays\n\
+                   // lint:allow(no-panic-in-query-path)\n\
+                   fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n";
+        let d = ctx_diags("crates/core/src/conn.rs", src, &[]);
+        let found: Vec<(u32, &str)> = d.iter().map(|x| (x.line, x.code.as_str())).collect();
+        assert_eq!(
+            found,
+            [(1, "lint-allow-hygiene"), (2, "lint-allow-hygiene")],
+            "{d:?}"
+        );
+        assert!(d[0]
+            .message
+            .contains("lint:allow-file(no-panic-in-query-path[index])"));
+        // both still earn their keep while their subjects exist
+        let live = "// lint:allow-file(no-panic-in-query-path[index]): dense arrays\n\
+                    // lint:allow(no-panic-in-query-path)\n\
+                    fn f(x: Option<u32>, v: &[u32]) -> u32 { x.unwrap() + v[0] }\n";
+        assert!(ctx_diags("crates/core/src/conn.rs", live, &[]).is_empty());
     }
 
     #[test]

@@ -110,6 +110,8 @@ fn idx(v: &[u32]) -> u32 { v[0] }
 fn naked(x: Option<u32>) -> u32 { x.unwrap() }
 // lint:allow-file(no-naked-float-cmp)
 fn cmp(a: f64, b: f64) { let _ = a.partial_cmp(&b); }
+// lint:allow(no-wallclock-in-kernels)
+fn clock_was_here() {}
 ";
     fs::write(dir.join("crates/core/src/lib.rs"), src).expect("overwrite fixture source");
 
@@ -131,6 +133,16 @@ fn cmp(a: f64, b: f64) { let _ = a.partial_cmp(&b); }
         stdout.contains("[no-naked-float-cmp]"),
         "bad allow suppressed:\n{stdout}"
     );
+    // An allow whose subject is gone is reported where it stands; the two
+    // allows that do suppress something are not.
+    assert!(
+        stdout.contains(
+            "crates/core/src/lib.rs:7: [lint-allow-hygiene] \
+             lint:allow(no-wallclock-in-kernels) suppresses no diagnostic"
+        ),
+        "stale allow not reported:\n{stdout}"
+    );
+    assert_eq!(stdout.matches("suppresses no diagnostic").count(), 1);
     assert!(!out.status.success());
 
     let _ = fs::remove_dir_all(&dir);

@@ -293,15 +293,6 @@ impl VisGraph {
         retained
     }
 
-    /// Like [`VisGraph::reset`], but also switches the obstacle grid to a
-    /// new cell size (used when a reused workspace serves inputs with a
-    /// different typical obstacle extent).
-    pub fn reset_with_cell(&mut self, cell: f64) -> usize {
-        let retained = self.reset();
-        self.grid.set_cell(cell);
-        retained
-    }
-
     /// Number of live nodes — the `|SVG|` metric of the paper's Figures 9–12
     /// counts the obstacle vertices held in the local graph.
     pub fn num_nodes(&self) -> usize {
@@ -338,11 +329,6 @@ impl VisGraph {
     /// [`VisGraph::shape_epoch`], so no cross-query snapshot can reach here.
     pub fn rects_since(&self, version: u64) -> &[(u64, Rect)] {
         &self.rect_log[Self::log_start(&self.rect_log, version)..]
-    }
-
-    /// The obstacle grid's cell size.
-    pub fn grid_cell(&self) -> f64 {
-        self.grid.cell_size()
     }
 
     /// Position of a node (dead or alive).

@@ -48,11 +48,6 @@ impl CellTable {
         self.gen += 1;
     }
 
-    /// Drops the extent entirely (cell-size changes invalidate coordinates).
-    fn clear_extent(&mut self) {
-        *self = CellTable::default();
-    }
-
     #[inline]
     fn slot(&self, cx: i32, cy: i32) -> Option<usize> {
         let (dx, dy) = (cx - self.min_cx, cy - self.min_cy);
@@ -296,18 +291,6 @@ impl ObstacleGrid {
         self.store.stamp.clear();
         self.store.live.clear();
         self.store.n_live = 0;
-    }
-
-    /// Changes the cell size. Only valid on an empty grid (call
-    /// [`ObstacleGrid::reset`] first); a different cell size invalidates the
-    /// retained cell coordinates, so the dense extent is dropped.
-    pub fn set_cell(&mut self, cell: f64) {
-        assert!(cell > 0.0, "cell size must be positive");
-        assert!(self.store.rects.is_empty(), "set_cell on a non-empty grid");
-        if (cell - self.cell).abs() > f64::EPSILON {
-            self.cell = cell;
-            self.cells.clear_extent();
-        }
     }
 
     /// The current cell size.

@@ -23,10 +23,11 @@ fn main() {
     let points = DataPoint::from_points(&points_raw);
     let queries = datasets::query_segments(5, datasets::DEFAULT_QL, 7, &obstacles);
 
-    let data_tree = RStarTree::bulk_load(points.clone(), DEFAULT_PAGE_SIZE);
-    let obstacle_tree = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
-    let unified_tree = build_unified_tree(&points, &obstacles, DEFAULT_PAGE_SIZE);
-    let cfg = ConnConfig::default();
+    // The single-tree layout has no `Query` kind: it runs on a `QueryEngine`
+    // directly, beside the service that answers the two-tree layout.
+    let unified_tree = conn::build_unified_tree(&points, &obstacles, DEFAULT_PAGE_SIZE);
+    let service = ConnService::new(Scene::new(points, obstacles));
+    let mut engine = QueryEngine::default();
     let k = datasets::DEFAULT_K;
 
     println!(
@@ -34,8 +35,10 @@ fn main() {
         "layout", "total(s)", "cpu(s)", "faults", "NPE", "NOE", "|SVG|"
     );
     for (qi, q) in queries.iter().enumerate() {
-        let (res2, s2) = coknn_search(&data_tree, &obstacle_tree, q, k, &cfg);
-        let (res1, s1) = coknn_search_single_tree(&unified_tree, q, k, &cfg);
+        let query = Query::coknn(*q, k).build().expect("valid query");
+        let two = service.execute(&query).expect("2T query");
+        let (res2, s2) = (two.answer.as_coknn().expect("coknn answer"), two.stats);
+        let (res1, s1) = engine.coknn_single_tree(&unified_tree, q, k);
         res2.check_cover().expect("2T cover");
         res1.check_cover().expect("1T cover");
         println!(

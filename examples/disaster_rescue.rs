@@ -50,16 +50,14 @@ fn main() {
         seg
     };
 
-    let survivor_tree = RStarTree::bulk_load(survivors.clone(), DEFAULT_PAGE_SIZE);
-    let rubble_tree = RStarTree::bulk_load(rubble.clone(), DEFAULT_PAGE_SIZE);
+    let service = ConnService::new(Scene::new(survivors.clone(), rubble.clone()));
 
     let k = 3;
-    let (plan, stats) = coknn_search(
-        &survivor_tree,
-        &rubble_tree,
-        &corridor,
-        k,
-        &ConnConfig::default(),
+    let query = Query::coknn(corridor, k).build().expect("valid corridor");
+    let response = service.execute(&query).expect("rescue plan");
+    let (plan, stats) = (
+        response.answer.as_coknn().expect("coknn answer"),
+        response.stats,
     );
     plan.check_cover().expect("corridor fully covered");
 

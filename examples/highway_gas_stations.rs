@@ -32,20 +32,24 @@ fn main() {
     ];
     let highway = Segment::new(Point::new(0.0, 0.0), Point::new(1000.0, 0.0));
 
-    let station_tree = RStarTree::bulk_load(stations.clone(), DEFAULT_PAGE_SIZE);
-    let obstacle_tree = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
-    let empty_tree: RStarTree<Rect> = RStarTree::bulk_load(vec![], DEFAULT_PAGE_SIZE);
-    let cfg = ConnConfig::default();
+    let along_highway = Query::conn(highway).build().expect("valid highway");
 
     // CNN: same machinery, empty obstacle set → Euclidean continuous NN.
-    let (cnn, _) = conn_search(&station_tree, &empty_tree, &highway, &cfg);
+    let open_road = ConnService::new(Scene::new(stations.clone(), vec![]));
+    let cnn = open_road.execute(&along_highway).expect("CNN query");
+    let cnn = cnn.answer.as_conn().expect("conn answer");
     // CONN: obstacles respected.
-    let (conn, stats) = conn_search(&station_tree, &obstacle_tree, &highway, &cfg);
+    let service = ConnService::new(Scene::new(stations.clone(), obstacles));
+    let response = service.execute(&along_highway).expect("CONN query");
+    let (conn, stats) = (
+        response.answer.as_conn().expect("conn answer"),
+        response.stats,
+    );
 
     println!("CNN  (Euclidean, obstacles ignored):");
-    print_segments(&cnn);
+    print_segments(cnn);
     println!("CONN (obstructed):");
-    print_segments(&conn);
+    print_segments(conn);
 
     // Phenomenon 1: the split points differ.
     println!("CNN  split points: {:.1?}", cnn.split_points());
@@ -65,7 +69,15 @@ fn main() {
     );
 
     // And the obstructed path to the walled-off station is genuinely longer:
-    let d3 = conn::obstructed_distance(&obstacles, stations[3].pos, highway.at(0.0));
+    let detour = Query::odist(stations[3].pos, highway.at(0.0))
+        .build()
+        .expect("valid endpoints");
+    let d3 = service
+        .execute(&detour)
+        .expect("odist query")
+        .answer
+        .distance()
+        .expect("odist answer");
     println!(
         "station 3's euclidean distance to S is {:.1}, its obstructed distance {:.1}",
         stations[3].pos.dist(highway.at(0.0)),

@@ -10,7 +10,6 @@
 //! ```
 
 use conn::prelude::*;
-use conn_core::{trajectory_conn_search, Trajectory};
 
 fn main() {
     // Charging docks along the walls.
@@ -38,11 +37,15 @@ fn main() {
         Point::new(100.0, 120.0),
     ]);
 
-    let dock_tree = RStarTree::bulk_load(docks.clone(), DEFAULT_PAGE_SIZE);
-    let rack_tree = RStarTree::bulk_load(racks.clone(), DEFAULT_PAGE_SIZE);
-
-    let (plan, stats) =
-        trajectory_conn_search(&dock_tree, &rack_tree, &route, &ConnConfig::default());
+    let service = ConnService::new(Scene::new(docks.clone(), racks.clone()));
+    let patrol = Query::trajectory(route.clone(), 1)
+        .build()
+        .expect("valid route");
+    let response = service.execute(&patrol).expect("patrol plan");
+    let (plan, stats) = (
+        response.answer.as_trajectory().expect("trajectory answer"),
+        response.stats,
+    );
     plan.check_cover().expect("route fully covered");
 
     println!(
@@ -64,7 +67,15 @@ fn main() {
     // Spot check against a direct shortest-path computation.
     let probe = route.len() * 0.37;
     let dock = plan.nn_at(probe).expect("answer at probe");
-    let d = conn::obstructed_distance(&racks, dock.pos, route.at(probe));
+    let walk = Query::odist(dock.pos, route.at(probe))
+        .build()
+        .expect("valid endpoints");
+    let d = service
+        .execute(&walk)
+        .expect("odist query")
+        .answer
+        .distance()
+        .expect("odist answer");
     println!(
         "\nat route position {probe:.0}: dock {} is {d:.1} m away around the racks",
         dock.id

@@ -35,9 +35,11 @@ fn main() {
     ];
     let q = Segment::new(Point::new(0.0, 0.0), Point::new(1000.0, 0.0));
 
-    let st = RStarTree::bulk_load(stations.clone(), DEFAULT_PAGE_SIZE);
-    let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
-    let (result, _) = conn_search(&st, &ot, &q, &ConnConfig::default());
+    let service = ConnService::new(Scene::new(stations.clone(), obstacles.clone()));
+    let response = service
+        .execute(&Query::conn(q).build().expect("valid segment"))
+        .expect("conn query");
+    let result = response.answer.into_conn().expect("conn answer");
 
     let svg = render(&stations, &obstacles, &q, &result);
     std::fs::write(&out_path, svg).expect("write svg");

@@ -34,13 +34,15 @@
 //!   [`StandingHandle`]) patched per delta under kinetic-style
 //!   certificate regions with a [`PatchReport`] accounting for every
 //!   kept / tuple-patched / kernel-patched / recomputed answer;
-//! * the legacy free functions at the root ([`conn_search`],
-//!   [`coknn_search`], the single-tree variants, baselines) — thin
-//!   wrappers over the service, answering byte-identically;
 //! * the serving internals: [`QueryEngine`] (reset-and-reuse workspace —
 //!   answer many queries with O(1) substrate allocations; it also owns the
-//!   page meters and LRU buffers its queries' tree I/O is counted on) and
-//!   the [`BatchStats`] of [`ConnService::execute_batch`].
+//!   page meters and LRU buffers its queries' tree I/O is counted on; the
+//!   direct entry point of single-threaded figure code, the single-tree
+//!   layout of §4.5 and `visible_knn`) and the [`BatchStats`] of
+//!   [`ConnService::execute_batch`];
+//! * [`baseline`] — the reference oracles (whole-field obstructed distance,
+//!   brute-force OkNN, sampled / naive CONN, cold-per-leg trajectories)
+//!   that tests and benches hold the served path against.
 //!
 //! ## Example
 //!
@@ -70,25 +72,6 @@
 //! assert!(!knn.answer.as_coknn().expect("coknn answer").entries().is_empty());
 //! # Ok::<(), conn::Error>(())
 //! ```
-//!
-//! The free-function surface remains the compatibility path:
-//!
-//! ```
-//! # use conn::prelude::*;
-//! # let stations = vec![DataPoint::new(0, Point::new(250.0, 220.0))];
-//! # let buildings = vec![Rect::new(180.0, 90.0, 330.0, 160.0)];
-//! let stations_tree = RStarTree::bulk_load(stations, DEFAULT_PAGE_SIZE);
-//! let buildings_tree = RStarTree::bulk_load(buildings, DEFAULT_PAGE_SIZE);
-//! let highway = Segment::new(Point::new(0.0, 0.0), Point::new(1000.0, 0.0));
-//! let (result, stats) = conn_search(
-//!     &stations_tree,
-//!     &buildings_tree,
-//!     &highway,
-//!     &ConnConfig::default(),
-//! );
-//! assert!(!result.segments().is_empty());
-//! assert!(stats.npe >= 1);
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -100,27 +83,21 @@ pub use conn_vgraph as vgraph;
 
 pub use conn_core::baseline;
 pub use conn_core::{
-    answers_equivalent, build_unified_tree, coknn_search, coknn_search_single_tree, conn_search,
-    conn_search_single_tree, naive_conn_by_onn, obstructed_closest_pair, obstructed_distance,
-    obstructed_edistance_join, obstructed_path, obstructed_range_search, obstructed_rnn,
-    obstructed_route, onn_search, trajectory_coknn_search, trajectory_conn_search, visible_knn,
-    Admission, AdmissionConfig, Answer, BatchStats, CoknnResult, ConnConfig, ConnResult,
-    ConnService, ControlPoint, DataPoint, EnginePool, Error, LiveScene, PatchReport, PinnedEpoch,
-    Query, QueryBuilder, QueryEngine, QueryKind, QueryStats, Response, ResultEntry, ResultList,
-    ReuseCounters, Scene, SceneDelta, SceneEpoch, Shard, ShardSet, ShardSpec, SpatialObject,
-    StandingHandle, SweepMode, Ticket, Trajectory, TrajectoryCoknnSession, TrajectoryResult,
-    TrajectorySession,
+    answers_equivalent, build_unified_tree, Admission, AdmissionConfig, Answer, BatchStats,
+    CoknnResult, ConnConfig, ConnResult, ConnService, ControlPoint, DataPoint, EnginePool, Error,
+    LiveScene, PatchReport, PinnedEpoch, Query, QueryBuilder, QueryEngine, QueryKind, QueryStats,
+    Response, ResultEntry, ResultList, ReuseCounters, Scene, SceneDelta, SceneEpoch, Shard,
+    ShardSet, ShardSpec, SpatialObject, StandingHandle, SweepMode, Ticket, Trajectory,
+    TrajectoryCoknnSession, TrajectoryResult, TrajectorySession,
 };
 
 /// Everything a typical user needs, in one import.
 pub mod prelude {
     pub use conn_core::{
-        build_unified_tree, coknn_search, coknn_search_single_tree, conn_search,
-        conn_search_single_tree, obstructed_distance, obstructed_range_search, obstructed_rnn,
-        onn_search, trajectory_conn_search, Admission, AdmissionConfig, Answer, BatchStats,
-        CoknnResult, ConnConfig, ConnResult, ConnService, DataPoint, Error, LiveScene, PatchReport,
-        PinnedEpoch, Query, QueryEngine, QueryStats, Response, ReuseCounters, Scene, SceneDelta,
-        SceneEpoch, ShardSpec, StandingHandle, Ticket, Trajectory, TrajectorySession,
+        Admission, AdmissionConfig, Answer, BatchStats, CoknnResult, ConnConfig, ConnResult,
+        ConnService, DataPoint, Error, LiveScene, PatchReport, PinnedEpoch, Query, QueryEngine,
+        QueryStats, Response, ReuseCounters, Scene, SceneDelta, SceneEpoch, ShardSpec,
+        StandingHandle, Ticket, Trajectory, TrajectorySession,
     };
     pub use conn_geom::{Interval, Point, Rect, Segment};
     pub use conn_index::{RStarTree, DEFAULT_PAGE_SIZE};

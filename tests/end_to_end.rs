@@ -21,7 +21,7 @@ fn generated_workload_answers_match_brute_force() {
     let dt = RStarTree::bulk_load(points.clone(), DEFAULT_PAGE_SIZE);
     let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
     for q in &queries {
-        let (res, stats) = coknn_search(&dt, &ot, q, 3, &ConnConfig::default());
+        let (res, stats) = QueryEngine::default().coknn(&dt, &ot, q, 3);
         res.check_cover().unwrap();
         assert!(stats.npe >= 3);
         for i in 0..=10 {
@@ -48,7 +48,7 @@ fn cost_grows_with_query_length() {
         let mut noe = 0u64;
         let mut npe = 0u64;
         for q in &queries {
-            let (_, s) = coknn_search(&dt, &ot, q, 5, &cfg);
+            let (_, s) = QueryEngine::new(cfg).coknn(&dt, &ot, q, 5);
             noe += s.noe;
             npe += s.npe;
         }
@@ -68,8 +68,8 @@ fn cost_grows_with_k() {
     let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
     let q = datasets::query_segment(0.05, 3, &obstacles);
     let cfg = ConnConfig::default();
-    let (_, s1) = coknn_search(&dt, &ot, &q, 1, &cfg);
-    let (_, s9) = coknn_search(&dt, &ot, &q, 9, &cfg);
+    let (_, s1) = QueryEngine::new(cfg).coknn(&dt, &ot, &q, 1);
+    let (_, s9) = QueryEngine::new(cfg).coknn(&dt, &ot, &q, 9);
     assert!(s9.npe >= s1.npe, "{} vs {}", s9.npe, s1.npe);
     assert!(s9.noe >= s1.noe);
     assert!(s9.svg_nodes >= s1.svg_nodes);
@@ -82,7 +82,7 @@ fn local_graph_is_much_smaller_than_full() {
     let dt = RStarTree::bulk_load(points, DEFAULT_PAGE_SIZE);
     let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
     let q = datasets::query_segment(0.045, 8, &obstacles);
-    let (_, stats) = coknn_search(&dt, &ot, &q, 5, &ConnConfig::default());
+    let (_, stats) = QueryEngine::default().coknn(&dt, &ot, &q, 5);
     assert!(
         stats.svg_nodes * 3 < full,
         "|SVG| = {} vs FULL = {full}: local graph not local",
@@ -127,11 +127,11 @@ fn one_tree_variant_agrees_on_random_workload() {
     let (points, obstacles) = world(41, 300, 150);
     let dt = RStarTree::bulk_load(points.clone(), DEFAULT_PAGE_SIZE);
     let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
-    let ut = build_unified_tree(&points, &obstacles, DEFAULT_PAGE_SIZE);
+    let ut = conn::build_unified_tree(&points, &obstacles, DEFAULT_PAGE_SIZE);
     let cfg = ConnConfig::default();
     for q in datasets::query_segments(4, 0.04, 55, &obstacles) {
-        let (two, _) = coknn_search(&dt, &ot, &q, 5, &cfg);
-        let (one, _) = coknn_search_single_tree(&ut, &q, 5, &cfg);
+        let (two, _) = QueryEngine::new(cfg).coknn(&dt, &ot, &q, 5);
+        let (one, _) = QueryEngine::new(cfg).coknn_single_tree(&ut, &q, 5);
         for i in 0..=12 {
             let t = q.len() * (i as f64) / 12.0;
             let (a, b) = (two.knn_at(t), one.knn_at(t));
@@ -149,7 +149,7 @@ fn obstructed_distances_dominate_euclidean_everywhere() {
     let dt = RStarTree::bulk_load(points, DEFAULT_PAGE_SIZE);
     let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
     let q = datasets::query_segment(0.05, 8, &obstacles);
-    let (res, _) = conn_search(&dt, &ot, &q, &ConnConfig::default());
+    let (res, _) = QueryEngine::default().conn(&dt, &ot, &q);
     for i in 0..=50 {
         let t = q.len() * (i as f64) / 50.0;
         if let Some((p, d)) = res.nn_at(t) {
@@ -164,7 +164,7 @@ fn split_point_count_is_modest_and_result_well_formed() {
     let dt = RStarTree::bulk_load(points, DEFAULT_PAGE_SIZE);
     let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
     let q = datasets::query_segment(0.06, 9, &obstacles);
-    let (res, stats) = conn_search(&dt, &ot, &q, &ConnConfig::default());
+    let (res, stats) = QueryEngine::default().conn(&dt, &ot, &q);
     res.check_cover().unwrap();
     let segs = res.segments();
     // answers change only at split points; neighboring tuples differ

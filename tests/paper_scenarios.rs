@@ -57,7 +57,7 @@ fn figure3_control_point_handover() {
     let obstacles = vec![Rect::new(40.0, 20.0, 60.0, 40.0)];
     let dt = RStarTree::bulk_load(points.clone(), DEFAULT_PAGE_SIZE);
     let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
-    let (res, _) = conn_search(&dt, &ot, &q, &ConnConfig::default());
+    let (res, _) = QueryEngine::default().conn(&dt, &ot, &q);
     res.check_cover().unwrap();
 
     // ends are directly visible: obstructed == euclidean there
@@ -103,8 +103,8 @@ fn figure1_cnn_vs_conn() {
     let empty: RStarTree<Rect> = RStarTree::bulk_load(vec![], DEFAULT_PAGE_SIZE);
     let cfg = ConnConfig::default();
 
-    let (cnn, _) = conn_search(&st, &empty, &q, &cfg);
-    let (conn, _) = conn_search(&st, &ot, &q, &cfg);
+    let (cnn, _) = QueryEngine::new(cfg).conn(&st, &empty, &q);
+    let (conn, _) = QueryEngine::new(cfg).conn(&st, &ot, &q);
 
     // answer flips at S: Euclidean winner is station 3, obstructed winner 0
     assert_eq!(cnn.nn_at(0.0).unwrap().0.id, 3);
@@ -141,7 +141,7 @@ fn figure8_three_point_interaction() {
     let q = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
     let dt = RStarTree::bulk_load(points.clone(), DEFAULT_PAGE_SIZE);
     let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
-    let (res, stats) = conn_search(&dt, &ot, &q, &ConnConfig::default());
+    let (res, stats) = QueryEngine::default().conn(&dt, &ot, &q);
     res.check_cover().unwrap();
     assert_eq!(stats.npe, 3, "all three points interact");
     for i in 0..=20 {

@@ -37,50 +37,19 @@ fn every_prelude_item_is_usable() {
     let obs_tree = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
     let cfg = ConnConfig::default();
 
-    // CONN on two trees.
-    let (conn_res, conn_stats): (ConnResult, QueryStats) =
-        conn_search(&data_tree, &obs_tree, &q, &cfg);
+    // The engine under the service: CONN / COkNN on two trees, reused.
+    let mut engine = QueryEngine::new(cfg);
+    let (conn_res, conn_stats): (ConnResult, QueryStats) = engine.conn(&data_tree, &obs_tree, &q);
     assert!(!conn_res.entries().is_empty());
     assert!(conn_stats.npe >= 1);
-
-    // COkNN on two trees.
-    let (coknn_res, _): (CoknnResult, QueryStats) =
-        coknn_search(&data_tree, &obs_tree, &q, 2, &cfg);
+    let (coknn_res, coknn_stats): (CoknnResult, QueryStats) =
+        engine.coknn(&data_tree, &obs_tree, &q, 2);
     assert!(!coknn_res.segments().is_empty());
-
-    // Single unified tree variants.
-    let unified = build_unified_tree(&points, &obstacles, DEFAULT_PAGE_SIZE);
-    let (res_1t, _) = conn_search_single_tree(&unified, &q, &cfg);
+    let reuse: ReuseCounters = coknn_stats.reuse;
     assert_eq!(
-        res_1t.segments().len(),
-        conn_res.segments().len(),
-        "1T and 2T CONN must agree on the result partition"
+        reuse.graph_reuses, 1,
+        "the second query reuses the substrate"
     );
-    let (coknn_1t, _) = coknn_search_single_tree(&unified, &q, 2, &cfg);
-    assert_eq!(coknn_1t.segments().len(), coknn_res.segments().len());
-
-    // Point queries and raw obstructed distance.
-    let (nn, _) = onn_search(&data_tree, &obs_tree, Point::new(500.0, 0.0), 1, &cfg);
-    assert_eq!(nn.len(), 1);
-    let od = obstructed_distance(&obstacles, Point::new(0.0, 0.0), Point::new(1000.0, 0.0));
-    assert!(od >= 1000.0 - 1e-9);
-
-    // Trajectory (polyline) queries.
-    let traj = Trajectory::new(vec![
-        Point::new(0.0, 0.0),
-        Point::new(500.0, 10.0),
-        Point::new(1000.0, 0.0),
-    ]);
-    let (traj_res, traj_stats) = trajectory_conn_search(&data_tree, &obs_tree, &traj, &cfg);
-    assert!(!traj_res.segments().is_empty());
-    assert!(traj_stats.npe >= 1);
-
-    // The extended point-query family.
-    let (rnn, _) = obstructed_rnn(&data_tree, &obs_tree, Point::new(500.0, 0.0), &cfg);
-    let (in_range, range_stats) =
-        obstructed_range_search(&data_tree, &obs_tree, Point::new(500.0, 0.0), 400.0, &cfg);
-    assert!(rnn.len() <= points.len() && in_range.len() <= points.len());
-    let _: ReuseCounters = range_stats.reuse;
 
     // The typed front door: Scene → Query → ConnService → Response/Answer.
     let service = ConnService::new(Scene::new(points.clone(), obstacles.clone()));
@@ -90,6 +59,25 @@ fn every_prelude_item_is_usable() {
     assert_eq!(front_door.segments().len(), conn_res.segments().len());
     let err: Error = Query::coknn(q, 0).build().unwrap_err();
     assert!(matches!(err, Error::InvalidQuery(_)));
+
+    // Every other family rides the same handle, one at a time or batched.
+    let traj = Trajectory::new(vec![
+        Point::new(0.0, 0.0),
+        Point::new(500.0, 10.0),
+        Point::new(1000.0, 0.0),
+    ]);
+    let mix = [
+        Query::onn(Point::new(500.0, 0.0), 1),
+        Query::range(Point::new(500.0, 0.0), 400.0),
+        Query::trajectory(traj, 1),
+    ]
+    .map(|b| b.build().expect("valid query"));
+    let (responses, batch): (Vec<Response>, BatchStats) =
+        service.execute_batch(&mix).expect("batch");
+    assert_eq!(batch.queries, 3);
+    assert_eq!(responses[0].answer.neighbors().expect("onn").len(), 1);
+    let plan: &Answer = &responses[2].answer;
+    assert!(!plan.as_trajectory().expect("plan").segments().is_empty());
 
     // Streaming sessions re-exported at the top level.
     let mut session = TrajectorySession::new(&data_tree, &obs_tree, Point::new(0.0, 0.0), cfg);

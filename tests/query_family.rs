@@ -1,15 +1,22 @@
 //! Integration tests for the extended obstructed-query family on generated
 //! workloads: snapshot ONN, range, reverse-NN, closest pair, e-distance
-//! join, visible kNN and trajectory CONN, each checked against brute force.
+//! join, visible kNN and trajectory CONN, each answered through the service
+//! (visible kNN, which has no `Query` kind, on an engine) and checked
+//! against brute force.
 
-use conn::baseline::brute_force_oknn;
+use std::sync::Arc;
+
+use conn::baseline::{brute_force_oknn, obstructed_distance};
 use conn::datasets;
 use conn::prelude::*;
-use conn_core::{
-    obstructed_closest_pair, obstructed_edistance_join, obstructed_range_search, obstructed_rnn,
-    visible_knn,
-};
-use conn_geom::Segment;
+use conn::QueryBuilder;
+
+/// Builds and executes one query, unwrapping both steps.
+fn ask(service: &ConnService<'_>, query: QueryBuilder) -> Response {
+    service
+        .execute(&query.build().expect("valid query"))
+        .expect("query executes")
+}
 
 fn world(seed: u64, n_pts: usize, n_obs: usize) -> (Vec<DataPoint>, Vec<Rect>) {
     let obstacles = datasets::la_like(n_obs, seed);
@@ -20,14 +27,13 @@ fn world(seed: u64, n_pts: usize, n_obs: usize) -> (Vec<DataPoint>, Vec<Rect>) {
 #[test]
 fn onn_family_agrees_with_brute_force_on_workload() {
     let (points, obstacles) = world(101, 50, 120);
-    let dt = RStarTree::bulk_load(points.clone(), DEFAULT_PAGE_SIZE);
-    let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
-    let cfg = ConnConfig::default();
+    let service = ConnService::new(Scene::new(points.clone(), obstacles.clone()));
     let probes = datasets::uniform_points(5, 77, &obstacles);
 
     for s in probes {
         // snapshot ONN
-        let (onn, _) = onn_search(&dt, &ot, s, 4, &cfg);
+        let onn = ask(&service, Query::onn(s, 4));
+        let onn = onn.answer.neighbors().unwrap();
         let want = brute_force_oknn(&points, &obstacles, s, 4);
         assert_eq!(onn.len(), want.len());
         for ((_, gd), (_, wd)) in onn.iter().zip(&want) {
@@ -37,11 +43,12 @@ fn onn_family_agrees_with_brute_force_on_workload() {
         // range at the 3rd-NN distance must contain ≥ 3 points
         if want.len() >= 3 {
             let radius = want[2].1 + 1e-9;
-            let (in_range, _) = obstructed_range_search(&dt, &ot, s, radius, &cfg);
+            let in_range = ask(&service, Query::range(s, radius));
+            let in_range = in_range.answer.neighbors().unwrap();
             assert!(in_range.len() >= 3);
-            for (p, d) in &in_range {
+            for (p, d) in in_range {
                 assert!(*d <= radius);
-                let true_d = conn::obstructed_distance(&obstacles, p.pos, s);
+                let true_d = obstructed_distance(&obstacles, p.pos, s);
                 assert!((d - true_d).abs() < 1e-6);
             }
         }
@@ -51,11 +58,10 @@ fn onn_family_agrees_with_brute_force_on_workload() {
 #[test]
 fn rnn_counts_are_sane_and_exact() {
     let (points, obstacles) = world(31, 16, 50);
-    let dt = RStarTree::bulk_load(points.clone(), DEFAULT_PAGE_SIZE);
-    let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
-    let cfg = ConnConfig::default();
+    let service = ConnService::new(Scene::new(points.clone(), obstacles.clone()));
     let s = datasets::uniform_points(1, 5, &obstacles)[0];
-    let (rnn, _) = obstructed_rnn(&dt, &ot, s, &cfg);
+    let rnn = ask(&service, Query::rnn(s));
+    let rnn = rnn.answer.neighbors().unwrap();
     // brute force cross-check: one whole-field Dijkstra per point, over
     // the other points plus the facility
     let facility = u32::MAX;
@@ -89,13 +95,11 @@ fn closest_pair_and_join_on_workload() {
         .enumerate()
         .map(|(i, p)| DataPoint::new(1000 + i as u32, *p))
         .collect();
-    let ta = RStarTree::bulk_load(a.clone(), DEFAULT_PAGE_SIZE);
-    let tb = RStarTree::bulk_load(b.clone(), DEFAULT_PAGE_SIZE);
-    let to = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
-    let cfg = ConnConfig::default();
+    let service = ConnService::new(Scene::new(a.clone(), obstacles.clone()));
+    let tb = Arc::new(RStarTree::bulk_load(b.clone(), DEFAULT_PAGE_SIZE));
 
-    let (cp, _) = obstructed_closest_pair(&ta, &tb, &to, &cfg);
-    let (pa, pb, d) = cp.expect("non-empty sets");
+    let cp = ask(&service, Query::closest_pair(Arc::clone(&tb)));
+    let (pa, pb, d) = cp.answer.pair().unwrap().expect("non-empty sets");
     // brute force
     let mut best = f64::INFINITY;
     for x in &a {
@@ -104,14 +108,15 @@ fn closest_pair_and_join_on_workload() {
         }
     }
     assert!((d - best).abs() < 1e-6, "{d} vs {best}");
-    let direct = conn::obstructed_distance(&obstacles, pa.pos, pb.pos);
+    let direct = obstructed_distance(&obstacles, pa.pos, pb.pos);
     assert!((d - direct).abs() < 1e-6);
 
     // the e-join at radius d must contain exactly the closest pair(s)
-    let (pairs, _) = obstructed_edistance_join(&ta, &tb, &to, d + 1e-9, &cfg);
+    let pairs = ask(&service, Query::edistance_join(tb, d + 1e-9));
+    let pairs = pairs.answer.pairs().unwrap();
     assert!(!pairs.is_empty());
     assert!(pairs.iter().any(|(x, y, _)| x.id == pa.id && y.id == pb.id));
-    for (_, _, pd) in &pairs {
+    for (_, _, pd) in pairs {
         assert!(*pd <= d + 1e-6);
     }
 }
@@ -122,7 +127,7 @@ fn visible_knn_on_workload() {
     let dt = RStarTree::bulk_load(points.clone(), DEFAULT_PAGE_SIZE);
     let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
     let s = datasets::uniform_points(1, 3, &obstacles)[0];
-    let (vis, _) = visible_knn(&dt, &ot, s, 5, &ConnConfig::default());
+    let (vis, _) = QueryEngine::default().visible_knn(&dt, &ot, s, 5);
     // brute force: visible points sorted by euclid
     let mut want: Vec<(u32, f64)> = points
         .iter()
@@ -141,20 +146,20 @@ fn visible_knn_on_workload() {
 #[test]
 fn trajectory_conn_on_workload() {
     let (points, obstacles) = world(71, 40, 100);
-    let dt = RStarTree::bulk_load(points.clone(), DEFAULT_PAGE_SIZE);
-    let ot = RStarTree::bulk_load(obstacles.clone(), DEFAULT_PAGE_SIZE);
+    let service = ConnService::new(Scene::new(points.clone(), obstacles.clone()));
     // build a 3-leg trajectory from segment endpoints that avoid obstacles
     let segs = datasets::query_segments(3, 0.03, 13, &obstacles);
     let candidates = vec![segs[0].a, segs[0].b];
     let route = Trajectory::new(candidates);
-    let (plan, stats) = trajectory_conn_search(&dt, &ot, &route, &ConnConfig::default());
+    let resp = ask(&service, Query::trajectory(route.clone(), 1));
+    let plan = resp.answer.as_trajectory().unwrap();
     plan.check_cover().unwrap();
-    assert!(stats.npe >= 1);
+    assert!(resp.stats.npe >= 1);
     for i in 0..=10 {
         let t = route.len() * (i as f64) / 10.0;
         if let Some(p) = plan.nn_at(t) {
             let want = brute_force_oknn(&points, &obstacles, route.at(t), 1)[0];
-            let got_d = conn::obstructed_distance(&obstacles, p.pos, route.at(t));
+            let got_d = obstructed_distance(&obstacles, p.pos, route.at(t));
             assert!((got_d - want.1).abs() < 1e-6, "t = {t}");
         }
     }

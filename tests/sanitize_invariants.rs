@@ -16,7 +16,6 @@
 use conn::datasets::{ca_like, la_like, query_segment, uniform_points};
 use conn::geom::sanitize;
 use conn::prelude::*;
-use conn::{coknn_search, conn_search, ConnConfig};
 use proptest::prelude::*;
 
 /// A reproducible workload: LA-like obstacles, uniform or CA-like
@@ -42,8 +41,8 @@ fn scene(seed: u64, clustered: bool) -> (Vec<DataPoint>, Vec<Rect>, Segment) {
 fn answers(points: &[DataPoint], obstacles: &[Rect], q: &Segment, cfg: &ConnConfig) -> String {
     let dt = RStarTree::bulk_load(points.to_vec(), DEFAULT_PAGE_SIZE);
     let ot = RStarTree::bulk_load(obstacles.to_vec(), DEFAULT_PAGE_SIZE);
-    let (conn_res, _) = conn_search(&dt, &ot, q, cfg);
-    let (coknn_res, _) = coknn_search(&dt, &ot, q, 3, cfg);
+    let (conn_res, _) = QueryEngine::new(*cfg).conn(&dt, &ot, q);
+    let (coknn_res, _) = QueryEngine::new(*cfg).coknn(&dt, &ot, q, 3);
     format!("{conn_res:?}\n{coknn_res:?}")
 }
 

@@ -1,13 +1,14 @@
 //! Acceptance test of the unified `Scene`/`Query`/`ConnService` front
-//! door: one **mixed-family** `execute_batch` call covering (at least)
-//! Conn, Coknn, Range, Rnn and Trajectory, with every answer checked
-//! bit-for-bit against the corresponding legacy free function.
+//! door: one **mixed-family** `execute_batch` call covering all ten
+//! families, with every answer checked bit-for-bit against `execute` and
+//! against the family run directly on a fresh `QueryEngine`.
 
 use std::sync::Arc;
 
+use conn::baseline::obstructed_distance;
 use conn::datasets;
 use conn::prelude::*;
-use conn_core::{obstructed_closest_pair, QueryKind};
+use conn::QueryKind;
 
 fn scene() -> Scene<'static> {
     let obstacles = datasets::la_like(60, 42);
@@ -25,11 +26,49 @@ fn other_set() -> Arc<RStarTree<DataPoint>> {
     Arc::new(RStarTree::bulk_load(pts, DEFAULT_PAGE_SIZE))
 }
 
+/// The query answered without the service: a fresh engine, the family's
+/// method called directly.
+fn answer_on_fresh_engine(query: &Query, scene: &Scene<'_>) -> Answer {
+    let (dt, ot) = (scene.data_tree(), scene.obstacle_tree());
+    let mut engine = QueryEngine::default();
+    match query.kind() {
+        QueryKind::Conn { q } => Answer::Conn(engine.conn(dt, ot, q).0),
+        QueryKind::Coknn { q, k } => Answer::Coknn(engine.coknn(dt, ot, q, *k).0),
+        QueryKind::Onn { s, k } => Answer::Onn(engine.onn(dt, ot, *s, *k).0),
+        QueryKind::Range { s, radius } => Answer::Range(engine.range(dt, ot, *s, *radius).0),
+        QueryKind::Rnn { s } => Answer::Rnn(engine.rnn(dt, ot, *s).0),
+        QueryKind::Odist { a, b } => Answer::Odist(engine.obstructed_distance(ot, *a, *b).0),
+        QueryKind::Route { a, b } => {
+            let ((dist, path), _) = engine.obstructed_route(ot, *a, *b);
+            Answer::Route { dist, path }
+        }
+        QueryKind::EDistanceJoin { other, e } => {
+            Answer::EDistanceJoin(engine.edistance_join(dt, other, ot, *e).0)
+        }
+        QueryKind::ClosestPair { other } => {
+            Answer::ClosestPair(engine.closest_pair(dt, other, ot).0)
+        }
+        QueryKind::Trajectory { route, .. } => {
+            let mut session =
+                TrajectorySession::new(dt, ot, route.vertices()[0], ConnConfig::default());
+            for &v in &route.vertices()[1..] {
+                session.push_leg(v);
+            }
+            Answer::Trajectory(session.finish().0)
+        }
+        other => unreachable!("family {} is not in the mix", other.family()),
+    }
+}
+
+/// The batch is held, bit for bit (`Debug` output covers every field of
+/// every answer variant), to `execute` on the same service and to the
+/// family's function called on a fresh engine. odist/route are also held,
+/// by value, to the whole-field oracle, which shares no code with the
+/// loader.
 #[test]
 fn mixed_family_batch_matches_free_functions() {
     let scene = scene();
     let service = ConnService::new(Scene::borrowing(scene.data_tree(), scene.obstacle_tree()));
-    let cfg = *service.config();
     let obstacles = scene.obstacles();
     let other = other_set();
 
@@ -42,18 +81,18 @@ fn mixed_family_batch_matches_free_functions() {
         Point::new(2400.0, 2600.0),
     ]);
 
-    // the acceptance mix: Conn, Coknn, Range, Rnn, Trajectory — plus the
-    // rest of the families riding along
+    // all ten families in one batch
     let batch = vec![
         Query::conn(q1).build().unwrap(),
         Query::coknn(q2, 3).build().unwrap(),
         Query::range(probe, 900.0).build().unwrap(),
         Query::rnn(probe).build().unwrap(),
-        Query::trajectory(route.clone(), 1).build().unwrap(),
+        Query::trajectory(route, 1).build().unwrap(),
         Query::onn(probe, 4).build().unwrap(),
         Query::odist(q1.a, q2.b).build().unwrap(),
         Query::route(q1.a, q2.b).build().unwrap(),
         Query::closest_pair(Arc::clone(&other)).build().unwrap(),
+        Query::edistance_join(other, 1500.0).build().unwrap(),
     ];
 
     let (responses, stats) = service.execute_batch_threads(&batch, 3).unwrap();
@@ -62,89 +101,25 @@ fn mixed_family_batch_matches_free_functions() {
     assert!(stats.threads >= 1 && stats.threads <= 3);
     assert!(stats.pooled.reads() > 0, "batch must pool tree I/O");
 
-    let dt = scene.data_tree();
-    let ot = scene.obstacle_tree();
     for (resp, query) in responses.iter().zip(&batch) {
-        match (query.kind(), &resp.answer) {
-            (QueryKind::Conn { q }, Answer::Conn(got)) => {
-                let (want, _) = conn_search(dt, ot, q, &cfg);
-                assert_eq!(got.entries().len(), want.entries().len());
-                for (x, y) in got.entries().iter().zip(want.entries()) {
-                    assert_eq!(x.point.map(|p| p.id), y.point.map(|p| p.id));
-                    assert_eq!(x.interval.lo.to_bits(), y.interval.lo.to_bits());
-                    assert_eq!(x.interval.hi.to_bits(), y.interval.hi.to_bits());
-                }
-            }
-            (QueryKind::Coknn { q, k }, Answer::Coknn(got)) => {
-                let (want, _) = coknn_search(dt, ot, q, *k, &cfg);
-                assert_eq!(got.entries().len(), want.entries().len());
-                for (x, y) in got.entries().iter().zip(want.entries()) {
-                    assert_eq!(x.interval.lo.to_bits(), y.interval.lo.to_bits());
-                    assert_eq!(x.members.len(), y.members.len());
-                }
-            }
-            (QueryKind::Range { s, radius }, Answer::Range(got)) => {
-                let (want, _) = obstructed_range_search(dt, ot, *s, *radius, &cfg);
-                assert_eq!(
-                    got.iter()
-                        .map(|(p, d)| (p.id, d.to_bits()))
-                        .collect::<Vec<_>>(),
-                    want.iter()
-                        .map(|(p, d)| (p.id, d.to_bits()))
-                        .collect::<Vec<_>>()
-                );
-            }
-            (QueryKind::Rnn { s }, Answer::Rnn(got)) => {
-                let (want, _) = obstructed_rnn(dt, ot, *s, &cfg);
-                assert_eq!(
-                    got.iter()
-                        .map(|(p, d)| (p.id, d.to_bits()))
-                        .collect::<Vec<_>>(),
-                    want.iter()
-                        .map(|(p, d)| (p.id, d.to_bits()))
-                        .collect::<Vec<_>>()
-                );
-            }
-            (QueryKind::Trajectory { route, .. }, Answer::Trajectory(got)) => {
-                let (want, _) = trajectory_conn_search(dt, ot, route, &cfg);
-                got.check_cover().unwrap();
-                assert_eq!(got.segments().len(), want.segments().len());
-                for (x, y) in got.segments().iter().zip(want.segments()) {
-                    assert_eq!(x.0.map(|p| p.id), y.0.map(|p| p.id));
-                    assert_eq!(x.1.lo.to_bits(), y.1.lo.to_bits());
-                    assert_eq!(x.1.hi.to_bits(), y.1.hi.to_bits());
-                }
-            }
-            (QueryKind::Onn { s, k }, Answer::Onn(got)) => {
-                let (want, _) = onn_search(dt, ot, *s, *k, &cfg);
-                assert_eq!(
-                    got.iter()
-                        .map(|(p, d)| (p.id, d.to_bits()))
-                        .collect::<Vec<_>>(),
-                    want.iter()
-                        .map(|(p, d)| (p.id, d.to_bits()))
-                        .collect::<Vec<_>>()
-                );
-            }
-            // by value, not bitwise: the free function is the whole-field
-            // oracle, the service loads a subset goal-directed, and two
+        let family = query.kind().family();
+        assert_eq!(resp.answer.family(), family);
+        let batched = format!("{:?}", resp.answer);
+        let executed = service.execute(query).unwrap();
+        assert_eq!(batched, format!("{:?}", executed.answer), "{family}");
+        let fresh = answer_on_fresh_engine(query, &scene);
+        assert_eq!(batched, format!("{fresh:?}"), "{family}");
+
+        if let QueryKind::Odist { a, b } | QueryKind::Route { a, b } = query.kind() {
+            // by value, not bitwise: the oracle searches the whole field
+            // blind, the service a loaded subset goal-directed, and two
             // equal-length paths may sum a few ULPs apart
-            (QueryKind::Odist { a, b }, Answer::Odist(got))
-            | (QueryKind::Route { a, b }, Answer::Route { dist: got, .. }) => {
-                let want = obstructed_distance(&obstacles, *a, *b);
-                assert!(
-                    *got == want || (got - want).abs() <= 1e-9 * want.max(1.0),
-                    "{got} vs {want}"
-                );
-            }
-            (QueryKind::ClosestPair { .. }, Answer::ClosestPair(got)) => {
-                let (want, _) = obstructed_closest_pair(dt, &other, ot, &cfg);
-                assert_eq!(
-                    got.map(|(a, b, d)| (a.id, b.id, d.to_bits())),
-                    want.map(|(a, b, d)| (a.id, b.id, d.to_bits()))
-                );
-            }
-            (kind, answer) => panic!("mismatched family: {kind:?} answered {answer:?}"),
+            let got = resp.answer.distance().unwrap();
+            let want = obstructed_distance(&obstacles, *a, *b);
+            assert!(
+                got == want || (got - want).abs() <= 1e-9 * want.max(1.0),
+                "{family}: {got} vs {want}"
+            );
         }
     }
 }
