@@ -2,17 +2,14 @@
 //!
 //! Builds the paper's dataset combinations (CL / UL / ZL) at a configurable
 //! scale, runs query workloads, and averages the per-query metrics the
-//! figures report. Both the Criterion benches and the `repro` binary sit on
-//! top of this crate.
+//! figures report. The `repro` binary sits on top of this crate; timing the
+//! system is the ledger's job (`ledger/`, `BENCHMARK.json`).
 
 use conn_core::stats::AveragedStats;
 use conn_core::{
-    build_unified_tree, BatchStats, ConnConfig, ConnResult, ConnService, DataPoint, Query,
-    QueryEngine, QueryStats, Scene, SpatialObject, Trajectory, TrajectoryResult,
+    build_unified_tree, ConnConfig, DataPoint, QueryEngine, QueryStats, SpatialObject,
 };
-use conn_datasets::{
-    la_like, mixed_batch, query_segments, trajectory_routes, Combo, PAPER_CA_SIZE, PAPER_LA_SIZE,
-};
+use conn_datasets::{la_like, query_segments, Combo, PAPER_CA_SIZE, PAPER_LA_SIZE};
 use conn_geom::{Rect, Segment};
 use conn_index::{RStarTree, DEFAULT_PAGE_SIZE};
 
@@ -87,23 +84,6 @@ impl Workload {
         )
     }
 
-    /// A batch-serving workload: same trees as [`Workload::build`], but the
-    /// queries come from [`conn_datasets::mixed_batch`] (uniform +
-    /// clustered + trajectory interleaved) — the scenario the batch
-    /// front-end is measured on.
-    pub fn build_mixed(
-        combo: Combo,
-        n_points: usize,
-        n_obstacles: usize,
-        ql: f64,
-        n_queries: usize,
-        seed: u64,
-    ) -> Self {
-        let mut w = Self::build(combo, n_points, n_obstacles, ql, n_queries, seed);
-        w.queries = mixed_batch(n_queries, ql, seed.wrapping_add(2), &w.obstacles);
-        w
-    }
-
     /// UL / ZL with an explicit |P|/|O| ratio (Figure 11's x-axis).
     pub fn with_ratio(
         combo: Combo,
@@ -168,73 +148,6 @@ impl Workload {
         acc.averaged(counted)
     }
 
-    /// Baseline for the batch comparison: one-shot CONN, a fresh
-    /// [`QueryEngine`] (fresh substrate) per query.
-    pub fn run_conn_serial(&self, cfg: &ConnConfig) -> Vec<ConnResult> {
-        self.queries
-            .iter()
-            .map(|q| {
-                QueryEngine::new(*cfg)
-                    .conn(&self.data_tree, &self.obstacle_tree, q)
-                    .0
-            })
-            .collect()
-    }
-
-    /// Single-threaded engine reuse: one [`QueryEngine`] answers the whole
-    /// workload (isolates substrate amortization from parallelism).
-    pub fn run_conn_engine(&self, cfg: &ConnConfig) -> (Vec<ConnResult>, QueryStats) {
-        let mut engine = QueryEngine::new(*cfg);
-        let mut pooled = QueryStats::default();
-        let results = self
-            .queries
-            .iter()
-            .map(|q| {
-                let (res, stats) = engine.conn(&self.data_tree, &self.obstacle_tree, q);
-                pooled.accumulate(&stats);
-                res
-            })
-            .collect();
-        (results, pooled)
-    }
-
-    /// The service's batch path over this workload's trees and queries.
-    pub fn run_conn_parallel(
-        &self,
-        cfg: &ConnConfig,
-        threads: usize,
-    ) -> (Vec<ConnResult>, BatchStats) {
-        let service =
-            ConnService::with_config(Scene::borrowing(&self.data_tree, &self.obstacle_tree), *cfg);
-        let queries: Vec<Query> = self
-            .queries
-            .iter()
-            .map(|q| {
-                Query::conn(*q)
-                    .build()
-                    .expect("workload segments are valid")
-            })
-            .collect();
-        let (responses, stats) = service
-            .execute_batch_threads(&queries, threads)
-            .expect("batch execution is infallible for built queries");
-        let results = responses
-            .into_iter()
-            .map(|r| r.answer.into_conn().expect("conn query, conn answer"))
-            .collect();
-        (results, stats)
-    }
-
-    /// Polyline routes over this workload's obstacle field for the
-    /// trajectory-session benchmark: `count` complete routes of `legs`
-    /// obstacle-avoiding legs each.
-    pub fn trajectories(&self, count: usize, legs: usize, ql: f64, seed: u64) -> Vec<Trajectory> {
-        trajectory_routes(count, legs, ql, seed, &self.obstacles)
-            .into_iter()
-            .map(Trajectory::new)
-            .collect()
-    }
-
     /// Runs the COkNN workload on the single-tree layout.
     pub fn run_one_tree(
         &self,
@@ -248,56 +161,6 @@ impl Workload {
         engine.set_buffer_frac(buffer_frac, &tree, None);
         self.averaged(warmup, |q| engine.coknn_single_tree(&tree, q, k).1)
     }
-}
-
-/// Semantic CONN result equivalence with a value tolerance, compared by
-/// sampling entry midpoints of both results plus an even grid — the gate
-/// for comparisons **across kernel modes**, whose equal-length paths may
-/// settle in different order and shift distances (hence split points) by a
-/// few ULPs. Same-kernel comparisons should use the stricter
-/// [`conn_results_identical`].
-pub fn conn_results_equivalent(a: &[ConnResult], b: &[ConnResult]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.values_equivalent(y, 1e-6))
-}
-
-/// Bit-exact CONN result identity, entry by entry (answer ids + interval
-/// bounds) — the equivalence gate the batch comparisons assert.
-pub fn conn_results_identical(a: &[ConnResult], b: &[ConnResult]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.entries().len() == y.entries().len()
-                && x.entries().iter().zip(y.entries()).all(|(ex, ey)| {
-                    ex.point.map(|p| p.id) == ey.point.map(|p| p.id)
-                        && ex.interval.lo.to_bits() == ey.interval.lo.to_bits()
-                        && ex.interval.hi.to_bits() == ey.interval.hi.to_bits()
-                })
-        })
-}
-
-/// Tolerant trajectory-answer equivalence over the same trajectory: the
-/// answer identity must match at every sampled parameter (tuple midpoints
-/// of both results plus an even grid), except within 1e-6 of a split
-/// point of either result — there the adjacent answers tie by continuity,
-/// and which side of the boundary a sampled parameter falls on may differ
-/// by the float drift between the session's and the cold run's loaded
-/// obstacle supersets.
-pub fn trajectory_results_equivalent(a: &TrajectoryResult, b: &TrajectoryResult) -> bool {
-    let len = a.trajectory().len();
-    let mut ts: Vec<f64> = a
-        .segments()
-        .iter()
-        .chain(b.segments())
-        .map(|(_, iv)| (iv.lo + iv.hi) * 0.5)
-        .collect();
-    ts.extend((0..=64).map(|i| len * i as f64 / 64.0));
-    let near_boundary = |t: f64| {
-        a.segments()
-            .iter()
-            .chain(b.segments())
-            .any(|(_, iv)| (t - iv.lo).abs() < 1e-6 || (t - iv.hi).abs() < 1e-6)
-    };
-    ts.into_iter()
-        .all(|t| a.nn_at(t).map(|p| p.id) == b.nn_at(t).map(|p| p.id) || near_boundary(t))
 }
 
 /// Pretty-prints one figure row.

@@ -18,7 +18,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 use crate::error::Error;
 use crate::query::{Query, QueryKind, Response};
@@ -95,7 +94,6 @@ impl Ticket {
 struct Pending {
     query: Query,
     state: Arc<TicketState>,
-    submitted: Instant,
 }
 
 /// The admission queue itself (see the module docs). `Send + Sync`:
@@ -108,8 +106,6 @@ pub struct Admission {
     served: AtomicU64,
     rejected: AtomicU64,
     batches: AtomicU64,
-    // Justified lock: latency samples appended post-fulfilment.
-    latencies: Mutex<Vec<f64>>, // lint:allow(no-interior-mutability-in-service)
 }
 
 impl Admission {
@@ -122,8 +118,6 @@ impl Admission {
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            // lint:allow(no-interior-mutability-in-service)
-            latencies: Mutex::new(Vec::new()),
         }
     }
 
@@ -153,9 +147,6 @@ impl Admission {
         queue.push_back(Pending {
             query,
             state: Arc::clone(&state),
-            // Queue-boundary arrival stamp for the latency tail record;
-            // the kernels never read the clock.
-            submitted: Instant::now(), // lint:allow(no-wallclock-in-kernels)
         });
         Ok(Ticket { state })
     }
@@ -184,14 +175,7 @@ impl Admission {
             Ok((responses, _batch)) => {
                 self.batches.fetch_add(1, Ordering::Relaxed);
                 self.served.fetch_add(n as u64, Ordering::Relaxed);
-                // Queue-boundary completion stamp for the latency tails.
-                let finished = Instant::now(); // lint:allow(no-wallclock-in-kernels)
-                let mut lat = self
-                    .latencies
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
                 for (pending, response) in slice.into_iter().zip(responses) {
-                    lat.push(finished.duration_since(pending.submitted).as_secs_f64());
                     fulfil(&pending.state, Ok(response));
                 }
             }
@@ -222,18 +206,6 @@ impl Admission {
     /// Coalesced batches executed so far.
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Drains the recorded submit→fulfil latency samples (seconds) —
-    /// the open-loop queueing latency tail, including time spent waiting
-    /// for a pump.
-    pub fn take_latencies(&self) -> Vec<f64> {
-        std::mem::take(
-            &mut self
-                .latencies
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
-        )
     }
 }
 
@@ -306,7 +278,6 @@ mod tests {
                 format!("{:?}", direct.answer)
             );
         }
-        assert_eq!(admission.take_latencies().len(), 4);
     }
 
     #[test]

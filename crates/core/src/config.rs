@@ -76,9 +76,8 @@ impl KernelMode {
 /// service) at construction.
 ///
 /// The three lemma switches exist for the pruning-ablation experiment
-/// (`repro ablation`, the `ablation_pruning` bench); production use keeps
-/// everything on. All switches preserve correctness — they only trade
-/// pruning work.
+/// (`repro ablation`); production use keeps everything on. All switches
+/// preserve correctness — they only trade pruning work.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConnConfig {
     /// Lemma 1 endpoint shortcut in RLU/CPLC: skip the quadratic when the
@@ -148,8 +147,8 @@ impl ConnConfig {
     }
 
     /// The reference kernel ([`KernelMode::Blind`]) on otherwise default
-    /// settings — the baseline the `BENCH_conn.json` speedup and the
-    /// `odist_kernel` bench measure the served kernel against.
+    /// settings — the `blind-kernel` row of `repro ablation` and the
+    /// reference the kernel-equivalence suites compare the served kernel to.
     pub fn baseline_kernel() -> Self {
         ConnConfig {
             kernel: KernelMode::Blind,

@@ -24,12 +24,6 @@ pub enum Error {
     /// before it reached the service. The request itself is well-formed —
     /// resubmitting after the queue drains is expected to succeed.
     Overloaded(String),
-    /// A mutation was attempted on a [`crate::Scene`] that does not own
-    /// its trees (it borrows or shares them), so repairing them in place
-    /// is impossible without silently cloning caller-visible state. Build
-    /// the scene with an owning constructor ([`crate::Scene::new`],
-    /// [`crate::Scene::from_trees`], …) to mutate it.
-    FrozenScene(String),
 }
 
 impl Error {
@@ -48,18 +42,10 @@ impl Error {
         Error::Overloaded(reason.into())
     }
 
-    /// Builds an [`Error::FrozenScene`].
-    pub fn frozen_scene(reason: impl Into<String>) -> Self {
-        Error::FrozenScene(reason.into())
-    }
-
     /// The human-readable reason, whatever the variant.
     pub fn reason(&self) -> &str {
         match self {
-            Error::InvalidQuery(r)
-            | Error::CoverViolation(r)
-            | Error::Overloaded(r)
-            | Error::FrozenScene(r) => r,
+            Error::InvalidQuery(r) | Error::CoverViolation(r) | Error::Overloaded(r) => r,
         }
     }
 
@@ -75,7 +61,6 @@ impl fmt::Display for Error {
             Error::InvalidQuery(r) => write!(f, "invalid query: {r}"),
             Error::CoverViolation(r) => write!(f, "cover violation: {r}"),
             Error::Overloaded(r) => write!(f, "overloaded: {r}"),
-            Error::FrozenScene(r) => write!(f, "frozen scene: {r}"),
         }
     }
 }
@@ -98,8 +83,5 @@ mod tests {
         let c = Error::cover_violation("gap at 3");
         assert!(!c.is_invalid_query());
         assert_eq!(c.to_string(), "cover violation: gap at 3");
-        let fz = Error::frozen_scene("scene borrows its trees");
-        assert_eq!(fz.reason(), "scene borrows its trees");
-        assert_eq!(fz.to_string(), "frozen scene: scene borrows its trees");
     }
 }

@@ -97,7 +97,7 @@ pub enum SceneDelta {
 }
 
 impl SceneDelta {
-    /// Short label of the mutation (telemetry, BENCH reports).
+    /// Short label of the mutation (telemetry, benchmark reports).
     pub fn kind(&self) -> &'static str {
         match self {
             SceneDelta::SiteInserted(_) => "site_inserted",
@@ -963,7 +963,6 @@ pub fn answers_equivalent(a: &Answer, b: &Answer, tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::Error;
     use crate::query::Query;
     use conn_geom::Segment;
 
@@ -988,52 +987,6 @@ mod tests {
     fn cold_answer(live: &LiveScene, q: &Query) -> Answer {
         let svc = ConnService::new(Scene::new(live.points(), live.obstacles()));
         svc.execute(q).unwrap().answer
-    }
-
-    #[test]
-    fn frozen_scenes_reject_mutation_with_typed_error() {
-        let dt = RStarTree::bulk_load(points(), DEFAULT_PAGE_SIZE);
-        let ot = RStarTree::bulk_load(obstacles(), DEFAULT_PAGE_SIZE);
-        let mut borrowed = Scene::borrowing(&dt, &ot);
-        let err = borrowed
-            .insert_site(DataPoint::new(9, Point::new(1.0, 1.0)))
-            .unwrap_err();
-        assert!(matches!(err, Error::FrozenScene(_)));
-        assert!(err.reason().contains("borrows"), "{err}");
-
-        let mut shared = Scene::shared(
-            Arc::new(RStarTree::bulk_load(points(), DEFAULT_PAGE_SIZE)),
-            Arc::new(RStarTree::bulk_load(obstacles(), DEFAULT_PAGE_SIZE)),
-        );
-        let err = shared
-            .remove_obstacle(&Rect::new(30.0, 5.0, 40.0, 30.0))
-            .unwrap_err();
-        assert!(matches!(err, Error::FrozenScene(_)));
-        assert_eq!(err.to_string(), format!("frozen scene: {}", err.reason()));
-        assert!(err.reason().contains("shares"), "{err}");
-
-        let mut owned = Scene::new(points(), obstacles());
-        assert!(owned.is_mutable());
-        owned
-            .insert_site(DataPoint::new(9, Point::new(1.0, 1.0)))
-            .unwrap();
-        assert_eq!(owned.num_points(), 5);
-        assert_eq!(
-            owned
-                .remove_site(Point::new(1.0, 1.0))
-                .unwrap()
-                .map(|p| p.id),
-            Some(9)
-        );
-        owned
-            .insert_obstacle(Rect::new(0.0, 0.0, 1.0, 1.0))
-            .unwrap();
-        assert_eq!(
-            owned
-                .remove_obstacle(&Rect::new(0.0, 0.0, 1.0, 1.0))
-                .unwrap(),
-            Some(Rect::new(0.0, 0.0, 1.0, 1.0))
-        );
     }
 
     #[test]

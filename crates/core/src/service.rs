@@ -31,7 +31,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use conn_geom::{Point, Rect, Segment};
+use conn_geom::{Rect, Segment};
 use conn_index::{RStarTree, DEFAULT_PAGE_SIZE};
 
 use crate::batch::BatchStats;
@@ -65,23 +65,6 @@ impl<T> TreeSlot<'_, T> {
             TreeSlot::Owned(t) => t,
             TreeSlot::Borrowed(t) => t,
             TreeSlot::Shared(t) => t,
-        }
-    }
-
-    /// Mutable access, only when the scene owns the tree outright.
-    fn tree_mut(&mut self) -> Option<&mut RStarTree<T>> {
-        match self {
-            TreeSlot::Owned(t) => Some(t),
-            TreeSlot::Borrowed(_) | TreeSlot::Shared(_) => None,
-        }
-    }
-
-    /// How this slot holds its tree, for error messages.
-    fn holding(&self) -> &'static str {
-        match self {
-            TreeSlot::Owned(_) => "owns",
-            TreeSlot::Borrowed(_) => "borrows",
-            TreeSlot::Shared(_) => "shares",
         }
     }
 }
@@ -126,8 +109,7 @@ impl Scene<'static> {
     /// Wraps shared trees — the cheap-derived-epoch path of
     /// [`crate::LiveScene`]: a mutation forks only the touched tree and
     /// republish shares the untouched one by `Arc`, so publication cost is
-    /// proportional to what changed, not to the scene. A shared scene is
-    /// frozen: the in-place mutators return [`Error::FrozenScene`].
+    /// proportional to what changed, not to the scene.
     pub fn shared(
         data_tree: Arc<RStarTree<DataPoint>>,
         obstacle_tree: Arc<RStarTree<Rect>>,
@@ -200,66 +182,6 @@ impl<'a> Scene<'a> {
     /// oracles that want the flat list; no query path reads it).
     pub fn obstacles(&self) -> Vec<Rect> {
         self.obstacle_tree().iter_items().copied().collect()
-    }
-
-    /// True when the scene owns both trees outright and may be mutated in
-    /// place; borrowed and shared scenes are frozen.
-    pub fn is_mutable(&self) -> bool {
-        matches!(self.data, TreeSlot::Owned(_)) && matches!(self.obstacles, TreeSlot::Owned(_))
-    }
-
-    fn frozen(&self, op: &str) -> Error {
-        let how = match (&self.data, &self.obstacles) {
-            (TreeSlot::Owned(_), slot) => slot.holding(),
-            (slot, _) => slot.holding(),
-        };
-        Error::frozen_scene(format!(
-            "cannot {op}: this scene {how} its trees, so repairing them in place would \
-             mutate (or silently clone) state the caller still holds; build the scene \
-             with an owning constructor (Scene::new / Scene::from_trees) to mutate it, \
-             or drive mutations through LiveScene"
-        ))
-    }
-
-    /// Inserts a data point by in-place R\*-tree repair. Owned scenes
-    /// only: borrowed/shared scenes return [`Error::FrozenScene`].
-    pub fn insert_site(&mut self, p: DataPoint) -> Result<(), Error> {
-        let Some(t) = self.data.tree_mut() else {
-            return Err(self.frozen("insert_site"));
-        };
-        t.insert(p);
-        Ok(())
-    }
-
-    /// Removes the data point at `pos` (exact coordinate match) by
-    /// in-place R\*-tree repair; `None` when no point sits there. Owned
-    /// scenes only: borrowed/shared scenes return [`Error::FrozenScene`].
-    pub fn remove_site(&mut self, pos: Point) -> Result<Option<DataPoint>, Error> {
-        let Some(t) = self.data.tree_mut() else {
-            return Err(self.frozen("remove_site"));
-        };
-        Ok(t.delete_by_mbr(&Rect::from_point(pos)))
-    }
-
-    /// Inserts an obstacle by in-place R\*-tree repair. Owned scenes only:
-    /// borrowed/shared scenes return [`Error::FrozenScene`].
-    pub fn insert_obstacle(&mut self, r: Rect) -> Result<(), Error> {
-        let Some(t) = self.obstacles.tree_mut() else {
-            return Err(self.frozen("insert_obstacle"));
-        };
-        t.insert(r);
-        Ok(())
-    }
-
-    /// Removes the obstacle matching `r` (exact coordinate match) by
-    /// in-place R\*-tree repair; `None` when no such obstacle exists.
-    /// Owned scenes only: borrowed/shared scenes return
-    /// [`Error::FrozenScene`].
-    pub fn remove_obstacle(&mut self, r: &Rect) -> Result<Option<Rect>, Error> {
-        let Some(t) = self.obstacles.tree_mut() else {
-            return Err(self.frozen("remove_obstacle"));
-        };
-        Ok(t.delete_by_mbr(r))
     }
 }
 
@@ -440,7 +362,7 @@ impl<'a> ConnService<'a> {
         let cfg = self.cfg;
         // apply() returns the patch work's pooled QueryStats (with
         // `delta_publishes = 1`), which with_engine folds into the pool's
-        // lifetime totals — the BENCH_live counter thread.
+        // lifetime totals.
         let (report, _stats) = self
             .pool
             .with_engine(|engine| self.standing.apply(engine, &pin, &cfg, delta));

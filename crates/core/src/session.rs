@@ -542,7 +542,7 @@ mod tests {
         let verts = route();
         let traj = Trajectory::new(verts.clone());
         let cfg = ConnConfig::default();
-        let (cold, _) = trajectory_conn_cold(&dt, &ot, &traj, &cfg);
+        let (cold, cold_stats) = trajectory_conn_cold(&dt, &ot, &traj, &cfg);
 
         let mut session = TrajectorySession::new(&dt, &ot, verts[0], cfg);
         let mut concat: Vec<(Option<DataPoint>, Interval)> = Vec::new();
@@ -558,6 +558,12 @@ mod tests {
         res.check_cover().unwrap();
         cold.check_cover().unwrap();
         assert!(stats.reuse.graph_reuses >= 2, "later legs must run warm");
+        assert!(
+            stats.noe <= cold_stats.noe,
+            "a session keeps its obstacles: it may not load more than cold legs ({} > {})",
+            stats.noe,
+            cold_stats.noe
+        );
 
         // same answers everywhere (ties resolved identically here)
         for i in 0..=120 {

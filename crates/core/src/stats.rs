@@ -72,7 +72,7 @@ pub struct ReuseCounters {
     pub adjacency_repairs: u64,
     /// Scene deltas published through the epoch layer by the live-scene
     /// mutation path ([`crate::LiveScene`]). Zero for plain queries; the
-    /// live subsystem accounts its publications here so BENCH reports can
+    /// live subsystem accounts its publications here so benchmark reports can
     /// amortize them per delta.
     pub delta_publishes: u64,
 }

@@ -15,9 +15,10 @@
 //! per-leg float drift at the shared vertices.
 //!
 //! [`crate::baseline::trajectory_conn_cold`] keeps the original
-//! cold-per-leg execution as the reference implementation — it is the
-//! baseline that `repro --target traj` measures the session against, and
-//! the oracle the streaming-equivalence proptests compare to.
+//! cold-per-leg execution as the reference implementation — the oracle
+//! the streaming-equivalence proptests compare to (the ledger's
+//! `session.cold_ratio` row times a session leg against the same leg run
+//! as a lone CONN query).
 
 // lint:allow-file(no-panic-in-query-path[index]): leg/vertex indices are bounded by the constructor-validated vertex count
 use conn_geom::{Interval, Point, Segment, EPS};

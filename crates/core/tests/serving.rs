@@ -137,48 +137,76 @@ fn pool_counters_aggregate_across_concurrent_batches() {
 
 /// Concurrent admission: clients on several threads submit single queries,
 /// a pump thread coalesces them through the batch path; every ticket must
-/// resolve to the same answer a direct execute gives.
+/// resolve to the same answer a direct execute gives — on the unsharded and
+/// the sharded service alike, while a writer keeps re-publishing an
+/// identically built scene (so every epoch has the same answers and a
+/// ticket served across a publication still has to match).
 #[test]
 fn admission_serves_concurrent_clients() {
-    let service = ConnService::new(Scene::uniform(25, 15, 3));
-    let admission = Admission::new(AdmissionConfig {
-        max_pending: 256,
-        coalesce: 8,
-    });
-    let queries = probes();
-    let total = (queries.len() * 3) as u64;
-    std::thread::scope(|scope| {
-        for _ in 0..3 {
+    let scene = || Scene::uniform(25, 15, 3);
+    let services = [
+        ConnService::new(scene()),
+        ConnService::sharded(
+            scene(),
+            ConnConfig::default(),
+            ShardSpec::new(2, 2, 2500.0).unwrap(),
+        ),
+    ];
+    for service in &services {
+        let admission = Admission::new(AdmissionConfig {
+            max_pending: 256,
+            coalesce: 8,
+        });
+        let queries = probes();
+        let total = (queries.len() * 3) as u64;
+        // clients report divergences instead of panicking mid-run: a
+        // client that stopped submitting would leave the pump spinning
+        let diverged: Vec<String> = std::thread::scope(|scope| {
             let admission = &admission;
-            let service = &service;
             let queries = &queries;
+            let clients: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut diverged = Vec::new();
+                        for q in queries {
+                            let ticket = admission.submit(q.clone()).unwrap();
+                            let got = format!("{:?}", ticket.wait().unwrap().answer);
+                            let want = format!("{:?}", service.execute(q).unwrap().answer);
+                            if got != want {
+                                diverged.push(format!("{:?}: {got} != {want}", q.kind()));
+                            }
+                        }
+                        diverged
+                    })
+                })
+                .collect();
             scope.spawn(move || {
-                for q in queries {
-                    let ticket = admission.submit(q.clone()).unwrap();
-                    let got = ticket.wait().unwrap();
-                    let want = service.execute(q).unwrap();
-                    assert_eq!(
-                        format!("{:?}", got.answer),
-                        format!("{:?}", want.answer),
-                        "queued answer diverged from direct execute"
-                    );
+                while admission.served() < total {
+                    if admission.pump(service, 2) == 0 {
+                        std::thread::yield_now();
+                    }
                 }
             });
-        }
-        let admission = &admission;
-        let service = &service;
-        scope.spawn(move || {
-            while admission.served() < total {
-                if admission.pump(service, 2) == 0 {
+            scope.spawn(move || {
+                while admission.served() < total {
+                    service.publish(scene());
                     std::thread::yield_now();
                 }
-            }
+            });
+            clients
+                .into_iter()
+                .flat_map(|client| client.join().unwrap())
+                .collect()
         });
-    });
-    assert_eq!(admission.served(), total);
-    assert_eq!(admission.pending(), 0);
-    assert!(admission.batches() <= total, "coalescing never batched");
-    assert_eq!(admission.take_latencies().len() as u64, total);
+        assert!(
+            diverged.is_empty(),
+            "queued answers diverged from direct execute: {diverged:#?}"
+        );
+        assert_eq!(admission.served(), total);
+        assert_eq!(admission.pending(), 0);
+        assert!(admission.batches() <= total, "coalescing never batched");
+        assert!(service.current_epoch() >= 1, "the writer never published");
+    }
 }
 
 /// Scene layout for the shard proptest: points + a few obstacles over

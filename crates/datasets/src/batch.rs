@@ -1,21 +1,12 @@
-//! Batch workload generation for the parallel query layer.
+//! Trajectory workload generation for the session layer.
 //!
-//! The single-query generators of [`crate::queries`] model one client; a
-//! query *server* sees structured streams instead. Three mixes cover the
-//! scenarios the batch front-end is benchmarked on:
+//! The single-query generators of [`crate::queries`] model one client
+//! asking one question; [`trajectory_routes`] models clients *moving along
+//! routes* — chains of connected legs with bounded turning angle, each leg
+//! a CONN query segment as in the paper's trajectory extension.
 //!
-//! * **Uniform** — independent segments anywhere in the space (the paper's
-//!   §5.1 workload, unchanged);
-//! * **Clustered** — segments anchored near a few hotspots, modelling many
-//!   clients in the same district (stresses substrate reuse: consecutive
-//!   queries load overlapping obstacle neighborhoods);
-//! * **Trajectory** — chains of connected segments with bounded turning
-//!   angle, modelling clients moving along routes (each chain element is a
-//!   separate CONN query, as in the paper's trajectory extension).
-//!
-//! Every generator rejection-samples against the obstacle field exactly
-//! like [`crate::queries::query_segments`], and is deterministic in its
-//! seed.
+//! It rejection-samples against the obstacle field exactly like
+//! [`crate::queries::query_segments`], and is deterministic in its seed.
 
 use conn_geom::{Point, Rect, Segment};
 use rand::rngs::StdRng;
@@ -24,124 +15,6 @@ use rand::{Rng, SeedableRng};
 use crate::lookup::ObstacleLookup;
 use crate::{SPACE, SPACE_SIDE};
 
-/// How a batch workload's query segments are laid out.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QueryMix {
-    /// Independent uniform segments (paper §5.1).
-    Uniform,
-    /// Segments anchored near `hotspots` uniformly-placed centers, with
-    /// anchors spread within `spread × SPACE_SIDE` of their center.
-    Clustered {
-        /// Number of uniformly-placed cluster centers.
-        hotspots: usize,
-        /// Anchor spread around each center, as a fraction of `SPACE_SIDE`.
-        spread: f64,
-    },
-    /// Chains of `legs` connected segments; consecutive legs turn by at
-    /// most ±45°.
-    Trajectory {
-        /// Connected legs per chain.
-        legs: usize,
-    },
-}
-
-/// Generates a `count`-query batch of the given mix; each segment has
-/// length `ql_frac × SPACE_SIDE` and avoids obstacle interiors.
-pub fn batch_queries(
-    count: usize,
-    mix: QueryMix,
-    ql_frac: f64,
-    seed: u64,
-    obstacles: &[Rect],
-) -> Vec<Segment> {
-    assert!(ql_frac > 0.0 && ql_frac < 1.0, "ql out of range");
-    let lookup = ObstacleLookup::build(obstacles);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-    let len = ql_frac * SPACE_SIDE;
-    let mut out = Vec::with_capacity(count);
-    let mut rejected = 0usize;
-    let budget = |rejected: &mut usize| {
-        *rejected += 1;
-        assert!(
-            *rejected < 200_000 * count.max(10),
-            "batch generation stalled: obstacle field too dense"
-        );
-    };
-
-    match mix {
-        QueryMix::Uniform => {
-            while out.len() < count {
-                match sample_segment(&mut rng, None, None, len, &lookup) {
-                    Some(seg) => out.push(seg),
-                    None => budget(&mut rejected),
-                }
-            }
-        }
-        QueryMix::Clustered { hotspots, spread } => {
-            assert!(hotspots >= 1, "need at least one hotspot");
-            assert!(spread > 0.0 && spread < 1.0, "spread out of range");
-            let centers: Vec<Point> = (0..hotspots)
-                .map(|_| {
-                    Point::new(
-                        rng.gen_range(SPACE.min_x..SPACE.max_x),
-                        rng.gen_range(SPACE.min_y..SPACE.max_y),
-                    )
-                })
-                .collect();
-            let radius = spread * SPACE_SIDE;
-            while out.len() < count {
-                let c = centers[out.len() % centers.len()];
-                match sample_segment(&mut rng, Some((c, radius)), None, len, &lookup) {
-                    Some(seg) => out.push(seg),
-                    None => budget(&mut rejected),
-                }
-            }
-        }
-        QueryMix::Trajectory { legs } => {
-            assert!(legs >= 1, "trajectories need at least one leg");
-            'outer: while out.len() < count {
-                // first leg anywhere
-                let first = loop {
-                    match sample_segment(&mut rng, None, None, len, &lookup) {
-                        Some(seg) => break seg,
-                        None => budget(&mut rejected),
-                    }
-                };
-                let mut heading = (first.b.y - first.a.y).atan2(first.b.x - first.a.x);
-                let mut cursor = first.b;
-                out.push(first);
-                for _ in 1..legs {
-                    if out.len() >= count {
-                        break 'outer;
-                    }
-                    // bounded turn; re-sample the turn a few times before
-                    // abandoning the chain (dead-ends next to obstacles)
-                    let mut placed = false;
-                    for _ in 0..64 {
-                        let turn = rng
-                            .gen_range(-std::f64::consts::FRAC_PI_4..std::f64::consts::FRAC_PI_4);
-                        let theta = heading + turn;
-                        match sample_segment(&mut rng, None, Some((cursor, theta)), len, &lookup) {
-                            Some(seg) => {
-                                heading = theta;
-                                cursor = seg.b;
-                                out.push(seg);
-                                placed = true;
-                                break;
-                            }
-                            None => budget(&mut rejected),
-                        }
-                    }
-                    if !placed {
-                        continue 'outer; // start a fresh chain
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Generates `count` polyline routes of exactly `legs` connected legs each
 /// (vertex chains of `legs + 1` points), for the trajectory-session
 /// workloads: every leg has length `ql_frac × SPACE_SIDE`, turns by at
@@ -149,10 +22,8 @@ pub fn batch_queries(
 /// query segments, and the precondition under which the session's seeded
 /// `RLMAX` bound applies. Deterministic in `seed`.
 ///
-/// Unlike [`QueryMix::Trajectory`] (which flattens chains into a segment
-/// batch and may truncate the last chain), every returned route is
-/// complete: chains that dead-end against obstacles are abandoned and
-/// resampled.
+/// Every returned route is complete: chains that dead-end against
+/// obstacles are abandoned and resampled.
 pub fn trajectory_routes(
     count: usize,
     legs: usize,
@@ -169,7 +40,7 @@ pub fn trajectory_routes(
     let mut rejected = 0usize;
     while out.len() < count {
         let first = loop {
-            match sample_segment(&mut rng, None, None, len, &lookup) {
+            match sample_segment(&mut rng, None, len, &lookup) {
                 Some(seg) => break seg,
                 None => {
                     rejected += 1;
@@ -194,9 +65,7 @@ pub fn trajectory_routes(
                     .min(std::f64::consts::PI);
                 let turn = rng.gen_range(-half_range..half_range);
                 let theta = heading + turn;
-                if let Some(seg) =
-                    sample_segment(&mut rng, None, Some((cursor, theta)), len, &lookup)
-                {
+                if let Some(seg) = sample_segment(&mut rng, Some((cursor, theta)), len, &lookup) {
                     heading = theta;
                     cursor = seg.b;
                     verts.push(seg.b);
@@ -217,60 +86,10 @@ pub fn trajectory_routes(
     out
 }
 
-/// The default server workload: one third uniform, one third clustered
-/// (4 hotspots), one third trajectories of 4 legs — interleaved so every
-/// prefix of the batch stays mixed.
-pub fn mixed_batch(count: usize, ql_frac: f64, seed: u64, obstacles: &[Rect]) -> Vec<Segment> {
-    let third = count / 3;
-    let uniform = batch_queries(
-        count - 2 * third,
-        QueryMix::Uniform,
-        ql_frac,
-        seed,
-        obstacles,
-    );
-    let clustered = batch_queries(
-        third,
-        QueryMix::Clustered {
-            hotspots: 4,
-            spread: 0.05,
-        },
-        ql_frac,
-        seed.wrapping_add(1),
-        obstacles,
-    );
-    let walks = batch_queries(
-        third,
-        QueryMix::Trajectory { legs: 4 },
-        ql_frac,
-        seed.wrapping_add(2),
-        obstacles,
-    );
-    let mut out = Vec::with_capacity(count);
-    let mut iters = [
-        uniform.into_iter(),
-        clustered.into_iter(),
-        walks.into_iter(),
-    ];
-    let mut exhausted = 0;
-    while exhausted < iters.len() {
-        exhausted = 0;
-        for it in &mut iters {
-            match it.next() {
-                Some(seg) => out.push(seg),
-                None => exhausted += 1,
-            }
-        }
-    }
-    debug_assert_eq!(out.len(), count);
-    out
-}
-
-/// One rejection-sampling attempt. `anchor_disc` restricts the start point
-/// to a disc; `fixed_start` pins start point and heading (trajectory legs).
+/// One rejection-sampling attempt. `fixed_start` pins start point and
+/// heading (trajectory legs after the first).
 fn sample_segment(
     rng: &mut StdRng,
-    anchor_disc: Option<(Point, f64)>,
     fixed_start: Option<(Point, f64)>,
     len: f64,
     lookup: &ObstacleLookup,
@@ -278,16 +97,10 @@ fn sample_segment(
     let (s, theta) = match fixed_start {
         Some((s, theta)) => (s, theta),
         None => {
-            let s = match anchor_disc {
-                Some((c, r)) => Point::new(
-                    (c.x + rng.gen_range(-r..r)).clamp(SPACE.min_x, SPACE.max_x),
-                    (c.y + rng.gen_range(-r..r)).clamp(SPACE.min_y, SPACE.max_y),
-                ),
-                None => Point::new(
-                    rng.gen_range(SPACE.min_x..SPACE.max_x),
-                    rng.gen_range(SPACE.min_y..SPACE.max_y),
-                ),
-            };
+            let s = Point::new(
+                rng.gen_range(SPACE.min_x..SPACE.max_x),
+                rng.gen_range(SPACE.min_y..SPACE.max_y),
+            );
             (s, rng.gen_range(0.0..std::f64::consts::TAU))
         }
     };
@@ -308,54 +121,6 @@ mod tests {
     use conn_geom::EPS;
 
     #[test]
-    fn uniform_matches_contract() {
-        let qs = batch_queries(30, QueryMix::Uniform, 0.045, 7, &[]);
-        assert_eq!(qs.len(), 30);
-        for q in &qs {
-            assert!((q.len() - 450.0).abs() < EPS);
-            assert!(SPACE.contains(q.a) && SPACE.contains(q.b));
-        }
-    }
-
-    #[test]
-    fn clustered_anchors_near_hotspots() {
-        let qs = batch_queries(
-            40,
-            QueryMix::Clustered {
-                hotspots: 2,
-                spread: 0.02,
-            },
-            0.03,
-            11,
-            &[],
-        );
-        assert_eq!(qs.len(), 40);
-        // with 2 hotspots and spread 200, starts live in ≤ 2 tight discs:
-        // pairwise distances within a disc are ≤ ~2·√2·200
-        let mut reps: Vec<Point> = Vec::new();
-        for q in &qs {
-            if !reps.iter().any(|r| r.dist(q.a) < 600.0) {
-                reps.push(q.a);
-            }
-        }
-        assert!(reps.len() <= 2, "starts form {} clusters", reps.len());
-    }
-
-    #[test]
-    fn trajectory_legs_chain() {
-        let qs = batch_queries(12, QueryMix::Trajectory { legs: 4 }, 0.03, 5, &[]);
-        assert_eq!(qs.len(), 12);
-        // legs within a chain start where the previous ended
-        let mut chained = 0;
-        for w in qs.windows(2) {
-            if w[0].b.dist(w[1].a) < EPS {
-                chained += 1;
-            }
-        }
-        assert!(chained >= 6, "only {chained} chained transitions");
-    }
-
-    #[test]
     fn trajectory_routes_are_complete_chains() {
         let obstacles = la_like(200, 21);
         let lookup = ObstacleLookup::build(&obstacles);
@@ -372,21 +137,5 @@ mod tests {
         // deterministic
         let again = trajectory_routes(8, 5, 0.03, 17, &obstacles);
         assert_eq!(routes, again);
-    }
-
-    #[test]
-    fn batch_avoids_obstacles_and_is_deterministic() {
-        let obstacles = la_like(400, 13);
-        let lookup = ObstacleLookup::build(&obstacles);
-        let a = mixed_batch(31, 0.04, 9, &obstacles);
-        let b = mixed_batch(31, 0.04, 9, &obstacles);
-        assert_eq!(a.len(), 31);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.a, y.a);
-            assert_eq!(x.b, y.b);
-        }
-        for q in &a {
-            assert!(!lookup.segment_blocked(q));
-        }
     }
 }

@@ -30,7 +30,7 @@ pub mod obstacles;
 pub mod points;
 pub mod queries;
 
-pub use batch::{batch_queries, mixed_batch, trajectory_routes, QueryMix};
+pub use batch::trajectory_routes;
 pub use lookup::ObstacleLookup;
 pub use obstacles::la_like;
 pub use points::{ca_like, uniform_points, zipf_points};

@@ -260,47 +260,6 @@ fn finish_lane(
     mid.x > minx + EPS && mid.x < maxx - EPS && mid.y > miny + EPS && mid.y < maxy - EPS
 }
 
-/// Classifies one sight segment against the rects selected by `ids`,
-/// appending one verdict per id to `out` (cleared first). Verdict `j` is
-/// bit-identical to `lanes.rect(ids[j] as usize).blocks(s)`.
-pub fn blocks_each(s: &Segment, lanes: &RectLanes, ids: &[u32], out: &mut Vec<bool>) {
-    out.clear();
-    out.reserve(ids.len());
-    let seg_len = s.len();
-    let d = s.b - s.a;
-    let p = [-d.x, d.x, -d.y, d.y];
-    let (ax, ay) = (s.a.x, s.a.y);
-    let mut q = [[0.0_f64; CHUNK]; 4];
-    for chunk in ids.chunks(CHUNK) {
-        let n = chunk.len();
-        for (j, &id) in chunk.iter().enumerate() {
-            let k = id as usize;
-            q[0][j] = ax - lanes.minx[k];
-            q[1][j] = lanes.maxx[k] - ax;
-            q[2][j] = ay - lanes.miny[k];
-            q[3][j] = lanes.maxy[k] - ay;
-        }
-        let mut t0 = [0.0_f64; CHUNK];
-        let mut t1 = [1.0_f64; CHUNK];
-        let mut miss = [false; CHUNK];
-        clip_lanes(&p, &q, n, &mut t0, &mut t1, &mut miss);
-        for (j, &id) in chunk.iter().enumerate() {
-            let k = id as usize;
-            out.push(finish_lane(
-                s,
-                seg_len,
-                t0[j],
-                t1[j],
-                miss[j],
-                lanes.minx[k],
-                lanes.miny[k],
-                lanes.maxx[k],
-                lanes.maxy[k],
-            ));
-        }
-    }
-}
-
 /// True when any rect selected by `ids` blocks the sight segment —
 /// the batched form of `ids.iter().any(|id| rect.blocks(s))`. Small id sets
 /// (sparse grid cells) take a per-rect scalar early-exit path; larger sets
@@ -426,10 +385,23 @@ mod tests {
         Segment::new(Point::new(ax, ay), Point::new(bx, by))
     }
 
-    fn scalar_each(s: &Segment, lanes: &RectLanes, ids: &[u32]) -> Vec<bool> {
-        ids.iter()
-            .map(|&id| lanes.rect(id as usize).blocks(s))
-            .collect()
+    /// `blocks_any` against the scalar [`Rect::blocks`] reference: over the
+    /// whole id set, and rect by rect through both of its paths (one id
+    /// takes the scalar early-exit path, `SMALL_BATCH + 1` copies of it the
+    /// lane kernel), so a wrong lane verdict cannot hide behind another
+    /// rect that blocks anyway.
+    fn assert_verdicts_match(s: &Segment, lanes: &RectLanes, ids: &[u32]) {
+        let scalar = |id: u32| lanes.rect(id as usize).blocks(s);
+        assert_eq!(
+            blocks_any(s, lanes, ids),
+            ids.iter().any(|&id| scalar(id)),
+            "segment {s:?}"
+        );
+        for &id in ids {
+            assert_eq!(blocks_any(s, lanes, &[id]), scalar(id), "{s:?} vs {id}");
+            let many = [id; SMALL_BATCH + 1];
+            assert_eq!(blocks_any(s, lanes, &many), scalar(id), "{s:?} vs {id}");
+        }
     }
 
     #[test]
@@ -461,15 +433,8 @@ mod tests {
             seg(3.0, 0.0, 3.0, 100.0),     // vertical (parallel slabs active)
             seg(0.0, 120.0, 100.0, 120.0), // fully outside
         ];
-        let mut out = Vec::new();
         for s in &segs {
-            blocks_each(s, &lanes, &ids, &mut out);
-            assert_eq!(out, scalar_each(s, &lanes, &ids), "segment {s:?}");
-            assert_eq!(
-                blocks_any(s, &lanes, &ids),
-                out.iter().any(|&b| b),
-                "any vs each disagree for {s:?}"
-            );
+            assert_verdicts_match(s, &lanes, &ids);
         }
     }
 
@@ -517,10 +482,7 @@ mod tests {
                 _ => (bx, by),
             };
             let s = seg(ax, ay, bx, by);
-            let mut out = Vec::new();
-            blocks_each(&s, &lanes, &ids, &mut out);
-            prop_assert_eq!(&out, &scalar_each(&s, &lanes, &ids));
-            prop_assert_eq!(blocks_any(&s, &lanes, &ids), out.iter().any(|&b| b));
+            assert_verdicts_match(&s, &lanes, &ids);
         }
 
         /// Fan-batched midpoint classification is identical to scalar

@@ -5,9 +5,9 @@
 //! R\*-tree structural audits in `conn-index`, adjacency-symmetry and
 //! label-admissibility audits in `conn-vgraph`, and cover checks on every
 //! CONN/COkNN answer in `conn-core`. This module owns the process-wide
-//! switch those audits consult, so a sanitized build can still measure its
-//! own overhead (`repro --sanitize` runs the same binary with audits off,
-//! then on).
+//! switch those audits consult, so a sanitized build can still run the
+//! same binary with audits off, then on (`tests/sanitize_invariants.rs`
+//! pins the answers byte-identical either way).
 //!
 //! Without the feature, [`enabled`] is a `const false` and every audit call
 //! site compiles away; [`set_enabled`] is a no-op so callers need no cfg.
@@ -20,8 +20,7 @@
 mod imp {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Audits default to ON in a sanitized build; `repro --sanitize` flips
-    /// the switch off for its baseline timing pass.
+    /// Audits default to ON in a sanitized build.
     static ENABLED: AtomicBool = AtomicBool::new(true);
 
     /// True when audits should run.

@@ -46,8 +46,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "no-thread-spawn-outside-pool",
         summary: "std::thread::spawn is only allowed in crates/core/src/pool.rs (the \
-                  worker-engine pool) and crates/bench (serving-harness clients) — \
-                  everything else must go through the pool",
+                  worker-engine pool) — everything else must go through the pool",
     },
     RuleInfo {
         name: "no-interior-mutability-in-service",
@@ -485,9 +484,7 @@ fn is_keyword_before_bracket(s: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 fn no_thread_spawn_outside_pool(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    // pool.rs is the worker pool; the bench crate spawns serving-harness
-    // client/pump/writer threads by design.
-    if ctx.rel_path == "crates/core/src/pool.rs" || ctx.rel_path.starts_with("crates/bench/") {
+    if ctx.rel_path == "crates/core/src/pool.rs" {
         return;
     }
     let toks = ctx.toks();
@@ -899,19 +896,21 @@ mod tests {
         let codes: Vec<_> = d.iter().map(|d| d.code.as_str()).collect();
         assert!(codes.contains(&"no-wallclock-in-kernels"));
         assert!(codes.contains(&"no-thread-spawn-outside-pool"));
-        // The pool file and the bench crate are exempt.
+        // The pool file may spawn; the bench crate may read the clock but
+        // not spawn.
         assert!(ctx_diags(
             "crates/core/src/pool.rs",
             "fn f() { std::thread::spawn(|| {}); }",
             &[]
         )
         .is_empty());
-        assert!(ctx_diags(
+        let d = ctx_diags(
             "crates/bench/src/bin/repro.rs",
             "fn f() { Instant::now(); std::thread::spawn(|| {}); }",
-            &[]
-        )
-        .is_empty());
+            &[],
+        );
+        let codes: Vec<_> = d.iter().map(|d| d.code.as_str()).collect();
+        assert_eq!(codes, ["no-thread-spawn-outside-pool"]);
     }
 
     #[test]

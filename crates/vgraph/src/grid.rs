@@ -399,41 +399,9 @@ impl ObstacleGrid {
         blocked
     }
 
-    /// True when any of the obstacles selected by `ids` blocks `a→b`,
-    /// classified directly over the candidate lanes — no cell walk.
-    ///
-    /// `ids` must be a superset of the obstacles that can block the segment
-    /// (e.g. every obstacle overlapping a convex region that contains both
-    /// endpoints, as returned by [`ObstacleGrid::candidates_in_rect`]);
-    /// non-blockers in the superset cannot change the verdict. Callers with
-    /// many sight tests against one neighborhood (base-cache rebuilds) use
-    /// this to replace per-segment hash walks with contiguous lane scans.
-    pub fn blocks_among(&mut self, a: Point, b: Point, ids: &[u32]) -> bool {
-        self.store.sight_tests += ids.len() as u64;
-        batch::blocks_any(&Segment::new(a, b), &self.store.lanes, ids)
-    }
-
-    /// Collects the ids of obstacles whose cells the segment `a→b` crosses
-    /// (a superset of the blocking obstacles; exact tests are the caller's
-    /// job). Used by visible-region computation.
-    pub fn candidates_along(&mut self, a: Point, b: Point, out: &mut Vec<u32>) {
-        out.clear();
-        self.query_id += 1;
-        let qid = self.query_id;
-        self.walk_cells(a, b, |cells, store| {
-            for &id in cells {
-                let idx = id as usize;
-                if store.stamp[idx] != qid {
-                    store.stamp[idx] = qid;
-                    out.push(id);
-                }
-            }
-            false
-        });
-    }
-
     /// Collects ids of obstacles overlapping the given rectangle region
-    /// (again a superset; cells are coarse).
+    /// (a superset of the obstacles that can block a sight line inside it;
+    /// cells are coarse, exact tests are the caller's job).
     pub fn candidates_in_rect(&mut self, r: &Rect, out: &mut Vec<u32>) {
         out.clear();
         self.query_id += 1;
@@ -574,21 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn candidates_along_superset_of_blockers() {
-        let rects = [
-            Rect::new(100.0, 100.0, 150.0, 150.0),
-            Rect::new(5000.0, 5000.0, 5050.0, 5050.0),
-            Rect::new(9000.0, 100.0, 9050.0, 150.0),
-        ];
-        let mut g = grid_with(&rects);
-        let mut out = Vec::new();
-        g.candidates_along(Point::new(0.0, 0.0), Point::new(6000.0, 6000.0), &mut out);
-        assert!(out.contains(&0));
-        assert!(out.contains(&1));
-        assert!(!out.contains(&2));
-    }
-
-    #[test]
     fn candidates_in_rect_finds_region_obstacles() {
         let rects = [
             Rect::new(100.0, 100.0, 150.0, 150.0),
@@ -635,7 +588,8 @@ mod tests {
         assert!(out.contains(&1));
 
         // even an explicitly retained id cannot block after removal
-        assert!(!g.blocks_among(Point::new(0.0, 120.0), Point::new(300.0, 120.0), &[0]));
+        let sight = Segment::new(Point::new(0.0, 120.0), Point::new(300.0, 120.0));
+        assert!(!batch::blocks_any(&sight, &g.store.lanes, &[0]));
     }
 
     #[test]

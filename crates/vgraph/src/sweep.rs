@@ -69,9 +69,8 @@ const NEAR_PIVOT: f64 = 1e-3;
 /// Below this many candidates a build sticks to per-candidate probes in
 /// [`SweepMode::Auto`]: the sweep's cost is dominated by building and
 /// sorting the per-rect interval events, which is nearly flat in the
-/// candidate count, while grid walks are linear in it. The
-/// `substrate_micro::sweep_micro` group measures the shapes against a
-/// fixed 192-rect field: walks win below ~100 candidates (~1.5 µs at
+/// candidate count, while grid walks are linear in it. Measured against
+/// a fixed 192-rect field, walks win below ~100 candidates (~1.5 µs at
 /// k = 8 vs ~20 µs for the sweep's event pass), break even around
 /// k ≈ 130–250 depending on clustering, and lose 2× by k = 512. In
 /// production the window's rect count scales *with* the candidate count
@@ -79,6 +78,8 @@ const NEAR_PIVOT: f64 = 1e-3;
 /// which pulls the break-even well below the fixed-field figure; 48 keeps
 /// small repair/extension builds on the walk path while paper-scale
 /// first-touch builds (hundreds to thousands of candidates) all sweep.
+/// ROADMAP item 8 re-derives the constant on the ledger's per-query
+/// counts (`vgraph.sight_tests_per_q`, `vgraph.sweep_events_per_q`).
 pub const AUTO_MIN_CANDIDATES: usize = 48;
 
 /// When the plane-sweep replaces per-candidate grid walks during

@@ -1,8 +1,7 @@
 //! The sanitizer must observe, never steer: with the `sanitize-invariants`
 //! feature compiled in, answers must be byte-identical whether the runtime
-//! switch is on or off. This is the contract that makes `repro --sanitize`
-//! overhead numbers meaningful and lets CI run the sanitized suite as a
-//! drop-in.
+//! switch is on or off. This is the contract that lets CI run the sanitized
+//! suite as a drop-in.
 //!
 //! Byte identity is asserted through `Debug` formatting: Rust's `f64`
 //! Debug output is shortest-roundtrip and injective (distinct bit patterns
