@@ -14,8 +14,10 @@ mod common;
 
 use common::{check_route, close};
 use conn_core::baseline::brute_force_oknn;
-use conn_core::{CoknnResult, ConnConfig, ConnResult, DataPoint, QueryEngine, Scene};
-use conn_datasets::ObstacleLookup;
+use conn_core::{
+    CoknnResult, ConnConfig, ConnResult, ControlPoint, DataPoint, QueryEngine, QueryStats, Scene,
+};
+use conn_datasets::{la_like, uniform_points, ObstacleLookup};
 use conn_geom::{Point, Rect, Segment};
 use conn_index::RStarTree;
 use conn_vgraph::{DijkstraEngine, Goal, NodeKind, Prep, VisGraph};
@@ -244,6 +246,93 @@ fn graph_from(obstacles: &[Rect], ps: &[DataPoint], src: Point) -> (VisGraph, co
         g.add_obstacle(*r);
     }
     (g, s)
+}
+
+/// One row of [`fixed_scene_answers_and_work_counts`]: the answer's words
+/// hash (FNV-1a) to the committed `digest`, and the query's
+/// `(sight tests, sweep events)` stayed at or under the committed `ceiling`.
+fn assert_pinned(
+    what: &str,
+    answer: impl IntoIterator<Item = u64>,
+    stats: &QueryStats,
+    digest: u64,
+    ceiling: (u64, u64),
+) {
+    let got = answer.into_iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, w| {
+        (h ^ w).wrapping_mul(0x0100_0000_01b3)
+    });
+    let work = (stats.reuse.sight_tests, stats.reuse.sweep_events);
+    assert_eq!(got, digest, "{what}: digest {got:#018x}, work {work:?}");
+    assert!(
+        work.0 <= ceiling.0 && work.1 <= ceiling.1,
+        "{what}: (sight tests, sweep events) {work:?} over the ceiling {ceiling:?}"
+    );
+}
+
+/// The tier-1 count gate (ROADMAP item 1d): on one fixed seeded scene — the
+/// ledger's world at its smoke scale — one CONN, one COkNN and one range
+/// answer bit for bit what they answered when this was committed, and build
+/// their adjacency with no more sight tests and sweep events than the
+/// committed ceilings (~5 % above the taut kernel's counts, noted beside
+/// each). Both counts are deterministic, and complete corner rows cost
+/// 1.4–1.5× the sight tests and 2.6–23× the sweep events here, so a change
+/// that re-completes the rows fails tier-1, not only the ledger.
+#[test]
+fn fixed_scene_answers_and_work_counts() {
+    // coordinates snapped to 1/8 so the committed digests do not hang on
+    // the last bit of the generators' `powf`
+    let snap = |v: f64| (v * 8.0).round() / 8.0;
+    let obstacles: Vec<Rect> = la_like(2054, 2009)
+        .iter()
+        .map(|r| Rect::new(snap(r.min_x), snap(r.min_y), snap(r.max_x), snap(r.max_y)))
+        .collect();
+    let ps: Vec<Point> = uniform_points(2054, 2010, &obstacles)
+        .iter()
+        .map(|p| Point::new(snap(p.x), snap(p.y)))
+        .filter(|p| !obstacles.iter().any(|r| r.strictly_contains(*p)))
+        .collect();
+    let data_tree = RStarTree::bulk_load(DataPoint::from_points(&ps), 4096);
+    let obstacle_tree = RStarTree::bulk_load(obstacles.clone(), 4096);
+    // the paper's default query length, on the first free horizontal
+    let q = (0..100)
+        .map(|i| 5000.0 + 8.0 * f64::from(i))
+        .map(|y| Segment::new(Point::new(4000.0, y), Point::new(4450.0, y)))
+        .find(|q| !obstacles.iter().any(|r| r.blocks(q)))
+        .expect("a free query segment");
+    let cp = |c: &ControlPoint| [c.pos.x.to_bits(), c.pos.y.to_bits(), c.base.to_bits()];
+    let span = |i: &conn_geom::Interval| [i.lo.to_bits(), i.hi.to_bits()];
+    let mut engine = QueryEngine::default();
+
+    let (conn, stats) = engine.conn(&data_tree, &obstacle_tree, &q);
+    let words = conn.entries().iter().flat_map(|e| {
+        let id = e.point.map_or(u64::MAX, |p| u64::from(p.id));
+        let at = e.cp.as_ref().map_or([0; 3], cp);
+        [id].into_iter().chain(span(&e.interval)).chain(at)
+    });
+    // 4 823 sight tests, 1 061 sweep events
+    assert_pinned("conn", words, &stats, 0x2d59_5660_a67b_791f, (5_064, 1_114));
+
+    let (coknn, stats) = engine.coknn(&data_tree, &obstacle_tree, &q, 3);
+    let words = coknn.entries().iter().flat_map(|e| {
+        let members = e.members.iter();
+        let members = members.flat_map(|m| [u64::from(m.point.id)].into_iter().chain(cp(&m.cp)));
+        span(&e.interval).into_iter().chain(members)
+    });
+    // 11 437 sight tests, 2 625 sweep events
+    assert_pinned(
+        "coknn",
+        words,
+        &stats,
+        0xfdc4_fb3b_9ff4_cead,
+        (12_009, 2_756),
+    );
+
+    let (range, stats) = engine.range(&data_tree, &obstacle_tree, q.a, 480.0);
+    let words = range
+        .iter()
+        .flat_map(|(p, d)| [u64::from(p.id), d.to_bits()]);
+    // 2 278 sight tests, 128 sweep events
+    assert_pinned("range", words, &stats, 0x5b19_30e9_13dc_905e, (2_392, 134));
 }
 
 proptest! {

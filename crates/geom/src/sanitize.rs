@@ -2,7 +2,7 @@
 //!
 //! The `sanitize-invariants` cargo feature compiles post-condition audits
 //! into the geometry/index/graph/query crates: checked constructors here,
-//! R\*-tree structural audits in `conn-index`, adjacency-symmetry and
+//! R\*-tree structural audits in `conn-index`, adjacency-tangency and
 //! label-admissibility audits in `conn-vgraph`, and cover checks on every
 //! CONN/COkNN answer in `conn-core`. This module owns the process-wide
 //! switch those audits consult, so a sanitized build can still run the

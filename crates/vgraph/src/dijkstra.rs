@@ -10,6 +10,28 @@
 //!   [`DijkstraEngine::next_settled`].
 //! * **odist** (Def. 4) searches point-to-point.
 //!
+//! ## Taut search
+//!
+//! A search source must be a point node (`debug_assert`ed at preparation;
+//! the four call sites — CPLC, IOR, odist, range — comply), and a settled
+//! node is **expanded** only when it is the source or an obstacle vertex:
+//! any other point node is reported and left alone. Together with the
+//! graph's tangent rows (an obstacle vertex lists only the directions a
+//! shortest path can leave it along — see [`crate::graph`]) this explores
+//! exactly the taut paths, and loses no label:
+//!
+//! * a bend at corner `u` of rectangle `A` needs obstacle interior inside a
+//!   wedge `< π` at `u` with both rays free, which forces both rays into
+//!   the closed quadrants adjacent to `A`'s;
+//! * a touching or overlapping neighbour only removes further directions;
+//! * a terminal is reached by an edge tangent at the *previous* vertex, and
+//!   a collinear pass-through of a free point is never strictly shorter
+//!   than the direct edge.
+//!
+//! One settlement from a source therefore labels any number of point nodes
+//! at the cost of the obstacle corners it expands — the one-to-many shape
+//! of the obstructed range query.
+//!
 //! ## Kernel modes
 //!
 //! The engine always pops nodes in ascending `f(v) = d(v) + h(v)`, where
@@ -68,7 +90,7 @@ use std::collections::BinaryHeap;
 
 use conn_geom::{OrdF64, Point, Rect, Segment};
 
-use crate::graph::{NodeId, VisGraph};
+use crate::graph::{NodeId, NodeKind, VisGraph};
 
 const NO_PRED: u32 = u32::MAX;
 
@@ -187,6 +209,7 @@ impl DijkstraEngine {
 
     /// Rewinds the engine for a fresh run from `src` toward `goal`.
     pub fn prepare_directed(&mut self, g: &VisGraph, src: NodeId, goal: Goal) {
+        Self::assert_point_source(g, src);
         let n = g.capacity();
         if self.prepared && self.dist.capacity() >= n {
             self.reuses += 1;
@@ -229,6 +252,7 @@ impl DijkstraEngine {
         goal: Goal,
         allow_warm: bool,
     ) -> Prep {
+        Self::assert_point_source(g, src);
         if allow_warm
             && self.prepared
             && self.src == src
@@ -260,6 +284,17 @@ impl DijkstraEngine {
         }
         self.prepare_directed(g, src, goal);
         Prep::Cold
+    }
+
+    /// Only a point node's row is complete in every direction (see the
+    /// module docs); a search rooted at an obstacle vertex would miss the
+    /// paths leaving it non-tangentially.
+    #[inline]
+    fn assert_point_source(g: &VisGraph, src: NodeId) {
+        debug_assert!(
+            g.node_kind(src) != NodeKind::ObstacleVertex,
+            "search source {src:?} is an obstacle vertex"
+        );
     }
 
     /// Warm restart after graph growth (and/or a goal change): keeps every
@@ -501,6 +536,10 @@ impl DijkstraEngine {
             self.settled[ui] = true;
             self.settle_log.push((u, d));
             self.cursor = self.settle_log.len();
+            if u != self.src.0 && g.node_kind(NodeId(u)) != NodeKind::ObstacleVertex {
+                // a free point is never a bend: reported, not expanded
+                return Some((NodeId(u), d));
+            }
             // relax (edge list copied into retained scratch — no per-settle
             // allocation once the buffer has grown to the working size);
             // candidates that already settled, or that lie outside the
@@ -555,13 +594,23 @@ impl DijkstraEngine {
     ///   one, so `d(v) ≥ ‖src, v‖` (with relative slack);
     /// * **settle-order monotonicity** — nodes pop in ascending
     ///   `f = d + h`, the property every early-exit lemma (IOR's bound,
-    ///   CPLC's Lemma 7, RLU's `RLMAX`) rests on.
+    ///   CPLC's Lemma 7, RLU's `RLMAX`) rests on;
+    /// * **taut expansion** — only the source and obstacle vertices are
+    ///   ever expanded, so the node the label was relaxed from (its
+    ///   predecessor) must be one of them.
     ///
     /// Runs only when the `sanitize-invariants` runtime switch is on.
     fn audit_settlement(&self, g: &VisGraph, u: u32, d: f64) {
         use conn_geom::sanitize;
         let ctx = "DijkstraEngine settle";
         sanitize::audit_distance(ctx, d);
+        let p = self.pred[u as usize];
+        if p != NO_PRED && p != self.src.0 && g.node_kind(NodeId(p)) != NodeKind::ObstacleVertex {
+            sanitize::violation(
+                ctx,
+                &format!("node {u}: label relaxed from point node {p}, which is never expanded"),
+            );
+        }
         let pos = g.node_pos(NodeId(u));
         let straight = g.node_pos(self.src).dist(pos);
         if d + 1e-6 * straight.max(1.0) < straight {
@@ -631,7 +680,6 @@ impl DijkstraEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::NodeKind;
     use conn_geom::{Point, Rect};
 
     /// One obstacle between two points: the shortest path must round a
@@ -1270,5 +1318,17 @@ mod tests {
         );
         // an honest label passes
         d.audit_settlement(&g, t.0, 100.0);
+        // ... unless it was relaxed from a free point other than the source
+        let mut d = d;
+        let via = g.add_point(Point::new(50.0, 0.0), NodeKind::DataPoint);
+        d.pred.resize(g.capacity(), NO_PRED);
+        d.pred[t.index()] = via.0;
+        assert!(
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                d.audit_settlement(&g, t.0, 100.0)
+            }))
+            .is_err(),
+            "audit must reject a label relaxed from an unexpanded point node"
+        );
     }
 }

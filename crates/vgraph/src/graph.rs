@@ -4,7 +4,22 @@
 //! `S`, `E`; IOR streams obstacles in (each contributing its four vertices);
 //! each data point under evaluation is added, queried, and removed again.
 //!
-//! Adjacency is computed **lazily per node** and cached in two tiers:
+//! Adjacency is **directed** and **taut**: the row of node `u` holds every
+//! visible node a shortest path may *leave* `u` toward. A point node (query
+//! endpoint or data point — every search source) sees in all directions. An
+//! obstacle vertex `u`, corner of rectangle `A`, keeps only the two closed
+//! quadrants adjacent to `A`'s (`dx·dy ≤ 0` in the corner's frame, axis
+//! directions included); candidates elsewhere are dropped before their
+//! sweep event or sight test. Shortest-path labels are unchanged:
+//!
+//! * a bend at `u` needs obstacle interior inside a wedge `< π` at `u` with
+//!   both rays free, which forces both rays into those two quadrants;
+//! * a touching or overlapping neighbour only removes further directions;
+//! * a terminal is reached by an edge tangent at the *previous* vertex, and
+//!   a collinear pass-through of a free point is never strictly shorter
+//!   than the direct edge (so `DijkstraEngine` never expands one).
+//!
+//! Rows are computed **lazily per node** and cached in two tiers:
 //!
 //! * the **base** tier — edges to stable nodes (query endpoints and obstacle
 //!   vertices), cached per node and invalidated only when the stable node
@@ -23,9 +38,10 @@
 //!
 //! The graph is stored as flat parallel arrays, not per-node allocations:
 //!
-//! * **Nodes** are three SoA lanes (`node_pos` / `node_kind` /
-//!   `node_alive`) indexed by [`NodeId`]. The settle loop of a search only
-//!   touches the position lane; kind and liveness stay out of its cache
+//! * **Nodes** are four SoA lanes (`node_pos` / `node_kind` /
+//!   `node_alive` / `node_turn`) indexed by [`NodeId`]. The settle loop of
+//!   a search reads the position lane per edge and the kind lane once per
+//!   settled node; liveness and the corner lane stay out of its cache
 //!   lines.
 //! * **Base adjacency** is a CSR-style arena: one contiguous `Vec<u32>` of
 //!   edge targets and a parallel `Vec<f64>` of Euclidean weights, with a
@@ -78,7 +94,10 @@ impl NodeId {
     }
 }
 
-/// What a node represents; only used for diagnostics and assertions.
+/// What a node represents. Decides the shape of its adjacency row (point
+/// nodes see in all directions, obstacle vertices only along their tangent
+/// directions — see the module docs) and whether a search expands it
+/// (`DijkstraEngine` expands its source and obstacle vertices only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// A query-segment endpoint (`S` or `E`).
@@ -124,6 +143,34 @@ impl Default for AdjMeta {
     }
 }
 
+/// The [`VisGraph::add_obstacle`] corner order (counter-clockwise from
+/// `(min, min)`) as `node_turn` signs.
+const CORNER_TURNS: [f64; 4] = [1.0, -1.0, 1.0, -1.0];
+
+/// The tangent predicate of the module docs: may a shortest path leave a
+/// node with corner sign `turn` at `u` toward `v`? The product's sign is
+/// exact, and point nodes (`turn = 0.0`) pass everything.
+#[inline]
+fn leaves_tangent(turn: f64, u: Point, v: Point) -> bool {
+    turn * (v.x - u.x) * (v.y - u.y) <= 0.0
+}
+
+/// Can `r` block a sight line that [`leaves_tangent`] admits from `u`?
+/// Blocking needs a point of the line strictly inside `r`, so `r`'s open
+/// interior must meet one of the two closed tangent quadrants.
+#[inline]
+fn meets_tangent_quadrants(turn: f64, u: Point, r: &Rect) -> bool {
+    let (left, right) = (r.min_x < u.x, r.max_x > u.x);
+    let (below, above) = (r.min_y < u.y, r.max_y > u.y);
+    if turn > 0.0 {
+        (left && above) || (right && below)
+    } else if turn < 0.0 {
+        (right && above) || (left && below)
+    } else {
+        true
+    }
+}
+
 /// Local visibility graph over a growing obstacle set.
 #[derive(Debug)]
 pub struct VisGraph {
@@ -133,6 +180,11 @@ pub struct VisGraph {
     node_kind: Vec<NodeKind>,
     /// Liveness per node slot (parallel to `node_pos`).
     node_alive: Vec<bool>,
+    /// Which corner of its rectangle an obstacle vertex is, as the sign
+    /// [`leaves_tangent`] multiplies in: `+1.0` at the `(min, min)` and
+    /// `(max, max)` corners, `-1.0` at the other two, `0.0` for point nodes
+    /// (parallel to `node_pos`; written by [`VisGraph::add_obstacle`]).
+    node_turn: Vec<f64>,
     free: Vec<u32>,
     grid: ObstacleGrid,
     /// Bumped by every structural change (guards running Dijkstras).
@@ -213,6 +265,7 @@ impl VisGraph {
             node_pos: Vec::new(),
             node_kind: Vec::new(),
             node_alive: Vec::new(),
+            node_turn: Vec::new(),
             free: Vec::new(),
             grid: ObstacleGrid::new(cell),
             version: 0,
@@ -277,6 +330,7 @@ impl VisGraph {
         self.node_pos.clear();
         self.node_kind.clear();
         self.node_alive.clear();
+        self.node_turn.clear();
         self.free.clear();
         self.transients.clear();
         self.rect_log.clear();
@@ -412,7 +466,7 @@ impl VisGraph {
         if kind != NodeKind::DataPoint {
             self.base_version = self.version;
         }
-        let id = self.push_node(pos, kind);
+        let id = self.push_node(pos, kind, 0.0);
         if kind == NodeKind::DataPoint {
             self.transients.push(id.0);
         } else {
@@ -454,9 +508,10 @@ impl VisGraph {
         self.rect_log.push((self.base_version, r));
         // the sweep repair path maps rect-log indices straight to grid ids
         debug_assert_eq!(gid as usize + 1, self.rect_log.len());
-        let ids = r
-            .corners()
-            .map(|c| self.push_node(c, NodeKind::ObstacleVertex));
+        let corners = r.corners();
+        let ids: [NodeId; 4] = std::array::from_fn(|k| {
+            self.push_node(corners[k], NodeKind::ObstacleVertex, CORNER_TURNS[k])
+        });
         for id in ids {
             self.node_log.push((self.base_version, id.0));
         }
@@ -544,12 +599,13 @@ impl VisGraph {
         Some(dropped)
     }
 
-    fn push_node(&mut self, pos: Point, kind: NodeKind) -> NodeId {
+    fn push_node(&mut self, pos: Point, kind: NodeKind, turn: f64) -> NodeId {
         if let Some(slot) = self.free.pop() {
             let i = slot as usize;
             self.node_pos[i] = pos;
             self.node_kind[i] = kind;
             self.node_alive[i] = true;
+            self.node_turn[i] = turn;
             // Mark stale and abandon the slot's old arena range.
             self.retire_range(i);
             self.adj[i].version = STALE;
@@ -559,6 +615,7 @@ impl VisGraph {
             self.node_pos.push(pos);
             self.node_kind.push(kind);
             self.node_alive.push(true);
+            self.node_turn.push(turn);
             let i = self.node_pos.len() - 1;
             if i < self.adj.len() {
                 // slot retained across a reset (range already zeroed there)
@@ -586,9 +643,11 @@ impl VisGraph {
     }
 
     /// The node's edge list: `(neighbor, euclidean length)` for every live
-    /// node visible from it. Appends to `out` (callers clear as needed):
-    /// first the cached base edges (stable nodes), then the transient
-    /// overlay.
+    /// node visible from it that a shortest path may leave it toward — all
+    /// of them for a point node, the tangent directions for an obstacle
+    /// vertex (see the module docs). Appends to `out` (callers clear as
+    /// needed): first the cached base edges (stable nodes), then the
+    /// transient overlay.
     ///
     /// A stale base cache is brought up to date **incrementally** when
     /// possible: obstacles only ever *remove* base edges (each retained
@@ -613,7 +672,8 @@ impl VisGraph {
     ///
     /// The base cache is shared across every data point of the query, each
     /// with a different bound ellipse; `neighbors_into_filtered` therefore
-    /// maintains it complete for *all* stable nodes (infinite radius).
+    /// maintains it complete for *all* stable nodes the row admits
+    /// (infinite radius).
     /// Bounded searches should use [`VisGraph::neighbors_into_ranged`],
     /// which settles for a radius-complete cache.
     pub fn neighbors_into_filtered(
@@ -629,7 +689,8 @@ impl VisGraph {
     /// it only needs neighbors within Euclidean `radius` of the node (a
     /// bounded Dijkstra passes `bound − d(u)`: any neighbor farther away
     /// can never settle within the bound). The cache records the radius it
-    /// is complete for; a bounded rebuild enumerates candidates from the
+    /// is complete for — every visible stable node of the row's directions
+    /// inside it; a bounded rebuild enumerates candidates from the
     /// obstacle grid — cost proportional to the *local* density — instead
     /// of scanning every stable node of the graph, which is what keeps a
     /// trajectory session's accumulated graph from taxing each leg's
@@ -693,7 +754,7 @@ impl VisGraph {
                 .filter(|&(&v, _)| keep(v, pos[v as usize]))
                 .map(|(&v, &w)| (v, w)),
         );
-        let upos = self.node_pos[ui];
+        let (upos, turn) = (self.node_pos[ui], self.node_turn[ui]);
         for ti in 0..self.transients.len() {
             let t = self.transients[ti];
             if t as usize == ui {
@@ -701,7 +762,7 @@ impl VisGraph {
             }
             debug_assert!(self.node_alive[t as usize], "dead transient tracked");
             let tpos = self.node_pos[t as usize];
-            if !keep(t, tpos) {
+            if !leaves_tangent(turn, upos, tpos) || !keep(t, tpos) {
                 continue;
             }
             if !self.grid.blocks(upos, tpos) {
@@ -766,15 +827,16 @@ impl VisGraph {
     /// cache's window that are visible.
     ///
     /// Every cache constructor (rebuild, repair, annulus extension) decides
-    /// candidates by the same **window-membership rule** — a stable node is
-    /// a candidate iff its Chebyshev distance from the cache's node is at
-    /// most the recorded radius. An up-to-date cache therefore holds
-    /// exactly the visible stable nodes inside its window, regardless of
-    /// the rebuild/repair/extension history; radius growth can then test
-    /// just the annulus (see [`VisGraph::extend_base_cache`]).
+    /// candidates by the same rule ([`VisGraph::candidate`]) — a stable
+    /// node is a candidate iff its Chebyshev distance from the cache's node
+    /// is at most the recorded radius (**window membership**) and it lies
+    /// in a tangent direction of that node. An up-to-date cache therefore
+    /// holds exactly the visible such nodes, regardless of the
+    /// rebuild/repair/extension history; radius growth can then test just
+    /// the annulus (see [`VisGraph::extend_base_cache`]).
     fn repair_base_cache(&mut self, ui: usize) {
         self.adj_repairs += 1;
-        let upos = self.node_pos[ui];
+        let (upos, turn) = (self.node_pos[ui], self.node_turn[ui]);
         let m = self.adj[ui];
         let (start, len) = (m.start as usize, m.len as usize);
         let rect_from = Self::log_start(&self.rect_log, m.version);
@@ -791,7 +853,10 @@ impl VisGraph {
             let mut vis = std::mem::take(&mut self.cand_vis);
             rect_ids.clear();
             rect_ids.extend(
-                (rect_from as u32..self.rect_log.len() as u32).filter(|&id| self.grid.is_live(id)),
+                (rect_from as u32..self.rect_log.len() as u32).filter(|&id| {
+                    self.grid.is_live(id)
+                        && meets_tangent_quadrants(turn, upos, &self.rect_log[id as usize].1)
+                }),
             );
             cand_pos.clear();
             for r in start..start + len {
@@ -848,16 +913,12 @@ impl VisGraph {
         }
         for li in Self::log_start(&self.node_log, m.version)..self.node_log.len() {
             let (_, nid) = self.node_log[li];
-            let vi = nid as usize;
-            if vi == ui {
-                continue;
-            }
-            debug_assert!(self.node_alive[vi], "logged stable node died");
-            let vpos = self.node_pos[vi];
-            let cheb = (vpos.x - upos.x).abs().max((vpos.y - upos.y).abs());
-            if cheb <= m.radius && !self.grid.blocks(upos, vpos) {
-                self.adj_targets.push(nid);
-                self.adj_weights.push(upos.dist(vpos));
+            debug_assert!(self.node_alive[nid as usize], "logged stable node died");
+            if let Some(vpos) = self.candidate(ui, nid, f64::NEG_INFINITY, m.radius) {
+                if !self.grid.blocks(upos, vpos) {
+                    self.adj_targets.push(nid);
+                    self.adj_weights.push(upos.dist(vpos));
+                }
             }
         }
         let slot = &mut self.adj[ui];
@@ -879,79 +940,28 @@ impl VisGraph {
             .any(|(_, r)| r.blocks(&seg))
     }
 
-    /// Base-cache rebuild, complete up to `radius`: candidates come from
-    /// the obstacle grid (corners of rectangles near the node) plus the
-    /// endpoint list when the radius is finite, and from a scan of every
-    /// stable node when it is infinite. One grid sight test per candidate
-    /// either way.
+    /// The candidate rule of every cache constructor: the position of
+    /// stable node `vid` when it is live, not `ui` itself, inside the
+    /// Chebyshev ring `lo < cheb ≤ hi` around `ui` (window membership; a
+    /// rect can intersect a window while this corner lies outside it) and
+    /// in a direction a shortest path may leave `ui` along.
+    #[inline]
+    fn candidate(&self, ui: usize, vid: u32, lo: f64, hi: f64) -> Option<Point> {
+        let vi = vid as usize;
+        if vi == ui || !self.node_alive[vi] {
+            return None;
+        }
+        let (upos, vpos) = (self.node_pos[ui], self.node_pos[vi]);
+        let cheb = (vpos.x - upos.x).abs().max((vpos.y - upos.y).abs());
+        (cheb > lo && cheb <= hi && leaves_tangent(self.node_turn[ui], upos, vpos)).then_some(vpos)
+    }
+
+    /// Base-cache rebuild, complete up to `radius`.
     fn rebuild_base_cache(&mut self, ui: usize, radius: f64) {
-        let upos = self.node_pos[ui];
         // abandon the old range and append the rebuilt one at the tail
         self.retire_range(ui);
         let new_start = self.adj_targets.len();
-        let mut rect_ids = std::mem::take(&mut self.rect_scratch);
-        let mut cand_ids = std::mem::take(&mut self.cand_ids);
-        let mut cand_pos = std::mem::take(&mut self.cand_pos);
-        cand_ids.clear();
-        cand_pos.clear();
-        if radius.is_finite() {
-            let window = Rect::new(
-                upos.x - radius,
-                upos.y - radius,
-                upos.x + radius,
-                upos.y + radius,
-            );
-            self.grid.candidates_in_rect(&window, &mut rect_ids);
-            for &rid in &rect_ids {
-                for vid in self.rect_corners[rid as usize] {
-                    let vi = vid as usize;
-                    // corner nodes are permanent today, but keep the same
-                    // liveness filter as the infinite-radius scan
-                    if vi == ui || !self.node_alive[vi] {
-                        continue;
-                    }
-                    let vpos = self.node_pos[vi];
-                    // window-membership rule: a rect can intersect the
-                    // window while this corner lies outside it
-                    let cheb = (vpos.x - upos.x).abs().max((vpos.y - upos.y).abs());
-                    if cheb > radius {
-                        continue;
-                    }
-                    cand_ids.push(vid);
-                    cand_pos.push(vpos);
-                }
-            }
-            for ei in 0..self.endpoints.len() {
-                let vid = self.endpoints[ei];
-                let vi = vid as usize;
-                if vi == ui || !self.node_alive[vi] {
-                    continue;
-                }
-                let vpos = self.node_pos[vi];
-                let cheb = (vpos.x - upos.x).abs().max((vpos.y - upos.y).abs());
-                if cheb > radius {
-                    continue;
-                }
-                cand_ids.push(vid);
-                cand_pos.push(vpos);
-            }
-        } else {
-            // infinite radius: every live obstacle can block, every stable
-            // node is a candidate (tombstoned grid ids are skipped)
-            rect_ids.clear();
-            rect_ids.extend((0..self.grid.len() as u32).filter(|&id| self.grid.is_live(id)));
-            for vi in 0..self.node_pos.len() {
-                if vi == ui || !self.node_alive[vi] || self.node_kind[vi] == NodeKind::DataPoint {
-                    continue;
-                }
-                cand_ids.push(vi as u32);
-                cand_pos.push(self.node_pos[vi]);
-            }
-        }
-        self.emit_candidate_edges(upos, &rect_ids, &cand_ids, &cand_pos);
-        self.rect_scratch = rect_ids;
-        self.cand_ids = cand_ids;
-        self.cand_pos = cand_pos;
+        self.append_ring_edges(ui, f64::NEG_INFINITY, radius);
         let slot = &mut self.adj[ui];
         slot.version = self.base_version;
         slot.removal_epoch = self.base_removal_epoch;
@@ -960,24 +970,63 @@ impl VisGraph {
         slot.len = (self.adj_targets.len() - new_start) as u32;
     }
 
-    /// Shared verdict-and-emit tail of the cache constructors: appends one
-    /// edge per visible candidate to the arena, **in candidate order** —
-    /// the emission order (and weights) are exactly those of the
-    /// pre-sweep interleaved loops, so the CSR content is bit-identical
-    /// regardless of which verdict path ran. `rect_ids` must be a superset
-    /// of the obstacles that can block any `upos → candidate` segment.
-    fn emit_candidate_edges(
-        &mut self,
-        upos: Point,
-        rect_ids: &[u32],
-        cand_ids: &[u32],
-        cand_pos: &[Point],
-    ) {
-        if !rect_ids.is_empty() && self.sweep_mode.wants_sweep(cand_ids.len()) {
+    /// Shared gather-verdict-emit body of rebuild and annulus extension:
+    /// appends to the arena tail one edge per visible [`candidate`] of the
+    /// ring `lo < cheb ≤ hi` around `ui`, **in candidate order** — so the
+    /// CSR content is bit-identical whichever verdict path runs.
+    /// Candidates come from the obstacle grid (corners of rectangles near
+    /// the node) plus the endpoint list when `hi` is finite — cost
+    /// proportional to the local density — and from a scan of every stable
+    /// node when it is infinite.
+    ///
+    /// [`candidate`]: VisGraph::candidate
+    fn append_ring_edges(&mut self, ui: usize, lo: f64, hi: f64) {
+        let (upos, turn) = (self.node_pos[ui], self.node_turn[ui]);
+        let mut rect_ids = std::mem::take(&mut self.rect_scratch);
+        let mut cand_ids = std::mem::take(&mut self.cand_ids);
+        let mut cand_pos = std::mem::take(&mut self.cand_pos);
+        cand_ids.clear();
+        cand_pos.clear();
+        if hi.is_finite() {
+            // candidates come from the ring only, but the blocking-rect
+            // superset must cover the *full* window: a rect near the pivot
+            // can block a sight line to the ring
+            let window = Rect::new(upos.x - hi, upos.y - hi, upos.x + hi, upos.y + hi);
+            self.grid.candidates_in_rect(&window, &mut rect_ids);
+            let corners = rect_ids
+                .iter()
+                .flat_map(|&rid| self.rect_corners[rid as usize]);
+            for vid in corners.chain(self.endpoints.iter().copied()) {
+                if let Some(vpos) = self.candidate(ui, vid, lo, hi) {
+                    cand_ids.push(vid);
+                    cand_pos.push(vpos);
+                }
+            }
+        } else {
+            // infinite radius: every live obstacle can block, every stable
+            // node is a candidate (tombstoned grid ids are skipped)
+            rect_ids.clear();
+            rect_ids.extend((0..self.grid.len() as u32).filter(|&id| self.grid.is_live(id)));
+            for vid in 0..self.node_pos.len() as u32 {
+                if self.node_kind[vid as usize] == NodeKind::DataPoint {
+                    continue;
+                }
+                if let Some(vpos) = self.candidate(ui, vid, lo, hi) {
+                    cand_ids.push(vid);
+                    cand_pos.push(vpos);
+                }
+            }
+        }
+        if self.sweep_mode.wants_sweep(cand_ids.len()) {
+            // every candidate leaves `ui` along a tangent direction, so
+            // only rectangles meeting those quadrants can block one
+            rect_ids.retain(|&rid| {
+                meets_tangent_quadrants(turn, upos, &self.grid.rects()[rid as usize])
+            });
             let mut vis = std::mem::take(&mut self.cand_vis);
             vis.clear();
             self.grid
-                .sweep_visibility(upos, cand_pos, rect_ids, &mut vis);
+                .sweep_visibility(upos, &cand_pos, &rect_ids, &mut vis);
             for (j, &vid) in cand_ids.iter().enumerate() {
                 if vis[j] {
                     self.adj_targets.push(vid);
@@ -994,22 +1043,23 @@ impl VisGraph {
                 }
             }
         }
+        self.rect_scratch = rect_ids;
+        self.cand_ids = cand_ids;
+        self.cand_pos = cand_pos;
     }
 
     /// Annulus extension: grow an **up-to-date** radius-complete cache to a
-    /// larger radius by sight-testing only the stable nodes in the annulus
+    /// larger radius by sight-testing only the candidates in the annulus
     /// `old_radius < cheb(v, u) ≤ target`. Valid precisely because every
-    /// cache constructor obeys the window-membership rule (see
+    /// cache constructor obeys the same candidate rule (see
     /// [`VisGraph::repair_base_cache`]): the retained edges are exactly the
-    /// visible nodes of the old window, so the annulus candidates are
+    /// visible candidates of the old window, so the annulus candidates are
     /// disjoint from them and no dedup pass is needed. Requires
     /// `version == base_version` (nothing to reconcile) and a finite target.
     fn extend_base_cache(&mut self, ui: usize, target: f64) {
-        let upos = self.node_pos[ui];
         let m = self.adj[ui];
         debug_assert_eq!(m.version, self.base_version, "extending a stale cache");
         let (start, len) = (m.start as usize, m.len as usize);
-        let old_radius = m.radius;
         let at_tail = start + len == self.adj_targets.len();
         let new_start = if at_tail {
             start
@@ -1019,62 +1069,11 @@ impl VisGraph {
         if !at_tail {
             // relocate the retained range to the tail so the annulus edges
             // can append contiguously; the old range becomes garbage
-            for r in start..start + len {
-                let t = self.adj_targets[r];
-                let w = self.adj_weights[r];
-                self.adj_targets.push(t);
-                self.adj_weights.push(w);
-            }
+            self.adj_targets.extend_from_within(start..start + len);
+            self.adj_weights.extend_from_within(start..start + len);
             self.adj_dead += len;
         }
-        let window = Rect::new(
-            upos.x - target,
-            upos.y - target,
-            upos.x + target,
-            upos.y + target,
-        );
-        // candidates come from the annulus only, but the blocking-rect
-        // superset must cover the *full* new window: a rect near the pivot
-        // can block a sight line to the ring
-        let mut rect_ids = std::mem::take(&mut self.rect_scratch);
-        let mut cand_ids = std::mem::take(&mut self.cand_ids);
-        let mut cand_pos = std::mem::take(&mut self.cand_pos);
-        cand_ids.clear();
-        cand_pos.clear();
-        self.grid.candidates_in_rect(&window, &mut rect_ids);
-        for &rid in &rect_ids {
-            for vid in self.rect_corners[rid as usize] {
-                let vi = vid as usize;
-                if vi == ui || !self.node_alive[vi] {
-                    continue;
-                }
-                let vpos = self.node_pos[vi];
-                let cheb = (vpos.x - upos.x).abs().max((vpos.y - upos.y).abs());
-                if cheb <= old_radius || cheb > target {
-                    continue;
-                }
-                cand_ids.push(vid);
-                cand_pos.push(vpos);
-            }
-        }
-        for ei in 0..self.endpoints.len() {
-            let vid = self.endpoints[ei];
-            let vi = vid as usize;
-            if vi == ui || !self.node_alive[vi] {
-                continue;
-            }
-            let vpos = self.node_pos[vi];
-            let cheb = (vpos.x - upos.x).abs().max((vpos.y - upos.y).abs());
-            if cheb <= old_radius || cheb > target {
-                continue;
-            }
-            cand_ids.push(vid);
-            cand_pos.push(vpos);
-        }
-        self.emit_candidate_edges(upos, &rect_ids, &cand_ids, &cand_pos);
-        self.rect_scratch = rect_ids;
-        self.cand_ids = cand_ids;
-        self.cand_pos = cand_pos;
+        self.append_ring_edges(ui, m.radius, target);
         let slot = &mut self.adj[ui];
         slot.radius = target;
         slot.start = new_start as u32;
@@ -1135,14 +1134,21 @@ impl VisGraph {
 
     /// Sanitizer audit of every up-to-date base adjacency cache:
     ///
+    /// * the corner lane agrees with the rectangle list: every corner of a
+    ///   live rectangle carries the sign of its position in the rectangle,
+    ///   every point node carries none;
     /// * every cached edge points at a *live stable* node, with a finite
     ///   non-negative weight equal to the Euclidean distance between the
-    ///   endpoints;
-    /// * visibility is symmetric, so the edge relation must be too — when
-    ///   both endpoints hold an up-to-date cache, an edge `u → v` within
-    ///   `v`'s completeness radius must be mirrored by `v → u`. (Caches are
-    ///   only *complete* up to their radius; edges beyond the partner's
-    ///   radius are legitimate one-sided extras from bounded rebuilds.)
+    ///   endpoints, is unblocked, and — when `u` is an obstacle vertex —
+    ///   leaves `u` along a tangent direction (re-derived here from the
+    ///   rectangle the corner belongs to, not from the lane the rows were
+    ///   built with);
+    /// * visibility is symmetric but tangency is not: when both endpoints
+    ///   hold an up-to-date cache, an edge `u → v` must be mirrored by
+    ///   `v → u` only when it is also tangent at `v` (or `v` is a point
+    ///   node) and inside `v`'s completeness radius. (Caches are only
+    ///   *complete* up to their radius; edges beyond the partner's radius
+    ///   are legitimate one-sided extras from bounded rebuilds.)
     ///
     /// Called on [`VisGraph::reset`] (the query boundary) when the
     /// `sanitize-invariants` runtime switch is on; public so corrupted-
@@ -1152,6 +1158,40 @@ impl VisGraph {
         let ctx = "VisGraph adjacency";
         let fresh = |m: &AdjMeta| m.version == self.base_version && m.version != STALE;
         let range = |m: &AdjMeta| (m.start as usize, (m.start + m.len) as usize);
+        // Some(true) at the (min, min) / (max, max) corners of a live
+        // rectangle, Some(false) at its other two, None for point nodes
+        let mut on_diagonal: Vec<Option<bool>> = vec![None; self.node_pos.len()];
+        for (gid, corners) in self.rect_corners.iter().enumerate() {
+            if self.grid.is_live(gid as u32) {
+                for (k, &c) in corners.iter().enumerate() {
+                    on_diagonal[c as usize] = Some(k % 2 == 0);
+                }
+            }
+        }
+        // the two closed quadrants beside a corner's rectangle: second and
+        // fourth at a diagonal corner, first and third at the others
+        let tangent = |ui: usize, vi: usize| {
+            let (u, v) = (self.node_pos[ui], self.node_pos[vi]);
+            let across = (v.x - u.x) * (v.y - u.y);
+            match on_diagonal[ui] {
+                Some(true) => across <= 0.0,
+                Some(false) => across >= 0.0,
+                None => true,
+            }
+        };
+        for (ui, corner) in on_diagonal.iter().enumerate() {
+            let want = match corner {
+                Some(true) => 1.0,
+                Some(false) => -1.0,
+                None => 0.0,
+            };
+            if self.node_alive[ui] && self.node_turn[ui] != want {
+                sanitize::violation(
+                    ctx,
+                    &format!("node {ui} corner sign {} != {want}", self.node_turn[ui]),
+                );
+            }
+        }
         for ui in 0..self.adj.len() {
             // Arena-structure check first: every retained range (fresh or
             // repairable) must lie inside the arena lanes.
@@ -1190,8 +1230,25 @@ impl VisGraph {
                         &format!("edge {ui} -> {v} weight {w} != distance {d}"),
                     );
                 }
-                // Reciprocity, where the partner's cache promises coverage.
-                if self.node_kind[ui] != NodeKind::DataPoint && fresh(&self.adj[vi]) {
+                if !tangent(ui, vi) {
+                    sanitize::violation(ctx, &format!("edge {ui} -> {v} not tangent at {ui}"));
+                }
+                let seg = Segment::new(upos, self.node_pos[vi]);
+                let blocker = (0..self.grid.len() as u32).find(|&gid| {
+                    self.grid.is_live(gid) && self.grid.rects()[gid as usize].blocks(&seg)
+                });
+                if let Some(gid) = blocker {
+                    sanitize::violation(
+                        ctx,
+                        &format!("edge {ui} -> {v} blocked by obstacle {gid}"),
+                    );
+                }
+                // Reciprocity, where the partner's cache promises coverage
+                // of this direction.
+                if self.node_kind[ui] != NodeKind::DataPoint
+                    && fresh(&self.adj[vi])
+                    && tangent(vi, ui)
+                {
                     let (ps, pe) = range(&self.adj[vi]);
                     if d <= self.adj[vi].radius
                         && !self.adj_targets[ps..pe].iter().any(|&x| x as usize == ui)
@@ -1286,6 +1343,31 @@ mod tests {
         assert!(
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.audit_adjacency())).is_err(),
             "audit must fire on a corrupted edge weight"
+        );
+    }
+
+    #[test]
+    #[cfg(feature = "sanitize-invariants")]
+    fn adjacency_audit_fires_on_non_tangent_edge() {
+        let mut g = graph();
+        // seen from the rectangle's (max, max) corner, `beside` lies in a
+        // quadrant next to the rectangle and `behind` in the one opposite
+        // it: both visible, but no shortest path leaves the corner toward
+        // `behind`
+        let beside = g.add_point(Point::new(150.0, 50.0), NodeKind::Endpoint);
+        let behind = g.add_point(Point::new(150.0, 150.0), NodeKind::Endpoint);
+        let corner = g.add_obstacle(Rect::new(0.0, 0.0, 100.0, 100.0))[2];
+        let row: Vec<u32> = g.neighbors(corner).iter().map(|e| e.0).collect();
+        assert!(row.contains(&beside.0) && !row.contains(&behind.0));
+        g.audit_adjacency(); // intact graph passes
+
+        let at = row.iter().position(|&v| v == beside.0).unwrap();
+        let e = g.adj[corner.index()].start as usize + at;
+        g.adj_targets[e] = behind.0;
+        g.adj_weights[e] = g.node_pos(corner).dist(g.node_pos(behind));
+        assert!(
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.audit_adjacency())).is_err(),
+            "audit must fire on a non-tangent edge in a corner's row"
         );
     }
 

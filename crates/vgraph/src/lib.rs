@@ -9,9 +9,11 @@
 //!   plus a growing obstacle set. Adjacency is *lazy*: a node's edge list is
 //!   computed when Dijkstra first expands it and invalidated when new
 //!   obstacles arrive, so queries never pay for the full `O(n²)` edge set the
-//!   paper's related-work section warns about. Storage is a CSR-style arena
-//!   with SoA node lanes and `u32` indices (see the [`graph`] module docs
-//!   for the layout and overlay semantics).
+//!   paper's related-work section warns about — and *taut*: an obstacle
+//!   corner lists only the directions a shortest path can leave it along.
+//!   Storage is a CSR-style arena with SoA node lanes and `u32` indices
+//!   (see the [`graph`] module docs for the contract, the layout and the
+//!   overlay semantics).
 //! * [`ObstacleGrid`] — a dilated spatial-hash grid making each
 //!   "is this sight-line blocked?" test proportional to the cells the
 //!   sight-line crosses instead of the whole obstacle set.
@@ -20,7 +22,8 @@
 //!   Euclidean [`Goal`] heuristics, caller-supplied expansion bound), and
 //!   warm label continuation (replay / reseed across obstacle loads).
 //!   Settled nodes stream out in ascending priority, exactly the order the
-//!   CPLC algorithm (paper Alg. 2) consumes and prunes with Lemma 7.
+//!   CPLC algorithm (paper Alg. 2) consumes and prunes with Lemma 7; only
+//!   the source and obstacle vertices are expanded.
 //! * [`visible_region`] — the visible region of a vertex over the query
 //!   segment (paper Def. 2), by shadow subtraction.
 //! * [`sweep`] — the rotational plane-sweep that batches a cache build's

@@ -72,9 +72,14 @@ fn free_point(rs: &[Rect], seed: Point) -> Point {
     p
 }
 
-/// Brute-force shortest path: full visibility graph + Dijkstra over it.
-fn brute_odist(rs: &[Rect], a: Point, b: Point) -> f64 {
-    let mut nodes = vec![a, b];
+/// Brute-force shortest paths from `points[0]`: the complete O(n²)
+/// visibility graph over `points` and every rectangle corner, scalar
+/// `Rect::blocks`, array Dijkstra. Returns the label of every node, points
+/// first, then the four corners of each rectangle in `Rect::corners` order
+/// — the node order of a `VisGraph` built the same way. Shares no code with
+/// `VisGraph`.
+fn brute_labels(rs: &[Rect], points: &[Point]) -> Vec<f64> {
+    let mut nodes = points.to_vec();
     for r in rs {
         nodes.extend(r.corners());
     }
@@ -101,7 +106,71 @@ fn brute_odist(rs: &[Rect], a: Point, b: Point) -> f64 {
             }
         }
     }
-    dist[1]
+    dist
+}
+
+/// Brute-force shortest path length from `a` to `b`.
+fn brute_odist(rs: &[Rect], a: Point, b: Point) -> f64 {
+    brute_labels(rs, &[a, b])[1]
+}
+
+/// `rects()` extended with everything the free-space model puts on a
+/// boundary: each extra rectangle is derived from the one before it —
+/// touching it along an edge with its corner on that edge, sharing a whole
+/// edge (coincident corners), overlapping it, nested inside it, touching
+/// it corner to corner — or has zero width.
+fn tangled_rects() -> impl Strategy<Value = Vec<Rect>> {
+    (
+        rects(),
+        prop::collection::vec((0..6usize, pt(), 5.0..60.0f64, 5.0..60.0f64), 1..8),
+    )
+        .prop_map(|(mut out, extras)| {
+            for (shape, at, w, h) in extras {
+                let prev = out
+                    .last()
+                    .copied()
+                    .unwrap_or(Rect::new(at.x, at.y, at.x + w, at.y + h));
+                let (pw, ph) = (prev.width(), prev.height());
+                out.push(match shape {
+                    0 => Rect::new(
+                        prev.max_x,
+                        prev.min_y + ph / 3.0,
+                        prev.max_x + w,
+                        prev.min_y + ph / 3.0 + h,
+                    ),
+                    1 => Rect::new(prev.max_x, prev.min_y, prev.max_x + w, prev.max_y),
+                    2 => Rect::new(
+                        prev.min_x + pw / 2.0,
+                        prev.min_y + ph / 2.0,
+                        prev.min_x + pw / 2.0 + w,
+                        prev.min_y + ph / 2.0 + h,
+                    ),
+                    3 => Rect::new(
+                        prev.min_x + pw / 4.0,
+                        prev.min_y + ph / 4.0,
+                        prev.max_x - pw / 4.0,
+                        prev.max_y - ph / 4.0,
+                    ),
+                    4 => Rect::new(prev.max_x, prev.max_y, prev.max_x + w, prev.max_y + h),
+                    _ => Rect::new(at.x, at.y, at.x, at.y + h),
+                });
+            }
+            out
+        })
+}
+
+/// A point of the scene picked by `pick`: a corner of some rectangle, the
+/// midpoint of one of its edges, or `seed` moved into free space.
+fn boundary_point(rs: &[Rect], seed: Point, pick: usize) -> Point {
+    if rs.is_empty() {
+        return seed;
+    }
+    let r = rs[pick / 3 % rs.len()];
+    match pick % 3 {
+        0 => r.corners()[pick % 4],
+        1 => r.corners()[pick % 4].lerp(r.corners()[(pick + 1) % 4], 0.5),
+        _ => free_point(rs, seed),
+    }
 }
 
 proptest! {
@@ -199,12 +268,13 @@ proptest! {
     #[test]
     fn csr_adjacency_matches_per_node_reference(rs in rects(), a in pt(), b in pt()) {
         // The CSR arena (contiguous target/weight lanes + per-node ranges,
-        // batched grid sight tests) must present exactly the edge lists the
-        // legacy per-node layout computed: for every node, every other
-        // stable node it can see, weighted by Euclidean distance. The
-        // reference below recomputes that per node with scalar
-        // `Rect::blocks`, so the comparison also crosses the batched vs
-        // scalar kernel boundary.
+        // batched grid sight tests) must present exactly the taut rows: for
+        // every node `u`, every other stable node it can see **and** a
+        // shortest path may leave it toward, weighted by Euclidean
+        // distance. The reference below recomputes that per node with
+        // scalar `Rect::blocks` and a tangent test written out from the
+        // rectangle list, so the comparison crosses the batched vs scalar
+        // kernel boundary and never asks the graph which corner is which.
         let a = free_point(&rs, a);
         let b = free_point(&rs, b);
         let mut g = VisGraph::new(60.0);
@@ -220,6 +290,19 @@ proptest! {
             }
         }
         let n = g.num_nodes();
+        // nodes 0 and 1 are the endpoints; node 2 + 4i + k is corner k of
+        // rs[i]. Seen from a corner, its rectangle fills the quadrant
+        // toward the rectangle's centre; a shortest path can leave along
+        // neither that quadrant nor the opposite one.
+        let tangent = |u: usize, upos: Point, vpos: Point| -> bool {
+            if u < 2 {
+                return true;
+            }
+            let r = rs[(u - 2) / 4];
+            let toward_x = (vpos.x - upos.x) * (r.center().x - upos.x);
+            let toward_y = (vpos.y - upos.y) * (r.center().y - upos.y);
+            toward_x * toward_y <= 0.0
+        };
         for u in 0..n {
             let upos = g.node_pos(NodeId(u as u32));
             let mut want: Vec<(u32, f64)> = (0..n)
@@ -227,7 +310,8 @@ proptest! {
                 .filter_map(|v| {
                     let vpos = g.node_pos(NodeId(v as u32));
                     let seg = Segment::new(upos, vpos);
-                    (!rs.iter().any(|r| r.blocks(&seg))).then(|| (v as u32, upos.dist(vpos)))
+                    (tangent(u, upos, vpos) && !rs.iter().any(|r| r.blocks(&seg)))
+                        .then(|| (v as u32, upos.dist(vpos)))
                 })
                 .collect();
             let mut got = Vec::new();
@@ -235,6 +319,50 @@ proptest! {
             got.sort_by_key(|e| e.0);
             want.sort_by_key(|e| e.0);
             prop_assert_eq!(&got, &want, "adjacency of node {} diverged", u);
+        }
+    }
+
+    #[test]
+    fn taut_search_labels_match_brute_force(
+        rs in tangled_rects(),
+        seeds in prop::collection::vec((pt(), 0..60usize), 1..6),
+        src_pick in 0..60usize,
+    ) {
+        // The justification for dropping half of every corner's row and
+        // never expanding a free point: one `run_all` from a point source
+        // labels **every** node — points and corners alike — exactly as
+        // the complete visibility graph does, on scenes full of touching,
+        // overlapping, nested and zero-width rectangles, with the source
+        // and the targets on obstacle corners and edges as well as in free
+        // space.
+        let mut points = vec![boundary_point(&rs, seeds[0].0, src_pick)];
+        points.extend(seeds.iter().map(|&(seed, pick)| boundary_point(&rs, seed, pick)));
+        let want = brute_labels(&rs, &points);
+
+        let mut g = VisGraph::new(60.0);
+        let ids: Vec<NodeId> = points
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                // targets alternate between the base tier and the overlay
+                let kind = if i % 2 == 0 { NodeKind::Endpoint } else { NodeKind::DataPoint };
+                g.add_point(p, kind)
+            })
+            .collect();
+        for r in &rs {
+            g.add_obstacle(*r);
+        }
+        let mut d = DijkstraEngine::new(&g, ids[0]);
+        d.run_all(&mut g);
+        prop_assert_eq!(g.capacity(), want.len());
+        for (v, &w) in want.iter().enumerate() {
+            match d.settled_dist(NodeId(v as u32)) {
+                Some(got) => prop_assert!(
+                    (got - w).abs() < 1e-6,
+                    "node {} at {}: got {}, want {}", v, g.node_pos(NodeId(v as u32)), got, w
+                ),
+                None => prop_assert!(w.is_infinite(), "node {} unreached, want {}", v, w),
+            }
         }
     }
 
