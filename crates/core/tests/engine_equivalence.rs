@@ -249,20 +249,30 @@ fn graph_from(obstacles: &[Rect], ps: &[DataPoint], src: Point) -> (VisGraph, co
 }
 
 /// One row of [`fixed_scene_answers_and_work_counts`]: the answer's words
-/// hash (FNV-1a) to the committed `digest`, and the query's
+/// hash (FNV-1a) to the committed `digest`, the paper's counters
+/// `(NPE, NOE, |SVG|)` equal the committed `paper` ones, and the query's
 /// `(sight tests, sweep events)` stayed at or under the committed `ceiling`.
 fn assert_pinned(
     what: &str,
     answer: impl IntoIterator<Item = u64>,
     stats: &QueryStats,
     digest: u64,
+    paper: (u64, u64, u64),
     ceiling: (u64, u64),
 ) {
     let got = answer.into_iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, w| {
         (h ^ w).wrapping_mul(0x0100_0000_01b3)
     });
+    let counted = (stats.npe, stats.noe, stats.svg_nodes);
     let work = (stats.reuse.sight_tests, stats.reuse.sweep_events);
-    assert_eq!(got, digest, "{what}: digest {got:#018x}, work {work:?}");
+    assert_eq!(
+        got, digest,
+        "{what}: digest {got:#018x}, (NPE, NOE, |SVG|) {counted:?}, work {work:?}"
+    );
+    assert_eq!(
+        counted, paper,
+        "{what}: (NPE, NOE, |SVG|) moved, work {work:?}"
+    );
     assert!(
         work.0 <= ceiling.0 && work.1 <= ceiling.1,
         "{what}: (sight tests, sweep events) {work:?} over the ceiling {ceiling:?}"
@@ -271,12 +281,16 @@ fn assert_pinned(
 
 /// The tier-1 count gate (ROADMAP item 1d): on one fixed seeded scene — the
 /// ledger's world at its smoke scale — one CONN, one COkNN and one range
-/// answer bit for bit what they answered when this was committed, and build
-/// their adjacency with no more sight tests and sweep events than the
-/// committed ceilings (~5 % above the taut kernel's counts, noted beside
-/// each). Both counts are deterministic, and complete corner rows cost
-/// 1.4–1.5× the sight tests and 2.6–23× the sweep events here, so a change
-/// that re-completes the rows fails tier-1, not only the ledger.
+/// answer bit for bit what they answered when this was committed, evaluate
+/// exactly the data points (NPE), load exactly the obstacles (NOE) and hold
+/// exactly the graph nodes (|SVG|) they did then, and build their adjacency
+/// with no more sight tests and sweep events than the committed ceilings
+/// (5 % above the bitangent kernel's counts, noted beside each). All five
+/// counts are deterministic. Rows tangent only where a path *leaves* a
+/// corner cost 1.3–1.6× the sight tests here (and sweep, where these rows
+/// stay under the sweep threshold), complete rows 1.4–1.5× those again, so
+/// a change that re-admits either kind of edge fails tier-1, not only the
+/// ledger.
 #[test]
 fn fixed_scene_answers_and_work_counts() {
     // coordinates snapped to 1/8 so the committed digests do not hang on
@@ -309,8 +323,15 @@ fn fixed_scene_answers_and_work_counts() {
         let at = e.cp.as_ref().map_or([0; 3], cp);
         [id].into_iter().chain(span(&e.interval)).chain(at)
     });
-    // 4 823 sight tests, 1 061 sweep events
-    assert_pinned("conn", words, &stats, 0x2d59_5660_a67b_791f, (5_064, 1_114));
+    // 3 605 sight tests, no sweep events
+    assert_pinned(
+        "conn",
+        words,
+        &stats,
+        0x2d59_5660_a67b_791f,
+        (8, 25, 102),
+        (3_785, 0),
+    );
 
     let (coknn, stats) = engine.coknn(&data_tree, &obstacle_tree, &q, 3);
     let words = coknn.entries().iter().flat_map(|e| {
@@ -318,21 +339,29 @@ fn fixed_scene_answers_and_work_counts() {
         let members = members.flat_map(|m| [u64::from(m.point.id)].into_iter().chain(cp(&m.cp)));
         span(&e.interval).into_iter().chain(members)
     });
-    // 11 437 sight tests, 2 625 sweep events
+    // 8 259 sight tests, 139 sweep events
     assert_pinned(
         "coknn",
         words,
         &stats,
         0xfdc4_fb3b_9ff4_cead,
-        (12_009, 2_756),
+        (12, 42, 170),
+        (8_671, 145),
     );
 
     let (range, stats) = engine.range(&data_tree, &obstacle_tree, q.a, 480.0);
     let words = range
         .iter()
         .flat_map(|(p, d)| [u64::from(p.id), d.to_bits()]);
-    // 2 278 sight tests, 128 sweep events
-    assert_pinned("range", words, &stats, 0x5b19_30e9_13dc_905e, (2_392, 134));
+    // 1 465 sight tests, no sweep events
+    assert_pinned(
+        "range",
+        words,
+        &stats,
+        0x5b19_30e9_13dc_905e,
+        (18, 22, 89),
+        (1_538, 0),
+    );
 }
 
 proptest! {

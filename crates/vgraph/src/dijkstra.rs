@@ -16,17 +16,31 @@
 //! the four call sites — CPLC, IOR, odist, range — comply), and a settled
 //! node is **expanded** only when it is the source or an obstacle vertex:
 //! any other point node is reported and left alone. Together with the
-//! graph's tangent rows (an obstacle vertex lists only the directions a
-//! shortest path can leave it along — see [`crate::graph`]) this explores
-//! exactly the taut paths, and loses no label:
+//! graph's bitangent rows (an edge into or out of an obstacle vertex exists
+//! only along that vertex's tangent directions — see [`crate::graph`]) this
+//! explores exactly the taut paths:
 //!
 //! * a bend at corner `u` of rectangle `A` needs obstacle interior inside a
-//!   wedge `< π` at `u` with both rays free, which forces both rays into
-//!   the closed quadrants adjacent to `A`'s;
+//!   wedge `< π` at `u` with both rays free, which forces both rays — the
+//!   one the path arrives along and the one it leaves along — into the
+//!   closed quadrants adjacent to `A`'s;
 //! * a touching or overlapping neighbour only removes further directions;
 //! * a terminal is reached by an edge tangent at the *previous* vertex, and
 //!   a collinear pass-through of a free point is never strictly shorter
 //!   than the direct edge.
+//!
+//! What a label means depends on the node. A **point node's** label is its
+//! obstructed distance, exactly as in the complete visibility graph: a
+//! shortest path is taut at every interior vertex, so all its edges are in
+//! the graph. An **obstacle vertex's** label is the length of the shortest
+//! path *arriving tangentially* — at least the obstructed distance, equal to
+//! it whenever some shortest path bends there (its prefix is then a shortest
+//! tangent arrival), and absent when no tangent arrival exists. Every
+//! consumer reads a corner's label only as the base of a path that bends at
+//! the corner (CPLC's control points, a predecessor chain), so no answer
+//! changes; the corners whose label rises or vanishes are the ones no
+//! shortest path bends at, and they are no longer reported, expanded or
+//! given a row.
 //!
 //! One settlement from a source therefore labels any number of point nodes
 //! at the cost of the obstacle corners it expands — the one-to-many shape
@@ -62,11 +76,31 @@
 //!
 //! When obstacles were loaded in between (version advanced, but nothing
 //! was removed — tracked via [`VisGraph::shape_epoch`]), the engine
-//! **reseeds**: obstacles only ever lengthen paths, so every label whose
-//! witness path avoids the newly added rectangles is still exact and
-//! re-enters the heap as a seed; only invalidated labels are re-discovered
-//! through relaxation. Both warm paths produce the same settlement
-//! sequence as a cold start on the final graph.
+//! **reseeds**. The invariant is *achievable upper bounds, repaired by
+//! relaxation*:
+//!
+//! * **Growth lemma.** Between two existing nodes an insertion only ever
+//!   removes edges (tangency is decided by the two end corners' own
+//!   rectangles, visibility only shrinks). A label whose predecessor chain
+//!   — read from `pred` as it stands — reaches the source through kept
+//!   labels over segments no new rectangle blocks is therefore still the
+//!   length of a path of the grown graph, or more (a predecessor that
+//!   improved after relaxing it only widens the gap). It is kept and
+//!   re-enters the heap as a seed; every other label is dropped.
+//! * **Seeds need not be exact.** A point node's label can only rise under
+//!   insertion, but a corner's tangent-arrival label can *fall*: a new
+//!   rectangle's corner may open a shorter tangent arrival at an old
+//!   corner. Dijkstra from seeds that never underestimate, with the source
+//!   among them at `0`, still settles every node at exactly its cold label
+//!   — the shorter arrival comes through nodes with smaller keys, which pop
+//!   and relax the seed before it can pop. So a seed's label is final only
+//!   once the run re-pops it, and the next reseed reads `dist` / `pred`
+//!   *as they stand*: a re-popped seed at its place in the settle log, an
+//!   unreached seed with its seeded tuple, and a seed whose tentative label
+//!   was lowered but not yet popped not at all.
+//!
+//! Both warm paths produce the same settlement sequence as a cold start on
+//! the final graph.
 //!
 //! When the *goal* changed as well (a trajectory session moving to its
 //! next leg, or an odist call toward a moved target), the engine
@@ -133,12 +167,13 @@ pub enum Prep {
     /// under the retained expansion bound if the run was bounded.
     Replayed,
     /// Obstacles were added since the last run: labels whose witness paths
-    /// avoid the new rectangles were kept as exact seeds, the rest were
-    /// invalidated and will be re-discovered.
+    /// avoid the new rectangles were kept as seeds (achievable upper
+    /// bounds, see the module docs), the rest were invalidated and will be
+    /// re-discovered.
     Reseeded,
     /// Same source but a *different goal* (and possibly new obstacles):
     /// surviving labels were re-keyed under the new heuristic and re-enter
-    /// the heap as exact seeds — the cross-leg warm path of a trajectory
+    /// the heap as seeds — the cross-leg warm path of a trajectory
     /// session, and the moving-target path of repeated odist calls.
     Retargeted,
 }
@@ -160,7 +195,8 @@ pub struct DijkstraEngine {
     /// True once `set_bound` tightened below ∞. A bounded run's labels are
     /// incomplete beyond the bound, so a replayed continuation keeps the
     /// retained bound (it may only shrink further), and reseeding keeps
-    /// only the settled labels, which stay exact regardless of the bound.
+    /// only settled labels and unreached seeds, which are achievable
+    /// whatever the bound was.
     tightened: bool,
     /// Settlement order `(node, d)` — the replay tape of a continuation.
     settle_log: Vec<(u32, f64)>,
@@ -169,14 +205,13 @@ pub struct DijkstraEngine {
     cursor: usize,
     /// Relaxation scratch (edges of the node being settled).
     edge_scratch: Vec<(u32, f64)>,
-    /// Exact labels `(node, d, pred)` re-entered by the last reseed, in
-    /// predecessor-first order. A seed's distance is exact whether or not
-    /// the subsequent run ever pops it (relaxation cannot improve an
-    /// optimal label), so the *next* reseed must classify these alongside
-    /// the settle log — dropping them would lose the source itself when a
-    /// run stops at its target before re-popping the seeds.
+    /// Labels `(node, d, pred)` re-entered by the last reseed, source
+    /// first, predecessors before dependents. A seed the run never reached
+    /// still holds an achievable label, so the *next* reseed classifies
+    /// those alongside the settle log — dropping them would discard most
+    /// of a search that stopped at its target before re-popping its seeds.
     seeds: Vec<(u32, f64, u32)>,
-    /// Deduplication stamps for the reseed classification pass.
+    /// Stamps of the labels kept by the reseed classification pass.
     mark: Vec<u32>,
     mark_gen: u32,
     /// Runs whose label arrays fit in already-allocated capacity.
@@ -298,21 +333,21 @@ impl DijkstraEngine {
     }
 
     /// Warm restart after graph growth (and/or a goal change): keeps every
-    /// exact label whose witness path avoids the rectangles added since the
-    /// snapshot (obstacles only lengthen paths; point-node additions change
-    /// nothing) and re-enters them into the heap as seeds keyed by the
-    /// *current* goal, so re-settling them performs no label convergence
-    /// and almost no pushes. Invalidated and new nodes are re-discovered
-    /// through ordinary relaxation.
+    /// label whose witness chain avoids the rectangles added since the
+    /// snapshot (the growth lemma of the module docs; point-node additions
+    /// change nothing) and re-enters them into the heap as seeds keyed by
+    /// the *current* goal. Invalidated and new nodes are re-discovered
+    /// through ordinary relaxation, which also lowers any seed a new corner
+    /// made improvable.
     ///
-    /// The exact-label set is the previous reseed's surviving seeds — a
-    /// seed stays exact whether or not the run re-popped it — plus the
-    /// nodes the run settled. Classification walks seeds first, then the
-    /// settle log: within each list predecessors precede dependents, and a
-    /// settled node's predecessor is either an earlier-settled node or a
-    /// seed, so validity can be inherited along the predecessor chain
-    /// (`settled` doubles as the "witness still valid" marker during the
-    /// pass).
+    /// The candidates are the nodes the run settled plus the previous
+    /// reseed's seeds it never reached; classification reads each one's
+    /// `dist` / `pred` as they stand and keeps it when its predecessor was
+    /// kept before it (`mark` stamps the kept set) and the connecting
+    /// segment is free. Settlement order puts a popped predecessor first;
+    /// `seeds` is kept predecessor-first for the unreached ones. A label
+    /// whose predecessor comes later in the pass (an equal-key pop order)
+    /// is dropped — always safe, relaxation finds it again.
     fn reseed(&mut self, g: &VisGraph) {
         self.reseed_inner(g, None)
     }
@@ -321,18 +356,23 @@ impl DijkstraEngine {
     /// shorten" counterpart of the growth reseed behind
     /// [`DijkstraEngine::ensure_prepared`].
     ///
-    /// Removing a rectangle `R` can only *shorten* obstructed distances,
-    /// and any label that improves must route its new witness path through
-    /// `R`'s footprint: a path avoiding `R` entirely was already available
-    /// before the removal, so it cannot beat the old exact label. Any path
-    /// through `R` is at least `mindist(src, R) + mindist(u, R)` long
-    /// (each leg is at best a straight line to/from the crossing point).
-    /// A settled label with `mindist(src, R) + mindist(u, R) ≥ d(u)`
-    /// therefore cannot improve and is kept as exact; labels inside that
-    /// **shadow** are invalidated and re-discovered through ordinary
-    /// relaxation — as are the labels of the removed rectangle's own (now
-    /// dead) corner nodes and every label whose witness chain passes
-    /// through a dropped one.
+    /// **Removal lemma.** A removal only ever *adds* edges between
+    /// surviving nodes, so a surviving label whose chain avoids the dead
+    /// corners is still achievable, and — relaxation repairing whatever
+    /// can improve — keeping it would already be correct. The pass drops
+    /// more than that, so that a settled label it keeps is still exact,
+    /// not merely achievable: a label (a point's distance or a corner's
+    /// tangent arrival) that improves must route its new witness through
+    /// `R`'s footprint, since a path avoiding `R` entirely was available
+    /// before the removal. Any path through `R` is at least
+    /// `mindist(src, R) + mindist(u, R)` long (each leg is at best a
+    /// straight line to/from the crossing point), so a label with
+    /// `mindist(src, R) + mindist(u, R) ≥ d(u)` cannot improve and is
+    /// kept; labels inside that **shadow** are invalidated and
+    /// re-discovered through ordinary relaxation — as are the labels of
+    /// the removed rectangle's own (now dead) corner nodes and every label
+    /// whose witness chain passes through a dropped one. The count of
+    /// dropped labels is the `labels_invalidated` metric of a live delta.
     ///
     /// Contract: call immediately after `VisGraph::remove_obstacle` on the
     /// same rectangle, with no other structural mutation in between (node
@@ -386,44 +426,53 @@ impl DijkstraEngine {
         let shadow_src = removed.map(|r| r.mindist_point(g.node_pos(self.src)));
         let old_seeds = std::mem::take(&mut self.seeds);
         let old_log = std::mem::take(&mut self.settle_log);
-        let mut kept: Vec<(u32, f64, u32)> = Vec::with_capacity(old_seeds.len() + old_log.len());
-        for i in 0..old_seeds.len() + old_log.len() {
-            let (u, d, p) = if i < old_seeds.len() {
-                old_seeds[i]
+        let mut kept: Vec<(u32, f64, u32)> =
+            Vec::with_capacity(1 + old_log.len() + old_seeds.len());
+        // the source is its own witness (`mark` stamps the kept labels)
+        self.mark[self.src.index()] = self.mark_gen;
+        kept.push((self.src.0, 0.0, NO_PRED));
+        // Every label is read from `dist` / `pred` as they stand: first what
+        // the run popped, in settlement order (a label's predecessor popped,
+        // and so was classified, before it), then the seeds the run never
+        // reached.
+        for i in 0..old_log.len() + old_seeds.len() {
+            let u = if i < old_log.len() {
+                old_log[i].0
             } else {
-                let (u, d) = old_log[i - old_seeds.len()];
-                // a seed that was re-popped appears in both lists; the
-                // first pass already classified it
-                if self.mark[u as usize] == self.mark_gen {
+                let (u, d, _) = old_seeds[i - old_log.len()];
+                if self.settled[u as usize] {
+                    continue; // re-popped: classified at its log position
+                }
+                if self.dist[u as usize] != d {
+                    // a relaxation lowered it and the run stopped before
+                    // popping it: left to relaxation again
+                    self.labels_invalidated += 1;
                     continue;
                 }
-                (u, d, self.pred[u as usize])
+                u
             };
             let ui = u as usize;
-            self.mark[ui] = self.mark_gen;
-            let ok = if u == self.src.0 {
-                true
-            } else {
-                let mut keep = p != NO_PRED && self.settled[p as usize] && {
-                    let seg = Segment::new(g.node_pos(NodeId(p)), g.node_pos(NodeId(u)));
-                    !new_rects.iter().any(|(_, r)| r.blocks(&seg))
-                };
-                if keep {
-                    if let (Some(r), Some(ds)) = (removed, shadow_src) {
-                        // dead nodes (the removed rect's corners) drop, and
-                        // a label inside the removal shadow may improve —
-                        // drop it too (conservatively, with float slack);
-                        // everything else is provably still exact
-                        keep = g.is_alive(NodeId(u)) && {
-                            let shadow = ds + r.mindist_point(g.node_pos(NodeId(u)));
-                            shadow > d + 1e-9 * d.max(1.0)
-                        };
-                    }
-                }
-                keep
+            if self.mark[ui] == self.mark_gen {
+                continue; // the source
+            }
+            let (d, p) = (self.dist[ui], self.pred[ui]);
+            let mut keep = p != NO_PRED && self.mark[p as usize] == self.mark_gen && {
+                let seg = Segment::new(g.node_pos(NodeId(p)), g.node_pos(NodeId(u)));
+                !new_rects.iter().any(|(_, r)| r.blocks(&seg))
             };
-            self.settled[ui] = ok;
-            if ok {
+            if keep {
+                if let (Some(r), Some(ds)) = (removed, shadow_src) {
+                    // dead nodes (the removed rect's corners) drop, and so
+                    // does a label inside the removal shadow, which may
+                    // improve (conservatively, with float slack)
+                    keep = g.is_alive(NodeId(u)) && {
+                        let shadow = ds + r.mindist_point(g.node_pos(NodeId(u)));
+                        shadow > d + 1e-9 * d.max(1.0)
+                    };
+                }
+            }
+            if keep {
+                self.mark[ui] = self.mark_gen;
                 kept.push((u, d, p));
             } else {
                 self.labels_invalidated += 1;
@@ -704,6 +753,28 @@ mod tests {
         assert_eq!(path[2], Point::new(110.0, 100.0));
     }
 
+    /// Found by a fresh proptest seed: `t` stands where `b`'s top edge
+    /// crosses `a`'s left wall, one ulp to the wall's inner side — still
+    /// free space to [`Rect::blocks`], which has [`EPS`](conn_geom::EPS) of
+    /// slack. The shortest path comes down that wall from `a`'s top-left
+    /// corner, and the tangent rule must allow it the same slack instead of
+    /// reading the ulp as a step into `a`'s quadrant.
+    #[test]
+    fn a_wall_is_followed_to_a_point_an_ulp_inside_its_line() {
+        let a = Rect::new(50.0, 0.0, 100.0, 40.0);
+        let b = Rect::new(0.0, -10.0, 80.0, 10.0);
+        let just_inside = f64::from_bits(50.0_f64.to_bits() + 1);
+        let mut g = VisGraph::new(50.0);
+        let s = g.add_point(Point::new(200.0, 200.0), NodeKind::Endpoint);
+        let t = g.add_point(Point::new(just_inside, 10.0), NodeKind::Endpoint);
+        g.add_obstacle(a);
+        g.add_obstacle(b);
+        let mut d = DijkstraEngine::new(&g, s);
+        let got = d.run_until_settled(&mut g, t);
+        let want = Point::new(200.0, 200.0).dist(Point::new(50.0, 40.0)) + 30.0;
+        assert!((got - want).abs() < 1e-9, "got {got}, want {want}");
+    }
+
     #[test]
     fn free_space_is_straight_line() {
         let mut g = VisGraph::new(50.0);
@@ -856,6 +927,58 @@ mod tests {
             }
         }
         assert_eq!(warm.reseeds(), 1);
+    }
+
+    /// A corner's label is its shortest *tangent arrival*, and an insertion
+    /// can lower it. `s` sits up-left of `A`'s top-left corner `tl`, so the
+    /// straight `s → tl` cannot bend there and `tl` is first labelled the
+    /// long way, along `A`'s top wall (246.7). Loading `r` lowers it: the
+    /// bottom-right corner of `r` sees `tl` from its up-right (181.1), and
+    /// `A`'s bottom-left corner `bl`, which `r` hides from `s`, hangs off
+    /// `tl` (221.1). `r2` then cuts that new chain and leaves the old one
+    /// alone. A reseed that classified the re-popped `tl` by the tuple it
+    /// was seeded with would find the old chain intact, keep `tl`, and keep
+    /// `bl` at 221.1 — a label whose witness is gone (cold: 221.8).
+    #[test]
+    fn reseed_survives_a_label_lowered_by_an_insertion() {
+        let a = Rect::new(30.0, 30.0, 90.0, 70.0);
+        let r = Rect::new(0.0, 150.0, 50.0, 160.0);
+        let r2 = Rect::new(40.0, 130.0, 50.0, 150.0);
+        let mut g = VisGraph::new(50.0);
+        let s = g.add_point(Point::new(25.0, 245.0), NodeKind::Endpoint);
+        let [bl, _, _, tl] = g.add_obstacle(a);
+        let mut warm = DijkstraEngine::default();
+        assert_eq!(warm.ensure_prepared(&g, s, Goal::None, true), Prep::Cold);
+        warm.run_all(&mut g);
+        let long_way = warm.settled_dist(tl).unwrap();
+
+        g.add_obstacle(r);
+        assert_eq!(
+            warm.ensure_prepared(&g, s, Goal::None, true),
+            Prep::Reseeded
+        );
+        warm.run_all(&mut g);
+        let lowered = warm.settled_dist(tl).unwrap();
+        assert!(lowered < long_way, "{lowered} vs {long_way}");
+        assert_eq!(warm.predecessor(bl), Some(tl));
+
+        g.add_obstacle(r2);
+        assert_eq!(
+            warm.ensure_prepared(&g, s, Goal::None, true),
+            Prep::Reseeded
+        );
+        warm.run_all(&mut g);
+        let mut cold = DijkstraEngine::default();
+        cold.prepare(&g, s);
+        cold.run_all(&mut g);
+        assert!(cold.settled_dist(tl).unwrap() > lowered);
+        for v in g.node_ids() {
+            assert_eq!(
+                warm.settled_dist(v).map(f64::to_bits),
+                cold.settled_dist(v).map(f64::to_bits),
+                "label diverged at {v:?}"
+            );
+        }
     }
 
     /// Retargeting the goal keeps every settled label (they are exact

@@ -4,20 +4,30 @@
 //! `S`, `E`; IOR streams obstacles in (each contributing its four vertices);
 //! each data point under evaluation is added, queried, and removed again.
 //!
-//! Adjacency is **directed** and **taut**: the row of node `u` holds every
-//! visible node a shortest path may *leave* `u` toward. A point node (query
-//! endpoint or data point — every search source) sees in all directions. An
-//! obstacle vertex `u`, corner of rectangle `A`, keeps only the two closed
-//! quadrants adjacent to `A`'s (`dx·dy ≤ 0` in the corner's frame, axis
-//! directions included); candidates elsewhere are dropped before their
-//! sweep event or sight test. Shortest-path labels are unchanged:
+//! Adjacency is **symmetric** and **bitangent**: an edge `u — v` exists
+//! when the two nodes see each other and the segment lies along a tangent
+//! direction of every obstacle vertex among its ends. A point node (query
+//! endpoint or data point — every search source and terminal) is tangent in
+//! all directions. An obstacle vertex `u`, corner of rectangle `A`, is
+//! tangent only along the two closed quadrants adjacent to `A`'s
+//! (`dx·dy ≤ 0` in the corner's frame, axis directions included);
+//! candidates elsewhere — seen from either end — are dropped before their
+//! sweep event or sight test. This is the classical reduced visibility
+//! graph, and every shortest path survives in it:
 //!
 //! * a bend at `u` needs obstacle interior inside a wedge `< π` at `u` with
-//!   both rays free, which forces both rays into those two quadrants;
+//!   both rays free, which forces both rays into those two quadrants — the
+//!   ray the path *leaves* along and the ray it *arrived* along alike, so
+//!   an edge into `u` that is not tangent there can only end at `u`, and no
+//!   search ends at an obstacle vertex;
 //! * a touching or overlapping neighbour only removes further directions;
 //! * a terminal is reached by an edge tangent at the *previous* vertex, and
 //!   a collinear pass-through of a free point is never strictly shorter
 //!   than the direct edge (so `DijkstraEngine` never expands one).
+//!
+//! A point node's shortest-path label is therefore unchanged. An obstacle
+//! vertex's label becomes the shortest *tangent arrival* — see
+//! `DijkstraEngine`'s module docs for what that means to its consumers.
 //!
 //! Rows are computed **lazily per node** and cached in two tiers:
 //!
@@ -56,9 +66,7 @@
 //!   the arena.
 //!
 //! Indices are `u32` on purpose: half the bytes of `usize` doubles the
-//! edges per cache line, and a self-contained `u32`-indexed arena is the
-//! layout an mmap-able graph snapshot (ROADMAP item 6) can serialize
-//! verbatim.
+//! edges per cache line.
 //!
 //! [`VisGraph::reset`] clears the graph for the next query while retaining
 //! every allocation (node lanes, the adjacency arena, grid cells), which is
@@ -66,7 +74,7 @@
 //! batch instead of O(N).
 
 // lint:allow-file(no-panic-in-query-path[index]): node ids are dense indices allocated by this module and the per-node arrays are (re)sized on every allocation; the sanitize-invariants adjacency audit cross-checks them
-use conn_geom::{Point, Rect, Segment};
+use conn_geom::{Point, Rect, Segment, EPS};
 
 use crate::grid::ObstacleGrid;
 use crate::sweep::SweepMode;
@@ -94,8 +102,8 @@ impl NodeId {
     }
 }
 
-/// What a node represents. Decides the shape of its adjacency row (point
-/// nodes see in all directions, obstacle vertices only along their tangent
+/// What a node represents. Decides which edges it takes part in (point
+/// nodes in all directions, obstacle vertices only along their tangent
 /// directions — see the module docs) and whether a search expands it
 /// (`DijkstraEngine` expands its source and obstacle vertices only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,11 +156,15 @@ impl Default for AdjMeta {
 const CORNER_TURNS: [f64; 4] = [1.0, -1.0, 1.0, -1.0];
 
 /// The tangent predicate of the module docs: may a shortest path leave a
-/// node with corner sign `turn` at `u` toward `v`? The product's sign is
-/// exact, and point nodes (`turn = 0.0`) pass everything.
+/// node with corner sign `turn` at `u` toward `v` — or, the quadrants being
+/// symmetric about `u`, arrive there from `v` and bend? Point nodes
+/// (`turn = 0.0`) pass everything. A direction within [`EPS`] of a wall's
+/// line counts as along the wall, as it does for [`Rect::blocks`]: a node
+/// an ulp to the wrong side of that line is still reached along the wall.
 #[inline]
 fn leaves_tangent(turn: f64, u: Point, v: Point) -> bool {
-    turn * (v.x - u.x) * (v.y - u.y) <= 0.0
+    let (dx, dy) = (v.x - u.x, v.y - u.y);
+    turn * dx * dy <= 0.0 || dx.abs() <= EPS || dy.abs() <= EPS
 }
 
 /// Can `r` block a sight line that [`leaves_tangent`] admits from `u`?
@@ -197,11 +209,11 @@ pub struct VisGraph {
     base_removal_epoch: u64,
     /// Bumped by node *removals* and [`VisGraph::reset`] only. While it
     /// holds still, a search engine's retained labels can be repaired
-    /// incrementally: obstacles only ever lengthen paths (labels whose
-    /// witness paths avoid newly added rectangles stay exact), and added
-    /// point nodes cannot shorten anything — the corner graph already
-    /// realizes the exact obstructed distance over the loaded obstacle
-    /// set, so a new free node only adds equal-or-longer alternatives.
+    /// incrementally: between existing nodes an added obstacle only ever
+    /// removes edges (labels whose witness paths avoid the new rectangles
+    /// stay achievable, and relaxation lowers the corner labels a new
+    /// corner improves), and added point nodes cannot shorten anything —
+    /// a free node is never expanded, so no path runs through one.
     /// Removals invalidate because retained predecessor chains (and slot
     /// ids, via the free list) may alias a departed node (see
     /// `DijkstraEngine` warm reseeding).
@@ -371,8 +383,8 @@ impl VisGraph {
     /// Monotone counter bumped only by node removals and resets.
     /// `shape_epoch` unchanged + `version` advanced means everything since
     /// the snapshot was an *addition* (obstacles and/or point nodes) — the
-    /// precondition for warm search-label reseeding: additions can only
-    /// lengthen or leave shortest paths, never shorten settled labels.
+    /// precondition for warm search-label reseeding: an addition removes
+    /// edges between the nodes already there and never adds one.
     pub fn shape_epoch(&self) -> u64 {
         self.shape_epoch
     }
@@ -643,9 +655,9 @@ impl VisGraph {
     }
 
     /// The node's edge list: `(neighbor, euclidean length)` for every live
-    /// node visible from it that a shortest path may leave it toward — all
-    /// of them for a point node, the tangent directions for an obstacle
-    /// vertex (see the module docs). Appends to `out` (callers clear as
+    /// node visible from it along a bitangent segment — tangent at the node
+    /// itself and at the neighbor, which a point node is in every direction
+    /// (see the module docs). Appends to `out` (callers clear as
     /// needed): first the cached base edges (stable nodes), then the
     /// transient overlay.
     ///
@@ -829,8 +841,8 @@ impl VisGraph {
     /// Every cache constructor (rebuild, repair, annulus extension) decides
     /// candidates by the same rule ([`VisGraph::candidate`]) — a stable
     /// node is a candidate iff its Chebyshev distance from the cache's node
-    /// is at most the recorded radius (**window membership**) and it lies
-    /// in a tangent direction of that node. An up-to-date cache therefore
+    /// is at most the recorded radius (**window membership**) and the
+    /// segment between them is bitangent. An up-to-date cache therefore
     /// holds exactly the visible such nodes, regardless of the
     /// rebuild/repair/extension history; radius growth can then test just
     /// the annulus (see [`VisGraph::extend_base_cache`]).
@@ -944,7 +956,8 @@ impl VisGraph {
     /// stable node `vid` when it is live, not `ui` itself, inside the
     /// Chebyshev ring `lo < cheb ≤ hi` around `ui` (window membership; a
     /// rect can intersect a window while this corner lies outside it) and
-    /// in a direction a shortest path may leave `ui` along.
+    /// the edge is bitangent — a shortest path may leave `ui` along it and,
+    /// arriving along it, bend at `vid`.
     #[inline]
     fn candidate(&self, ui: usize, vid: u32, lo: f64, hi: f64) -> Option<Point> {
         let vi = vid as usize;
@@ -953,7 +966,11 @@ impl VisGraph {
         }
         let (upos, vpos) = (self.node_pos[ui], self.node_pos[vi]);
         let cheb = (vpos.x - upos.x).abs().max((vpos.y - upos.y).abs());
-        (cheb > lo && cheb <= hi && leaves_tangent(self.node_turn[ui], upos, vpos)).then_some(vpos)
+        (cheb > lo
+            && cheb <= hi
+            && leaves_tangent(self.node_turn[ui], upos, vpos)
+            && leaves_tangent(self.node_turn[vi], vpos, upos))
+        .then_some(vpos)
     }
 
     /// Base-cache rebuild, complete up to `radius`.
@@ -1139,16 +1156,16 @@ impl VisGraph {
     ///   every point node carries none;
     /// * every cached edge points at a *live stable* node, with a finite
     ///   non-negative weight equal to the Euclidean distance between the
-    ///   endpoints, is unblocked, and — when `u` is an obstacle vertex —
-    ///   leaves `u` along a tangent direction (re-derived here from the
-    ///   rectangle the corner belongs to, not from the lane the rows were
-    ///   built with);
-    /// * visibility is symmetric but tangency is not: when both endpoints
-    ///   hold an up-to-date cache, an edge `u → v` must be mirrored by
-    ///   `v → u` only when it is also tangent at `v` (or `v` is a point
-    ///   node) and inside `v`'s completeness radius. (Caches are only
-    ///   *complete* up to their radius; edges beyond the partner's radius
-    ///   are legitimate one-sided extras from bounded rebuilds.)
+    ///   endpoints, is unblocked, and is tangent at **both** ends — at
+    ///   every end that is an obstacle vertex, the segment lies along a
+    ///   tangent direction re-derived here from the corner's index in the
+    ///   rectangle it belongs to, not from the lane the rows were built
+    ///   with;
+    /// * rows are symmetric: when both endpoints hold an up-to-date cache,
+    ///   an edge `u → v` inside `v`'s completeness radius must be mirrored
+    ///   by `v → u`. (Caches are only *complete* up to their radius; edges
+    ///   beyond the partner's radius are legitimate one-sided extras from
+    ///   bounded rebuilds.)
     ///
     /// Called on [`VisGraph::reset`] (the query boundary) when the
     /// `sanitize-invariants` runtime switch is on; public so corrupted-
@@ -1172,10 +1189,11 @@ impl VisGraph {
         // fourth at a diagonal corner, first and third at the others
         let tangent = |ui: usize, vi: usize| {
             let (u, v) = (self.node_pos[ui], self.node_pos[vi]);
-            let across = (v.x - u.x) * (v.y - u.y);
+            let (dx, dy) = (v.x - u.x, v.y - u.y);
+            let along_a_wall = dx.abs() <= EPS || dy.abs() <= EPS;
             match on_diagonal[ui] {
-                Some(true) => across <= 0.0,
-                Some(false) => across >= 0.0,
+                Some(true) => along_a_wall || dx * dy <= 0.0,
+                Some(false) => along_a_wall || dx * dy >= 0.0,
                 None => true,
             }
         };
@@ -1230,8 +1248,10 @@ impl VisGraph {
                         &format!("edge {ui} -> {v} weight {w} != distance {d}"),
                     );
                 }
-                if !tangent(ui, vi) {
-                    sanitize::violation(ctx, &format!("edge {ui} -> {v} not tangent at {ui}"));
+                for (at, toward) in [(ui, vi), (vi, ui)] {
+                    if !tangent(at, toward) {
+                        sanitize::violation(ctx, &format!("edge {ui} -> {v} not tangent at {at}"));
+                    }
                 }
                 let seg = Segment::new(upos, self.node_pos[vi]);
                 let blocker = (0..self.grid.len() as u32).find(|&gid| {
@@ -1244,11 +1264,8 @@ impl VisGraph {
                     );
                 }
                 // Reciprocity, where the partner's cache promises coverage
-                // of this direction.
-                if self.node_kind[ui] != NodeKind::DataPoint
-                    && fresh(&self.adj[vi])
-                    && tangent(vi, ui)
-                {
+                // of this distance.
+                if self.node_kind[ui] != NodeKind::DataPoint && fresh(&self.adj[vi]) {
                     let (ps, pe) = range(&self.adj[vi]);
                     if d <= self.adj[vi].radius
                         && !self.adj_targets[ps..pe].iter().any(|&x| x as usize == ui)
@@ -1368,6 +1385,30 @@ mod tests {
         assert!(
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.audit_adjacency())).is_err(),
             "audit must fire on a non-tangent edge in a corner's row"
+        );
+    }
+
+    #[test]
+    #[cfg(feature = "sanitize-invariants")]
+    fn adjacency_audit_fires_on_non_tangent_arrival() {
+        let mut g = graph();
+        // `behind` sees three corners of the rectangle; a path arriving at
+        // the (max, max) one from there cannot bend, so the row of a point
+        // node — tangent in every direction at its own end — must leave
+        // that corner out
+        let behind = g.add_point(Point::new(150.0, 150.0), NodeKind::Endpoint);
+        let corners = g.add_obstacle(Rect::new(0.0, 0.0, 100.0, 100.0));
+        let row: Vec<u32> = g.neighbors(behind).iter().map(|e| e.0).collect();
+        assert!(row.contains(&corners[1].0) && !row.contains(&corners[2].0));
+        g.audit_adjacency(); // intact graph passes
+
+        let at = row.iter().position(|&v| v == corners[1].0).unwrap();
+        let e = g.adj[behind.index()].start as usize + at;
+        g.adj_targets[e] = corners[2].0;
+        g.adj_weights[e] = g.node_pos(behind).dist(g.node_pos(corners[2]));
+        assert!(
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.audit_adjacency())).is_err(),
+            "audit must fire on an edge that is not tangent where it arrives"
         );
     }
 

@@ -9,8 +9,10 @@
 //!   plus a growing obstacle set. Adjacency is *lazy*: a node's edge list is
 //!   computed when Dijkstra first expands it and invalidated when new
 //!   obstacles arrive, so queries never pay for the full `O(n²)` edge set the
-//!   paper's related-work section warns about — and *taut*: an obstacle
-//!   corner lists only the directions a shortest path can leave it along.
+//!   paper's related-work section warns about — and *bitangent*: an edge
+//!   touches an obstacle corner only along the directions a shortest path
+//!   can both reach and leave that corner along (the classical reduced
+//!   visibility graph).
 //!   Storage is a CSR-style arena with SoA node lanes and `u32` indices
 //!   (see the [`graph`] module docs for the contract, the layout and the
 //!   overlay semantics).
@@ -23,12 +25,15 @@
 //!   warm label continuation (replay / reseed across obstacle loads).
 //!   Settled nodes stream out in ascending priority, exactly the order the
 //!   CPLC algorithm (paper Alg. 2) consumes and prunes with Lemma 7; only
-//!   the source and obstacle vertices are expanded.
+//!   the source and obstacle vertices are expanded, and an obstacle
+//!   vertex's label is its shortest *tangent arrival* (see the module docs).
 //! * [`visible_region`] — the visible region of a vertex over the query
 //!   segment (paper Def. 2), by shadow subtraction.
 //! * [`sweep`] — the rotational plane-sweep that batches a cache build's
 //!   per-candidate sight tests into one angular pass (selected by
-//!   [`SweepMode`]), with verdicts bit-identical to the grid walks.
+//!   [`SweepMode`]), built front to back so that rectangles and candidates
+//!   hidden behind nearer rectangles never become events, with verdicts
+//!   bit-identical to the grid walks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

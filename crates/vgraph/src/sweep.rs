@@ -9,7 +9,9 @@
 //! contributes a *start* and *end* event bounding the angular interval it
 //! subtends, every candidate contributes one event at its own direction,
 //! and a distance-ordered active set makes each candidate's verdict a
-//! front lookup — `O((rects + candidates) · log)` overall.
+//! front lookup — `O((rects + candidates) · log)` overall, and far fewer
+//! events than that once the rectangles hidden behind nearer ones are
+//! culled (below).
 //!
 //! # Bit-identical by construction
 //!
@@ -39,15 +41,53 @@
 //!   contain any midpoint and are dropped outright — they can never
 //!   block anything.
 //!
+//! # Front to back: the occlusion cull
+//!
+//! At paper scale most of what a row gathers is hidden: a swept build
+//! hands in ~190 candidates and ~120 rectangles, and nine candidates in
+//! ten end up blocked. Sorting and activating the events of rectangles
+//! that lie behind nearer ones was most of the sweep's cost, so before any
+//! event is created the rectangles are visited **in ascending
+//! min-distance** against
+//! a fixed angular depth buffer (`DEPTH_BINS` equal steps of the
+//! pseudo-angle; per bin the smallest farthest-corner distance of a
+//! rectangle whose interval covers the whole bin, and that rectangle as the
+//! bin's *witness* — every ray of the bin has passed through the witness by
+//! that distance):
+//!
+//! * a rectangle whose widened interval lies wholly in bins closed nearer
+//!   than its own min-distance emits **no start / end event** (84 % of them
+//!   on the ledger's `continuous` workload);
+//! * a candidate whose bin is closed nearer than its distance becomes no
+//!   event either (90 % of them): one exact probe against the witness
+//!   certifies "blocked", and if that probe says "not blocked" the candidate
+//!   is decided exactly against **every** rectangle of `rect_ids`.
+//!
+//! A cull is therefore only ever a hint, and verdicts stay exact by
+//! construction. The hint route ends in an exact "blocked" by a member of
+//! `rect_ids` or in the full scalar test. For a *swept* candidate the
+//! filter argument above needs every rectangle that blocks it to be in the
+//! sweep, and it is: a rectangle `R` that blocks candidate `c` has `c`'s
+//! event inside its widened interval — hence `c`'s bin among its own, the
+//! bin index being monotone in the key — and a min-distance below `c`'s
+//! distance. Had `R` been culled, that bin was closed nearer than `R`'s
+//! min-distance when `R` was visited; bins only ever close nearer, and
+//! candidates are routed after the last rectangle, so the bin is closed
+//! nearer than `c`'s distance and `c` took the hint route, not the sweep.
+//! Which bins a rectangle closes (the two partly covered end bins are left
+//! out) and at what distance is thus a matter of cost alone — no refuted
+//! hint was seen in 24 M hints on `continuous`.
+//!
 //! # Determinism
 //!
 //! Events are ordered by a precomputed **pseudo-angle** scalar (the
 //! "diamond angle": monotone in true angle over `[0, 2π)`, no trig),
 //! compared through [`OrdF64`] with kind, distance and id tie-breakers —
 //! a transitive NaN-free total order, so the event schedule is a pure
-//! function of the input set regardless of sort algorithm. Wrap-around
-//! at the sweep origin (+x axis) is handled by pre-activating every
-//! rectangle whose start event sorts *after* its end event.
+//! function of the input set regardless of sort algorithm; the front-to-
+//! back visit orders rectangles by `(min-distance, id)` the same way.
+//! Wrap-around at the sweep origin (+x axis) is handled by pre-activating
+//! every rectangle whose start event sorts *after* its end event.
 
 // lint:allow-file(no-panic-in-query-path[index]): event ids are loop indices produced by this module and lane ids come from the caller's candidate superset, both in range by construction
 use conn_geom::{OrdF64, Point, RectLanes, SegProbe, Segment, EPS};
@@ -67,22 +107,20 @@ const WIDEN: f64 = 1e-6;
 const NEAR_PIVOT: f64 = 1e-3;
 
 /// Below this many candidates a build sticks to per-candidate probes in
-/// [`SweepMode::Auto`]: the sweep's cost is dominated by building and
-/// sorting the per-rect interval events, which is nearly flat in the
-/// candidate count, while grid walks are linear in it. Measured against
-/// a fixed 192-rect field, walks win below ~100 candidates (~1.5 µs at
-/// k = 8 vs ~20 µs for the sweep's event pass), break even around
-/// k ≈ 130–250 depending on clustering, and lose 2× by k = 512. In
-/// production the window's rect count scales *with* the candidate count,
-/// which pulls the break-even well below the fixed-field figure. Under the
-/// taut rows a corner pivot keeps the candidates of its two tangent
-/// quadrants and the rects meeting them: on the ledger's `continuous`
-/// workload (paper scale, seed 2009) a swept build from a corner averages
-/// 363 candidates against 107 rects, one from a point node 244 against
-/// 116, and 96 % of all builds sweep; the 4 % under the threshold (small
-/// repair/extension builds) average 29 candidates and stay on the walk
-/// path. ROADMAP item 8 re-derives the constant on the ledger's per-query
-/// counts (`vgraph.sight_tests_per_q`, `vgraph.sweep_events_per_q`).
+/// [`SweepMode::Auto`]: grid walks are linear in the candidate count, the
+/// sweep pays a pass over every rectangle of the window first. The
+/// constant dates from a fixed 192-rect micro-benchmark of the sweep
+/// before its occlusion cull (walks ahead below ~100 candidates, break-even
+/// at 130–250) and was placed below that because in production the
+/// window's rect count grows with the candidate count. It has **not** been
+/// re-derived for the culled sweep, whose per-rectangle cost is lower; what
+/// an instrumented run of the ledger's `continuous` workload (paper scale,
+/// seed 2009, bitangent rows) does show is how little rides on it: 82 % of
+/// rebuild / extension builds sweep, averaging 192 candidates (210 from a
+/// corner, 124 from a point node) against 119 rectangles meeting the
+/// pivot's tangent quadrants; the 18 % under the threshold average 33
+/// candidates — 4 % of all candidates — and repairs essentially never
+/// reach it. ROADMAP item 8 owns the constant.
 pub const AUTO_MIN_CANDIDATES: usize = 48;
 
 /// When the plane-sweep replaces per-candidate grid walks during
@@ -162,6 +200,32 @@ fn pseudo_angle(dx: f64, dy: f64) -> f64 {
     }
 }
 
+/// Bins of the angular depth buffer behind the occlusion cull: the
+/// pseudo-angle range `[0, 4)` in equal steps (≈ 0.7° each).
+const DEPTH_BINS: usize = 512;
+
+/// The depth-buffer bin of a pseudo-angle key — monotone in the key, so a
+/// candidate whose key lies inside a rectangle's widened interval has its
+/// bin inside that interval's bin range.
+#[inline]
+fn bin_of(key: f64) -> usize {
+    ((key * (DEPTH_BINS as f64 / 4.0)) as usize).min(DEPTH_BINS - 1)
+}
+
+/// One rectangle of the angular filter, as the front-to-back pass sees it.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// Min-distance from the pivot — the visiting order.
+    md: f64,
+    /// Farthest-corner distance: every ray through the rectangle has left
+    /// it by then.
+    far: f64,
+    /// Pseudo-angle keys of the widened interval's two ends.
+    start: f64,
+    end: f64,
+    rid: u32,
+}
+
 /// Reusable sweep buffers, retained across builds by the owning grid.
 #[derive(Debug, Default)]
 pub(crate) struct SweepScratch {
@@ -170,6 +234,13 @@ pub(crate) struct SweepScratch {
     active: Vec<(f64, u32)>,
     /// Rectangles bypassing the angular filter (see `NEAR_PIVOT`).
     always: Vec<u32>,
+    /// Rectangles of the angular filter, sorted front to back.
+    spans: Vec<Span>,
+    /// Depth buffer, one entry per bin: the smallest `far` of a rectangle
+    /// whose interval covers the whole bin (∞ while the bin is open) …
+    depth: Vec<f64>,
+    /// … and that rectangle, the bin's witness.
+    witness: Vec<u32>,
 }
 
 /// Inserts a rectangle into the distance-ordered active set.
@@ -215,6 +286,7 @@ pub(crate) fn sweep_visibility(
     scratch.events.clear();
     scratch.active.clear();
     scratch.always.clear();
+    scratch.spans.clear();
 
     for &rid in rect_ids {
         let r = lanes.rect(rid as usize);
@@ -234,6 +306,7 @@ pub(crate) fn sweep_visibility(
         let corners = r.corners();
         let (mut sx, mut sy) = (corners[0].x - pivot.x, corners[0].y - pivot.y);
         let (mut ex, mut ey) = (sx, sy);
+        let mut far_sq = sx * sx + sy * sy;
         for c in &corners[1..] {
             let (dx, dy) = (c.x - pivot.x, c.y - pivot.y);
             if sx * dy - sy * dx < 0.0 {
@@ -242,32 +315,81 @@ pub(crate) fn sweep_visibility(
             if ex * dy - ey * dx > 0.0 {
                 (ex, ey) = (dx, dy);
             }
+            far_sq = far_sq.max(dx * dx + dy * dy);
         }
         // Widen outward by WIDEN radians: start clockwise, end counter-
         // clockwise. Swallows every direction rounding error; a too-wide
         // interval only costs redundant exact tests.
-        let start = Event {
-            key: pseudo_angle(sx + sy * WIDEN, sy - sx * WIDEN),
+        scratch.spans.push(Span {
+            md,
+            far: far_sq.sqrt(),
+            start: pseudo_angle(sx + sy * WIDEN, sy - sx * WIDEN),
+            end: pseudo_angle(ex - ey * WIDEN, ey + ex * WIDEN),
+            rid,
+        });
+    }
+
+    // Front-to-back occlusion cull (module docs): a rectangle lying wholly
+    // behind nearer ones emits no events, the others close the bins their
+    // interval covers.
+    scratch
+        .spans
+        .sort_unstable_by_key(|s| (OrdF64(s.md), s.rid));
+    scratch.depth.clear();
+    scratch.depth.resize(DEPTH_BINS, f64::INFINITY);
+    scratch.witness.resize(DEPTH_BINS, 0);
+    for si in 0..scratch.spans.len() {
+        let Span {
+            md,
+            far,
+            start,
+            end,
+            rid,
+        } = scratch.spans[si];
+        let (first, last) = (bin_of(start), bin_of(end));
+        // an interval whose start key exceeds its end key wraps the sweep
+        // origin; its bins run first..DEPTH_BINS then 0..=last
+        let wraps = start > end;
+        let count = if wraps {
+            DEPTH_BINS - first + last + 1
+        } else {
+            last - first + 1
+        };
+        let mut hidden = true;
+        for step in 0..count {
+            let bin = (first + step) % DEPTH_BINS;
+            if scratch.depth[bin] >= md {
+                hidden = false;
+                // the two end bins are only partly covered
+                if step > 0 && step + 1 < count && far < scratch.depth[bin] {
+                    scratch.depth[bin] = far;
+                    scratch.witness[bin] = rid;
+                }
+            }
+        }
+        if hidden {
+            continue;
+        }
+        if wraps {
+            // active from the start: the end event deactivates, the start
+            // event re-activates for the tail arc
+            activate(&mut scratch.active, md, rid);
+        }
+        scratch.events.push(Event {
+            key: start,
             kind: KIND_START,
             dist: md,
             id: rid,
-        };
-        let end = Event {
-            key: pseudo_angle(ex - ey * WIDEN, ey + ex * WIDEN),
+        });
+        scratch.events.push(Event {
+            key: end,
             kind: KIND_END,
             dist: md,
             id: rid,
-        };
-        if event_cmp(&start, &end) == Ordering::Greater {
-            // interval wraps the sweep origin: active from the start, the
-            // end event deactivates, the start event re-activates for the
-            // tail arc
-            activate(&mut scratch.active, md, rid);
-        }
-        scratch.events.push(start);
-        scratch.events.push(end);
+        });
     }
 
+    let mut sight_tests = 0_u64;
     for (j, c) in cands.iter().enumerate() {
         let (dx, dy) = (c.x - pivot.x, c.y - pivot.y);
         if dx == 0.0 && dy == 0.0 {
@@ -275,17 +397,32 @@ pub(crate) fn sweep_visibility(
             // so nothing blocks it — verdict stays `visible`
             continue;
         }
+        let (key, dist) = (pseudo_angle(dx, dy), pivot.dist(*c));
+        let bin = bin_of(key);
+        if scratch.depth[bin] < dist {
+            // the bin closed nearer than the candidate: the witness almost
+            // surely blocks it — one exact probe certifies that, and a
+            // refuted hint falls back to the whole set, so the verdict is
+            // exact either way
+            let probe = SegProbe::new(&Segment::new(pivot, *c));
+            sight_tests += 1;
+            vis[base + j] = !probe.blocks(lanes, scratch.witness[bin] as usize)
+                && !rect_ids.iter().any(|&rid| {
+                    sight_tests += 1;
+                    probe.blocks(lanes, rid as usize)
+                });
+            continue;
+        }
         scratch.events.push(Event {
-            key: pseudo_angle(dx, dy),
+            key,
             kind: KIND_CAND,
-            dist: pivot.dist(*c),
+            dist,
             id: j as u32,
         });
     }
 
     scratch.events.sort_unstable_by(event_cmp);
     let sweep_events = scratch.events.len() as u64;
-    let mut sight_tests = 0_u64;
     for ei in 0..scratch.events.len() {
         let ev = scratch.events[ei];
         match ev.kind {
@@ -334,12 +471,14 @@ mod tests {
         !rects.iter().any(|r| r.blocks(&seg))
     }
 
-    fn check_agreement(rects: &[Rect], pivot: Point, cands: &[Point]) {
+    /// Sweeps and checks every verdict against `brute`; returns the
+    /// `(exact sight tests, sweep events)` the sweep reported.
+    fn check_agreement(rects: &[Rect], pivot: Point, cands: &[Point]) -> (u64, u64) {
         let lanes = RectLanes::from_rects(rects);
         let ids: Vec<u32> = (0..rects.len() as u32).collect();
         let mut scratch = SweepScratch::default();
         let mut vis = Vec::new();
-        sweep_visibility(&lanes, &ids, pivot, cands, &mut scratch, &mut vis);
+        let work = sweep_visibility(&lanes, &ids, pivot, cands, &mut scratch, &mut vis);
         assert_eq!(vis.len(), cands.len());
         for (j, &c) in cands.iter().enumerate() {
             assert_eq!(
@@ -348,6 +487,7 @@ mod tests {
                 "pivot {pivot} cand {c} (index {j})"
             );
         }
+        work
     }
 
     #[test]
@@ -455,5 +595,80 @@ mod tests {
         let pivot = Point::new(0.0, 0.0);
         let cands = [Point::new(100.0, 100.0), Point::new(100.0, 0.0)];
         check_agreement(&rects, pivot, &cands);
+    }
+
+    #[test]
+    fn cull_drops_rects_and_candidates_behind_a_nearer_rect() {
+        // the wall closes every bin the three rectangles behind it touch
+        // (one nested in another, one of zero width): none of them becomes
+        // an event, and each candidate behind the wall costs one probe
+        let rects = [
+            Rect::new(-100.0, 50.0, 100.0, 60.0),
+            Rect::new(-40.0, 200.0, 40.0, 260.0),
+            Rect::new(-20.0, 210.0, 20.0, 240.0),
+            Rect::new(10.0, 270.0, 10.0, 300.0),
+        ];
+        let pivot = Point::new(0.0, 0.0);
+        let behind = [
+            Point::new(-40.0, 200.0),
+            Point::new(40.0, 260.0),
+            Point::new(20.0, 240.0),
+            Point::new(10.0, 300.0),
+            Point::new(0.0, 500.0),
+        ];
+        let (tests, events) = check_agreement(&rects, pivot, &behind);
+        assert_eq!(
+            (tests, events),
+            (5, 2),
+            "the wall's two events, a probe each"
+        );
+        // a candidate in front of the wall is swept as ever
+        let (tests, events) = check_agreement(&rects, pivot, &[Point::new(0.0, 40.0)]);
+        assert_eq!((tests, events), (0, 3));
+    }
+
+    #[test]
+    fn refuted_hint_falls_back_to_every_rect() {
+        // the wall's left edge stands 1e-5 right of the pivot: less than
+        // WIDEN at that range, so the bin just clockwise of straight up
+        // counts as covered although a sliver of it looks past the wall.
+        // The candidate sits in that sliver, beyond the wall's far corner.
+        let rects = [
+            Rect::new(1e-5, 30.0, 200.0, 40.0),
+            Rect::new(50.0, 300.0, 90.0, 340.0),
+            Rect::new(-90.0, -60.0, -50.0, -20.0),
+        ];
+        let pivot = Point::new(0.0, 0.0);
+        let past_the_edge = Point::new(1e-6, 1000.0);
+        assert!(brute(&rects, pivot, past_the_edge));
+        let (tests, _) = check_agreement(&rects, pivot, &[past_the_edge]);
+        assert_eq!(tests, 1 + rects.len() as u64, "the witness, then everyone");
+    }
+
+    #[test]
+    fn rect_reaching_in_front_of_its_occluder_is_kept() {
+        // the bar starts behind the wall's nearest point but in front of
+        // the wall along its own directions, and ends beyond the wall's
+        // far corner: every bin it touches is closed, none nearer than its
+        // min-distance, so it must stay in the sweep — it alone blocks the
+        // candidates between it and the wall
+        let rects = [
+            Rect::new(-150.0, 100.0, 150.0, 110.0),
+            Rect::new(85.0, 85.0, 95.0, 200.0),
+        ];
+        let pivot = Point::new(0.0, 0.0);
+        let cands = [
+            Point::new(97.0, 99.0),  // past the bar, short of the wall
+            Point::new(90.0, 98.0),  // inside the bar
+            Point::new(80.0, 99.0),  // beside the bar — visible
+            Point::new(97.0, 150.0), // behind both
+        ];
+        assert!(!brute(&rects, pivot, cands[0]) && brute(&rects, pivot, cands[2]));
+        let (_, events) = check_agreement(&rects, pivot, &cands);
+        assert_eq!(
+            events,
+            4 + 4,
+            "both rectangles and all four candidates swept"
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! lower bounds, symmetry, and agreement between the lazy local graph and a
 //! brute-force reference.
 
-use conn_geom::{Point, Rect, Segment};
+use conn_geom::{Point, Rect, Segment, EPS};
 use conn_vgraph::{visible_region, DijkstraEngine, NodeId, NodeKind, SweepMode, VisGraph};
 use proptest::prelude::*;
 
@@ -61,6 +61,104 @@ fn sweep_rects() -> impl Strategy<Value = Vec<Rect>> {
         })
 }
 
+/// A scene built around the plane-sweep's front-to-back occlusion cull,
+/// as seen from `pivot`: a wide wall up and to the right of it, and behind
+/// that wall — farther than the wall's far corner, inside the cone it
+/// subtends — rectangles nested in, overlapping, or collapsed to zero width
+/// against the first of them. The sweep must drop those (**rect culled**)
+/// and settle each of their corners with one probe against the wall
+/// (**candidate certified**). The wall's left edge stands `1e-5` right of
+/// the pivot, less than the sweep's angular widening at that range, so the
+/// depth-buffer bin just clockwise of straight up counts as closed while a
+/// sliver of it looks past the wall: `beyond`, `1e-6` right of the pivot
+/// and far above it, sits in that sliver, its hint is refuted, and only the
+/// fallback to every rectangle finds it visible (**hint refuted**). With
+/// `shared_corner`, two more rectangles touch corner to corner exactly at
+/// the pivot, which makes the pivot an obstacle vertex of both. Decoys
+/// below the pivot keep the sweep's active set busy.
+#[derive(Debug, Clone)]
+struct OccludedScene {
+    pivot: Point,
+    beyond: Point,
+    rects: Vec<Rect>,
+    /// How many of `rects` lie wholly behind the wall.
+    hidden: usize,
+}
+
+fn occluded_scene() -> impl Strategy<Value = OccludedScene> {
+    (
+        (300.0..700.0f64, 300.0..700.0f64),
+        (20.0..60.0f64, 5.0..40.0f64, 100.0..300.0f64),
+        prop::collection::vec((0..3usize, 0.0..0.3f64, 0.05..0.5f64, 1.0..40.0f64), 1..6),
+        prop::collection::vec(
+            (-250.0..250.0f64, 50.0..250.0f64, 1.0..60.0f64, 1.0..60.0f64),
+            0..4,
+        ),
+        prop::bool::weighted(0.5),
+    )
+        .prop_map(
+            |((px, py), (gap, thick, width), behind, decoys, shared_corner)| {
+                let wall = Rect::new(px + 1e-5, py + gap, px + width, py + gap + thick);
+                let mut rects = vec![wall];
+                // past the wall's far corner, so every bin it closes is closed
+                // nearer than anything placed here
+                let base = (width * width + (gap + thick) * (gap + thick)).sqrt() + 10.0;
+                let mut prev =
+                    Rect::new(px + 0.1 * base, py + base, px + 0.4 * base, py + 1.5 * base);
+                rects.push(prev);
+                for (shape, dx, scale, lift) in behind {
+                    let (w, h) = (prev.width() * scale, prev.height() * scale);
+                    let r = match shape {
+                        // nested in the previous one
+                        0 => Rect::new(
+                            prev.min_x + dx * w,
+                            prev.min_y + dx * h,
+                            prev.min_x + dx * w + w,
+                            prev.min_y + dx * h + h,
+                        ),
+                        // overlapping it from above
+                        1 => Rect::new(
+                            prev.min_x,
+                            prev.max_y - h / 2.0,
+                            prev.max_x,
+                            prev.max_y + lift,
+                        ),
+                        // zero width, standing on it
+                        _ => Rect::new(
+                            prev.min_x + w,
+                            prev.max_y,
+                            prev.min_x + w,
+                            prev.max_y + lift,
+                        ),
+                    };
+                    if r.width() > 0.0 {
+                        prev = r;
+                    }
+                    rects.push(r);
+                }
+                let hidden = rects.len() - 1;
+                if shared_corner {
+                    rects.push(Rect::new(px, py - 30.0, px + 30.0, py));
+                    rects.push(Rect::new(px - 30.0, py, px, py + 30.0));
+                }
+                for (dx, down, w, h) in decoys {
+                    rects.push(Rect::new(
+                        px + dx,
+                        py - 40.0 - down - h,
+                        px + dx + w,
+                        py - 40.0 - down,
+                    ));
+                }
+                OccludedScene {
+                    pivot: Point::new(px, py),
+                    beyond: Point::new(px + 1e-6, py + 1000.0),
+                    rects,
+                    hidden,
+                }
+            },
+        )
+}
+
 /// A point in free space (not inside any obstacle).
 fn free_point(rs: &[Rect], seed: Point) -> Point {
     let mut p = seed;
@@ -72,19 +170,67 @@ fn free_point(rs: &[Rect], seed: Point) -> Point {
     p
 }
 
-/// Brute-force shortest paths from `points[0]`: the complete O(n²)
-/// visibility graph over `points` and every rectangle corner, scalar
-/// `Rect::blocks`, array Dijkstra. Returns the label of every node, points
-/// first, then the four corners of each rectangle in `Rect::corners` order
-/// — the node order of a `VisGraph` built the same way. Shares no code with
-/// `VisGraph`.
-fn brute_labels(rs: &[Rect], points: &[Point]) -> Vec<f64> {
+/// May a shortest path bend at corner `k` of `r` (in `Rect::corners`
+/// order) along the segment toward `other`? Written from the rectangle's
+/// centre and never from the graph's corner lane: seen from the corner,
+/// the rectangle fills the quadrant toward its centre, and a path can use
+/// neither that quadrant nor the opposite one — except along a wall, which
+/// like `Rect::blocks` takes in every direction within `EPS` of the wall's
+/// line. A rectangle with no extent on an axis has its centre level with
+/// the corner there; the corner's place in the `corners` order then says
+/// which side its edge collapsed from.
+fn tangent_at_corner(r: &Rect, k: usize, other: Point) -> bool {
+    let c = r.corners()[k];
+    let (dx, dy) = (other.x - c.x, other.y - c.y);
+    if dx.abs() <= EPS || dy.abs() <= EPS {
+        return true;
+    }
+    let side = |offset: f64, low_corner: bool| {
+        if offset != 0.0 {
+            offset
+        } else if low_corner {
+            1.0
+        } else {
+            -1.0
+        }
+    };
+    let toward_x = dx * side(r.center().x - c.x, k == 0 || k == 3);
+    let toward_y = dy * side(r.center().y - c.y, k < 2);
+    toward_x * toward_y <= 0.0
+}
+
+/// [`tangent_at_corner`] for node `v` of a graph holding `points` point
+/// nodes followed by the four corners of each rectangle of `rs`; a point
+/// node is tangent in every direction.
+fn tangent_at(rs: &[Rect], points: usize, v: usize, other: Point) -> bool {
+    v < points || tangent_at_corner(&rs[(v - points) / 4], (v - points) % 4, other)
+}
+
+/// Brute-force shortest paths from `points[0]`: the O(n²) visibility graph
+/// over `points` and every rectangle corner, scalar `Rect::blocks`, array
+/// Dijkstra. Returns the label of every node, points first, then the four
+/// corners of each rectangle in `Rect::corners` order — the node order of
+/// a `VisGraph` built the same way. Shares no code with `VisGraph`.
+///
+/// With `bitangent` unset the graph is complete: every label is the
+/// obstructed distance. With it set, an edge must be tangent at both ends
+/// and only the source and the corners are expanded — a corner's label is
+/// then its shortest tangent arrival over paths bending at corners only,
+/// which is what `DijkstraEngine` reports for one.
+fn brute_labels(rs: &[Rect], points: &[Point], bitangent: bool) -> Vec<f64> {
     let mut nodes = points.to_vec();
     for r in rs {
         nodes.extend(r.corners());
     }
     let n = nodes.len();
     let blocked = |u: Point, v: Point| -> bool { rs.iter().any(|r| r.blocks(&Segment::new(u, v))) };
+    let edge = |u: usize, v: usize| -> bool {
+        let admitted = !bitangent
+            || ((u == 0 || u >= points.len())
+                && tangent_at(rs, points.len(), u, nodes[v])
+                && tangent_at(rs, points.len(), v, nodes[u]));
+        admitted && !blocked(nodes[u], nodes[v])
+    };
     let mut dist = vec![f64::INFINITY; n];
     let mut done = vec![false; n];
     dist[0] = 0.0;
@@ -98,7 +244,7 @@ fn brute_labels(rs: &[Rect], points: &[Point]) -> Vec<f64> {
         }
         done[u] = true;
         for v in 0..n {
-            if !done[v] && !blocked(nodes[u], nodes[v]) {
+            if !done[v] && edge(u, v) {
                 let nd = dist[u] + nodes[u].dist(nodes[v]);
                 if nd < dist[v] {
                     dist[v] = nd;
@@ -111,7 +257,7 @@ fn brute_labels(rs: &[Rect], points: &[Point]) -> Vec<f64> {
 
 /// Brute-force shortest path length from `a` to `b`.
 fn brute_odist(rs: &[Rect], a: Point, b: Point) -> f64 {
-    brute_labels(rs, &[a, b])[1]
+    brute_labels(rs, &[a, b], false)[1]
 }
 
 /// `rects()` extended with everything the free-space model puts on a
@@ -268,13 +414,14 @@ proptest! {
     #[test]
     fn csr_adjacency_matches_per_node_reference(rs in rects(), a in pt(), b in pt()) {
         // The CSR arena (contiguous target/weight lanes + per-node ranges,
-        // batched grid sight tests) must present exactly the taut rows: for
-        // every node `u`, every other stable node it can see **and** a
-        // shortest path may leave it toward, weighted by Euclidean
-        // distance. The reference below recomputes that per node with
-        // scalar `Rect::blocks` and a tangent test written out from the
-        // rectangle list, so the comparison crosses the batched vs scalar
-        // kernel boundary and never asks the graph which corner is which.
+        // batched grid sight tests) must present exactly the bitangent
+        // rows: for every node `u`, every other stable node `v` it can see
+        // along a segment tangent at `u` **and** at `v`, weighted by
+        // Euclidean distance. The reference below recomputes that per node
+        // with scalar `Rect::blocks` and a tangent test written out from
+        // the rectangle list, so the comparison crosses the batched vs
+        // scalar kernel boundary and never asks the graph which corner is
+        // which.
         let a = free_point(&rs, a);
         let b = free_point(&rs, b);
         let mut g = VisGraph::new(60.0);
@@ -291,18 +438,7 @@ proptest! {
         }
         let n = g.num_nodes();
         // nodes 0 and 1 are the endpoints; node 2 + 4i + k is corner k of
-        // rs[i]. Seen from a corner, its rectangle fills the quadrant
-        // toward the rectangle's centre; a shortest path can leave along
-        // neither that quadrant nor the opposite one.
-        let tangent = |u: usize, upos: Point, vpos: Point| -> bool {
-            if u < 2 {
-                return true;
-            }
-            let r = rs[(u - 2) / 4];
-            let toward_x = (vpos.x - upos.x) * (r.center().x - upos.x);
-            let toward_y = (vpos.y - upos.y) * (r.center().y - upos.y);
-            toward_x * toward_y <= 0.0
-        };
+        // rs[i]
         for u in 0..n {
             let upos = g.node_pos(NodeId(u as u32));
             let mut want: Vec<(u32, f64)> = (0..n)
@@ -310,8 +446,10 @@ proptest! {
                 .filter_map(|v| {
                     let vpos = g.node_pos(NodeId(v as u32));
                     let seg = Segment::new(upos, vpos);
-                    (tangent(u, upos, vpos) && !rs.iter().any(|r| r.blocks(&seg)))
-                        .then(|| (v as u32, upos.dist(vpos)))
+                    (tangent_at(&rs, 2, u, vpos)
+                        && tangent_at(&rs, 2, v, upos)
+                        && !rs.iter().any(|r| r.blocks(&seg)))
+                    .then(|| (v as u32, upos.dist(vpos)))
                 })
                 .collect();
             let mut got = Vec::new();
@@ -328,16 +466,18 @@ proptest! {
         seeds in prop::collection::vec((pt(), 0..60usize), 1..6),
         src_pick in 0..60usize,
     ) {
-        // The justification for dropping half of every corner's row and
-        // never expanding a free point: one `run_all` from a point source
-        // labels **every** node — points and corners alike — exactly as
-        // the complete visibility graph does, on scenes full of touching,
-        // overlapping, nested and zero-width rectangles, with the source
-        // and the targets on obstacle corners and edges as well as in free
-        // space.
+        // The justification for keeping only bitangent edges and never
+        // expanding a free point: one `run_all` from a point source labels
+        // every **point** node exactly as the complete visibility graph
+        // does, and every **corner** with its shortest tangent arrival —
+        // the brute force over bitangent edges, never below the complete
+        // one — on scenes full of touching, overlapping, nested and
+        // zero-width rectangles, with the source and the targets on
+        // obstacle corners and edges as well as in free space.
         let mut points = vec![boundary_point(&rs, seeds[0].0, src_pick)];
         points.extend(seeds.iter().map(|&(seed, pick)| boundary_point(&rs, seed, pick)));
-        let want = brute_labels(&rs, &points);
+        let complete = brute_labels(&rs, &points, false);
+        let arrivals = brute_labels(&rs, &points, true);
 
         let mut g = VisGraph::new(60.0);
         let ids: Vec<NodeId> = points
@@ -354,14 +494,24 @@ proptest! {
         }
         let mut d = DijkstraEngine::new(&g, ids[0]);
         d.run_all(&mut g);
-        prop_assert_eq!(g.capacity(), want.len());
-        for (v, &w) in want.iter().enumerate() {
-            match d.settled_dist(NodeId(v as u32)) {
-                Some(got) => prop_assert!(
-                    (got - w).abs() < 1e-6,
-                    "node {} at {}: got {}, want {}", v, g.node_pos(NodeId(v as u32)), got, w
-                ),
-                None => prop_assert!(w.is_infinite(), "node {} unreached, want {}", v, w),
+        prop_assert_eq!(g.capacity(), complete.len());
+        for v in 0..complete.len() {
+            let at = g.node_pos(NodeId(v as u32));
+            prop_assert!(
+                arrivals[v] + 1e-6 >= complete[v],
+                "node {} at {}: tangent arrival {} below the distance {}",
+                v, at, arrivals[v], complete[v]
+            );
+            // a corner answers to the bitangent reference only, a point to both
+            let wants = if v < points.len() { vec![complete[v], arrivals[v]] } else { vec![arrivals[v]] };
+            for want in wants {
+                match d.settled_dist(NodeId(v as u32)) {
+                    Some(got) => prop_assert!(
+                        (got - want).abs() < 1e-6,
+                        "node {} at {}: got {}, want {}", v, at, got, want
+                    ),
+                    None => prop_assert!(want.is_infinite(), "node {} unreached, want {}", v, want),
+                }
             }
         }
     }
@@ -405,7 +555,8 @@ proptest! {
                 gw.neighbors_into_ranged(naw, &mut outw, |_, _| true, radius);
                 prop_assert_eq!(&outs, &outw, "sweep vs walk diverged at step {}", i);
                 // scalar reference: inside the requested window, the edge
-                // list holds exactly the visible stable nodes
+                // list holds exactly the visible stable nodes a path from
+                // `a` can bend at (nodes 0 and 1 are the endpoints)
                 for v in 0..gs.capacity() {
                     let vid = NodeId(v as u32);
                     if v == nas.index() || !gs.is_alive(vid) {
@@ -417,7 +568,8 @@ proptest! {
                         continue;
                     }
                     let seg = Segment::new(a, vpos);
-                    let want = !rs[..=i].iter().any(|r| r.blocks(&seg));
+                    let want = tangent_at(&rs, 2, v, a)
+                        && !rs[..=i].iter().any(|r| r.blocks(&seg));
                     let got = outs.iter().any(|e| e.0 == v as u32);
                     prop_assert_eq!(got, want, "node {} in window {} at step {}", v, radius, i);
                 }
@@ -439,6 +591,57 @@ proptest! {
     }
 
     #[test]
+    fn occlusion_cull_routes_stay_bit_identical(scene in occluded_scene()) {
+        // The sweep's occlusion cull is a hint, never a verdict: on scenes
+        // made to send rectangles and candidates down each of its three
+        // routes (see `OccludedScene`), every row is bit-identical between
+        // the forced sweep and the forced grid walks, the pivot's row is
+        // exactly the scalar reference, and the sweep really did skip the
+        // events the hidden rectangles and their corners would have been.
+        let OccludedScene { pivot, beyond, rects: rs, hidden } = scene;
+        let mut gs = VisGraph::new(60.0);
+        let mut gw = VisGraph::new(60.0);
+        gs.set_sweep_mode(SweepMode::Always);
+        gw.set_sweep_mode(SweepMode::Never);
+        for g in [&mut gs, &mut gw] {
+            g.add_point(pivot, NodeKind::Endpoint);
+            g.add_point(beyond, NodeKind::Endpoint);
+            for r in &rs {
+                g.add_obstacle(*r);
+            }
+        }
+        let n = gs.capacity();
+        let events = gs.sweep_events();
+        let (mut outs, mut outw) = (Vec::new(), Vec::new());
+        gs.neighbors_into(NodeId(0), &mut outs);
+        // a start and an end per rectangle in front, one event per node
+        // that is no corner of a hidden rectangle — at most
+        let in_front = rs.len() - hidden;
+        prop_assert!(
+            gs.sweep_events() - events <= (2 * in_front + n - 1 - 4 * hidden) as u64,
+            "{} events with {} of {} rectangles hidden", gs.sweep_events() - events, hidden, rs.len()
+        );
+        gw.neighbors_into(NodeId(0), &mut outw);
+        prop_assert_eq!(&outs, &outw, "pivot row diverged");
+        prop_assert!(outs.iter().any(|e| e.0 == 1), "the node past the wall's edge is visible");
+        for v in 1..n {
+            let vpos = gs.node_pos(NodeId(v as u32));
+            let seg = Segment::new(pivot, vpos);
+            let want = tangent_at(&rs, 2, v, pivot) && !rs.iter().any(|r| r.blocks(&seg));
+            prop_assert_eq!(outs.iter().any(|e| e.0 == v as u32), want, "node {} in the pivot row", v);
+        }
+        // every other row, the obstacle vertices standing on the pivot
+        // among them
+        for u in 1..n {
+            outs.clear();
+            outw.clear();
+            gs.neighbors_into(NodeId(u as u32), &mut outs);
+            gw.neighbors_into(NodeId(u as u32), &mut outw);
+            prop_assert_eq!(&outs, &outw, "row of node {} diverged", u);
+        }
+    }
+
+    #[test]
     fn tiny_growth_margin_keeps_windows_correct(
         rs in sweep_rects(),
         a in pt(),
@@ -449,7 +652,8 @@ proptest! {
         // configured value (including senseless ones below 1.0, which the
         // graph clamps) must still yield caches satisfying the window-
         // membership invariant — inside every requested radius, exactly
-        // the visible stable nodes.
+        // the visible stable nodes a path from `a` can bend at (node 0 is
+        // `a`, the corners follow).
         let margin = [0.0_f64, 0.5, 1.0, 1.2, 3.0][margin_ix];
         let a = free_point(&rs, a);
         let mut g = VisGraph::new(60.0);
@@ -472,7 +676,8 @@ proptest! {
                     continue;
                 }
                 let seg = Segment::new(a, vpos);
-                let want = !rs[..=i].iter().any(|r| r.blocks(&seg));
+                let want = tangent_at(&rs, 1, v, a)
+                    && !rs[..=i].iter().any(|r| r.blocks(&seg));
                 let got = out.iter().any(|e| e.0 == v as u32);
                 prop_assert_eq!(
                     got, want,
