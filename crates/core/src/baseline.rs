@@ -17,21 +17,17 @@
 //! * [`naive_conn_by_onn`] — the same naive strategy on the real machinery:
 //!   one cold ONN query per sample, R-tree I/O charged per call. Quantifies
 //!   how badly the per-point strategy loses against one exact CONN query.
-//! * [`trajectory_conn_cold`] — trajectory CONN with every leg a fully cold
-//!   CONN run: the reference [`crate::TrajectorySession`] is measured and
-//!   tested against.
 //!
 //! Nothing here is a serving path: queries run through
 //! [`crate::ConnService`] (or a [`QueryEngine`] directly).
 
-use conn_geom::{Interval, Point, Rect, Segment};
+use conn_geom::{Point, Rect, Segment};
 use conn_index::RStarTree;
 use conn_vgraph::{DijkstraEngine, NodeId, NodeKind, VisGraph};
 
 use crate::config::ConnConfig;
 use crate::engine::QueryEngine;
 use crate::stats::QueryStats;
-use crate::trajectory::{stitch_leg, Trajectory, TrajectoryResult};
 use crate::types::DataPoint;
 
 /// Length of the shortest obstacle-avoiding path from `a` to `b` (∞ when
@@ -179,30 +175,6 @@ pub fn naive_conn_by_onn(
         out.push((t, res));
     }
     (out, total)
-}
-
-/// Cold-per-leg trajectory CONN: every leg is a CONN run on a fresh
-/// [`QueryEngine`] (fresh visibility graph, all obstacle loads repaid),
-/// stitched like a session's. Answers are equivalent to the session path
-/// (identical tuples, distances within float noise from the session's
-/// larger loaded-obstacle superset).
-pub fn trajectory_conn_cold(
-    data_tree: &RStarTree<DataPoint>,
-    obstacle_tree: &RStarTree<Rect>,
-    trajectory: &Trajectory,
-    cfg: &ConnConfig,
-) -> (TrajectoryResult, QueryStats) {
-    let mut total = QueryStats::default();
-    let mut segments: Vec<(Option<DataPoint>, Interval)> = Vec::new();
-    for i in 0..trajectory.num_legs() {
-        let leg = trajectory.leg(i);
-        let offset = trajectory.leg_offset(i);
-        let (res, stats) = QueryEngine::new(*cfg).conn(data_tree, obstacle_tree, &leg);
-        total.accumulate(&stats);
-        stitch_leg(&mut segments, &res.segments(), offset, offset + leg.len());
-    }
-    total.result_tuples = segments.len() as u64;
-    (TrajectoryResult::new(trajectory.clone(), segments), total)
 }
 
 fn full_graph(obstacles: &[Rect]) -> VisGraph {

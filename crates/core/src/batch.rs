@@ -209,8 +209,8 @@ mod tests {
             }
         }
         assert!(stats.pooled.reads() > 0, "pooled tree I/O missing");
-        // workers reuse their engine across trajectories: the warm legs
-        // plus cross-trajectory begin_query reuses dominate
+        // workers reuse their engine across legs and trajectories: every
+        // leg but each worker's first re-binds a primed workspace
         assert!(stats.pooled.reuse.graph_reuses > routes.len() as u64);
     }
 

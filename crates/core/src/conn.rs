@@ -88,22 +88,14 @@ pub(crate) fn run_search<S: QueryStreams, R: ResultSink>(
     ws.begin_query(io);
     let s_node = ws.g.add_point(q.a, NodeKind::Endpoint);
     let e_node = ws.g.add_point(q.b, NodeKind::Endpoint);
-    run_leg(streams, q, cfg, sink, ws, s_node, e_node, f64::INFINITY)
+    run_leg(streams, q, cfg, sink, ws, s_node, e_node)
 }
 
 /// Algorithm 4's loop on an *already prepared* workspace: the caller has
 /// rewound (or deliberately kept) the workspace state and owns the two
-/// endpoint nodes. This is the entry point of trajectory sessions, whose
-/// graph persists across legs and whose `s_node` is the previous leg's end
-/// node.
-///
-/// `seed_bound` is an externally derived upper bound on the final `RLMAX`
-/// of this query (∞ when none is known): a session seeds it from the
-/// previous leg's answer at the shared joint, which prunes the point
-/// stream and caps obstacle certification before the sink has absorbed a
-/// single point. Any finite value must genuinely dominate the final
-/// `RLMAX`, otherwise answers would be truncated.
-#[allow(clippy::too_many_arguments)]
+/// endpoint nodes. [`run_search`] is the fresh query; the other caller is a
+/// standing CONN's warm re-run, whose segment kernel keeps the graph and
+/// both endpoint nodes of its previous run ([`crate::live`]).
 pub(crate) fn run_leg<S: QueryStreams, R: ResultSink>(
     streams: &mut S,
     q: &Segment,
@@ -112,16 +104,14 @@ pub(crate) fn run_leg<S: QueryStreams, R: ResultSink>(
     ws: &mut Workspace,
     s_node: conn_vgraph::NodeId,
     e_node: conn_vgraph::NodeId,
-    seed_bound: f64,
 ) -> LoopTelemetry {
     let mut npe = 0u64;
 
     while let Some(dist) = streams.peek_point_dist() {
         // Lemma 2 bound: terminates the point stream, and (via
         // `cplc_bounded`) caps control-point expansion and refinement for
-        // the point being evaluated — values above it can never win. The
-        // seed bound joins in: both dominate the final RLMAX.
-        let outer_bound = sink.prune_bound(q).min(seed_bound);
+        // the point being evaluated — values above it can never win.
+        let outer_bound = sink.prune_bound(q);
         if dist > outer_bound {
             break;
         }

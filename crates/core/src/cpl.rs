@@ -274,10 +274,10 @@ pub fn cplc(
 /// the search **replays** the settled prefix of the IOR run that preceded
 /// it (same source, goal and graph version) instead of re-expanding it.
 ///
-/// `outer_bound` (`RLMAX`, the k-th bound for COkNN, or a trajectory
-/// session's seeded Lipschitz bound) caps expansion *unconditionally*: a
-/// control point with `f > outer_bound` has value `> outer_bound ≥` the
-/// final answer everywhere, so it can never change the result. This holds
+/// `outer_bound` (`RLMAX`, or the k-th bound for COkNN) caps expansion
+/// *unconditionally*: a control point with `f > outer_bound` has value
+/// `> outer_bound ≥` the final answer everywhere, so it can never change
+/// the result. This holds
 /// even while intervals are unassigned — for any parameter `t` whose true
 /// value beats the bound, the last bend `c` of its true shortest path
 /// satisfies `f(c) = d_loaded(c) + mindist(c, q) ≤ v_true(t) < bound`

@@ -54,7 +54,7 @@ use crate::odist::Resolver;
 use crate::rlu::{ResultList, RluScratch};
 use crate::single_tree::{OneTreeStreams, SpatialObject};
 use crate::stats::{QueryStats, ReuseCounters};
-use crate::streams::{LoadedObstacles, QueryStreams, TwoTreeStreams};
+use crate::streams::{LoadedObstacles, QueryStreams, SegmentStreams};
 use crate::types::DataPoint;
 
 /// The engine's page meters, one per tree role. They sit *beside* the
@@ -83,8 +83,8 @@ pub struct Workspace {
     pub(crate) vr_cache: VrCache,
     pub(crate) ior_state: IorState,
     pub(crate) rlu_scratch: RluScratch,
-    /// The tree obstacles `g` holds, for the point-anchored loader
-    /// ([`crate::odist`]) to skip when its anchor moves within a query.
+    /// The tree obstacles `g` holds, for the segment stream and the
+    /// point-anchored loader ([`crate::odist`]) to skip.
     pub(crate) loaded: LoadedObstacles,
     /// Set once the workspace has served a query (reuse is counted from the
     /// second query on).
@@ -131,12 +131,13 @@ impl Workspace {
         self.begin_window(io);
     }
 
-    /// Rewinds the workspace for the next *leg* of a trajectory session:
-    /// unlike [`Workspace::begin_query`] the visibility graph is kept —
-    /// obstacle loads are monotone within a session, so every loaded
-    /// rectangle (and every previous leg's endpoint node) stays valid. The
-    /// visible-region cache and the IOR loading threshold are cleared
-    /// because both are keyed to the goal segment, which changes per leg.
+    /// Rewinds the workspace for a standing CONN's warm re-run on the graph
+    /// its segment kernel keeps ([`crate::live`]), the one caller: unlike
+    /// [`Workspace::begin_query`] the visibility graph and its endpoint
+    /// nodes are kept — the graph only ever holds real obstacles of the
+    /// pinned scene (a removed one leaves it by surgery). The
+    /// visible-region cache and the IOR loading threshold are cleared like
+    /// a fresh query's.
     pub(crate) fn begin_leg(&mut self, io: &Meters) {
         self.current = ReuseCounters::default();
         self.current.graph_reuses = 1; // the graph survives, loaded
@@ -163,7 +164,6 @@ impl Workspace {
             heap_reuses: self.dij.reuses(),
             label_continuations: self.dij.continuations(),
             label_reseeds: self.dij.reseeds(),
-            label_retargets: self.dij.retargets(),
             sight_tests: self.g.sight_tests(),
             sweep_events: self.g.sweep_events(),
             labels_invalidated: self.dij.labels_invalidated(),
@@ -310,11 +310,7 @@ impl QueryEngine {
         obstacle_tree: &RStarTree<Rect>,
         q: &Segment,
     ) -> (ConnResult, QueryStats) {
-        let (list, stats) = self.drive(
-            q,
-            |io| TwoTreeStreams::new(data_tree, obstacle_tree, q, io),
-            ResultList::new(q.len()),
-        );
+        let (list, stats) = self.segment(data_tree, obstacle_tree, q, ResultList::new(q.len()));
         (ConnResult::new(*q, list), stats)
     }
 
@@ -326,11 +322,8 @@ impl QueryEngine {
         q: &Segment,
         k: usize,
     ) -> (CoknnResult, QueryStats) {
-        let (list, stats) = self.drive(
-            q,
-            |io| TwoTreeStreams::new(data_tree, obstacle_tree, q, io),
-            KnnResultList::new(q.len(), k),
-        );
+        let (list, stats) =
+            self.segment(data_tree, obstacle_tree, q, KnnResultList::new(q.len(), k));
         (CoknnResult::new(*q, list), stats)
     }
 
@@ -362,6 +355,27 @@ impl QueryEngine {
             KnnResultList::new(q.len(), k),
         );
         (CoknnResult::new(*q, list), stats)
+    }
+
+    /// [`QueryEngine::drive`] over the two trees. The segment stream dedupes
+    /// against the workspace's own loaded set, lent to it for the query and
+    /// emptied first, as [`Workspace::begin_query`] empties it.
+    fn segment<R: ResultSink>(
+        &mut self,
+        data_tree: &RStarTree<DataPoint>,
+        obstacle_tree: &RStarTree<Rect>,
+        q: &Segment,
+        sink: R,
+    ) -> (R, QueryStats) {
+        let mut loaded = std::mem::take(&mut self.ws.loaded);
+        loaded.clear();
+        let out = self.drive(
+            q,
+            |io| SegmentStreams::new(data_tree, obstacle_tree, q, io, &mut loaded),
+            sink,
+        );
+        self.ws.loaded = loaded;
+        out
     }
 
     /// The one shared query driver: runs Algorithm 4's loop over any

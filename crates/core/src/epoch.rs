@@ -54,7 +54,7 @@ impl<'a> SceneEpoch<'a> {
     }
 
     /// Opens a streaming trajectory CONN session against this snapshot
-    /// (its own warm engine). The session borrows the epoch, so the pin
+    /// (on an engine of its own). The session borrows the epoch, so the pin
     /// keeps the snapshot alive for the session's whole lifetime — later
     /// publications cannot pull the scene out from under it.
     pub fn open_session(&self, start: Point, cfg: ConnConfig) -> TrajectorySession<'_, 'static> {

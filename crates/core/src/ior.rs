@@ -120,7 +120,7 @@ pub fn ior<S: QueryStreams>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streams::TwoTreeStreams;
+    use crate::streams::{LoadedObstacles, SegmentStreams};
     use crate::types::DataPoint;
     use conn_geom::{Point, Rect};
     use conn_index::RStarTree;
@@ -135,7 +135,8 @@ mod tests {
         let obs = RStarTree::bulk_load(obstacles, 4096);
         let q = q();
         let io = crate::engine::Meters::default();
-        let mut streams = TwoTreeStreams::new(&data, &obs, &q, &io);
+        let mut loaded = LoadedObstacles::default();
+        let mut streams = SegmentStreams::new(&data, &obs, &q, &io, &mut loaded);
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(q.a, NodeKind::Endpoint);
         let e = g.add_point(q.b, NodeKind::Endpoint);
@@ -204,7 +205,8 @@ mod tests {
         let obs = RStarTree::bulk_load(vec![far_wall], 4096);
         let q = q();
         let io = crate::engine::Meters::default();
-        let mut streams = TwoTreeStreams::new(&data, &obs, &q, &io);
+        let mut loaded = LoadedObstacles::default();
+        let mut streams = SegmentStreams::new(&data, &obs, &q, &io, &mut loaded);
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(q.a, NodeKind::Endpoint);
         let e = g.add_point(q.b, NodeKind::Endpoint);
@@ -273,7 +275,8 @@ mod tests {
         let obs = RStarTree::bulk_load(vec![Rect::new(40.0, 10.0, 60.0, 20.0)], 4096);
         let q = q();
         let io = crate::engine::Meters::default();
-        let mut streams = TwoTreeStreams::new(&data, &obs, &q, &io);
+        let mut loaded = LoadedObstacles::default();
+        let mut streams = SegmentStreams::new(&data, &obs, &q, &io, &mut loaded);
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(q.a, NodeKind::Endpoint);
         let e = g.add_point(q.b, NodeKind::Endpoint);

@@ -19,7 +19,7 @@
 //! | CONN search (Alg. 4, Lemma 2) | [`conn`] |
 //! | COkNN extension (§4.5) | [`coknn`] |
 //! | single unified R-tree variant (§4.5) | [`single_tree`] |
-//! | reference baselines and oracles (sampling, brute force, whole-field odist, cold-per-leg trajectory) | [`baseline`] |
+//! | reference baselines and oracles (sampling, brute force, whole-field odist) | [`baseline`] |
 //! | the obstacle loader of every point-anchored family (IOR at a point, Lemma 3) | [`odist`] |
 //! | reusable engine & per-query workspace (beyond the paper) | [`engine`] |
 //! | batch telemetry (beyond the paper) | [`batch`] |

@@ -36,10 +36,10 @@ pub struct ReuseCounters {
     /// Searches warm-restarted after obstacle loads by reseeding the labels
     /// whose witness paths the new obstacles do not cross.
     pub label_reseeds: u64,
-    /// Searches warm-restarted under a *changed goal* (trajectory sessions
-    /// moving to the next leg): settled labels are exact regardless of the
-    /// heuristic, so they re-enter the heap re-keyed by the new goal
-    /// instead of a cold start.
+    /// Always 0: a search under a changed goal starts cold since the warm
+    /// retarget path was deleted (it never fired on any ledger workload).
+    /// Kept only because the ledger's `core.label_retargets_per_q` row
+    /// reads it, until the next benchmark change retires that row.
     pub label_retargets: u64,
     /// Segment-vs-rectangle sight tests charged by the visibility substrate
     /// during this query: edge derivations, visible-region shadow

@@ -32,92 +32,12 @@ pub trait QueryStreams {
     fn obstacles_loaded(&self) -> usize;
 }
 
-/// Streams over two separate R-trees (the paper's primary setting).
-pub struct TwoTreeStreams<'a> {
-    points: NearestIter<'a, DataPoint, Segment>,
-    obstacles: NearestIter<'a, Rect, Segment>,
-    pending_obstacle: Option<(Rect, f64)>,
-    loaded: usize,
-}
-
-impl<'a> TwoTreeStreams<'a> {
-    /// Opens both mindist-ordered streams for `q`, charged to `io`.
-    pub(crate) fn new(
-        data_tree: &'a RStarTree<DataPoint>,
-        obstacle_tree: &'a RStarTree<Rect>,
-        q: &Segment,
-        io: &'a Meters,
-    ) -> Self {
-        TwoTreeStreams {
-            points: data_tree.nearest_iter_metered(*q, &io.data),
-            obstacles: obstacle_tree.nearest_iter_metered(*q, &io.obstacle),
-            pending_obstacle: None,
-            loaded: 0,
-        }
-    }
-
-    fn peek_obstacle_dist(&mut self) -> Option<f64> {
-        if self.pending_obstacle.is_none() {
-            self.pending_obstacle = self.obstacles.next();
-        }
-        self.pending_obstacle.as_ref().map(|(_, d)| *d)
-    }
-
-    fn pop_obstacle(&mut self) -> Option<Rect> {
-        if self.pending_obstacle.is_none() {
-            self.pending_obstacle = self.obstacles.next();
-        }
-        self.pending_obstacle.take().map(|(r, _)| r)
-    }
-}
-
-impl QueryStreams for TwoTreeStreams<'_> {
-    fn peek_point_dist(&mut self) -> Option<f64> {
-        self.points.peek_dist()
-    }
-
-    fn next_point(&mut self) -> Option<(DataPoint, f64)> {
-        self.points.next()
-    }
-
-    fn load_obstacles_until(&mut self, g: &mut VisGraph, bound: f64) -> usize {
-        let mut added = 0;
-        while let Some(d) = self.peek_obstacle_dist() {
-            if d > bound {
-                break;
-            }
-            // Infallible: guarded by the peek on the line above.
-            // lint:allow(no-panic-in-query-path)
-            let r = self.pop_obstacle().expect("peeked obstacle");
-            g.add_obstacle(r);
-            added += 1;
-        }
-        self.loaded += added;
-        added
-    }
-
-    fn load_next_obstacle(&mut self, g: &mut VisGraph) -> usize {
-        match self.pop_obstacle() {
-            Some(r) => {
-                g.add_obstacle(r);
-                self.loaded += 1;
-                1
-            }
-            None => 0,
-        }
-    }
-
-    fn obstacles_loaded(&self) -> usize {
-        self.loaded
-    }
-}
-
-/// The set of tree obstacles a long-lived visibility graph already holds.
-/// Loads are monotone while a graph lives — a loaded rectangle is a real
-/// obstacle for every later leg of a trajectory session, and for every
-/// later anchor of the point-anchored loader ([`crate::odist`]) — so a
-/// stream re-opened for a new goal consults this set to avoid re-inserting
-/// (and re-counting) rectangles.
+/// The set of tree obstacles a visibility graph already holds. Loads are
+/// monotone while a graph lives — a loaded rectangle is a real obstacle for
+/// every later anchor of the point-anchored loader ([`crate::odist`]), and
+/// for every later re-run of a standing CONN on the graph its kernel keeps
+/// ([`crate::live`]) — so a stream re-opened over the same graph consults
+/// this set to avoid re-inserting (and re-counting) rectangles.
 #[derive(Debug, Default)]
 pub struct LoadedObstacles {
     keys: std::collections::HashSet<[u64; 4]>,
@@ -139,7 +59,7 @@ impl LoadedObstacles {
         self.keys.contains(&r.bit_key())
     }
 
-    /// Obstacles loaded so far across the whole session.
+    /// Obstacles loaded so far into the graph.
     pub fn len(&self) -> usize {
         self.keys.len()
     }
@@ -155,22 +75,23 @@ impl LoadedObstacles {
     }
 }
 
-/// Per-leg streams of a trajectory session: a fresh mindist ordering for
-/// the new goal segment over the same two R-trees, with the obstacle
-/// stream filtered against the session's [`LoadedObstacles`] — rectangles
-/// already in the graph are skipped instead of re-inserted, so the
-/// session-level NOE counts every obstacle exactly once.
-pub struct SessionStreams<'a, 's> {
+/// Streams over two separate R-trees (the paper's primary setting), the
+/// obstacle stream filtered against a [`LoadedObstacles`]: rectangles
+/// already in the graph are skipped instead of re-inserted, so NOE counts
+/// every obstacle once. A fresh query dedupes against the workspace's own
+/// set, emptied for it; a standing CONN's warm re-run against its kernel's
+/// set, which holds what earlier runs loaded into the graph it keeps.
+pub struct SegmentStreams<'a, 's> {
     points: NearestIter<'a, DataPoint, Segment>,
     obstacles: NearestIter<'a, Rect, Segment>,
     pending_obstacle: Option<(Rect, f64)>,
     loaded: &'s mut LoadedObstacles,
-    loaded_this_leg: usize,
+    loaded_now: usize,
 }
 
-impl<'a, 's> SessionStreams<'a, 's> {
-    /// Opens the leg's streams, charged to `io`, deduplicating against
-    /// `loaded`.
+impl<'a, 's> SegmentStreams<'a, 's> {
+    /// Opens both mindist-ordered streams for `q`, charged to `io`,
+    /// deduplicating against `loaded`.
     pub(crate) fn new(
         data_tree: &'a RStarTree<DataPoint>,
         obstacle_tree: &'a RStarTree<Rect>,
@@ -178,16 +99,16 @@ impl<'a, 's> SessionStreams<'a, 's> {
         io: &'a Meters,
         loaded: &'s mut LoadedObstacles,
     ) -> Self {
-        SessionStreams {
+        SegmentStreams {
             points: data_tree.nearest_iter_metered(*q, &io.data),
             obstacles: obstacle_tree.nearest_iter_metered(*q, &io.obstacle),
             pending_obstacle: None,
             loaded,
-            loaded_this_leg: 0,
+            loaded_now: 0,
         }
     }
 
-    /// Next not-yet-loaded obstacle's mindist to the current leg.
+    /// Next not-yet-loaded obstacle's mindist to `q`.
     fn peek_obstacle_dist(&mut self) -> Option<f64> {
         while self.pending_obstacle.is_none() {
             match self.obstacles.next() {
@@ -207,7 +128,7 @@ impl<'a, 's> SessionStreams<'a, 's> {
     }
 }
 
-impl QueryStreams for SessionStreams<'_, '_> {
+impl QueryStreams for SegmentStreams<'_, '_> {
     fn peek_point_dist(&mut self) -> Option<f64> {
         self.points.peek_dist()
     }
@@ -229,7 +150,7 @@ impl QueryStreams for SessionStreams<'_, '_> {
             g.add_obstacle(r);
             added += 1;
         }
-        self.loaded_this_leg += added;
+        self.loaded_now += added;
         added
     }
 
@@ -238,7 +159,7 @@ impl QueryStreams for SessionStreams<'_, '_> {
             Some(r) => {
                 self.loaded.insert(&r);
                 g.add_obstacle(r);
-                self.loaded_this_leg += 1;
+                self.loaded_now += 1;
                 1
             }
             None => 0,
@@ -246,7 +167,7 @@ impl QueryStreams for SessionStreams<'_, '_> {
     }
 
     fn obstacles_loaded(&self) -> usize {
-        self.loaded_this_leg
+        self.loaded_now
     }
 }
 
@@ -278,7 +199,8 @@ mod tests {
     fn points_arrive_in_mindist_order() {
         let (dt, ot, q) = setup();
         let io = Meters::default();
-        let mut s = TwoTreeStreams::new(&dt, &ot, &q, &io);
+        let mut loaded = LoadedObstacles::default();
+        let mut s = SegmentStreams::new(&dt, &ot, &q, &io, &mut loaded);
         let mut prev = 0.0;
         while let Some(d) = s.peek_point_dist() {
             let (_, got) = s.next_point().unwrap();
@@ -293,7 +215,8 @@ mod tests {
     fn load_until_respects_bound_and_counts() {
         let (dt, ot, q) = setup();
         let io = Meters::default();
-        let mut s = TwoTreeStreams::new(&dt, &ot, &q, &io);
+        let mut loaded = LoadedObstacles::default();
+        let mut s = SegmentStreams::new(&dt, &ot, &q, &io, &mut loaded);
         let mut g = VisGraph::new(50.0);
         // nearest obstacle at dist 20, second at 50, third ~ 283
         assert_eq!(s.load_obstacles_until(&mut g, 10.0), 0);
@@ -307,26 +230,27 @@ mod tests {
         assert_eq!(g.num_obstacles(), 3);
     }
 
-    /// Session streams skip rectangles an earlier leg already loaded —
-    /// even though the new leg's mindist ordering differs.
+    /// A stream skips the rectangles an earlier stream over the same
+    /// loaded set put in the graph — even though the new segment's mindist
+    /// ordering differs.
     #[test]
-    fn session_streams_dedupe_across_legs() {
+    fn streams_skip_what_the_graph_already_holds() {
         let (dt, ot, q1) = setup();
         let io = Meters::default();
         let mut loaded = LoadedObstacles::default();
         let mut g = VisGraph::new(50.0);
         {
-            let mut s = SessionStreams::new(&dt, &ot, &q1, &io, &mut loaded);
+            let mut s = SegmentStreams::new(&dt, &ot, &q1, &io, &mut loaded);
             assert_eq!(s.load_obstacles_until(&mut g, 60.0), 2);
             assert_eq!(s.obstacles_loaded(), 2);
         }
         assert_eq!(loaded.len(), 2);
-        // second leg near the far obstacle: the two already-loaded rects
+        // a segment near the far obstacle: the two already-loaded rects
         // must not be re-inserted, the third must
         let q2 = Segment::new(Point::new(200.0, 205.0), Point::new(260.0, 205.0));
-        let mut s = SessionStreams::new(&dt, &ot, &q2, &io, &mut loaded);
+        let mut s = SegmentStreams::new(&dt, &ot, &q2, &io, &mut loaded);
         assert_eq!(s.load_obstacles_until(&mut g, 1e9), 1);
-        assert_eq!(s.obstacles_loaded(), 1, "per-leg NOE counts new loads only");
+        assert_eq!(s.obstacles_loaded(), 1, "NOE counts new loads only");
         assert_eq!(g.num_obstacles(), 3);
         assert_eq!(s.load_next_obstacle(&mut g), 0);
         assert_eq!(loaded.len(), 3);

@@ -2,23 +2,19 @@
 //! "retrieving the ONN of every point on a specified moving trajectory that
 //! consists of several consecutive line segments".
 //!
-//! A trajectory query ([`crate::Query::trajectory`]) runs the CONN/COkNN
-//! machinery per leg and stitches the per-leg result lists into one answer
+//! A trajectory query ([`crate::Query::trajectory`]) is Algorithm 4 run
+//! once per leg, the per-leg result lists stitched into one answer
 //! parameterized by cumulative arclength. The service replays the
-//! trajectory's legs through a [`crate::TrajectorySession`], which keeps
-//! one query engine — visibility graph, loaded obstacles, Dijkstra
-//! substrate — alive across the legs instead of paying a cold Algorithm-4
-//! start per leg; each leg is still its own exact run (the session only
-//! shares monotone state), so the exactness argument holds leg by leg. The
-//! stitching re-indexes parameters into cumulative arclength, merges equal
-//! answers across the joints, and absorbs sub-`EPS` slivers produced by
-//! per-leg float drift at the shared vertices.
+//! trajectory's legs through a [`crate::TrajectorySession`], which runs
+//! each leg as an ordinary CONN/COkNN query on one engine, so the
+//! exactness argument holds leg by leg. The stitching re-indexes
+//! parameters into cumulative arclength, merges equal answers across the
+//! joints, and absorbs sub-`EPS` slivers produced by per-leg float drift at
+//! the shared vertices.
 //!
-//! [`crate::baseline::trajectory_conn_cold`] keeps the original
-//! cold-per-leg execution as the reference implementation — the oracle
-//! the streaming-equivalence proptests compare to (the ledger's
-//! `session.cold_ratio` row times a session leg against the same leg run
-//! as a lone CONN query).
+//! The `trajectory_session` proptests check sessions against
+//! [`crate::baseline::brute_force_oknn`] over the whole obstacle list,
+//! which shares no search state with the leg loop.
 
 // lint:allow-file(no-panic-in-query-path[index]): leg/vertex indices are bounded by the constructor-validated vertex count
 use conn_geom::{Interval, Point, Segment, EPS};

@@ -15,7 +15,8 @@ mod common;
 use common::{check_route, close};
 use conn_core::baseline::brute_force_oknn;
 use conn_core::{
-    CoknnResult, ConnConfig, ConnResult, ControlPoint, DataPoint, QueryEngine, QueryStats, Scene,
+    CoknnResult, ConnConfig, ConnResult, ConnService, ControlPoint, DataPoint, Query, QueryEngine,
+    QueryStats, Scene, Trajectory,
 };
 use conn_datasets::{la_like, uniform_points, ObstacleLookup};
 use conn_geom::{Point, Rect, Segment};
@@ -280,8 +281,9 @@ fn assert_pinned(
 }
 
 /// The tier-1 count gate (ROADMAP item 1d): on one fixed seeded scene — the
-/// ledger's world at its smoke scale — one CONN, one COkNN and one range
-/// answer bit for bit what they answered when this was committed, evaluate
+/// ledger's world at its smoke scale — one CONN, one COkNN, one range and
+/// one 3-leg trajectory answer bit for bit what they answered when this was
+/// committed, evaluate
 /// exactly the data points (NPE), load exactly the obstacles (NOE) and hold
 /// exactly the graph nodes (|SVG|) they did then, and build their adjacency
 /// with no more sight tests and sweep events than the committed ceilings
@@ -290,7 +292,8 @@ fn assert_pinned(
 /// corner cost 1.3–1.6× the sight tests here (and sweep, where these rows
 /// stay under the sweep threshold), complete rows 1.4–1.5× those again, so
 /// a change that re-admits either kind of edge fails tier-1, not only the
-/// ledger.
+/// ledger. The trajectory's NPE and NOE are also the exact sums over its
+/// legs run as lone CONN queries: a session is a leg loop.
 #[test]
 fn fixed_scene_answers_and_work_counts() {
     // coordinates snapped to 1/8 so the committed digests do not hang on
@@ -362,6 +365,53 @@ fn fixed_scene_answers_and_work_counts() {
         (18, 22, 89),
         (1_538, 0),
     );
+
+    // a 3-leg trajectory: `q`, then off to another horizontal and back
+    // along it, every leg free
+    let route = (1..200)
+        .flat_map(|i| [8.0 * f64::from(i), -8.0 * f64::from(i)])
+        .flat_map(|dy| [0.0, -100.0, 100.0, -200.0, 200.0].map(|dx| (dx, q.a.y + dy)))
+        .map(|(dx, y)| vec![q.a, q.b, Point::new(q.b.x + dx, y), Point::new(q.a.x, y)])
+        .find(|v| {
+            v.windows(2).all(|w| {
+                !obstacles
+                    .iter()
+                    .any(|r| r.blocks(&Segment::new(w[0], w[1])))
+            })
+        })
+        .expect("a free route");
+    let service = ConnService::new(Scene::borrowing(&data_tree, &obstacle_tree));
+    let run = |query: Query| service.execute(&query).unwrap();
+    let trajectory = run(Query::trajectory(Trajectory::new(route.clone()), 1)
+        .build()
+        .unwrap());
+    let words = trajectory
+        .answer
+        .as_trajectory()
+        .unwrap()
+        .segments()
+        .iter()
+        .flat_map(|(p, iv)| {
+            [p.map_or(u64::MAX, |p| u64::from(p.id))]
+                .into_iter()
+                .chain(span(iv))
+        });
+    // 8 167 sight tests, no sweep events
+    assert_pinned(
+        "trajectory",
+        words,
+        &trajectory.stats,
+        0xbc9b_3c1c_c6f1_e937,
+        (25, 67, 274),
+        (8_575, 0),
+    );
+    // a session is a leg loop: it evaluates exactly the points and loads
+    // exactly the obstacles its legs do as lone CONN queries
+    let legs = route
+        .windows(2)
+        .map(|w| run(Query::conn(Segment::new(w[0], w[1])).build().unwrap()).stats);
+    let (npe, noe) = legs.fold((0, 0), |(npe, noe), s| (npe + s.npe, noe + s.noe));
+    assert_eq!((trajectory.stats.npe, trajectory.stats.noe), (npe, noe));
 }
 
 proptest! {

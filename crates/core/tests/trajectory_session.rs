@@ -1,16 +1,18 @@
-//! Streaming-vs-batch equivalence for trajectory sessions.
+//! Trajectory sessions against an independent reference.
 //!
-//! A [`TrajectorySession`] shares monotone state across legs (persistent
-//! visibility graph, deduplicated obstacle loads, seeded `RLMAX` bounds,
-//! old endpoint nodes left in the graph). None of that may change what the
-//! query *answers*: concatenated session deltas must be
-//! answer-equivalent — same answer identities modulo exact ties, distances
-//! within 1e-6 — to the cold per-leg reference, across kernels and across
+//! A [`TrajectorySession`] runs each leg as an ordinary CONN query and
+//! stitches the results, so comparing it with another leg loop over the
+//! same engine would check nothing. The reference here is
+//! `brute_force_oknn` over the whole obstacle list — one complete
+//! visibility graph, no tree, no obstacle stream, no warm state — at
+//! sampled points of the route. Both the concatenated session deltas and
+//! the stitched result must agree with it: same answer identities modulo
+//! exact ties, distances within 1e-6, across kernels and across
 //! uniform/clustered point layouts. Cover invariants (gap-free, no empty
 //! tuples) are asserted on every generated trajectory, which doubles as
 //! the multi-leg joint-sliver regression suite.
 
-use conn_core::baseline::{obstructed_distance, trajectory_conn_cold};
+use conn_core::baseline::{brute_force_oknn, obstructed_distance};
 use conn_core::{ConnConfig, DataPoint, KernelMode, Trajectory, TrajectorySession};
 use conn_geom::{Interval, Point, Rect};
 use conn_index::RStarTree;
@@ -140,9 +142,6 @@ fn check_kernel(scn: &Scenario, kernel: KernelMode) -> Result<(), TestCaseError>
         ..ConnConfig::default()
     };
 
-    let (cold, _) = trajectory_conn_cold(&data_tree, &obstacle_tree, &traj, &cfg);
-    prop_assert!(cold.check_cover().is_ok(), "{:?}", cold.check_cover());
-
     let mut session = TrajectorySession::new(&data_tree, &obstacle_tree, verts[0], cfg);
     let mut concat: Vec<(Option<DataPoint>, Interval)> = Vec::new();
     for &v in &verts[1..] {
@@ -162,23 +161,24 @@ fn check_kernel(scn: &Scenario, kernel: KernelMode) -> Result<(), TestCaseError>
         streamed.check_cover()
     );
 
-    // concatenated deltas == stitched result, and both match the cold
-    // reference at sampled parameters (tuple midpoints of both results
-    // plus an even grid)
+    // the concatenated deltas and the stitched result both match brute
+    // force at sampled parameters (tuple midpoints of both plus an even
+    // grid)
     let mut ts: Vec<f64> = Vec::new();
-    for (_, iv) in cold.segments().iter().chain(streamed.segments()) {
-        ts.push((iv.lo + iv.hi) * 0.5);
+    for (_, iv) in concat.iter().chain(streamed.segments()) {
+        ts.push(iv.midpoint());
     }
     ts.extend((0..=48).map(|i| traj.len() * i as f64 / 48.0));
     for t in ts {
-        let from_cold = cold.nn_at(t);
-        let from_stream = streamed.nn_at(t);
-        answers_agree(obstacles, &traj, t, from_cold, from_stream)?;
+        let want = brute_force_oknn(ps, obstacles, traj.at(t), 1)
+            .first()
+            .map(|(p, _)| *p);
+        answers_agree(obstacles, &traj, t, want, streamed.nn_at(t))?;
         let from_delta = concat
             .iter()
             .find(|(_, iv)| iv.contains(t))
             .and_then(|(p, _)| *p);
-        answers_agree(obstacles, &traj, t, from_delta, from_stream)?;
+        answers_agree(obstacles, &traj, t, want, from_delta)?;
     }
     Ok(())
 }
@@ -186,8 +186,8 @@ fn check_kernel(scn: &Scenario, kernel: KernelMode) -> Result<(), TestCaseError>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Streaming deltas, concatenated, are answer-equivalent to the cold
-    /// per-leg batch reference — on the goal-directed kernel.
+    /// Streaming deltas, concatenated, and the stitched result are
+    /// answer-equivalent to brute force — on the goal-directed kernel.
     #[test]
     fn streamed_deltas_match_batch_goal_directed(scn in scenario()) {
         check_kernel(&scn, KernelMode::GoalDirected)?;

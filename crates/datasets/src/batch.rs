@@ -19,8 +19,7 @@ use crate::{SPACE, SPACE_SIDE};
 /// (vertex chains of `legs + 1` points), for the trajectory-session
 /// workloads: every leg has length `ql_frac × SPACE_SIDE`, turns by at
 /// most ±45°, and avoids obstacle interiors — the paper's convention for
-/// query segments, and the precondition under which the session's seeded
-/// `RLMAX` bound applies. Deterministic in `seed`.
+/// query segments. Deterministic in `seed`.
 ///
 /// Every returned route is complete: chains that dead-end against
 /// obstacles are abandoned and resampled.

@@ -100,13 +100,7 @@
 //!   was lowered but not yet popped not at all.
 //!
 //! Both warm paths produce the same settlement sequence as a cold start on
-//! the final graph.
-//!
-//! When the *goal* changed as well (a trajectory session moving to its
-//! next leg, or an odist call toward a moved target), the engine
-//! **retargets**: settled distances are exact regardless of the heuristic
-//! that ordered their settlement, so surviving labels are simply re-keyed
-//! by `d + h_new` and expansion continues toward the new goal.
+//! the final graph. A changed source or goal starts cold.
 //!
 //! The engine snapshots the graph version at preparation: advancing it
 //! after a structural change is a logic bug and panics in debug builds.
@@ -171,11 +165,6 @@ pub enum Prep {
     /// bounds, see the module docs), the rest were invalidated and will be
     /// re-discovered.
     Reseeded,
-    /// Same source but a *different goal* (and possibly new obstacles):
-    /// surviving labels were re-keyed under the new heuristic and re-enter
-    /// the heap as seeds — the cross-leg warm path of a trajectory
-    /// session, and the moving-target path of repeated odist calls.
-    Retargeted,
 }
 
 /// Single-source shortest-path engine with incremental settlement.
@@ -220,8 +209,6 @@ pub struct DijkstraEngine {
     continuations: u64,
     /// Warm reseeds served (labels repaired after obstacle loads).
     reseeds: u64,
-    /// Warm retargets served (labels re-keyed under a new goal).
-    retargets: u64,
     /// Labels dropped by reseed classification (lifetime; the
     /// `labels_invalidated` metric of live-scene deltas).
     labels_invalidated: u64,
@@ -271,15 +258,11 @@ impl DijkstraEngine {
         self.heap.push((Reverse(OrdF64::new(f0)), src.0));
     }
 
-    /// Warm-or-cold preparation: replays the retained search when `src`,
-    /// `goal` and the graph are unchanged, reseeds the labels when the
-    /// graph only *grew* (obstacles and/or point nodes added) — re-keying
-    /// them under the new goal when it changed — and falls back to
-    /// [`Self::prepare_directed`] otherwise (always, when `allow_warm` is
-    /// false). Settled labels are exact shortest-path distances regardless
-    /// of the heuristic that ordered their settlement, so a goal change
-    /// alone never invalidates them: the reseed pass simply re-enters
-    /// every surviving label into the heap keyed by `d + h_new`.
+    /// Warm-or-cold preparation: with the same `src` and `goal`, replays
+    /// the retained search when the graph is unchanged and reseeds the
+    /// labels when it only *grew* (obstacles and/or point nodes added);
+    /// falls back to [`Self::prepare_directed`] otherwise — a new source
+    /// or goal, a removal, or `allow_warm` false.
     pub fn ensure_prepared(
         &mut self,
         g: &VisGraph,
@@ -291,11 +274,12 @@ impl DijkstraEngine {
         if allow_warm
             && self.prepared
             && self.src == src
+            && self.goal == goal
             && self.shape_epoch == g.shape_epoch()
             && self.version <= g.version()
         {
             self.reuses += 1; // every warm path runs on retained capacity
-            if self.goal == goal && self.version == g.version() {
+            if self.version == g.version() {
                 // A bounded (`tightened`) run's labels are incomplete
                 // beyond its bound, so the replayed continuation *keeps*
                 // the retained bound instead of resetting it — the tape
@@ -307,13 +291,7 @@ impl DijkstraEngine {
                 self.continuations += 1;
                 return Prep::Replayed;
             }
-            let retargeted = self.goal != goal;
-            self.goal = goal;
             self.reseed(g);
-            if retargeted {
-                self.retargets += 1;
-                return Prep::Retargeted;
-            }
             self.reseeds += 1;
             return Prep::Reseeded;
         }
@@ -332,13 +310,12 @@ impl DijkstraEngine {
         );
     }
 
-    /// Warm restart after graph growth (and/or a goal change): keeps every
-    /// label whose witness chain avoids the rectangles added since the
-    /// snapshot (the growth lemma of the module docs; point-node additions
-    /// change nothing) and re-enters them into the heap as seeds keyed by
-    /// the *current* goal. Invalidated and new nodes are re-discovered
-    /// through ordinary relaxation, which also lowers any seed a new corner
-    /// made improvable.
+    /// Warm restart after graph growth: keeps every label whose witness
+    /// chain avoids the rectangles added since the snapshot (the growth
+    /// lemma of the module docs; point-node additions change nothing) and
+    /// re-enters them into the heap as seeds. Invalidated and new nodes are
+    /// re-discovered through ordinary relaxation, which also lowers any
+    /// seed a new corner made improvable.
     ///
     /// The candidates are the nodes the run settled plus the previous
     /// reseed's seeds it never reached; classification reads each one's
@@ -379,7 +356,7 @@ impl DijkstraEngine {
     /// slots freed by the removal must not have been rebound — the
     /// classification reads current node positions). Falls back to a cold
     /// prepare when the engine holds no compatible search (different or
-    /// dead source, or never prepared).
+    /// dead source, a different goal, or never prepared).
     pub fn reseed_after_removal(
         &mut self,
         g: &VisGraph,
@@ -387,9 +364,13 @@ impl DijkstraEngine {
         goal: Goal,
         removed: &Rect,
     ) -> Prep {
-        if self.prepared && self.src == src && g.is_alive(src) && self.version <= g.version() {
+        if self.prepared
+            && self.src == src
+            && self.goal == goal
+            && g.is_alive(src)
+            && self.version <= g.version()
+        {
             self.reuses += 1;
-            self.goal = goal;
             self.reseed_inner(g, Some(removed));
             self.reseeds += 1;
             return Prep::Reseeded;
@@ -515,11 +496,6 @@ impl DijkstraEngine {
     /// Warm reseeds served so far (the `label_reseeds` metric).
     pub fn reseeds(&self) -> u64 {
         self.reseeds
-    }
-
-    /// Warm goal retargets served so far (the `label_retargets` metric).
-    pub fn retargets(&self) -> u64 {
-        self.retargets
     }
 
     /// The search's source node.
@@ -981,12 +957,17 @@ mod tests {
         }
     }
 
-    /// Retargeting the goal keeps every settled label (they are exact
-    /// distances, independent of the heuristic) and matches a cold start
-    /// under the new goal bit for bit — with and without obstacle loads in
-    /// between.
+    /// A goal change starts cold, even on an engine holding a finished run
+    /// from the same source over the same graph — with and without an
+    /// obstacle load or removal in between — and settles exactly the
+    /// sequence a fresh engine under the new goal settles, bit for bit.
     #[test]
-    fn retarget_matches_cold_start_under_new_goal() {
+    fn goal_change_starts_cold() {
+        fn settle_all(e: &mut DijkstraEngine, g: &mut VisGraph) -> Vec<(NodeId, u64)> {
+            std::iter::from_fn(|| e.next_settled(g))
+                .map(|(v, d)| (v, d.to_bits()))
+                .collect()
+        }
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
         for i in 0..14 {
@@ -1002,25 +983,31 @@ mod tests {
         let mut warm = DijkstraEngine::default();
         assert_eq!(warm.ensure_prepared(&g, s, goal_a, true), Prep::Cold);
         warm.run_all(&mut g);
-        // same graph, new goal → retarget (no rects to test witnesses against)
-        assert_eq!(warm.ensure_prepared(&g, s, goal_b, true), Prep::Retargeted);
-        warm.run_all(&mut g);
-        // load an obstacle AND change the goal back → retarget with reseeding
-        g.add_obstacle(Rect::new(120.0, 20.0, 150.0, 110.0));
-        assert_eq!(warm.ensure_prepared(&g, s, goal_a, true), Prep::Retargeted);
-        warm.run_all(&mut g);
-        assert_eq!(warm.retargets(), 2);
-
-        let mut cold = DijkstraEngine::default();
-        cold.prepare_directed(&g, s, goal_a);
-        cold.run_all(&mut g);
-        for v in g.node_ids() {
-            let (a, b) = (warm.settled_dist(v), cold.settled_dist(v));
-            assert_eq!(a.is_some(), b.is_some(), "settled set diverged at {v:?}");
-            if let (Some(a), Some(b)) = (a, b) {
-                assert_eq!(a.to_bits(), b.to_bits(), "distance diverged at {v:?}");
+        for (goal, load) in [
+            (goal_b, None),
+            (goal_a, Some(Rect::new(120.0, 20.0, 150.0, 110.0))),
+        ] {
+            if let Some(r) = load {
+                g.add_obstacle(r);
             }
+            assert_eq!(warm.ensure_prepared(&g, s, goal, true), Prep::Cold);
+            let mut fresh = DijkstraEngine::default();
+            fresh.prepare_directed(&g, s, goal);
+            assert_eq!(
+                settle_all(&mut warm, &mut g),
+                settle_all(&mut fresh, &mut g)
+            );
         }
+        let gone = Rect::new(50.0, -10.0, 80.0, 60.0);
+        g.remove_obstacle(&gone).expect("live obstacle");
+        assert_eq!(warm.reseed_after_removal(&g, s, goal_b, &gone), Prep::Cold);
+        let mut fresh = DijkstraEngine::default();
+        fresh.prepare_directed(&g, s, goal_b);
+        assert_eq!(
+            settle_all(&mut warm, &mut g),
+            settle_all(&mut fresh, &mut g)
+        );
+        assert_eq!((warm.continuations(), warm.reseeds()), (0, 0));
     }
 
     /// Adding point nodes (no removal) keeps the warm path available: the
@@ -1057,35 +1044,44 @@ mod tests {
     }
 
     /// Regression: chained warm restarts must not lose the seeds a run
-    /// never re-popped. A retargeted run that stops at its target leaves
-    /// the source (and most seeds) unsettled in the log; the next reseed
-    /// must still classify them — dropping them used to empty the heap and
-    /// report ∞ for reachable targets.
+    /// never re-popped. `a` and `b` lie on the straight line from `s` to
+    /// the goal, so all three keys tie and the highest id pops first: a
+    /// reseeded run that stops at its target `b` leaves `s` and `a` in the
+    /// heap as seeds. The next reseed must still classify them — `a`, kept,
+    /// pops straight after `b` without `s` being expanded again; dropped,
+    /// `s` would pop instead (and an emptied heap reported ∞ for reachable
+    /// targets).
     #[test]
-    fn chained_retargets_keep_unpopped_seeds() {
+    fn chained_reseeds_keep_unpopped_seeds() {
+        let goal = Goal::Point(Point::new(100.0, 0.0));
         let mut g = VisGraph::new(50.0);
-        let s = g.add_point(Point::new(100.0, 0.0), NodeKind::DataPoint);
-        let far = g.add_point(Point::new(60.0, 0.0), NodeKind::DataPoint);
+        let s = g.add_point(Point::new(0.0, 0.0), NodeKind::DataPoint);
+        let a = g.add_point(Point::new(30.0, 0.0), NodeKind::DataPoint);
+        let b = g.add_point(Point::new(60.0, 0.0), NodeKind::DataPoint);
         let mut e = DijkstraEngine::default();
-        assert_eq!(
-            e.ensure_prepared(&g, s, Goal::Point(Point::new(60.0, 0.0)), true),
-            Prep::Cold
-        );
-        assert_eq!(e.run_until_settled(&mut g, far), 40.0);
-        // two more targets, each a retarget; free space, so every distance
-        // is the straight line
-        let t1 = g.add_point(Point::new(10.0, 0.0), NodeKind::DataPoint);
-        assert_eq!(
-            e.ensure_prepared(&g, s, Goal::Point(Point::new(10.0, 0.0)), true),
-            Prep::Retargeted
-        );
-        assert_eq!(e.run_until_settled(&mut g, t1), 90.0);
-        let t2 = g.add_point(Point::new(104.0, 3.0), NodeKind::DataPoint);
-        assert_eq!(
-            e.ensure_prepared(&g, s, Goal::Point(Point::new(104.0, 3.0)), true),
-            Prep::Retargeted
-        );
-        assert_eq!(e.run_until_settled(&mut g, t2), 5.0);
+        assert_eq!(e.ensure_prepared(&g, s, goal, true), Prep::Cold);
+        e.run_all(&mut g);
+        // each load lies far off the line: a reseed that keeps every label
+        g.add_obstacle(Rect::new(500.0, 500.0, 520.0, 520.0));
+        assert_eq!(e.ensure_prepared(&g, s, goal, true), Prep::Reseeded);
+        assert_eq!(e.next_settled(&mut g), Some((b, 60.0)));
+        g.add_obstacle(Rect::new(-520.0, 500.0, -500.0, 520.0));
+        assert_eq!(e.ensure_prepared(&g, s, goal, true), Prep::Reseeded);
+        assert_eq!(e.next_settled(&mut g), Some((b, 60.0)));
+        assert_eq!(e.next_settled(&mut g), Some((a, 30.0)));
+        assert_eq!(e.labels_invalidated(), 0);
+
+        e.run_all(&mut g);
+        let mut cold = DijkstraEngine::default();
+        cold.prepare_directed(&g, s, goal);
+        cold.run_all(&mut g);
+        for v in g.node_ids() {
+            assert_eq!(
+                e.settled_dist(v).map(f64::to_bits),
+                cold.settled_dist(v).map(f64::to_bits),
+                "label diverged at {v:?}"
+            );
+        }
     }
 
     /// A bounded (tightened) run replays under its *retained* bound —

@@ -44,6 +44,26 @@
 //! proportional to the nodes Dijkstra actually expands, not to the full
 //! `O(n²)` edge set.
 //!
+//! A base row is complete up to a Chebyshev **radius** (a bounded search
+//! asks only for the neighbours it can still settle) and has exactly two
+//! maintenance paths:
+//!
+//! * **repair**, when the row's radius covers the request but obstacles or
+//!   endpoints arrived since it was built: the retained edges are re-tested
+//!   against just the rectangles logged since, and the stable nodes logged
+//!   since are appended when visible. It runs only when its cost model
+//!   (`repair_cheaper_than_rebuild`) says it beats a rebuild — a
+//!   measured rule: repairing whenever the radius allowed cost the
+//!   ledger's `continuous` workload 9.7 % more sight tests per op
+//!   (395 604 → 434 025, seed 2009).
+//! * **rebuild**, for everything else — a new row, a request beyond the
+//!   row's radius, a removed endpoint: the row is computed afresh out to
+//!   the request's radius times a small growth margin, so the next,
+//!   slightly larger request is still a hit.
+//!
+//! Both decide candidates by one rule (`candidate`), so a current row holds
+//! the same edges whichever path produced it.
+//!
 //! # Storage layout: CSR arena + SoA node lanes
 //!
 //! The graph is stored as flat parallel arrays, not per-node allocations:
@@ -82,13 +102,11 @@ use crate::sweep::SweepMode;
 /// `AdjMeta::version` value marking a slot whose cache is invalid.
 const STALE: u64 = u64::MAX;
 
-/// Default speculative radius-growth margin of bounded cache builds: a
-/// request for radius `r` builds the cache out to `r ×` this, so the next
-/// slightly-larger request costs only the annulus. Config-tunable via
-/// [`VisGraph::set_growth_margin`]; values below `1.0` are clamped to
-/// `1.0` at the use site (a cache smaller than the requested radius would
-/// violate the window-membership invariant).
-pub const DEFAULT_GROWTH_MARGIN: f64 = 1.2;
+/// Speculative radius growth of a bounded rebuild: a request for radius `r`
+/// builds the row out to `r ×` this, so that the jitter between one
+/// search's consecutive requests stays a hit. Sight tests grow with the
+/// window's area, so the margin is paid quadratically.
+const GROWTH_MARGIN: f64 = 1.2;
 
 /// Handle to a graph node.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,9 +147,7 @@ struct AdjMeta {
     /// stable neighbor within this Euclidean distance of the node (∞ = the
     /// classical complete cache). Bounded searches ask for bounded radii,
     /// which keeps rebuild cost proportional to *local* obstacle density
-    /// instead of the total graph size — the difference between a
-    /// trajectory session's accumulated supergraph and a single query's
-    /// neighborhood.
+    /// instead of the total graph size.
     radius: f64,
     /// First arena index of this node's edge range.
     start: u32,
@@ -238,8 +254,6 @@ pub struct VisGraph {
     /// When cache builds use the rotational plane-sweep instead of
     /// per-candidate grid walks (verdicts identical either way).
     sweep_mode: SweepMode,
-    /// Speculative radius-growth margin (see [`DEFAULT_GROWTH_MARGIN`]).
-    growth_margin: f64,
     /// Scratch for cache builds: candidate node ids, their positions, and
     /// the per-candidate visibility verdicts (parallel vectors).
     cand_ids: Vec<u32>,
@@ -258,8 +272,6 @@ pub struct VisGraph {
     /// Swap buffers for arena compaction (retained across compactions).
     compact_targets: Vec<u32>,
     compact_weights: Vec<f64>,
-    /// Scratch for the slice-returning [`VisGraph::neighbors`] facade.
-    combined: Vec<(u32, f64)>,
     /// Scratch for visible-region candidate gathering (ids + rects).
     vr_ids: Vec<u32>,
     vr_rects: Vec<Rect>,
@@ -291,7 +303,6 @@ impl VisGraph {
             rect_corners: Vec::new(),
             rect_scratch: Vec::new(),
             sweep_mode: SweepMode::default(),
-            growth_margin: DEFAULT_GROWTH_MARGIN,
             cand_ids: Vec::new(),
             cand_pos: Vec::new(),
             cand_vis: Vec::new(),
@@ -301,7 +312,6 @@ impl VisGraph {
             adj_dead: 0,
             compact_targets: Vec::new(),
             compact_weights: Vec::new(),
-            combined: Vec::new(),
             vr_ids: Vec::new(),
             vr_rects: Vec::new(),
             adj_repairs: 0,
@@ -458,18 +468,6 @@ impl VisGraph {
         self.sweep_mode = mode;
     }
 
-    /// The speculative radius-growth margin of bounded cache builds.
-    pub fn growth_margin(&self) -> f64 {
-        self.growth_margin
-    }
-
-    /// Sets the speculative radius-growth margin. Values below `1.0` (or
-    /// non-finite) are clamped to `1.0` at the use site, so any setting
-    /// yields window-membership-correct caches.
-    pub fn set_growth_margin(&mut self, margin: f64) {
-        self.growth_margin = margin;
-    }
-
     /// Adds a non-obstacle node (query endpoint or data point). Data points
     /// are *transient*: they live in the overlay tier and do not invalidate
     /// the base adjacency caches.
@@ -516,10 +514,8 @@ impl VisGraph {
     pub fn add_obstacle(&mut self, r: Rect) -> [NodeId; 4] {
         self.version += 1;
         self.base_version = self.version;
-        let gid = self.grid.insert(r);
+        self.grid.insert(r);
         self.rect_log.push((self.base_version, r));
-        // the sweep repair path maps rect-log indices straight to grid ids
-        debug_assert_eq!(gid as usize + 1, self.rect_log.len());
         let corners = r.corners();
         let ids: [NodeId; 4] = std::array::from_fn(|k| {
             self.push_node(corners[k], NodeKind::ObstacleVertex, CORNER_TURNS[k])
@@ -552,10 +548,9 @@ impl VisGraph {
     /// (`DijkstraEngine::reseed_after_removal`, the "paths only shorten"
     /// counterpart of the insertion lemma). `base_version` does **not**
     /// advance: surviving caches are still exactly current. The rect-log
-    /// entry is retained (the sweep repair path maps log indices to grid
-    /// ids); it is harmless to survivors by the same disjointness
-    /// argument, and tombstoned grid ids are filtered out wherever id
-    /// ranges are synthesized.
+    /// entry is retained; it is harmless to survivors by the same
+    /// disjointness argument, and tombstoned grid ids are filtered out
+    /// wherever id ranges are synthesized.
     ///
     /// `r` must coordinate-match a live obstacle exactly (callers hand
     /// back the rectangle they inserted). Returns the number of adjacency
@@ -654,59 +649,30 @@ impl VisGraph {
         !self.grid.blocks(a, b)
     }
 
-    /// The node's edge list: `(neighbor, euclidean length)` for every live
-    /// node visible from it along a bitangent segment — tangent at the node
-    /// itself and at the neighbor, which a point node is in every direction
-    /// (see the module docs). Appends to `out` (callers clear as
-    /// needed): first the cached base edges (stable nodes), then the
-    /// transient overlay.
+    /// The node's row: `(neighbor, euclidean length)` for every live node
+    /// within Chebyshev distance `radius` of it and visible along a
+    /// bitangent segment — tangent at the node itself and at the neighbor,
+    /// which a point node is in every direction (see the module docs).
+    /// Appends to `out` (callers clear as needed): first the cached base
+    /// edges (stable nodes), then the transient overlay. Base edges beyond
+    /// `radius` may be appended too — the cache holds its own, possibly
+    /// larger, radius.
     ///
-    /// A stale base cache is brought up to date **incrementally** when
-    /// possible: obstacles only ever *remove* base edges (each retained
-    /// edge is re-tested against just the rects inserted since the cache's
-    /// version) and *add* the few nodes logged since then. Full recompute —
-    /// a sight test against the whole grid per candidate node — happens
-    /// only for brand-new caches, after a stable-node removal, or when the
-    /// backlog of new obstacles makes repair more expensive than rebuild.
-    pub fn neighbors_into(&mut self, u: NodeId, out: &mut Vec<(u32, f64)>) {
-        self.neighbors_into_filtered(u, out, |_, _| true)
-    }
-
-    /// Like [`VisGraph::neighbors_into`], but candidates failing
-    /// `keep(id, position)` are skipped — transient-overlay candidates
-    /// *before* their sight test is paid, base-tier edges before they are
-    /// copied into the caller's scratch. Dijkstra passes
+    /// A bounded Dijkstra passes `bound − d(u)` as the radius (a neighbor
+    /// farther away can never settle within the bound), which keeps a
+    /// rebuild's cost proportional to the *local* obstacle density: the
+    /// candidates come from the obstacle grid, not from every stable node
+    /// of the graph. A stale row is repaired or rebuilt (the two paths of
+    /// the module docs).
+    ///
+    /// Candidates failing `keep(id, position)` are skipped —
+    /// transient-overlay candidates *before* their sight test is paid,
+    /// base-tier edges before they are copied into `out`. Dijkstra passes
     /// `keep = not-yet-settled ∧ inside-the-search-ellipse`: an edge into a
     /// settled node can never relax anything, a candidate outside the
     /// current distance bound's ellipse can never settle within it, and in
     /// the CONN loop the only live transient is the (always-settled) source
     /// itself, so the overlay's per-settle grid walks vanish entirely.
-    ///
-    /// The base cache is shared across every data point of the query, each
-    /// with a different bound ellipse; `neighbors_into_filtered` therefore
-    /// maintains it complete for *all* stable nodes the row admits
-    /// (infinite radius).
-    /// Bounded searches should use [`VisGraph::neighbors_into_ranged`],
-    /// which settles for a radius-complete cache.
-    pub fn neighbors_into_filtered(
-        &mut self,
-        u: NodeId,
-        out: &mut Vec<(u32, f64)>,
-        keep: impl Fn(u32, Point) -> bool,
-    ) {
-        self.neighbors_into_ranged(u, out, keep, f64::INFINITY)
-    }
-
-    /// Like [`VisGraph::neighbors_into_filtered`], but the caller promises
-    /// it only needs neighbors within Euclidean `radius` of the node (a
-    /// bounded Dijkstra passes `bound − d(u)`: any neighbor farther away
-    /// can never settle within the bound). The cache records the radius it
-    /// is complete for — every visible stable node of the row's directions
-    /// inside it; a bounded rebuild enumerates candidates from the
-    /// obstacle grid — cost proportional to the *local* density — instead
-    /// of scanning every stable node of the graph, which is what keeps a
-    /// trajectory session's accumulated graph from taxing each leg's
-    /// searches.
     pub fn neighbors_into_ranged(
         &mut self,
         u: NodeId,
@@ -716,42 +682,20 @@ impl VisGraph {
     ) {
         let ui = u.index();
         debug_assert!(self.node_alive[ui], "neighbors of dead node");
-        let cached = &self.adj[ui];
+        let cached = self.adj[ui];
         if cached.version != self.base_version || cached.radius < radius {
-            // modest speculative growth: the margin only has to absorb
-            // jitter between consecutive requests, because asking for more
-            // later costs just the annulus (sight tests scale with window
-            // area, so the margin is paid quadratically)
-            let target = if radius.is_finite() {
-                // margins below 1.0 would build a cache smaller than the
-                // requested radius — clamp so every configured value keeps
-                // the window-membership invariant
-                let margin = if self.growth_margin.is_finite() {
-                    self.growth_margin.max(1.0)
-                } else {
-                    1.0
-                };
-                (radius * margin).max(self.grid.cell_size() * 2.0)
-            } else {
-                f64::INFINITY
-            };
-            // a finite cache can grow to a finite target by sight-testing
-            // just the annulus beyond its old radius, once its version is
-            // current (either already, or brought there by a repair)
-            let growable = cached.radius > 0.0 && cached.radius.is_finite() && target.is_finite();
             let repairable = cached.version != STALE
-                && cached.version != self.base_version
+                && cached.radius >= radius
                 && cached.removal_epoch == self.base_removal_epoch
-                && (cached.radius >= radius || growable)
                 && self.repair_cheaper_than_rebuild(cached.version, cached.len as usize);
             if repairable {
                 self.repair_base_cache(ui);
-                if self.adj[ui].radius < radius {
-                    self.extend_base_cache(ui, target);
-                }
-            } else if cached.version == self.base_version && growable {
-                self.extend_base_cache(ui, target);
             } else {
+                let target = if radius.is_finite() {
+                    (radius * GROWTH_MARGIN).max(self.grid.cell_size() * 2.0)
+                } else {
+                    f64::INFINITY
+                };
                 self.rebuild_base_cache(ui, target);
             }
             self.maybe_compact();
@@ -838,95 +782,43 @@ impl VisGraph {
     /// newer than the cache, append newly logged stable nodes inside the
     /// cache's window that are visible.
     ///
-    /// Every cache constructor (rebuild, repair, annulus extension) decides
-    /// candidates by the same rule ([`VisGraph::candidate`]) — a stable
-    /// node is a candidate iff its Chebyshev distance from the cache's node
-    /// is at most the recorded radius (**window membership**) and the
-    /// segment between them is bitangent. An up-to-date cache therefore
-    /// holds exactly the visible such nodes, regardless of the
-    /// rebuild/repair/extension history; radius growth can then test just
-    /// the annulus (see [`VisGraph::extend_base_cache`]).
+    /// Rebuild and repair decide candidates by the same rule
+    /// ([`VisGraph::candidate`]) — a stable node is a candidate iff its
+    /// Chebyshev distance from the cache's node is at most the recorded
+    /// radius (**window membership**) and the segment between them is
+    /// bitangent. An up-to-date cache therefore holds exactly the visible
+    /// such nodes, whichever path brought it up to date.
     fn repair_base_cache(&mut self, ui: usize) {
         self.adj_repairs += 1;
-        let (upos, turn) = (self.node_pos[ui], self.node_turn[ui]);
+        let upos = self.node_pos[ui];
         let m = self.adj[ui];
         let (start, len) = (m.start as usize, m.len as usize);
         let rect_from = Self::log_start(&self.rect_log, m.version);
-        // Sweep path: decide every retained edge's survival in one angular
-        // pass over just the rects logged since the cache's version. Grid
-        // obstacle ids coincide with rect-log indices (both are insertion
-        // order, both cleared on reset), so the log suffix maps straight
-        // to a grid id range.
-        let new_rects = self.rect_log.len() - rect_from;
-        let swept = new_rects > 0 && self.sweep_mode.wants_sweep(len);
-        if swept {
-            let mut rect_ids = std::mem::take(&mut self.rect_scratch);
-            let mut cand_pos = std::mem::take(&mut self.cand_pos);
-            let mut vis = std::mem::take(&mut self.cand_vis);
-            rect_ids.clear();
-            rect_ids.extend(
-                (rect_from as u32..self.rect_log.len() as u32).filter(|&id| {
-                    self.grid.is_live(id)
-                        && meets_tangent_quadrants(turn, upos, &self.rect_log[id as usize].1)
-                }),
-            );
-            cand_pos.clear();
-            for r in start..start + len {
-                cand_pos.push(self.node_pos[self.adj_targets[r] as usize]);
-            }
-            vis.clear();
-            self.grid
-                .sweep_visibility(upos, &cand_pos, &rect_ids, &mut vis);
-            self.rect_scratch = rect_ids;
-            self.cand_pos = cand_pos;
-            self.cand_vis = vis;
-        }
-        let at_tail = start + len == self.adj_targets.len();
-        let new_start = if at_tail {
+        let new_start = if start + len == self.adj_targets.len() {
             start
         } else {
-            self.adj_targets.len()
-        };
-        if at_tail {
-            // the range sits at the arena tail: filter it in place
-            let mut w = start;
-            for r in start..start + len {
-                let t = self.adj_targets[r];
-                let wt = self.adj_weights[r];
-                let survives = if swept {
-                    self.cand_vis[r - start]
-                } else {
-                    self.edge_survives(upos, t, rect_from)
-                };
-                if survives {
-                    self.adj_targets[w] = t;
-                    self.adj_weights[w] = wt;
-                    w += 1;
-                }
-            }
-            self.adj_targets.truncate(w);
-            self.adj_weights.truncate(w);
-        } else {
-            // copy-filter to the tail; the old range becomes garbage
-            for r in start..start + len {
-                let t = self.adj_targets[r];
-                let wt = self.adj_weights[r];
-                let survives = if swept {
-                    self.cand_vis[r - start]
-                } else {
-                    self.edge_survives(upos, t, rect_from)
-                };
-                if survives {
-                    self.adj_targets.push(t);
-                    self.adj_weights.push(wt);
-                }
-            }
+            // move the range to the arena tail so it can be filtered in
+            // place and appended to; the old range becomes garbage
+            self.adj_targets.extend_from_within(start..start + len);
+            self.adj_weights.extend_from_within(start..start + len);
             self.adj_dead += len;
+            self.adj_targets.len() - len
+        };
+        let mut w = new_start;
+        for r in new_start..new_start + len {
+            let t = self.adj_targets[r];
+            if self.edge_survives(upos, t, rect_from) {
+                self.adj_targets[w] = t;
+                self.adj_weights[w] = self.adj_weights[r];
+                w += 1;
+            }
         }
+        self.adj_targets.truncate(w);
+        self.adj_weights.truncate(w);
         for li in Self::log_start(&self.node_log, m.version)..self.node_log.len() {
             let (_, nid) = self.node_log[li];
             debug_assert!(self.node_alive[nid as usize], "logged stable node died");
-            if let Some(vpos) = self.candidate(ui, nid, f64::NEG_INFINITY, m.radius) {
+            if let Some(vpos) = self.candidate(ui, nid, m.radius) {
                 if !self.grid.blocks(upos, vpos) {
                     self.adj_targets.push(nid);
                     self.adj_weights.push(upos.dist(vpos));
@@ -952,69 +844,58 @@ impl VisGraph {
             .any(|(_, r)| r.blocks(&seg))
     }
 
-    /// The candidate rule of every cache constructor: the position of
-    /// stable node `vid` when it is live, not `ui` itself, inside the
-    /// Chebyshev ring `lo < cheb ≤ hi` around `ui` (window membership; a
-    /// rect can intersect a window while this corner lies outside it) and
-    /// the edge is bitangent — a shortest path may leave `ui` along it and,
-    /// arriving along it, bend at `vid`.
+    /// The candidate rule of rebuild and repair: the position of stable
+    /// node `vid` when it is live, not `ui` itself, inside the Chebyshev
+    /// window `cheb ≤ radius` around `ui` (window membership; a rect can
+    /// intersect a window while this corner lies outside it) and the edge
+    /// is bitangent — a shortest path may leave `ui` along it and, arriving
+    /// along it, bend at `vid`.
     #[inline]
-    fn candidate(&self, ui: usize, vid: u32, lo: f64, hi: f64) -> Option<Point> {
+    fn candidate(&self, ui: usize, vid: u32, radius: f64) -> Option<Point> {
         let vi = vid as usize;
         if vi == ui || !self.node_alive[vi] {
             return None;
         }
         let (upos, vpos) = (self.node_pos[ui], self.node_pos[vi]);
         let cheb = (vpos.x - upos.x).abs().max((vpos.y - upos.y).abs());
-        (cheb > lo
-            && cheb <= hi
+        (cheb <= radius
             && leaves_tangent(self.node_turn[ui], upos, vpos)
             && leaves_tangent(self.node_turn[vi], vpos, upos))
         .then_some(vpos)
     }
 
-    /// Base-cache rebuild, complete up to `radius`.
-    fn rebuild_base_cache(&mut self, ui: usize, radius: f64) {
-        // abandon the old range and append the rebuilt one at the tail
-        self.retire_range(ui);
-        let new_start = self.adj_targets.len();
-        self.append_ring_edges(ui, f64::NEG_INFINITY, radius);
-        let slot = &mut self.adj[ui];
-        slot.version = self.base_version;
-        slot.removal_epoch = self.base_removal_epoch;
-        slot.radius = radius;
-        slot.start = new_start as u32;
-        slot.len = (self.adj_targets.len() - new_start) as u32;
-    }
-
-    /// Shared gather-verdict-emit body of rebuild and annulus extension:
-    /// appends to the arena tail one edge per visible [`candidate`] of the
-    /// ring `lo < cheb ≤ hi` around `ui`, **in candidate order** — so the
-    /// CSR content is bit-identical whichever verdict path runs.
-    /// Candidates come from the obstacle grid (corners of rectangles near
-    /// the node) plus the endpoint list when `hi` is finite — cost
-    /// proportional to the local density — and from a scan of every stable
-    /// node when it is infinite.
+    /// Base-cache rebuild, complete up to `radius`: appends to the arena
+    /// tail one edge per visible [`candidate`] of the window, **in
+    /// candidate order** — so the CSR content is bit-identical whichever
+    /// verdict path runs — and abandons the old range. Candidates come from
+    /// the obstacle grid (corners of rectangles near the node) plus the
+    /// endpoint list when `radius` is finite — cost proportional to the
+    /// local density — and from a scan of every stable node when it is
+    /// infinite.
     ///
     /// [`candidate`]: VisGraph::candidate
-    fn append_ring_edges(&mut self, ui: usize, lo: f64, hi: f64) {
+    fn rebuild_base_cache(&mut self, ui: usize, radius: f64) {
+        self.retire_range(ui);
+        let new_start = self.adj_targets.len();
         let (upos, turn) = (self.node_pos[ui], self.node_turn[ui]);
         let mut rect_ids = std::mem::take(&mut self.rect_scratch);
         let mut cand_ids = std::mem::take(&mut self.cand_ids);
         let mut cand_pos = std::mem::take(&mut self.cand_pos);
         cand_ids.clear();
         cand_pos.clear();
-        if hi.is_finite() {
-            // candidates come from the ring only, but the blocking-rect
-            // superset must cover the *full* window: a rect near the pivot
-            // can block a sight line to the ring
-            let window = Rect::new(upos.x - hi, upos.y - hi, upos.x + hi, upos.y + hi);
+        if radius.is_finite() {
+            let window = Rect::new(
+                upos.x - radius,
+                upos.y - radius,
+                upos.x + radius,
+                upos.y + radius,
+            );
             self.grid.candidates_in_rect(&window, &mut rect_ids);
             let corners = rect_ids
                 .iter()
                 .flat_map(|&rid| self.rect_corners[rid as usize]);
             for vid in corners.chain(self.endpoints.iter().copied()) {
-                if let Some(vpos) = self.candidate(ui, vid, lo, hi) {
+                if let Some(vpos) = self.candidate(ui, vid, radius) {
                     cand_ids.push(vid);
                     cand_pos.push(vpos);
                 }
@@ -1028,7 +909,7 @@ impl VisGraph {
                 if self.node_kind[vid as usize] == NodeKind::DataPoint {
                     continue;
                 }
-                if let Some(vpos) = self.candidate(ui, vid, lo, hi) {
+                if let Some(vpos) = self.candidate(ui, vid, radius) {
                     cand_ids.push(vid);
                     cand_pos.push(vpos);
                 }
@@ -1063,49 +944,12 @@ impl VisGraph {
         self.rect_scratch = rect_ids;
         self.cand_ids = cand_ids;
         self.cand_pos = cand_pos;
-    }
-
-    /// Annulus extension: grow an **up-to-date** radius-complete cache to a
-    /// larger radius by sight-testing only the candidates in the annulus
-    /// `old_radius < cheb(v, u) ≤ target`. Valid precisely because every
-    /// cache constructor obeys the same candidate rule (see
-    /// [`VisGraph::repair_base_cache`]): the retained edges are exactly the
-    /// visible candidates of the old window, so the annulus candidates are
-    /// disjoint from them and no dedup pass is needed. Requires
-    /// `version == base_version` (nothing to reconcile) and a finite target.
-    fn extend_base_cache(&mut self, ui: usize, target: f64) {
-        let m = self.adj[ui];
-        debug_assert_eq!(m.version, self.base_version, "extending a stale cache");
-        let (start, len) = (m.start as usize, m.len as usize);
-        let at_tail = start + len == self.adj_targets.len();
-        let new_start = if at_tail {
-            start
-        } else {
-            self.adj_targets.len()
-        };
-        if !at_tail {
-            // relocate the retained range to the tail so the annulus edges
-            // can append contiguously; the old range becomes garbage
-            self.adj_targets.extend_from_within(start..start + len);
-            self.adj_weights.extend_from_within(start..start + len);
-            self.adj_dead += len;
-        }
-        self.append_ring_edges(ui, m.radius, target);
         let slot = &mut self.adj[ui];
-        slot.radius = target;
+        slot.version = self.base_version;
+        slot.removal_epoch = self.base_removal_epoch;
+        slot.radius = radius;
         slot.start = new_start as u32;
         slot.len = (self.adj_targets.len() - new_start) as u32;
-    }
-
-    /// Slice-returning facade over [`VisGraph::neighbors_into`] (the hot
-    /// path — Dijkstra relaxation — uses `neighbors_into` with its own
-    /// scratch buffer instead).
-    pub fn neighbors(&mut self, u: NodeId) -> &[(u32, f64)] {
-        let mut buf = std::mem::take(&mut self.combined);
-        buf.clear();
-        self.neighbors_into(u, &mut buf);
-        self.combined = buf;
-        &self.combined
     }
 
     /// Grid access for visible-region computation.
@@ -1134,19 +978,6 @@ impl VisGraph {
     /// The local obstacle rectangles (ablation baselines iterate these).
     pub fn obstacles(&self) -> &[Rect] {
         self.grid.rects()
-    }
-
-    /// Convenience: true when the straight segment between two nodes is an
-    /// edge of the graph.
-    pub fn nodes_visible(&mut self, a: NodeId, b: NodeId) -> bool {
-        let (pa, pb) = (self.node_pos(a), self.node_pos(b));
-        self.visible(pa, pb)
-    }
-
-    /// Does any local obstacle block this segment? (negation of `visible`,
-    /// exposed for readability at call sites dealing with raw segments).
-    pub fn blocked(&mut self, s: &Segment) -> bool {
-        self.grid.blocks(s.a, s.b)
     }
 
     /// Sanitizer audit of every up-to-date base adjacency cache:
@@ -1289,13 +1120,26 @@ mod tests {
         VisGraph::new(50.0)
     }
 
+    /// The node's whole row.
+    fn row(g: &mut VisGraph, u: NodeId) -> Vec<(u32, f64)> {
+        let mut out = Vec::new();
+        g.neighbors_into_ranged(u, &mut out, |_, _| true, f64::INFINITY);
+        out
+    }
+
+    /// Do nodes `a` and `b` see each other?
+    fn sees(g: &mut VisGraph, a: NodeId, b: NodeId) -> bool {
+        let (pa, pb) = (g.node_pos(a), g.node_pos(b));
+        g.visible(pa, pb)
+    }
+
     #[test]
     fn empty_graph_everything_visible() {
         let mut g = graph();
         let a = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
         let b = g.add_point(Point::new(100.0, 0.0), NodeKind::Endpoint);
-        assert!(g.nodes_visible(a, b));
-        assert_eq!(g.neighbors(a), &[(b.0, 100.0)]);
+        assert!(sees(&mut g, a, b));
+        assert_eq!(row(&mut g, a), &[(b.0, 100.0)]);
     }
 
     #[test]
@@ -1303,12 +1147,12 @@ mod tests {
         let mut g = graph();
         let a = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
         let b = g.add_point(Point::new(200.0, 50.0), NodeKind::Endpoint);
-        assert!(g.nodes_visible(a, b));
+        assert!(sees(&mut g, a, b));
         g.add_obstacle(Rect::new(90.0, 0.0, 110.0, 100.0));
-        assert!(!g.nodes_visible(a, b));
+        assert!(!sees(&mut g, a, b));
         // neighbors re-computed after version bump: a now sees the two left
         // corners of the obstacle but not b
-        let ns: Vec<u32> = g.neighbors(a).iter().map(|e| e.0).collect();
+        let ns: Vec<u32> = row(&mut g, a).iter().map(|e| e.0).collect();
         assert!(!ns.contains(&b.0));
         assert_eq!(ns.len(), 2, "two visible corners, got {ns:?}");
     }
@@ -1322,9 +1166,9 @@ mod tests {
             assert_eq!(g.node_kind(c), NodeKind::ObstacleVertex);
         }
         // adjacent corners see each other along the wall
-        assert!(g.nodes_visible(corners[0], corners[1]));
+        assert!(sees(&mut g, corners[0], corners[1]));
         // diagonal corners are blocked by the interior
-        assert!(!g.nodes_visible(corners[0], corners[2]));
+        assert!(!sees(&mut g, corners[0], corners[2]));
     }
 
     #[test]
@@ -1335,12 +1179,12 @@ mod tests {
         assert_eq!(g.num_nodes(), 2);
         g.remove_node(p);
         assert_eq!(g.num_nodes(), 1);
-        assert!(g.neighbors(a).is_empty());
+        assert!(row(&mut g, a).is_empty());
         // slot reuse
         let p2 = g.add_point(Point::new(7.0, 7.0), NodeKind::DataPoint);
         assert_eq!(p2.0, p.0);
         assert_eq!(g.num_nodes(), 2);
-        let ns = g.neighbors(a).to_vec();
+        let ns = row(&mut g, a);
         assert_eq!(ns.len(), 1);
         assert!((ns[0].1 - Point::new(7.0, 7.0).dist(Point::new(0.0, 0.0))).abs() < 1e-12);
     }
@@ -1351,7 +1195,7 @@ mod tests {
         let mut g = graph();
         let a = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
         let b = g.add_point(Point::new(100.0, 0.0), NodeKind::Endpoint);
-        assert_eq!(g.neighbors(a), &[(b.0, 100.0)]); // builds a's base cache
+        assert_eq!(row(&mut g, a), &[(b.0, 100.0)]); // builds a's base cache
         g.audit_adjacency(); // intact graph passes
 
         let m = g.adj[a.0 as usize];
@@ -1374,11 +1218,11 @@ mod tests {
         let beside = g.add_point(Point::new(150.0, 50.0), NodeKind::Endpoint);
         let behind = g.add_point(Point::new(150.0, 150.0), NodeKind::Endpoint);
         let corner = g.add_obstacle(Rect::new(0.0, 0.0, 100.0, 100.0))[2];
-        let row: Vec<u32> = g.neighbors(corner).iter().map(|e| e.0).collect();
-        assert!(row.contains(&beside.0) && !row.contains(&behind.0));
+        let edges: Vec<u32> = row(&mut g, corner).iter().map(|e| e.0).collect();
+        assert!(edges.contains(&beside.0) && !edges.contains(&behind.0));
         g.audit_adjacency(); // intact graph passes
 
-        let at = row.iter().position(|&v| v == beside.0).unwrap();
+        let at = edges.iter().position(|&v| v == beside.0).unwrap();
         let e = g.adj[corner.index()].start as usize + at;
         g.adj_targets[e] = behind.0;
         g.adj_weights[e] = g.node_pos(corner).dist(g.node_pos(behind));
@@ -1398,11 +1242,11 @@ mod tests {
         // that corner out
         let behind = g.add_point(Point::new(150.0, 150.0), NodeKind::Endpoint);
         let corners = g.add_obstacle(Rect::new(0.0, 0.0, 100.0, 100.0));
-        let row: Vec<u32> = g.neighbors(behind).iter().map(|e| e.0).collect();
-        assert!(row.contains(&corners[1].0) && !row.contains(&corners[2].0));
+        let edges: Vec<u32> = row(&mut g, behind).iter().map(|e| e.0).collect();
+        assert!(edges.contains(&corners[1].0) && !edges.contains(&corners[2].0));
         g.audit_adjacency(); // intact graph passes
 
-        let at = row.iter().position(|&v| v == corners[1].0).unwrap();
+        let at = edges.iter().position(|&v| v == corners[1].0).unwrap();
         let e = g.adj[behind.index()].start as usize + at;
         g.adj_targets[e] = corners[2].0;
         g.adj_weights[e] = g.node_pos(behind).dist(g.node_pos(corners[2]));
@@ -1417,7 +1261,7 @@ mod tests {
         let mut g = graph();
         let a = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
         g.add_obstacle(Rect::new(90.0, 0.0, 110.0, 100.0));
-        let _ = g.neighbors(a); // populate a cache
+        let _ = row(&mut g, a); // populate a cache
         let v_before = g.version();
         let retained = g.reset();
         assert!(retained >= 1, "cached edge lists should be retained");
@@ -1428,8 +1272,8 @@ mod tests {
         let a2 = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
         let b2 = g.add_point(Point::new(200.0, 50.0), NodeKind::Endpoint);
         assert_eq!(a2.0, 0, "slot storage reused from the start");
-        assert!(g.nodes_visible(a2, b2));
-        assert_eq!(g.neighbors(a2), &[(b2.0, 200.0)]);
+        assert!(sees(&mut g, a2, b2));
+        assert_eq!(row(&mut g, a2), &[(b2.0, 200.0)]);
     }
 
     /// A reset costs what the query just served used, not what the largest
@@ -1446,7 +1290,7 @@ mod tests {
         // a small one: five slots, one cached edge list
         let a = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
         g.add_obstacle(Rect::new(90.0, 0.0, 110.0, 100.0));
-        let _ = g.neighbors(a);
+        let _ = row(&mut g, a);
         // mark a slot only the big query ever used
         assert_eq!(g.adj[100].version, STALE, "rewound by the first reset");
         g.adj[100].radius = 7.0;
@@ -1461,14 +1305,14 @@ mod tests {
         let a = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
         let _b = g.add_point(Point::new(200.0, 50.0), NodeKind::Endpoint);
         g.add_obstacle(Rect::new(90.0, 0.0, 110.0, 100.0));
-        let before: Vec<(u32, f64)> = g.neighbors(a).to_vec();
+        let before: Vec<(u32, f64)> = row(&mut g, a);
         // transient churn must keep base edges identical and expose the
         // transient through the overlay
         let p = g.add_point(Point::new(10.0, 50.0), NodeKind::DataPoint);
-        let with_p: Vec<(u32, f64)> = g.neighbors(a).to_vec();
+        let with_p: Vec<(u32, f64)> = row(&mut g, a);
         assert!(with_p.iter().any(|e| e.0 == p.0), "overlay edge missing");
         g.remove_node(p);
-        let after: Vec<(u32, f64)> = g.neighbors(a).to_vec();
+        let after: Vec<(u32, f64)> = row(&mut g, a);
         assert_eq!(before, after);
         assert!(!after.iter().any(|e| e.0 == p.0));
     }
@@ -1480,7 +1324,7 @@ mod tests {
         let b = g.add_point(Point::new(200.0, 50.0), NodeKind::Endpoint);
         let r = Rect::new(90.0, 0.0, 110.0, 100.0);
         let corners = g.add_obstacle(r);
-        let blocked: Vec<u32> = g.neighbors(a).iter().map(|e| e.0).collect();
+        let blocked: Vec<u32> = row(&mut g, a).iter().map(|e| e.0).collect();
         assert!(!blocked.contains(&b.0));
 
         let se = g.shape_epoch();
@@ -1491,8 +1335,8 @@ mod tests {
         for c in corners {
             assert!(!g.is_alive(c), "corner {c:?} must die with its rect");
         }
-        assert!(g.nodes_visible(a, b));
-        assert_eq!(g.neighbors(a), &[(b.0, 200.0)]);
+        assert!(sees(&mut g, a, b));
+        assert_eq!(row(&mut g, a), &[(b.0, 200.0)]);
         assert!(g.remove_obstacle(&r).is_none(), "double removal is None");
     }
 
@@ -1526,9 +1370,7 @@ mod tests {
         // edge sets compare by (target position, weight): node ids differ
         // between the mutated and the cold-built graph
         fn edge_set(g: &mut VisGraph, u: NodeId) -> Vec<(u64, u64, u64)> {
-            let mut v: Vec<(u64, u64, u64)> = g
-                .neighbors(u)
-                .to_vec()
+            let mut v: Vec<(u64, u64, u64)> = row(g, u)
                 .iter()
                 .map(|&(t, w)| {
                     let p = g.node_pos(NodeId(t));
@@ -1548,10 +1390,10 @@ mod tests {
         let a = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
         g.add_obstacle(rects[0]);
         g.add_obstacle(rects[1]);
-        let _ = g.neighbors(a); // build a cache mid-history
+        let _ = row(&mut g, a); // build a cache mid-history
         g.remove_obstacle(&rects[0]).unwrap();
         g.add_obstacle(rects[2]);
-        let _ = g.neighbors(a);
+        let _ = row(&mut g, a);
         g.add_obstacle(rects[3]);
         g.remove_obstacle(&rects[2]).unwrap();
         // final state: rects[1] and rects[3]
@@ -1564,16 +1406,38 @@ mod tests {
         assert_eq!(mutated, edge_set(&mut cold, ca));
     }
 
+    /// A rebuild covers the request times 1.2, and at least two grid
+    /// cells; a request inside the covered radius is a hit, one just
+    /// outside it rebuilds. The property
+    /// `radius_requests_straddling_the_growth_margin_keep_windows_correct`
+    /// copies both numbers to aim its requests at the covered radius: a
+    /// change to either must update it too.
+    #[test]
+    fn rebuild_radius_is_the_request_times_the_margin() {
+        let mut g = VisGraph::new(60.0);
+        let a = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
+        let request = |g: &mut VisGraph, radius: f64| {
+            g.neighbors_into_ranged(a, &mut Vec::new(), |_, _| true, radius);
+            g.adj[a.index()].radius
+        };
+        assert_eq!(request(&mut g, 50.0), 120.0, "floor of two cells");
+        let covered = request(&mut g, 200.0);
+        assert_eq!(covered, 200.0 * 1.2);
+        assert_eq!(request(&mut g, covered * 0.999), covered, "a hit");
+        assert_eq!(request(&mut g, covered), covered, "a hit on the boundary");
+        assert_eq!(request(&mut g, covered * 1.001), covered * 1.001 * 1.2);
+    }
+
     #[test]
     fn version_bumps_invalidate_caches() {
         let mut g = graph();
         let a = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
         let b = g.add_point(Point::new(200.0, 50.0), NodeKind::Endpoint);
-        assert_eq!(g.neighbors(a).len(), 1);
+        assert_eq!(row(&mut g, a).len(), 1);
         let v1 = g.version();
         g.add_obstacle(Rect::new(90.0, 0.0, 110.0, 100.0));
         assert!(g.version() > v1);
-        let ns: Vec<u32> = g.neighbors(a).iter().map(|e| e.0).collect();
+        let ns: Vec<u32> = row(&mut g, a).iter().map(|e| e.0).collect();
         assert!(!ns.contains(&b.0), "stale edge survived");
     }
 }

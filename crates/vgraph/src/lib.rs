@@ -45,7 +45,7 @@ pub mod sweep;
 pub mod visregion;
 
 pub use dijkstra::{DijkstraEngine, Goal, Prep};
-pub use graph::{NodeId, NodeKind, VisGraph, DEFAULT_GROWTH_MARGIN};
+pub use graph::{NodeId, NodeKind, VisGraph};
 pub use grid::ObstacleGrid;
 pub use sweep::SweepMode;
 pub use visregion::visible_region;

@@ -116,11 +116,11 @@ const NEAR_PIVOT: f64 = 1e-3;
 /// re-derived for the culled sweep, whose per-rectangle cost is lower; what
 /// an instrumented run of the ledger's `continuous` workload (paper scale,
 /// seed 2009, bitangent rows) does show is how little rides on it: 82 % of
-/// rebuild / extension builds sweep, averaging 192 candidates (210 from a
-/// corner, 124 from a point node) against 119 rectangles meeting the
-/// pivot's tangent quadrants; the 18 % under the threshold average 33
-/// candidates — 4 % of all candidates — and repairs essentially never
-/// reach it. ROADMAP item 8 owns the constant.
+/// row builds sweep, averaging 192 candidates (210 from a corner, 124 from
+/// a point node) against 119 rectangles meeting the pivot's tangent
+/// quadrants; the 18 % under the threshold average 33 candidates — 4 % of
+/// all candidates. Repairs never sweep (3 of 150 994 did, before their
+/// sweep branch was deleted). ROADMAP item 8 owns the constant.
 pub const AUTO_MIN_CANDIDATES: usize = 48;
 
 /// When the plane-sweep replaces per-candidate grid walks during

@@ -255,6 +255,11 @@ fn brute_labels(rs: &[Rect], points: &[Point], bitangent: bool) -> Vec<f64> {
     dist
 }
 
+/// Node `u`'s whole row, appended to `out`.
+fn row_into(g: &mut VisGraph, u: NodeId, out: &mut Vec<(u32, f64)>) {
+    g.neighbors_into_ranged(u, out, |_, _| true, f64::INFINITY);
+}
+
 /// Brute-force shortest path length from `a` to `b`.
 fn brute_odist(rs: &[Rect], a: Point, b: Point) -> f64 {
     brute_labels(rs, &[a, b], false)[1]
@@ -432,8 +437,8 @@ proptest! {
             g.add_obstacle(*r);
             if i % 2 == 0 {
                 // interleave reads so caches go version-stale and exercise
-                // the repair / annulus-extension paths, not just rebuilds
-                g.neighbors_into(na, &mut scratch);
+                // the repair path, not just rebuilds
+                row_into(&mut g, na, &mut scratch);
             }
         }
         let n = g.num_nodes();
@@ -453,7 +458,7 @@ proptest! {
                 })
                 .collect();
             let mut got = Vec::new();
-            g.neighbors_into(NodeId(u as u32), &mut got);
+            row_into(&mut g, NodeId(u as u32), &mut got);
             got.sort_by_key(|e| e.0);
             want.sort_by_key(|e| e.0);
             prop_assert_eq!(&got, &want, "adjacency of node {} diverged", u);
@@ -526,9 +531,9 @@ proptest! {
         // Two graphs replay the identical operation sequence, one forcing
         // the rotational plane-sweep and one forcing the pre-sweep
         // per-candidate grid walks. Interleaved ranged reads at varying
-        // radii drive all three build paths — the first read of a node is
-        // a cold build, reads after obstacle adds repair, and a larger
-        // radius later extends the annulus. The CSR edge lists must be
+        // radii drive both maintenance paths — the first read of a node is
+        // a rebuild, reads after obstacle adds repair, and a radius beyond
+        // the row's rebuilds it again. The CSR edge lists must be
         // **bit-identical** (same targets, same order, same f64 weights),
         // and a scalar `Rect::blocks` reference pins membership inside
         // each requested window.
@@ -613,7 +618,7 @@ proptest! {
         let n = gs.capacity();
         let events = gs.sweep_events();
         let (mut outs, mut outw) = (Vec::new(), Vec::new());
-        gs.neighbors_into(NodeId(0), &mut outs);
+        row_into(&mut gs, NodeId(0), &mut outs);
         // a start and an end per rectangle in front, one event per node
         // that is no corner of a hidden rectangle — at most
         let in_front = rs.len() - hidden;
@@ -621,7 +626,7 @@ proptest! {
             gs.sweep_events() - events <= (2 * in_front + n - 1 - 4 * hidden) as u64,
             "{} events with {} of {} rectangles hidden", gs.sweep_events() - events, hidden, rs.len()
         );
-        gw.neighbors_into(NodeId(0), &mut outw);
+        row_into(&mut gw, NodeId(0), &mut outw);
         prop_assert_eq!(&outs, &outw, "pivot row diverged");
         prop_assert!(outs.iter().any(|e| e.0 == 1), "the node past the wall's edge is visible");
         for v in 1..n {
@@ -635,36 +640,50 @@ proptest! {
         for u in 1..n {
             outs.clear();
             outw.clear();
-            gs.neighbors_into(NodeId(u as u32), &mut outs);
-            gw.neighbors_into(NodeId(u as u32), &mut outw);
+            row_into(&mut gs, NodeId(u as u32), &mut outs);
+            row_into(&mut gw, NodeId(u as u32), &mut outw);
             prop_assert_eq!(&outs, &outw, "row of node {} diverged", u);
         }
     }
 
     #[test]
-    fn tiny_growth_margin_keeps_windows_correct(
+    fn radius_requests_straddling_the_growth_margin_keep_windows_correct(
         rs in sweep_rects(),
         a in pt(),
-        margin_ix in 0..5usize,
-        radii in prop::collection::vec(10.0..450.0f64, 2..6),
+        first in 60.0..400.0f64,
+        steps in prop::collection::vec((0..3usize, prop::bool::weighted(0.5)), 1..12),
     ) {
-        // The speculative growth margin is a pure performance knob: any
-        // configured value (including senseless ones below 1.0, which the
-        // graph clamps) must still yield caches satisfying the window-
-        // membership invariant — inside every requested radius, exactly
-        // the visible stable nodes a path from `a` can bend at (node 0 is
-        // `a`, the corners follow).
-        let margin = [0.0_f64, 0.5, 1.0, 1.2, 3.0][margin_ix];
+        // A rebuild makes a row complete out to the request times the
+        // graph's growth margin (1.2, and at least two grid cells), so each
+        // request after the first lands just inside the radius the last
+        // rebuild covered, on it, or just outside: a hit — a repair, when
+        // an obstacle arrived first — or a rebuild. After every request the
+        // row inside the requested window is exactly the visible stable
+        // nodes a path from `a` can bend at (node 0 is `a`, the corners
+        // follow).
+        // Follows the private `GROWTH_MARGIN` of `graph.rs`; the unit test
+        // `rebuild_radius_is_the_request_times_the_margin` pins it there.
+        const GROWTH_MARGIN: f64 = 1.2;
         let a = free_point(&rs, a);
         let mut g = VisGraph::new(60.0);
-        g.set_growth_margin(margin);
         let na = g.add_point(a, NodeKind::Endpoint);
+        let (mut loaded, mut radius, mut covered) = (0, first, 0.0_f64);
         let mut out = Vec::new();
-        for (i, r) in rs.iter().enumerate() {
-            g.add_obstacle(*r);
-            let radius = radii[i % radii.len()];
+        for (i, (straddle, load)) in steps.into_iter().enumerate() {
+            if load && loaded < rs.len() {
+                g.add_obstacle(rs[loaded]);
+                loaded += 1;
+            }
+            if i > 0 {
+                radius = covered * [0.999, 1.0, 1.001][straddle];
+            }
             out.clear();
             g.neighbors_into_ranged(na, &mut out, |_, _| true, radius);
+            if radius > covered {
+                // the floor is `graph.rs`'s two grid cells at cell size 60,
+                // pinned by the same unit test
+                covered = (radius * GROWTH_MARGIN).max(120.0);
+            }
             for v in 0..g.capacity() {
                 let vid = NodeId(v as u32);
                 if v == na.index() || !g.is_alive(vid) {
@@ -677,12 +696,12 @@ proptest! {
                 }
                 let seg = Segment::new(a, vpos);
                 let want = tangent_at(&rs, 1, v, a)
-                    && !rs[..=i].iter().any(|r| r.blocks(&seg));
+                    && !rs[..loaded].iter().any(|r| r.blocks(&seg));
                 let got = out.iter().any(|e| e.0 == v as u32);
                 prop_assert_eq!(
                     got, want,
-                    "margin {} broke window membership for node {} at step {}",
-                    margin, v, i
+                    "request {} at step {} broke window membership for node {}",
+                    radius, i, v
                 );
             }
         }

@@ -97,7 +97,7 @@ fn main() {
                 let (plan, stats) = session.finish();
                 plan.check_cover().expect("route fully covered");
                 println!(
-                    "van {van}: {} legs, {:.0} total length, {} tuples | warm legs {} | \
+                    "van {van}: {} legs, {:.0} total length, {} tuples | engine reuses {} | \
                      obstacle loads {} | label reseeds {} | ETA obstacle loads {}",
                     plan.trajectory().num_legs(),
                     plan.trajectory().len(),

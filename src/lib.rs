@@ -41,8 +41,8 @@
 //!   layout of §4.5 and `visible_knn`) and the [`BatchStats`] of
 //!   [`ConnService::execute_batch`];
 //! * [`baseline`] — the reference oracles (whole-field obstructed distance,
-//!   brute-force OkNN, sampled / naive CONN, cold-per-leg trajectories)
-//!   that tests and benches hold the served path against.
+//!   brute-force OkNN, sampled / naive CONN) that tests and benches hold
+//!   the served path against.
 //!
 //! ## Example
 //!
