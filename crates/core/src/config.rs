@@ -23,10 +23,10 @@ pub enum KernelMode {
     /// for IOR/CPLC, point for odist), so pruning thresholds stop
     /// *expansion* instead of just filtering settled nodes. Warm labels:
     /// CPLC replays the settled prefix of the IOR search it follows (same
-    /// source, goal and graph), and repeated searches across obstacle
-    /// loads reseed from labels whose witness paths the new obstacles do
-    /// not cross. Result-list cap: the sink's Lemma 2 bound (`RLMAX`, or
-    /// the k-th bound for COkNN) caps CPLC's expansion and the
+    /// source, goal and graph); a search after an obstacle load starts
+    /// cold, as under the reference kernel. Result-list cap: the sink's
+    /// Lemma 2 bound (`RLMAX`, or the k-th bound for COkNN) caps CPLC's
+    /// expansion and the
     /// strict-refinement loads — control points whose best possible value
     /// exceeds it can never change the result.
     #[default]
@@ -53,8 +53,8 @@ impl KernelMode {
         }
     }
 
-    /// Whether searches continue from the labels of the search before them
-    /// (replay, reseed) instead of starting on a cold heap.
+    /// Whether a search repeated on an unchanged graph replays the labels
+    /// of the run before it instead of starting on a cold heap.
     #[inline]
     pub(crate) fn warm_labels(self) -> bool {
         self == KernelMode::GoalDirected

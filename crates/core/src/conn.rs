@@ -171,8 +171,7 @@ pub(crate) fn run_leg<S: QueryStreams, R: ResultSink>(
 /// where it beats the incumbent, which requires it to be below the bound —
 /// values above it may stay uncertified upper bounds without affecting the
 /// answer, and the obstacle loads that would certify them are skipped. Each
-/// re-run of CPLC reseeds the previous search's labels (only witness paths
-/// crossing the newly loaded obstacles are recomputed).
+/// re-run of CPLC follows an obstacle load, so its search starts cold.
 fn refine_to_fixpoint<S: QueryStreams>(
     q: &Segment,
     ws: &mut Workspace,

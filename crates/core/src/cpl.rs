@@ -314,9 +314,9 @@ pub fn cplc_bounded(
         }
     };
     if cfg.use_lemma7 {
-        // bound the very first relaxations too (a reseeded run's seeds
-        // would otherwise relax unbounded before the loop's first
-        // set_bound)
+        // bound the very first relaxations too (a cold run's source, or a
+        // replayed run's retained heap, would otherwise relax unbounded
+        // before the loop's first check)
         dij.set_bound(cap(&cpl));
     }
     while let Some((v, dv)) = dij.next_settled(g) {

@@ -163,10 +163,8 @@ impl Workspace {
         ReuseCounters {
             heap_reuses: self.dij.reuses(),
             label_continuations: self.dij.continuations(),
-            label_reseeds: self.dij.reseeds(),
             sight_tests: self.g.sight_tests(),
             sweep_events: self.g.sweep_events(),
-            labels_invalidated: self.dij.labels_invalidated(),
             adjacency_repairs: self.g.adjacency_repairs(),
             ..ReuseCounters::default()
         }

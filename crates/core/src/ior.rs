@@ -16,10 +16,10 @@
 //! searches keyed toward the query segment (`S` and `E` both lie on it, so
 //! the heuristic is admissible for either target), expanding a corridor
 //! between `p` and `q` instead of a full disk of radius `max(‖p,S‖,‖p,E‖)`.
-//! With its warm labels, each retrieval round *reseeds* the previous
-//! round's labels — only labels whose witness paths cross the newly loaded
-//! obstacles are recomputed — and the converged search is left in the
-//! workspace for CPLC to replay instead of re-running it from a cold heap.
+//! Each retrieval round that loaded obstacles searches again from a cold
+//! heap, as Algorithm 1 does; the converged search is left in the
+//! workspace, and with its warm labels CPLC replays it instead of
+//! re-running it.
 
 use conn_geom::Segment;
 use conn_vgraph::{DijkstraEngine, NodeId, VisGraph};

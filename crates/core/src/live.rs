@@ -16,25 +16,15 @@
 //!   publication cost is proportional to what changed, not to the scene.
 //!
 //! * **Surgical invalidation.** Each mutation is described by a
-//!   [`SceneDelta`], and the resident substrate repairs itself instead of
-//!   rebuilding: obstacle insertion reuses the growth reseed of
-//!   [`conn_vgraph::DijkstraEngine::ensure_prepared`] (keep every label
-//!   whose witness path avoids the new rectangle), and obstacle removal
-//!   uses its **paths-only-shorten** counterpart,
-//!   [`conn_vgraph::DijkstraEngine::reseed_after_removal`]:
-//!
-//!   > Removing a rectangle `R` can only *shorten* obstructed distances,
-//!   > and a label `d(u)` can only improve if its new witness path routes
-//!   > through `R`'s footprint. Any such path is at least
-//!   > `mindist(src, R) + mindist(u, R)` long, so every settled label
-//!   > with `mindist(src, R) + mindist(u, R) ≥ d(u)` is kept as exact;
-//!   > only labels inside that *shadow ellipse* are invalidated and
-//!   > re-discovered by ordinary relaxation.
-//!
-//!   The same shape argument powers the adjacency side
-//!   ([`conn_vgraph::VisGraph::remove_obstacle`]): only CSR ranges whose
-//!   cached visibility window intersects `R` are staled, everything else
-//!   survives byte-for-byte.
+//!   [`SceneDelta`], and the resident *adjacency* repairs itself instead
+//!   of rebuilding: an inserted obstacle is loaded into the graph, whose
+//!   cached rows are repaired against it on their next use, and a removed
+//!   one is taken out by [`conn_vgraph::VisGraph::remove_obstacle`], which
+//!   stales only the CSR ranges whose cached visibility window intersects
+//!   it — everything else survives byte-for-byte. The *labels* restart:
+//!   the search after a delta starts cold on the repaired graph (carrying
+//!   labels across the change saved no work — see
+//!   [`conn_vgraph::DijkstraEngine`]'s module docs).
 //!
 //! * **Standing queries.** [`crate::ConnService::register`] keeps a
 //!   query's result resident; every [`crate::ConnService::publish_delta`]
@@ -50,8 +40,8 @@
 //!   resident kernel — a [`conn_vgraph::VisGraph`] + Dijkstra engine of
 //!   their own, filled by the same tree-driven obstacle loader every
 //!   point-anchored query uses ([`crate::odist`]) from whichever epoch is
-//!   pinned, never from a copy of the field — and re-settle from the
-//!   surviving labels, and everything else falls back to a re-run of that
+//!   pinned, never from a copy of the field — and re-settle on the
+//!   repaired graph, and everything else falls back to a re-run of that
 //!   one query. CONN and COkNN entries re-run on a resident engine of
 //!   their own (a segment kernel) warm: the graph loaded by earlier runs
 //!   is kept, an obstacle the scene lost leaves it by the same surgery.
@@ -141,13 +131,15 @@ pub struct PatchReport {
     /// Answers patched at the tuple level (ONN/range absorbing a site
     /// insertion by one distance evaluation).
     pub tuple_patched: usize,
-    /// Answers patched by a resident point-to-point kernel re-settling
-    /// from surviving Dijkstra labels (odist/route).
+    /// Answers patched by a resident point-to-point kernel re-settling on
+    /// its repaired graph (odist/route).
     pub kernel_patched: usize,
     /// Answers recomputed by a full re-run of that one query.
     pub recomputed: usize,
-    /// Settled labels dropped by the kernels' surgical invalidation while
-    /// absorbing this delta.
+    /// Always 0: the kernels restart their searches cold after a delta
+    /// instead of invalidating labels. Kept only because the ledger's
+    /// `live.labels_invalidated_per_delta` row reads it, until the next
+    /// benchmark change retires that row.
     pub labels_invalidated: u64,
     /// Adjacency-cache ranges the kernels repaired/staled in place while
     /// absorbing this delta.
@@ -230,10 +222,10 @@ fn answer_mentions(answer: &Answer, id: u32) -> bool {
 /// visibility graph, Dijkstra engine and loaded set of its own, kept across
 /// epochs and filled by the same obstacle loader every point-anchored
 /// query uses ([`crate::odist`]), each time from the pinned epoch's tree.
-/// Per delta it is repaired instead of rebuilt — an inserted obstacle is
-/// picked up by the loader and reseeds, a removed one gets the in-place
-/// CSR surgery plus the paths-only-shorten reseed — then the answer
-/// re-settles from whatever labels survived.
+/// Per delta its graph is repaired instead of rebuilt — an inserted
+/// obstacle is picked up by the loader, a removed one gets the in-place
+/// CSR surgery — then the answer re-settles by a cold search on the
+/// repaired graph.
 ///
 /// The graph holds only the *ellipse subset* of the scene: every obstacle
 /// `R` with `mindist(a,R) + mindist(b,R) ≤ bound`. Any point `x` on a
@@ -314,9 +306,9 @@ impl LiveKernel {
         affected(self.anchor().dist_rect(r), self.bound)
     }
 
-    /// Absorbs an obstacle removal: in-place CSR surgery plus the
-    /// paths-only-shorten reseed, then re-settle. `None` when the graph
-    /// holds no such rectangle (caller falls back to a cold rebuild).
+    /// Absorbs an obstacle removal: in-place CSR surgery, then re-settle
+    /// (cold: the removal changed the graph). `None` when the graph holds
+    /// no such rectangle (caller falls back to a cold rebuild).
     fn remove_obstacle(
         &mut self,
         r: &Rect,
@@ -325,8 +317,6 @@ impl LiveKernel {
     ) -> Option<f64> {
         self.g.remove_obstacle(r)?;
         self.loaded.remove(r);
-        let goal = cfg.kernel.point_goal(self.b);
-        self.dij.reseed_after_removal(&self.g, self.src, goal, r);
         Some(self.settle(tree, cfg))
     }
 
@@ -338,13 +328,13 @@ impl LiveKernel {
 
 /// The resident segment kernel of a standing CONN/COkNN entry: an engine
 /// of its own whose visibility graph outlives the re-run, so the next
-/// re-run of the same segment is warm — the graph, both endpoint nodes and
-/// the loaded set are kept, the obstacle stream skips what is loaded, and
-/// the search's labels continue from the last run (same source, same
-/// goal). A loaded rectangle stays a real obstacle of every later epoch
-/// until a delta removes it — it then leaves the graph by the CSR surgery
-/// the point-to-point kernel uses, and the shape epoch that advances makes
-/// every search start cold — and an inserted one is simply not loaded yet,
+/// re-run of the same segment is warm — the graph with its cached rows,
+/// both endpoint nodes and the loaded set are kept, and the obstacle
+/// stream skips what is loaded; the searches themselves start cold, as
+/// every search over a changed graph does. A loaded rectangle stays a real
+/// obstacle of every later epoch until a delta removes it — it then leaves
+/// the graph by the CSR surgery the point-to-point kernel uses — and an
+/// inserted one is simply not loaded yet,
 /// so the graph is always a subset of the pinned tree and a superset of
 /// what a cold run loads: every loaded rectangle is real, and extra
 /// loaded obstacles only ever help Algorithm 4 certify.
@@ -537,7 +527,6 @@ impl StandingRegistry {
                 Outcome::Recomputed => report.recomputed += 1,
             }
         }
-        pooled.reuse.labels_invalidated += report.labels_invalidated;
         pooled.reuse.adjacency_repairs += report.adjacency_repairs;
         (report, pooled)
     }
@@ -687,7 +676,6 @@ fn patch_kernel_entry(
     // obstacle set keeps tracking the scene — but only deltas inside the
     // *answer's* ellipse (`inside`) can actually move the settled value.
     let tree = pin.scene().obstacle_tree();
-    let labels_before = kernel.dij.labels_invalidated();
     let repairs_before = kernel.g.adjacency_repairs();
     let patched = if removal {
         kernel.remove_obstacle(&rect, tree, cfg)
@@ -697,7 +685,6 @@ fn patch_kernel_entry(
     };
     let (d, outcome) = match patched {
         Some(d) => {
-            report.labels_invalidated += kernel.dij.labels_invalidated() - labels_before;
             report.adjacency_repairs += kernel.g.adjacency_repairs() - repairs_before;
             (
                 d,
@@ -1102,7 +1089,7 @@ mod tests {
         let wall = Rect::new(48.0, -20.0, 52.0, 40.0);
         let (_, report) = live.insert_obstacle(wall);
         assert_eq!(report.kernel_patched, 1, "{report:?}");
-        assert!(report.adjacency_repairs > 0 || report.labels_invalidated > 0);
+        assert!(report.adjacency_repairs > 0, "{report:?}");
         let d1 = live.service().standing(&h).unwrap().distance().unwrap();
         assert!(d1 > d0);
         assert!(answers_equivalent(
@@ -1111,7 +1098,7 @@ mod tests {
             1e-6
         ));
 
-        // take it back out: paths-only-shorten repair restores d0
+        // take it back out: CSR surgery and a cold re-settle restore d0
         let (_, report) = live.remove_obstacle(&wall).unwrap();
         assert_eq!(report.kernel_patched, 1, "{report:?}");
         let d2 = live.service().standing(&h).unwrap().distance().unwrap();

@@ -200,8 +200,8 @@ impl<'w> Resolver<'w> {
         let goal = self.kernel.point_goal(self.g.node_pos(dst));
         loop {
             bound = self.load(anchor, bound);
-            // rounds only add obstacles, so the warm path reseeds the
-            // previous round's labels instead of re-running from scratch
+            // a round that loaded obstacles starts cold; one that loaded
+            // none replays the previous round's search
             self.dij
                 .ensure_prepared(self.g, src, goal, self.kernel.warm_labels());
             let d = self.dij.run_until_settled(self.g, dst);

@@ -33,8 +33,11 @@ pub struct ReuseCounters {
     /// Searches served by replaying the retained settlement prefix of the
     /// previous search (the CPLC-after-IOR continuation).
     pub label_continuations: u64,
-    /// Searches warm-restarted after obstacle loads by reseeding the labels
-    /// whose witness paths the new obstacles do not cross.
+    /// Always 0: a search over a changed graph starts cold since label
+    /// reseeding was deleted (a reseeded run re-expanded every label it
+    /// kept, so it saved no work). Kept only because the ledger's
+    /// `core.label_reseeds_per_q` row reads it, until the next benchmark
+    /// change retires that row.
     pub label_reseeds: u64,
     /// Always 0: a search under a changed goal starts cold since the warm
     /// retarget path was deleted (it never fired on any ledger workload).
@@ -61,10 +64,11 @@ pub struct ReuseCounters {
     /// shard-local attempt was discarded and the answer merged by running
     /// against the full scene. Zero on unsharded services.
     pub shard_merges: u64,
-    /// Settled Dijkstra labels dropped by surgical invalidation during
-    /// this query's window: labels whose witness paths a loaded obstacle
-    /// crossed (reseed) or that fell inside a removed obstacle's shadow
-    /// ellipse (the paths-only-shorten counterpart). Zero on cold starts.
+    /// Always 0: no search carries labels across a graph change since
+    /// label reseeding was deleted, so none are invalidated. Kept beside
+    /// [`crate::PatchReport::labels_invalidated`], which the ledger's
+    /// `live.labels_invalidated_per_delta` row reads, until the next
+    /// benchmark change retires that row.
     pub labels_invalidated: u64,
     /// Adjacency-cache ranges the visibility graph repaired or staled in
     /// place during this query's window — incremental CSR surgery after a
@@ -79,38 +83,34 @@ pub struct ReuseCounters {
 
 impl ReuseCounters {
     /// Element-wise difference since an `earlier` reading of the same
-    /// monotone counters — the window diff behind per-query attribution.
+    /// monotone counters — the window diff behind per-query attribution
+    /// (the always-zero fields stay zero).
     pub(crate) fn since(&self, earlier: &ReuseCounters) -> ReuseCounters {
         ReuseCounters {
             graph_reuses: self.graph_reuses - earlier.graph_reuses,
             nodes_retained: self.nodes_retained - earlier.nodes_retained,
             heap_reuses: self.heap_reuses - earlier.heap_reuses,
             label_continuations: self.label_continuations - earlier.label_continuations,
-            label_reseeds: self.label_reseeds - earlier.label_reseeds,
-            label_retargets: self.label_retargets - earlier.label_retargets,
             sight_tests: self.sight_tests - earlier.sight_tests,
             sweep_events: self.sweep_events - earlier.sweep_events,
             shard_local: self.shard_local - earlier.shard_local,
             shard_merges: self.shard_merges - earlier.shard_merges,
-            labels_invalidated: self.labels_invalidated - earlier.labels_invalidated,
             adjacency_repairs: self.adjacency_repairs - earlier.adjacency_repairs,
             delta_publishes: self.delta_publishes - earlier.delta_publishes,
+            ..ReuseCounters::default()
         }
     }
 
-    /// Element-wise sum.
+    /// Element-wise sum (the always-zero fields stay zero).
     pub fn accumulate(&mut self, other: &ReuseCounters) {
         self.graph_reuses += other.graph_reuses;
         self.nodes_retained += other.nodes_retained;
         self.heap_reuses += other.heap_reuses;
         self.label_continuations += other.label_continuations;
-        self.label_reseeds += other.label_reseeds;
-        self.label_retargets += other.label_retargets;
         self.sight_tests += other.sight_tests;
         self.sweep_events += other.sweep_events;
         self.shard_local += other.shard_local;
         self.shard_merges += other.shard_merges;
-        self.labels_invalidated += other.labels_invalidated;
         self.adjacency_repairs += other.adjacency_repairs;
         self.delta_publishes += other.delta_publishes;
     }

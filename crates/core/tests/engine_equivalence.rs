@@ -251,28 +251,35 @@ fn graph_from(obstacles: &[Rect], ps: &[DataPoint], src: Point) -> (VisGraph, co
 
 /// One row of [`fixed_scene_answers_and_work_counts`]: the answer's words
 /// hash (FNV-1a) to the committed `digest`, the paper's counters
-/// `(NPE, NOE, |SVG|)` equal the committed `paper` ones, and the query's
-/// `(sight tests, sweep events)` stayed at or under the committed `ceiling`.
+/// `(NPE, NOE, |SVG|)` and the page reads `(data, obstacle)` equal the
+/// committed `paper` and `reads`, and the query's `(sight tests, sweep
+/// events)` stayed at or under the committed `ceiling`.
 fn assert_pinned(
     what: &str,
     answer: impl IntoIterator<Item = u64>,
     stats: &QueryStats,
     digest: u64,
     paper: (u64, u64, u64),
+    reads: (u64, u64),
     ceiling: (u64, u64),
 ) {
     let got = answer.into_iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, w| {
         (h ^ w).wrapping_mul(0x0100_0000_01b3)
     });
     let counted = (stats.npe, stats.noe, stats.svg_nodes);
+    let paged = (stats.data_io.reads, stats.obstacle_io.reads);
     let work = (stats.reuse.sight_tests, stats.reuse.sweep_events);
     assert_eq!(
         got, digest,
-        "{what}: digest {got:#018x}, (NPE, NOE, |SVG|) {counted:?}, work {work:?}"
+        "{what}: digest {got:#018x}, (NPE, NOE, |SVG|) {counted:?}, reads {paged:?}, work {work:?}"
     );
     assert_eq!(
         counted, paper,
-        "{what}: (NPE, NOE, |SVG|) moved, work {work:?}"
+        "{what}: (NPE, NOE, |SVG|) moved, reads {paged:?}, work {work:?}"
+    );
+    assert_eq!(
+        paged, reads,
+        "{what}: page reads (data, obstacle) moved, work {work:?}"
     );
     assert!(
         work.0 <= ceiling.0 && work.1 <= ceiling.1,
@@ -281,14 +288,18 @@ fn assert_pinned(
 }
 
 /// The tier-1 count gate (ROADMAP item 1d): on one fixed seeded scene — the
-/// ledger's world at its smoke scale — one CONN, one COkNN, one range and
-/// one 3-leg trajectory answer bit for bit what they answered when this was
+/// ledger's world at its smoke scale — one CONN, one COkNN, one range, one
+/// odist whose path bends around several obstacles, one ONN (k = 5) and one
+/// 3-leg trajectory answer bit for bit what they answered when this was
 /// committed, evaluate
-/// exactly the data points (NPE), load exactly the obstacles (NOE) and hold
-/// exactly the graph nodes (|SVG|) they did then, and build their adjacency
+/// exactly the data points (NPE), load exactly the obstacles (NOE), hold
+/// exactly the graph nodes (|SVG|) and read exactly the data and obstacle
+/// pages they did then, and build their adjacency
 /// with no more sight tests and sweep events than the committed ceilings
-/// (5 % above the bitangent kernel's counts, noted beside each). All five
-/// counts are deterministic. Rows tangent only where a path *leaves* a
+/// (5 % above the bitangent kernel's counts, noted beside each). All seven
+/// counts are deterministic. The odist and ONN rows run the obstacle
+/// loader's load–search rounds, and a round that loaded obstacles starts
+/// its search cold on the grown graph. Rows tangent only where a path *leaves* a
 /// corner cost 1.3–1.6× the sight tests here (and sweep, where these rows
 /// stay under the sweep threshold), complete rows 1.4–1.5× those again, so
 /// a change that re-admits either kind of edge fails tier-1, not only the
@@ -333,6 +344,7 @@ fn fixed_scene_answers_and_work_counts() {
         &stats,
         0x2d59_5660_a67b_791f,
         (8, 25, 102),
+        (3, 3),
         (3_785, 0),
     );
 
@@ -349,6 +361,7 @@ fn fixed_scene_answers_and_work_counts() {
         &stats,
         0xfdc4_fb3b_9ff4_cead,
         (12, 42, 170),
+        (3, 3),
         (8_671, 145),
     );
 
@@ -363,7 +376,45 @@ fn fixed_scene_answers_and_work_counts() {
         &stats,
         0x5b19_30e9_13dc_905e,
         (18, 22, 89),
+        (3, 3),
         (1_538, 0),
+    );
+
+    // an odist whose shortest path bends around several obstacles: the
+    // loader certifies it over more than one load–search round
+    let b = Point::new(q.b.x + 300.0, q.b.y + 600.0);
+    let ((d, path), stats) = engine.obstructed_route(&obstacle_tree, q.a, b);
+    let path = path.expect("b is reachable");
+    let mut around: Vec<usize> = path
+        .iter()
+        .filter_map(|v| obstacles.iter().position(|r| r.corners().contains(v)))
+        .collect();
+    around.sort_unstable();
+    around.dedup();
+    assert!(around.len() >= 2, "the path bends around {around:?}");
+    let words = path.iter().flat_map(|v| [v.x.to_bits(), v.y.to_bits()]);
+    // 1 025 sight tests, no sweep events
+    assert_pinned(
+        "odist",
+        [d.to_bits()].into_iter().chain(words),
+        &stats,
+        0x5bb6_4f1a_4bd0_8be8,
+        (0, 16, 64),
+        (0, 8),
+        (1_076, 0),
+    );
+
+    let (onn, stats) = engine.onn(&data_tree, &obstacle_tree, q.a, 5);
+    let words = onn.iter().flat_map(|(p, d)| [u64::from(p.id), d.to_bits()]);
+    // 1 341 sight tests, no sweep events
+    assert_pinned(
+        "onn",
+        words,
+        &stats,
+        0x9063_47b3_ac6c_5d2d,
+        (9, 17, 69),
+        (3, 5),
+        (1_408, 0),
     );
 
     // a 3-leg trajectory: `q`, then off to another horizontal and back
@@ -403,6 +454,7 @@ fn fixed_scene_answers_and_work_counts() {
         &trajectory.stats,
         0xbc9b_3c1c_c6f1_e937,
         (25, 67, 274),
+        (7, 9),
         (8_575, 0),
     );
     // a session is a leg loop: it evaluates exactly the points and loads
@@ -574,44 +626,59 @@ proptest! {
         }
     }
 
-    /// Label continuation across obstacle loads (the reseed path) matches a
-    /// cold-start search on the final graph: identical settled set,
-    /// bit-identical distances.
+    /// Replay, the one warm path: a run stopped at a random prefix —
+    /// bounded or not, the way IOR hands its search to CPLC — is continued
+    /// on the unchanged graph by replaying its tape, and the continuation
+    /// settles exactly the sequence a cold full run under the same bound
+    /// settles, bit for bit. Once the remaining obstacles are loaded the
+    /// same engine starts cold, and again matches a fresh engine.
     #[test]
-    fn label_continuation_matches_cold_start(
+    fn replayed_continuation_matches_cold_start(
         scn in scenario(),
         at in 0.0..1.0f64,
+        stop in 0.0..1.0f64,
+        bounded in prop::bool::weighted(0.5),
+        bound in 100.0..1500.0f64,
     ) {
+        fn settle_all(e: &mut DijkstraEngine, g: &mut VisGraph) -> Vec<(u32, u64)> {
+            std::iter::from_fn(|| e.next_settled(g))
+                .map(|(v, d)| (v.0, d.to_bits()))
+                .collect()
+        }
         let (obstacles, ps, queries) = scn;
         let (a, b, _) = queries[0];
         if a.dist(b) < 1e-9 {
             return Ok(()); // degenerate goal segment
         }
         let goal = Goal::Segment(Segment::new(a, b));
+        let bound = if bounded { bound } else { f64::INFINITY };
         let cut = ((obstacles.len() as f64) * at) as usize;
-
-        // warm engine: search over the first obstacles, then load the rest
         let (mut g, s) = graph_from(&obstacles[..cut], &ps, a);
+
+        let mut cold = DijkstraEngine::default();
+        cold.prepare_directed(&g, s, goal);
+        cold.set_bound(bound);
+        let want = settle_all(&mut cold, &mut g);
+
         let mut warm = DijkstraEngine::default();
-        warm.ensure_prepared(&g, s, goal, true);
-        warm.run_all(&mut g);
+        prop_assert_eq!(warm.ensure_prepared(&g, s, goal, true), Prep::Cold);
+        warm.set_bound(bound);
+        let prefix = ((want.len() as f64) * stop) as usize;
+        for _ in 0..prefix {
+            warm.next_settled(&mut g);
+        }
+        prop_assert_eq!(warm.ensure_prepared(&g, s, goal, true), Prep::Replayed);
+        prop_assert_eq!(settle_all(&mut warm, &mut g), want, "replay diverged");
+
         if obstacles.len() > cut {
             for r in &obstacles[cut..] {
                 g.add_obstacle(*r);
             }
-            prop_assert_eq!(warm.ensure_prepared(&g, s, goal, true), Prep::Reseeded);
-        }
-        warm.run_all(&mut g);
-
-        let mut cold = DijkstraEngine::default();
-        cold.prepare_directed(&g, s, goal);
-        cold.run_all(&mut g);
-        for v in g.node_ids().collect::<Vec<_>>() {
-            let (x, y) = (warm.settled_dist(v), cold.settled_dist(v));
-            prop_assert_eq!(x.is_some(), y.is_some(), "settled set diverged");
-            if let (Some(x), Some(y)) = (x, y) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "distance diverged");
-            }
+            prop_assert_eq!(warm.ensure_prepared(&g, s, goal, true), Prep::Cold);
+            let mut fresh = DijkstraEngine::default();
+            fresh.prepare_directed(&g, s, goal);
+            let want = settle_all(&mut fresh, &mut g);
+            prop_assert_eq!(settle_all(&mut warm, &mut g), want, "cold restart diverged");
         }
     }
 

@@ -7,7 +7,7 @@
 //!
 //! An unsound certificate region (keeping an answer a delta actually
 //! touched), a tuple patch inserting at the wrong rank, or a resident
-//! kernel left stale by the paths-only-shorten reseed would all surface
+//! kernel whose CSR surgery left a stale row would all surface
 //! as a divergence somewhere in the sequence — the suite re-checks the
 //! whole standing set after *every* delta, not just at the end.
 

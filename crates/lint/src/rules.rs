@@ -75,11 +75,12 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "no-full-rebuild-in-delta-path",
-        summary: "cold-build entry points (bulk_load, prepare_directed, VisGraph::new, \
-                  Scene::new) are banned in crates/core/src/live.rs — the delta path must \
-                  repair resident substrates in place and derive epochs by structural \
-                  sharing; construction-time cold builds need an inline lint:allow \
-                  justification",
+        summary: "cold-build entry points (bulk_load, VisGraph::new, Scene::new) are \
+                  banned in crates/core/src/live.rs — the delta path must repair resident \
+                  substrates in place and derive epochs by structural sharing; \
+                  construction-time cold builds need an inline lint:allow justification \
+                  (a cold search start is not a rebuild: every search over a changed \
+                  graph starts cold)",
     },
     RuleInfo {
         name: "lint-allow-hygiene",
@@ -752,8 +753,11 @@ fn feature_gate_hygiene(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
 // Rule: no-full-rebuild-in-delta-path
 // ---------------------------------------------------------------------------
 
-/// Cold-build method calls the live delta path must never reach for.
-const COLD_BUILD_CALLS: &[&str] = &["bulk_load", "prepare_directed"];
+/// Cold-build method calls the live delta path must never reach for. A
+/// cold search start (`prepare_directed`) is not one: every search over a
+/// changed graph starts cold, and it costs what carrying labels across the
+/// change did.
+const COLD_BUILD_CALLS: &[&str] = &["bulk_load"];
 /// Substrate types whose `::new` constructor is a from-scratch cold build.
 const COLD_BUILD_CTORS: &[&str] = &["VisGraph", "Scene"];
 
@@ -770,7 +774,7 @@ fn no_full_rebuild_in_delta_path(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic
         if ctx.in_test(i) {
             continue;
         }
-        // `….bulk_load(` / `….prepare_directed(` — method or path calls.
+        // `….bulk_load(` — method or path calls.
         if COLD_BUILD_CALLS.iter().any(|c| t.is_ident(c))
             && i > 0
             && (toks[i - 1].is_punct("::") || toks[i - 1].is_punct("."))
@@ -972,6 +976,9 @@ mod tests {
         assert!(d.iter().all(|d| d.code == "no-full-rebuild-in-delta-path"));
         // Other files may cold-build freely.
         assert!(ctx_diags("crates/core/src/service.rs", src, &[]).is_empty());
+        // Starting a search cold is not a rebuild.
+        let cold_search = "fn f() { dij.prepare_directed(&g, src, goal); }\n";
+        assert!(ctx_diags("crates/core/src/live.rs", cold_search, &[]).is_empty());
         // Structural sharing is the blessed idiom, not a rebuild.
         let shared = "fn f() { let s = Scene::shared(data, obstacles); }\n";
         assert!(ctx_diags("crates/core/src/live.rs", shared, &[]).is_empty());

@@ -72,35 +72,20 @@
 //! the *same* search (same source, goal, and graph version — e.g. CPLC
 //! continuing exactly where IOR's converged run stopped), the settled
 //! prefix **replays** from the retained label array and expansion resumes
-//! from the retained heap, instead of re-running from a cold heap.
+//! from the retained heap, instead of re-running from a cold heap: the
+//! continuation settles exactly the sequence a cold run would. Every
+//! structural change of the graph (an obstacle or node added or removed, a
+//! reset) bumps its version, so anything else — a new source or goal, a
+//! grown or shrunk graph — starts cold.
 //!
-//! When obstacles were loaded in between (version advanced, but nothing
-//! was removed — tracked via [`VisGraph::shape_epoch`]), the engine
-//! **reseeds**. The invariant is *achievable upper bounds, repaired by
-//! relaxation*:
-//!
-//! * **Growth lemma.** Between two existing nodes an insertion only ever
-//!   removes edges (tangency is decided by the two end corners' own
-//!   rectangles, visibility only shrinks). A label whose predecessor chain
-//!   — read from `pred` as it stands — reaches the source through kept
-//!   labels over segments no new rectangle blocks is therefore still the
-//!   length of a path of the grown graph, or more (a predecessor that
-//!   improved after relaxing it only widens the gap). It is kept and
-//!   re-enters the heap as a seed; every other label is dropped.
-//! * **Seeds need not be exact.** A point node's label can only rise under
-//!   insertion, but a corner's tangent-arrival label can *fall*: a new
-//!   rectangle's corner may open a shorter tangent arrival at an old
-//!   corner. Dijkstra from seeds that never underestimate, with the source
-//!   among them at `0`, still settles every node at exactly its cold label
-//!   — the shorter arrival comes through nodes with smaller keys, which pop
-//!   and relax the seed before it can pop. So a seed's label is final only
-//!   once the run re-pops it, and the next reseed reads `dist` / `pred`
-//!   *as they stand*: a re-popped seed at its place in the settle log, an
-//!   unreached seed with its seeded tuple, and a seed whose tentative label
-//!   was lowered but not yet popped not at all.
-//!
-//! Both warm paths produce the same settlement sequence as a cold start on
-//! the final graph. A changed source or goal starts cold.
+//! Replay is the only warm path, because it is the only one that skips
+//! work: ~49 continuations per query on the ledger's `continuous`
+//! workload. Restarting a search over a changed graph from the labels the
+//! change left intact (*reseeding*, deleted) saved nothing — a reseeded
+//! run re-popped and re-expanded every label it kept, so starting cold in
+//! its place left every deterministic ledger count (sight tests, sweep
+//! events, NOE, NPE, |SVG|, page reads, continuations) on all four
+//! workloads equal to the last digit.
 //!
 //! The engine snapshots the graph version at preparation: advancing it
 //! after a structural change is a logic bug and panics in debug builds.
@@ -112,11 +97,11 @@
 //! run — the number of times retained capacity was reused is reported
 //! through [`DijkstraEngine::reuses`].
 
-// lint:allow-file(no-panic-in-query-path[index]): dist/settled/heap arrays are resized to the graph's node count on every reseed; node ids are dense and audited under sanitize-invariants
+// lint:allow-file(no-panic-in-query-path[index]): dist/pred/settled arrays are resized to the graph's node count on every cold preparation, and a replay requires an unchanged graph; node ids are dense and audited under sanitize-invariants
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use conn_geom::{OrdF64, Point, Rect, Segment};
+use conn_geom::{OrdF64, Point, Segment};
 
 use crate::graph::{NodeId, NodeKind, VisGraph};
 
@@ -160,11 +145,6 @@ pub enum Prep {
     /// the retained labels; expansion continues from the retained heap,
     /// under the retained expansion bound if the run was bounded.
     Replayed,
-    /// Obstacles were added since the last run: labels whose witness paths
-    /// avoid the new rectangles were kept as seeds (achievable upper
-    /// bounds, see the module docs), the rest were invalidated and will be
-    /// re-discovered.
-    Reseeded,
 }
 
 /// Single-source shortest-path engine with incremental settlement.
@@ -177,16 +157,9 @@ pub struct DijkstraEngine {
     /// Keyed by `f = d + h`; `d` is read back from `dist` at pop time.
     heap: BinaryHeap<(Reverse<OrdF64>, u32)>,
     version: u64,
-    shape_epoch: u64,
     goal: Goal,
     /// Expansion bound on `f`; candidates above it are never pushed.
     bound: f64,
-    /// True once `set_bound` tightened below ∞. A bounded run's labels are
-    /// incomplete beyond the bound, so a replayed continuation keeps the
-    /// retained bound (it may only shrink further), and reseeding keeps
-    /// only settled labels and unreached seeds, which are achievable
-    /// whatever the bound was.
-    tightened: bool,
     /// Settlement order `(node, d)` — the replay tape of a continuation.
     settle_log: Vec<(u32, f64)>,
     /// Next `settle_log` entry to replay; equals `settle_log.len()` while
@@ -194,24 +167,10 @@ pub struct DijkstraEngine {
     cursor: usize,
     /// Relaxation scratch (edges of the node being settled).
     edge_scratch: Vec<(u32, f64)>,
-    /// Labels `(node, d, pred)` re-entered by the last reseed, source
-    /// first, predecessors before dependents. A seed the run never reached
-    /// still holds an achievable label, so the *next* reseed classifies
-    /// those alongside the settle log — dropping them would discard most
-    /// of a search that stopped at its target before re-popping its seeds.
-    seeds: Vec<(u32, f64, u32)>,
-    /// Stamps of the labels kept by the reseed classification pass.
-    mark: Vec<u32>,
-    mark_gen: u32,
     /// Runs whose label arrays fit in already-allocated capacity.
     reuses: u64,
     /// Warm continuations served (settled prefix replayed).
     continuations: u64,
-    /// Warm reseeds served (labels repaired after obstacle loads).
-    reseeds: u64,
-    /// Labels dropped by reseed classification (lifetime; the
-    /// `labels_invalidated` metric of live-scene deltas).
-    labels_invalidated: u64,
     prepared: bool,
 }
 
@@ -245,24 +204,20 @@ impl DijkstraEngine {
         self.settled.resize(n, false);
         self.heap.clear();
         self.settle_log.clear();
-        self.seeds.clear();
         self.cursor = 0;
         self.version = g.version();
-        self.shape_epoch = g.shape_epoch();
         self.goal = goal;
         self.bound = f64::INFINITY;
-        self.tightened = false;
         self.src = src;
         self.dist[src.index()] = 0.0;
         let f0 = goal.h(g.node_pos(src));
         self.heap.push((Reverse(OrdF64::new(f0)), src.0));
     }
 
-    /// Warm-or-cold preparation: with the same `src` and `goal`, replays
-    /// the retained search when the graph is unchanged and reseeds the
-    /// labels when it only *grew* (obstacles and/or point nodes added);
-    /// falls back to [`Self::prepare_directed`] otherwise — a new source
-    /// or goal, a removal, or `allow_warm` false.
+    /// Warm-or-cold preparation: with the same `src`, `goal` and graph
+    /// version, replays the retained search; falls back to
+    /// [`Self::prepare_directed`] otherwise — a new source or goal, any
+    /// structural change of the graph since, or `allow_warm` false.
     pub fn ensure_prepared(
         &mut self,
         g: &VisGraph,
@@ -270,30 +225,22 @@ impl DijkstraEngine {
         goal: Goal,
         allow_warm: bool,
     ) -> Prep {
-        Self::assert_point_source(g, src);
         if allow_warm
             && self.prepared
             && self.src == src
             && self.goal == goal
-            && self.shape_epoch == g.shape_epoch()
-            && self.version <= g.version()
+            && self.version == g.version()
         {
-            self.reuses += 1; // every warm path runs on retained capacity
-            if self.version == g.version() {
-                // A bounded (`tightened`) run's labels are incomplete
-                // beyond its bound, so the replayed continuation *keeps*
-                // the retained bound instead of resetting it — the tape
-                // and heap are exactly a bounded run's state, and the
-                // consumer's own bound may only shrink it further (the
-                // IOR→CPLC handoff caps both sides with the same
-                // incumbent bound, so nothing is lost).
-                self.cursor = 0;
-                self.continuations += 1;
-                return Prep::Replayed;
-            }
-            self.reseed(g);
-            self.reseeds += 1;
-            return Prep::Reseeded;
+            // A bounded run's labels are incomplete beyond its bound, so
+            // the replayed continuation *keeps* the retained bound instead
+            // of resetting it — the tape and heap are exactly a bounded
+            // run's state, and the consumer's own bound may only shrink it
+            // further (the IOR→CPLC handoff caps both sides with the same
+            // incumbent bound, so nothing is lost).
+            self.reuses += 1; // replay runs on retained capacity
+            self.cursor = 0;
+            self.continuations += 1;
+            return Prep::Replayed;
         }
         self.prepare_directed(g, src, goal);
         Prep::Cold
@@ -310,178 +257,6 @@ impl DijkstraEngine {
         );
     }
 
-    /// Warm restart after graph growth: keeps every label whose witness
-    /// chain avoids the rectangles added since the snapshot (the growth
-    /// lemma of the module docs; point-node additions change nothing) and
-    /// re-enters them into the heap as seeds. Invalidated and new nodes are
-    /// re-discovered through ordinary relaxation, which also lowers any
-    /// seed a new corner made improvable.
-    ///
-    /// The candidates are the nodes the run settled plus the previous
-    /// reseed's seeds it never reached; classification reads each one's
-    /// `dist` / `pred` as they stand and keeps it when its predecessor was
-    /// kept before it (`mark` stamps the kept set) and the connecting
-    /// segment is free. Settlement order puts a popped predecessor first;
-    /// `seeds` is kept predecessor-first for the unreached ones. A label
-    /// whose predecessor comes later in the pass (an equal-key pop order)
-    /// is dropped — always safe, relaxation finds it again.
-    fn reseed(&mut self, g: &VisGraph) {
-        self.reseed_inner(g, None)
-    }
-
-    /// Warm restart after an obstacle **removal** — the "paths only
-    /// shorten" counterpart of the growth reseed behind
-    /// [`DijkstraEngine::ensure_prepared`].
-    ///
-    /// **Removal lemma.** A removal only ever *adds* edges between
-    /// surviving nodes, so a surviving label whose chain avoids the dead
-    /// corners is still achievable, and — relaxation repairing whatever
-    /// can improve — keeping it would already be correct. The pass drops
-    /// more than that, so that a settled label it keeps is still exact,
-    /// not merely achievable: a label (a point's distance or a corner's
-    /// tangent arrival) that improves must route its new witness through
-    /// `R`'s footprint, since a path avoiding `R` entirely was available
-    /// before the removal. Any path through `R` is at least
-    /// `mindist(src, R) + mindist(u, R)` long (each leg is at best a
-    /// straight line to/from the crossing point), so a label with
-    /// `mindist(src, R) + mindist(u, R) ≥ d(u)` cannot improve and is
-    /// kept; labels inside that **shadow** are invalidated and
-    /// re-discovered through ordinary relaxation — as are the labels of
-    /// the removed rectangle's own (now dead) corner nodes and every label
-    /// whose witness chain passes through a dropped one. The count of
-    /// dropped labels is the `labels_invalidated` metric of a live delta.
-    ///
-    /// Contract: call immediately after `VisGraph::remove_obstacle` on the
-    /// same rectangle, with no other structural mutation in between (node
-    /// slots freed by the removal must not have been rebound — the
-    /// classification reads current node positions). Falls back to a cold
-    /// prepare when the engine holds no compatible search (different or
-    /// dead source, a different goal, or never prepared).
-    pub fn reseed_after_removal(
-        &mut self,
-        g: &VisGraph,
-        src: NodeId,
-        goal: Goal,
-        removed: &Rect,
-    ) -> Prep {
-        if self.prepared
-            && self.src == src
-            && self.goal == goal
-            && g.is_alive(src)
-            && self.version <= g.version()
-        {
-            self.reuses += 1;
-            self.reseed_inner(g, Some(removed));
-            self.reseeds += 1;
-            return Prep::Reseeded;
-        }
-        self.prepare_directed(g, src, goal);
-        Prep::Cold
-    }
-
-    /// Lifetime count of labels dropped by reseed classification (growth
-    /// and removal passes). Monotone; callers diff marks per window, like
-    /// the other warm-path counters.
-    pub fn labels_invalidated(&self) -> u64 {
-        self.labels_invalidated
-    }
-
-    fn reseed_inner(&mut self, g: &VisGraph, removed: Option<&Rect>) {
-        let n = g.capacity();
-        if self.dist.len() < n {
-            // newly added obstacle corners / point nodes
-            self.dist.resize(n, f64::INFINITY);
-            self.pred.resize(n, NO_PRED);
-            self.settled.resize(n, false);
-        }
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-        }
-        self.mark_gen = self.mark_gen.wrapping_add(1);
-        if self.mark_gen == 0 {
-            self.mark.iter_mut().for_each(|m| *m = 0);
-            self.mark_gen = 1;
-        }
-        let new_rects = g.rects_since(self.version);
-        // removal shadow: the source leg of the bound is loop-invariant
-        let shadow_src = removed.map(|r| r.mindist_point(g.node_pos(self.src)));
-        let old_seeds = std::mem::take(&mut self.seeds);
-        let old_log = std::mem::take(&mut self.settle_log);
-        let mut kept: Vec<(u32, f64, u32)> =
-            Vec::with_capacity(1 + old_log.len() + old_seeds.len());
-        // the source is its own witness (`mark` stamps the kept labels)
-        self.mark[self.src.index()] = self.mark_gen;
-        kept.push((self.src.0, 0.0, NO_PRED));
-        // Every label is read from `dist` / `pred` as they stand: first what
-        // the run popped, in settlement order (a label's predecessor popped,
-        // and so was classified, before it), then the seeds the run never
-        // reached.
-        for i in 0..old_log.len() + old_seeds.len() {
-            let u = if i < old_log.len() {
-                old_log[i].0
-            } else {
-                let (u, d, _) = old_seeds[i - old_log.len()];
-                if self.settled[u as usize] {
-                    continue; // re-popped: classified at its log position
-                }
-                if self.dist[u as usize] != d {
-                    // a relaxation lowered it and the run stopped before
-                    // popping it: left to relaxation again
-                    self.labels_invalidated += 1;
-                    continue;
-                }
-                u
-            };
-            let ui = u as usize;
-            if self.mark[ui] == self.mark_gen {
-                continue; // the source
-            }
-            let (d, p) = (self.dist[ui], self.pred[ui]);
-            let mut keep = p != NO_PRED && self.mark[p as usize] == self.mark_gen && {
-                let seg = Segment::new(g.node_pos(NodeId(p)), g.node_pos(NodeId(u)));
-                !new_rects.iter().any(|(_, r)| r.blocks(&seg))
-            };
-            if keep {
-                if let (Some(r), Some(ds)) = (removed, shadow_src) {
-                    // dead nodes (the removed rect's corners) drop, and so
-                    // does a label inside the removal shadow, which may
-                    // improve (conservatively, with float slack)
-                    keep = g.is_alive(NodeId(u)) && {
-                        let shadow = ds + r.mindist_point(g.node_pos(NodeId(u)));
-                        shadow > d + 1e-9 * d.max(1.0)
-                    };
-                }
-            }
-            if keep {
-                self.mark[ui] = self.mark_gen;
-                kept.push((u, d, p));
-            } else {
-                self.labels_invalidated += 1;
-            }
-        }
-        self.dist.iter_mut().for_each(|d| *d = f64::INFINITY);
-        self.pred.iter_mut().for_each(|p| *p = NO_PRED);
-        self.settled.iter_mut().for_each(|s| *s = false);
-        self.heap.clear();
-        for &(u, d, p) in &kept {
-            let ui = u as usize;
-            self.dist[ui] = d;
-            self.pred[ui] = p;
-            let f = d + self.goal.h(g.node_pos(NodeId(u)));
-            self.heap.push((Reverse(OrdF64::new(f)), u));
-        }
-        self.settle_log = old_log;
-        self.settle_log.clear();
-        self.cursor = 0;
-        self.version = g.version();
-        // a removal advanced the shape epoch; the growth path holds it
-        // still, so the resync is a no-op there
-        self.shape_epoch = g.shape_epoch();
-        self.bound = f64::INFINITY;
-        self.tightened = false;
-        self.seeds = kept;
-    }
-
     /// How many [`DijkstraEngine::prepare`] calls reused retained capacity
     /// (the `heap_reuses` metric of the query engine).
     pub fn reuses(&self) -> u64 {
@@ -491,11 +266,6 @@ impl DijkstraEngine {
     /// Warm continuations served so far (the `label_continuations` metric).
     pub fn continuations(&self) -> u64 {
         self.continuations
-    }
-
-    /// Warm reseeds served so far (the `label_reseeds` metric).
-    pub fn reseeds(&self) -> u64 {
-        self.reseeds
     }
 
     /// The search's source node.
@@ -517,7 +287,6 @@ impl DijkstraEngine {
     pub fn set_bound(&mut self, bound: f64) {
         if bound < self.bound {
             self.bound = bound;
-            self.tightened = true;
         }
     }
 
@@ -833,6 +602,13 @@ mod tests {
         assert_eq!(reused.reuses(), 2, "second and third runs reuse labels");
     }
 
+    /// The whole settlement sequence of `e`, distances as bits.
+    fn settle_all(e: &mut DijkstraEngine, g: &mut VisGraph) -> Vec<(NodeId, u64)> {
+        std::iter::from_fn(|| e.next_settled(g))
+            .map(|(v, d)| (v, d.to_bits()))
+            .collect()
+    }
+
     /// A replayed continuation serves the identical settlement sequence the
     /// original run produced, then keeps expanding from the retained heap.
     #[test]
@@ -846,10 +622,7 @@ mod tests {
 
         let mut cold = DijkstraEngine::default();
         cold.prepare_directed(&g, s, goal);
-        let mut cold_seq = Vec::new();
-        while let Some((v, d)) = cold.next_settled(&mut g) {
-            cold_seq.push((v, d.to_bits()));
-        }
+        let cold_seq = settle_all(&mut cold, &mut g);
 
         let mut warm = DijkstraEngine::default();
         assert_eq!(warm.ensure_prepared(&g, s, goal, true), Prep::Cold);
@@ -857,104 +630,8 @@ mod tests {
         warm.run_until_settled(&mut g, t);
         // same graph, same source, same goal → replay
         assert_eq!(warm.ensure_prepared(&g, s, goal, true), Prep::Replayed);
-        let mut warm_seq = Vec::new();
-        while let Some((v, d)) = warm.next_settled(&mut g) {
-            warm_seq.push((v, d.to_bits()));
-        }
-        assert_eq!(cold_seq, warm_seq);
+        assert_eq!(cold_seq, settle_all(&mut warm, &mut g));
         assert_eq!(warm.continuations(), 1);
-    }
-
-    /// Reseeding after obstacle loads matches a cold start on the final
-    /// graph: identical settlement set and bit-identical distances.
-    #[test]
-    fn reseed_matches_cold_start_after_obstacle_load() {
-        let base = Rect::new(60.0, 20.0, 90.0, 70.0);
-        let late = Rect::new(130.0, -20.0, 150.0, 55.0);
-        let goal = Goal::Point(Point::new(200.0, 0.0));
-
-        let mut g = VisGraph::new(50.0);
-        let s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
-        let t = g.add_point(Point::new(200.0, 0.0), NodeKind::Endpoint);
-        for i in 0..12 {
-            g.add_point(
-                Point::new((i * 31 % 210) as f64, (i * 17 % 90) as f64 - 20.0),
-                NodeKind::DataPoint,
-            );
-        }
-        g.add_obstacle(base);
-        let mut warm = DijkstraEngine::default();
-        warm.ensure_prepared(&g, s, goal, true);
-        warm.run_until_settled(&mut g, t);
-        g.add_obstacle(late); // version advances, shape does not
-        assert_eq!(warm.ensure_prepared(&g, s, goal, true), Prep::Reseeded);
-        warm.run_all(&mut g);
-
-        let mut cold = DijkstraEngine::default();
-        cold.prepare_directed(&g, s, goal);
-        cold.run_all(&mut g);
-
-        for v in g.node_ids() {
-            let a = warm.settled_dist(v);
-            let b = cold.settled_dist(v);
-            assert_eq!(a.is_some(), b.is_some(), "settled set diverged at {v:?}");
-            if let (Some(a), Some(b)) = (a, b) {
-                assert_eq!(a.to_bits(), b.to_bits(), "distance diverged at {v:?}");
-            }
-        }
-        assert_eq!(warm.reseeds(), 1);
-    }
-
-    /// A corner's label is its shortest *tangent arrival*, and an insertion
-    /// can lower it. `s` sits up-left of `A`'s top-left corner `tl`, so the
-    /// straight `s → tl` cannot bend there and `tl` is first labelled the
-    /// long way, along `A`'s top wall (246.7). Loading `r` lowers it: the
-    /// bottom-right corner of `r` sees `tl` from its up-right (181.1), and
-    /// `A`'s bottom-left corner `bl`, which `r` hides from `s`, hangs off
-    /// `tl` (221.1). `r2` then cuts that new chain and leaves the old one
-    /// alone. A reseed that classified the re-popped `tl` by the tuple it
-    /// was seeded with would find the old chain intact, keep `tl`, and keep
-    /// `bl` at 221.1 — a label whose witness is gone (cold: 221.8).
-    #[test]
-    fn reseed_survives_a_label_lowered_by_an_insertion() {
-        let a = Rect::new(30.0, 30.0, 90.0, 70.0);
-        let r = Rect::new(0.0, 150.0, 50.0, 160.0);
-        let r2 = Rect::new(40.0, 130.0, 50.0, 150.0);
-        let mut g = VisGraph::new(50.0);
-        let s = g.add_point(Point::new(25.0, 245.0), NodeKind::Endpoint);
-        let [bl, _, _, tl] = g.add_obstacle(a);
-        let mut warm = DijkstraEngine::default();
-        assert_eq!(warm.ensure_prepared(&g, s, Goal::None, true), Prep::Cold);
-        warm.run_all(&mut g);
-        let long_way = warm.settled_dist(tl).unwrap();
-
-        g.add_obstacle(r);
-        assert_eq!(
-            warm.ensure_prepared(&g, s, Goal::None, true),
-            Prep::Reseeded
-        );
-        warm.run_all(&mut g);
-        let lowered = warm.settled_dist(tl).unwrap();
-        assert!(lowered < long_way, "{lowered} vs {long_way}");
-        assert_eq!(warm.predecessor(bl), Some(tl));
-
-        g.add_obstacle(r2);
-        assert_eq!(
-            warm.ensure_prepared(&g, s, Goal::None, true),
-            Prep::Reseeded
-        );
-        warm.run_all(&mut g);
-        let mut cold = DijkstraEngine::default();
-        cold.prepare(&g, s);
-        cold.run_all(&mut g);
-        assert!(cold.settled_dist(tl).unwrap() > lowered);
-        for v in g.node_ids() {
-            assert_eq!(
-                warm.settled_dist(v).map(f64::to_bits),
-                cold.settled_dist(v).map(f64::to_bits),
-                "label diverged at {v:?}"
-            );
-        }
     }
 
     /// A goal change starts cold, even on an engine holding a finished run
@@ -963,11 +640,6 @@ mod tests {
     /// sequence a fresh engine under the new goal settles, bit for bit.
     #[test]
     fn goal_change_starts_cold() {
-        fn settle_all(e: &mut DijkstraEngine, g: &mut VisGraph) -> Vec<(NodeId, u64)> {
-            std::iter::from_fn(|| e.next_settled(g))
-                .map(|(v, d)| (v, d.to_bits()))
-                .collect()
-        }
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
         for i in 0..14 {
@@ -976,19 +648,24 @@ mod tests {
                 NodeKind::DataPoint,
             );
         }
-        g.add_obstacle(Rect::new(50.0, -10.0, 80.0, 60.0));
+        let gone = Rect::new(50.0, -10.0, 80.0, 60.0);
+        g.add_obstacle(gone);
         let goal_a = Goal::Point(Point::new(200.0, 0.0));
         let goal_b = Goal::Segment(Segment::new(Point::new(0.0, 90.0), Point::new(220.0, 90.0)));
 
         let mut warm = DijkstraEngine::default();
         assert_eq!(warm.ensure_prepared(&g, s, goal_a, true), Prep::Cold);
         warm.run_all(&mut g);
-        for (goal, load) in [
-            (goal_b, None),
-            (goal_a, Some(Rect::new(120.0, 20.0, 150.0, 110.0))),
+        for (goal, load, remove) in [
+            (goal_b, None, false),
+            (goal_a, Some(Rect::new(120.0, 20.0, 150.0, 110.0)), false),
+            (goal_b, None, true),
         ] {
             if let Some(r) = load {
                 g.add_obstacle(r);
+            }
+            if remove {
+                g.remove_obstacle(&gone).expect("live obstacle");
             }
             assert_eq!(warm.ensure_prepared(&g, s, goal, true), Prep::Cold);
             let mut fresh = DijkstraEngine::default();
@@ -998,98 +675,14 @@ mod tests {
                 settle_all(&mut fresh, &mut g)
             );
         }
-        let gone = Rect::new(50.0, -10.0, 80.0, 60.0);
-        g.remove_obstacle(&gone).expect("live obstacle");
-        assert_eq!(warm.reseed_after_removal(&g, s, goal_b, &gone), Prep::Cold);
-        let mut fresh = DijkstraEngine::default();
-        fresh.prepare_directed(&g, s, goal_b);
-        assert_eq!(
-            settle_all(&mut warm, &mut g),
-            settle_all(&mut fresh, &mut g)
-        );
-        assert_eq!((warm.continuations(), warm.reseeds()), (0, 0));
+        assert_eq!(warm.continuations(), 0);
     }
 
-    /// Adding point nodes (no removal) keeps the warm path available: the
-    /// new nodes are discovered through relaxation and every pre-existing
-    /// label stays bitwise exact.
+    /// A bounded run replays under its *retained* bound — within it, labels
+    /// match an unbounded cold run bitwise; beyond it, the engine reports
+    /// exhaustion.
     #[test]
-    fn point_additions_preserve_warm_labels() {
-        let mut g = VisGraph::new(50.0);
-        let s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
-        g.add_obstacle(Rect::new(30.0, -20.0, 50.0, 40.0));
-        let t1 = g.add_point(Point::new(100.0, 0.0), NodeKind::DataPoint);
-        let mut warm = DijkstraEngine::default();
-        assert_eq!(warm.ensure_prepared(&g, s, Goal::None, true), Prep::Cold);
-        warm.run_all(&mut g);
-        let d1 = warm.settled_dist(t1).unwrap();
-        // add a new endpoint and a new data point — shape epoch must hold
-        let e2 = g.add_point(Point::new(120.0, 50.0), NodeKind::Endpoint);
-        let t2 = g.add_point(Point::new(60.0, 60.0), NodeKind::DataPoint);
-        assert_eq!(
-            warm.ensure_prepared(&g, s, Goal::None, true),
-            Prep::Reseeded
-        );
-        warm.run_all(&mut g);
-        assert_eq!(warm.settled_dist(t1).unwrap().to_bits(), d1.to_bits());
-        let mut cold = DijkstraEngine::default();
-        cold.prepare(&g, s);
-        cold.run_all(&mut g);
-        for v in [t1, t2, e2] {
-            assert_eq!(
-                warm.settled_dist(v).unwrap().to_bits(),
-                cold.settled_dist(v).unwrap().to_bits()
-            );
-        }
-    }
-
-    /// Regression: chained warm restarts must not lose the seeds a run
-    /// never re-popped. `a` and `b` lie on the straight line from `s` to
-    /// the goal, so all three keys tie and the highest id pops first: a
-    /// reseeded run that stops at its target `b` leaves `s` and `a` in the
-    /// heap as seeds. The next reseed must still classify them — `a`, kept,
-    /// pops straight after `b` without `s` being expanded again; dropped,
-    /// `s` would pop instead (and an emptied heap reported ∞ for reachable
-    /// targets).
-    #[test]
-    fn chained_reseeds_keep_unpopped_seeds() {
-        let goal = Goal::Point(Point::new(100.0, 0.0));
-        let mut g = VisGraph::new(50.0);
-        let s = g.add_point(Point::new(0.0, 0.0), NodeKind::DataPoint);
-        let a = g.add_point(Point::new(30.0, 0.0), NodeKind::DataPoint);
-        let b = g.add_point(Point::new(60.0, 0.0), NodeKind::DataPoint);
-        let mut e = DijkstraEngine::default();
-        assert_eq!(e.ensure_prepared(&g, s, goal, true), Prep::Cold);
-        e.run_all(&mut g);
-        // each load lies far off the line: a reseed that keeps every label
-        g.add_obstacle(Rect::new(500.0, 500.0, 520.0, 520.0));
-        assert_eq!(e.ensure_prepared(&g, s, goal, true), Prep::Reseeded);
-        assert_eq!(e.next_settled(&mut g), Some((b, 60.0)));
-        g.add_obstacle(Rect::new(-520.0, 500.0, -500.0, 520.0));
-        assert_eq!(e.ensure_prepared(&g, s, goal, true), Prep::Reseeded);
-        assert_eq!(e.next_settled(&mut g), Some((b, 60.0)));
-        assert_eq!(e.next_settled(&mut g), Some((a, 30.0)));
-        assert_eq!(e.labels_invalidated(), 0);
-
-        e.run_all(&mut g);
-        let mut cold = DijkstraEngine::default();
-        cold.prepare_directed(&g, s, goal);
-        cold.run_all(&mut g);
-        for v in g.node_ids() {
-            assert_eq!(
-                e.settled_dist(v).map(f64::to_bits),
-                cold.settled_dist(v).map(f64::to_bits),
-                "label diverged at {v:?}"
-            );
-        }
-    }
-
-    /// A bounded (tightened) run replays under its *retained* bound —
-    /// within it, labels match an unbounded cold run bitwise; beyond it,
-    /// the engine reports exhaustion. A graph change then reseeds, the
-    /// bound resets, and full coverage is recovered.
-    #[test]
-    fn tightened_run_replays_under_retained_bound_then_reseeds() {
+    fn tightened_run_replays_under_retained_bound() {
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
         for i in 1..20 {
@@ -1121,183 +714,54 @@ mod tests {
                 (Some(_), None) => panic!("bounded replay settled a node cold missed"),
             }
         }
-        // a graph change reseeds; the bound resets and coverage completes
-        g.add_obstacle(Rect::new(200.0, 120.0, 230.0, 150.0));
-        assert_eq!(
-            warm.ensure_prepared(&g, s, Goal::None, true),
-            Prep::Reseeded
-        );
-        warm.run_all(&mut g);
-        let mut cold2 = DijkstraEngine::default();
-        cold2.prepare(&g, s);
-        cold2.run_all(&mut g);
-        for v in g.node_ids() {
-            let (a, b) = (warm.settled_dist(v), cold2.settled_dist(v));
-            assert_eq!(a.is_some(), b.is_some(), "settled set diverged at {v:?}");
-            if let (Some(a), Some(b)) = (a, b) {
-                assert_eq!(a.to_bits(), b.to_bits(), "distance diverged at {v:?}");
-            }
-        }
     }
 
-    /// The removal reseed matches a cold start on the post-removal graph:
-    /// identical settlement set, bit-identical distances.
+    /// Every structural change of the graph starts the next search cold —
+    /// an obstacle load, an endpoint or a data point added, an obstacle
+    /// removed, a node removed and its slot rebound to a different point —
+    /// and the cold run settles exactly the sequence a fresh engine
+    /// settles, bit for bit. Straight after, with nothing changed, the same
+    /// search replays.
     #[test]
-    fn removal_reseed_matches_cold_start() {
-        let gone = Rect::new(90.0, 0.0, 110.0, 100.0);
-        let stays = Rect::new(150.0, 20.0, 170.0, 90.0);
-
+    fn every_structural_change_starts_cold() {
+        let goal = Goal::Point(Point::new(200.0, 0.0));
         let mut g = VisGraph::new(50.0);
-        let s = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
+        let s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
         for i in 0..12 {
             g.add_point(
                 Point::new((i * 31 % 210) as f64, (i * 17 % 90) as f64 - 20.0),
                 NodeKind::DataPoint,
             );
         }
-        g.add_obstacle(gone);
-        g.add_obstacle(stays);
+        let wall = Rect::new(60.0, 20.0, 90.0, 70.0);
+        g.add_obstacle(wall);
         let mut warm = DijkstraEngine::default();
-        warm.ensure_prepared(&g, s, Goal::None, true);
+        assert_eq!(warm.ensure_prepared(&g, s, goal, true), Prep::Cold);
         warm.run_all(&mut g);
-
-        g.remove_obstacle(&gone).expect("live obstacle");
-        assert_eq!(
-            warm.reseed_after_removal(&g, s, Goal::None, &gone),
-            Prep::Reseeded
-        );
-        assert!(warm.labels_invalidated() > 0, "shadowed labels must drop");
-        warm.run_all(&mut g);
-
-        let mut cold = DijkstraEngine::default();
-        cold.prepare(&g, s);
-        cold.run_all(&mut g);
-        for v in g.node_ids() {
-            let (a, b) = (warm.settled_dist(v), cold.settled_dist(v));
-            assert_eq!(a.is_some(), b.is_some(), "settled set diverged at {v:?}");
-            if let (Some(a), Some(b)) = (a, b) {
-                assert_eq!(a.to_bits(), b.to_bits(), "distance diverged at {v:?}");
-            }
-        }
-    }
-
-    /// The shadow bound is surgical: removing a far-away rectangle drops
-    /// only its own four (dead) corner labels — every label outside the
-    /// shadow survives as an exact seed.
-    #[test]
-    fn removal_shadow_bounds_invalidated_labels() {
-        let far = Rect::new(500.0, 0.0, 520.0, 40.0);
-        let mut g = VisGraph::new(50.0);
-        let s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
-        for i in 0..10 {
-            g.add_point(
-                Point::new((i * 13 % 120) as f64, (i * 29 % 100) as f64),
-                NodeKind::DataPoint,
-            );
-        }
-        g.add_obstacle(far);
-        let mut warm = DijkstraEngine::default();
-        warm.ensure_prepared(&g, s, Goal::None, true);
-        warm.run_all(&mut g);
-
-        let before = warm.labels_invalidated();
-        g.remove_obstacle(&far).unwrap();
-        assert_eq!(
-            warm.reseed_after_removal(&g, s, Goal::None, &far),
-            Prep::Reseeded
-        );
-        assert_eq!(
-            warm.labels_invalidated() - before,
-            4,
-            "only the dead corners are in the shadow of a far removal"
-        );
-        warm.run_all(&mut g);
-        let mut cold = DijkstraEngine::default();
-        cold.prepare(&g, s);
-        cold.run_all(&mut g);
-        for v in g.node_ids() {
-            assert_eq!(
-                warm.settled_dist(v).unwrap().to_bits(),
-                cold.settled_dist(v).unwrap().to_bits()
-            );
-        }
-    }
-
-    /// Interleaved growth and removal reseeds across one warm engine keep
-    /// matching cold starts at every step.
-    #[test]
-    fn interleaved_growth_and_removal_reseeds_stay_exact() {
-        let r1 = Rect::new(60.0, 20.0, 90.0, 70.0);
-        let r2 = Rect::new(130.0, -20.0, 150.0, 55.0);
-        let r3 = Rect::new(40.0, -40.0, 70.0, 5.0);
-        let mut g = VisGraph::new(50.0);
-        let s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
-        for i in 0..9 {
-            g.add_point(
-                Point::new((i * 43 % 190) as f64, (i * 23 % 110) as f64 - 30.0),
-                NodeKind::DataPoint,
-            );
-        }
-        let mut warm = DijkstraEngine::default();
-        let check = |warm: &mut DijkstraEngine, g: &mut VisGraph| {
-            warm.run_all(g);
-            let mut cold = DijkstraEngine::default();
-            cold.prepare(g, warm.source());
-            cold.run_all(g);
-            for v in g.node_ids() {
-                let (a, b) = (warm.settled_dist(v), cold.settled_dist(v));
-                assert_eq!(a.is_some(), b.is_some(), "settled set diverged at {v:?}");
-                if let (Some(a), Some(b)) = (a, b) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "distance diverged at {v:?}");
-                }
-            }
+        let restarts_cold = |warm: &mut DijkstraEngine, g: &mut VisGraph| {
+            assert_eq!(warm.ensure_prepared(g, s, goal, true), Prep::Cold);
+            let mut fresh = DijkstraEngine::default();
+            fresh.prepare_directed(g, s, goal);
+            let want = settle_all(&mut fresh, g);
+            assert_eq!(settle_all(warm, g), want);
+            assert_eq!(warm.ensure_prepared(g, s, goal, true), Prep::Replayed);
+            assert_eq!(settle_all(warm, g), want);
         };
-        assert_eq!(warm.ensure_prepared(&g, s, Goal::None, true), Prep::Cold);
-        check(&mut warm, &mut g);
-        g.add_obstacle(r1);
-        g.add_obstacle(r2);
-        assert_eq!(
-            warm.ensure_prepared(&g, s, Goal::None, true),
-            Prep::Reseeded
-        );
-        check(&mut warm, &mut g);
-        g.remove_obstacle(&r1).unwrap();
-        assert_eq!(
-            warm.reseed_after_removal(&g, s, Goal::None, &r1),
-            Prep::Reseeded
-        );
-        check(&mut warm, &mut g);
-        g.add_obstacle(r3);
-        assert_eq!(
-            warm.ensure_prepared(&g, s, Goal::None, true),
-            Prep::Reseeded
-        );
-        check(&mut warm, &mut g);
-        g.remove_obstacle(&r2).unwrap();
-        assert_eq!(
-            warm.reseed_after_removal(&g, s, Goal::None, &r2),
-            Prep::Reseeded
-        );
-        check(&mut warm, &mut g);
-    }
-
-    /// Node churn (a transient data point removed and re-added in the same
-    /// slot) must refuse warm continuation — the slot id aliases a
-    /// different point.
-    #[test]
-    fn shape_change_forces_cold_prepare() {
-        let mut g = VisGraph::new(50.0);
-        let s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
-        let p = g.add_point(Point::new(10.0, 10.0), NodeKind::DataPoint);
-        let mut e = DijkstraEngine::default();
-        assert_eq!(e.ensure_prepared(&g, s, Goal::None, true), Prep::Cold);
-        e.run_all(&mut g);
+        g.add_obstacle(Rect::new(130.0, -20.0, 150.0, 55.0));
+        restarts_cold(&mut warm, &mut g);
+        g.add_point(Point::new(120.0, 50.0), NodeKind::Endpoint);
+        restarts_cold(&mut warm, &mut g);
+        let p = g.add_point(Point::new(60.0, 60.0), NodeKind::DataPoint);
+        restarts_cold(&mut warm, &mut g);
+        g.remove_obstacle(&wall).expect("live obstacle");
+        restarts_cold(&mut warm, &mut g);
         g.remove_node(p);
         let p2 = g.add_point(Point::new(700.0, 700.0), NodeKind::DataPoint);
-        assert_eq!(p2.0, p.0, "slot must be reused for the aliasing to occur");
-        assert_eq!(e.ensure_prepared(&g, s, Goal::None, true), Prep::Cold);
-        let d = e.run_until_settled(&mut g, p2);
+        assert_eq!(p2, p, "slot must be reused for the aliasing to occur");
+        restarts_cold(&mut warm, &mut g);
+        let d = warm.settled_dist(p2).expect("reachable");
         assert!((d - Point::new(700.0, 700.0).norm()).abs() < 1e-9);
+        assert_eq!(warm.continuations(), 5);
     }
 
     /// A bounded run prunes expansion beyond the bound but leaves every

@@ -3,6 +3,9 @@
 //! Mirrors the paper's §4.1 usage: the graph starts with the query endpoints
 //! `S`, `E`; IOR streams obstacles in (each contributing its four vertices);
 //! each data point under evaluation is added, queried, and removed again.
+//! Every such change bumps [`VisGraph::version`], and a search over the
+//! changed graph starts cold: `DijkstraEngine` carries labels forward only
+//! by replaying a search on the version it ran on.
 //!
 //! Adjacency is **symmetric** and **bitangent**: an edge `u — v` exists
 //! when the two nodes see each other and the segment lies along a tangent
@@ -215,7 +218,8 @@ pub struct VisGraph {
     node_turn: Vec<f64>,
     free: Vec<u32>,
     grid: ObstacleGrid,
-    /// Bumped by every structural change (guards running Dijkstras).
+    /// Bumped by every structural change: it guards running searches, and
+    /// an unchanged version is what lets `DijkstraEngine` replay one.
     version: u64,
     /// Bumped only when the *stable* node set changes (obstacle or endpoint
     /// added/removed) — the key of the base adjacency tier.
@@ -223,17 +227,6 @@ pub struct VisGraph {
     /// Bumped when a stable node is *removed* (rare; disables incremental
     /// cache repair until the next full recompute).
     base_removal_epoch: u64,
-    /// Bumped by node *removals* and [`VisGraph::reset`] only. While it
-    /// holds still, a search engine's retained labels can be repaired
-    /// incrementally: between existing nodes an added obstacle only ever
-    /// removes edges (labels whose witness paths avoid the new rectangles
-    /// stay achievable, and relaxation lowers the corner labels a new
-    /// corner improves), and added point nodes cannot shorten anything —
-    /// a free node is never expanded, so no path runs through one.
-    /// Removals invalidate because retained predecessor chains (and slot
-    /// ids, via the free list) may alias a departed node (see
-    /// `DijkstraEngine` warm reseeding).
-    shape_epoch: u64,
     /// Live transient ([`NodeKind::DataPoint`]) node ids — the overlay.
     transients: Vec<u32>,
     /// Per-query log of obstacle insertions `(base_version, rect)`,
@@ -295,7 +288,6 @@ impl VisGraph {
             version: 0,
             base_version: 0,
             base_removal_epoch: 0,
-            shape_epoch: 0,
             transients: Vec::new(),
             rect_log: Vec::new(),
             node_log: Vec::new(),
@@ -365,7 +357,6 @@ impl VisGraph {
         self.adj_dead = 0;
         self.version += 1;
         self.base_version = self.version;
-        self.shape_epoch += 1;
         retained
     }
 
@@ -385,26 +376,11 @@ impl VisGraph {
         self.grid.num_live()
     }
 
-    /// Monotone counter bumped by every structural change.
+    /// Monotone counter bumped by every structural change — a node or
+    /// obstacle added or removed, a reset. A search prepared at the current
+    /// version may be replayed; any other starts cold.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Monotone counter bumped only by node removals and resets.
-    /// `shape_epoch` unchanged + `version` advanced means everything since
-    /// the snapshot was an *addition* (obstacles and/or point nodes) — the
-    /// precondition for warm search-label reseeding: an addition removes
-    /// edges between the nodes already there and never adds one.
-    pub fn shape_epoch(&self) -> u64 {
-        self.shape_epoch
-    }
-
-    /// Obstacle rectangles registered after the given version snapshot
-    /// (ascending in version). Covers the current query only — the log is
-    /// emptied on [`VisGraph::reset`], but resets also bump
-    /// [`VisGraph::shape_epoch`], so no cross-query snapshot can reach here.
-    pub fn rects_since(&self, version: u64) -> &[(u64, Rect)] {
-        &self.rect_log[Self::log_start(&self.rect_log, version)..]
     }
 
     /// Position of a node (dead or alive).
@@ -499,7 +475,6 @@ impl VisGraph {
         self.node_alive[i] = false;
         self.free.push(id.0);
         self.version += 1;
-        self.shape_epoch += 1;
         if kind == NodeKind::DataPoint {
             self.transients.retain(|&t| t != id.0);
         } else {
@@ -543,11 +518,9 @@ impl VisGraph {
     /// Such a cache stays byte-for-byte valid, which is what makes one
     /// removal cost `O(caches near r)` instead of `O(all caches)`.
     ///
-    /// `version` and `shape_epoch` advance — running searches must not
-    /// carry labels across a removal without the removal-aware reseed
-    /// (`DijkstraEngine::reseed_after_removal`, the "paths only shorten"
-    /// counterpart of the insertion lemma). `base_version` does **not**
-    /// advance: surviving caches are still exactly current. The rect-log
+    /// `version` advances, so the next search starts cold: no label is
+    /// carried across a removal. `base_version` does **not** advance:
+    /// surviving caches are still exactly current. The rect-log
     /// entry is retained; it is harmless to survivors by the same
     /// disjointness argument, and tombstoned grid ids are filtered out
     /// wherever id ranges are synthesized.
@@ -564,7 +537,6 @@ impl VisGraph {
         })?;
         self.grid.remove(gid);
         self.version += 1;
-        self.shape_epoch += 1;
         let corners = self.rect_corners[gid as usize];
         for cid in corners {
             let i = cid as usize;
@@ -1327,10 +1299,10 @@ mod tests {
         let blocked: Vec<u32> = row(&mut g, a).iter().map(|e| e.0).collect();
         assert!(!blocked.contains(&b.0));
 
-        let se = g.shape_epoch();
+        let version = g.version();
         let dropped = g.remove_obstacle(&r).expect("live obstacle");
         assert!(dropped >= 1, "a's cache intersects the rect");
-        assert!(g.shape_epoch() > se, "removal must advance the shape epoch");
+        assert!(g.version() > version, "removal must advance the version");
         assert_eq!(g.num_obstacles(), 0);
         for c in corners {
             assert!(!g.is_alive(c), "corner {c:?} must die with its rect");

@@ -22,7 +22,8 @@
 //! * [`DijkstraEngine`] — incremental single-source shortest paths with
 //!   three kernel modes: blind Dijkstra, goal-directed A* (admissible
 //!   Euclidean [`Goal`] heuristics, caller-supplied expansion bound), and
-//!   warm label continuation (replay / reseed across obstacle loads).
+//!   warm label continuation (replay of an unchanged search; a changed
+//!   graph starts cold).
 //!   Settled nodes stream out in ascending priority, exactly the order the
 //!   CPLC algorithm (paper Alg. 2) consumes and prunes with Lemma 7; only
 //!   the source and obstacle vertices are expanded, and an obstacle

@@ -98,13 +98,12 @@ fn main() {
                 plan.check_cover().expect("route fully covered");
                 println!(
                     "van {van}: {} legs, {:.0} total length, {} tuples | engine reuses {} | \
-                     obstacle loads {} | label reseeds {} | ETA obstacle loads {}",
+                     obstacle loads {} | ETA obstacle loads {}",
                     plan.trajectory().num_legs(),
                     plan.trajectory().len(),
                     plan.segments().len(),
                     stats.reuse.graph_reuses,
                     stats.noe,
-                    stats.reuse.label_reseeds,
                     eta_loads,
                 );
             });
