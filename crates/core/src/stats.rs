@@ -44,10 +44,10 @@ pub struct ReuseCounters {
     /// Kept only because the ledger's `core.label_retargets_per_q` row
     /// reads it, until the next benchmark change retires that row.
     pub label_retargets: u64,
-    /// Segment-vs-rectangle sight tests charged by the visibility substrate
-    /// during this query: edge derivations, visible-region shadow
-    /// classification and point-membership probes all count here. This is
-    /// the unit of work the batched SoA kernels vectorize, so it is the
+    /// Segment-vs-rectangle sight tests run by the visibility substrate
+    /// during this query, one per rectangle actually tested: grid walks,
+    /// the plane sweep's exact probes, visible-region shadow midpoints and
+    /// row repair's re-tests against newly loaded rectangles. It is the
     /// denominator for judging the substrate's per-test cost.
     pub sight_tests: u64,
     /// Rotational plane-sweep events processed by adjacency-cache builds

@@ -15,7 +15,10 @@
 //! interior*. Touching the boundary (sliding along a wall, grazing a corner)
 //! does not block, which matches the paper's visibility definition
 //! (Definition 1) and its convention that data points may lie on obstacle
-//! boundaries but not inside them.
+//! boundaries but not inside them. [`SegProbe`] runs the same predicate
+//! with the segment's share hoisted out, one rectangle at a time from
+//! [`RectLanes`]; it is the one form the visibility substrate uses (see
+//! [`batch`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -53,16 +53,17 @@
 //!
 //! * **repair**, when the row's radius covers the request but obstacles or
 //!   endpoints arrived since it was built: the retained edges are re-tested
-//!   against just the rectangles logged since, and the stable nodes logged
-//!   since are appended when visible. It runs only when its cost model
+//!   against just the rectangles logged since (each test charged to
+//!   [`VisGraph::sight_tests`]), and the stable nodes logged since are
+//!   appended when visible. It runs only when its cost model
 //!   (`repair_cheaper_than_rebuild`) says it beats a rebuild — a
 //!   measured rule: repairing whenever the radius allowed cost the
 //!   ledger's `continuous` workload 9.7 % more sight tests per op
 //!   (395 604 → 434 025, seed 2009).
 //! * **rebuild**, for everything else — a new row, a request beyond the
-//!   row's radius, a removed endpoint: the row is computed afresh out to
-//!   the request's radius times a small growth margin, so the next,
-//!   slightly larger request is still a hit.
+//!   row's radius: the row is computed afresh out to the request's radius
+//!   times a small growth margin, so the next, slightly larger request is
+//!   still a hit.
 //!
 //! Both decide candidates by one rule (`candidate`), so a current row holds
 //! the same edges whichever path produced it.
@@ -79,11 +80,11 @@
 //! * **Base adjacency** is a CSR-style arena: one contiguous `Vec<u32>` of
 //!   edge targets and a parallel `Vec<f64>` of Euclidean weights, with a
 //!   small per-node `AdjMeta` record holding the node's `{start, len}`
-//!   range plus its cache-coherency keys (version, removal epoch,
-//!   completeness radius). Rebuilt and repaired ranges are appended at the
-//!   arena tail; abandoned ranges are tracked as garbage and squeezed out
-//!   by an occasional compaction pass, so relaxation streams over
-//!   contiguous memory instead of chasing one heap allocation per node.
+//!   range plus its cache-coherency keys (version, completeness radius).
+//!   Rebuilt and repaired ranges are appended at the arena tail; abandoned
+//!   ranges are tracked as garbage and squeezed out by an occasional
+//!   compaction pass, so relaxation streams over contiguous memory instead
+//!   of chasing one heap allocation per node.
 //! * The **transient overlay** stays a small side table (`transients`):
 //!   data-point nodes come and go once per evaluated point and never enter
 //!   the arena.
@@ -143,9 +144,6 @@ pub enum NodeKind {
 #[derive(Debug, Clone, Copy)]
 struct AdjMeta {
     version: u64,
-    /// [`VisGraph::base_removal_epoch`] at cache time: a removed stable
-    /// node invalidates incremental repair (full recompute instead).
-    removal_epoch: u64,
     /// Completeness radius: the cache is guaranteed to hold every visible
     /// stable neighbor within this Euclidean distance of the node (∞ = the
     /// classical complete cache). Bounded searches ask for bounded radii,
@@ -162,7 +160,6 @@ impl Default for AdjMeta {
     fn default() -> Self {
         AdjMeta {
             version: STALE,
-            removal_epoch: 0,
             radius: 0.0,
             start: 0,
             len: 0,
@@ -221,12 +218,9 @@ pub struct VisGraph {
     /// Bumped by every structural change: it guards running searches, and
     /// an unchanged version is what lets `DijkstraEngine` replay one.
     version: u64,
-    /// Bumped only when the *stable* node set changes (obstacle or endpoint
-    /// added/removed) — the key of the base adjacency tier.
+    /// Bumped only when the *stable* node set grows (an obstacle or an
+    /// endpoint added) — the key of the base adjacency tier.
     base_version: u64,
-    /// Bumped when a stable node is *removed* (rare; disables incremental
-    /// cache repair until the next full recompute).
-    base_removal_epoch: u64,
     /// Live transient ([`NodeKind::DataPoint`]) node ids — the overlay.
     transients: Vec<u32>,
     /// Per-query log of obstacle insertions `(base_version, rect)`,
@@ -287,7 +281,6 @@ impl VisGraph {
             grid: ObstacleGrid::new(cell),
             version: 0,
             base_version: 0,
-            base_removal_epoch: 0,
             transients: Vec::new(),
             rect_log: Vec::new(),
             node_log: Vec::new(),
@@ -407,10 +400,11 @@ impl VisGraph {
             .map(|(i, _)| NodeId(i as u32))
     }
 
-    /// Lifetime count of segment-vs-rect sight classifications performed on
-    /// behalf of this graph (grid walks + visible-region fans). Monotone
-    /// across [`VisGraph::reset`] — callers diff marks per query window,
-    /// like the Dijkstra reuse counters.
+    /// Lifetime count of segment-vs-rect sight tests performed on behalf of
+    /// this graph, one per rectangle actually tested: grid walks, the
+    /// sweep's exact probes, visible-region shadow midpoints and row
+    /// repair's re-tests. Monotone across [`VisGraph::reset`] — callers
+    /// diff marks per query window, like the Dijkstra reuse counters.
     pub fn sight_tests(&self) -> u64 {
         self.grid.sight_tests()
     }
@@ -462,26 +456,23 @@ impl VisGraph {
         id
     }
 
-    /// Removes a node added with [`VisGraph::add_point`] (typically the data
-    /// point once its evaluation ends).
+    /// Removes a data point added with [`VisGraph::add_point`] once its
+    /// evaluation ends. Only data points are removed: a query endpoint
+    /// lives until [`VisGraph::reset`], an obstacle vertex until
+    /// [`VisGraph::remove_obstacle`]. The point lives in the transient
+    /// overlay, so no base row is touched.
     pub fn remove_node(&mut self, id: NodeId) {
         let i = id.index();
         debug_assert!(self.node_alive[i], "double removal of node {id:?}");
-        debug_assert!(
-            self.node_kind[i] != NodeKind::ObstacleVertex,
-            "obstacle vertices are permanent"
+        debug_assert_eq!(
+            self.node_kind[i],
+            NodeKind::DataPoint,
+            "only data points are removed"
         );
-        let kind = self.node_kind[i];
         self.node_alive[i] = false;
         self.free.push(id.0);
         self.version += 1;
-        if kind == NodeKind::DataPoint {
-            self.transients.retain(|&t| t != id.0);
-        } else {
-            self.base_version = self.version;
-            self.base_removal_epoch += 1;
-            self.endpoints.retain(|&t| t != id.0);
-        }
+        self.transients.retain(|&t| t != id.0);
     }
 
     /// Adds an obstacle: registers it in the grid and adds its four corners
@@ -658,7 +649,6 @@ impl VisGraph {
         if cached.version != self.base_version || cached.radius < radius {
             let repairable = cached.version != STALE
                 && cached.radius >= radius
-                && cached.removal_epoch == self.base_removal_epoch
                 && self.repair_cheaper_than_rebuild(cached.version, cached.len as usize);
             if repairable {
                 self.repair_base_cache(ui);
@@ -752,7 +742,8 @@ impl VisGraph {
 
     /// Incremental base-cache repair: drop retained edges blocked by rects
     /// newer than the cache, append newly logged stable nodes inside the
-    /// cache's window that are visible.
+    /// cache's window that are visible. Every rect re-tested is charged as
+    /// a sight test, like the grid walks of the appended nodes.
     ///
     /// Rebuild and repair decide candidates by the same rule
     /// ([`VisGraph::candidate`]) — a stable node is a candidate iff its
@@ -777,14 +768,16 @@ impl VisGraph {
             self.adj_targets.len() - len
         };
         let mut w = new_start;
+        let mut tests = 0;
         for r in new_start..new_start + len {
             let t = self.adj_targets[r];
-            if self.edge_survives(upos, t, rect_from) {
+            if self.edge_survives(upos, t, rect_from, &mut tests) {
                 self.adj_targets[w] = t;
                 self.adj_weights[w] = self.adj_weights[r];
                 w += 1;
             }
         }
+        self.grid.add_sight_tests(tests);
         self.adj_targets.truncate(w);
         self.adj_weights.truncate(w);
         for li in Self::log_start(&self.node_log, m.version)..self.node_log.len() {
@@ -799,21 +792,22 @@ impl VisGraph {
         }
         let slot = &mut self.adj[ui];
         slot.version = self.base_version;
-        slot.removal_epoch = self.base_removal_epoch;
         slot.start = new_start as u32;
         slot.len = (self.adj_targets.len() - new_start) as u32;
     }
 
     /// True when a retained edge `u → target` is not blocked by any rect
-    /// logged at or after `rect_from` (repair's incremental filter).
-    fn edge_survives(&self, upos: Point, target: u32, rect_from: usize) -> bool {
+    /// logged at or after `rect_from` (repair's incremental filter). Adds
+    /// the rects it tested, up to the first blocker, to `tests`.
+    fn edge_survives(&self, upos: Point, target: u32, rect_from: usize, tests: &mut u64) -> bool {
         if rect_from == self.rect_log.len() {
             return true;
         }
         let seg = Segment::new(upos, self.node_pos[target as usize]);
-        !self.rect_log[rect_from..]
-            .iter()
-            .any(|(_, r)| r.blocks(&seg))
+        !self.rect_log[rect_from..].iter().any(|(_, r)| {
+            *tests += 1;
+            r.blocks(&seg)
+        })
     }
 
     /// The candidate rule of rebuild and repair: the position of stable
@@ -918,7 +912,6 @@ impl VisGraph {
         self.cand_pos = cand_pos;
         let slot = &mut self.adj[ui];
         slot.version = self.base_version;
-        slot.removal_epoch = self.base_removal_epoch;
         slot.radius = radius;
         slot.start = new_start as u32;
         slot.len = (self.adj_targets.len() - new_start) as u32;

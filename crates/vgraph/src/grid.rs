@@ -5,10 +5,13 @@
 //! grid stores every obstacle in each cell it overlaps, **dilated by one
 //! cell ring**, so a query only has to walk the exact cells its segment
 //! passes through (Amanatides–Woo traversal) — the dilation absorbs all
-//! boundary/corner cases without widening the walk.
+//! boundary/corner cases without widening the walk. Each rectangle a walk
+//! meets is tested once, with the scalar early-exit [`SegProbe`], and the
+//! walk stops at the first blocker; the plane sweep that builds most rows
+//! ([`ObstacleGrid::sweep_visibility`]) runs the same probe.
 
 // lint:allow-file(no-panic-in-query-path[index]): cell coordinates are clamped to the grid extent before indexing
-use conn_geom::{batch, Point, Rect, RectLanes, Segment};
+use conn_geom::{Point, Rect, RectLanes, SegProbe, Segment};
 
 use crate::sweep::{self, SweepScratch};
 
@@ -134,9 +137,9 @@ impl CellTable {
 
 /// Obstacle store shared by the cell-walk visitors: the canonical `Rect`
 /// array (AoS, for id → rectangle lookups) plus its SoA coordinate-lane
-/// mirror that the batched sight-test kernel streams over, the per-obstacle
-/// query stamps, and the walk's candidate scratch. Bundled so the traversal
-/// can hand visitors one mutable borrow disjoint from the cell map.
+/// mirror that the sight-test probe reads, and the per-obstacle query
+/// stamps. Bundled so the traversal can hand visitors one mutable borrow
+/// disjoint from the cell map.
 #[derive(Debug)]
 struct Store {
     rects: Vec<Rect>,
@@ -151,8 +154,6 @@ struct Store {
     live: Vec<bool>,
     /// live obstacle count (`rects.len()` minus tombstones)
     n_live: usize,
-    /// unstamped candidates of the cell under classification
-    scratch: Vec<u32>,
     /// lifetime count of segment-vs-rect classifications (see
     /// [`ObstacleGrid::sight_tests`])
     sight_tests: u64,
@@ -188,7 +189,6 @@ impl ObstacleGrid {
                 stamp: Vec::new(),
                 live: Vec::new(),
                 n_live: 0,
-                scratch: Vec::new(),
                 sight_tests: 0,
                 sweep_events: 0,
             },
@@ -228,18 +228,21 @@ impl ObstacleGrid {
         &self.store.rects
     }
 
-    /// Lifetime count of segment-vs-rect sight classifications performed by
-    /// [`ObstacleGrid::blocks`] and the visible-region fan kernel. Like the
-    /// Dijkstra reuse counters this is **not** cleared by
-    /// [`ObstacleGrid::reset`] — callers attribute per-query counts by
-    /// diffing marks across a query window.
+    /// Lifetime count of segment-vs-rect sight tests: one per rectangle
+    /// actually tested — by [`ObstacleGrid::blocks`], by the exact probes of
+    /// [`ObstacleGrid::sweep_visibility`], and by the callers that test
+    /// rectangles themselves and charge them through `add_sight_tests`
+    /// (visible-region shadows, row repair's re-tests). Like the Dijkstra
+    /// reuse counters this is **not** cleared by [`ObstacleGrid::reset`] —
+    /// callers attribute per-query counts by diffing marks across a query
+    /// window.
     pub fn sight_tests(&self) -> u64 {
         self.store.sight_tests
     }
 
-    /// Adds externally performed sight classifications (the visible-region
-    /// fan kernel tests midpoint sight lines without going through the
-    /// grid walk) to the lifetime counter.
+    /// Adds sight tests performed outside the grid (visible-region shadow
+    /// midpoints, row repair's re-tests against newly logged rectangles)
+    /// to the lifetime counter.
     pub(crate) fn add_sight_tests(&mut self, n: u64) {
         self.store.sight_tests += n;
     }
@@ -355,48 +358,26 @@ impl ObstacleGrid {
 
     /// True when segment `a→b` passes through any obstacle's open interior.
     ///
-    /// Sparse cells classify their unstamped candidates in place with the
-    /// per-rect early-exit probe; dense cells gather them and run one batch
-    /// over the SoA coordinate lanes (see [`conn_geom::batch`]). Verdicts
-    /// are bit-identical to per-rect [`Rect::blocks`] calls either way, and
-    /// the walk still stops at the first blocking cell.
+    /// Walks the cells the segment crosses; in each, every rectangle not
+    /// yet tested by this walk (the query stamp skips those listed in an
+    /// earlier cell) is stamped, counted as one sight test and probed with
+    /// [`SegProbe`], and the walk stops at the first blocker. Verdicts are
+    /// bit-identical to per-rect [`Rect::blocks`] calls.
     pub fn blocks(&mut self, a: Point, b: Point) -> bool {
         self.query_id += 1;
         let qid = self.query_id;
-        let seg = Segment::new(a, b);
-        let probe = batch::SegProbe::new(&seg);
-        let mut blocked = false;
+        let probe = SegProbe::new(&Segment::new(a, b));
         self.walk_cells(a, b, |cells, store| {
-            if cells.len() <= batch::SMALL_BATCH {
-                for &id in cells {
-                    let idx = id as usize;
-                    if store.stamp[idx] != qid {
-                        store.stamp[idx] = qid;
-                        store.sight_tests += 1;
-                        if probe.blocks(&store.lanes, idx) {
-                            blocked = true;
-                            return true; // stop walking
-                        }
-                    }
-                }
-                return false;
-            }
-            store.scratch.clear();
-            for &id in cells {
+            cells.iter().any(|&id| {
                 let idx = id as usize;
-                if store.stamp[idx] != qid {
-                    store.stamp[idx] = qid;
-                    store.scratch.push(id);
+                if store.stamp[idx] == qid {
+                    return false;
                 }
-            }
-            store.sight_tests += store.scratch.len() as u64;
-            if batch::blocks_any(&seg, &store.lanes, &store.scratch) {
-                blocked = true;
-                return true; // stop walking
-            }
-            false
-        });
-        blocked
+                store.stamp[idx] = qid;
+                store.sight_tests += 1;
+                probe.blocks(&store.lanes, idx)
+            })
+        })
     }
 
     /// Collects ids of obstacles overlapping the given rectangle region
@@ -423,8 +404,8 @@ impl ObstacleGrid {
 
     /// Amanatides–Woo voxel traversal from `a` to `b`; `visit` gets each
     /// non-empty cell's obstacle list and may stop the walk by returning
-    /// `true`.
-    fn walk_cells<F>(&mut self, a: Point, b: Point, mut visit: F)
+    /// `true`. Returns whether a visit stopped it.
+    fn walk_cells<F>(&mut self, a: Point, b: Point, mut visit: F) -> bool
     where
         F: FnMut(&[u32], &mut Store) -> bool,
     {
@@ -466,10 +447,10 @@ impl ObstacleGrid {
             let ids = self.cells.get(cx, cy);
             // split borrows: the cell table is not touched inside visit
             if !ids.is_empty() && visit(ids, &mut self.store) {
-                return;
+                return true;
             }
             if cx == ex && cy == ey {
-                return;
+                return false;
             }
             if t_max_x < t_max_y {
                 t_max_x += t_delta_x;
@@ -479,6 +460,7 @@ impl ObstacleGrid {
                 cy += step_y;
             }
         }
+        false
     }
 }
 
@@ -589,7 +571,23 @@ mod tests {
 
         // even an explicitly retained id cannot block after removal
         let sight = Segment::new(Point::new(0.0, 120.0), Point::new(300.0, 120.0));
-        assert!(!batch::blocks_any(&sight, &g.store.lanes, &[0]));
+        assert!(!SegProbe::new(&sight).blocks(&g.store.lanes, 0));
+    }
+
+    /// A walk is charged one sight test per rectangle it probes, not per
+    /// rectangle its cell lists: the first of twelve rectangles in the
+    /// start cell blocks, so the walk stops after one probe.
+    #[test]
+    fn a_blocked_dense_cell_charges_only_the_probes_it_ran() {
+        let mut rects = vec![Rect::new(110.0, 110.0, 140.0, 140.0)];
+        rects.extend((0..11).map(|i| {
+            let x = 101.0 + 0.5 * f64::from(i);
+            Rect::new(x, 101.0, x + 0.25, 105.0)
+        }));
+        let mut g = grid_with(&rects);
+        assert_eq!(g.cells.get(2, 2).len(), 12, "one cell lists all twelve");
+        assert!(g.blocks(Point::new(120.0, 102.0), Point::new(120.0, 148.0)));
+        assert_eq!(g.sight_tests(), 1);
     }
 
     #[test]

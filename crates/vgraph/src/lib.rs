@@ -18,7 +18,11 @@
 //!   overlay semantics).
 //! * [`ObstacleGrid`] — a dilated spatial-hash grid making each
 //!   "is this sight-line blocked?" test proportional to the cells the
-//!   sight-line crosses instead of the whole obstacle set.
+//!   sight-line crosses instead of the whole obstacle set. Every verdict
+//!   in this crate — grid walk, sweep, shadow, repair — is one scalar
+//!   segment-vs-rectangle test per rectangle (`conn_geom::SegProbe` or
+//!   its reference `Rect::blocks`), and each one is counted in
+//!   [`VisGraph::sight_tests`].
 //! * [`DijkstraEngine`] — incremental single-source shortest paths with
 //!   three kernel modes: blind Dijkstra, goal-directed A* (admissible
 //!   Euclidean [`Goal`] heuristics, caller-supplied expansion bound), and
@@ -30,11 +34,11 @@
 //!   vertex's label is its shortest *tangent arrival* (see the module docs).
 //! * [`visible_region`] — the visible region of a vertex over the query
 //!   segment (paper Def. 2), by shadow subtraction.
-//! * [`sweep`] — the rotational plane-sweep that batches a cache build's
-//!   per-candidate sight tests into one angular pass (selected by
+//! * [`sweep`] — the rotational plane-sweep that replaces a cache build's
+//!   per-candidate grid walks with one angular pass (selected by
 //!   [`SweepMode`]), built front to back so that rectangles and candidates
-//!   hidden behind nearer rectangles never become events, with verdicts
-//!   bit-identical to the grid walks.
+//!   hidden behind nearer rectangles never become events. It only narrows
+//!   which rectangles are tested; each verdict is still the scalar test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

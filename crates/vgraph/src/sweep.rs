@@ -112,15 +112,25 @@ const NEAR_PIVOT: f64 = 1e-3;
 /// constant dates from a fixed 192-rect micro-benchmark of the sweep
 /// before its occlusion cull (walks ahead below ~100 candidates, break-even
 /// at 130–250) and was placed below that because in production the
-/// window's rect count grows with the candidate count. It has **not** been
-/// re-derived for the culled sweep, whose per-rectangle cost is lower; what
-/// an instrumented run of the ledger's `continuous` workload (paper scale,
-/// seed 2009, bitangent rows) does show is how little rides on it: 82 % of
+/// window's rect count grows with the candidate count. On the ledger's
+/// `continuous` workload (paper scale, seed 2009, bitangent rows) 82 % of
 /// row builds sweep, averaging 192 candidates (210 from a corner, 124 from
 /// a point node) against 119 rectangles meeting the pivot's tangent
 /// quadrants; the 18 % under the threshold average 33 candidates — 4 % of
 /// all candidates. Repairs never sweep (3 of 150 994 did, before their
-/// sweep branch was deleted). ROADMAP item 8 owns the constant.
+/// sweep branch was deleted).
+///
+/// **Measured, kept.** A copy of commit `b15b642` that swept every row
+/// build (the threshold at 0), against that commit, 6 alternating pairs
+/// per ledger workload at paper scale on 2 cores: `serve_mix` ops/s
+/// 155.1 → 144.7 (−6.7 %, better in 1 of 6 pairs, beyond the 5.5 %
+/// quartile spread of the kept threshold's runs; ONN 0.129 → 0.160 ms,
+/// odist + route +10 %); `point_families` range 21.2 → 19.7 ms but ONN
+/// +5.6 %; `continuous` +1.8 %. Sweeping everything cut traced sight
+/// tests per op by 15 / 49 / 17 / 14 % (`continuous` / `point_families` /
+/// `serve_mix` / `live_churn`, seed 2009) and raised sweep events by
+/// 16 / 74 / 17 / 7 %: the sweep's fixed cost loses on the small builds
+/// of the point families. ROADMAP item 8 owns the constant.
 pub const AUTO_MIN_CANDIDATES: usize = 48;
 
 /// When the plane-sweep replaces per-candidate grid walks during

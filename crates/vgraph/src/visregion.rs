@@ -8,10 +8,11 @@
 //! through an obstacle *corner* crosses `q`, or (b) the obstacle itself cuts
 //! `q`. We collect those candidate parameters, then classify each elementary
 //! interval by testing its midpoint with the robust interior-crossing
-//! predicate — no fragile case analysis.
+//! predicate ([`Rect::blocks`], one sight test per interval) — no fragile
+//! case analysis.
 
 // lint:allow-file(no-panic-in-query-path[index]): indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)
-use conn_geom::{batch, Interval, IntervalSet, Point, Rect, Segment, EPS};
+use conn_geom::{Interval, IntervalSet, Point, Rect, Segment, EPS};
 
 use crate::graph::VisGraph;
 
@@ -59,14 +60,11 @@ pub fn visible_region_counted(
     (visible, tests)
 }
 
-/// Reused buffers of the per-obstacle shadow classification: candidate cut
-/// parameters, the elementary-interval midpoints (the fan kernel's input
-/// lanes) and their verdicts.
+/// Reused buffer of the per-obstacle shadow classification: its candidate
+/// cut parameters.
 #[derive(Default)]
 struct ShadowScratch {
     cuts: Vec<f64>,
-    mids: Vec<Point>,
-    verdicts: Vec<bool>,
 }
 
 /// Subtracts the shadow of a single obstacle from `visible`; returns the
@@ -95,48 +93,20 @@ fn shadow_of(
         cuts.push(t1 * len);
     }
     cuts.sort_by(f64::total_cmp);
-    // One obstacle yields at most 7 elementary intervals (2 ends + 4 corner
-    // rays + 2 clip parameters), so the common case is a tiny fan: classify
-    // it in one fused scalar pass. Wide fans (callers batching many cuts)
-    // go through the fan kernel: N sight segments sharing the viewpoint
-    // origin against one rect, over hoisted slab offsets.
-    const FAN_BATCH: usize = 4;
-    if cuts.len() - 1 <= FAN_BATCH {
-        let mut tests = 0u64;
-        for w in 0..cuts.len() - 1 {
-            let (lo, hi) = (cuts[w], cuts[w + 1]);
-            if hi - lo <= EPS {
-                continue;
-            }
-            let mid = q.at((lo + hi) / 2.0);
-            tests += 1;
-            if r.blocks(&Segment::new(viewpoint, mid)) {
-                visible.subtract_interval(&Interval::new(lo, hi));
-            }
-        }
-        return tests;
-    }
-    scratch.mids.clear();
-    for w in 0..cuts.len() - 1 {
-        let (lo, hi) = (cuts[w], cuts[w + 1]);
+    // one sight test per elementary interval, at its midpoint
+    let mut tests = 0u64;
+    for w in cuts.windows(2) {
+        let (lo, hi) = (w[0], w[1]);
         if hi - lo <= EPS {
             continue;
         }
-        scratch.mids.push(q.at((lo + hi) / 2.0));
-    }
-    batch::blocks_fan(r, viewpoint, &scratch.mids, &mut scratch.verdicts);
-    let mut v = 0;
-    for w in 0..cuts.len() - 1 {
-        let (lo, hi) = (cuts[w], cuts[w + 1]);
-        if hi - lo <= EPS {
-            continue;
-        }
-        if scratch.verdicts[v] {
+        let mid = q.at((lo + hi) / 2.0);
+        tests += 1;
+        if r.blocks(&Segment::new(viewpoint, mid)) {
             visible.subtract_interval(&Interval::new(lo, hi));
         }
-        v += 1;
     }
-    scratch.mids.len() as u64
+    tests
 }
 
 #[cfg(test)]
