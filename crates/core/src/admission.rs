@@ -1,26 +1,28 @@
-//! The admission front door (serving layer): queueing, coalescing and
-//! backpressure ahead of the service.
+//! The admission front door (serving layer): queueing and backpressure
+//! ahead of the service.
 //!
 //! Independent clients [`submit`] single typed [`Query`] values and get a
-//! [`Ticket`] back immediately; pump threads drain the queue in
-//! [`AdmissionConfig::coalesce`]-sized slices and drive each slice,
-//! heaviest families first, through the existing mixed-family batch path
-//! ([`crate::ConnService::execute_batch_threads`]), so single-query
-//! clients transparently get batch economics — warm pooled engines, all
-//! workers busy — without holding a service reference themselves, and
-//! each [`Response`] still carries its own query's stats and tree I/O.
-//! When the queue is full, [`submit`] rejects with [`Error::Overloaded`]
-//! instead of buffering unboundedly: admission is where backpressure
-//! belongs, not inside the kernels.
+//! [`Ticket`] back immediately. The workers of a [`pump`] call, one warm
+//! pool engine each, pop queries off the live queue in FIFO order, one at
+//! a time, run each against the epoch current when its worker starts it,
+//! and fulfil its ticket the moment it ends: no ticket is held for a
+//! slower query that shared its call. Each [`Response`] carries its own
+//! query's stats and tree I/O. A full queue makes [`submit`] reject with
+//! [`Error::Overloaded`] instead of buffering unboundedly: admission is
+//! where backpressure belongs, not inside the kernels. A query dropped
+//! unanswered (its worker panicked, or its queue was dropped) fails its
+//! ticket with [`Error::Internal`]: no ticket waits forever.
 //!
 //! [`submit`]: Admission::submit
+//! [`pump`]: Admission::pump
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::error::Error;
-use crate::query::{Query, QueryKind, Response};
+use crate::pool::{lock, pool_size};
+use crate::query::{Query, Response};
 use crate::service::ConnService;
 
 /// Tunables of the admission queue.
@@ -29,8 +31,9 @@ pub struct AdmissionConfig {
     /// Maximum queued (admitted but not yet executed) queries before
     /// [`Admission::submit`] starts rejecting with [`Error::Overloaded`].
     pub max_pending: usize,
-    /// Maximum queries one [`Admission::pump`] call drains into a single
-    /// mixed-family batch.
+    /// Maximum queries one [`Admission::pump`] call drains: past it the
+    /// call's workers take no new query, and it returns once the ones they
+    /// hold have ended.
     pub coalesce: usize,
 }
 
@@ -43,8 +46,8 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Shared completion cell between a [`Ticket`] and the pump that fulfils
-/// it.
+/// Shared completion cell between a [`Ticket`] and the [`Promise`] that
+/// fulfils it.
 #[derive(Debug)]
 struct TicketState {
     // Justified lock: guards only the completion hand-off slot.
@@ -52,25 +55,20 @@ struct TicketState {
     cv: Condvar,
 }
 
-fn lock_done(state: &TicketState) -> MutexGuard<'_, Option<Result<Response, Error>>> {
-    state
-        .done
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// A client's handle on one admitted query: blocks on [`Ticket::wait`]
-/// until a pump executes the coalesced batch containing it.
+/// A client's handle on one admitted query: [`Ticket::wait`] blocks until
+/// a pump worker has run that query, however long the rest of its pump
+/// call takes.
 #[derive(Debug)]
 pub struct Ticket {
     state: Arc<TicketState>,
 }
 
 impl Ticket {
-    /// Blocks until the query is executed and returns its response (or
-    /// the batch-level error).
+    /// Blocks until the query has run and returns its response — or
+    /// [`Error::Internal`] if it was dropped unanswered (its worker
+    /// panicked, or the [`Admission`] holding it was dropped).
     pub fn wait(self) -> Result<Response, Error> {
-        let mut done = lock_done(&self.state);
+        let mut done = lock(&self.state.done);
         loop {
             if let Some(result) = done.take() {
                 return result;
@@ -79,21 +77,40 @@ impl Ticket {
                 .state
                 .cv
                 .wait(done)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Non-blocking poll: the response if the query already executed.
     pub fn try_take(&self) -> Option<Result<Response, Error>> {
-        lock_done(&self.state).take()
+        lock(&self.state.done).take()
     }
 }
 
-/// One admitted query waiting in the queue.
+/// The queue's end of a ticket, carried with its query through the pump's
+/// worker: it answers the ticket exactly once — with the query's response,
+/// or, if dropped unanswered, with [`Error::Internal`].
 #[derive(Debug)]
-struct Pending {
-    query: Query,
-    state: Arc<TicketState>,
+struct Promise(Option<Arc<TicketState>>);
+
+impl Promise {
+    /// Posts `result` into the ticket's completion cell (unless already
+    /// answered) and wakes the waiter.
+    fn fulfil(&mut self, result: Result<Response, Error>) {
+        if let Some(state) = self.0.take() {
+            *lock(&state.done) = Some(result);
+            state.cv.notify_all();
+        }
+    }
+}
+
+impl Drop for Promise {
+    fn drop(&mut self) {
+        if self.0.is_some() {
+            let reason = "query dropped unanswered: its worker panicked or its queue was dropped";
+            self.fulfil(Err(Error::Internal(reason.to_string())));
+        }
+    }
 }
 
 /// The admission queue itself (see the module docs). `Send + Sync`:
@@ -101,8 +118,8 @@ struct Pending {
 #[derive(Debug)]
 pub struct Admission {
     cfg: AdmissionConfig,
-    // Justified lock: guards only queue push/drain, never query execution.
-    queue: Mutex<VecDeque<Pending>>, // lint:allow(no-interior-mutability-in-service)
+    // Justified lock: guards only queue push/pop, never query execution.
+    queue: Mutex<VecDeque<(Query, Promise)>>, // lint:allow(no-interior-mutability-in-service)
     served: AtomicU64,
     rejected: AtomicU64,
     batches: AtomicU64,
@@ -121,17 +138,11 @@ impl Admission {
         }
     }
 
-    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<Pending>> {
-        self.queue
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Admits one query, returning the [`Ticket`] a pump will fulfil —
     /// or [`Error::Overloaded`] when `max_pending` queries are already
     /// waiting (backpressure; resubmit after the queue drains).
     pub fn submit(&self, query: Query) -> Result<Ticket, Error> {
-        let mut queue = self.lock_queue();
+        let mut queue = lock(&self.queue);
         if queue.len() >= self.cfg.max_pending {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(Error::overloaded(format!(
@@ -144,53 +155,50 @@ impl Admission {
             done: Mutex::new(None),
             cv: Condvar::new(),
         });
-        queue.push_back(Pending {
-            query,
-            state: Arc::clone(&state),
-        });
+        queue.push_back((query, Promise(Some(Arc::clone(&state)))));
         Ok(Ticket { state })
     }
 
-    /// Drains up to [`AdmissionConfig::coalesce`] queued queries into one
-    /// mixed-family batch on `service` (with `threads` workers), fulfils
-    /// their tickets, and returns how many queries were executed. Call in
-    /// a loop from one or more pump threads; returns 0 when the queue was
-    /// empty.
+    /// Serves up to [`AdmissionConfig::coalesce`] queued queries on
+    /// `service` with up to `threads` workers (`0` = available
+    /// parallelism) and returns how many it served; returns 0 at once,
+    /// spawning nothing, when the queue is empty. The workers pop queries
+    /// FIFO off the live queue — a query submitted while the call runs is
+    /// served by it, up to the cap — and fulfil each ticket as soon as its
+    /// own query ends; each query pins the epoch that is current when its
+    /// worker starts it. Call in a loop from one or more pump threads.
     pub fn pump(&self, service: &ConnService<'_>, threads: usize) -> usize {
-        let mut slice: Vec<Pending> = {
-            let mut queue = self.lock_queue();
-            let n = queue.len().min(self.cfg.coalesce.max(1));
-            queue.drain(..n).collect()
-        };
-        if slice.is_empty() {
+        let cap = self.cfg.coalesce.max(1);
+        let queued = lock(&self.queue).len().min(cap);
+        if queued == 0 {
             return 0;
         }
-        // Heaviest families first: every ticket is fulfilled when the
-        // slice's last query ends, so the order is invisible to the clients
-        // but a segment query reached last runs alone, the others idle.
-        slice.sort_by_key(|p| cost_rank(p.query.kind()));
-        let queries: Vec<Query> = slice.iter().map(|p| p.query.clone()).collect();
-        let n = slice.len();
-        match service.execute_batch_threads(&queries, threads) {
-            Ok((responses, _batch)) => {
-                self.batches.fetch_add(1, Ordering::Relaxed);
-                self.served.fetch_add(n as u64, Ordering::Relaxed);
-                for (pending, response) in slice.into_iter().zip(responses) {
-                    fulfil(&pending.state, Ok(response));
+        let taken = AtomicUsize::new(0);
+        service.serve(
+            pool_size(threads, queued),
+            || {
+                let mut queue = lock(&self.queue);
+                // counted under the queue lock, so the cap is exact
+                if taken.load(Ordering::Relaxed) == cap {
+                    return None;
                 }
-            }
-            Err(e) => {
-                for pending in slice {
-                    fulfil(&pending.state, Err(e.clone()));
-                }
-            }
-        }
+                let next = queue.pop_front()?;
+                taken.fetch_add(1, Ordering::Relaxed);
+                Some(next)
+            },
+            |mut promise, response| {
+                self.served.fetch_add(1, Ordering::Relaxed);
+                promise.fulfil(Ok(response));
+            },
+        );
+        let n = taken.into_inner();
+        self.batches.fetch_add(u64::from(n > 0), Ordering::Relaxed);
         n
     }
 
-    /// Queries currently admitted but not yet executed.
+    /// Queries currently admitted but not yet started.
     pub fn pending(&self) -> usize {
-        self.lock_queue().len()
+        lock(&self.queue).len()
     }
 
     /// Queries executed and fulfilled so far.
@@ -203,30 +211,10 @@ impl Admission {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Coalesced batches executed so far.
+    /// [`Admission::pump`] calls that served at least one query so far.
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
     }
-}
-
-/// Coarse cost order of the families (cheapest last): polylines and joins
-/// run many searches, segment and range queries one over a neighbourhood,
-/// the point-to-point families settle a handful of nodes.
-fn cost_rank(kind: &QueryKind) -> u8 {
-    match kind {
-        QueryKind::Trajectory { .. }
-        | QueryKind::EDistanceJoin { .. }
-        | QueryKind::ClosestPair { .. } => 0,
-        QueryKind::Coknn { .. } | QueryKind::Range { .. } | QueryKind::Rnn { .. } => 1,
-        QueryKind::Conn { .. } => 2,
-        _ => 3,
-    }
-}
-
-/// Posts `result` into the ticket's completion cell and wakes the waiter.
-fn fulfil(state: &TicketState, result: Result<Response, Error>) {
-    *lock_done(state) = Some(result);
-    state.cv.notify_all();
 }
 
 #[cfg(test)]
@@ -251,8 +239,8 @@ mod tests {
         let service = service();
         let admission = Admission::new(AdmissionConfig::default());
         let q = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
-        // lightest first, so the pump's heaviest-first order has to permute
-        // the slice and still hand every ticket its own answer
+        // a mix of families, served FIFO: every ticket gets its own answer
+        // whichever worker ran it
         let queries = [
             Query::odist(Point::new(0.0, 0.0), Point::new(100.0, 0.0))
                 .build()
@@ -325,5 +313,38 @@ mod tests {
         assert!(ticket.try_take().is_none());
         admission.pump(&service, 1);
         assert!(ticket.try_take().unwrap().is_ok());
+    }
+
+    #[test]
+    fn dropped_queries_fail_their_tickets() {
+        let q = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
+        let query = Query::conn(q).build().unwrap();
+        let admission = Admission::new(AdmissionConfig::default());
+        let popped = admission.submit(query.clone()).unwrap();
+        let panicked = admission.submit(query.clone()).unwrap();
+        let queued = admission.submit(query).unwrap();
+
+        drop(lock(&admission.queue).pop_front());
+        assert!(matches!(popped.wait(), Err(Error::Internal(_))));
+
+        // a worker that panics mid-query unwinds through the promise it holds
+        let pool = crate::pool::EnginePool::new(crate::ConnConfig::default());
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.serve(
+                1,
+                || lock(&admission.queue).pop_front(),
+                |_, _item| panic!("worker died mid-query"),
+            )
+        }));
+        assert!(died.is_err());
+        assert!(matches!(panicked.wait(), Err(Error::Internal(_))));
+        assert_eq!(
+            admission.pending(),
+            1,
+            "the worker died before popping more"
+        );
+
+        drop(admission);
+        assert!(matches!(queued.wait(), Err(Error::Internal(_))));
     }
 }

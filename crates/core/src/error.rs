@@ -24,6 +24,9 @@ pub enum Error {
     /// before it reached the service. The request itself is well-formed —
     /// resubmitting after the queue drains is expected to succeed.
     Overloaded(String),
+    /// An admitted query was dropped before it was answered: the worker
+    /// running it panicked, or the admission queue holding it was dropped.
+    Internal(String),
 }
 
 impl Error {
@@ -45,7 +48,10 @@ impl Error {
     /// The human-readable reason, whatever the variant.
     pub fn reason(&self) -> &str {
         match self {
-            Error::InvalidQuery(r) | Error::CoverViolation(r) | Error::Overloaded(r) => r,
+            Error::InvalidQuery(r)
+            | Error::CoverViolation(r)
+            | Error::Overloaded(r)
+            | Error::Internal(r) => r,
         }
     }
 
@@ -61,6 +67,7 @@ impl fmt::Display for Error {
             Error::InvalidQuery(r) => write!(f, "invalid query: {r}"),
             Error::CoverViolation(r) => write!(f, "cover violation: {r}"),
             Error::Overloaded(r) => write!(f, "overloaded: {r}"),
+            Error::Internal(r) => write!(f, "internal error: {r}"),
         }
     }
 }

@@ -31,7 +31,7 @@
 //! | live mutation, surgical invalidation, standing queries (beyond the paper) | [`live`] |
 //! | spatial shard tiling + locality certificate (beyond the paper) | [`shard`] |
 //! | persistent warm engine pool (beyond the paper) | [`pool`] |
-//! | admission queue: coalescing + backpressure (beyond the paper) | [`admission`] |
+//! | admission queue: FIFO pump + backpressure (beyond the paper) | [`admission`] |
 //! | typed errors ([`enum@Error`]) | [`error`] |
 //!
 //! ## Quick start

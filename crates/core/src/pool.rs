@@ -1,11 +1,14 @@
 //! The persistent worker-engine pool (serving layer).
 //!
 //! An [`EnginePool`] owns a set of warm [`QueryEngine`] slots that
-//! survive across calls: serial executions round-robin over the slots,
-//! batch executions pin one slot per worker thread and work-steal items
-//! off a shared cursor. Engines are created lazily on first use and then
-//! stay warm — their visibility-graph, Dijkstra and cache allocations are
-//! amortized across every query the pool ever serves, not per batch.
+//! survive across calls: serial executions round-robin over the slots;
+//! everything run on several workers goes through one worker loop,
+//! `serve`, in which each worker keeps its own slot and pulls items one
+//! at a time until its source runs dry (the batch path pulls off a cursor
+//! over a slice, the admission pump off its live queue). Engines are
+//! created lazily on first use and then stay warm — their visibility-graph,
+//! Dijkstra and cache allocations are amortized across every query the
+//! pool ever serves, not per batch.
 //!
 //! Counter aggregation is race-free by construction: each slot's
 //! [`ReuseCounters`] total is only ever updated while that slot's mutex
@@ -16,7 +19,7 @@
 
 // lint:allow-file(no-panic-in-query-path[index]): slot indices are bounded by ensure_slots in the same call
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::config::ConnConfig;
 use crate::engine::QueryEngine;
@@ -41,11 +44,11 @@ pub struct EnginePool {
     rr: AtomicUsize,
 }
 
-/// Recovers the guard from a poisoned lock: pool state is a cache of
-/// reusable allocations plus monotonic counters, both valid whatever
-/// point the panicking holder reached (engines re-begin every query).
-fn lock_slot(slot: &Mutex<PoolSlot>) -> MutexGuard<'_, PoolSlot> {
-    slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Recovers the guard from a poisoned lock: pool slots (reusable
+/// allocations, monotone counters; engines re-begin every query) and the
+/// admission queue and ticket cells are valid wherever a holder panicked.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl EnginePool {
@@ -61,10 +64,7 @@ impl EnginePool {
     /// Grows the pool to at least `n` slots and returns the current slot
     /// vector (clones of the shared handles).
     fn ensure_slots(&self, n: usize) -> Vec<Arc<Mutex<PoolSlot>>> {
-        let mut slots = self
-            .slots
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut slots = lock(&self.slots);
         while slots.len() < n {
             slots.push(Arc::new(Mutex::new(PoolSlot::default())));
         }
@@ -73,10 +73,22 @@ impl EnginePool {
 
     /// Number of warm slots currently in the pool.
     pub fn size(&self) -> usize {
-        self.slots
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .len()
+        lock(&self.slots).len()
+    }
+
+    /// Runs `f` on `slot`'s warm engine under the slot lock and folds the
+    /// query's reuse counters into the slot's total before releasing it.
+    fn on_slot<R>(
+        &self,
+        slot: &Mutex<PoolSlot>,
+        f: impl FnOnce(&mut QueryEngine) -> (R, QueryStats),
+    ) -> (R, QueryStats) {
+        let mut guard = lock(slot);
+        let cfg = self.cfg;
+        let engine = guard.engine.get_or_insert_with(|| QueryEngine::new(cfg));
+        let (result, stats) = f(engine);
+        guard.totals.accumulate(&stats.reuse);
+        (result, stats)
     }
 
     /// Runs `f` on one warm engine (round-robin over the slots, blocking
@@ -87,20 +99,42 @@ impl EnginePool {
         f: impl FnOnce(&mut QueryEngine) -> (R, QueryStats),
     ) -> (R, QueryStats) {
         let slots = self.ensure_slots(1);
-        let slot = &slots[self.rr.fetch_add(1, Ordering::Relaxed) % slots.len()];
-        let mut guard = lock_slot(slot);
-        let cfg = self.cfg;
-        let engine = guard.engine.get_or_insert_with(|| QueryEngine::new(cfg));
-        let (result, stats) = f(engine);
-        guard.totals.accumulate(&stats.reuse);
-        (result, stats)
+        self.on_slot(
+            &slots[self.rr.fetch_add(1, Ordering::Relaxed) % slots.len()],
+            f,
+        )
     }
 
-    /// Batch driver: one worker thread per slot (up to `threads`,
-    /// resolved by [`pool_size`]), work-stealing item indices off a
-    /// shared atomic cursor. Each worker locks its slot *per item*, so
-    /// serial executes interleave with a running batch instead of
-    /// blocking behind it. Results come back in workload order.
+    /// The one worker loop: `threads` workers (at least one; the calling
+    /// thread is the first), each on its own slot, take items off `next`
+    /// until it returns `None` and run `f` on the slot's warm engine. The
+    /// slot is locked *per item*, so serial executes interleave with a
+    /// running call instead of blocking behind it. A worker's panic is
+    /// re-raised once the other workers have finished.
+    pub(crate) fn serve<I>(
+        &self,
+        threads: usize,
+        next: impl Fn() -> Option<I> + Sync,
+        f: impl Fn(&mut QueryEngine, I) -> QueryStats + Sync,
+    ) {
+        let threads = threads.max(1);
+        let slots = self.ensure_slots(threads);
+        let work = &|slot: &Mutex<PoolSlot>| {
+            while let Some(item) = next() {
+                let _ = self.on_slot(slot, |engine| ((), f(engine, item)));
+            }
+        };
+        std::thread::scope(|scope| {
+            for slot in &slots[1..threads] {
+                scope.spawn(move || work(slot));
+            }
+            work(&slots[0]);
+        });
+    }
+
+    /// The batch path: [`EnginePool::serve`] over an atomic cursor on
+    /// `items`, on up to `threads` workers (resolved by [`pool_size`]).
+    /// Results come back in workload order, with the worker count used.
     pub(crate) fn run<I, R, F>(
         &self,
         items: &[I],
@@ -113,47 +147,25 @@ impl EnginePool {
         F: Fn(&mut QueryEngine, &I) -> (R, QueryStats) + Sync,
     {
         let threads = pool_size(threads, items.len());
-        let slots = self.ensure_slots(threads);
-        let cfg = self.cfg;
         let cursor = AtomicUsize::new(0);
-        let mut collected: Vec<(usize, R, QueryStats)> = Vec::with_capacity(items.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for slot in slots.iter().take(threads) {
-                let slot = Arc::clone(slot);
-                let cursor = &cursor;
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        let mut guard = lock_slot(&slot);
-                        let engine = guard.engine.get_or_insert_with(|| QueryEngine::new(cfg));
-                        let (res, stats) = f(engine, &items[i]);
-                        guard.totals.accumulate(&stats.reuse);
-                        drop(guard);
-                        local.push((i, res, stats));
-                    }
-                    local
-                }));
-            }
-            for h in handles {
-                // Propagating a worker panic is the only correct response
-                // to join() failing: the worker already tore down
-                // mid-query. lint:allow(no-panic-in-query-path)
-                collected.extend(h.join().expect("pool worker panicked"));
-            }
-        });
+        let collected = Mutex::new(Vec::with_capacity(items.len()));
+        self.serve(
+            threads,
+            || {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                items.get(i).map(|item| (i, item))
+            },
+            |engine, (i, item)| {
+                let (result, stats) = f(engine, item);
+                lock(&collected).push((i, result, stats));
+                stats
+            },
+        );
+        let mut collected = collected
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         collected.sort_by_key(|(i, _, _)| *i);
-        let mut results = Vec::with_capacity(collected.len());
-        let mut stats = Vec::with_capacity(collected.len());
-        for (_, r, s) in collected {
-            results.push(r);
-            stats.push(s);
-        }
+        let (results, stats) = collected.into_iter().map(|(_, r, s)| (r, s)).unzip();
         (results, threads, stats)
     }
 
@@ -163,7 +175,7 @@ impl EnginePool {
         let slots = self.ensure_slots(0);
         let mut totals = ReuseCounters::default();
         for slot in &slots {
-            totals.accumulate(&lock_slot(slot).totals);
+            totals.accumulate(&lock(slot).totals);
         }
         totals
     }
@@ -232,6 +244,11 @@ mod tests {
         let (results, threads, per_query) = pool.run(&queries, 3, |e, q| e.conn(&dt, &ot, q));
         assert_eq!(results.len(), queries.len());
         assert!(threads <= 3 && pool.size() >= threads);
+        // workload order, whichever worker ran which item
+        for (result, q) in results.iter().zip(&queries) {
+            let (fresh, _) = QueryEngine::default().conn(&dt, &ot, q);
+            assert_eq!(format!("{result:?}"), format!("{fresh:?}"));
+        }
         let mut summed = ReuseCounters::default();
         for s in &per_query {
             summed.accumulate(&s.reuse);
@@ -241,5 +258,46 @@ mod tests {
             summed,
             "slot totals must match per-query sums"
         );
+    }
+
+    /// A worker keeps pulling until its source is empty *when it looks*:
+    /// items that arrive while it runs are served by the same call, each
+    /// exactly once, and the slot's totals are the per-item sums.
+    #[test]
+    fn serve_picks_up_items_that_arrive_while_it_runs() {
+        use std::collections::VecDeque;
+        let pool = EnginePool::new(ConnConfig::default());
+        let dt = RStarTree::bulk_load(vec![DataPoint::new(0, Point::new(20.0, 30.0))], 4096);
+        let ot = RStarTree::bulk_load(vec![Rect::new(40.0, 5.0, 55.0, 35.0)], 4096);
+        let queries: Vec<Segment> = (0..6)
+            .map(|i| {
+                let x = 5.0 * i as f64;
+                Segment::new(Point::new(x, 0.0), Point::new(x + 50.0, 0.0))
+            })
+            .collect();
+        let source = Mutex::new(VecDeque::from([0, 1, 2]));
+        let served = Mutex::new(Vec::new());
+        pool.serve(
+            1,
+            || source.lock().unwrap().pop_front(),
+            |e, i: usize| {
+                // each of the first three items submits a follow-up
+                if i < 3 {
+                    source.lock().unwrap().push_back(i + 3);
+                }
+                let (_, stats) = e.conn(&dt, &ot, &queries[i]);
+                served.lock().unwrap().push((i, stats.reuse));
+                stats
+            },
+        );
+        let served = served.into_inner().unwrap();
+        let order: Vec<usize> = served.iter().map(|(i, _)| *i).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4, 5]);
+        let mut summed = ReuseCounters::default();
+        for (_, reuse) in &served {
+            summed.accumulate(reuse);
+        }
+        assert_eq!(pool.size(), 1);
+        assert_eq!(pool.reuse_totals(), summed);
     }
 }

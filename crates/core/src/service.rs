@@ -456,6 +456,22 @@ impl<'a> ConnService<'a> {
             .collect();
         Ok((responses, stats))
     }
+
+    /// Serves queries pulled one at a time off `next` on `threads` pool
+    /// workers, each against the epoch current when its worker starts it,
+    /// and hands each response to `done` with its token as the query ends.
+    pub(crate) fn serve<T>(
+        &self,
+        threads: usize,
+        next: impl Fn() -> Option<(Query, T)> + Sync,
+        done: impl Fn(T, Response) + Sync,
+    ) {
+        self.pool.serve(threads, next, |engine, (query, token)| {
+            let (answer, stats) = shard_dispatch(engine, &self.pin(), &query);
+            done(token, Response { answer, stats });
+            stats
+        });
+    }
 }
 
 /// Shard-aware wrapper around [`dispatch`]: on sharded epochs, routes

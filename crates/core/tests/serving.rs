@@ -136,7 +136,8 @@ fn pool_counters_aggregate_across_concurrent_batches() {
 }
 
 /// Concurrent admission: clients on several threads submit single queries,
-/// a pump thread coalesces them through the batch path; every ticket must
+/// a pump thread's workers pull them off the queue one at a time and
+/// fulfil each ticket when its query ends; every ticket must
 /// resolve to the same answer a direct execute gives — on the unsharded and
 /// the sharded service alike, while a writer keeps re-publishing an
 /// identically built scene (so every epoch has the same answers and a
@@ -204,7 +205,10 @@ fn admission_serves_concurrent_clients() {
         );
         assert_eq!(admission.served(), total);
         assert_eq!(admission.pending(), 0);
-        assert!(admission.batches() <= total, "coalescing never batched");
+        assert!(
+            admission.batches() <= total,
+            "an empty pump call was counted"
+        );
         assert!(service.current_epoch() >= 1, "the writer never published");
     }
 }

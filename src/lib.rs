@@ -25,9 +25,10 @@
 //!   (lock-free scene sharing — readers pin immutable snapshots while
 //!   `publish` installs the next world), [`ShardSpec`] (overlapping
 //!   spatial tiles with a certificate-or-fallback merge), [`EnginePool`]
-//!   (persistent warm workers) and [`Admission`] (front-door queue that
-//!   coalesces single queries into batches, rejecting with
-//!   [`Error::Overloaded`] under backpressure);
+//!   (persistent warm workers) and [`Admission`] (front-door queue whose
+//!   pump workers pull single queries one at a time and answer each
+//!   ticket when its query ends, rejecting with [`Error::Overloaded`]
+//!   under backpressure);
 //! * the **live-scene layer**: [`LiveScene`] (in-place R\*-tree mutation
 //!   published as cheap derived epochs, a [`SceneDelta`] per edit),
 //!   standing queries ([`ConnService::register`] →
