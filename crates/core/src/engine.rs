@@ -178,14 +178,7 @@ impl Workspace {
         cfg: &ConnConfig,
         io: &'w IoMeter,
     ) -> Resolver<'w> {
-        Resolver::new(
-            &mut self.g,
-            &mut self.dij,
-            &mut self.loaded,
-            tree,
-            cfg,
-            Some(io),
-        )
+        Resolver::new(&mut self.g, &mut self.dij, &mut self.loaded, tree, cfg, io)
     }
 
     /// Closes the window of the current query: what the substrate counted

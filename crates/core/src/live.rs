@@ -34,26 +34,24 @@
 //!   answer (obstructed ≥ Euclidean, and obstacle edits only matter to
 //!   paths they touch — lengthening on insert, shortening through the
 //!   footprint on removal), so the resident tuples stand untouched.
-//!   Deltas inside the region are repaired at the cheapest sound level:
-//!   ONN/range tuple lists absorb a site insertion by one point-to-point
-//!   distance evaluation, point-to-point entries (odist/route) keep a
-//!   resident kernel — a [`conn_vgraph::VisGraph`] + Dijkstra engine of
-//!   their own, filled by the same tree-driven obstacle loader every
-//!   point-anchored query uses ([`crate::odist`]) from whichever epoch is
-//!   pinned, never from a copy of the field — and re-settle on the
-//!   repaired graph, and everything else falls back to a re-run of that
-//!   one query. CONN and COkNN entries re-run on a resident engine of
-//!   their own (a segment kernel) warm: the graph loaded by earlier runs
-//!   is kept, an obstacle the scene lost leaves it by the same surgery.
-//!   The cold re-run is also the proptest oracle: `live_equivalence.rs`
-//!   pins every patched answer to a cold rebuild at 1e-6.
+//!   Point-to-point entries (odist/route) take the shortest-path ellipse
+//!   `mindist(a, R) + mindist(b, R) ≤ dist` as their region and ignore
+//!   site deltas. Every entry ends a delta in one of three outcomes: **kept**,
+//!   **tuple-patched** (an ONN/range tuple list absorbs a site insertion by
+//!   one point-to-point distance evaluation) or **recomputed** (a re-run of
+//!   that one query). The one resident engine is the segment kernel of a
+//!   CONN or COkNN entry, which re-runs warm: the graph loaded by earlier
+//!   runs is kept, an obstacle the scene lost leaves it by the CSR surgery
+//!   above. The cold re-run is also the proptest oracle:
+//!   `live_equivalence.rs` pins every patched answer to a cold rebuild at
+//!   1e-6.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use conn_geom::{Point, Rect, Segment};
-use conn_index::{DistShape, RStarTree, DEFAULT_PAGE_SIZE};
-use conn_vgraph::{DijkstraEngine, NodeId, NodeKind, VisGraph};
+use conn_index::{RStarTree, DEFAULT_PAGE_SIZE};
+use conn_vgraph::{NodeId, NodeKind};
 
 use crate::coknn::{CoknnResult, KnnResultList};
 use crate::config::ConnConfig;
@@ -61,7 +59,7 @@ use crate::conn::{run_leg, ConnResult, ResultSink};
 use crate::engine::QueryEngine;
 use crate::epoch::PinnedEpoch;
 use crate::error::Error;
-use crate::odist::{affected, settled_path, Anchor, Resolver};
+use crate::odist::affected;
 use crate::query::{Answer, Query, QueryKind, Response};
 use crate::rlu::ResultList;
 use crate::service::{coknn_dmax, conn_dmax, dispatch, onn_dmax, ConnService, Scene};
@@ -120,7 +118,7 @@ impl StandingHandle {
 }
 
 /// What one [`crate::ConnService::publish_delta`] did to the standing
-/// set. The four outcome counters partition `standing`.
+/// set. `kept`, `tuple_patched` and `recomputed` partition `standing`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PatchReport {
     /// Standing queries resident when the delta arrived.
@@ -131,8 +129,10 @@ pub struct PatchReport {
     /// Answers patched at the tuple level (ONN/range absorbing a site
     /// insertion by one distance evaluation).
     pub tuple_patched: usize,
-    /// Answers patched by a resident point-to-point kernel re-settling on
-    /// its repaired graph (odist/route).
+    /// Always 0: a standing odist/route answer is kept or recomputed like
+    /// every other family. Kept only because the ledger's
+    /// `live.kernel_patched` row reads it, until the next benchmark change
+    /// retires that row.
     pub kernel_patched: usize,
     /// Answers recomputed by a full re-run of that one query.
     pub recomputed: usize,
@@ -141,8 +141,9 @@ pub struct PatchReport {
     /// `live.labels_invalidated_per_delta` row reads it, until the next
     /// benchmark change retires that row.
     pub labels_invalidated: u64,
-    /// Adjacency-cache ranges the kernels repaired/staled in place while
-    /// absorbing this delta.
+    /// Adjacency-cache ranges the standing CONN/COkNN segment kernels
+    /// staled in place while taking this delta's removed obstacle out of
+    /// their graphs.
     pub adjacency_repairs: u64,
 }
 
@@ -218,114 +219,6 @@ fn answer_mentions(answer: &Answer, id: u32) -> bool {
     }
 }
 
-/// The resident point-to-point kernel of a standing odist/route entry: a
-/// visibility graph, Dijkstra engine and loaded set of its own, kept across
-/// epochs and filled by the same obstacle loader every point-anchored
-/// query uses ([`crate::odist`]), each time from the pinned epoch's tree.
-/// Per delta its graph is repaired instead of rebuilt — an inserted
-/// obstacle is picked up by the loader, a removed one gets the in-place
-/// CSR surgery — then the answer re-settles by a cold search on the
-/// repaired graph.
-///
-/// The graph holds only the *ellipse subset* of the scene: every obstacle
-/// `R` with `mindist(a,R) + mindist(b,R) ≤ bound`. Any point `x` on a
-/// path of length `≤ bound` satisfies `|ax| + |xb| ≤ bound`, so an
-/// obstacle outside the subset cannot touch such a path — once the
-/// settled distance lands `≤ bound`, the witness provably avoids the
-/// excluded obstacles too and the subset answer *is* the full-scene
-/// answer. This is the same locality the engine's lazily-grown local
-/// visibility graphs exploit, and what keeps a resident kernel cheap on
-/// the paper-scale field (131 k obstacles, of which a handful matter).
-/// Every patch ends in the loader's fix-point, which re-establishes
-/// `graph == tree ∩ ellipse(bound)` from the tree itself (growing `bound`
-/// when an insertion pushed the distance past it), so [`LiveKernel::holds`]
-/// is exact about which deltas the graph can ignore.
-#[derive(Debug)]
-struct LiveKernel {
-    g: VisGraph,
-    dij: DijkstraEngine,
-    loaded: LoadedObstacles,
-    src: NodeId,
-    dst: NodeId,
-    a: Point,
-    b: Point,
-    /// Ellipse radius of the resident subset: the graph holds every scene
-    /// obstacle with `mindist(a,R) + mindist(b,R) ≤ bound`, and the
-    /// settled distance is `≤ bound` (or `∞`, which a subset can only
-    /// over-report, so `∞` is exact too).
-    bound: f64,
-}
-
-impl LiveKernel {
-    /// An empty kernel settled against `tree` (registration time and the
-    /// repair-failure fallback — never the per-delta path).
-    fn build(tree: &RStarTree<Rect>, a: Point, b: Point, cfg: &ConnConfig) -> (Self, f64) {
-        let mut g = VisGraph::new(cfg.vgraph_cell); // lint:allow(no-full-rebuild-in-delta-path): construction-time empty graph, filled by the loader
-        g.set_sweep_mode(cfg.sweep);
-        let src = g.add_point(a, NodeKind::DataPoint);
-        let dst = g.add_point(b, NodeKind::DataPoint);
-        let mut kernel = LiveKernel {
-            g,
-            dij: DijkstraEngine::default(),
-            loaded: LoadedObstacles::default(),
-            src,
-            dst,
-            a,
-            b,
-            bound: a.dist(b),
-        };
-        let d = kernel.settle(tree, cfg);
-        (kernel, d)
-    }
-
-    fn anchor(&self) -> Anchor {
-        Anchor::Ellipse(self.a, self.b)
-    }
-
-    /// The loader's fix-point from the resident bound over `tree`: loads
-    /// whatever of the ellipse subset the graph lacks — an obstacle the
-    /// scene just gained included — and grows the subset until the settled
-    /// distance certifies itself against the bound.
-    fn settle(&mut self, tree: &RStarTree<Rect>, cfg: &ConnConfig) -> f64 {
-        let anchor = self.anchor();
-        let mut resolver = Resolver::new(
-            &mut self.g,
-            &mut self.dij,
-            &mut self.loaded,
-            tree,
-            cfg,
-            None,
-        );
-        let (d, bound) = resolver.settle(anchor, self.src, self.dst, self.bound);
-        self.bound = bound;
-        d
-    }
-
-    /// True when `r` falls inside the resident ellipse subset.
-    fn holds(&self, r: &Rect) -> bool {
-        affected(self.anchor().dist_rect(r), self.bound)
-    }
-
-    /// Absorbs an obstacle removal: in-place CSR surgery, then re-settle
-    /// (cold: the removal changed the graph). `None` when the graph holds
-    /// no such rectangle (caller falls back to a cold rebuild).
-    fn remove_obstacle(
-        &mut self,
-        r: &Rect,
-        tree: &RStarTree<Rect>,
-        cfg: &ConnConfig,
-    ) -> Option<f64> {
-        self.g.remove_obstacle(r)?;
-        self.loaded.remove(r);
-        Some(self.settle(tree, cfg))
-    }
-
-    /// The settled shortest path polyline (`None` when unreachable).
-    fn path(&self, d: f64) -> Option<Vec<Point>> {
-        settled_path(&self.g, &self.dij, self.dst, d)
-    }
-}
-
 /// The resident segment kernel of a standing CONN/COkNN entry: an engine
 /// of its own whose visibility graph outlives the re-run, so the next
 /// re-run of the same segment is warm — the graph with its cached rows,
@@ -333,8 +226,8 @@ impl LiveKernel {
 /// stream skips what is loaded; the searches themselves start cold, as
 /// every search over a changed graph does. A loaded rectangle stays a real
 /// obstacle of every later epoch until a delta removes it — it then leaves
-/// the graph by the CSR surgery the point-to-point kernel uses — and an
-/// inserted one is simply not loaded yet,
+/// the graph by [`conn_vgraph::VisGraph::remove_obstacle`]'s CSR surgery —
+/// and an inserted one is simply not loaded yet,
 /// so the graph is always a subset of the pinned tree and a superset of
 /// what a cold run loads: every loaded rectangle is real, and extra
 /// loaded obstacles only ever help Algorithm 4 certify.
@@ -396,10 +289,15 @@ impl SegmentKernel {
         (sink, stats)
     }
 
-    /// Takes a removed obstacle out of the graph. False when the graph
-    /// should hold it and does not (the caller drops the kernel).
-    fn forget(&mut self, r: &Rect) -> bool {
-        !self.loaded.remove(r) || self.engine.parts().1.g.remove_obstacle(r).is_some()
+    /// Takes a removed obstacle out of the graph and returns the adjacency
+    /// ranges that staled (0 when the graph never held it). `None` when
+    /// the graph should hold it and does not (the caller drops the kernel).
+    fn forget(&mut self, r: &Rect) -> Option<u64> {
+        if self.loaded.remove(r) {
+            self.engine.parts().1.g.remove_obstacle(r)
+        } else {
+            Some(0)
+        }
     }
 }
 
@@ -410,7 +308,6 @@ struct StandingEntry {
     query: Query,
     answer: Answer,
     cert: Certificate,
-    kernel: Option<LiveKernel>,
     segment: Option<SegmentKernel>,
 }
 
@@ -425,7 +322,6 @@ impl StandingEntry {
 enum Outcome {
     Kept,
     TuplePatched,
-    KernelPatched,
     Recomputed,
 }
 
@@ -460,12 +356,6 @@ impl StandingRegistry {
             None => execute(&query)?.answer,
         };
         let cert = certificate_for(&query, &answer);
-        let kernel = match query.kind() {
-            QueryKind::Odist { a, b } | QueryKind::Route { a, b } => {
-                Some(LiveKernel::build(pin.scene().obstacle_tree(), *a, *b, cfg).0)
-            }
-            _ => None,
-        };
         let mut inner = lock(&self.inner);
         let id = inner.next_id;
         inner.next_id += 1;
@@ -474,7 +364,6 @@ impl StandingRegistry {
             query,
             answer,
             cert,
-            kernel,
             segment,
         });
         Ok(StandingHandle { id })
@@ -502,8 +391,8 @@ impl StandingRegistry {
 
     /// Patches every standing entry against the just-published epoch.
     /// Returns the report plus the pooled [`QueryStats`] of the patch work
-    /// (recompute runs and kernel counter diffs, with `delta_publishes`
-    /// set) for the engine pool's lifetime totals.
+    /// (recompute runs and the segment kernels' staled ranges, with
+    /// `delta_publishes` set) for the engine pool's lifetime totals.
     pub(crate) fn apply(
         &self,
         engine: &mut QueryEngine,
@@ -523,7 +412,6 @@ impl StandingRegistry {
             match outcome {
                 Outcome::Kept => report.kept += 1,
                 Outcome::TuplePatched => report.tuple_patched += 1,
-                Outcome::KernelPatched => report.kernel_patched += 1,
                 Outcome::Recomputed => report.recomputed += 1,
             }
         }
@@ -546,15 +434,11 @@ fn patch_entry(
     report: &mut PatchReport,
     pooled: &mut QueryStats,
 ) -> Outcome {
-    // Point-to-point entries own a resident kernel: site deltas never
-    // matter, obstacle deltas inside the ellipse are absorbed surgically.
-    if entry.kernel.is_some() {
-        return patch_kernel_entry(entry, pin, cfg, delta, report);
-    }
     // a resident segment graph follows every removal, kept answer or not
     if let (Some(segment), SceneDelta::ObstacleRemoved(r)) = (entry.segment.as_mut(), delta) {
-        if !segment.forget(r) {
-            entry.segment = None;
+        match segment.forget(r) {
+            Some(staled) => report.adjacency_repairs += staled,
+            None => entry.segment = None,
         }
     }
     let decision = match (entry.cert, delta) {
@@ -567,6 +451,8 @@ fn patch_entry(
                 Outcome::Kept
             }
         }
+        // point-to-point distance ignores data points entirely
+        (Certificate::Ellipse { .. }, SceneDelta::SiteInserted(_)) => Outcome::Kept,
         (Certificate::Anchored { anchor, dmax }, SceneDelta::SiteInserted(p)) => {
             // ONN/range tuple lists absorb an insertion by one distance
             // evaluation; that patch is sound with or without a finite
@@ -588,9 +474,17 @@ fn patch_entry(
                 _ => Outcome::Recomputed,
             }
         }
-        // Unreachable: odist/route without a kernel (registered answers of
-        // those families always build one).
-        (Certificate::Ellipse { .. }, _) => Outcome::Recomputed,
+        // An obstacle edit outside the ellipse touches no path of length
+        // ≤ dist. `affected(_, ∞)` holds, so an unreachable answer re-runs
+        // on every obstacle delta: a removal can open a path.
+        (Certificate::Ellipse { a, b, dist }, _) => {
+            let r = delta.footprint();
+            if affected(r.mindist_point(a) + r.mindist_point(b), dist) {
+                Outcome::Recomputed
+            } else {
+                Outcome::Kept
+            }
+        }
     };
     match decision {
         Outcome::TuplePatched => {
@@ -611,7 +505,7 @@ fn patch_entry(
             entry.recertify();
             Outcome::Recomputed
         }
-        other => other,
+        Outcome::Kept => Outcome::Kept,
     }
 }
 
@@ -637,86 +531,6 @@ fn segment_rerun(
         }
         _ => None,
     }
-}
-
-/// Kernel-backed repair of an odist/route entry.
-fn patch_kernel_entry(
-    entry: &mut StandingEntry,
-    pin: &PinnedEpoch<'_>,
-    cfg: &ConnConfig,
-    delta: &SceneDelta,
-    report: &mut PatchReport,
-) -> Outcome {
-    let Certificate::Ellipse { a, b, dist } = entry.cert else {
-        // a kernel without an ellipse certificate cannot happen
-        return Outcome::Kept;
-    };
-    let rect = match delta {
-        // point-to-point distance ignores data points entirely
-        SceneDelta::SiteInserted(_) | SceneDelta::SiteRemoved(_) => return Outcome::Kept,
-        SceneDelta::ObstacleInserted(r) | SceneDelta::ObstacleRemoved(r) => *r,
-    };
-    let lower = rect.mindist_point(a) + rect.mindist_point(b);
-    let inside = !dist.is_finite() || affected(lower, dist);
-    let removal = matches!(delta, SceneDelta::ObstacleRemoved(_));
-    let Some(kernel) = entry.kernel.as_mut() else {
-        // an entry holding an ellipse certificate always carries a kernel
-        return Outcome::Kept;
-    };
-    // Outside the resident ellipse subset the delta is invisible to the
-    // kernel by construction: an insertion there cannot touch any path
-    // of length ≤ bound (so the settled answer stands), a removal there
-    // deletes an obstacle the subset never held (and a subset distance
-    // of ∞ still forces ∞ over the thinned field). The graph stays
-    // consistent with `tree ∩ ellipse(bound)` without absorbing anything.
-    if !kernel.holds(&rect) {
-        return Outcome::Kept;
-    }
-    // Inside the subset the graph absorbs the delta surgically so its
-    // obstacle set keeps tracking the scene — but only deltas inside the
-    // *answer's* ellipse (`inside`) can actually move the settled value.
-    let tree = pin.scene().obstacle_tree();
-    let repairs_before = kernel.g.adjacency_repairs();
-    let patched = if removal {
-        kernel.remove_obstacle(&rect, tree, cfg)
-    } else {
-        // the pinned tree already holds `rect`: the loader picks it up
-        Some(kernel.settle(tree, cfg))
-    };
-    let (d, outcome) = match patched {
-        Some(d) => {
-            report.adjacency_repairs += kernel.g.adjacency_repairs() - repairs_before;
-            (
-                d,
-                if inside {
-                    Outcome::KernelPatched
-                } else {
-                    Outcome::Kept
-                },
-            )
-        }
-        None => {
-            // the graph held no such rectangle: the kernel no longer
-            // tracks the scene, so start it over from the published tree
-            let (fresh, d) = LiveKernel::build(tree, a, b, cfg);
-            *kernel = fresh;
-            (d, Outcome::Recomputed)
-        }
-    };
-    if matches!(outcome, Outcome::Kept) {
-        return Outcome::Kept;
-    }
-    entry.answer = match entry.answer {
-        Answer::Odist(_) => Answer::Odist(d),
-        Answer::Route { .. } => Answer::Route {
-            dist: d,
-            path: kernel.path(d),
-        },
-        // lint:allow(no-panic-in-query-path): kernels are built only for odist/route entries
-        _ => unreachable!("kernel entries are odist/route"),
-    };
-    entry.recertify();
-    outcome
 }
 
 /// Absorbs a site insertion into an ONN/range tuple list: one obstructed
@@ -1076,37 +890,79 @@ mod tests {
     }
 
     #[test]
-    fn standing_odist_kernel_patches_track_every_mutation() {
+    fn standing_odist_is_kept_outside_its_ellipse_and_rerun_inside() {
         let mut live = LiveScene::new(points(), obstacles(), ConnConfig::default());
-        let q = Query::odist(Point::new(0.0, 0.0), Point::new(100.0, 0.0))
-            .build()
-            .unwrap();
-        let h = live.service().register(q.clone()).unwrap();
+        let (a, b) = (Point::new(0.0, 0.0), Point::new(100.0, 0.0));
+        let odist = Query::odist(a, b).build().unwrap();
+        let route = Query::route(a, b).build().unwrap();
+        let h = live.service().register(odist.clone()).unwrap();
+        let hr = live.service().register(route.clone()).unwrap();
         let d0 = live.service().standing(&h).unwrap().distance().unwrap();
         assert!(d0 >= 100.0);
 
-        // wall through the corridor: kernel patch, longer distance
+        // far obstacle: outside the ellipse, kept without a search
+        let sight_tests = live.service().reuse_totals().sight_tests;
+        let (_, report) = live.insert_obstacle(Rect::new(400.0, 400.0, 410.0, 410.0));
+        assert_eq!(report.kept, 2, "{report:?}");
+        assert_eq!(live.service().reuse_totals().sight_tests, sight_tests);
+
+        // wall through the corridor: re-run, longer distance, same path
         let wall = Rect::new(48.0, -20.0, 52.0, 40.0);
         let (_, report) = live.insert_obstacle(wall);
-        assert_eq!(report.kernel_patched, 1, "{report:?}");
-        assert!(report.adjacency_repairs > 0, "{report:?}");
+        assert_eq!(report.recomputed, 2, "{report:?}");
         let d1 = live.service().standing(&h).unwrap().distance().unwrap();
         assert!(d1 > d0);
-        assert!(answers_equivalent(
-            &live.service().standing(&h).unwrap(),
-            &cold_answer(&live, &q),
-            1e-6
-        ));
+        for (hq, q) in [(&h, &odist), (&hr, &route)] {
+            let got = live.service().standing(hq).unwrap();
+            let want = cold_answer(&live, q);
+            assert!(answers_equivalent(&got, &want, 1e-6));
+            assert_eq!(got.path(), want.path());
+        }
 
-        // take it back out: CSR surgery and a cold re-settle restore d0
+        // take it back out: re-run, d0 again
         let (_, report) = live.remove_obstacle(&wall).unwrap();
-        assert_eq!(report.kernel_patched, 1, "{report:?}");
+        assert_eq!(report.recomputed, 2, "{report:?}");
         let d2 = live.service().standing(&h).unwrap().distance().unwrap();
         assert!((d2 - d0).abs() <= 1e-6 * d0.max(1.0));
 
         // site mutations never touch a point-to-point answer
         let (_, report) = live.insert_site(DataPoint::new(9, Point::new(50.0, 1.0)));
-        assert_eq!(report.kept, 1, "{report:?}");
+        assert_eq!(report.kept, 2, "{report:?}");
+    }
+
+    #[test]
+    fn walled_in_odist_reruns_when_a_wall_goes() {
+        // target boxed in by overlapping walls
+        let walls = vec![
+            Rect::new(40.0, 40.0, 60.0, 45.0),
+            Rect::new(40.0, 55.0, 60.0, 60.0),
+            Rect::new(40.0, 40.0, 45.0, 60.0),
+            Rect::new(55.0, 40.0, 60.0, 60.0),
+        ];
+        let mut live = LiveScene::new(points(), walls.clone(), ConnConfig::default());
+        let q = Query::odist(Point::new(0.0, 0.0), Point::new(50.0, 50.0))
+            .build()
+            .unwrap();
+        let h = live.service().register(q.clone()).unwrap();
+        assert_eq!(
+            live.service().standing(&h).unwrap().distance(),
+            Some(f64::INFINITY)
+        );
+
+        // an unreachable answer has no finite ellipse: every obstacle
+        // delta re-runs, a far one included
+        let (_, report) = live.insert_obstacle(Rect::new(400.0, 400.0, 410.0, 410.0));
+        assert_eq!(report.recomputed, 1, "{report:?}");
+        assert_eq!(
+            live.service().standing(&h).unwrap().distance(),
+            Some(f64::INFINITY)
+        );
+
+        let (_, report) = live.remove_obstacle(&walls[1]).unwrap();
+        assert_eq!(report.recomputed, 1, "{report:?}");
+        let got = live.service().standing(&h).unwrap();
+        assert!(got.distance().unwrap().is_finite(), "{got:?}");
+        assert!(answers_equivalent(&got, &cold_answer(&live, &q), 1e-6));
     }
 
     #[test]
@@ -1135,8 +991,13 @@ mod tests {
         assert!(noe() > 0);
         assert_eq!(noe(), 0, "a warm re-run loads nothing twice");
         // a removed obstacle leaves the graph; one it never held is fine
-        assert!(kernel.forget(&obstacles()[0]));
-        assert!(kernel.forget(&Rect::new(500.0, 500.0, 510.0, 510.0)));
+        assert!(kernel
+            .forget(&obstacles()[0])
+            .is_some_and(|staled| staled > 0));
+        assert_eq!(
+            kernel.forget(&Rect::new(500.0, 500.0, 510.0, 510.0)),
+            Some(0)
+        );
         let (_, again) = kernel.run(&scene, &seg, ResultList::new(seg.len()));
         assert_eq!(again.noe, 1, "the tree still holds it: loaded back by need");
 
@@ -1160,6 +1021,10 @@ mod tests {
                 _ => live.remove_site(site.pos).unwrap().1,
             };
             assert_eq!(report.recomputed, 2, "step {step}: {report:?}");
+            if step == 4 {
+                // both kernels loaded the wall: its removal stales rows
+                assert!(report.adjacency_repairs > 0, "{report:?}");
+            }
             for (q, h) in queries.iter().zip(&handles) {
                 let got = live.service().standing(h).unwrap();
                 let want = cold_answer(&live, q);

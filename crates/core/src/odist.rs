@@ -4,10 +4,10 @@
 //!
 //! CONN/COkNN/trajectories load obstacles around a *segment*
 //! ([`crate::streams`], paper Algorithm 1). Everything anchored at points —
-//! odist, route, ONN, range, reverse NN, the joins, visible kNN, and the
-//! resident kernels of standing odist/route queries — loads through the
-//! `Resolver` here, incrementally from the obstacle R\*-tree and bounded
-//! by the current best distance, never from a flat copy of the field.
+//! odist, route, ONN, range, reverse NN, the joins and visible kNN — loads
+//! through the `Resolver` here, incrementally from the obstacle R\*-tree
+//! and bounded by the current best distance, never from a flat copy of the
+//! field.
 //!
 //! ## Contract
 //!
@@ -27,8 +27,7 @@
 //!
 //! When the anchor moves the stream is re-opened and deduplicated against
 //! the graph's [`LoadedObstacles`], so a graph shared by many pairs (joins,
-//! reverse NN) or kept resident across epochs (live kernels) accumulates
-//! each obstacle once.
+//! reverse NN) accumulates each obstacle once.
 //!
 //! `Resolver::settle` is the fix-point on top: load to `B`, search, and
 //! stop when the distance `d ≤ B` — the graph then holds only real
@@ -78,18 +77,6 @@ impl DistShape for Anchor {
     }
 }
 
-/// `tree`'s mindist-ordered stream around `shape`, charged to `io` if any.
-fn open<'w, Q: DistShape>(
-    tree: &'w RStarTree<Rect>,
-    io: Option<&'w IoMeter>,
-    shape: Q,
-) -> NearestIter<'w, Rect, Q> {
-    match io {
-        Some(io) => tree.nearest_iter_metered(shape, io),
-        None => tree.nearest_iter(shape),
-    }
-}
-
 /// The obstacle stream of the current anchor.
 struct OpenStream<'w> {
     anchor: Anchor,
@@ -101,18 +88,15 @@ struct OpenStream<'w> {
     upto: f64,
 }
 
-/// The loader and resolver over a visibility graph, a Dijkstra engine and
-/// the graph's loaded set — borrowed from whoever owns them (the engine
-/// [`crate::engine::Workspace`] for one query, a resident live kernel for
-/// one patch) — and one obstacle tree, whose page reads are charged to
-/// `io` (a live kernel's patch work is not part of any query's stats and
-/// runs unmetered).
+/// The loader and resolver over the visibility graph, Dijkstra engine and
+/// loaded set of one query's [`crate::engine::Workspace`] and one obstacle
+/// tree, whose page reads are charged to `io`.
 pub(crate) struct Resolver<'w> {
     pub(crate) g: &'w mut VisGraph,
     pub(crate) dij: &'w mut DijkstraEngine,
     loaded: &'w mut LoadedObstacles,
     tree: &'w RStarTree<Rect>,
-    io: Option<&'w IoMeter>,
+    io: &'w IoMeter,
     kernel: KernelMode,
     stream: Option<OpenStream<'w>>,
     /// Obstacles this resolver inserted into the graph (the NOE metric).
@@ -127,7 +111,7 @@ impl<'w> Resolver<'w> {
         loaded: &'w mut LoadedObstacles,
         tree: &'w RStarTree<Rect>,
         cfg: &ConnConfig,
-        io: Option<&'w IoMeter>,
+        io: &'w IoMeter,
     ) -> Self {
         Resolver {
             g,
@@ -146,7 +130,8 @@ impl<'w> Resolver<'w> {
     /// so callers answer `∞` / empty without searching. One tree point
     /// query.
     pub(crate) fn swallowed(&self, p: Point) -> bool {
-        open(self.tree, self.io, p)
+        self.tree
+            .nearest_iter_metered(p, self.io)
             .take_while(|(_, d)| *d <= 0.0)
             .any(|(r, _)| r.strictly_contains(p))
     }
@@ -159,7 +144,7 @@ impl<'w> Resolver<'w> {
             Some(s) if s.anchor == anchor => s,
             slot => slot.insert(OpenStream {
                 anchor,
-                iter: open(self.tree, self.io, anchor),
+                iter: self.tree.nearest_iter_metered(anchor, self.io),
                 pending: None,
                 upto: f64::NEG_INFINITY,
             }),
@@ -188,15 +173,15 @@ impl<'w> Resolver<'w> {
 
     /// Exact obstructed distance from node `src` to node `dst` (`∞` when
     /// unreachable) by the load–search fix-point of the module docs,
-    /// starting at `bound`; also returns the bound it certified at. Every
-    /// `src`–`dst` path must be one `anchor` covers.
+    /// starting at `bound`. Every `src`–`dst` path must be one `anchor`
+    /// covers.
     pub(crate) fn settle(
         &mut self,
         anchor: Anchor,
         src: NodeId,
         dst: NodeId,
         mut bound: f64,
-    ) -> (f64, f64) {
+    ) -> f64 {
         let goal = self.kernel.point_goal(self.g.node_pos(dst));
         loop {
             bound = self.load(anchor, bound);
@@ -206,7 +191,7 @@ impl<'w> Resolver<'w> {
                 .ensure_prepared(self.g, src, goal, self.kernel.warm_labels());
             let d = self.dij.run_until_settled(self.g, dst);
             if !d.is_finite() || affected(d, bound) {
-                return (d, bound);
+                return d;
             }
             bound = d;
         }
@@ -215,7 +200,7 @@ impl<'w> Resolver<'w> {
     fn pair(&mut self, a: Point, b: Point) -> (f64, NodeId, NodeId) {
         let na = self.g.add_point(a, NodeKind::DataPoint);
         let nb = self.g.add_point(b, NodeKind::DataPoint);
-        let (d, _) = self.settle(Anchor::Ellipse(a, b), na, nb, a.dist(b));
+        let d = self.settle(Anchor::Ellipse(a, b), na, nb, a.dist(b));
         (d, na, nb)
     }
 
@@ -230,22 +215,17 @@ impl<'w> Resolver<'w> {
     /// Obstructed distance and shortest path between two points.
     pub(crate) fn resolve_route(&mut self, a: Point, b: Point) -> (f64, Option<Vec<Point>>) {
         let (d, na, nb) = self.pair(a, b);
-        let path = settled_path(self.g, self.dij, nb, d);
+        let path = d.is_finite().then(|| {
+            self.dij
+                .path_to(nb)
+                .iter()
+                .map(|&n| self.g.node_pos(n))
+                .collect()
+        });
         self.g.remove_node(na);
         self.g.remove_node(nb);
         (d, path)
     }
-}
-
-/// The settled shortest path to `dst` as a polyline (`None` when `d = ∞`).
-pub(crate) fn settled_path(
-    g: &VisGraph,
-    dij: &DijkstraEngine,
-    dst: NodeId,
-    d: f64,
-) -> Option<Vec<Point>> {
-    d.is_finite()
-        .then(|| dij.path_to(dst).iter().map(|&n| g.node_pos(n)).collect())
 }
 
 impl QueryEngine {

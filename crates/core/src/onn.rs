@@ -73,7 +73,7 @@ impl QueryEngine {
                 // goal-directed from the candidate toward `s`; every path
                 // ends at `s`, so one disc around it serves all candidates
                 let p_node = r.g.add_point(p.pos, NodeKind::DataPoint);
-                let (od, _) = r.settle(Anchor::Disc(s), p_node, s_node, s.dist(p.pos));
+                let od = r.settle(Anchor::Disc(s), p_node, s_node, s.dist(p.pos));
                 r.g.remove_node(p_node);
                 if od.is_finite() {
                     let at = results.partition_point(|(_, d)| *d <= od);

@@ -325,8 +325,8 @@ impl<'a> ConnService<'a> {
     /// epoch and keeps the result resident. Every
     /// [`ConnService::publish_delta`] then patches the resident answer —
     /// kept untouched when the delta falls outside the query's certificate
-    /// region, tuple-patched or kernel-patched when a surgical repair
-    /// applies, recomputed otherwise. Read the live answer back with
+    /// region, tuple-patched when an ONN/range list can absorb a site
+    /// insertion, recomputed otherwise. Read the live answer back with
     /// [`ConnService::standing`].
     pub fn register(&self, query: Query) -> Result<StandingHandle, Error> {
         let pin = self.pin();

@@ -1,15 +1,16 @@
 //! Live-scene equivalence suite (the standing-query oracle): after any
 //! interleaved sequence of site/obstacle insertions and removals, every
-//! standing answer — kept under a certificate, tuple-patched,
-//! kernel-patched or recomputed — must be 1e-6-equivalent to a **cold
-//! rebuild** of the scene's final state, for every query family, under
-//! both kernels and with the rotational sweep forced on and off.
+//! standing answer — kept under a certificate, tuple-patched or
+//! recomputed — must be 1e-6-equivalent to a **cold rebuild** of the
+//! scene's final state, for every query family, under both kernels and
+//! with the rotational sweep forced on and off.
 //!
 //! An unsound certificate region (keeping an answer a delta actually
-//! touched), a tuple patch inserting at the wrong rank, or a resident
-//! kernel whose CSR surgery left a stale row would all surface
-//! as a divergence somewhere in the sequence — the suite re-checks the
-//! whole standing set after *every* delta, not just at the end.
+//! touched), a tuple patch inserting at the wrong rank, or a CONN/COkNN
+//! segment kernel whose CSR surgery left a stale row when an obstacle
+//! went would all surface as a divergence somewhere in the sequence —
+//! the suite re-checks the whole standing set after *every* delta, not
+//! just at the end.
 
 use std::sync::Arc;
 
@@ -177,14 +178,12 @@ proptest! {
                 if let Some(report) = published {
                     prop_assert_eq!(report.standing, standing.len());
                     prop_assert_eq!(
-                        report.kept
-                            + report.tuple_patched
-                            + report.kernel_patched
-                            + report.recomputed,
+                        report.kept + report.tuple_patched + report.recomputed,
                         report.standing,
                         "patch outcomes must partition the standing set: {:?}",
                         report
                     );
+                    prop_assert_eq!(report.kernel_patched, 0);
                 }
                 assert_standing_matches_cold(&live, &standing, cfg, &format!("after step {step} ({op:?})"))?;
             }

@@ -34,7 +34,7 @@
 //!   standing queries ([`ConnService::register`] →
 //!   [`StandingHandle`]) patched per delta under kinetic-style
 //!   certificate regions with a [`PatchReport`] accounting for every
-//!   kept / tuple-patched / kernel-patched / recomputed answer;
+//!   kept / tuple-patched / recomputed answer;
 //! * the serving internals: [`QueryEngine`] (reset-and-reuse workspace —
 //!   answer many queries with O(1) substrate allocations; it also owns the
 //!   page meters and LRU buffers its queries' tree I/O is counted on; the
