@@ -1,14 +1,20 @@
 //! The persistent worker-engine pool (serving layer).
 //!
 //! An [`EnginePool`] owns a set of warm [`QueryEngine`] slots that
-//! survive across calls: serial executions round-robin over the slots;
-//! everything run on several workers goes through one worker loop,
-//! `serve`, in which each worker keeps its own slot and pulls items one
-//! at a time until its source runs dry (the batch path pulls off a cursor
-//! over a slice, the admission pump off its live queue). Engines are
-//! created lazily on first use and then stay warm — their visibility-graph,
-//! Dijkstra and cache allocations are amortized across every query the
-//! pool ever serves, not per batch.
+//! survive across calls: a serial execution takes the first idle slot
+//! (round-robin, blocking, only when every slot is busy); everything run
+//! on several workers goes through one worker loop, `serve`, in which each
+//! worker keeps its own slot and pulls items one at a time until its
+//! source runs dry (the batch path — and a lone trajectory's legs — pull
+//! off a cursor over a slice, the admission pump off its live queue).
+//! Engines are created lazily on first use and then stay warm — their
+//! visibility-graph, Dijkstra and cache allocations are amortized across
+//! every query the pool ever serves, not per batch.
+//!
+//! A worker holds one slot at a time and never waits on another slot
+//! while it holds one, so the pool cannot deadlock on itself: code that
+//! runs under a slot (a `serve` item, a `with_engine` closure) must not
+//! call back into `run`, `serve` or `with_engine`.
 //!
 //! Counter aggregation is race-free by construction: each slot's
 //! [`ReuseCounters`] total is only ever updated while that slot's mutex
@@ -19,7 +25,7 @@
 
 // lint:allow-file(no-panic-in-query-path[index]): slot indices are bounded by ensure_slots in the same call
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use crate::config::ConnConfig;
 use crate::engine::QueryEngine;
@@ -76,14 +82,13 @@ impl EnginePool {
         lock(&self.slots).len()
     }
 
-    /// Runs `f` on `slot`'s warm engine under the slot lock and folds the
-    /// query's reuse counters into the slot's total before releasing it.
-    fn on_slot<R>(
+    /// Runs `f` on the locked slot's warm engine and folds the query's
+    /// reuse counters into the slot's total before releasing it.
+    fn on_locked<R>(
         &self,
-        slot: &Mutex<PoolSlot>,
+        mut guard: MutexGuard<'_, PoolSlot>,
         f: impl FnOnce(&mut QueryEngine) -> (R, QueryStats),
     ) -> (R, QueryStats) {
-        let mut guard = lock(slot);
         let cfg = self.cfg;
         let engine = guard.engine.get_or_insert_with(|| QueryEngine::new(cfg));
         let (result, stats) = f(engine);
@@ -91,18 +96,23 @@ impl EnginePool {
         (result, stats)
     }
 
-    /// Runs `f` on one warm engine (round-robin over the slots, blocking
-    /// if every slot is busy) and folds the query's reuse counters into
-    /// that slot's race-free total.
+    /// Runs `f` on one warm engine — the first slot that is idle, or,
+    /// when every slot is busy, the next one round-robin (blocking until
+    /// it frees) — and folds the query's reuse counters into that slot's
+    /// race-free total.
     pub fn with_engine<R>(
         &self,
         f: impl FnOnce(&mut QueryEngine) -> (R, QueryStats),
     ) -> (R, QueryStats) {
         let slots = self.ensure_slots(1);
-        self.on_slot(
-            &slots[self.rr.fetch_add(1, Ordering::Relaxed) % slots.len()],
-            f,
-        )
+        let idle = slots.iter().find_map(|slot| match slot.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        });
+        let guard = idle
+            .unwrap_or_else(|| lock(&slots[self.rr.fetch_add(1, Ordering::Relaxed) % slots.len()]));
+        self.on_locked(guard, f)
     }
 
     /// The one worker loop: `threads` workers (at least one; the calling
@@ -121,7 +131,7 @@ impl EnginePool {
         let slots = self.ensure_slots(threads);
         let work = &|slot: &Mutex<PoolSlot>| {
             while let Some(item) = next() {
-                let _ = self.on_slot(slot, |engine| ((), f(engine, item)));
+                let _ = self.on_locked(lock(slot), |engine| ((), f(engine, item)));
             }
         };
         std::thread::scope(|scope| {
@@ -228,6 +238,38 @@ mod tests {
         });
         assert_eq!(pool.size(), 1);
         assert_eq!(pool.reuse_totals().graph_reuses, 1);
+    }
+
+    /// A serial execution takes an idle slot instead of queueing behind a
+    /// busy one: with slot 0 held by another thread, `with_engine` returns
+    /// on slot 1 while slot 0 is still held (round-robin would pick slot 0
+    /// first and wait for its holder).
+    #[test]
+    fn with_engine_takes_an_idle_slot_over_a_busy_one() {
+        use std::sync::{mpsc, Barrier};
+        use std::time::Duration;
+        let pool = EnginePool::new(ConnConfig::default());
+        let slots = pool.ensure_slots(2);
+        let held = &Barrier::new(2);
+        let (returned, on_return) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            // holds slot 0 until with_engine has returned; if with_engine
+            // waits on slot 0 instead, the holder gives up after 5 s and
+            // reports it rather than hang the test
+            let slot0 = &slots[0];
+            let holder = scope.spawn(move || {
+                let _guard = lock(slot0);
+                held.wait();
+                on_return.recv_timeout(Duration::from_secs(5)).is_err()
+            });
+            held.wait();
+            let ((), _) = pool.with_engine(|_| ((), QueryStats::default()));
+            let _ = returned.send(());
+            let gave_up = holder.join().unwrap();
+            assert!(!gave_up, "with_engine waited for the busy slot");
+        });
+        assert!(lock(&slots[0]).engine.is_none());
+        assert!(lock(&slots[1]).engine.is_some());
     }
 
     #[test]

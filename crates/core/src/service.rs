@@ -19,6 +19,13 @@
 //! * [`ConnService::execute_batch`] is the one batch path: it schedules
 //!   a workload of any mix of families across the same engine pool and
 //!   sums the responses' stats into one [`BatchStats`];
+//! * a lone [`ConnService::execute`] of a trajectory fans its legs out
+//!   over the pool's workers and stitches them in leg order. Only that
+//!   call fans out: it holds no pool slot, and its thread would otherwise
+//!   idle. The batch path, the admission pump and standing re-runs keep
+//!   every worker busy with whole queries and run a route's legs one
+//!   after another on the engine they hold — a worker that holds a slot
+//!   never waits on another;
 //! * [`ConnService::sharded`] tiles giant scenes spatially
 //!   ([`crate::shard`]): queries whose expansion bound fits one tile's
 //!   coverage run on that shard alone, the rest fall back to the full
@@ -27,7 +34,6 @@
 //!   ([`crate::SceneEpoch::open_session`]), so a session keeps its
 //!   snapshot alive across legs however many epochs publish meanwhile.
 
-// lint:allow-file(no-panic-in-query-path[index]): indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,9 +50,9 @@ use crate::error::Error;
 use crate::live::{PatchReport, SceneDelta, StandingHandle, StandingRegistry};
 use crate::pool::EnginePool;
 use crate::query::{Answer, Query, QueryKind, Response};
-use crate::session::{TrajectoryCoknnSession, TrajectorySession};
 use crate::shard::{ShardSet, ShardSpec};
 use crate::stats::{QueryStats, ReuseCounters};
+use crate::trajectory::{stitch_leg, Trajectory, TrajectoryResult};
 use crate::types::DataPoint;
 
 /// One R\*-tree: owned by the scene, borrowed from the caller, or shared
@@ -407,10 +413,28 @@ impl<'a> ConnService<'a> {
     /// [`ConnService::execute`] against an explicitly pinned epoch — the
     /// snapshot-isolation primitive: every read of this call sees `pin`'s
     /// scene, whatever publishes concurrently.
+    ///
+    /// A [`Query::trajectory`] runs its legs on the pool's idle workers
+    /// (`EnginePool::run`, the batch path's worker loop and worker
+    /// count) and stitches them in leg order, bit-identical to the serial
+    /// leg loop every other path runs. Its `stats.cpu` is the sum of its
+    /// legs' times, so it can exceed the call's wall time. The fan-out
+    /// waits on pool slots, so a caller must not hold one: this is called
+    /// only from client threads (`execute`, `register`), never from code
+    /// running on a pool engine.
     pub fn execute_at(&self, pin: &PinnedEpoch<'a>, query: &Query) -> Result<Response, Error> {
-        let (answer, stats) = self
-            .pool
-            .with_engine(|engine| shard_dispatch(engine, pin, query));
+        let (answer, stats) = match query.kind() {
+            QueryKind::Trajectory { route, k } => {
+                let legs: Vec<Segment> = (0..route.num_legs()).map(|i| route.leg(i)).collect();
+                let (answers, _, per_leg) = self.pool.run(&legs, 0, |engine, leg| {
+                    run_leg(engine, pin.scene(), leg, *k)
+                });
+                assemble_trajectory(route, *k, answers.into_iter().zip(per_leg))
+            }
+            _ => self
+                .pool
+                .with_engine(|engine| shard_dispatch(engine, pin, query)),
+        };
         Ok(Response { answer, stats })
     }
 
@@ -614,8 +638,10 @@ pub(crate) fn onn_dmax(v: &[(DataPoint, f64)], k: usize) -> Option<f64> {
     Some(dmax)
 }
 
-/// The one family dispatcher `execute`, the batch workers and the standing
-/// re-runs share.
+/// The one family dispatcher `execute`, the batch workers, the admission
+/// pump and the standing re-runs share. Its trajectory arm runs the legs
+/// in order on the engine it holds; only a lone `execute` of a trajectory
+/// bypasses it to fan the legs out ([`ConnService::execute_at`]).
 pub(crate) fn dispatch(
     engine: &mut QueryEngine,
     scene: &Scene<'_>,
@@ -661,31 +687,71 @@ pub(crate) fn dispatch(
             (Answer::ClosestPair(best), stats)
         }
         QueryKind::Trajectory { route, k } => {
-            if *k == 1 {
-                let mut session =
-                    TrajectorySession::with_engine(dt, ot, route.vertices()[0], engine);
-                for &v in &route.vertices()[1..] {
-                    session.push_leg(v);
-                }
-                let (res, stats) = session.finish();
-                (Answer::Trajectory(res), stats)
-            } else {
-                let mut session =
-                    TrajectoryCoknnSession::with_engine(dt, ot, route.vertices()[0], *k, engine);
-                for &v in &route.vertices()[1..] {
-                    session.push_leg(v);
-                }
-                let (legs, stats) = session.finish();
-                (Answer::TrajectoryKnn(legs), stats)
-            }
+            let legs = (0..route.num_legs()).map(|i| run_leg(engine, scene, &route.leg(i), *k));
+            assemble_trajectory(route, *k, legs)
         }
     }
+}
+
+/// One trajectory leg as the query it is: CONN for `k = 1`, COkNN
+/// otherwise (Algorithm 4, §6).
+fn run_leg(
+    engine: &mut QueryEngine,
+    scene: &Scene<'_>,
+    leg: &Segment,
+    k: usize,
+) -> (Answer, QueryStats) {
+    let (dt, ot) = (scene.data_tree(), scene.obstacle_tree());
+    if k == 1 {
+        let (res, stats) = engine.conn(dt, ot, leg);
+        (Answer::Conn(res), stats)
+    } else {
+        let (res, stats) = engine.coknn(dt, ot, leg, k);
+        (Answer::Coknn(res), stats)
+    }
+}
+
+/// The one way a trajectory's answer is assembled from its legs' answers
+/// ([`run_leg`]), given in leg order: stats are summed leg by leg; for
+/// `k = 1` the CONN tuples are stitched at each leg's cumulative offset
+/// and `result_tuples` is the stitched count, for `k > 1` the COkNN
+/// results are kept per leg — exactly what a [`crate::TrajectorySession`]
+/// / [`crate::TrajectoryCoknnSession`] over the route finishes with.
+fn assemble_trajectory(
+    route: &Trajectory,
+    k: usize,
+    legs: impl IntoIterator<Item = (Answer, QueryStats)>,
+) -> (Answer, QueryStats) {
+    let mut stats = QueryStats::default();
+    let answers: Vec<Answer> = legs
+        .into_iter()
+        .map(|(answer, leg_stats)| {
+            stats.accumulate(&leg_stats);
+            answer
+        })
+        .collect();
+    if k > 1 {
+        let legs = answers.into_iter().filter_map(Answer::into_coknn).collect();
+        return (Answer::TrajectoryKnn(legs), stats);
+    }
+    let mut segments = Vec::new();
+    for (i, res) in answers
+        .into_iter()
+        .filter_map(Answer::into_conn)
+        .enumerate()
+    {
+        let (offset, end) = (route.leg_offset(i), route.leg_offset(i + 1));
+        stitch_leg(&mut segments, &res.segments(), offset, end);
+    }
+    stats.result_tuples = segments.len() as u64;
+    let result = TrajectoryResult::new(route.clone(), segments);
+    (Answer::Trajectory(result), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Query, Trajectory};
+    use crate::{Query, TrajectoryCoknnSession, TrajectorySession};
     use conn_geom::Point;
 
     fn scene() -> Scene<'static> {
@@ -943,6 +1009,85 @@ mod tests {
             assert_eq!(a.1.lo.to_bits(), b.1.lo.to_bits());
             assert_eq!(a.1.hi.to_bits(), b.1.hi.to_bits());
         }
+    }
+
+    /// The work counts the paper measures, plus the substrate's sight
+    /// tests and sweep events (not the warmth-dependent reuse counters).
+    fn work_of(s: &QueryStats) -> impl PartialEq + std::fmt::Debug {
+        (
+            (s.npe, s.noe, s.svg_nodes, s.result_tuples),
+            (s.data_io, s.obstacle_io),
+            (s.reuse.sight_tests, s.reuse.sweep_events),
+        )
+    }
+
+    /// A lone `execute` of a trajectory runs its legs on the pool's
+    /// workers; its answer is bit-identical to the batch path's serial leg
+    /// loop and to a session on a fresh engine, and so is its work. A
+    /// one-leg route spawns no worker.
+    #[test]
+    fn trajectory_legs_fan_out_bit_identical() {
+        let scene = scene();
+        let (dt, ot) = (scene.data_tree(), scene.obstacle_tree());
+        let route = Trajectory::new(vec![
+            Point::new(0.0, 0.0),
+            Point::new(50.0, 0.0),
+            Point::new(100.0, 0.0),
+            Point::new(100.0, 50.0),
+            Point::new(0.0, 50.0),
+            Point::new(0.0, 10.0),
+        ]);
+        let (start, rest) = (route.vertices()[0], &route.vertices()[1..]);
+        for k in [1, 3] {
+            let service = ConnService::new(Scene::borrowing(dt, ot));
+            let query = Query::trajectory(route.clone(), k).build().unwrap();
+            let fanned = service.execute(&query).unwrap();
+            assert_eq!(
+                service.pool.size(),
+                crate::pool::pool_size(0, route.num_legs())
+            );
+            let (batch, _) = service
+                .execute_batch_threads(std::slice::from_ref(&query), 1)
+                .unwrap();
+            let cfg = ConnConfig::default();
+            let session = if k == 1 {
+                let mut session = TrajectorySession::new(dt, ot, start, cfg);
+                for &v in rest {
+                    session.push_leg(v);
+                }
+                let (res, stats) = session.finish();
+                (Answer::Trajectory(res), stats)
+            } else {
+                let mut session = TrajectoryCoknnSession::new(dt, ot, start, k, cfg);
+                for &v in rest {
+                    session.push_leg(v);
+                }
+                let (legs, stats) = session.finish();
+                (Answer::TrajectoryKnn(legs), stats)
+            };
+            for (path, (answer, stats)) in [
+                ("batch", (&batch[0].answer, batch[0].stats)),
+                ("session", (&session.0, session.1)),
+            ] {
+                assert_eq!(
+                    format!("{:?}", fanned.answer),
+                    format!("{answer:?}"),
+                    "k = {k}: {path} answer"
+                );
+                assert_eq!(
+                    work_of(&fanned.stats),
+                    work_of(&stats),
+                    "k = {k}: {path} work"
+                );
+            }
+        }
+        let service = ConnService::new(Scene::borrowing(dt, ot));
+        let one_leg = Trajectory::new(vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]);
+        let resp = service
+            .execute(&Query::trajectory(one_leg, 1).build().unwrap())
+            .unwrap();
+        resp.answer.as_trajectory().unwrap().check_cover().unwrap();
+        assert_eq!(service.pool.size(), 1);
     }
 
     #[test]

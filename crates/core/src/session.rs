@@ -1,7 +1,9 @@
 //! Streaming trajectory sessions — trajectory CONN as a *moving-client
 //! serving primitive* rather than a batch reproduction artifact.
 //!
-//! A [`crate::Query::trajectory`] answers a complete polyline. A session
+//! A [`crate::Query::trajectory`] answers a complete polyline (its legs
+//! run as independent queries, on several pool workers when the pool has
+//! them idle — see [`crate::ConnService::execute_at`]). A session
 //! answers it **one leg at a time**: the caller pushes the next vertex as
 //! the client reports it and receives the delta tuples of the new leg in
 //! cumulative arclength. A session is a loop: each pushed leg runs as the
@@ -65,7 +67,7 @@ use crate::trajectory::{stitch_leg, Trajectory, TrajectoryResult};
 use crate::types::DataPoint;
 
 /// The engine a session runs on: its own, or one lent by a caller that
-/// amortizes a single engine across many sessions (the batch workers).
+/// amortizes a single engine across many sessions.
 enum EngineSlot<'e> {
     Owned(Box<QueryEngine>),
     Borrowed(&'e mut QueryEngine),
@@ -160,9 +162,9 @@ impl<'t, 'e> SessionCore<'t, 'e> {
     }
 }
 
-/// A streaming trajectory CONN session (k = 1). See the module docs; the
-/// service answers a [`crate::Query::trajectory`] by replaying the
-/// complete [`Trajectory`] through one of these.
+/// A streaming trajectory CONN session (k = 1). See the module docs; a
+/// complete route is a [`crate::Query::trajectory`], whose answer equals
+/// a session's pushed through the same vertices bit for bit.
 pub struct TrajectorySession<'t, 'e> {
     core: SessionCore<'t, 'e>,
     segments: Vec<(Option<DataPoint>, Interval)>,
@@ -189,9 +191,9 @@ impl<'t> TrajectorySession<'t, 'static> {
 }
 
 impl<'t, 'e> TrajectorySession<'t, 'e> {
-    /// A session on a caller-provided engine (batch workers amortize one
-    /// engine across many trajectories). Every leg rewinds the engine
-    /// exactly like any new query, so no state leaks between sessions.
+    /// A session on a caller-provided engine (to amortize one engine
+    /// across many sessions). Every leg rewinds the engine exactly like
+    /// any new query, so no state leaks between sessions.
     pub fn with_engine(
         data_tree: &'t RStarTree<DataPoint>,
         obstacle_tree: &'t RStarTree<Rect>,

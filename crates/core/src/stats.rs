@@ -125,7 +125,9 @@ pub struct QueryStats {
     pub data_io: StatsSnapshot,
     /// Obstacle R-tree accesses.
     pub obstacle_io: StatsSnapshot,
-    /// Wall-clock CPU time of the query.
+    /// Wall-clock CPU time of the query — its work. For a trajectory it is
+    /// the sum of its legs' times, which exceeds the call's wall time when
+    /// [`crate::ConnService::execute`] ran the legs on several workers.
     pub cpu: Duration,
     /// Number of data points evaluated (paper: NPE).
     pub npe: u64,

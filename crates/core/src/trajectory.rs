@@ -4,13 +4,15 @@
 //!
 //! A trajectory query ([`crate::Query::trajectory`]) is Algorithm 4 run
 //! once per leg, the per-leg result lists stitched into one answer
-//! parameterized by cumulative arclength. The service replays the
-//! trajectory's legs through a [`crate::TrajectorySession`], which runs
-//! each leg as an ordinary CONN/COkNN query on one engine, so the
-//! exactness argument holds leg by leg. The stitching re-indexes
-//! parameters into cumulative arclength, merges equal answers across the
-//! joints, and absorbs sub-`EPS` slivers produced by per-leg float drift at
-//! the shared vertices.
+//! parameterized by cumulative arclength. The legs share nothing, so each
+//! runs as an ordinary CONN/COkNN query and the exactness argument holds
+//! leg by leg: a [`crate::TrajectorySession`] runs them one at a time as
+//! the client reports them; the service runs a complete route's legs in
+//! order on one engine, or, for a lone `execute`, on the pool's idle
+//! workers, and stitches them in leg order either way. The stitching
+//! re-indexes parameters into cumulative arclength, merges equal answers
+//! across the joints, and absorbs sub-`EPS` slivers produced by per-leg
+//! float drift at the shared vertices.
 //!
 //! The `trajectory_session` proptests check sessions against
 //! [`crate::baseline::brute_force_oknn`] over the whole obstacle list,

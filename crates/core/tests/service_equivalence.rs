@@ -1,10 +1,12 @@
 //! Equivalence suite for the typed front door, for a random *mixed-family*
-//! workload over all ten families, on uniform and clustered scenes, under
-//! both kernels:
+//! workload over all ten families (trajectories with k = 1 and k = 2), on
+//! uniform and clustered scenes, under both kernels:
 //!
 //! * [`ConnService::execute`] on a warm pool engine (which has served other
 //!   families before) must answer **byte-identically** to a fresh
-//!   [`QueryEngine`] driven directly for that one query;
+//!   [`QueryEngine`] driven directly for that one query (a trajectory: a
+//!   session pushed through its vertices — `execute` runs its legs on
+//!   several workers, the session runs them in order on one engine);
 //! * [`ConnService::execute_batch_threads`] must answer byte-identically to
 //!   `execute`;
 //! * the served kernel must answer like a [`ConnConfig::baseline_kernel`]
@@ -25,8 +27,8 @@ use std::sync::Arc;
 use common::{check_route, close};
 use conn_core::baseline::obstructed_route;
 use conn_core::{
-    Answer, ConnConfig, ConnService, DataPoint, Query, QueryEngine, QueryKind, Response, Scene,
-    Trajectory, TrajectorySession,
+    Answer, CoknnResult, ConnConfig, ConnService, DataPoint, Query, QueryEngine, QueryKind,
+    Response, Scene, Trajectory, TrajectoryCoknnSession, TrajectorySession,
 };
 use conn_datasets::ObstacleLookup;
 use conn_geom::{Point, Segment};
@@ -45,7 +47,7 @@ struct Spec {
     radius: f64,
 }
 
-const FAMILIES: usize = 10;
+const FAMILIES: usize = 11;
 
 fn pt() -> impl Strategy<Value = Point> {
     (0.0..10_000.0f64, 0.0..10_000.0f64).prop_map(|(x, y)| Point::new(x, y))
@@ -108,7 +110,12 @@ fn build_query(s: &Spec, other: &Arc<RStarTree<DataPoint>>) -> Option<Query> {
             let route = Trajectory::try_new(vec![s.a, s.b, s.c]).ok()?;
             Query::trajectory(route, 1)
         }
-        _ => Query::edistance_join(Arc::clone(other), s.radius),
+        9 => Query::edistance_join(Arc::clone(other), s.radius),
+        _ => {
+            // three legs around the triangle a → b → c → a
+            let route = Trajectory::try_new(vec![s.a, s.b, s.c, s.a]).ok()?;
+            Query::trajectory(route, 2)
+        }
     };
     built.build().ok()
 }
@@ -135,12 +142,19 @@ fn answer_on_fresh_engine(query: &Query, scene: &Scene<'_>, cfg: ConnConfig) -> 
         QueryKind::ClosestPair { other } => {
             Answer::ClosestPair(engine.closest_pair(dt, other, ot).0)
         }
-        QueryKind::Trajectory { route, .. } => {
+        QueryKind::Trajectory { route, k: 1 } => {
             let mut session = TrajectorySession::new(dt, ot, route.vertices()[0], cfg);
             for &v in &route.vertices()[1..] {
                 session.push_leg(v);
             }
             Answer::Trajectory(session.finish().0)
+        }
+        QueryKind::Trajectory { route, k } => {
+            let mut session = TrajectoryCoknnSession::new(dt, ot, route.vertices()[0], *k, cfg);
+            for &v in &route.vertices()[1..] {
+                session.push_leg(v);
+            }
+            Answer::TrajectoryKnn(session.finish().0)
         }
         other => unreachable!("family {} is not generated here", other.family()),
     }
@@ -186,18 +200,29 @@ fn assert_neighbors_equivalent(
     Ok(())
 }
 
+/// Two COkNN answers over one segment: the same kNN distances at each
+/// point of a 33-step grid.
+fn assert_coknn_equivalent(x: &CoknnResult, y: &CoknnResult) -> Result<(), TestCaseError> {
+    for i in 0..=32 {
+        let t = x.query().len() * f64::from(i) / 32.0;
+        let (kx, ky) = (x.knn_at(t), y.knn_at(t));
+        prop_assert_eq!(kx.len(), ky.len(), "t = {}", t);
+        for ((_, dx), (_, dy)) in kx.iter().zip(&ky) {
+            prop_assert!((dx - dy).abs() <= 1e-6, "t = {t}: {dx} vs {dy}");
+        }
+    }
+    Ok(())
+}
+
 /// The served kernel's answer against the reference kernel's, by value.
 fn assert_kernels_equivalent(served: &Answer, reference: &Answer) -> Result<(), TestCaseError> {
     match (served, reference) {
         (Answer::Conn(x), Answer::Conn(y)) => prop_assert!(x.values_equivalent(y, 1e-6)),
-        (Answer::Coknn(x), Answer::Coknn(y)) => {
-            for i in 0..=32 {
-                let t = x.query().len() * f64::from(i) / 32.0;
-                let (kx, ky) = (x.knn_at(t), y.knn_at(t));
-                prop_assert_eq!(kx.len(), ky.len(), "t = {}", t);
-                for ((_, dx), (_, dy)) in kx.iter().zip(&ky) {
-                    prop_assert!((dx - dy).abs() <= 1e-6, "t = {t}: {dx} vs {dy}");
-                }
+        (Answer::Coknn(x), Answer::Coknn(y)) => assert_coknn_equivalent(x, y)?,
+        (Answer::TrajectoryKnn(x), Answer::TrajectoryKnn(y)) => {
+            prop_assert_eq!(x.len(), y.len());
+            for (x, y) in x.iter().zip(y) {
+                assert_coknn_equivalent(x, y)?;
             }
         }
         (Answer::Onn(x), Answer::Onn(y))
