@@ -18,6 +18,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+#[expect(clippy::disallowed_types, reason = "the queue and ticket locks below")]
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::error::Error;
@@ -50,8 +51,11 @@ impl Default for AdmissionConfig {
 /// fulfils it.
 #[derive(Debug)]
 struct TicketState {
-    // Justified lock: guards only the completion hand-off slot.
-    done: Mutex<Option<Result<Response, Error>>>, // lint:allow(no-interior-mutability-in-service)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "guards only the completion hand-off slot"
+    )]
+    done: Mutex<Option<Result<Response, Error>>>,
     cv: Condvar,
 }
 
@@ -118,8 +122,11 @@ impl Drop for Promise {
 #[derive(Debug)]
 pub struct Admission {
     cfg: AdmissionConfig,
-    // Justified lock: guards only queue push/pop, never query execution.
-    queue: Mutex<VecDeque<(Query, Promise)>>, // lint:allow(no-interior-mutability-in-service)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "guards only queue push/pop, never query execution"
+    )]
+    queue: Mutex<VecDeque<(Query, Promise)>>,
     served: AtomicU64,
     rejected: AtomicU64,
     batches: AtomicU64,
@@ -130,7 +137,7 @@ impl Admission {
     pub fn new(cfg: AdmissionConfig) -> Self {
         Admission {
             cfg,
-            // lint:allow(no-interior-mutability-in-service)
+            #[expect(clippy::disallowed_types, reason = "the queue lock, see the field")]
             queue: Mutex::new(VecDeque::new()),
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -151,7 +158,7 @@ impl Admission {
             )));
         }
         let state = Arc::new(TicketState {
-            // lint:allow(no-interior-mutability-in-service)
+            #[expect(clippy::disallowed_types, reason = "the ticket lock, see the field")]
             done: Mutex::new(None),
             cv: Condvar::new(),
         });

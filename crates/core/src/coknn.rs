@@ -14,7 +14,11 @@
 //! control point that cannot beat the k-th member anywhere stops the graph
 //! traversal instead of merely being filtered out of the result.
 
-// lint:allow-file(no-panic-in-query-path[index]): k-list slots are allocated up front; member indices are bounded by k
+#![expect(
+    clippy::indexing_slicing,
+    reason = "k-list slots are allocated up front; member indices are bounded by k"
+)]
+
 use conn_geom::{Interval, Segment, EPS};
 
 use crate::config::ConnConfig;

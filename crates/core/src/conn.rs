@@ -9,7 +9,11 @@
 //! [`crate::engine::Workspace`] so a reused engine performs no per-query substrate
 //! allocations.
 
-// lint:allow-file(no-panic-in-query-path[index]): indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)"
+)]
+
 use conn_geom::{Interval, Segment, EPS};
 use conn_vgraph::NodeKind;
 
@@ -115,8 +119,10 @@ pub(crate) fn run_leg<S: QueryStreams, R: ResultSink>(
         if dist > outer_bound {
             break;
         }
-        // Infallible: the peek above returned Some for this same stream.
-        // lint:allow(no-panic-in-query-path)
+        #[expect(
+            clippy::expect_used,
+            reason = "the peek above returned Some for this same stream"
+        )]
         let (p, _) = streams.next_point().expect("peeked point");
         npe += 1;
 

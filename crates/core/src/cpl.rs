@@ -16,7 +16,11 @@
 //!   worst value currently recorded in the list (∞ while any interval is
 //!   still uncovered — footnote 5 of the paper).
 
-// lint:allow-file(no-panic-in-query-path[index]): slots is resized to the graph's node count by ensure() before any access
+#![expect(
+    clippy::indexing_slicing,
+    reason = "slots is resized to the graph's node count by ensure() before any access"
+)]
+
 use conn_geom::{Interval, IntervalSet, Point, Segment, EPS};
 use conn_vgraph::{DijkstraEngine, NodeId, VisGraph};
 
@@ -218,13 +222,14 @@ impl VrCache {
 
     /// The region computed by the last [`VrCache::ensure`] for this node.
     /// Panics when the node was never ensured (a logic bug).
+    #[expect(
+        clippy::expect_used,
+        reason = "every caller goes through ensure() first, which fills this slot before handing the node id out"
+    )]
     pub fn cached(&self, node: NodeId) -> &IntervalSet {
-        // Infallible: every caller goes through ensure() first, which
-        // fills this slot before handing the node id out.
         self.slots[node.index()]
             .as_ref()
             .map(|(_, vr)| vr)
-            // lint:allow(no-panic-in-query-path)
             .expect("visible region not ensured")
     }
 

@@ -382,9 +382,11 @@ impl QueryEngine {
         assert!(!q.is_degenerate(), "degenerate query segment");
         let QueryEngine { cfg, ws, io } = self;
         let io: &'e Meters = io;
-        // Query-boundary elapsed time for QueryStats; the kernel loop
-        // below never reads the clock.
-        let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "query-boundary elapsed time for QueryStats; the kernel loop below never reads the clock"
+        )]
+        let started = Instant::now();
         let mut streams = open(io);
         let telemetry = run_search(&mut streams, q, cfg, &mut sink, ws, io);
         let stats = QueryStats {

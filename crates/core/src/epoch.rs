@@ -17,6 +17,7 @@
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
+#[expect(clippy::disallowed_types, reason = "EpochCell's publication lock")]
 use std::sync::{Arc, RwLock};
 
 use conn_geom::Point;
@@ -57,7 +58,7 @@ impl<'a> SceneEpoch<'a> {
     /// (on an engine of its own). The session borrows the epoch, so the pin
     /// keeps the snapshot alive for the session's whole lifetime — later
     /// publications cannot pull the scene out from under it.
-    pub fn open_session(&self, start: Point, cfg: ConnConfig) -> TrajectorySession<'_, 'static> {
+    pub fn open_session(&self, start: Point, cfg: ConnConfig) -> TrajectorySession<'_> {
         TrajectorySession::new(
             self.scene.data_tree(),
             self.scene.obstacle_tree(),
@@ -100,8 +101,11 @@ impl<'a> Deref for PinnedEpoch<'a> {
 /// wait on scene construction and writers never wait on queries.
 #[derive(Debug)]
 pub(crate) struct EpochCell<'a> {
-    // Swap-only critical sections; epochs themselves are immutable.
-    current: RwLock<Arc<SceneEpoch<'a>>>, // lint:allow(no-interior-mutability-in-service)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "swap-only critical sections: held to clone or swap one Arc; epochs themselves are immutable"
+    )]
+    current: RwLock<Arc<SceneEpoch<'a>>>,
     retired: Arc<AtomicU64>,
 }
 
@@ -117,8 +121,8 @@ impl<'a> EpochCell<'a> {
             retired: Arc::clone(&retired),
         });
         EpochCell {
-            // Justified lock: held only to clone or swap one Arc.
-            current: RwLock::new(initial), // lint:allow(no-interior-mutability-in-service)
+            #[expect(clippy::disallowed_types, reason = "the publication lock")]
+            current: RwLock::new(initial),
             retired,
         }
     }

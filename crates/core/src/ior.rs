@@ -60,7 +60,10 @@ pub struct EndpointPaths {
 /// every value `< cap` computed afterwards is as exact as with the
 /// uncapped retrieval, and everything it gave up on is territory the
 /// incumbent already owns.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "Algorithm 1 borrows the graph, streams, IOR state and search engine separately, beside the query, its three anchor nodes, the config and the cap"
+)]
 pub fn ior<S: QueryStreams>(
     q: &Segment,
     g: &mut VisGraph,

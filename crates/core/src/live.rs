@@ -46,6 +46,11 @@
 //!   `live_equivalence.rs` pins every patched answer to a cold rebuild at
 //!   1e-6.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the standing-query registry's one mutex is held for one registry operation: a register, an unregister, or one delta's patch pass"
+)]
+
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -259,8 +264,11 @@ impl SegmentKernel {
         q: &Segment,
         mut sink: R,
     ) -> (R, QueryStats) {
-        // query-boundary elapsed time; the kernel loop never reads the clock
-        let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "query-boundary elapsed time; the kernel loop never reads the clock"
+        )]
+        let started = Instant::now();
         let (cfg, ws, io) = self.engine.parts();
         let (s_node, e_node) = match self.ends {
             Some(ends) => {
@@ -487,9 +495,12 @@ fn patch_entry(
         }
     };
     match decision {
+        #[expect(
+            clippy::unreachable,
+            reason = "TuplePatched is only picked under the SiteInserted arm above"
+        )]
         Outcome::TuplePatched => {
             let SceneDelta::SiteInserted(p) = delta else {
-                // lint:allow(no-panic-in-query-path): TuplePatched is only picked under the SiteInserted arm above
                 unreachable!("tuple patch is only chosen for site insertions");
             };
             tuple_patch_insert(entry, engine, pin, *p, pooled);
@@ -536,6 +547,10 @@ fn segment_rerun(
 /// Absorbs a site insertion into an ONN/range tuple list: one obstructed
 /// distance evaluation against the published obstacle tree, merged in
 /// ascending order (ONN truncates back to `k`).
+#[expect(
+    clippy::unreachable,
+    reason = "patch_entry routes only ONN/range here, and ONN/range queries always hold ONN/range answers"
+)]
 fn tuple_patch_insert(
     entry: &mut StandingEntry,
     engine: &mut QueryEngine,
@@ -546,13 +561,11 @@ fn tuple_patch_insert(
     let (s, cap, radius) = match entry.query.kind() {
         QueryKind::Onn { s, k } => (*s, Some(*k), f64::INFINITY),
         QueryKind::Range { s, radius } => (*s, None, *radius),
-        // lint:allow(no-panic-in-query-path): patch_entry routes only ONN/range here
         _ => unreachable!("tuple patch is only chosen for ONN/range"),
     };
     let ((d, _), stats) = engine.odist(pin.scene().obstacle_tree(), s, p.pos, false);
     pooled.accumulate(&stats);
     let (Answer::Onn(list) | Answer::Range(list)) = &mut entry.answer else {
-        // lint:allow(no-panic-in-query-path): ONN/range queries always hold ONN/range answers
         unreachable!("tuple patch is only chosen for ONN/range answers");
     };
     if d.is_finite() && d <= radius * (1.0 + 1e-12) {
@@ -609,8 +622,8 @@ impl LiveScene {
     /// epoch 0 shares the trees (every later epoch shares whatever a
     /// mutation did not touch).
     pub fn new(points: Vec<DataPoint>, obstacles: Vec<Rect>, cfg: ConnConfig) -> Self {
-        let data = Arc::new(RStarTree::bulk_load(points, DEFAULT_PAGE_SIZE)); // lint:allow(no-full-rebuild-in-delta-path): construction-time cold build, not a delta
-        let obstacles = Arc::new(RStarTree::bulk_load(obstacles, DEFAULT_PAGE_SIZE)); // lint:allow(no-full-rebuild-in-delta-path): construction-time cold build, not a delta
+        let data = Arc::new(RStarTree::bulk_load(points, DEFAULT_PAGE_SIZE));
+        let obstacles = Arc::new(RStarTree::bulk_load(obstacles, DEFAULT_PAGE_SIZE));
         let service = ConnService::with_config(
             Scene::shared(Arc::clone(&data), Arc::clone(&obstacles)),
             cfg,
@@ -666,20 +679,26 @@ impl LiveScene {
 
     /// Copy-on-write handle on the data tree: forks the pages only while
     /// a published epoch still shares them, then repairs in place.
+    #[expect(
+        clippy::expect_used,
+        reason = "the fork above restored unique ownership"
+    )]
     fn data_mut(&mut self) -> &mut RStarTree<DataPoint> {
         if Arc::get_mut(&mut self.data).is_none() {
             self.data = Arc::new(self.data.fork());
         }
-        // lint:allow(no-panic-in-query-path): the fork above restored unique ownership
         Arc::get_mut(&mut self.data).expect("uniquely owned after fork")
     }
 
     /// Copy-on-write handle on the obstacle tree.
+    #[expect(
+        clippy::expect_used,
+        reason = "the fork above restored unique ownership"
+    )]
     fn obstacles_mut(&mut self) -> &mut RStarTree<Rect> {
         if Arc::get_mut(&mut self.obstacles).is_none() {
             self.obstacles = Arc::new(self.obstacles.fork());
         }
-        // lint:allow(no-panic-in-query-path): the fork above restored unique ownership
         Arc::get_mut(&mut self.obstacles).expect("uniquely owned after fork")
     }
 
@@ -840,6 +859,36 @@ mod tests {
             live.service().epochs_live() + live.service().epochs_retired(),
             3
         );
+    }
+
+    /// Each of the four deltas repairs the one tree it touches and shares
+    /// the other with the epoch before it: no delta rebuilds the scene.
+    #[test]
+    fn deltas_share_the_untouched_tree() {
+        let mut live = LiveScene::new(points(), obstacles(), ConnConfig::default());
+        let site = DataPoint::new(7, Point::new(5.0, 5.0));
+        let wall = Rect::new(0.0, 40.0, 5.0, 45.0);
+        for step in 0..4u64 {
+            let before = live.service().pin();
+            let (epoch, _) = match step {
+                0 => live.insert_site(site),
+                1 => live.insert_obstacle(wall),
+                2 => live.remove_site(site.pos).unwrap(),
+                _ => live.remove_obstacle(&wall).unwrap(),
+            };
+            assert_eq!(epoch, step + 1);
+            let after = live.service().pin();
+            let (old, new) = (before.scene(), after.scene());
+            let data_shared = std::ptr::eq(old.data_tree(), new.data_tree());
+            let obstacles_shared = std::ptr::eq(old.obstacle_tree(), new.obstacle_tree());
+            // the pin keeps the old epoch alive, so the touched tree forks
+            let site_delta = step % 2 == 0;
+            assert_eq!(
+                (data_shared, obstacles_shared),
+                (!site_delta, site_delta),
+                "step {step}: the untouched tree must be shared, the touched one repaired"
+            );
+        }
     }
 
     #[test]

@@ -239,9 +239,11 @@ impl QueryEngine {
         obstacle_tree: &RStarTree<Rect>,
         body: impl FnOnce(&mut Resolver<'_>, &IoMeter) -> (T, u64, u64),
     ) -> (T, QueryStats) {
-        // Query-boundary elapsed time for QueryStats; the kernel loops
-        // never read the clock.
-        let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "query-boundary elapsed time for QueryStats; the kernel loops never read the clock"
+        )]
+        let started = Instant::now();
         let (cfg, ws, io) = self.parts();
         ws.begin_query(io);
         let mut resolver = ws.resolver(obstacle_tree, &cfg, &io.obstacle);

@@ -23,7 +23,15 @@
 //! `sweep_events` increments. [`EnginePool::reuse_totals`] sums the slot
 //! totals for the pool's lifetime view.
 
-// lint:allow-file(no-panic-in-query-path[index]): slot indices are bounded by ensure_slots in the same call
+#![expect(
+    clippy::indexing_slicing,
+    reason = "slot indices are bounded by ensure_slots in the same call"
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the slot list's lock is held only to grow or clone the list, a slot's lock for one query on its engine (a worker holds one slot at a time), and the batch results' lock for one push"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
@@ -121,6 +129,10 @@ impl EnginePool {
     /// slot is locked *per item*, so serial executes interleave with a
     /// running call instead of blocking behind it. A worker's panic is
     /// re-raised once the other workers have finished.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pool is the one place threads are spawned"
+    )]
     pub(crate) fn serve<I>(
         &self,
         threads: usize,
@@ -245,6 +257,10 @@ mod tests {
     /// on slot 1 while slot 0 is still held (round-robin would pick slot 0
     /// first and wait for its holder).
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a second thread holds a slot while the test thread asks for one"
+    )]
     fn with_engine_takes_an_idle_slot_over_a_busy_one() {
         use std::sync::{mpsc, Barrier};
         use std::time::Duration;

@@ -7,7 +7,11 @@
 //! splitting them wherever `p`'s distance function crosses the incumbent's
 //! (Lemma 1 shortcut, then the quadratic Split of §3).
 
-// lint:allow-file(no-panic-in-query-path[index]): indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)"
+)]
+
 use conn_geom::{Interval, Segment};
 
 use crate::config::ConnConfig;

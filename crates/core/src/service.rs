@@ -201,8 +201,9 @@ impl<'a> Scene<'a> {
 /// [`ConnService::publish`]; a published-over epoch stays alive until its
 /// last pinned reader drops, so mid-query publications can never tear an
 /// answer. There is no interior mutability in this type beyond the
-/// publication slot and the pool locks (the
-/// `no-interior-mutability-in-service` conn-lint rule keeps it that way).
+/// publication slot, the pool locks and the standing-query registry's
+/// lock (clippy's `disallowed_types` keeps it that way: each lock carries
+/// an `#[expect]` naming its critical section).
 ///
 /// [`execute`]: ConnService::execute
 /// [`execute_batch`]: ConnService::execute_batch
@@ -467,8 +468,11 @@ impl<'a> ConnService<'a> {
         queries: &[Query],
         threads: usize,
     ) -> Result<(Vec<Response>, BatchStats), Error> {
-        // Batch-boundary wall time for BatchStats, not kernel-side timing.
-        let started = Instant::now(); // lint:allow(no-wallclock-in-kernels)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "batch-boundary wall time for BatchStats, not kernel-side timing"
+        )]
+        let started = Instant::now();
         let (answers, threads, per_query) = self
             .pool
             .run(queries, threads, |engine, q| shard_dispatch(engine, pin, q));
@@ -923,6 +927,10 @@ mod tests {
     /// Counters on the shared trees could not give this; meters on the
     /// engines do by construction.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "client threads stand for independent callers of one service"
+    )]
     fn concurrent_clients_get_exact_per_query_io() {
         let service = ConnService::new(scene());
         let queries = every_family();

@@ -66,39 +66,23 @@ use crate::stats::QueryStats;
 use crate::trajectory::{stitch_leg, Trajectory, TrajectoryResult};
 use crate::types::DataPoint;
 
-/// The engine a session runs on: its own, or one lent by a caller that
-/// amortizes a single engine across many sessions.
-enum EngineSlot<'e> {
-    Owned(Box<QueryEngine>),
-    Borrowed(&'e mut QueryEngine),
-}
-
-impl EngineSlot<'_> {
-    fn get(&mut self) -> &mut QueryEngine {
-        match self {
-            EngineSlot::Owned(e) => e,
-            EngineSlot::Borrowed(e) => e,
-        }
-    }
-}
-
-/// Shared machinery of the CONN and COkNN sessions: trees, engine,
-/// trajectory geometry, pooled stats.
-struct SessionCore<'t, 'e> {
+/// Shared machinery of the CONN and COkNN sessions: trees, the session's
+/// own engine, trajectory geometry, pooled stats.
+struct SessionCore<'t> {
     data_tree: &'t RStarTree<DataPoint>,
     obstacle_tree: &'t RStarTree<Rect>,
-    engine: EngineSlot<'e>,
+    engine: Box<QueryEngine>,
     vertices: Vec<Point>,
     cum: Vec<f64>,
     stats: QueryStats,
 }
 
-impl<'t, 'e> SessionCore<'t, 'e> {
+impl<'t> SessionCore<'t> {
     fn new(
         data_tree: &'t RStarTree<DataPoint>,
         obstacle_tree: &'t RStarTree<Rect>,
         start: Point,
-        engine: EngineSlot<'e>,
+        cfg: ConnConfig,
     ) -> Self {
         assert!(
             start.x.is_finite() && start.y.is_finite(),
@@ -107,16 +91,18 @@ impl<'t, 'e> SessionCore<'t, 'e> {
         SessionCore {
             data_tree,
             obstacle_tree,
-            engine,
+            engine: Box::new(QueryEngine::new(cfg)),
             vertices: vec![start],
             cum: vec![0.0],
             stats: QueryStats::default(),
         }
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "vertices starts with the session origin and only grows"
+    )]
     fn position(&self) -> Point {
-        // Infallible: vertices starts with the session origin and only grows.
-        // lint:allow(no-panic-in-query-path)
         *self.vertices.last().unwrap()
     }
 
@@ -139,10 +125,9 @@ impl<'t, 'e> SessionCore<'t, 'e> {
         );
         let leg = Segment::new(self.position(), to);
         assert!(!leg.is_degenerate(), "degenerate trajectory leg");
-        // Infallible: cum starts as vec![0.0] and only grows.
-        // lint:allow(no-panic-in-query-path)
+        #[expect(clippy::unwrap_used, reason = "cum starts as vec![0.0] and only grows")]
         let offset = *self.cum.last().unwrap();
-        let (answer, stats) = query(self.engine.get(), self.data_tree, self.obstacle_tree, &leg);
+        let (answer, stats) = query(&mut self.engine, self.data_tree, self.obstacle_tree, &leg);
         self.stats.accumulate(&stats);
         self.vertices.push(to);
         self.cum.push(offset + leg.len());
@@ -165,12 +150,12 @@ impl<'t, 'e> SessionCore<'t, 'e> {
 /// A streaming trajectory CONN session (k = 1). See the module docs; a
 /// complete route is a [`crate::Query::trajectory`], whose answer equals
 /// a session's pushed through the same vertices bit for bit.
-pub struct TrajectorySession<'t, 'e> {
-    core: SessionCore<'t, 'e>,
+pub struct TrajectorySession<'t> {
+    core: SessionCore<'t>,
     segments: Vec<(Option<DataPoint>, Interval)>,
 }
 
-impl<'t> TrajectorySession<'t, 'static> {
+impl<'t> TrajectorySession<'t> {
     /// A session starting at `start`, on its own engine.
     pub fn new(
         data_tree: &'t RStarTree<DataPoint>,
@@ -179,34 +164,7 @@ impl<'t> TrajectorySession<'t, 'static> {
         cfg: ConnConfig,
     ) -> Self {
         TrajectorySession {
-            core: SessionCore::new(
-                data_tree,
-                obstacle_tree,
-                start,
-                EngineSlot::Owned(Box::new(QueryEngine::new(cfg))),
-            ),
-            segments: Vec::new(),
-        }
-    }
-}
-
-impl<'t, 'e> TrajectorySession<'t, 'e> {
-    /// A session on a caller-provided engine (to amortize one engine
-    /// across many sessions). Every leg rewinds the engine exactly like
-    /// any new query, so no state leaks between sessions.
-    pub fn with_engine(
-        data_tree: &'t RStarTree<DataPoint>,
-        obstacle_tree: &'t RStarTree<Rect>,
-        start: Point,
-        engine: &'e mut QueryEngine,
-    ) -> Self {
-        TrajectorySession {
-            core: SessionCore::new(
-                data_tree,
-                obstacle_tree,
-                start,
-                EngineSlot::Borrowed(engine),
-            ),
+            core: SessionCore::new(data_tree, obstacle_tree, start, cfg),
             segments: Vec::new(),
         }
     }
@@ -257,9 +215,8 @@ impl<'t, 'e> TrajectorySession<'t, 'e> {
     }
 
     /// Cumulative arclength covered so far.
+    #[expect(clippy::unwrap_used, reason = "cum starts as vec![0.0] and only grows")]
     pub fn len(&self) -> f64 {
-        // Infallible: cum starts as vec![0.0] and only grows.
-        // lint:allow(no-panic-in-query-path)
         *self.core.cum.last().unwrap()
     }
 
@@ -294,13 +251,13 @@ impl<'t, 'e> TrajectorySession<'t, 'e> {
 /// A streaming trajectory COkNN session: like [`TrajectorySession`] but
 /// each pushed leg yields its full [`CoknnResult`] (kNN sets keep every
 /// member's control points, so the per-leg structure is the honest API).
-pub struct TrajectoryCoknnSession<'t, 'e> {
-    core: SessionCore<'t, 'e>,
+pub struct TrajectoryCoknnSession<'t> {
+    core: SessionCore<'t>,
     k: usize,
     legs: Vec<CoknnResult>,
 }
 
-impl<'t> TrajectoryCoknnSession<'t, 'static> {
+impl<'t> TrajectoryCoknnSession<'t> {
     /// Opens a session at `start` over borrowed trees.
     pub fn new(
         data_tree: &'t RStarTree<DataPoint>,
@@ -311,49 +268,20 @@ impl<'t> TrajectoryCoknnSession<'t, 'static> {
     ) -> Self {
         assert!(k >= 1, "k must be at least 1");
         TrajectoryCoknnSession {
-            core: SessionCore::new(
-                data_tree,
-                obstacle_tree,
-                start,
-                EngineSlot::Owned(Box::new(QueryEngine::new(cfg))),
-            ),
-            k,
-            legs: Vec::new(),
-        }
-    }
-}
-
-impl<'t, 'e> TrajectoryCoknnSession<'t, 'e> {
-    /// See [`TrajectorySession::with_engine`].
-    pub fn with_engine(
-        data_tree: &'t RStarTree<DataPoint>,
-        obstacle_tree: &'t RStarTree<Rect>,
-        start: Point,
-        k: usize,
-        engine: &'e mut QueryEngine,
-    ) -> Self {
-        assert!(k >= 1, "k must be at least 1");
-        TrajectoryCoknnSession {
-            core: SessionCore::new(
-                data_tree,
-                obstacle_tree,
-                start,
-                EngineSlot::Borrowed(engine),
-            ),
+            core: SessionCore::new(data_tree, obstacle_tree, start, cfg),
             k,
             legs: Vec::new(),
         }
     }
 
     /// Extends the trajectory to `to`; returns the new leg's result.
+    #[expect(clippy::unwrap_used, reason = "the leg is pushed on the line above")]
     pub fn push_leg(&mut self, to: Point) -> &CoknnResult {
         let k = self.k;
         let (res, _, _) = self
             .core
             .run_leg(to, |e, dt, ot, leg| e.coknn(dt, ot, leg, k));
         self.legs.push(res);
-        // Infallible: pushed on the line above.
-        // lint:allow(no-panic-in-query-path)
         self.legs.last().unwrap()
     }
 

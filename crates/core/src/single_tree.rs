@@ -12,7 +12,11 @@
 //! cap all live below the [`QueryStreams`] abstraction, so the tree layout
 //! and the kernel compose freely.
 
-// lint:allow-file(no-panic-in-query-path[index]): indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)"
+)]
+
 use std::collections::VecDeque;
 
 use conn_geom::{Rect, Segment};
@@ -158,8 +162,7 @@ impl QueryStreams for OneTreeStreams<'_> {
                     self.loaded += added;
                     return added;
                 }
-                // Infallible: guarded by the peek on the line above.
-                // lint:allow(no-panic-in-query-path)
+                #[expect(clippy::expect_used, reason = "guarded by the peek on the line above")]
                 let (r, _) = self.obstacle_buf.pop_front().expect("front checked");
                 g.add_obstacle(r);
                 added += 1;

@@ -17,7 +17,11 @@
 //! sub-intervals by midpoint evaluation. The output is therefore exactly the
 //! Case 1–4 partition, computed robustly.
 
-// lint:allow-file(no-panic-in-query-path[index]): indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)"
+)]
+
 use conn_geom::{solve_quadratic, Interval, Segment, EPS};
 
 use crate::dist::ControlPoint;
@@ -35,6 +39,10 @@ pub enum Winner {
 ///
 /// `f` is the incumbent and wins ties. The pieces are returned in ascending
 /// order and exactly cover `iv`.
+#[expect(
+    clippy::unwrap_used,
+    reason = "out is only unwrapped in the non-empty branch of the emptiness check"
+)]
 pub fn split(
     q: &Segment,
     f: &ControlPoint,
@@ -70,10 +78,7 @@ pub fn split(
         out.push((iv, Winner::Incumbent));
     } else {
         // make the partition exactly cover iv
-        // Infallible: this is the non-empty branch of the check above.
-        // lint:allow(no-panic-in-query-path)
         out.first_mut().unwrap().0.lo = iv.lo;
-        // lint:allow(no-panic-in-query-path)
         out.last_mut().unwrap().0.hi = iv.hi;
     }
     out

@@ -143,8 +143,7 @@ impl QueryStreams for SegmentStreams<'_, '_> {
             if d > bound {
                 break;
             }
-            // Infallible: guarded by the peek on the line above.
-            // lint:allow(no-panic-in-query-path)
+            #[expect(clippy::expect_used, reason = "guarded by the peek on the line above")]
             let r = self.pop_obstacle().expect("peeked obstacle");
             self.loaded.insert(&r);
             g.add_obstacle(r);

@@ -18,7 +18,11 @@
 //! [`crate::baseline::brute_force_oknn`] over the whole obstacle list,
 //! which shares no search state with the leg loop.
 
-// lint:allow-file(no-panic-in-query-path[index]): leg/vertex indices are bounded by the constructor-validated vertex count
+#![expect(
+    clippy::indexing_slicing,
+    reason = "leg/vertex indices are bounded by the constructor-validated vertex count"
+)]
+
 use conn_geom::{Interval, Point, Segment, EPS};
 
 use crate::types::DataPoint;
@@ -35,8 +39,12 @@ impl Trajectory {
     /// Builds a trajectory; needs ≥ 2 vertices and no degenerate leg.
     /// Panics on invalid input — [`Trajectory::try_new`] is the checked
     /// variant the typed query API builds on.
+    #[expect(
+        clippy::panic,
+        reason = "the documented panicking constructor; try_new is the checked variant"
+    )]
     pub fn new(vertices: Vec<Point>) -> Self {
-        Trajectory::try_new(vertices).unwrap_or_else(|e| panic!("{e}")) // lint:allow(no-panic-in-query-path)
+        Trajectory::try_new(vertices).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Checked constructor: rejects fewer than 2 vertices, non-finite
@@ -62,8 +70,7 @@ impl Trajectory {
             if leg.is_degenerate() {
                 return Err(crate::Error::invalid_query("degenerate trajectory leg"));
             }
-            // Infallible: cum is seeded with 0.0 before the loop.
-            // lint:allow(no-panic-in-query-path)
+            #[expect(clippy::unwrap_used, reason = "cum is seeded with 0.0 before the loop")]
             cum.push(cum.last().unwrap() + leg.len());
         }
         Ok(Trajectory { vertices, cum })
@@ -80,9 +87,11 @@ impl Trajectory {
     }
 
     /// Total arclength.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "cum is non-empty for every constructed trajectory"
+    )]
     pub fn len(&self) -> f64 {
-        // Infallible: cum is non-empty for every constructed trajectory.
-        // lint:allow(no-panic-in-query-path)
         *self.cum.last().unwrap()
     }
 

@@ -12,6 +12,11 @@
 //!   mixed-family workloads, whichever path (certified shard or full
 //!   fallback) each query takes.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "these tests spawn client threads: independent callers of one service, admission queue or pool"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use conn_core::{

@@ -100,6 +100,10 @@ pub fn audit_distance(context: &str, d: f64) {
 /// the test harness runs tests on parallel threads, and a test that
 /// briefly disables the audits must not race one asserting they fire.
 #[cfg(all(test, feature = "sanitize-invariants"))]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a test-only lock, held for one test that reads or flips the switch"
+)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock()

@@ -7,7 +7,11 @@
 //! for one tree, `(tree, page)` for the [`crate::IoMeter`], whose frames
 //! come from several trees.
 
-// lint:allow-file(no-panic-in-query-path[index]): frame indices come from the LRU list the same struct maintains
+#![expect(
+    clippy::indexing_slicing,
+    reason = "frame indices come from the LRU list the same struct maintains"
+)]
+
 use crate::node::PageId;
 use std::collections::HashMap;
 use std::hash::Hash;

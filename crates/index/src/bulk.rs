@@ -44,12 +44,14 @@ impl<T: Mbr + Clone> RStarTree<T> {
             level_entries = self.pack_level(level_entries, level, cap);
             level += 1;
         }
-        // Infallible: the loop above runs until exactly one entry is
-        // left, and bulk_fill is never called with an empty item set.
-        // lint:allow(no-panic-in-query-path)
-        match level_entries.pop().expect("non-empty packing") {
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop above runs until exactly one entry is left, and bulk_fill is never called with an empty item set"
+        )]
+        let root = level_entries.pop().expect("non-empty packing");
+        match root {
             (_, Slot::Child(page)) => self.root = page,
-            // lint:allow(no-panic-in-query-path): the final pack level is nodes
+            #[expect(clippy::unreachable, reason = "the final pack level is nodes")]
             (_, Slot::Item(_)) => unreachable!("packing always produces a node"),
         }
         self.set_len(n);

@@ -5,7 +5,11 @@
 //! and re-insert the orphaned entries at their original levels; shrink the
 //! root when it degenerates to a single child.
 
-// lint:allow-file(no-panic-in-query-path[index]): page ids and entry indices are tree-structural invariants (children exist, fanout within bounds) re-audited after every mutation by check_invariants / sanitize-invariants
+#![expect(
+    clippy::indexing_slicing,
+    reason = "page ids and entry indices are tree-structural invariants (children exist, fanout within bounds) re-audited after every mutation by check_invariants / sanitize-invariants"
+)]
+
 use conn_geom::Rect;
 
 use crate::node::{Mbr, PageId, Slot};
@@ -37,7 +41,7 @@ impl<T: Mbr + Clone> RStarTree<T> {
             }
             let child = match root.slots[0] {
                 Slot::Child(page) => page,
-                // lint:allow(no-panic-in-query-path): root.level > 0 here
+                #[expect(clippy::unreachable, reason = "root.level > 0 here")]
                 Slot::Item(_) => unreachable!("item in non-leaf root"),
             };
             self.root = child;
@@ -83,9 +87,11 @@ impl<T: Mbr + Clone> RStarTree<T> {
                     Slot::Child(_) => false,
                 })?;
             node.mbrs.swap_remove(idx);
+            #[expect(
+                clippy::unreachable,
+                reason = "idx came from the Item-only position() match right above"
+            )]
             let Slot::Item(item) = node.slots.swap_remove(idx) else {
-                // idx came from the Item-only position() match right above
-                // lint:allow(no-panic-in-query-path)
                 unreachable!("position() matched an item");
             };
             return Some(item);
@@ -130,7 +136,7 @@ impl<T: Mbr + Clone> RStarTree<T> {
         let root_level = self.pages[self.root as usize].level;
         if level > root_level {
             match slot {
-                // lint:allow(no-panic-in-query-path): level > root_level ≥ 0
+                #[expect(clippy::unreachable, reason = "level > root_level ≥ 0")]
                 Slot::Item(_) => unreachable!("items live at level 0 ≤ root level"),
                 Slot::Child(page) => {
                     let inner_level = self.pages[page as usize].level;

@@ -8,7 +8,11 @@
 //! recursion and corrupt ancestor MBRs; the deferred queue produces the same
 //! tree-quality behaviour without the re-entrancy hazard.
 
-// lint:allow-file(no-panic-in-query-path[index]): page ids and entry indices are tree-structural invariants (children exist, fanout within bounds) re-audited after every mutation by check_invariants / sanitize-invariants
+#![expect(
+    clippy::indexing_slicing,
+    reason = "page ids and entry indices are tree-structural invariants (children exist, fanout within bounds) re-audited after every mutation by check_invariants / sanitize-invariants"
+)]
+
 use conn_geom::Rect;
 
 use crate::node::{Mbr, Node, PageId, Slot};
@@ -102,7 +106,7 @@ impl<T: Mbr + Clone> RStarTree<T> {
             let idx = self.choose_subtree(page, &mbr);
             let child = match self.pages[page as usize].slots[idx] {
                 Slot::Child(page) => page,
-                // lint:allow(no-panic-in-query-path): page.level > 0 here
+                #[expect(clippy::unreachable, reason = "page.level > 0 here")]
                 Slot::Item(_) => unreachable!("item slot above the leaf level"),
             };
             let split = self.insert_rec(child, mbr, slot, target_level, reinserted, pending);
@@ -165,6 +169,7 @@ impl<T: Mbr + Clone> RStarTree<T> {
 
     /// R\* ChooseSubtree: overlap-minimal child at the leaf-parent level,
     /// area-enlargement-minimal child above it.
+    #[expect(clippy::expect_used, reason = "nodes hold ≥ min_entries ≥ 1")]
     fn choose_subtree(&self, page: PageId, mbr: &Rect) -> usize {
         let node = &self.pages[page as usize];
         debug_assert!(!node.is_leaf());
@@ -196,7 +201,6 @@ impl<T: Mbr + Clone> RStarTree<T> {
                         .then(enlargement(&lane[a]).total_cmp(&enlargement(&lane[b])))
                         .then(lane[a].area().total_cmp(&lane[b].area()))
                 })
-                // lint:allow(no-panic-in-query-path): nodes hold ≥ min_entries ≥ 1
                 .expect("choose_subtree on empty node")
         } else {
             (0..lane.len())
@@ -205,7 +209,6 @@ impl<T: Mbr + Clone> RStarTree<T> {
                         .total_cmp(&enlargement(&lane[b]))
                         .then(lane[a].area().total_cmp(&lane[b].area()))
                 })
-                // lint:allow(no-panic-in-query-path): nodes hold ≥ min_entries ≥ 1
                 .expect("choose_subtree on empty node")
         }
     }
@@ -252,8 +255,10 @@ impl<T: Mbr + Clone> RStarTree<T> {
                 acc = acc.union(&mbrs[i]);
                 prefix.push(acc);
             }
-            // Infallible: an overflowing node has max_entries + 1 entries.
-            // lint:allow(no-panic-in-query-path)
+            #[expect(
+                clippy::unwrap_used,
+                reason = "an overflowing node has max_entries + 1 entries"
+            )]
             let mut suffix = vec![mbrs[*order.last().unwrap()]; total];
             for k in (0..total - 1).rev() {
                 suffix[k] = suffix[k + 1].union(&mbrs[order[k]]);
@@ -293,8 +298,10 @@ impl<T: Mbr + Clone> RStarTree<T> {
                 }
             }
         }
-        // Infallible: the distribution loop always runs at least once.
-        // lint:allow(no-panic-in-query-path)
+        #[expect(
+            clippy::expect_used,
+            reason = "the distribution loop always runs at least once"
+        )]
         let (_, _, oi, k) = best.expect("split found no distribution");
         let order = &orderings[oi].1;
 

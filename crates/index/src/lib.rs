@@ -27,6 +27,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No panic in the query path; an infallible site says why in an `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::todo, clippy::unimplemented)]
 
 pub mod buffer;
 pub mod bulk;

@@ -15,7 +15,6 @@
 //!   item: T::encode (fixed width)
 //! ```
 
-// lint:allow-file(no-panic-in-query-path[index]): offsets are length-checked against the byte buffer before slicing
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -74,9 +73,9 @@ pub fn read_f64(bytes: &[u8], offset: usize) -> io::Result<f64> {
     let slice = bytes
         .get(offset..offset + 8)
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "truncated f64"))?;
-    // Infallible: get() above returned exactly 8 bytes.
-    // lint:allow(no-panic-in-query-path)
-    Ok(f64::from_le_bytes(slice.try_into().expect("8 bytes")))
+    #[expect(clippy::expect_used, reason = "get() above returned exactly 8 bytes")]
+    let bytes: [u8; 8] = slice.try_into().expect("8 bytes");
+    Ok(f64::from_le_bytes(bytes))
 }
 
 /// Reads a little-endian u32 at `offset`.
@@ -84,9 +83,9 @@ pub fn read_u32(bytes: &[u8], offset: usize) -> io::Result<u32> {
     let slice = bytes
         .get(offset..offset + 4)
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "truncated u32"))?;
-    // Infallible: get() above returned exactly 4 bytes.
-    // lint:allow(no-panic-in-query-path)
-    Ok(u32::from_le_bytes(slice.try_into().expect("4 bytes")))
+    #[expect(clippy::expect_used, reason = "get() above returned exactly 4 bytes")]
+    let bytes: [u8; 4] = slice.try_into().expect("4 bytes");
+    Ok(u32::from_le_bytes(bytes))
 }
 
 impl<T: Mbr + Clone + PersistItem> RStarTree<T> {

@@ -7,7 +7,11 @@
 //! first traversal (Hjaltason & Samet) is I/O-optimal: it reads exactly the
 //! nodes whose `mindist` is below the final stopping distance.
 
-// lint:allow-file(no-panic-in-query-path[index]): page ids and entry indices are tree-structural invariants (children exist, fanout within bounds) re-audited after every mutation by check_invariants / sanitize-invariants
+#![expect(
+    clippy::indexing_slicing,
+    reason = "page ids and entry indices are tree-structural invariants (children exist, fanout within bounds) re-audited after every mutation by check_invariants / sanitize-invariants"
+)]
+
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -280,9 +284,9 @@ mod tests {
         let mut got: Vec<Point> = t.range_metered(&window, &meter);
         assert!(meter.snapshot().reads > 0);
         let mut want: Vec<Point> = items.into_iter().filter(|p| window.contains(*p)).collect();
-        let key = |p: &Point| (p.x, p.y);
-        got.sort_by(|a, b| key(a).partial_cmp(&key(b)).unwrap());
-        want.sort_by(|a, b| key(a).partial_cmp(&key(b)).unwrap());
+        let by_xy = |a: &Point, b: &Point| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y));
+        got.sort_by(by_xy);
+        want.sort_by(by_xy);
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g, w);

@@ -22,6 +22,11 @@
 //! identity and page id: page ids repeat across trees (forks, shards,
 //! epochs), and a page of one tree must never hit on another's frame.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "IoMeter's cells make the meter deliberately !Sync: one meter charges one thread's queries, so per-query I/O is exact without atomics or a lock"
+)]
+
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,6 +1,10 @@
 //! The tree structure, simulated page store, and maintenance entry points.
 
-// lint:allow-file(no-panic-in-query-path[index]): page ids and entry indices are tree-structural invariants (children exist, fanout within bounds) re-audited after every mutation by check_invariants / sanitize-invariants
+#![expect(
+    clippy::indexing_slicing,
+    reason = "page ids and entry indices are tree-structural invariants (children exist, fanout within bounds) re-audited after every mutation by check_invariants / sanitize-invariants"
+)]
+
 use conn_geom::{Point, Rect};
 
 use crate::node::{Mbr, Node, PageId, Slot};

@@ -97,7 +97,11 @@
 //! run — the number of times retained capacity was reused is reported
 //! through [`DijkstraEngine::reuses`].
 
-// lint:allow-file(no-panic-in-query-path[index]): dist/pred/settled arrays are resized to the graph's node count on every cold preparation, and a replay requires an unchanged graph; node ids are dense and audited under sanitize-invariants
+#![expect(
+    clippy::indexing_slicing,
+    reason = "dist/pred/settled arrays are resized to the graph's node count on every cold preparation, and a replay requires an unchanged graph; node ids are dense and audited under sanitize-invariants"
+)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

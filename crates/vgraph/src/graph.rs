@@ -97,7 +97,11 @@
 //! what makes a reused query engine perform O(1) substrate allocations per
 //! batch instead of O(N).
 
-// lint:allow-file(no-panic-in-query-path[index]): node ids are dense indices allocated by this module and the per-node arrays are (re)sized on every allocation; the sanitize-invariants adjacency audit cross-checks them
+#![expect(
+    clippy::indexing_slicing,
+    reason = "node ids are dense indices allocated by this module and the per-node arrays are (re)sized on every allocation; the sanitize-invariants adjacency audit cross-checks them"
+)]
+
 use conn_geom::{Point, Rect, Segment, EPS};
 
 use crate::grid::ObstacleGrid;

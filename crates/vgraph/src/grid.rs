@@ -10,7 +10,11 @@
 //! walk stops at the first blocker; the plane sweep that builds most rows
 //! ([`ObstacleGrid::sweep_visibility`]) runs the same probe.
 
-// lint:allow-file(no-panic-in-query-path[index]): cell coordinates are clamped to the grid extent before indexing
+#![expect(
+    clippy::indexing_slicing,
+    reason = "cell coordinates are clamped to the grid extent before indexing"
+)]
+
 use conn_geom::{Point, Rect, RectLanes, SegProbe, Segment};
 
 use crate::sweep::{self, SweepScratch};

@@ -89,7 +89,11 @@
 //! Wrap-around at the sweep origin (+x axis) is handled by pre-activating
 //! every rectangle whose start event sorts *after* its end event.
 
-// lint:allow-file(no-panic-in-query-path[index]): event ids are loop indices produced by this module and lane ids come from the caller's candidate superset, both in range by construction
+#![expect(
+    clippy::indexing_slicing,
+    reason = "event ids are loop indices produced by this module and lane ids come from the caller's candidate superset, both in range by construction"
+)]
+
 use conn_geom::{OrdF64, Point, RectLanes, SegProbe, Segment, EPS};
 use std::cmp::Ordering;
 

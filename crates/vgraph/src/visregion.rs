@@ -11,7 +11,11 @@
 //! predicate ([`Rect::blocks`], one sight test per interval) — no fragile
 //! case analysis.
 
-// lint:allow-file(no-panic-in-query-path[index]): indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)"
+)]
+
 use conn_geom::{Interval, IntervalSet, Point, Rect, Segment, EPS};
 
 use crate::graph::VisGraph;

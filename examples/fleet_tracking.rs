@@ -20,6 +20,10 @@
 
 use conn::prelude::*;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "one thread per van: each stands for an independent client with a service of its own"
+)]
 fn main() {
     // Depots the vans are served from.
     let depots = vec![
