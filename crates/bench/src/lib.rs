@@ -5,7 +5,7 @@
 //! figures report. The `repro` binary sits on top of this crate; timing the
 //! system is the ledger's job (`ledger/`, `BENCHMARK.json`).
 
-use conn_core::stats::AveragedStats;
+use conn_core::AveragedStats;
 use conn_core::{
     build_unified_tree, ConnConfig, DataPoint, QueryEngine, QueryStats, SpatialObject,
 };

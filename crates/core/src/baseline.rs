@@ -4,7 +4,7 @@
 //!   point-to-point obstructed distance (paper Definition 4) over the
 //!   *whole* obstacle list: build every obstacle into one graph, run one
 //!   blind Dijkstra. No engine, no cache, no tree and no code shared with
-//!   the obstacle loader ([`crate::odist`]) — which is what makes them the
+//!   the obstacle loader (`odist.rs`) — which is what makes them the
 //!   oracle the loader is tested against. `O(n²)`-ish in the obstacle
 //!   count; serving uses `Query::odist` / `Query::route`.
 //! * [`brute_force_oknn`] — exact obstructed kNN at a single location by

@@ -1,8 +1,10 @@
 //! Batch telemetry.
 //!
-//! There is one way to run a batch — [`crate::ConnService::execute_batch`]
-//! (any mix of families, over [`crate::Scene::borrowing`] when the caller
-//! holds the trees) on the service's persistent [`crate::EnginePool`] — and
+//! There is one way to run a batch —
+//! [`crate::ConnService::execute_batch_threads`] (any mix of families, over
+//! [`crate::Scene::borrowing`] when the caller holds the trees, `0` threads
+//! for the available parallelism) on the service's persistent
+//! [`crate::EnginePool`] — and
 //! [`BatchStats`] is what it reports beside the responses. Every response
 //! carries its own query's stats, tree I/O included (the page meters are the
 //! worker engines', not the shared trees'), so the batch totals are plain
@@ -13,7 +15,7 @@ use std::time::Duration;
 use crate::stats::QueryStats;
 
 /// Aggregated telemetry of one batch run
-/// ([`crate::ConnService::execute_batch`]).
+/// ([`crate::ConnService::execute_batch_threads`]).
 #[derive(Debug, Clone, Copy)]
 #[must_use]
 pub struct BatchStats {
@@ -196,11 +198,12 @@ mod tests {
                 panic!("trajectory query answered as {}", resp.answer.family());
             };
             res.check_cover().unwrap();
-            let mut session = TrajectorySession::new(&dt, &ot, traj.vertices()[0], cfg);
+            let mut session = TrajectorySession::new(&dt, &ot, traj.vertices()[0], 1, cfg);
             for &v in &traj.vertices()[1..] {
-                session.push_leg(v);
+                session.push_leg(v).unwrap();
             }
-            let (serial, _) = session.finish();
+            let (serial, _) = session.finish().unwrap();
+            let serial = serial.into_trajectory().unwrap();
             assert_eq!(res.segments().len(), serial.segments().len());
             for (a, b) in res.segments().iter().zip(serial.segments()) {
                 assert_eq!(a.0.map(|p| p.id), b.0.map(|p| p.id));

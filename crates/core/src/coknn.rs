@@ -49,7 +49,7 @@ pub struct KnnEntry {
 
 /// The COkNN result list.
 #[derive(Debug, Clone)]
-pub struct KnnResultList {
+pub(crate) struct KnnResultList {
     entries: Vec<KnnEntry>,
     k: usize,
     qlen: f64,
@@ -57,7 +57,7 @@ pub struct KnnResultList {
 
 impl KnnResultList {
     /// A single-interval list covering `[0, qlen]` with an empty ONN set.
-    pub fn new(qlen: f64, k: usize) -> Self {
+    pub(crate) fn new(qlen: f64, k: usize) -> Self {
         assert!(k >= 1, "k must be positive");
         KnnResultList {
             entries: vec![KnnEntry {
@@ -70,17 +70,17 @@ impl KnnResultList {
     }
 
     /// The `k` the list was built for.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
     /// The tuples, in ascending interval order.
-    pub fn entries(&self) -> &[KnnEntry] {
+    pub(crate) fn entries(&self) -> &[KnnEntry] {
         &self.entries
     }
 
     /// §4.5 pruning bound: ∞ until every interval holds `k` members.
-    pub fn rlmax(&self, q: &Segment) -> f64 {
+    pub(crate) fn rlmax(&self, q: &Segment) -> f64 {
         let mut m = 0.0f64;
         for e in &self.entries {
             if e.members.len() < self.k {
@@ -93,7 +93,7 @@ impl KnnResultList {
     }
 
     /// The k answers at parameter `t` (ascending obstructed distance).
-    pub fn answers_at(&self, q: &Segment, t: f64) -> Vec<(DataPoint, f64)> {
+    pub(crate) fn answers_at(&self, q: &Segment, t: f64) -> Vec<(DataPoint, f64)> {
         self.entries
             .iter()
             .find(|e| e.interval.contains(t))
@@ -106,14 +106,9 @@ impl KnnResultList {
             .unwrap_or_default()
     }
 
-    /// Folds in one evaluated data point (the COkNN result-list update).
-    pub fn update(&mut self, q: &Segment, p: DataPoint, cpl: &ControlPointList) {
-        self.update_with(q, p, cpl, &mut crate::rlu::RluScratch::default());
-    }
-
     /// Update with caller-retained scratch (the workspace's buffer rotates
     /// with the list's own storage).
-    pub fn update_with(
+    pub(crate) fn update_with(
         &mut self,
         q: &Segment,
         p: DataPoint,
@@ -222,7 +217,7 @@ impl KnnResultList {
     }
 
     /// Validation helper: the entries exactly cover `[0, qlen]`.
-    pub fn check_cover(&self) -> Result<(), crate::Error> {
+    pub(crate) fn check_cover(&self) -> Result<(), crate::Error> {
         let mut cursor = 0.0;
         for e in &self.entries {
             if (e.interval.lo - cursor).abs() > 1e-6 {
@@ -346,8 +341,8 @@ impl CoknnResult {
         out
     }
 
-    /// Validates the answer's cover invariants (see
-    /// [`KnnResultList::check_cover`]).
+    /// Validates the answer's cover invariants: the entries exactly cover
+    /// `[0, |q|]`.
     pub fn check_cover(&self) -> Result<(), crate::Error> {
         self.list.check_cover()
     }

@@ -27,7 +27,7 @@ use crate::types::DataPoint;
 
 /// What the search loop needs from a result container (k = 1 list or the
 /// COkNN generalization).
-pub trait ResultSink {
+pub(crate) trait ResultSink {
     /// Lemma 2 pruning bound (∞ while the container is not saturated).
     fn prune_bound(&self, q: &Segment) -> f64;
     /// Folds in one evaluated data point; `scratch` is the workspace's
@@ -68,7 +68,7 @@ impl ResultSink for ResultList {
 /// Loop-level telemetry (everything except R-tree I/O, which the workspace
 /// window reads off the engine's meters).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct LoopTelemetry {
+pub(crate) struct LoopTelemetry {
     /// Data points evaluated (paper metric NPE).
     pub npe: u64,
     /// Obstacles evaluated (paper metric NOE).

@@ -198,14 +198,14 @@ fn same_opt_cp(a: &Option<ControlPoint>, b: &Option<ControlPoint>) -> bool {
 /// the CPLC hot path are array accesses, and [`VrCache::clear`] retains the
 /// slot vector's allocation for workspace reuse.
 #[derive(Debug, Default)]
-pub struct VrCache {
+pub(crate) struct VrCache {
     slots: Vec<Option<(usize, IntervalSet)>>,
 }
 
 impl VrCache {
     /// Computes (or revalidates) the cached region of `node`; afterwards
     /// [`VrCache::cached`] returns it without borrowing the graph.
-    pub fn ensure(&mut self, g: &mut VisGraph, node: NodeId, q: &Segment) {
+    pub(crate) fn ensure(&mut self, g: &mut VisGraph, node: NodeId, q: &Segment) {
         let n_obs = g.num_obstacles();
         let i = node.index();
         if i >= self.slots.len() {
@@ -226,21 +226,15 @@ impl VrCache {
         clippy::expect_used,
         reason = "every caller goes through ensure() first, which fills this slot before handing the node id out"
     )]
-    pub fn cached(&self, node: NodeId) -> &IntervalSet {
+    pub(crate) fn cached(&self, node: NodeId) -> &IntervalSet {
         self.slots[node.index()]
             .as_ref()
             .map(|(_, vr)| vr)
             .expect("visible region not ensured")
     }
 
-    /// Compute-if-absent facade combining `ensure` + `cached`.
-    pub fn get(&mut self, g: &mut VisGraph, node: NodeId, q: &Segment) -> &IntervalSet {
-        self.ensure(g, node, q);
-        self.cached(node)
-    }
-
     /// Drops the entry for a node slot that is being reused.
-    pub fn invalidate(&mut self, node: NodeId) {
+    pub(crate) fn invalidate(&mut self, node: NodeId) {
         if let Some(slot) = self.slots.get_mut(node.index()) {
             *slot = None;
         }
@@ -248,25 +242,11 @@ impl VrCache {
 
     /// Empties the cache (between queries of a reused workspace), keeping
     /// the slot vector's allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         // truncating (not overwriting) keeps the next clear proportional
         // to the slots the next query ensures, not to the largest ever
         self.slots.clear();
     }
-}
-
-/// CPLC — Algorithm 2: computes `CPL(p, q)` over the current local
-/// visibility graph. `dij` is the caller's reusable Dijkstra scratch.
-/// One-shot facade over [`cplc_bounded`] with no outer bound.
-pub fn cplc(
-    q: &Segment,
-    g: &mut VisGraph,
-    p_node: NodeId,
-    cfg: &ConnConfig,
-    vr_cache: &mut VrCache,
-    dij: &mut DijkstraEngine,
-) -> ControlPointList {
-    cplc_bounded(q, g, p_node, cfg, vr_cache, dij, f64::INFINITY)
 }
 
 /// CPLC with an outer value cap (the result sink's Lemma 2 bound).
@@ -294,7 +274,7 @@ pub fn cplc(
 /// (`rlu::emit`'s challenger-can't-reach arm). Values recorded above the
 /// cap may be non-tight upper bounds; every value that can win stays
 /// exact.
-pub fn cplc_bounded(
+pub(crate) fn cplc_bounded(
     q: &Segment,
     g: &mut VisGraph,
     p_node: NodeId,
@@ -476,7 +456,7 @@ mod tests {
         let p = g.add_point(Point::new(40.0, 30.0), NodeKind::DataPoint);
         let mut cache = VrCache::default();
         let mut dij = DijkstraEngine::default();
-        let cpl = cplc(&q(), &mut g, p, &cfg, &mut cache, &mut dij);
+        let cpl = cplc_bounded(&q(), &mut g, p, &cfg, &mut cache, &mut dij, f64::INFINITY);
         cpl.check_cover().unwrap();
         assert!(!cpl.has_unassigned());
         for t in [0.0, 25.0, 70.0, 100.0] {
@@ -501,7 +481,7 @@ mod tests {
         let p = g.add_point(ppos, NodeKind::DataPoint);
         let mut cache = VrCache::default();
         let mut dij = DijkstraEngine::default();
-        let cpl = cplc(&q(), &mut g, p, &cfg, &mut cache, &mut dij);
+        let cpl = cplc_bounded(&q(), &mut g, p, &cfg, &mut cache, &mut dij, f64::INFINITY);
         cpl.check_cover().unwrap();
         assert!(!cpl.has_unassigned());
         // directly under the box, the distance must route around a side:

@@ -77,7 +77,7 @@ impl Meters {
 
 /// All per-query scratch state, owned long-term and re-bound per query.
 #[derive(Debug)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     pub(crate) g: VisGraph,
     pub(crate) dij: DijkstraEngine,
     pub(crate) vr_cache: VrCache,
@@ -101,7 +101,7 @@ pub struct Workspace {
 impl Workspace {
     /// A workspace whose visibility graph carries `cfg`'s substrate tuning
     /// (grid cell size, sweep mode) for every query it will serve.
-    pub fn new(cfg: &ConnConfig) -> Self {
+    pub(crate) fn new(cfg: &ConnConfig) -> Self {
         let mut g = VisGraph::new(cfg.vgraph_cell);
         g.set_sweep_mode(cfg.sweep);
         Workspace {
@@ -198,7 +198,7 @@ impl Workspace {
 }
 
 /// A long-lived query engine: a configuration fixed at construction, a
-/// reusable [`Workspace`] and the page meters every tree traversal of its
+/// reusable workspace and the page meters every tree traversal of its
 /// queries is charged to.
 ///
 /// Each returned [`QueryStats`] carries exactly the tree I/O of its own

@@ -54,15 +54,17 @@ impl<'a> SceneEpoch<'a> {
         self.shards.as_ref()
     }
 
-    /// Opens a streaming trajectory CONN session against this snapshot
-    /// (on an engine of its own). The session borrows the epoch, so the pin
-    /// keeps the snapshot alive for the session's whole lifetime — later
-    /// publications cannot pull the scene out from under it.
+    /// Opens a streaming trajectory CONN session (k = 1) against this
+    /// snapshot (on an engine of its own). The session borrows the epoch,
+    /// so the pin keeps the snapshot alive for the session's whole
+    /// lifetime — later publications cannot pull the scene out from under
+    /// it.
     pub fn open_session(&self, start: Point, cfg: ConnConfig) -> TrajectorySession<'_> {
         TrajectorySession::new(
             self.scene.data_tree(),
             self.scene.obstacle_tree(),
             start,
+            1,
             cfg,
         )
     }

@@ -74,9 +74,6 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Shorthand result type of the query layer.
-pub type Result<T> = std::result::Result<T, Error>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

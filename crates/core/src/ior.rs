@@ -30,25 +30,16 @@ use crate::streams::QueryStreams;
 /// Cross-point state: how far (in `mindist` to `q`) obstacles have been
 /// loaded — the paper's "previous search distance d".
 #[derive(Debug, Default, Clone, Copy)]
-pub struct IorState {
+pub(crate) struct IorState {
     /// `mindist` to `q` up to which obstacles are fully loaded.
     pub loaded_bound: f64,
 }
 
-/// Shortest paths from `p` to both query endpoints after IOR converges.
-#[derive(Debug, Clone, Copy)]
-pub struct EndpointPaths {
-    /// Obstructed distance from `p` to `S`.
-    pub dist_s: f64,
-    /// Obstructed distance from `p` to `E`.
-    pub dist_e: f64,
-}
-
 /// Runs Algorithm 1 for the data point at `p_node`. On return the graph
-/// holds every obstacle with `mindist(o, q) ≤ state.loaded_bound`, and the
-/// returned endpoint distances are exact — or ∞ when an endpoint is
-/// unreachable within `cap`. `dij` is the caller's reusable Dijkstra
-/// scratch (re-prepared on every retrieval round).
+/// holds every obstacle with `mindist(o, q) ≤ state.loaded_bound`, and
+/// `dij` holds the settled endpoint distances — exact, or unsettled when
+/// an endpoint is unreachable within `cap`. `dij` is the caller's reusable
+/// Dijkstra scratch (re-prepared on every retrieval round).
 ///
 /// `cap` (∞ when the caller has no bound) prunes the retrieval itself: a
 /// value of `p` can only decide the result below the caller's incumbent
@@ -64,7 +55,7 @@ pub struct EndpointPaths {
     clippy::too_many_arguments,
     reason = "Algorithm 1 borrows the graph, streams, IOR state and search engine separately, beside the query, its three anchor nodes, the config and the cap"
 )]
-pub fn ior<S: QueryStreams>(
+pub(crate) fn ior<S: QueryStreams>(
     q: &Segment,
     g: &mut VisGraph,
     s_node: NodeId,
@@ -75,7 +66,7 @@ pub fn ior<S: QueryStreams>(
     dij: &mut DijkstraEngine,
     cfg: &ConnConfig,
     cap: f64,
-) -> EndpointPaths {
+) {
     let goal = cfg.kernel.goal(q);
     loop {
         dij.ensure_prepared(g, p_node, goal, cfg.kernel.warm_labels());
@@ -99,14 +90,14 @@ pub fn ior<S: QueryStreams>(
                         continue;
                     }
                 }
-                return EndpointPaths { dist_s, dist_e };
+                return;
             }
             // No path with the current obstacle set: with disjoint obstacles
             // this only happens transiently (or when p is genuinely walled
             // in) — widen one obstacle at a time until connectivity returns
             // or the source is exhausted.
             if streams.load_next_obstacle(g) == 0 {
-                return EndpointPaths { dist_s, dist_e };
+                return;
             }
             continue;
         }
@@ -116,7 +107,7 @@ pub fn ior<S: QueryStreams>(
                 continue; // revalidate the paths against the new obstacles
             }
         }
-        return EndpointPaths { dist_s, dist_e };
+        return;
     }
 }
 
@@ -133,6 +124,20 @@ mod tests {
         Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0))
     }
 
+    /// Endpoint distances IOR left settled (∞ when bounded out).
+    struct EndpointPaths {
+        dist_s: f64,
+        dist_e: f64,
+    }
+
+    fn endpoint_paths(dij: &DijkstraEngine, s: NodeId, e: NodeId) -> EndpointPaths {
+        let settled = |n| dij.settled_dist(n).unwrap_or(f64::INFINITY);
+        EndpointPaths {
+            dist_s: settled(s),
+            dist_e: settled(e),
+        }
+    }
+
     fn run_ior(ppos: Point, obstacles: Vec<Rect>) -> (EndpointPaths, usize, f64) {
         let data = RStarTree::bulk_load(vec![DataPoint::new(0, ppos)], 4096);
         let obs = RStarTree::bulk_load(obstacles, 4096);
@@ -147,7 +152,7 @@ mod tests {
         let mut state = IorState::default();
         let mut dij = DijkstraEngine::default();
         let cfg = ConnConfig::default();
-        let paths = ior(
+        ior(
             &q,
             &mut g,
             s,
@@ -159,6 +164,7 @@ mod tests {
             &cfg,
             f64::INFINITY,
         );
+        let paths = endpoint_paths(&dij, s, e);
         (paths, streams.obstacles_loaded(), state.loaded_bound)
     }
 
@@ -217,7 +223,7 @@ mod tests {
         let mut state = IorState::default();
         let mut dij = DijkstraEngine::default();
         let cfg = ConnConfig::default();
-        let paths = ior(
+        ior(
             &q,
             &mut g,
             s,
@@ -229,6 +235,7 @@ mod tests {
             &cfg,
             200.0,
         );
+        let paths = endpoint_paths(&dij, s, e);
         // within the cap everything is exact and the far wall stays out
         assert!((paths.dist_s - Point::new(50.0, 30.0).dist(q.a)).abs() < 1e-9);
         assert_eq!(streams.obstacles_loaded(), 0);
@@ -236,7 +243,7 @@ mod tests {
         // a cap below the true endpoint distances bounds the search out
         // without loading past the cap either
         let p2 = g.add_point(Point::new(50.0, 2000.0), NodeKind::DataPoint);
-        let paths = ior(
+        ior(
             &q,
             &mut g,
             s,
@@ -248,6 +255,7 @@ mod tests {
             &cfg,
             100.0,
         );
+        let paths = endpoint_paths(&dij, s, e);
         assert!(paths.dist_s.is_infinite() && paths.dist_e.is_infinite());
         assert_eq!(streams.obstacles_loaded(), 0, "mindist 500 > cap 100");
     }

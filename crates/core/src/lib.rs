@@ -9,30 +9,33 @@
 //!
 //! ## Paper-to-module map
 //!
-//! | Paper | Module |
+//! The crate root re-exports the whole public API; every module but
+//! [`baseline`] is private, so the map names source files.
+//!
+//! | Paper | Source file |
 //! |---|---|
-//! | control points (Def. 8/9) | [`dist`] |
-//! | split points, Thm. 1, Cases 1–4, Lemma 1 | [`split`] |
-//! | IOR — incremental obstacle retrieval (Alg. 1) | [`ior`] |
-//! | CPLC — control-point-list computation (Alg. 2, Lemmas 5–7) | [`cpl`] |
-//! | RLU — result-list update (Alg. 3) | [`rlu`] |
-//! | CONN search (Alg. 4, Lemma 2) | [`conn`] |
-//! | COkNN extension (§4.5) | [`coknn`] |
-//! | single unified R-tree variant (§4.5) | [`single_tree`] |
+//! | control points (Def. 8/9) | `dist.rs` |
+//! | split points, Thm. 1, Cases 1–4, Lemma 1 | `split.rs` |
+//! | IOR — incremental obstacle retrieval (Alg. 1) | `ior.rs` |
+//! | CPLC — control-point-list computation (Alg. 2, Lemmas 5–7) | `cpl.rs` |
+//! | RLU — result-list update (Alg. 3) | `rlu.rs` |
+//! | CONN search (Alg. 4, Lemma 2) | `conn.rs` |
+//! | COkNN extension (§4.5) | `coknn.rs` |
+//! | single unified R-tree variant (§4.5) | `single_tree.rs` |
 //! | reference baselines and oracles (sampling, brute force, whole-field odist) | [`baseline`] |
-//! | the obstacle loader of every point-anchored family (IOR at a point, Lemma 3) | [`odist`] |
-//! | reusable engine & per-query workspace (beyond the paper) | [`engine`] |
-//! | batch telemetry (beyond the paper) | [`batch`] |
-//! | trajectory CONN/COkNN (§6 future work) | [`trajectory`] |
-//! | streaming trajectory sessions (beyond the paper) | [`session`] |
-//! | typed `Query`/`Answer` front door (beyond the paper) | [`query`] |
-//! | `Scene` + `ConnService` execution handle (beyond the paper) | [`service`] |
-//! | epoch-snapshot scene publication (beyond the paper) | [`epoch`] |
-//! | live mutation, surgical invalidation, standing queries (beyond the paper) | [`live`] |
-//! | spatial shard tiling + locality certificate (beyond the paper) | [`shard`] |
-//! | persistent warm engine pool (beyond the paper) | [`pool`] |
-//! | admission queue: FIFO pump + backpressure (beyond the paper) | [`admission`] |
-//! | typed errors ([`enum@Error`]) | [`error`] |
+//! | the obstacle loader of every point-anchored family (IOR at a point, Lemma 3) | `odist.rs` |
+//! | reusable engine & per-query workspace (beyond the paper) | `engine.rs` |
+//! | batch telemetry (beyond the paper) | `batch.rs` |
+//! | trajectory CONN/COkNN (§6 future work) | `trajectory.rs` |
+//! | streaming trajectory sessions (beyond the paper) | `session.rs` |
+//! | typed `Query`/`Answer` front door (beyond the paper) | `query.rs` |
+//! | `Scene` + `ConnService` execution handle (beyond the paper) | `service.rs` |
+//! | epoch-snapshot scene publication (beyond the paper) | `epoch.rs` |
+//! | live mutation, surgical invalidation, standing queries (beyond the paper) | `live.rs` |
+//! | spatial shard tiling + locality certificate (beyond the paper) | `shard.rs` |
+//! | persistent warm engine pool (beyond the paper) | `pool.rs` |
+//! | admission queue: FIFO pump + backpressure (beyond the paper) | `admission.rs` |
+//! | typed errors ([`enum@Error`]) | `error.rs` |
 //!
 //! ## Quick start
 //!
@@ -67,43 +70,43 @@
 //! `visible_knn`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 // No panic in the query path; an infallible site says why in an `#[expect]`.
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 #![warn(clippy::panic, clippy::unreachable)]
 #![warn(clippy::todo, clippy::unimplemented)]
 
-pub mod admission;
+mod admission;
 pub mod baseline;
-pub mod batch;
-pub mod coknn;
-pub mod config;
-pub mod conn;
-pub mod cpl;
-pub mod dist;
-pub mod engine;
-pub mod epoch;
-pub mod error;
-pub mod ior;
-pub mod joins;
-pub mod live;
-pub mod odist;
-pub mod onn;
-pub mod orange;
-pub mod pool;
-pub mod query;
-pub mod rlu;
-pub mod rnn;
-pub mod service;
-pub mod session;
-pub mod shard;
-pub mod single_tree;
-pub mod split;
-pub mod stats;
-pub mod streams;
-pub mod trajectory;
-pub mod types;
-pub mod visible;
+mod batch;
+mod coknn;
+mod config;
+mod conn;
+mod cpl;
+mod dist;
+mod engine;
+mod epoch;
+mod error;
+mod ior;
+mod joins;
+mod live;
+mod odist;
+mod onn;
+mod orange;
+mod pool;
+mod query;
+mod rlu;
+mod rnn;
+mod service;
+mod session;
+mod shard;
+mod single_tree;
+mod split;
+mod stats;
+mod streams;
+mod trajectory;
+mod types;
+mod visible;
 
 pub use admission::{Admission, AdmissionConfig, Ticket};
 pub use batch::BatchStats;
@@ -120,9 +123,9 @@ pub use pool::EnginePool;
 pub use query::{Answer, Query, QueryBuilder, QueryKind, Response};
 pub use rlu::{ResultEntry, ResultList};
 pub use service::{ConnService, Scene};
-pub use session::{TrajectoryCoknnSession, TrajectorySession};
+pub use session::TrajectorySession;
 pub use shard::{Shard, ShardSet, ShardSpec};
 pub use single_tree::{build_unified_tree, SpatialObject};
-pub use stats::{QueryStats, ReuseCounters};
+pub use stats::{AveragedStats, QueryStats, ReuseCounters};
 pub use trajectory::{Trajectory, TrajectoryResult};
 pub use types::DataPoint;

@@ -4,9 +4,8 @@
 //! This is the one interface every query family is driven through — the
 //! way a database exposes a single query interface over many plans:
 //!
-//! * [`Scene`] builds (or borrows) the data and obstacle R\*-trees, from
-//!   raw vecs, the paper-style dataset generators, or trees the caller
-//!   already holds;
+//! * [`Scene`] builds (or borrows, or shares) the data and obstacle
+//!   R\*-trees;
 //! * [`ConnService::execute`] answers one validated [`Query`] of *any*
 //!   family on a warm engine from the service's persistent
 //!   [`EnginePool`], with answers byte-identical to a fresh
@@ -15,10 +14,10 @@
 //!   [`ConnService::execute`] concurrently, each against the scene epoch it pins at
 //!   query start ([`ConnService::pin`]), while a writer publishes whole
 //!   replacement scenes ([`ConnService::publish`]) without blocking
-//!   readers — see [`crate::epoch`];
-//! * [`ConnService::execute_batch`] is the one batch path: it schedules
-//!   a workload of any mix of families across the same engine pool and
-//!   sums the responses' stats into one [`BatchStats`];
+//!   readers (`epoch.rs`);
+//! * [`ConnService::execute_batch_threads`] is the one batch path: it
+//!   schedules a workload of any mix of families across the same engine
+//!   pool and sums the responses' stats into one [`BatchStats`];
 //! * a lone [`ConnService::execute`] of a trajectory fans its legs out
 //!   over the pool's workers and stitches them in leg order. Only that
 //!   call fans out: it holds no pool slot, and its thread would otherwise
@@ -27,7 +26,7 @@
 //!   after another on the engine they hold — a worker that holds a slot
 //!   never waits on another;
 //! * [`ConnService::sharded`] tiles giant scenes spatially
-//!   ([`crate::shard`]): queries whose expansion bound fits one tile's
+//!   (`shard.rs`): queries whose expansion bound fits one tile's
 //!   coverage run on that shard alone, the rest fall back to the full
 //!   scene (never a min-merge — see the shard module docs for why);
 //! * streaming trajectory sessions hang off the pinned epoch
@@ -78,11 +77,9 @@ impl<T> TreeSlot<'_, T> {
 /// The indexed world every query family runs against: the data-point and
 /// obstacle R\*-trees.
 ///
-/// Build it from raw vecs ([`Scene::new`] /
-/// [`Scene::with_page_size`]), from the paper-style dataset generators
-/// ([`Scene::uniform`] / [`Scene::clustered`]), from trees you already
-/// own ([`Scene::from_trees`]), or borrow trees in place
-/// ([`Scene::borrowing`] — zero-copy, for callers that keep the trees).
+/// Build it from raw vecs ([`Scene::new`]), borrow trees in place
+/// ([`Scene::borrowing`] — zero-copy, for callers that keep the trees), or
+/// share them by `Arc` ([`Scene::shared`]).
 #[derive(Debug)]
 pub struct Scene<'a> {
     data: TreeSlot<'a, DataPoint>,
@@ -93,22 +90,9 @@ impl Scene<'static> {
     /// Indexes `points` and `obstacles` in owned R\*-trees with the
     /// default 4 KB page size.
     pub fn new(points: Vec<DataPoint>, obstacles: Vec<Rect>) -> Self {
-        Scene::with_page_size(points, obstacles, DEFAULT_PAGE_SIZE)
-    }
-
-    /// [`Scene::new`] with an explicit page size.
-    pub fn with_page_size(points: Vec<DataPoint>, obstacles: Vec<Rect>, page_size: usize) -> Self {
         Scene {
-            data: TreeSlot::Owned(RStarTree::bulk_load(points, page_size)),
-            obstacles: TreeSlot::Owned(RStarTree::bulk_load(obstacles, page_size)),
-        }
-    }
-
-    /// Adopts trees the caller already built (bulk-loaded, persisted, …).
-    pub fn from_trees(data_tree: RStarTree<DataPoint>, obstacle_tree: RStarTree<Rect>) -> Self {
-        Scene {
-            data: TreeSlot::Owned(data_tree),
-            obstacles: TreeSlot::Owned(obstacle_tree),
+            data: TreeSlot::Owned(RStarTree::bulk_load(points, DEFAULT_PAGE_SIZE)),
+            obstacles: TreeSlot::Owned(RStarTree::bulk_load(obstacles, DEFAULT_PAGE_SIZE)),
         }
     }
 
@@ -124,30 +108,6 @@ impl Scene<'static> {
             data: TreeSlot::Shared(data_tree),
             obstacles: TreeSlot::Shared(obstacle_tree),
         }
-    }
-
-    /// A paper-style scene: LA-like obstacles with uniformly distributed
-    /// data points (the UL combination of §5).
-    pub fn uniform(n_points: usize, n_obstacles: usize, seed: u64) -> Self {
-        let obstacles = conn_datasets::la_like(n_obstacles, seed);
-        let points = DataPoint::from_points(&conn_datasets::uniform_points(
-            n_points,
-            seed.wrapping_add(1),
-            &obstacles,
-        ));
-        Scene::new(points, obstacles)
-    }
-
-    /// A paper-style scene: LA-like obstacles with CA-like *clustered*
-    /// data points (the CL combination of §5).
-    pub fn clustered(n_points: usize, n_obstacles: usize, seed: u64) -> Self {
-        let obstacles = conn_datasets::la_like(n_obstacles, seed);
-        let points = DataPoint::from_points(&conn_datasets::ca_like(
-            n_points,
-            seed.wrapping_add(1),
-            &obstacles,
-        ));
-        Scene::new(points, obstacles)
     }
 }
 
@@ -205,9 +165,6 @@ impl<'a> Scene<'a> {
 /// lock (clippy's `disallowed_types` keeps it that way: each lock carries
 /// an `#[expect]` naming its critical section).
 ///
-/// [`execute`]: ConnService::execute
-/// [`execute_batch`]: ConnService::execute_batch
-///
 /// ```
 /// use conn_core::{ConnService, DataPoint, Query, Scene};
 /// use conn_geom::{Point, Rect, Segment};
@@ -234,7 +191,7 @@ impl<'a> Scene<'a> {
 ///     Query::onn(Point::new(50.0, 0.0), 1).build()?,
 ///     Query::odist(Point::new(0.0, 0.0), Point::new(100.0, 0.0)).build()?,
 /// ];
-/// let (responses, stats) = service.execute_batch(&batch)?;
+/// let (responses, stats) = service.execute_batch_threads(&batch, 0)?;
 /// assert_eq!(responses.len(), 4);
 /// assert_eq!(stats.queries, 4);
 ///
@@ -440,42 +397,27 @@ impl<'a> ConnService<'a> {
     }
 
     /// Answers a **mixed-family** workload across the persistent engine
-    /// pool (`0` workers = available parallelism — see
-    /// [`ConnService::execute_batch_threads`]). Responses come back in
-    /// workload order, each with the same stats — tree I/O included, a
-    /// join's caller-owned `other` tree too — [`ConnService::execute`]
-    /// reports for that query; [`BatchStats::pooled`] is their sum.
-    pub fn execute_batch(&self, queries: &[Query]) -> Result<(Vec<Response>, BatchStats), Error> {
-        self.execute_batch_threads(queries, 0)
-    }
-
-    /// [`ConnService::execute_batch`] with an explicit worker count. The
-    /// whole batch pins one epoch up front, so every query of the batch
-    /// sees the same scene whatever publishes mid-flight.
+    /// pool on `threads` workers (`0` = available parallelism). Responses
+    /// come back in workload order, each with the same stats — tree I/O
+    /// included, a join's caller-owned `other` tree too —
+    /// [`ConnService::execute`] reports for that query;
+    /// [`BatchStats::pooled`] is their sum. The whole batch pins one epoch
+    /// up front, so every query of the batch sees the same scene whatever
+    /// publishes mid-flight.
     pub fn execute_batch_threads(
         &self,
         queries: &[Query],
         threads: usize,
     ) -> Result<(Vec<Response>, BatchStats), Error> {
-        self.execute_batch_at(&self.pin(), queries, threads)
-    }
-
-    /// [`ConnService::execute_batch_threads`] against an explicitly
-    /// pinned epoch.
-    pub fn execute_batch_at(
-        &self,
-        pin: &PinnedEpoch<'a>,
-        queries: &[Query],
-        threads: usize,
-    ) -> Result<(Vec<Response>, BatchStats), Error> {
+        let pin = self.pin();
         #[expect(
             clippy::disallowed_methods,
             reason = "batch-boundary wall time for BatchStats, not kernel-side timing"
         )]
         let started = Instant::now();
-        let (answers, threads, per_query) = self
-            .pool
-            .run(queries, threads, |engine, q| shard_dispatch(engine, pin, q));
+        let (answers, threads, per_query) = self.pool.run(queries, threads, |engine, q| {
+            shard_dispatch(engine, &pin, q)
+        });
         let stats = BatchStats::new(threads, started.elapsed(), &per_query);
         let responses = answers
             .into_iter()
@@ -699,7 +641,7 @@ pub(crate) fn dispatch(
 
 /// One trajectory leg as the query it is: CONN for `k = 1`, COkNN
 /// otherwise (Algorithm 4, §6).
-fn run_leg(
+pub(crate) fn run_leg(
     engine: &mut QueryEngine,
     scene: &Scene<'_>,
     leg: &Segment,
@@ -720,8 +662,8 @@ fn run_leg(
 /// `k = 1` the CONN tuples are stitched at each leg's cumulative offset
 /// and `result_tuples` is the stitched count, for `k > 1` the COkNN
 /// results are kept per leg — exactly what a [`crate::TrajectorySession`]
-/// / [`crate::TrajectoryCoknnSession`] over the route finishes with.
-fn assemble_trajectory(
+/// over the route finishes with.
+pub(crate) fn assemble_trajectory(
     route: &Trajectory,
     k: usize,
     legs: impl IntoIterator<Item = (Answer, QueryStats)>,
@@ -755,7 +697,7 @@ fn assemble_trajectory(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Query, TrajectoryCoknnSession, TrajectorySession};
+    use crate::{Query, TrajectorySession};
     use conn_geom::Point;
 
     fn scene() -> Scene<'static> {
@@ -779,11 +721,14 @@ mod tests {
         assert_eq!(s.num_points(), 4);
         assert_eq!(s.num_obstacles(), 2);
         assert_eq!(s.obstacles().len(), 2);
-        let gen = Scene::uniform(30, 20, 7);
-        assert_eq!(gen.num_points(), 30);
-        assert_eq!(gen.num_obstacles(), 20);
-        let cl = Scene::clustered(30, 20, 7);
-        assert_eq!(cl.num_points(), 30);
+        let borrowed = Scene::borrowing(s.data_tree(), s.obstacle_tree());
+        assert_eq!(borrowed.num_points(), 4);
+        let shared = Scene::shared(
+            Arc::new(RStarTree::bulk_load(vec![], DEFAULT_PAGE_SIZE)),
+            Arc::new(RStarTree::bulk_load(s.obstacles(), DEFAULT_PAGE_SIZE)),
+        );
+        assert_eq!(shared.num_points(), 0);
+        assert_eq!(shared.num_obstacles(), 2);
     }
 
     /// `execute` on a warm pool engine against a fresh [`QueryEngine`], bit
@@ -922,8 +867,9 @@ mod tests {
         }
     }
 
-    /// Four clients execute one query list while a fifth batches it on the
-    /// same pin: every response carries the single-threaded reference I/O.
+    /// Four clients execute one query list on one pin while a fifth
+    /// batches it (nothing publishes, so the batch pins the same epoch):
+    /// every response carries the single-threaded reference I/O.
     /// Counters on the shared trees could not give this; meters on the
     /// engines do by construction.
     #[test]
@@ -957,7 +903,7 @@ mod tests {
             let batcher = scope.spawn(|| {
                 start.wait();
                 for _ in 0..3 {
-                    let (responses, _) = service.execute_batch_at(&pin, &queries, 2).unwrap();
+                    let (responses, _) = service.execute_batch_threads(&queries, 2).unwrap();
                     for (r, want) in responses.iter().zip(&reference) {
                         assert_eq!(io_of(r), *want, "{}", r.answer.family());
                     }
@@ -998,9 +944,10 @@ mod tests {
         ];
         let mut session = pin.open_session(verts[0], *service.config());
         for &v in &verts[1..] {
-            session.push_leg(v);
+            session.push_leg(v).unwrap();
         }
-        let (plan, _) = session.finish();
+        let (answer, _) = session.finish().unwrap();
+        let plan = answer.into_trajectory().unwrap();
         plan.check_cover().unwrap();
         let query = Query::trajectory(Trajectory::new(verts.to_vec()), 1)
             .build()
@@ -1031,8 +978,10 @@ mod tests {
 
     /// A lone `execute` of a trajectory runs its legs on the pool's
     /// workers; its answer is bit-identical to the batch path's serial leg
-    /// loop and to a session on a fresh engine, and so is its work. A
-    /// one-leg route spawns no worker.
+    /// loop and to a session on a fresh engine, and so is its work. For
+    /// k > 1, each leg is bit-identical to that leg run as a lone COkNN,
+    /// which shares no stitching with the trajectory paths. A one-leg
+    /// route spawns no worker.
     #[test]
     fn trajectory_legs_fan_out_bit_identical() {
         let scene = scene();
@@ -1057,22 +1006,11 @@ mod tests {
             let (batch, _) = service
                 .execute_batch_threads(std::slice::from_ref(&query), 1)
                 .unwrap();
-            let cfg = ConnConfig::default();
-            let session = if k == 1 {
-                let mut session = TrajectorySession::new(dt, ot, start, cfg);
-                for &v in rest {
-                    session.push_leg(v);
-                }
-                let (res, stats) = session.finish();
-                (Answer::Trajectory(res), stats)
-            } else {
-                let mut session = TrajectoryCoknnSession::new(dt, ot, start, k, cfg);
-                for &v in rest {
-                    session.push_leg(v);
-                }
-                let (legs, stats) = session.finish();
-                (Answer::TrajectoryKnn(legs), stats)
-            };
+            let mut session = TrajectorySession::new(dt, ot, start, k, ConnConfig::default());
+            for &v in rest {
+                session.push_leg(v).unwrap();
+            }
+            let session = session.finish().unwrap();
             for (path, (answer, stats)) in [
                 ("batch", (&batch[0].answer, batch[0].stats)),
                 ("session", (&session.0, session.1)),
@@ -1088,6 +1026,19 @@ mod tests {
                     "k = {k}: {path} work"
                 );
             }
+            if k > 1 {
+                let legs = fanned.answer.as_trajectory_knn().unwrap();
+                assert_eq!(legs.len(), route.num_legs());
+                for (i, leg) in legs.iter().enumerate() {
+                    let lone = Query::coknn(route.leg(i), k).build().unwrap();
+                    let lone = service.execute(&lone).unwrap().answer;
+                    assert_eq!(
+                        format!("{:?}", Answer::Coknn(leg.clone())),
+                        format!("{lone:?}"),
+                        "k = {k}: leg {i} against a lone COkNN"
+                    );
+                }
+            }
         }
         let service = ConnService::new(Scene::borrowing(dt, ot));
         let one_leg = Trajectory::new(vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]);
@@ -1101,7 +1052,7 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let service = ConnService::new(scene());
-        let (responses, stats) = service.execute_batch(&[]).unwrap();
+        let (responses, stats) = service.execute_batch_threads(&[], 0).unwrap();
         assert!(responses.is_empty());
         assert_eq!(stats.queries, 0);
     }

@@ -1,16 +1,20 @@
-//! Streaming trajectory sessions — trajectory CONN as a *moving-client
-//! serving primitive* rather than a batch reproduction artifact.
+//! Streaming trajectory sessions — trajectory CONN / COkNN as a
+//! *moving-client serving primitive* rather than a batch reproduction
+//! artifact.
 //!
 //! A [`crate::Query::trajectory`] answers a complete polyline (its legs
 //! run as independent queries, on several pool workers when the pool has
-//! them idle — see [`crate::ConnService::execute_at`]). A session
-//! answers it **one leg at a time**: the caller pushes the next vertex as
-//! the client reports it and receives the delta tuples of the new leg in
-//! cumulative arclength. A session is a loop: each pushed leg runs as the
-//! engine's ordinary [`QueryEngine::conn`] / [`QueryEngine::coknn`] —
-//! Algorithm 4, exact leg by leg — and the result is stitched on
-//! ([`crate::trajectory`]). The engine's reuse is every query's reuse: a
-//! leg re-binds the workspace the previous leg (or query) left.
+//! them idle — see [`crate::ConnService::execute_at`]). A session answers
+//! it **one leg at a time**: the caller pushes the next vertex as the
+//! client reports it and receives that leg's [`Answer`] (`Conn` for
+//! `k = 1`, `Coknn` otherwise), parameterized along the leg; a caller that
+//! wants cumulative arclength shifts it by [`crate::Trajectory::leg_offset`].
+//! Each pushed leg runs through the same leg runner as the service's
+//! trajectory path, and [`TrajectorySession::finish`] assembles the legs
+//! the way the service does, so a session and a [`crate::Query::trajectory`]
+//! over the same vertices answer bit for bit alike. The engine's reuse is
+//! every query's reuse: a leg re-binds the workspace the previous leg (or
+//! query) left.
 //!
 //! Nothing else carries from leg to leg — no visibility graph, joint node,
 //! Dijkstra labels or `RLMAX` bound seeded from the previous leg — because
@@ -42,223 +46,50 @@
 //! );
 //! let obstacles: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
 //!
+//! let start = Point::new(0.0, 0.0);
 //! let mut session =
-//!     TrajectorySession::new(&points, &obstacles, Point::new(0.0, 0.0), ConnConfig::default());
-//! // the client reports positions as it moves; each push returns the new
-//! // tuples in cumulative arclength
-//! let delta = session.push_leg(Point::new(100.0, 0.0));
-//! assert_eq!(delta.first().unwrap().0.unwrap().id, 0);
-//! let delta = session.push_leg(Point::new(100.0, 80.0));
-//! assert_eq!(delta.last().unwrap().0.unwrap().id, 1);
+//!     TrajectorySession::new(&points, &obstacles, start, 1, ConnConfig::default());
+//! // the client reports positions as it moves; each push answers its leg
+//! let leg = session.push_leg(Point::new(100.0, 0.0))?;
+//! assert_eq!(leg.as_conn().unwrap().segments()[0].0.unwrap().id, 0);
+//! // a repeated position is rejected and leaves the session as it was
+//! assert!(session.push_leg(Point::new(100.0, 0.0)).is_err());
+//! let leg = session.push_leg(Point::new(100.0, 80.0))?;
+//! assert_eq!(leg.as_conn().unwrap().segments().last().unwrap().0.unwrap().id, 1);
 //!
-//! let (result, stats) = session.finish();
-//! result.check_cover().unwrap();
+//! let (answer, stats) = session.finish()?;
+//! answer.as_trajectory().unwrap().check_cover()?;
 //! assert_eq!(stats.reuse.graph_reuses, 1, "the second leg re-bound the engine");
+//! # Ok::<(), conn_core::Error>(())
 //! ```
 
-use conn_geom::{Interval, Point, Rect, Segment};
+use conn_geom::{Point, Rect};
 use conn_index::RStarTree;
 
-use crate::coknn::CoknnResult;
 use crate::config::ConnConfig;
 use crate::engine::QueryEngine;
+use crate::error::Error;
+use crate::query::Answer;
+use crate::service::{assemble_trajectory, run_leg, Scene};
 use crate::stats::QueryStats;
-use crate::trajectory::{stitch_leg, Trajectory, TrajectoryResult};
+use crate::trajectory::Trajectory;
 use crate::types::DataPoint;
 
-/// Shared machinery of the CONN and COkNN sessions: trees, the session's
-/// own engine, trajectory geometry, pooled stats.
-struct SessionCore<'t> {
-    data_tree: &'t RStarTree<DataPoint>,
-    obstacle_tree: &'t RStarTree<Rect>,
-    engine: Box<QueryEngine>,
-    vertices: Vec<Point>,
-    cum: Vec<f64>,
-    stats: QueryStats,
-}
-
-impl<'t> SessionCore<'t> {
-    fn new(
-        data_tree: &'t RStarTree<DataPoint>,
-        obstacle_tree: &'t RStarTree<Rect>,
-        start: Point,
-        cfg: ConnConfig,
-    ) -> Self {
-        assert!(
-            start.x.is_finite() && start.y.is_finite(),
-            "non-finite session start"
-        );
-        SessionCore {
-            data_tree,
-            obstacle_tree,
-            engine: Box::new(QueryEngine::new(cfg)),
-            vertices: vec![start],
-            cum: vec![0.0],
-            stats: QueryStats::default(),
-        }
-    }
-
-    #[expect(
-        clippy::unwrap_used,
-        reason = "vertices starts with the session origin and only grows"
-    )]
-    fn position(&self) -> Point {
-        *self.vertices.last().unwrap()
-    }
-
-    /// Runs the leg to `to` as one query on the session's engine and pools
-    /// its stats. Returns the answer, the leg segment and its cumulative
-    /// offset.
-    fn run_leg<A>(
-        &mut self,
-        to: Point,
-        query: impl FnOnce(
-            &mut QueryEngine,
-            &RStarTree<DataPoint>,
-            &RStarTree<Rect>,
-            &Segment,
-        ) -> (A, QueryStats),
-    ) -> (A, Segment, f64) {
-        assert!(
-            to.x.is_finite() && to.y.is_finite(),
-            "non-finite leg vertex"
-        );
-        let leg = Segment::new(self.position(), to);
-        assert!(!leg.is_degenerate(), "degenerate trajectory leg");
-        #[expect(clippy::unwrap_used, reason = "cum starts as vec![0.0] and only grows")]
-        let offset = *self.cum.last().unwrap();
-        let (answer, stats) = query(&mut self.engine, self.data_tree, self.obstacle_tree, &leg);
-        self.stats.accumulate(&stats);
-        self.vertices.push(to);
-        self.cum.push(offset + leg.len());
-        (answer, leg, offset)
-    }
-
-    fn num_legs(&self) -> usize {
-        self.vertices.len() - 1
-    }
-
-    fn trajectory(&self) -> Trajectory {
-        assert!(
-            self.num_legs() >= 1,
-            "session has no legs yet — push at least one"
-        );
-        Trajectory::new(self.vertices.clone())
-    }
-}
-
-/// A streaming trajectory CONN session (k = 1). See the module docs; a
-/// complete route is a [`crate::Query::trajectory`], whose answer equals
-/// a session's pushed through the same vertices bit for bit.
+/// A streaming trajectory session answering each leg with its `k` nearest
+/// neighbors. See the module docs; a complete route is a
+/// [`crate::Query::trajectory`], whose answer equals a session's
+/// [`TrajectorySession::finish`] over the same vertices bit for bit.
 pub struct TrajectorySession<'t> {
-    core: SessionCore<'t>,
-    segments: Vec<(Option<DataPoint>, Interval)>,
+    scene: Scene<'t>,
+    engine: Box<QueryEngine>,
+    k: usize,
+    vertices: Vec<Point>,
+    legs: Vec<(Answer, QueryStats)>,
 }
 
 impl<'t> TrajectorySession<'t> {
-    /// A session starting at `start`, on its own engine.
-    pub fn new(
-        data_tree: &'t RStarTree<DataPoint>,
-        obstacle_tree: &'t RStarTree<Rect>,
-        start: Point,
-        cfg: ConnConfig,
-    ) -> Self {
-        TrajectorySession {
-            core: SessionCore::new(data_tree, obstacle_tree, start, cfg),
-            segments: Vec::new(),
-        }
-    }
-
-    /// Extends the trajectory to `to` and answers the new leg. Returns the
-    /// **delta**: the `⟨p, R⟩` tuples covering `(prev_len, new_len]` in
-    /// cumulative arclength. When the answer persists across the joint, the
-    /// delta's first tuple starts exactly at `prev_len` and
-    /// [`TrajectorySession::segments`] shows it merged with the previous
-    /// tuple.
-    pub fn push_leg(&mut self, to: Point) -> Vec<(Option<DataPoint>, Interval)> {
-        let (res, leg, offset) = self.core.run_leg(to, |e, dt, ot, leg| e.conn(dt, ot, leg));
-        let end = offset + leg.len();
-        stitch_leg(&mut self.segments, &res.segments(), offset, end);
-
-        let mut delta: Vec<(Option<DataPoint>, Interval)> = Vec::new();
-        for &(p, iv) in self.segments.iter().rev() {
-            if iv.hi <= offset {
-                break;
-            }
-            delta.push((p, Interval::new(iv.lo.max(offset), iv.hi)));
-        }
-        delta.reverse();
-        delta
-    }
-
-    /// The stitched `⟨p, R⟩` tuples over everything pushed so far.
-    pub fn segments(&self) -> &[(Option<DataPoint>, Interval)] {
-        &self.segments
-    }
-
-    /// The ONN at cumulative arclength `t` over the legs pushed so far.
-    pub fn nn_at(&self, t: f64) -> Option<DataPoint> {
-        self.segments
-            .iter()
-            .find(|(_, iv)| iv.contains(t))
-            .and_then(|(p, _)| *p)
-    }
-
-    /// Vertices pushed so far (the start point included).
-    pub fn vertices(&self) -> &[Point] {
-        &self.core.vertices
-    }
-
-    /// Legs answered so far.
-    pub fn num_legs(&self) -> usize {
-        self.core.num_legs()
-    }
-
-    /// Cumulative arclength covered so far.
-    #[expect(clippy::unwrap_used, reason = "cum starts as vec![0.0] and only grows")]
-    pub fn len(&self) -> f64 {
-        *self.core.cum.last().unwrap()
-    }
-
-    /// True until the first leg is pushed.
-    pub fn is_empty(&self) -> bool {
-        self.core.num_legs() == 0
-    }
-
-    /// Pooled statistics over the legs answered so far.
-    pub fn stats(&self) -> QueryStats {
-        let mut s = self.core.stats;
-        s.result_tuples = self.segments.len() as u64;
-        s
-    }
-
-    /// Snapshot of the stitched result as a [`TrajectoryResult`]. Panics
-    /// when no leg has been pushed (a trajectory needs ≥ 2 vertices).
-    pub fn result(&self) -> TrajectoryResult {
-        TrajectoryResult::new(self.core.trajectory(), self.segments.clone())
-    }
-
-    /// Consumes the session into its final result and pooled stats.
-    pub fn finish(self) -> (TrajectoryResult, QueryStats) {
-        let stats = self.stats();
-        (
-            TrajectoryResult::new(self.core.trajectory(), self.segments),
-            stats,
-        )
-    }
-}
-
-/// A streaming trajectory COkNN session: like [`TrajectorySession`] but
-/// each pushed leg yields its full [`CoknnResult`] (kNN sets keep every
-/// member's control points, so the per-leg structure is the honest API).
-pub struct TrajectoryCoknnSession<'t> {
-    core: SessionCore<'t>,
-    k: usize,
-    legs: Vec<CoknnResult>,
-}
-
-impl<'t> TrajectoryCoknnSession<'t> {
-    /// Opens a session at `start` over borrowed trees.
+    /// A session starting at `start`, on its own engine. The start and `k`
+    /// are checked on the first push.
     pub fn new(
         data_tree: &'t RStarTree<DataPoint>,
         obstacle_tree: &'t RStarTree<Rect>,
@@ -266,43 +97,52 @@ impl<'t> TrajectoryCoknnSession<'t> {
         k: usize,
         cfg: ConnConfig,
     ) -> Self {
-        assert!(k >= 1, "k must be at least 1");
-        TrajectoryCoknnSession {
-            core: SessionCore::new(data_tree, obstacle_tree, start, cfg),
+        TrajectorySession {
+            scene: Scene::borrowing(data_tree, obstacle_tree),
+            engine: Box::new(QueryEngine::new(cfg)),
             k,
+            vertices: vec![start],
             legs: Vec::new(),
         }
     }
 
-    /// Extends the trajectory to `to`; returns the new leg's result.
-    #[expect(clippy::unwrap_used, reason = "the leg is pushed on the line above")]
-    pub fn push_leg(&mut self, to: Point) -> &CoknnResult {
-        let k = self.k;
-        let (res, _, _) = self
-            .core
-            .run_leg(to, |e, dt, ot, leg| e.coknn(dt, ot, leg, k));
-        self.legs.push(res);
-        self.legs.last().unwrap()
+    /// Extends the trajectory to `to` and answers the new leg. A leg
+    /// [`Trajectory::try_new`] would refuse (a non-finite vertex, the
+    /// start included, or a repeated position), or `k = 0`, comes back as
+    /// [`Error::InvalidQuery`] and leaves the session unchanged.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "vertices starts with the session origin, and the leg is pushed on the line above"
+    )]
+    pub fn push_leg(&mut self, to: Point) -> Result<&Answer, Error> {
+        if self.k == 0 {
+            return Err(Error::invalid_query(
+                "trajectory session: k must be at least 1",
+            ));
+        }
+        let from = *self.vertices.last().unwrap();
+        let leg = Trajectory::try_new(vec![from, to])?.leg(0);
+        let answered = run_leg(&mut self.engine, &self.scene, &leg, self.k);
+        self.vertices.push(to);
+        self.legs.push(answered);
+        Ok(&self.legs.last().unwrap().0)
     }
 
-    /// Per-leg results answered so far.
-    pub fn legs(&self) -> &[CoknnResult] {
-        &self.legs
-    }
-
-    /// The per-point neighbor count every leg answers with.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Pooled statistics over the legs answered so far.
+    /// Statistics summed over the legs answered so far.
     pub fn stats(&self) -> QueryStats {
-        self.core.stats
+        let mut stats = QueryStats::default();
+        for (_, leg) in &self.legs {
+            stats.accumulate(leg);
+        }
+        stats
     }
 
-    /// Consumes the session into the per-leg results and pooled stats.
-    pub fn finish(self) -> (Vec<CoknnResult>, QueryStats) {
-        (self.legs, self.core.stats)
+    /// Consumes the session into the trajectory's answer and stats, as a
+    /// [`crate::Query::trajectory`] over the pushed vertices reports them.
+    /// [`Error::InvalidQuery`] when no leg was pushed.
+    pub fn finish(self) -> Result<(Answer, QueryStats), Error> {
+        let route = Trajectory::try_new(self.vertices)?;
+        Ok(assemble_trajectory(&route, self.k, self.legs))
     }
 }
 
@@ -344,10 +184,10 @@ mod tests {
         ]
     }
 
-    /// Every leg runs cold, as a lone CONN. The concatenated deltas merge
-    /// into exactly the stitched segments, and both answer, at every tuple
-    /// midpoint and on a 48-step grid, what brute force over the whole
-    /// obstacle list answers — or a point tied with it at 1e-6.
+    /// Every leg runs cold, as a lone CONN. Each leg's answer, shifted by
+    /// its offset, and the stitched result answer, at every tuple midpoint
+    /// and on a 48-step grid, what brute force over the whole obstacle list
+    /// answers — or a point tied with it at 1e-6.
     #[test]
     fn session_matches_cold_per_leg() {
         let (dt, ot) = setup();
@@ -355,35 +195,22 @@ mod tests {
         let verts = route();
         let traj = Trajectory::new(verts.clone());
 
-        let mut session = TrajectorySession::new(&dt, &ot, verts[0], ConnConfig::default());
-        let mut concat: Vec<(Option<DataPoint>, Interval)> = Vec::new();
-        for &v in &verts[1..] {
-            let delta = session.push_leg(v);
-            // deltas chain contiguously
-            assert!(
-                (delta.first().unwrap().1.lo - concat.last().map_or(0.0, |x| x.1.hi)).abs() < 1e-9
-            );
-            concat.extend(delta);
-        }
-        let (res, _) = session.finish();
-        res.check_cover().unwrap();
-
-        // the concatenated deltas reproduce the stitched segments
-        let mut merged: Vec<(Option<DataPoint>, Interval)> = Vec::new();
-        for &(p, iv) in &concat {
-            match merged.last_mut() {
-                Some((lp, liv)) if lp.map(|x| x.id) == p.map(|x| x.id) => liv.hi = iv.hi,
-                _ => merged.push((p, iv)),
+        let mut session = TrajectorySession::new(&dt, &ot, verts[0], 1, ConnConfig::default());
+        let mut shifted = Vec::new();
+        for (i, &v) in verts[1..].iter().enumerate() {
+            let leg = session.push_leg(v).unwrap().as_conn().unwrap();
+            leg.check_cover().unwrap();
+            let offset = traj.leg_offset(i);
+            for (p, iv) in leg.segments() {
+                shifted.push((p, conn_geom::Interval::new(iv.lo + offset, iv.hi + offset)));
             }
         }
-        assert_eq!(merged.len(), res.segments().len());
-        for ((p1, iv1), (p2, iv2)) in merged.iter().zip(res.segments()) {
-            assert_eq!(p1.map(|x| x.id), p2.map(|x| x.id));
-            assert!((iv1.lo - iv2.lo).abs() < 1e-9 && (iv1.hi - iv2.hi).abs() < 1e-9);
-        }
+        let (answer, _) = session.finish().unwrap();
+        let res = answer.into_trajectory().unwrap();
+        res.check_cover().unwrap();
 
-        let at = |tuples: &[(Option<DataPoint>, Interval)], t: f64| {
-            tuples
+        let at = |t: f64| {
+            shifted
                 .iter()
                 .find(|(_, iv)| iv.contains(t))
                 .and_then(|(p, _)| *p)
@@ -393,7 +220,7 @@ mod tests {
         for t in ts {
             let q = traj.at(t);
             let want = brute_force_oknn(&ps, &rs, q, 1);
-            for got in [res.nn_at(t), at(&concat, t)] {
+            for got in [res.nn_at(t), at(t)] {
                 match (got, want.first()) {
                     (Some(g), Some((w, wd))) => {
                         let gd = obstructed_distance(&rs, g.pos, q);
@@ -409,33 +236,59 @@ mod tests {
     fn coknn_session_covers_each_leg() {
         let (dt, ot) = setup();
         let verts = route();
-        let mut session = TrajectoryCoknnSession::new(&dt, &ot, verts[0], 2, ConnConfig::default());
+        let mut session = TrajectorySession::new(&dt, &ot, verts[0], 2, ConnConfig::default());
         for &v in &verts[1..] {
-            let res = session.push_leg(v);
+            let res = session.push_leg(v).unwrap().as_coknn().unwrap();
             res.check_cover().unwrap();
             assert_eq!(res.knn_at(1.0).len(), 2);
         }
-        let (legs, stats) = session.finish();
-        assert_eq!(legs.len(), 3);
+        let running = session.stats();
+        let (answer, stats) = session.finish().unwrap();
+        assert_eq!(answer.as_trajectory_knn().unwrap().len(), 3);
         assert!(stats.npe >= 3);
+        assert_eq!(stats.npe, running.npe);
+    }
+
+    /// Pushes `bad`, expects it refused with the session unchanged, then
+    /// pushes a valid leg.
+    fn rejects_then_recovers(start: Point, bad: Point, why: &str) {
+        let (dt, ot) = setup();
+        let mut s = TrajectorySession::new(&dt, &ot, start, 1, ConnConfig::default());
+        let err = s.push_leg(bad).unwrap_err();
+        assert!(err.is_invalid_query(), "{err}");
+        assert!(err.reason().contains(why), "{err}");
+        assert_eq!(s.stats().npe, 0, "the refused leg ran nothing");
+        if start.x.is_finite() && start.y.is_finite() {
+            s.push_leg(Point::new(50.0, 0.0)).unwrap();
+            let (answer, _) = s.finish().unwrap();
+            assert_eq!(answer.as_trajectory().unwrap().trajectory().num_legs(), 1);
+        } else {
+            assert!(s.finish().is_err(), "no leg was pushed");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "degenerate trajectory leg")]
     fn zero_length_leg_is_rejected() {
-        let (dt, ot) = setup();
-        let mut s = TrajectorySession::new(&dt, &ot, Point::new(0.0, 0.0), ConnConfig::default());
-        let _ = s.push_leg(Point::new(0.0, 0.0));
+        let p = Point::new(0.0, 0.0);
+        rejects_then_recovers(p, p, "degenerate trajectory leg");
     }
 
     #[test]
-    #[should_panic(expected = "non-finite leg vertex")]
     fn non_finite_leg_is_rejected() {
-        let (dt, ot) = setup();
-        let mut s = TrajectorySession::new(&dt, &ot, Point::new(0.0, 0.0), ConnConfig::default());
-        let _ = s.push_leg(Point {
+        let nan = Point {
             x: f64::NAN,
             y: 1.0,
-        });
+        };
+        rejects_then_recovers(Point::new(0.0, 0.0), nan, "non-finite");
+        rejects_then_recovers(nan, Point::new(0.0, 0.0), "non-finite");
+    }
+
+    #[test]
+    fn zero_k_is_rejected() {
+        let (dt, ot) = setup();
+        let mut s =
+            TrajectorySession::new(&dt, &ot, Point::new(0.0, 0.0), 0, ConnConfig::default());
+        let err = s.push_leg(Point::new(50.0, 0.0)).unwrap_err();
+        assert!(err.reason().contains("k must be at least 1"), "{err}");
     }
 }

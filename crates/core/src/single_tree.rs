@@ -12,11 +12,6 @@
 //! cap all live below the [`QueryStreams`] abstraction, so the tree layout
 //! and the kernel compose freely.
 
-#![expect(
-    clippy::indexing_slicing,
-    reason = "indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)"
-)]
-
 use std::collections::VecDeque;
 
 use conn_geom::{Rect, Segment};
@@ -45,37 +40,6 @@ impl Mbr for SpatialObject {
     }
 }
 
-impl conn_index::PersistItem for SpatialObject {
-    // 1-byte tag + the larger variant (Rect: 32 bytes), fixed width
-    const ENCODED_SIZE: usize = 1 + 32;
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SpatialObject::Point(p) => {
-                out.push(0);
-                p.encode(out);
-                out.extend_from_slice(&[0u8; 33 - 1 - DataPoint::ENCODED_SIZE]);
-                // pad
-            }
-            SpatialObject::Obstacle(r) => {
-                out.push(1);
-                r.encode(out);
-            }
-        }
-    }
-
-    fn decode(bytes: &[u8]) -> std::io::Result<Self> {
-        match bytes.first() {
-            Some(0) => Ok(SpatialObject::Point(DataPoint::decode(&bytes[1..])?)),
-            Some(1) => Ok(SpatialObject::Obstacle(Rect::decode(&bytes[1..])?)),
-            _ => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "bad spatial object tag",
-            )),
-        }
-    }
-}
-
 /// Bulk-loads points and obstacles into one unified R\*-tree.
 pub fn build_unified_tree(
     points: &[DataPoint],
@@ -91,7 +55,7 @@ pub fn build_unified_tree(
 }
 
 /// Query streams over a single mixed best-first traversal.
-pub struct OneTreeStreams<'a> {
+pub(crate) struct OneTreeStreams<'a> {
     iter: NearestIter<'a, SpatialObject, Segment>,
     point_buf: VecDeque<(DataPoint, f64)>,
     obstacle_buf: VecDeque<(Rect, f64)>,
@@ -101,7 +65,7 @@ pub struct OneTreeStreams<'a> {
 impl<'a> OneTreeStreams<'a> {
     /// Streams over the unified tree, ordered by `mindist` to `q` and
     /// charged to `io`.
-    pub fn new(tree: &'a RStarTree<SpatialObject>, q: &Segment, io: &'a IoMeter) -> Self {
+    pub(crate) fn new(tree: &'a RStarTree<SpatialObject>, q: &Segment, io: &'a IoMeter) -> Self {
         OneTreeStreams {
             iter: tree.nearest_iter_metered(*q, io),
             point_buf: VecDeque::new(),

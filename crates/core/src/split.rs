@@ -28,7 +28,7 @@ use crate::dist::ControlPoint;
 
 /// Which function wins (is the smaller) on a sub-interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Winner {
+pub(crate) enum Winner {
     /// The incumbent `F` keeps the sub-interval (ties favour it).
     Incumbent,
     /// The challenger `G` takes the sub-interval.
@@ -43,7 +43,7 @@ pub enum Winner {
     clippy::unwrap_used,
     reason = "out is only unwrapped in the non-empty branch of the emptiness check"
 )]
-pub fn split(
+pub(crate) fn split(
     q: &Segment,
     f: &ControlPoint,
     g: &ControlPoint,
@@ -86,7 +86,12 @@ pub fn split(
 
 /// The candidate split parameters inside `iv` where `F(t) = G(t)`
 /// (paper Equation 1, at most two — Theorem 1).
-pub fn crossing_params(q: &Segment, f: &ControlPoint, g: &ControlPoint, iv: &Interval) -> Vec<f64> {
+pub(crate) fn crossing_params(
+    q: &Segment,
+    f: &ControlPoint,
+    g: &ControlPoint,
+    iv: &Interval,
+) -> Vec<f64> {
     // frame coordinates: x along q (arclength), y perpendicular
     let (ax, ay) = q.to_frame(f.pos);
     let (bx, by) = q.to_frame(g.pos);
@@ -134,7 +139,7 @@ pub fn crossing_params(q: &Segment, f: &ControlPoint, g: &ControlPoint, iv: &Int
 /// (The perpendicular-distance condition makes `G − F` quasi-concave on the
 /// line, so its minimum over the interval is at an endpoint — the paper's
 /// Figure 4(b) shape argument.)
-pub fn lemma1_incumbent_wins(
+pub(crate) fn lemma1_incumbent_wins(
     q: &Segment,
     f: &ControlPoint,
     g: &ControlPoint,

@@ -14,7 +14,7 @@ use std::time::Duration;
 use conn_index::StatsSnapshot;
 
 /// Milliseconds charged per R-tree page fault (paper §5.1).
-pub const IO_MS_PER_FAULT: f64 = 10.0;
+pub(crate) const IO_MS_PER_FAULT: f64 = 10.0;
 
 /// Allocation-avoidance counters of the reusable query engine. All three
 /// are zero when a query runs on fresh per-query state (a new

@@ -13,7 +13,7 @@ use crate::engine::Meters;
 use crate::types::DataPoint;
 
 /// The search loop's view of its inputs.
-pub trait QueryStreams {
+pub(crate) trait QueryStreams {
     /// `mindist` of the next unevaluated data point (Lemma 2 gate).
     fn peek_point_dist(&mut self) -> Option<f64>;
 
@@ -39,7 +39,7 @@ pub trait QueryStreams {
 /// ([`crate::live`]) — so a stream re-opened over the same graph consults
 /// this set to avoid re-inserting (and re-counting) rectangles.
 #[derive(Debug, Default)]
-pub struct LoadedObstacles {
+pub(crate) struct LoadedObstacles {
     keys: std::collections::HashSet<[u64; 4]>,
 }
 
@@ -59,18 +59,8 @@ impl LoadedObstacles {
         self.keys.contains(&r.bit_key())
     }
 
-    /// Obstacles loaded so far into the graph.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when no obstacle has been loaded yet.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
     /// Forgets everything (the owning graph was reset).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.keys.clear();
     }
 }
@@ -81,7 +71,7 @@ impl LoadedObstacles {
 /// every obstacle once. A fresh query dedupes against the workspace's own
 /// set, emptied for it; a standing CONN's warm re-run against its kernel's
 /// set, which holds what earlier runs loaded into the graph it keeps.
-pub struct SegmentStreams<'a, 's> {
+pub(crate) struct SegmentStreams<'a, 's> {
     points: NearestIter<'a, DataPoint, Segment>,
     obstacles: NearestIter<'a, Rect, Segment>,
     pending_obstacle: Option<(Rect, f64)>,
@@ -243,7 +233,7 @@ mod tests {
             assert_eq!(s.load_obstacles_until(&mut g, 60.0), 2);
             assert_eq!(s.obstacles_loaded(), 2);
         }
-        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded.keys.len(), 2);
         // a segment near the far obstacle: the two already-loaded rects
         // must not be re-inserted, the third must
         let q2 = Segment::new(Point::new(200.0, 205.0), Point::new(260.0, 205.0));
@@ -252,6 +242,6 @@ mod tests {
         assert_eq!(s.obstacles_loaded(), 1, "NOE counts new loads only");
         assert_eq!(g.num_obstacles(), 3);
         assert_eq!(s.load_next_obstacle(&mut g), 0);
-        assert_eq!(loaded.len(), 3);
+        assert_eq!(loaded.keys.len(), 3);
     }
 }

@@ -6,10 +6,11 @@
 //! once per leg, the per-leg result lists stitched into one answer
 //! parameterized by cumulative arclength. The legs share nothing, so each
 //! runs as an ordinary CONN/COkNN query and the exactness argument holds
-//! leg by leg: a [`crate::TrajectorySession`] runs them one at a time as
-//! the client reports them; the service runs a complete route's legs in
-//! order on one engine, or, for a lone `execute`, on the pool's idle
-//! workers, and stitches them in leg order either way. The stitching
+//! leg by leg. The service runs a complete route's legs in order on one
+//! engine, or, for a lone `execute`, on the pool's idle workers; a
+//! [`crate::TrajectorySession`] runs them one at a time as the client
+//! reports them. All three share one leg runner and one assembly, which
+//! stitches the legs in leg order. The stitching
 //! re-indexes parameters into cumulative arclength, merges equal answers
 //! across the joints, and absorbs sub-`EPS` slivers produced by per-leg
 //! float drift at the shared vertices.

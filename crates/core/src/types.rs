@@ -1,7 +1,7 @@
 //! Identified data points as stored in the data R-tree.
 
 use conn_geom::{Point, Rect};
-use conn_index::{Mbr, PersistItem};
+use conn_index::Mbr;
 
 /// A data point of `P`: an application object (gas station, survivor, …)
 /// with a stable identifier.
@@ -33,24 +33,6 @@ impl Mbr for DataPoint {
     #[inline]
     fn mbr(&self) -> Rect {
         Rect::from_point(self.pos)
-    }
-}
-
-impl PersistItem for DataPoint {
-    const ENCODED_SIZE: usize = 20; // u32 id + 2 × f64
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.id.to_le_bytes());
-        self.pos.encode(out);
-    }
-
-    fn decode(bytes: &[u8]) -> std::io::Result<Self> {
-        let id = conn_index::persist::read_u32(bytes, 0)?;
-        let pos = Point::new(
-            conn_index::persist::read_f64(bytes, 4)?,
-            conn_index::persist::read_f64(bytes, 12)?,
-        );
-        Ok(DataPoint { id, pos })
     }
 }
 

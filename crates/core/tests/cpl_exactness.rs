@@ -1,13 +1,17 @@
-//! Isolates CPLC (Algorithm 2) from the rest of the pipeline: for a single
-//! data point, the control-point list must reproduce the exact obstructed
-//! distance `‖p, q(t)‖` at every parameter — the distance that a
-//! full-visibility-graph Dijkstra from `q(t)` computes.
+//! CPLC (Algorithm 2) for a single data point: its control-point list must
+//! reproduce the exact obstructed distance `‖p, q(t)‖` at every parameter —
+//! the distance that a full-visibility-graph Dijkstra from `q(t)` computes.
+//!
+//! CPLC is private, so it is reached through CONN over a scene holding
+//! only `p`: with one data point, result-list update has nothing to merge
+//! and no incumbent bound, so the answer *is* `CPL(p, q)` over the
+//! obstacles IOR loaded — and IOR must have loaded enough for every value
+//! to be exact.
 
 use conn_core::baseline::obstructed_distance;
-use conn_core::cpl::{cplc, VrCache};
-use conn_core::ConnConfig;
+use conn_core::{ConnConfig, DataPoint, QueryEngine};
 use conn_geom::{Point, Rect, Segment};
-use conn_vgraph::{DijkstraEngine, NodeKind, VisGraph};
+use conn_index::{RStarTree, DEFAULT_PAGE_SIZE};
 use proptest::prelude::*;
 
 fn pt() -> impl Strategy<Value = Point> {
@@ -27,29 +31,21 @@ fn obstacles() -> impl Strategy<Value = Vec<Rect>> {
     })
 }
 
-/// Builds the *local* graph with ALL instance obstacles (so CPLC's answer
-/// must be exact everywhere, with no retrieval concerns in play).
+/// The single point's distance at 33 evenly spaced parameters of `q`.
 fn cpl_values(
     obstacles: &[Rect],
     ppos: Point,
     q: &Segment,
     cfg: &ConnConfig,
 ) -> Vec<(f64, Option<f64>)> {
-    let mut g = VisGraph::new(60.0);
-    let _s = g.add_point(q.a, NodeKind::Endpoint);
-    let _e = g.add_point(q.b, NodeKind::Endpoint);
-    for r in obstacles {
-        g.add_obstacle(*r);
-    }
-    let p_node = g.add_point(ppos, NodeKind::DataPoint);
-    let mut cache = VrCache::default();
-    let mut dij = DijkstraEngine::default();
-    let cpl = cplc(q, &mut g, p_node, cfg, &mut cache, &mut dij);
+    let data = RStarTree::bulk_load(vec![DataPoint::new(0, ppos)], DEFAULT_PAGE_SIZE);
+    let obs = RStarTree::bulk_load(obstacles.to_vec(), DEFAULT_PAGE_SIZE);
+    let (cpl, _) = QueryEngine::new(*cfg).conn(&data, &obs, q);
     cpl.check_cover().unwrap();
     (0..=32)
         .map(|i| {
             let t = q.len() * (i as f64) / 32.0;
-            (t, cpl.value_at(q, t))
+            (t, cpl.nn_at(t).map(|(_, d)| d))
         })
         .collect()
 }

@@ -11,6 +11,7 @@
 //! same engine.
 
 mod common;
+mod fixtures;
 
 use common::{check_route, close};
 use conn_core::baseline::brute_force_oknn;
@@ -22,6 +23,7 @@ use conn_datasets::{la_like, uniform_points, ObstacleLookup};
 use conn_geom::{Point, Rect, Segment};
 use conn_index::RStarTree;
 use conn_vgraph::{DijkstraEngine, Goal, NodeKind, Prep, VisGraph};
+use fixtures::paper_scene;
 use proptest::prelude::*;
 
 fn pt() -> impl Strategy<Value = Point> {
@@ -118,11 +120,7 @@ fn paper_world(
     n_obs: usize,
     seed: u64,
 ) -> (Vec<DataPoint>, Vec<Rect>) {
-    let scene = if clustered {
-        Scene::clustered(n_pts, n_obs, seed)
-    } else {
-        Scene::uniform(n_pts, n_obs, seed)
-    };
+    let scene = paper_scene(n_pts, n_obs, seed, clustered);
     let ps = scene
         .data_tree()
         .iter_items()

@@ -4,9 +4,11 @@
 //!
 //! * [`ConnService::execute`] on a warm pool engine (which has served other
 //!   families before) must answer **byte-identically** to a fresh
-//!   [`QueryEngine`] driven directly for that one query (a trajectory: a
-//!   session pushed through its vertices — `execute` runs its legs on
-//!   several workers, the session runs them in order on one engine);
+//!   [`QueryEngine`] driven directly for that one query (a k = 1
+//!   trajectory: a session pushed through its vertices — `execute` runs its
+//!   legs on several workers, the session runs them in order on one engine;
+//!   a k > 1 trajectory: each leg a lone COkNN, which shares no assembly
+//!   with the served path);
 //! * [`ConnService::execute_batch_threads`] must answer byte-identically to
 //!   `execute`;
 //! * the served kernel must answer like a [`ConnConfig::baseline_kernel`]
@@ -21,6 +23,7 @@
 //! services would all surface as a divergence somewhere in the sequence.
 
 mod common;
+mod fixtures;
 
 use std::sync::Arc;
 
@@ -28,11 +31,12 @@ use common::{check_route, close};
 use conn_core::baseline::obstructed_route;
 use conn_core::{
     Answer, CoknnResult, ConnConfig, ConnService, DataPoint, Query, QueryEngine, QueryKind,
-    Response, Scene, Trajectory, TrajectoryCoknnSession, TrajectorySession,
+    Response, Scene, Trajectory, TrajectorySession,
 };
 use conn_datasets::ObstacleLookup;
 use conn_geom::{Point, Segment};
 use conn_index::RStarTree;
+use fixtures::paper_scene;
 use proptest::prelude::*;
 
 /// One requested query: the family selector plus enough raw parameters to
@@ -143,19 +147,18 @@ fn answer_on_fresh_engine(query: &Query, scene: &Scene<'_>, cfg: ConnConfig) -> 
             Answer::ClosestPair(engine.closest_pair(dt, other, ot).0)
         }
         QueryKind::Trajectory { route, k: 1 } => {
-            let mut session = TrajectorySession::new(dt, ot, route.vertices()[0], cfg);
+            let mut session = TrajectorySession::new(dt, ot, route.vertices()[0], 1, cfg);
             for &v in &route.vertices()[1..] {
-                session.push_leg(v);
+                session.push_leg(v).unwrap();
             }
-            Answer::Trajectory(session.finish().0)
+            session.finish().unwrap().0
         }
-        QueryKind::Trajectory { route, k } => {
-            let mut session = TrajectoryCoknnSession::new(dt, ot, route.vertices()[0], *k, cfg);
-            for &v in &route.vertices()[1..] {
-                session.push_leg(v);
-            }
-            Answer::TrajectoryKnn(session.finish().0)
-        }
+        // each leg a lone COkNN: no session, no stitching
+        QueryKind::Trajectory { route, k } => Answer::TrajectoryKnn(
+            (0..route.num_legs())
+                .map(|i| engine.coknn(dt, ot, &route.leg(i), *k).0)
+                .collect(),
+        ),
         other => unreachable!("family {} is not generated here", other.family()),
     }
 }
@@ -283,11 +286,7 @@ proptest! {
     #[test]
     fn service_matches_free_functions(scn in scenario(), threads in 1..4usize) {
         let (clustered, n_pts, n_obs, seed, specs) = scn;
-        let scene = if clustered {
-            Scene::clustered(n_pts, n_obs, seed)
-        } else {
-            Scene::uniform(n_pts, n_obs, seed)
-        };
+        let scene = paper_scene(n_pts, n_obs, seed, clustered);
         let obstacles = scene.obstacles();
         let other = other_set(seed);
         let queries: Vec<Query> = specs

@@ -17,6 +17,8 @@
     reason = "these tests spawn client threads: independent callers of one service, admission queue or pool"
 )]
 
+mod fixtures;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use conn_core::{
@@ -24,6 +26,7 @@ use conn_core::{
     ReuseCounters, Scene, SceneEpoch, ShardSpec, Ticket,
 };
 use conn_geom::{Point, Segment};
+use fixtures::paper_scene;
 use proptest::prelude::*;
 
 /// The whole serving surface must be shareable across threads; these are
@@ -68,13 +71,13 @@ fn probes() -> Vec<Query> {
 fn pinned_reader_is_isolated_from_concurrent_publishes() {
     let queries = probes();
     // serial reference over an identically constructed scene
-    let reference = ConnService::new(Scene::uniform(40, 25, 7));
+    let reference = ConnService::new(paper_scene(40, 25, 7, false));
     let expected: Vec<String> = queries
         .iter()
         .map(|q| format!("{:?}", reference.execute(q).unwrap().answer))
         .collect();
 
-    let service = ConnService::new(Scene::uniform(40, 25, 7));
+    let service = ConnService::new(paper_scene(40, 25, 7, false));
     let pin0 = service.pin();
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -82,7 +85,7 @@ fn pinned_reader_is_isolated_from_concurrent_publishes() {
             let mut published = 0u64;
             while !done.load(Ordering::Relaxed) {
                 // publish a different world every iteration
-                published = service.publish(Scene::uniform(10, 8, 1000 + published));
+                published = service.publish(paper_scene(10, 8, 1000 + published, false));
             }
             published
         });
@@ -119,7 +122,7 @@ fn pinned_reader_is_isolated_from_concurrent_publishes() {
 /// increments on sweep_events / sight_tests.
 #[test]
 fn pool_counters_aggregate_across_concurrent_batches() {
-    let service = ConnService::new(Scene::uniform(30, 20, 11));
+    let service = ConnService::new(paper_scene(30, 20, 11, false));
     let queries = probes();
     let mut expected = ReuseCounters::default();
     std::thread::scope(|scope| {
@@ -149,7 +152,7 @@ fn pool_counters_aggregate_across_concurrent_batches() {
 /// ticket served across a publication still has to match).
 #[test]
 fn admission_serves_concurrent_clients() {
-    let scene = || Scene::uniform(25, 15, 3);
+    let scene = || paper_scene(25, 15, 3, false);
     let services = [
         ConnService::new(scene()),
         ConnService::sharded(
@@ -221,7 +224,7 @@ fn admission_serves_concurrent_clients() {
 /// Scene layout for the shard proptest: points + a few obstacles over
 /// [0, 10000]^2, the same inputs for the sharded and unsharded service.
 fn shard_scene(seed: u64, n: usize) -> Scene<'static> {
-    Scene::uniform(n, 18, seed)
+    paper_scene(n, 18, seed, false)
 }
 
 proptest! {

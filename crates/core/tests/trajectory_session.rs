@@ -1,14 +1,15 @@
 //! Trajectory sessions against an independent reference.
 //!
-//! A [`TrajectorySession`] runs each leg as an ordinary CONN query and
-//! stitches the results, so comparing it with another leg loop over the
-//! same engine would check nothing. The reference here is
-//! `brute_force_oknn` over the whole obstacle list — one complete
-//! visibility graph, no tree, no obstacle stream, no warm state — at
-//! sampled points of the route. Both the concatenated session deltas and
-//! the stitched result must agree with it: same answer identities modulo
-//! exact ties, distances within 1e-6, across kernels and across
-//! uniform/clustered point layouts. Cover invariants (gap-free, no empty
+//! A [`TrajectorySession`] runs each leg as an ordinary CONN or COkNN
+//! query and stitches the results the way the service does, so comparing
+//! it with the service's leg loop would check the stitching against
+//! itself. The reference here is `brute_force_oknn` over the whole
+//! obstacle list — one complete visibility graph, no tree, no obstacle
+//! stream, no warm state — at sampled points of the route. For k = 1 both
+//! the legs' answers, shifted to cumulative arclength, and the stitched
+//! result must agree with it: same answer identities modulo exact ties,
+//! distances within 1e-6, across kernels and across uniform/clustered
+//! point layouts. For k = 2 each leg's two nearest neighbours must. Cover invariants (gap-free, no empty
 //! tuples) are asserted on every generated trajectory, which doubles as
 //! the multi-leg joint-sliver regression suite.
 
@@ -142,26 +143,27 @@ fn check_kernel(scn: &Scenario, kernel: KernelMode) -> Result<(), TestCaseError>
         ..ConnConfig::default()
     };
 
-    let mut session = TrajectorySession::new(&data_tree, &obstacle_tree, verts[0], cfg);
+    let mut session = TrajectorySession::new(&data_tree, &obstacle_tree, verts[0], 1, cfg);
     let mut concat: Vec<(Option<DataPoint>, Interval)> = Vec::new();
-    for &v in &verts[1..] {
-        let delta = session.push_leg(v);
-        // deltas chain without gaps
-        let prev_hi = concat.last().map_or(0.0, |x| x.1.hi);
-        prop_assert!((delta[0].1.lo - prev_hi).abs() < 1e-9);
-        for (_, iv) in &delta {
-            prop_assert!(iv.hi > iv.lo, "empty delta tuple {iv:?}");
+    for (i, &v) in verts[1..].iter().enumerate() {
+        let leg = session.push_leg(v).unwrap().as_conn().unwrap();
+        prop_assert!(leg.check_cover().is_ok(), "{:?}", leg.check_cover());
+        // each leg's tuples, shifted to cumulative arclength
+        let offset = traj.leg_offset(i);
+        for (p, iv) in leg.segments() {
+            prop_assert!(iv.hi > iv.lo, "empty leg tuple {iv:?}");
+            concat.push((p, Interval::new(iv.lo + offset, iv.hi + offset)));
         }
-        concat.extend(delta);
     }
-    let (streamed, _) = session.finish();
+    let (answer, _) = session.finish().unwrap();
+    let streamed = answer.into_trajectory().unwrap();
     prop_assert!(
         streamed.check_cover().is_ok(),
         "{:?}",
         streamed.check_cover()
     );
 
-    // the concatenated deltas and the stitched result both match brute
+    // the shifted leg answers and the stitched result both match brute
     // force at sampled parameters (tuple midpoints of both plus an even
     // grid)
     let mut ts: Vec<f64> = Vec::new();
@@ -174,20 +176,66 @@ fn check_kernel(scn: &Scenario, kernel: KernelMode) -> Result<(), TestCaseError>
             .first()
             .map(|(p, _)| *p);
         answers_agree(obstacles, &traj, t, want, streamed.nn_at(t))?;
-        let from_delta = concat
+        let from_legs = concat
             .iter()
             .find(|(_, iv)| iv.contains(t))
             .and_then(|(p, _)| *p);
-        answers_agree(obstacles, &traj, t, want, from_delta)?;
+        answers_agree(obstacles, &traj, t, want, from_legs)?;
     }
+    Ok(())
+}
+
+/// A k = 2 session: every leg's two nearest neighbours, at its tuple
+/// midpoints and on a 12-step grid, are brute force's — the same number of
+/// reachable points, each distance within 1e-6 (which absorbs exact ties).
+fn check_coknn(scn: &Scenario) -> Result<(), TestCaseError> {
+    const K: usize = 2;
+    let (obstacles, ps, verts) = scn;
+    let traj = Trajectory::new(verts.clone());
+    let data_tree = RStarTree::bulk_load(ps.clone(), 4096);
+    let obstacle_tree = RStarTree::bulk_load(obstacles.clone(), 4096);
+    let mut session = TrajectorySession::new(
+        &data_tree,
+        &obstacle_tree,
+        verts[0],
+        K,
+        ConnConfig::default(),
+    );
+    for (i, &v) in verts[1..].iter().enumerate() {
+        let leg = session.push_leg(v).unwrap().as_coknn().unwrap();
+        prop_assert!(leg.check_cover().is_ok(), "{:?}", leg.check_cover());
+        let seg = traj.leg(i);
+        let mut ts: Vec<f64> = leg
+            .entries()
+            .iter()
+            .map(|e| e.interval.midpoint())
+            .collect();
+        ts.extend((0..=12).map(|j| seg.len() * j as f64 / 12.0));
+        for t in ts {
+            let got = leg.knn_at(t);
+            let want = brute_force_oknn(ps, obstacles, seg.at(t), K);
+            prop_assert_eq!(got.len(), want.len(), "leg {} at t = {}", i, t);
+            for ((g, gd), (w, wd)) in got.iter().zip(&want) {
+                prop_assert!(
+                    (gd - wd).abs() < 1e-6,
+                    "leg {i} at t = {t}: {} (d = {gd}) vs {} (d = {wd})",
+                    g.id,
+                    w.id
+                );
+            }
+        }
+    }
+    let (answer, _) = session.finish().unwrap();
+    prop_assert_eq!(answer.as_trajectory_knn().unwrap().len(), traj.num_legs());
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Streaming deltas, concatenated, and the stitched result are
-    /// answer-equivalent to brute force — on the goal-directed kernel.
+    /// Each leg's answer, shifted and concatenated, and the stitched
+    /// result are answer-equivalent to brute force — on the goal-directed
+    /// kernel.
     #[test]
     fn streamed_deltas_match_batch_goal_directed(scn in scenario()) {
         check_kernel(&scn, KernelMode::GoalDirected)?;
@@ -197,5 +245,11 @@ proptest! {
     #[test]
     fn streamed_deltas_match_batch_blind(scn in scenario()) {
         check_kernel(&scn, KernelMode::Blind)?;
+    }
+
+    /// A COkNN trajectory (k = 2), leg by leg, against brute force.
+    #[test]
+    fn coknn_legs_match_brute_force(scn in scenario()) {
+        check_coknn(&scn)?;
     }
 }

@@ -141,16 +141,6 @@ impl IntervalSet {
         self.ivs.iter().any(|iv| iv.contains(t))
     }
 
-    /// Union with a single interval.
-    pub fn union_interval(&mut self, iv: Interval) {
-        if iv.is_empty() {
-            return;
-        }
-        let mut all = std::mem::take(&mut self.ivs);
-        all.push(iv);
-        *self = IntervalSet::from_intervals(all);
-    }
-
     /// Removes a single interval from the set.
     pub fn subtract_interval(&mut self, iv: &Interval) {
         if iv.is_empty() {

@@ -16,8 +16,8 @@
 //!   [`RStarTree::read_node`]) take it as an argument, the tree itself is
 //!   plain immutable `Send + Sync` data with no counter, lock or cell in it,
 //!   and the meter is `!Sync` — one per thread of execution, so per-query
-//!   attribution needs no reset and cannot race (see [`stats`], which also
-//!   has the Figure 12 recipe).
+//!   attribution needs no reset and cannot race (its docs also have the
+//!   Figure 12 recipe).
 //! * [`NearestIter`] — incremental best-first (Hjaltason & Samet) neighbor
 //!   stream ordered by `mindist` to a [`Point`] or a [`Segment`] query, the
 //!   access pattern Algorithms 1 and 4 of the paper are built on.
@@ -26,25 +26,23 @@
 //! [`Segment`]: conn_geom::Segment
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 // No panic in the query path; an infallible site says why in an `#[expect]`.
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 #![warn(clippy::panic, clippy::unreachable)]
 #![warn(clippy::todo, clippy::unimplemented)]
 
-pub mod buffer;
-pub mod bulk;
-pub mod delete;
-pub mod insert;
-pub mod node;
-pub mod persist;
-pub mod query;
-pub mod stats;
-pub mod tree;
+mod buffer;
+mod bulk;
+mod delete;
+mod insert;
+mod node;
+mod query;
+mod stats;
+mod tree;
 
 pub use buffer::LruBuffer;
 pub use node::{Mbr, Node, PageId, Slot};
-pub use persist::PersistItem;
 pub use query::{DistShape, NearestIter};
 pub use stats::{IoMeter, StatsSnapshot};
 pub use tree::{RStarTree, DEFAULT_PAGE_SIZE};

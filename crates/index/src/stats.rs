@@ -10,17 +10,6 @@
 //! not `Sync` (plain cells, no atomics, no lock), so concurrent queries
 //! cannot share one and per-query attribution is exact by construction: a
 //! window is `snapshot()` before, `snapshot().since(&before)` after.
-//!
-//! ## Figure 12
-//!
-//! The meter owns the LRU buffer (capacity 0 by default: every read is a
-//! fault and the buffer is never consulted). To reproduce the buffer sweep,
-//! size the meter with [`IoMeter::set_buffer_pages`] — `bs` % of
-//! [`crate::RStarTree::num_pages`] — and run the *whole workload* through
-//! that one meter, so that later queries hit what earlier ones brought in;
-//! logical reads do not react, faults fall. Frames are keyed by tree
-//! identity and page id: page ids repeat across trees (forks, shards,
-//! epochs), and a page of one tree must never hit on another's frame.
 
 #![expect(
     clippy::disallowed_types,
@@ -61,7 +50,18 @@ pub(crate) fn fresh_tree_id() -> u64 {
 }
 
 /// Caller-owned page meter: monotone logical-read and fault counters plus
-/// the LRU buffer that decides which reads fault (see the module docs).
+/// the LRU buffer that decides which reads fault.
+///
+/// # Figure 12
+///
+/// The meter owns the LRU buffer (capacity 0 by default: every read is a
+/// fault and the buffer is never consulted). To reproduce the buffer sweep,
+/// size the meter with [`IoMeter::set_buffer_pages`] — `bs` % of
+/// [`crate::RStarTree::num_pages`] — and run the *whole workload* through
+/// that one meter, so that later queries hit what earlier ones brought in;
+/// logical reads do not react, faults fall. Frames are keyed by tree
+/// identity and page id: page ids repeat across trees (forks, shards,
+/// epochs), and a page of one tree must never hit on another's frame.
 ///
 /// One meter serves one thread; sharing it does not compile:
 ///

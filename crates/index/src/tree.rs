@@ -242,34 +242,6 @@ impl<T: Mbr + Clone> RStarTree<T> {
         Ok(())
     }
 
-    /// Root page id (exposed for persistence).
-    pub(crate) fn root_page(&self) -> PageId {
-        self.root
-    }
-
-    /// Raw page array (exposed for persistence).
-    pub(crate) fn pages_raw(&self) -> &[Node<T>] {
-        &self.pages
-    }
-
-    /// Rebuilds a tree from a validated page image (persistence loader).
-    pub(crate) fn from_raw_parts(
-        pages: Vec<Node<T>>,
-        root: PageId,
-        max_entries: usize,
-        min_entries: usize,
-        len: usize,
-    ) -> Self {
-        RStarTree {
-            pages,
-            root,
-            max_entries,
-            min_entries,
-            len,
-            id: fresh_tree_id(),
-        }
-    }
-
     pub(crate) fn alloc(&mut self, node: Node<T>) -> PageId {
         self.pages.push(node);
         (self.pages.len() - 1) as PageId

@@ -132,21 +132,6 @@ proptest! {
     }
 
     #[test]
-    fn roundtrip_through_bytes_preserves_knn(pts in prop::collection::vec(pt(), 1..300), q in pt()) {
-        let tree = RStarTree::bulk_load_with_fanout(pts, 9, 3);
-        let mut bytes = Vec::new();
-        tree.save(&mut bytes).unwrap();
-        let loaded: RStarTree<Point> = RStarTree::load(&bytes[..]).unwrap();
-        prop_assert!(loaded.check_invariants().is_ok());
-        let a = tree.knn(q, 15);
-        let b = loaded.knn(q, 15);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(x.0, y.0);
-        }
-    }
-
-    #[test]
     fn mixed_bulk_then_insert_stays_valid(
         base in prop::collection::vec(pt(), 1..200),
         extra in prop::collection::vec(pt(), 1..100),

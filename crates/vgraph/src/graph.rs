@@ -430,14 +430,9 @@ impl VisGraph {
         self.adj_repairs
     }
 
-    /// How cache builds decide candidate visibility (plane-sweep vs
-    /// per-candidate grid walks). Edge lists are identical in every mode.
-    pub fn sweep_mode(&self) -> SweepMode {
-        self.sweep_mode
-    }
-
-    /// Sets the sweep mode for subsequent cache builds (existing caches
-    /// stay valid — verdicts do not depend on the mode).
+    /// Sets how subsequent cache builds decide candidate visibility
+    /// (plane-sweep vs per-candidate grid walks). Existing caches stay
+    /// valid: edge lists are identical in every mode.
     pub fn set_sweep_mode(&mut self, mode: SweepMode) {
         self.sweep_mode = mode;
     }

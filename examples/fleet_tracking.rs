@@ -4,9 +4,9 @@
 //! Several vans drive multi-leg routes between warehouse blocks. Each van
 //! thread holds its own [`ConnService`] over the shared R\*-trees and
 //! opens a streaming session behind it: every position ping extends the
-//! trajectory by one leg and immediately yields the *delta* tuples —
-//! which depot is nearest (by actual travel distance) along the stretch
-//! just driven.
+//! trajectory by one leg and immediately answers that leg — which depot
+//! is nearest (by actual travel distance) along the stretch just driven,
+//! shifted to the distance driven so far.
 //!
 //! Dispatch also keeps an ETA line per van: a typed `Route` query from
 //! the depot to the van's latest position, answered per ping on the
@@ -80,25 +80,31 @@ fn main() {
                 let service = ConnService::new(Scene::borrowing(depot_tree, block_tree));
                 let pin = service.pin();
                 let mut session = pin.open_session(pings[0], *service.config());
+                let route = Trajectory::new(pings.to_vec());
                 let depot = dispatch_depot;
                 let mut eta_loads = 0;
-                for &ping in &pings[1..] {
-                    let delta = session.push_leg(ping);
+                for (i, &ping) in pings[1..].iter().enumerate() {
+                    let leg = session.push_leg(ping).expect("distinct finite pings");
+                    let leg = leg.as_conn().expect("k = 1 leg");
                     let eta = service
                         .execute(&Query::route(depot, ping).build().expect("finite route"))
                         .expect("route query");
                     eta_loads += eta.stats.noe;
                     let eta_dist = eta.answer.distance().expect("route answer");
-                    for (nn, iv) in &delta {
+                    let km = route.leg_offset(i);
+                    for (nn, iv) in leg.segments() {
                         let who =
                             nn.map_or("unreachable".to_string(), |p| format!("depot {}", p.id));
                         println!(
                             "van {van}: km {:>6.1}–{:>6.1} → {who}   (ETA line from depot 0: {:.0})",
-                            iv.lo, iv.hi, eta_dist
+                            km + iv.lo,
+                            km + iv.hi,
+                            eta_dist
                         );
                     }
                 }
-                let (plan, stats) = session.finish();
+                let (answer, stats) = session.finish().expect("at least one leg");
+                let plan = answer.as_trajectory().expect("k = 1 trajectory");
                 plan.check_cover().expect("route fully covered");
                 println!(
                     "van {van}: {} legs, {:.0} total length, {} tuples | engine reuses {} | \

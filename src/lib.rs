@@ -18,9 +18,9 @@
 //!   [`Query`] (one validated request type per family, `k = 0` / NaN /
 //!   degenerate input rejected as [`Error::InvalidQuery`] before any
 //!   algorithm runs) and [`ConnService`] (`execute` one query of any
-//!   family, `execute_batch` a *mixed-family* workload across the worker
-//!   pool; `pin` an epoch snapshot and open a streaming
-//!   [`TrajectorySession`] on it);
+//!   family, `execute_batch_threads` a *mixed-family* workload across the
+//!   worker pool; `pin` an epoch snapshot and open a streaming
+//!   [`TrajectorySession`] on it, which answers a route leg by leg);
 //! * the **concurrent serving layer**: [`SceneEpoch`] / [`PinnedEpoch`]
 //!   (lock-free scene sharing — readers pin immutable snapshots while
 //!   `publish` installs the next world), [`ShardSpec`] (overlapping
@@ -40,7 +40,7 @@
 //!   page meters and LRU buffers its queries' tree I/O is counted on; the
 //!   direct entry point of single-threaded figure code, the single-tree
 //!   layout of §4.5 and `visible_knn`) and the [`BatchStats`] of
-//!   [`ConnService::execute_batch`];
+//!   [`ConnService::execute_batch_threads`];
 //! * [`baseline`] — the reference oracles (whole-field obstructed distance,
 //!   brute-force OkNN, sampled / naive CONN) that tests and benches hold
 //!   the served path against.
@@ -89,7 +89,7 @@ pub use conn_core::{
     LiveScene, PatchReport, PinnedEpoch, Query, QueryBuilder, QueryEngine, QueryKind, QueryStats,
     Response, ResultEntry, ResultList, ReuseCounters, Scene, SceneDelta, SceneEpoch, Shard,
     ShardSet, ShardSpec, SpatialObject, StandingHandle, SweepMode, Ticket, Trajectory,
-    TrajectoryCoknnSession, TrajectoryResult, TrajectorySession,
+    TrajectoryResult, TrajectorySession,
 };
 
 /// Everything a typical user needs, in one import.

@@ -73,16 +73,18 @@ fn every_prelude_item_is_usable() {
     ]
     .map(|b| b.build().expect("valid query"));
     let (responses, batch): (Vec<Response>, BatchStats) =
-        service.execute_batch(&mix).expect("batch");
+        service.execute_batch_threads(&mix, 0).expect("batch");
     assert_eq!(batch.queries, 3);
     assert_eq!(responses[0].answer.neighbors().expect("onn").len(), 1);
     let plan: &Answer = &responses[2].answer;
     assert!(!plan.as_trajectory().expect("plan").segments().is_empty());
 
     // Streaming sessions re-exported at the top level.
-    let mut session = TrajectorySession::new(&data_tree, &obs_tree, Point::new(0.0, 0.0), cfg);
-    let delta = session.push_leg(Point::new(400.0, 20.0));
-    assert!(!delta.is_empty());
+    let mut session = TrajectorySession::new(&data_tree, &obs_tree, Point::new(0.0, 0.0), 1, cfg);
+    let leg = session
+        .push_leg(Point::new(400.0, 20.0))
+        .expect("valid leg");
+    assert!(!leg.as_conn().expect("conn leg").segments().is_empty());
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Acceptance test of the unified `Scene`/`Query`/`ConnService` front
-//! door: one **mixed-family** `execute_batch` call covering all ten
+//! door: one **mixed-family** `execute_batch_threads` call covering all ten
 //! families, with every answer checked bit-for-bit against `execute` and
 //! against the family run directly on a fresh `QueryEngine`.
 
@@ -50,11 +50,11 @@ fn answer_on_fresh_engine(query: &Query, scene: &Scene<'_>) -> Answer {
         }
         QueryKind::Trajectory { route, .. } => {
             let mut session =
-                TrajectorySession::new(dt, ot, route.vertices()[0], ConnConfig::default());
+                TrajectorySession::new(dt, ot, route.vertices()[0], 1, ConnConfig::default());
             for &v in &route.vertices()[1..] {
-                session.push_leg(v);
+                session.push_leg(v).unwrap();
             }
-            Answer::Trajectory(session.finish().0)
+            session.finish().unwrap().0
         }
         other => unreachable!("family {} is not in the mix", other.family()),
     }
@@ -156,9 +156,9 @@ fn service_owns_scene_and_sessions() {
     // a streaming session behind the same handle, pinned to its epoch
     let pin = service.pin();
     let mut session = pin.open_session(Point::new(1000.0, 1000.0), *service.config());
-    let delta = session.push_leg(Point::new(2000.0, 1200.0));
-    assert!(!delta.is_empty());
-    session.push_leg(Point::new(2100.0, 2400.0));
-    let (plan, _) = session.finish();
-    plan.check_cover().unwrap();
+    let leg = session.push_leg(Point::new(2000.0, 1200.0)).unwrap();
+    assert!(!leg.as_conn().unwrap().segments().is_empty());
+    session.push_leg(Point::new(2100.0, 2400.0)).unwrap();
+    let (plan, _) = session.finish().unwrap();
+    plan.as_trajectory().unwrap().check_cover().unwrap();
 }
