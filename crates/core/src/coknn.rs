@@ -1,10 +1,10 @@
-//! COkNN — continuous obstructed k-nearest neighbors (paper §4.5).
+//! COkNN — continuous obstructed k-nearest neighbors (paper §4.5): the
+//! answer type.
 //!
 //! The result list generalizes to tuples `⟨ONNSᵢ, Rᵢ⟩`: an ordered list of
 //! up to `k` members per interval, each member carrying the control point
-//! its distance function routes through. Intervals are refined at every
-//! crossing between a new candidate's function and a member's function, so
-//! the member order is constant within each interval; the pruning bound
+//! its distance function routes through. That list and its RLU live in
+//! `rlu.rs` and serve every `k`, CONN's `k = 1` included; the pruning bound
 //! becomes `RLMAX = maxᵢ max(kth-dist(Rᵢ.l), kth-dist(Rᵢ.r))`, infinite
 //! while any interval holds fewer than `k` members.
 //!
@@ -14,254 +14,10 @@
 //! control point that cannot beat the k-th member anywhere stops the graph
 //! traversal instead of merely being filtered out of the result.
 
-#![expect(
-    clippy::indexing_slicing,
-    reason = "k-list slots are allocated up front; member indices are bounded by k"
-)]
+use conn_geom::{Interval, Segment};
 
-use conn_geom::{Interval, Segment, EPS};
-
-use crate::config::ConnConfig;
-use crate::conn::ResultSink;
-use crate::cpl::ControlPointList;
-use crate::dist::ControlPoint;
-use crate::split::crossing_params;
+use crate::rlu::{KnnEntry, KnnResultList};
 use crate::types::DataPoint;
-
-/// One member of an interval's ONN set.
-#[derive(Debug, Clone, Copy)]
-pub struct Member {
-    /// The data point.
-    pub point: DataPoint,
-    /// The control point its distance function is anchored at.
-    pub cp: ControlPoint,
-}
-
-/// One tuple `⟨ONNS, R⟩`: members sorted ascending by distance over all of
-/// `R` (the order is constant within the interval by construction).
-#[derive(Debug, Clone)]
-pub struct KnnEntry {
-    /// The interval's ONN set, ascending by distance.
-    pub members: Vec<Member>,
-    /// The interval of the query segment this set answers.
-    pub interval: Interval,
-}
-
-/// The COkNN result list.
-#[derive(Debug, Clone)]
-pub(crate) struct KnnResultList {
-    entries: Vec<KnnEntry>,
-    k: usize,
-    qlen: f64,
-}
-
-impl KnnResultList {
-    /// A single-interval list covering `[0, qlen]` with an empty ONN set.
-    pub(crate) fn new(qlen: f64, k: usize) -> Self {
-        assert!(k >= 1, "k must be positive");
-        KnnResultList {
-            entries: vec![KnnEntry {
-                members: Vec::new(),
-                interval: Interval::new(0.0, qlen),
-            }],
-            k,
-            qlen,
-        }
-    }
-
-    /// The `k` the list was built for.
-    pub(crate) fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The tuples, in ascending interval order.
-    pub(crate) fn entries(&self) -> &[KnnEntry] {
-        &self.entries
-    }
-
-    /// §4.5 pruning bound: ∞ until every interval holds `k` members.
-    pub(crate) fn rlmax(&self, q: &Segment) -> f64 {
-        let mut m = 0.0f64;
-        for e in &self.entries {
-            if e.members.len() < self.k {
-                return f64::INFINITY;
-            }
-            let kth = &e.members[self.k - 1].cp;
-            m = m.max(kth.max_over(q, &e.interval));
-        }
-        m
-    }
-
-    /// The k answers at parameter `t` (ascending obstructed distance).
-    pub(crate) fn answers_at(&self, q: &Segment, t: f64) -> Vec<(DataPoint, f64)> {
-        self.entries
-            .iter()
-            .find(|e| e.interval.contains(t))
-            .map(|e| {
-                e.members
-                    .iter()
-                    .map(|m| (m.point, m.cp.value(q, t)))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Update with caller-retained scratch (the workspace's buffer rotates
-    /// with the list's own storage).
-    pub(crate) fn update_with(
-        &mut self,
-        q: &Segment,
-        p: DataPoint,
-        cpl: &ControlPointList,
-        scratch: &mut crate::rlu::RluScratch,
-    ) {
-        let mut old = std::mem::take(&mut self.entries);
-        let mut out = std::mem::take(&mut scratch.knn);
-        out.clear();
-        out.reserve(old.len() * 2);
-        let cpl_entries = cpl.entries();
-
-        for entry in old.drain(..) {
-            let mut cursor = entry.interval.lo;
-            let mut j = cpl_entries
-                .iter()
-                .position(|(_, iv)| iv.hi > cursor + EPS)
-                .unwrap_or(cpl_entries.len() - 1);
-            while cursor < entry.interval.hi - EPS {
-                let (ref new_cp, cpl_iv) = cpl_entries[j];
-                let hi = entry.interval.hi.min(cpl_iv.hi);
-                let piece = Interval::new(cursor, hi.max(cursor));
-                if !piece.is_empty() {
-                    match new_cp {
-                        None => out.push(KnnEntry {
-                            members: entry.members.clone(),
-                            interval: piece,
-                        }),
-                        Some(cp) => self.challenge(q, &entry, p, cp, piece, &mut out),
-                    }
-                }
-                cursor = hi;
-                if cpl_iv.hi < entry.interval.hi - EPS && j + 1 < cpl_entries.len() {
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        self.entries = out;
-        self.normalize_with(&mut scratch.knn2);
-        scratch.knn = old; // recycle the pre-update storage
-    }
-
-    /// Inserts candidate `(p, cp)` into one piece: cut at every crossing
-    /// with a member, then rank the candidate per sub-piece.
-    fn challenge(
-        &self,
-        q: &Segment,
-        entry: &KnnEntry,
-        p: DataPoint,
-        cp: &ControlPoint,
-        piece: Interval,
-        out: &mut Vec<KnnEntry>,
-    ) {
-        let mut cuts: Vec<f64> = vec![piece.lo, piece.hi];
-        for m in &entry.members {
-            cuts.extend(crossing_params(q, &m.cp, cp, &piece));
-        }
-        cuts.sort_by(f64::total_cmp);
-        cuts.dedup_by(|a, b| (*a - *b).abs() <= EPS);
-
-        for w in cuts.windows(2) {
-            let sub = Interval::new(w[0], w[1]);
-            if sub.is_empty() {
-                continue;
-            }
-            let mid = sub.midpoint();
-            let cand_v = cp.value(q, mid);
-            // members are sorted by value at mid (order constant on sub)
-            let rank = entry
-                .members
-                .partition_point(|m| m.cp.value(q, mid) <= cand_v + EPS);
-            let mut members = entry.members.clone();
-            if rank < self.k {
-                members.insert(rank, Member { point: p, cp: *cp });
-                members.truncate(self.k);
-            }
-            out.push(KnnEntry {
-                members,
-                interval: sub,
-            });
-        }
-    }
-
-    /// Merges adjacent entries with identical member lists. `buf` receives
-    /// the merged list, then swaps with the entry storage — no allocation
-    /// when `buf` has capacity.
-    fn normalize_with(&mut self, buf: &mut Vec<KnnEntry>) {
-        buf.clear();
-        for e in self.entries.drain(..) {
-            match buf.last_mut() {
-                Some(prev) if same_members(&prev.members, &e.members) => {
-                    prev.interval.hi = e.interval.hi;
-                }
-                Some(prev) if e.interval.is_empty() => prev.interval.hi = e.interval.hi,
-                _ => {
-                    if e.interval.is_empty() && !buf.is_empty() {
-                        continue;
-                    }
-                    buf.push(e);
-                }
-            }
-        }
-        std::mem::swap(&mut self.entries, buf);
-    }
-
-    /// Validation helper: the entries exactly cover `[0, qlen]`.
-    pub(crate) fn check_cover(&self) -> Result<(), crate::Error> {
-        let mut cursor = 0.0;
-        for e in &self.entries {
-            if (e.interval.lo - cursor).abs() > 1e-6 {
-                return Err(crate::Error::cover_violation(format!("gap at {cursor}")));
-            }
-            cursor = e.interval.hi;
-        }
-        if (cursor - self.qlen).abs() > 1e-6 {
-            return Err(crate::Error::cover_violation(format!(
-                "cover ends at {cursor} != {}",
-                self.qlen
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn same_members(a: &[Member], b: &[Member]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.point.id == y.point.id && x.cp.same_as(&y.cp))
-}
-
-impl ResultSink for KnnResultList {
-    fn prune_bound(&self, q: &Segment) -> f64 {
-        self.rlmax(q)
-    }
-
-    fn absorb(
-        &mut self,
-        q: &Segment,
-        p: DataPoint,
-        cpl: &ControlPointList,
-        _cfg: &ConnConfig,
-        scratch: &mut crate::rlu::RluScratch,
-    ) {
-        self.update_with(q, p, cpl, scratch);
-    }
-
-    fn tuples(&self) -> u64 {
-        self.entries.len() as u64
-    }
-}
 
 /// Answer of a COkNN query.
 ///

@@ -24,7 +24,7 @@ pub enum KernelMode {
     /// *expansion* instead of just filtering settled nodes. Warm labels:
     /// CPLC replays the settled prefix of the IOR search it follows (same
     /// source, goal and graph); a search after an obstacle load starts
-    /// cold, as under the reference kernel. Result-list cap: the sink's
+    /// cold, as under the reference kernel. Result-list cap: the list's
     /// Lemma 2 bound (`RLMAX`, or the k-th bound for COkNN) caps CPLC's
     /// expansion and the
     /// strict-refinement loads — control points whose best possible value
@@ -60,7 +60,7 @@ impl KernelMode {
         self == KernelMode::GoalDirected
     }
 
-    /// The result sink's Lemma 2 bound as a cap on CPLC expansion and on
+    /// The result list's Lemma 2 bound as a cap on CPLC expansion and on
     /// the obstacle loads that certify its values (∞ = uncapped, under the
     /// reference kernel).
     #[inline]
@@ -82,7 +82,8 @@ impl KernelMode {
 pub struct ConnConfig {
     /// Lemma 1 endpoint shortcut in RLU/CPLC: skip the quadratic when the
     /// incumbent wins both interval endpoints and sits closer to the query
-    /// line than the challenger.
+    /// line than the challenger. RLU applies it at every `k`, with the
+    /// interval's k-th member as the incumbent (CONN's rule at `k = 1`).
     pub use_lemma1: bool,
     /// Lemma 6 triangle refinement of candidate control-point regions.
     pub use_lemma6: bool,

@@ -3,11 +3,12 @@
 //! Streams data points in ascending `mindist(p, q)` from the data R-tree;
 //! for each point runs IOR (obstacle retrieval), CPLC (control points) and
 //! RLU (result refinement); stops once the next point's `mindist` exceeds
-//! `RLMAX` (Lemma 2). The same loop drives the COkNN and single-tree
-//! variants through the [`ResultSink`] and [`crate::streams::QueryStreams`]
-//! abstractions, and runs entirely on a caller-provided
-//! [`crate::engine::Workspace`] so a reused engine performs no per-query substrate
-//! allocations.
+//! `RLMAX` (Lemma 2). CONN is COkNN at `k = 1`: the one loop fills the one
+//! result list of `rlu.rs` for every `k`, drives the single-tree variant
+//! through the [`crate::streams::QueryStreams`] abstraction, and runs
+//! entirely on a caller-provided [`crate::engine::Workspace`] so a reused
+//! engine performs no per-query substrate allocations. [`ConnResult`] is
+//! the `k = 1` list read out as `⟨p, cp, R⟩` tuples.
 
 #![expect(
     clippy::indexing_slicing,
@@ -19,51 +20,13 @@ use conn_vgraph::NodeKind;
 
 use crate::config::ConnConfig;
 use crate::cpl::{cplc_bounded, ControlPointList};
+use crate::dist::ControlPoint;
 use crate::engine::{Meters, Workspace};
+use crate::error::check_cover;
 use crate::ior::ior;
-use crate::rlu::{ResultEntry, ResultList, RluScratch};
+use crate::rlu::KnnResultList;
 use crate::streams::QueryStreams;
 use crate::types::DataPoint;
-
-/// What the search loop needs from a result container (k = 1 list or the
-/// COkNN generalization).
-pub(crate) trait ResultSink {
-    /// Lemma 2 pruning bound (∞ while the container is not saturated).
-    fn prune_bound(&self, q: &Segment) -> f64;
-    /// Folds in one evaluated data point; `scratch` is the workspace's
-    /// result-list update scratch (retained buffers).
-    fn absorb(
-        &mut self,
-        q: &Segment,
-        p: DataPoint,
-        cpl: &ControlPointList,
-        cfg: &ConnConfig,
-        scratch: &mut RluScratch,
-    );
-    /// Number of tuples currently held (the `result_tuples` statistic).
-    fn tuples(&self) -> u64;
-}
-
-impl ResultSink for ResultList {
-    fn prune_bound(&self, q: &Segment) -> f64 {
-        self.rlmax(q)
-    }
-
-    fn absorb(
-        &mut self,
-        q: &Segment,
-        p: DataPoint,
-        cpl: &ControlPointList,
-        cfg: &ConnConfig,
-        scratch: &mut RluScratch,
-    ) {
-        self.update_with(q, p, cpl, cfg, scratch);
-    }
-
-    fn tuples(&self) -> u64 {
-        self.entries().len() as u64
-    }
-}
 
 /// Loop-level telemetry (everything except R-tree I/O, which the workspace
 /// window reads off the engine's meters).
@@ -81,18 +44,18 @@ pub(crate) struct LoopTelemetry {
 /// workspace: the graph, Dijkstra labels, VR cache and IOR threshold all
 /// come from `ws` and are rewound by `Workspace::begin_query`, which also
 /// opens the counter window over `io` (the meters `streams` charges).
-pub(crate) fn run_search<S: QueryStreams, R: ResultSink>(
+pub(crate) fn run_search<S: QueryStreams>(
     streams: &mut S,
     q: &Segment,
     cfg: &ConnConfig,
-    sink: &mut R,
+    list: &mut KnnResultList,
     ws: &mut Workspace,
     io: &Meters,
 ) -> LoopTelemetry {
     ws.begin_query(io);
     let s_node = ws.g.add_point(q.a, NodeKind::Endpoint);
     let e_node = ws.g.add_point(q.b, NodeKind::Endpoint);
-    run_leg(streams, q, cfg, sink, ws, s_node, e_node)
+    run_leg(streams, q, cfg, list, ws, s_node, e_node)
 }
 
 /// Algorithm 4's loop on an *already prepared* workspace: the caller has
@@ -100,11 +63,11 @@ pub(crate) fn run_search<S: QueryStreams, R: ResultSink>(
 /// endpoint nodes. [`run_search`] is the fresh query; the other caller is a
 /// standing CONN's warm re-run, whose segment kernel keeps the graph and
 /// both endpoint nodes of its previous run ([`crate::live`]).
-pub(crate) fn run_leg<S: QueryStreams, R: ResultSink>(
+pub(crate) fn run_leg<S: QueryStreams>(
     streams: &mut S,
     q: &Segment,
     cfg: &ConnConfig,
-    sink: &mut R,
+    list: &mut KnnResultList,
     ws: &mut Workspace,
     s_node: conn_vgraph::NodeId,
     e_node: conn_vgraph::NodeId,
@@ -115,7 +78,7 @@ pub(crate) fn run_leg<S: QueryStreams, R: ResultSink>(
         // Lemma 2 bound: terminates the point stream, and (via
         // `cplc_bounded`) caps control-point expansion and refinement for
         // the point being evaluated — values above it can never win.
-        let outer_bound = sink.prune_bound(q);
+        let outer_bound = list.rlmax(q);
         if dist > outer_bound {
             break;
         }
@@ -155,7 +118,7 @@ pub(crate) fn run_leg<S: QueryStreams, R: ResultSink>(
         }
 
         ws.g.remove_node(p_node);
-        sink.absorb(q, p, &cpl, cfg, &mut ws.rlu_scratch);
+        list.update_with(q, p, &cpl, cfg, &mut ws.rlu_scratch);
     }
 
     LoopTelemetry {
@@ -172,12 +135,13 @@ pub(crate) fn run_leg<S: QueryStreams, R: ResultSink>(
 /// path. Terminates because the threshold grows monotonically and the
 /// obstacle set is finite.
 ///
-/// `outer_bound` (the sink's Lemma 2 bound, under the served kernel) caps
-/// the certification threshold: a recorded value can only decide the result
-/// where it beats the incumbent, which requires it to be below the bound —
-/// values above it may stay uncertified upper bounds without affecting the
-/// answer, and the obstacle loads that would certify them are skipped. Each
-/// re-run of CPLC follows an obstacle load, so its search starts cold.
+/// `outer_bound` (the result list's Lemma 2 bound, under the served
+/// kernel) caps the certification threshold: a recorded value can only
+/// decide the result where it beats the incumbent, which requires it to be
+/// below the bound — values above it may stay uncertified upper bounds
+/// without affecting the answer, and the obstacle loads that would certify
+/// them are skipped. Each re-run of CPLC follows an obstacle load, so its
+/// search starts cold.
 fn refine_to_fixpoint<S: QueryStreams>(
     q: &Segment,
     ws: &mut Workspace,
@@ -221,25 +185,58 @@ fn refine_to_fixpoint<S: QueryStreams>(
     }
 }
 
+/// One tuple `⟨p, cp, R⟩` of a CONN answer. `point == None` means no data
+/// point can reach this interval.
+#[derive(Debug, Clone, Copy)]
+pub struct ResultEntry {
+    /// The answer point (`None` = unreachable interval).
+    pub point: Option<DataPoint>,
+    /// The control point realizing the answer's distance function.
+    pub cp: Option<ControlPoint>,
+    /// The interval of the query segment this tuple answers.
+    pub interval: Interval,
+}
+
+impl ResultEntry {
+    /// The obstructed distance from the answer point to `q(t)` (requires
+    /// `t` within the entry's interval).
+    pub fn value(&self, q: &Segment, t: f64) -> Option<f64> {
+        self.cp.as_ref().map(|cp| cp.value(q, t))
+    }
+}
+
 /// Answer of a CONN query.
 #[derive(Debug, Clone)]
 #[must_use]
 pub struct ConnResult {
     q: Segment,
-    list: ResultList,
+    entries: Vec<ResultEntry>,
 }
 
 impl ConnResult {
-    pub(crate) fn new(q: Segment, list: ResultList) -> Self {
-        let res = ConnResult { q, list };
+    /// Reads the `k = 1` result list out as `⟨p, cp, R⟩` tuples.
+    pub(crate) fn new(q: Segment, list: KnnResultList) -> Self {
+        debug_assert_eq!(list.k(), 1, "a CONN answer is the k = 1 list");
         // Sanitizer choke point: every CONN answer passes through this
         // constructor, so the cover audit sees all of them.
         if conn_geom::sanitize::enabled() {
-            if let Err(e) = res.check_cover() {
+            if let Err(e) = list.check_cover() {
                 conn_geom::sanitize::violation("ConnResult cover", &e.to_string());
             }
         }
-        res
+        let entries = list
+            .into_entries()
+            .into_iter()
+            .map(|e| {
+                let nn = e.members.first();
+                ResultEntry {
+                    point: nn.map(|m| m.point),
+                    cp: nn.map(|m| m.cp),
+                    interval: e.interval,
+                }
+            })
+            .collect();
+        ConnResult { q, entries }
     }
 
     /// The query segment.
@@ -249,7 +246,7 @@ impl ConnResult {
 
     /// Raw result tuples `⟨p, cp, R⟩` (control-point granularity).
     pub fn entries(&self) -> &[ResultEntry] {
-        self.list.entries()
+        &self.entries
     }
 
     /// The user-facing answer: `⟨p, R⟩` tuples with adjacent intervals of
@@ -257,7 +254,7 @@ impl ConnResult {
     /// `None` marks intervals with no reachable data point.
     pub fn segments(&self) -> Vec<(Option<DataPoint>, Interval)> {
         let mut out: Vec<(Option<DataPoint>, Interval)> = Vec::new();
-        for e in self.list.entries() {
+        for e in &self.entries {
             match out.last_mut() {
                 Some((prev, iv)) if prev.map(|p| p.id) == e.point.map(|p| p.id) => {
                     iv.hi = e.interval.hi;
@@ -270,7 +267,10 @@ impl ConnResult {
 
     /// The ONN at parameter `t ∈ [0, q.len()]` with its obstructed distance.
     pub fn nn_at(&self, t: f64) -> Option<(DataPoint, f64)> {
-        self.list.answer_at(&self.q, t)
+        self.entries
+            .iter()
+            .find(|e| e.interval.contains(t))
+            .and_then(|e| Some((e.point?, e.value(&self.q, t)?)))
     }
 
     /// Split points: interval boundaries where the answer object changes.
@@ -280,7 +280,7 @@ impl ConnResult {
 
     /// Validation helper: the entries exactly cover the segment.
     pub fn check_cover(&self) -> Result<(), crate::Error> {
-        self.list.check_cover()
+        check_cover(self.entries.iter().map(|e| e.interval), self.q.len())
     }
 
     /// Semantic equivalence to another result of the same query: identical
@@ -329,9 +329,8 @@ mod tests {
     #[test]
     #[cfg(feature = "sanitize-invariants")]
     fn cover_audit_fires_on_gapped_answer() {
-        use crate::rlu::ResultList;
         let q = q();
-        let intact = ResultList::new(q.len());
+        let intact = KnnResultList::new(q.len(), 1);
         let _ = ConnResult::new(q, intact.clone()); // full cover passes
 
         let mut gapped = intact;

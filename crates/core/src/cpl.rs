@@ -30,38 +30,31 @@ use crate::split::{lemma1_incumbent_wins, split, Winner};
 
 /// The control-point list: a sorted, disjoint cover of `[0, q.len()]`.
 #[derive(Debug, Clone)]
-pub struct ControlPointList {
+pub(crate) struct ControlPointList {
     entries: Vec<(Option<ControlPoint>, Interval)>,
-    qlen: f64,
 }
 
 impl ControlPointList {
     /// A list with the whole segment uncovered.
-    pub fn new(qlen: f64) -> Self {
+    pub(crate) fn new(qlen: f64) -> Self {
         ControlPointList {
             entries: vec![(None, Interval::new(0.0, qlen))],
-            qlen,
         }
     }
 
     /// The `(control point, interval)` tuples, ascending in parameter.
-    pub fn entries(&self) -> &[(Option<ControlPoint>, Interval)] {
+    pub(crate) fn entries(&self) -> &[(Option<ControlPoint>, Interval)] {
         &self.entries
     }
 
-    /// Length of the query segment the list partitions.
-    pub fn qlen(&self) -> f64 {
-        self.qlen
-    }
-
     /// Any interval still without a control point?
-    pub fn has_unassigned(&self) -> bool {
+    pub(crate) fn has_unassigned(&self) -> bool {
         self.entries.iter().any(|(cp, _)| cp.is_none())
     }
 
     /// `CPLMAX` (Lemma 7): the largest endpoint value over assigned
     /// entries; ∞ while any entry is unassigned (footnote 5).
-    pub fn max_value(&self, q: &Segment) -> f64 {
+    pub(crate) fn max_value(&self, q: &Segment) -> f64 {
         let mut m = 0.0f64;
         for (cp, iv) in &self.entries {
             match cp {
@@ -75,25 +68,16 @@ impl ControlPointList {
     /// Largest endpoint value over *assigned* entries only (the strict
     /// refinement loop's reload threshold; unassigned entries are handled
     /// separately there).
-    pub fn max_assigned_value(&self, q: &Segment) -> f64 {
+    pub(crate) fn max_assigned_value(&self, q: &Segment) -> f64 {
         self.entries
             .iter()
             .filter_map(|(cp, iv)| cp.as_ref().map(|cp| cp.max_over(q, iv)))
             .fold(0.0, f64::max)
     }
 
-    /// The control point in charge at parameter `t`, with the induced
-    /// distance value.
-    pub fn value_at(&self, q: &Segment, t: f64) -> Option<f64> {
-        self.entries
-            .iter()
-            .find(|(_, iv)| iv.contains(t))
-            .and_then(|(cp, _)| cp.as_ref().map(|cp| cp.value(q, t)))
-    }
-
     /// Offers `candidate` as control point over `region`; keeps whichever of
     /// the incumbent/candidate is closer on every sub-interval.
-    pub fn offer(
+    pub(crate) fn offer(
         &mut self,
         q: &Segment,
         candidate: ControlPoint,
@@ -162,27 +146,6 @@ impl ControlPointList {
         }
         self.entries = out;
     }
-
-    /// Validation helper for tests: entries cover `[0, qlen]` without gaps.
-    pub fn check_cover(&self) -> Result<(), crate::Error> {
-        let mut cursor = 0.0;
-        for (_, iv) in &self.entries {
-            if (iv.lo - cursor).abs() > 1e-6 {
-                return Err(crate::Error::cover_violation(format!(
-                    "gap at {cursor}: next starts {}",
-                    iv.lo
-                )));
-            }
-            cursor = iv.hi;
-        }
-        if (cursor - self.qlen).abs() > 1e-6 {
-            return Err(crate::Error::cover_violation(format!(
-                "cover ends at {cursor} != {}",
-                self.qlen
-            )));
-        }
-        Ok(())
-    }
 }
 
 fn same_opt_cp(a: &Option<ControlPoint>, b: &Option<ControlPoint>) -> bool {
@@ -249,7 +212,7 @@ impl VrCache {
     }
 }
 
-/// CPLC with an outer value cap (the result sink's Lemma 2 bound).
+/// CPLC with an outer value cap (the result list's Lemma 2 bound).
 ///
 /// The traversal runs on the configured kernel: under
 /// [`crate::KernelMode::GoalDirected`] nodes settle in ascending
@@ -271,7 +234,7 @@ impl VrCache {
 /// before the cap can stop the traversal. Intervals left unassigned by
 /// the cap therefore carry only values the incumbent already beats; the
 /// result-list update keeps the incumbent there
-/// (`rlu::emit`'s challenger-can't-reach arm). Values recorded above the
+/// (RLU's challenger-can't-reach arm). Values recorded above the
 /// cap may be non-tight upper bounds; every value that can win stays
 /// exact.
 pub(crate) fn cplc_bounded(
@@ -389,6 +352,22 @@ fn point_in_triangle_inclusive(p: Point, a: Point, b: Point, c: Point) -> bool {
 mod tests {
     use super::*;
     use conn_vgraph::NodeKind;
+
+    impl ControlPointList {
+        /// The control point in charge at parameter `t`, with the induced
+        /// distance value.
+        fn value_at(&self, q: &Segment, t: f64) -> Option<f64> {
+            self.entries
+                .iter()
+                .find(|(_, iv)| iv.contains(t))
+                .and_then(|(cp, _)| cp.as_ref().map(|cp| cp.value(q, t)))
+        }
+
+        /// The entries cover `q()` without gaps.
+        fn check_cover(&self) -> Result<(), crate::Error> {
+            crate::error::check_cover(self.entries.iter().map(|(_, iv)| *iv), q().len())
+        }
+    }
 
     fn q() -> Segment {
         Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0))

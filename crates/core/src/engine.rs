@@ -45,13 +45,13 @@ use conn_geom::{Rect, Segment};
 use conn_index::{IoMeter, Mbr, RStarTree, StatsSnapshot};
 use conn_vgraph::{DijkstraEngine, VisGraph};
 
-use crate::coknn::{CoknnResult, KnnResultList};
+use crate::coknn::CoknnResult;
 use crate::config::ConnConfig;
-use crate::conn::{run_search, ConnResult, ResultSink};
+use crate::conn::{run_search, ConnResult};
 use crate::cpl::VrCache;
 use crate::ior::IorState;
 use crate::odist::Resolver;
-use crate::rlu::{ResultList, RluScratch};
+use crate::rlu::{KnnResultList, RluScratch};
 use crate::single_tree::{OneTreeStreams, SpatialObject};
 use crate::stats::{QueryStats, ReuseCounters};
 use crate::streams::{LoadedObstacles, QueryStreams, SegmentStreams};
@@ -294,14 +294,15 @@ impl QueryEngine {
         self.io.obstacle.clear_buffer();
     }
 
-    /// CONN search (paper Algorithm 4) on the reused workspace.
+    /// CONN search (paper Algorithm 4) on the reused workspace: COkNN at
+    /// `k = 1`.
     pub fn conn(
         &mut self,
         data_tree: &RStarTree<DataPoint>,
         obstacle_tree: &RStarTree<Rect>,
         q: &Segment,
     ) -> (ConnResult, QueryStats) {
-        let (list, stats) = self.segment(data_tree, obstacle_tree, q, ResultList::new(q.len()));
+        let (list, stats) = self.segment(data_tree, obstacle_tree, q, 1);
         (ConnResult::new(*q, list), stats)
     }
 
@@ -313,8 +314,7 @@ impl QueryEngine {
         q: &Segment,
         k: usize,
     ) -> (CoknnResult, QueryStats) {
-        let (list, stats) =
-            self.segment(data_tree, obstacle_tree, q, KnnResultList::new(q.len(), k));
+        let (list, stats) = self.segment(data_tree, obstacle_tree, q, k);
         (CoknnResult::new(*q, list), stats)
     }
 
@@ -325,11 +325,7 @@ impl QueryEngine {
         tree: &RStarTree<SpatialObject>,
         q: &Segment,
     ) -> (ConnResult, QueryStats) {
-        let (list, stats) = self.drive(
-            q,
-            |io| OneTreeStreams::new(tree, q, &io.data),
-            ResultList::new(q.len()),
-        );
+        let (list, stats) = self.drive(q, |io| OneTreeStreams::new(tree, q, &io.data), 1);
         (ConnResult::new(*q, list), stats)
     }
 
@@ -340,45 +336,40 @@ impl QueryEngine {
         q: &Segment,
         k: usize,
     ) -> (CoknnResult, QueryStats) {
-        let (list, stats) = self.drive(
-            q,
-            |io| OneTreeStreams::new(tree, q, &io.data),
-            KnnResultList::new(q.len(), k),
-        );
+        let (list, stats) = self.drive(q, |io| OneTreeStreams::new(tree, q, &io.data), k);
         (CoknnResult::new(*q, list), stats)
     }
 
     /// [`QueryEngine::drive`] over the two trees. The segment stream dedupes
     /// against the workspace's own loaded set, lent to it for the query and
     /// emptied first, as [`Workspace::begin_query`] empties it.
-    fn segment<R: ResultSink>(
+    fn segment(
         &mut self,
         data_tree: &RStarTree<DataPoint>,
         obstacle_tree: &RStarTree<Rect>,
         q: &Segment,
-        sink: R,
-    ) -> (R, QueryStats) {
+        k: usize,
+    ) -> (KnnResultList, QueryStats) {
         let mut loaded = std::mem::take(&mut self.ws.loaded);
         loaded.clear();
         let out = self.drive(
             q,
             |io| SegmentStreams::new(data_tree, obstacle_tree, q, io, &mut loaded),
-            sink,
+            k,
         );
         self.ws.loaded = loaded;
         out
     }
 
     /// The one shared query driver: runs Algorithm 4's loop over any
-    /// stream source (opened over the engine's meters) and result sink on
-    /// the reused workspace, returning the filled sink plus the query's
-    /// stats.
-    fn drive<'e, S: QueryStreams, R: ResultSink>(
+    /// stream source (opened over the engine's meters) on the reused
+    /// workspace, returning the filled `k`-list plus the query's stats.
+    fn drive<'e, S: QueryStreams>(
         &'e mut self,
         q: &Segment,
         open: impl FnOnce(&'e Meters) -> S,
-        mut sink: R,
-    ) -> (R, QueryStats) {
+        k: usize,
+    ) -> (KnnResultList, QueryStats) {
         assert!(!q.is_degenerate(), "degenerate query segment");
         let QueryEngine { cfg, ws, io } = self;
         let io: &'e Meters = io;
@@ -387,17 +378,18 @@ impl QueryEngine {
             reason = "query-boundary elapsed time for QueryStats; the kernel loop below never reads the clock"
         )]
         let started = Instant::now();
+        let mut list = KnnResultList::new(q.len(), k);
         let mut streams = open(io);
-        let telemetry = run_search(&mut streams, q, cfg, &mut sink, ws, io);
+        let telemetry = run_search(&mut streams, q, cfg, &mut list, ws, io);
         let stats = QueryStats {
             cpu: started.elapsed(),
             npe: telemetry.npe,
             noe: telemetry.noe,
             svg_nodes: telemetry.svg_nodes,
-            result_tuples: sink.tuples(),
+            result_tuples: list.entries().len() as u64,
             ..ws.finish_query(io)
         };
-        (sink, stats)
+        (list, stats)
     }
 
     /// The configuration, the workspace and the meters, for the family

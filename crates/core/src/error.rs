@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use conn_geom::Interval;
+
 /// Everything the query layer can report going wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -73,6 +75,30 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+/// The cover check of every result list: `intervals`, in order, run from 0
+/// to `len` with no gap or overlap wider than 1e-6.
+pub(crate) fn check_cover(
+    intervals: impl IntoIterator<Item = Interval>,
+    len: f64,
+) -> Result<(), Error> {
+    let mut cursor = 0.0;
+    for iv in intervals {
+        if (iv.lo - cursor).abs() > 1e-6 {
+            return Err(Error::cover_violation(format!(
+                "gap at {cursor}: next starts {}",
+                iv.lo
+            )));
+        }
+        cursor = iv.hi;
+    }
+    if (cursor - len).abs() > 1e-6 {
+        return Err(Error::cover_violation(format!(
+            "cover ends at {cursor} != {len}"
+        )));
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {

@@ -18,9 +18,9 @@
 //! | split points, Thm. 1, Cases 1–4, Lemma 1 | `split.rs` |
 //! | IOR — incremental obstacle retrieval (Alg. 1) | `ior.rs` |
 //! | CPLC — control-point-list computation (Alg. 2, Lemmas 5–7) | `cpl.rs` |
-//! | RLU — result-list update (Alg. 3) | `rlu.rs` |
-//! | CONN search (Alg. 4, Lemma 2) | `conn.rs` |
-//! | COkNN extension (§4.5) | `coknn.rs` |
+//! | RLU — one result list for every k, CONN's k = 1 included (Alg. 3, §4.5) | `rlu.rs` |
+//! | CONN search (Alg. 4, Lemma 2) and the CONN answer type | `conn.rs` |
+//! | COkNN answer type (§4.5) | `coknn.rs` |
 //! | single unified R-tree variant (§4.5) | `single_tree.rs` |
 //! | reference baselines and oracles (sampling, brute force, whole-field odist) | [`baseline`] |
 //! | the obstacle loader of every point-anchored family (IOR at a point, Lemma 3) | `odist.rs` |
@@ -112,7 +112,7 @@ pub use admission::{Admission, AdmissionConfig, Ticket};
 pub use batch::BatchStats;
 pub use coknn::CoknnResult;
 pub use config::{ConnConfig, KernelMode};
-pub use conn::ConnResult;
+pub use conn::{ConnResult, ResultEntry};
 pub use conn_vgraph::SweepMode;
 pub use dist::ControlPoint;
 pub use engine::QueryEngine;
@@ -121,7 +121,6 @@ pub use error::Error;
 pub use live::{answers_equivalent, LiveScene, PatchReport, SceneDelta, StandingHandle};
 pub use pool::EnginePool;
 pub use query::{Answer, Query, QueryBuilder, QueryKind, Response};
-pub use rlu::{ResultEntry, ResultList};
 pub use service::{ConnService, Scene};
 pub use session::TrajectorySession;
 pub use shard::{Shard, ShardSet, ShardSpec};

@@ -58,15 +58,15 @@ use conn_geom::{Point, Rect, Segment};
 use conn_index::{RStarTree, DEFAULT_PAGE_SIZE};
 use conn_vgraph::{NodeId, NodeKind};
 
-use crate::coknn::{CoknnResult, KnnResultList};
+use crate::coknn::CoknnResult;
 use crate::config::ConnConfig;
-use crate::conn::{run_leg, ConnResult, ResultSink};
+use crate::conn::{run_leg, ConnResult};
 use crate::engine::QueryEngine;
 use crate::epoch::PinnedEpoch;
 use crate::error::Error;
 use crate::odist::affected;
 use crate::query::{Answer, Query, QueryKind, Response};
-use crate::rlu::ResultList;
+use crate::rlu::KnnResultList;
 use crate::service::{coknn_dmax, conn_dmax, dispatch, onn_dmax, ConnService, Scene};
 use crate::stats::QueryStats;
 use crate::streams::{LoadedObstacles, SegmentStreams};
@@ -256,14 +256,9 @@ impl SegmentKernel {
         }
     }
 
-    /// Algorithm 4 over `q` against the pinned scene, warm from the second
-    /// run on.
-    fn run<R: ResultSink>(
-        &mut self,
-        scene: &Scene<'_>,
-        q: &Segment,
-        mut sink: R,
-    ) -> (R, QueryStats) {
+    /// Algorithm 4 for the `k` nearest over `q` against the pinned scene,
+    /// warm from the second run on.
+    fn run(&mut self, scene: &Scene<'_>, q: &Segment, k: usize) -> (KnnResultList, QueryStats) {
         #[expect(
             clippy::disallowed_methods,
             reason = "query-boundary elapsed time; the kernel loop never reads the clock"
@@ -284,17 +279,18 @@ impl SegmentKernel {
         };
         let (data_tree, obstacle_tree) = (scene.data_tree(), scene.obstacle_tree());
         let mut streams = SegmentStreams::new(data_tree, obstacle_tree, q, io, &mut self.loaded);
-        let telemetry = run_leg(&mut streams, q, &cfg, &mut sink, ws, s_node, e_node);
+        let mut list = KnnResultList::new(q.len(), k);
+        let telemetry = run_leg(&mut streams, q, &cfg, &mut list, ws, s_node, e_node);
         let stats = QueryStats {
             cpu: started.elapsed(),
             npe: telemetry.npe,
             noe: telemetry.noe,
             svg_nodes: telemetry.svg_nodes,
-            result_tuples: sink.tuples(),
+            result_tuples: list.entries().len() as u64,
             ..ws.finish_query(io)
         };
         self.ends = Some((s_node, e_node));
-        (sink, stats)
+        (list, stats)
     }
 
     /// Takes a removed obstacle out of the graph and returns the adjacency
@@ -529,19 +525,18 @@ fn segment_rerun(
     scene: &Scene<'_>,
     cfg: &ConnConfig,
 ) -> Option<(Answer, QueryStats)> {
-    match *query.kind() {
-        QueryKind::Conn { q } => {
-            let kernel = kernel.get_or_insert_with(|| SegmentKernel::new(*cfg));
-            let (list, stats) = kernel.run(scene, &q, ResultList::new(q.len()));
-            Some((Answer::Conn(ConnResult::new(q, list)), stats))
-        }
-        QueryKind::Coknn { q, k } => {
-            let kernel = kernel.get_or_insert_with(|| SegmentKernel::new(*cfg));
-            let (list, stats) = kernel.run(scene, &q, KnnResultList::new(q.len(), k));
-            Some((Answer::Coknn(CoknnResult::new(q, list)), stats))
-        }
-        _ => None,
-    }
+    let (q, k) = match *query.kind() {
+        QueryKind::Conn { q } => (q, 1),
+        QueryKind::Coknn { q, k } => (q, k),
+        _ => return None,
+    };
+    let kernel = kernel.get_or_insert_with(|| SegmentKernel::new(*cfg));
+    let (list, stats) = kernel.run(scene, &q, k);
+    let answer = match query.kind() {
+        QueryKind::Conn { .. } => Answer::Conn(ConnResult::new(q, list)),
+        _ => Answer::Coknn(CoknnResult::new(q, list)),
+    };
+    Some((answer, stats))
 }
 
 /// Absorbs a site insertion into an ONN/range tuple list: one obstructed
@@ -1036,7 +1031,7 @@ mod tests {
         let scene = Scene::new(points(), obstacles());
         let seg = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
         let mut kernel = SegmentKernel::new(ConnConfig::default());
-        let mut noe = || kernel.run(&scene, &seg, ResultList::new(seg.len())).1.noe;
+        let mut noe = || kernel.run(&scene, &seg, 1).1.noe;
         assert!(noe() > 0);
         assert_eq!(noe(), 0, "a warm re-run loads nothing twice");
         // a removed obstacle leaves the graph; one it never held is fine
@@ -1047,7 +1042,7 @@ mod tests {
             kernel.forget(&Rect::new(500.0, 500.0, 510.0, 510.0)),
             Some(0)
         );
-        let (_, again) = kernel.run(&scene, &seg, ResultList::new(seg.len()));
+        let (_, again) = kernel.run(&scene, &seg, 1);
         assert_eq!(again.noe, 1, "the tree still holds it: loaded back by need");
 
         // through the service: every mutation near the segment, a twin of an

@@ -1,125 +1,132 @@
-//! The result list and RLU — Result List Update (paper §4.3, Algorithm 3).
+//! The result list and RLU — Result List Update (paper §4.3, Algorithm 3,
+//! in the `k`-member form of §4.5).
 //!
-//! The result list partitions `q` into intervals, each holding the current
-//! ONN candidate and the control point its distance function routes through
-//! (`⟨pᵢ, cpᵢ, Rᵢ⟩` in the paper). Evaluating a new data point `p` walks its
-//! control-point list against the result list, intersecting intervals and
-//! splitting them wherever `p`'s distance function crosses the incumbent's
-//! (Lemma 1 shortcut, then the quadratic Split of §3).
+//! The result list partitions `q` into intervals, each holding an ordered
+//! set of up to `k` members (`⟨ONNSᵢ, Rᵢ⟩` in the paper); every member
+//! carries the control point its distance function routes through. CONN is
+//! the `k = 1` case, whose tuples are the paper's `⟨pᵢ, cpᵢ, Rᵢ⟩`.
+//! Evaluating a new data point `p` walks its control-point list against the
+//! result list and cuts each piece at every crossing between `p`'s function
+//! and a member's (the quadratic Split of §3), so the member order is
+//! constant within each interval. Lemma 1 skips the cutting where the k-th
+//! member beats `p` over the whole piece. The pruning bound is
+//! `RLMAX = maxᵢ max(kth-dist(Rᵢ.l), kth-dist(Rᵢ.r))` (Lemma 2), infinite
+//! while any interval holds fewer than `k` members (footnote 3).
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)"
+    reason = "k-list slots are allocated up front; member indices are bounded by k"
 )]
 
-use conn_geom::{Interval, Segment};
+use conn_geom::{Interval, Segment, EPS};
 
 use crate::config::ConnConfig;
 use crate::cpl::ControlPointList;
 use crate::dist::ControlPoint;
-use crate::split::{lemma1_incumbent_wins, split, Winner};
+use crate::error::check_cover;
+use crate::split::{crossing_params, lemma1_incumbent_wins};
 use crate::types::DataPoint;
 
-/// One tuple `⟨p, cp, R⟩` of the result list. `point == None` means no data
-/// point evaluated so far can reach this interval.
+/// One member of an interval's ONN set.
 #[derive(Debug, Clone, Copy)]
-pub struct ResultEntry {
-    /// The answer point (`None` = unreachable interval).
-    pub point: Option<DataPoint>,
-    /// The control point realizing the answer's distance function.
-    pub cp: Option<ControlPoint>,
-    /// The interval of the query segment this tuple answers.
+pub struct Member {
+    /// The data point.
+    pub point: DataPoint,
+    /// The control point its distance function is anchored at.
+    pub cp: ControlPoint,
+}
+
+/// One tuple `⟨ONNS, R⟩`: members sorted ascending by distance over all of
+/// `R` (the order is constant within the interval by construction).
+#[derive(Debug, Clone)]
+pub struct KnnEntry {
+    /// The interval's ONN set, ascending by distance.
+    pub members: Vec<Member>,
+    /// The interval of the query segment this set answers.
     pub interval: Interval,
 }
 
-impl ResultEntry {
-    /// The obstructed distance from the answer point to `q(t)` (requires
-    /// `t` within the entry's interval).
-    pub fn value(&self, q: &Segment, t: f64) -> Option<f64> {
-        self.cp.as_ref().map(|cp| cp.value(q, t))
-    }
-}
-
 /// Retained buffers for result-list updates. One instance lives in the
-/// query workspace; in steady state the three vectors rotate with the
-/// lists' own storage and RLU performs no allocations.
+/// query workspace; in steady state the two vectors rotate with the list's
+/// own storage.
 #[derive(Debug, Default)]
-pub struct RluScratch {
-    /// Spare [`ResultEntry`] buffer (rotates with `ResultList::entries`).
-    pub(crate) flat: Vec<ResultEntry>,
+pub(crate) struct RluScratch {
+    /// Spare entry buffer (rotates with `KnnResultList::entries`).
+    knn: Vec<KnnEntry>,
     /// Second spare buffer (normalization pass).
-    pub(crate) flat2: Vec<ResultEntry>,
-    /// Spare COkNN entry buffer (rotates with `KnnResultList::entries`).
-    pub(crate) knn: Vec<crate::coknn::KnnEntry>,
-    /// Second spare COkNN buffer (normalization pass).
-    pub(crate) knn2: Vec<crate::coknn::KnnEntry>,
+    knn2: Vec<KnnEntry>,
 }
 
-/// The result list: sorted, disjoint intervals covering `[0, q.len()]`.
+/// The result list: sorted, disjoint intervals covering `[0, qlen]`.
 #[derive(Debug, Clone)]
-pub struct ResultList {
-    entries: Vec<ResultEntry>,
+pub(crate) struct KnnResultList {
+    entries: Vec<KnnEntry>,
+    k: usize,
     qlen: f64,
 }
 
-impl ResultList {
-    /// A single-interval list covering `[0, qlen]` with no answer yet.
-    pub fn new(qlen: f64) -> Self {
-        ResultList {
-            entries: vec![ResultEntry {
-                point: None,
-                cp: None,
+impl KnnResultList {
+    /// A single-interval list covering `[0, qlen]` with an empty ONN set.
+    pub(crate) fn new(qlen: f64, k: usize) -> Self {
+        assert!(k >= 1, "k must be positive");
+        KnnResultList {
+            entries: vec![KnnEntry {
+                members: Vec::new(),
                 interval: Interval::new(0.0, qlen),
             }],
+            k,
             qlen,
         }
     }
 
+    /// The `k` the list was built for.
+    pub(crate) fn k(&self) -> usize {
+        self.k
+    }
+
     /// The tuples, in ascending interval order.
-    pub fn entries(&self) -> &[ResultEntry] {
+    pub(crate) fn entries(&self) -> &[KnnEntry] {
         &self.entries
     }
 
-    /// Length of the query segment the list partitions.
-    pub fn qlen(&self) -> f64 {
-        self.qlen
+    /// The tuples, handed over by value.
+    pub(crate) fn into_entries(self) -> Vec<KnnEntry> {
+        self.entries
     }
 
-    /// `RLMAX` (Lemma 2): the largest endpoint distance over all tuples;
-    /// ∞ while any tuple is unassigned (footnote 3). A data point whose
-    /// `mindist` to `q` exceeds this bound cannot change the list.
-    pub fn rlmax(&self, q: &Segment) -> f64 {
+    /// `RLMAX` (Lemma 2): ∞ until every interval holds `k` members. A data
+    /// point whose `mindist` to `q` exceeds this bound cannot change the
+    /// list.
+    pub(crate) fn rlmax(&self, q: &Segment) -> f64 {
         let mut m = 0.0f64;
         for e in &self.entries {
-            match &e.cp {
-                None => return f64::INFINITY,
-                Some(cp) => m = m.max(cp.max_over(q, &e.interval)),
+            if e.members.len() < self.k {
+                return f64::INFINITY;
             }
+            let kth = &e.members[self.k - 1].cp;
+            m = m.max(kth.max_over(q, &e.interval));
         }
         m
     }
 
-    /// The answer at parameter `t`: the ONN and its obstructed distance.
-    pub fn answer_at(&self, q: &Segment, t: f64) -> Option<(DataPoint, f64)> {
+    /// The k answers at parameter `t` (ascending obstructed distance).
+    pub(crate) fn answers_at(&self, q: &Segment, t: f64) -> Vec<(DataPoint, f64)> {
         self.entries
             .iter()
             .find(|e| e.interval.contains(t))
-            .and_then(|e| match (e.point, e.value(q, t)) {
-                (Some(p), Some(v)) => Some((p, v)),
-                _ => None,
+            .map(|e| {
+                e.members
+                    .iter()
+                    .map(|m| (m.point, m.cp.value(q, t)))
+                    .collect()
             })
+            .unwrap_or_default()
     }
 
     /// RLU — Algorithm 3: folds data point `p` (with its control-point
-    /// list) into the result list. One-shot convenience over
-    /// [`ResultList::update_with`].
-    pub fn update(&mut self, q: &Segment, p: DataPoint, cpl: &ControlPointList, cfg: &ConnConfig) {
-        self.update_with(q, p, cpl, cfg, &mut RluScratch::default());
-    }
-
-    /// RLU with caller-retained scratch buffers: in steady state the update
-    /// allocates nothing, rotating the list's storage through `scratch`.
-    pub fn update_with(
+    /// list) into the result list, rotating the list's storage through the
+    /// workspace's `scratch`.
+    pub(crate) fn update_with(
         &mut self,
         q: &Segment,
         p: DataPoint,
@@ -127,106 +134,110 @@ impl ResultList {
         cfg: &ConnConfig,
         scratch: &mut RluScratch,
     ) {
-        let old = std::mem::take(&mut self.entries);
-        let mut out = std::mem::take(&mut scratch.flat);
+        let mut old = std::mem::take(&mut self.entries);
+        let mut out = std::mem::take(&mut scratch.knn);
         out.clear();
-        out.reserve(old.len() + cpl.entries().len());
+        out.reserve(old.len() * 2);
         let cpl_entries = cpl.entries();
 
-        let mut j = 0usize; // cursor into cpl entries
-        for entry in old.iter().copied() {
+        for entry in old.drain(..) {
             let mut cursor = entry.interval.lo;
-            // advance j to the first cpl entry overlapping this interval
-            while j > 0 && cpl_entries[j].1.lo > cursor {
-                j -= 1;
-            }
-            while cpl_entries[j].1.hi <= cursor && j + 1 < cpl_entries.len() {
-                j += 1;
-            }
-            let mut jj = j;
-            while cursor < entry.interval.hi - conn_geom::EPS {
-                let (ref new_cp, cpl_iv) = cpl_entries[jj];
+            let mut j = cpl_entries
+                .iter()
+                .position(|(_, iv)| iv.hi > cursor + EPS)
+                .unwrap_or(cpl_entries.len() - 1);
+            while cursor < entry.interval.hi - EPS {
+                let (ref new_cp, cpl_iv) = cpl_entries[j];
                 let hi = entry.interval.hi.min(cpl_iv.hi);
                 let piece = Interval::new(cursor, hi.max(cursor));
                 if !piece.is_empty() {
-                    Self::emit(&mut out, q, &entry, p, new_cp, piece, cfg);
+                    // Lemma 1 fast path (Algorithm 3 line 7): a candidate
+                    // the k-th member beats over the whole piece cannot
+                    // enter the set anywhere on it
+                    let kth_wins = |cp: &ControlPoint| {
+                        cfg.use_lemma1
+                            && entry
+                                .members
+                                .get(self.k - 1)
+                                .is_some_and(|kth| lemma1_incumbent_wins(q, &kth.cp, cp, &piece))
+                    };
+                    match new_cp {
+                        Some(cp) if !kth_wins(cp) => {
+                            self.challenge(q, &entry, p, cp, piece, &mut out);
+                        }
+                        // out of the candidate's reach, or lost to the
+                        // k-th member: the members stay
+                        _ => out.push(KnnEntry {
+                            members: entry.members.clone(),
+                            interval: piece,
+                        }),
+                    }
                 }
                 cursor = hi;
-                if cpl_iv.hi < entry.interval.hi - conn_geom::EPS {
-                    jj += 1;
-                    if jj >= cpl_entries.len() {
-                        break;
-                    }
+                if cpl_iv.hi < entry.interval.hi - EPS && j + 1 < cpl_entries.len() {
+                    j += 1;
                 } else {
                     break;
                 }
             }
         }
         self.entries = out;
-        self.normalize_with(&mut scratch.flat2);
-        scratch.flat = old; // recycle the pre-update storage
+        self.normalize_with(&mut scratch.knn2);
+        scratch.knn = old; // recycle the pre-update storage
     }
 
-    /// Resolves one incumbent-vs-challenger piece.
-    fn emit(
-        out: &mut Vec<ResultEntry>,
+    /// Inserts candidate `(p, cp)` into one piece: cut at every crossing
+    /// with a member, then rank the candidate per sub-piece.
+    fn challenge(
+        &self,
         q: &Segment,
-        incumbent: &ResultEntry,
+        entry: &KnnEntry,
         p: DataPoint,
-        new_cp: &Option<ControlPoint>,
+        cp: &ControlPoint,
         piece: Interval,
-        cfg: &ConnConfig,
+        out: &mut Vec<KnnEntry>,
     ) {
-        match (incumbent.cp, new_cp) {
-            // challenger can't reach this piece: incumbent stays
-            (_, None) => out.push(ResultEntry {
-                interval: piece,
-                ..*incumbent
-            }),
-            // nothing here yet: challenger takes it
-            (None, Some(cp)) => out.push(ResultEntry {
-                point: Some(p),
-                cp: Some(*cp),
-                interval: piece,
-            }),
-            (Some(inc_cp), Some(cp)) => {
-                // Lemma 1 fast path (Algorithm 3 line 7)
-                if cfg.use_lemma1 && lemma1_incumbent_wins(q, &inc_cp, cp, &piece) {
-                    out.push(ResultEntry {
-                        interval: piece,
-                        ..*incumbent
-                    });
-                    return;
-                }
-                for (sub, winner) in split(q, &inc_cp, cp, piece) {
-                    match winner {
-                        Winner::Incumbent => out.push(ResultEntry {
-                            interval: sub,
-                            ..*incumbent
-                        }),
-                        Winner::Challenger => out.push(ResultEntry {
-                            point: Some(p),
-                            cp: Some(*cp),
-                            interval: sub,
-                        }),
-                    }
-                }
+        let mut cuts: Vec<f64> = vec![piece.lo, piece.hi];
+        for m in &entry.members {
+            cuts.extend(crossing_params(q, &m.cp, cp, &piece));
+        }
+        cuts.sort_by(f64::total_cmp);
+        cuts.dedup_by(|a, b| (*a - *b).abs() <= EPS);
+        // the crossings are clamped into the piece, so `piece.lo` leads; a
+        // crossing within EPS of `piece.hi` may have stood in for it, so
+        // the last cut closes the piece exactly
+        let last = cuts.len() - 1;
+        cuts[last] = piece.hi;
+
+        // consecutive cuts differ by more than EPS: no sub-piece is empty
+        for w in cuts.windows(2) {
+            let sub = Interval::new(w[0], w[1]);
+            let mid = sub.midpoint();
+            let cand_v = cp.value(q, mid);
+            // members are sorted by value at mid (order constant on sub)
+            let rank = entry
+                .members
+                .partition_point(|m| m.cp.value(q, mid) <= cand_v + EPS);
+            let mut members = entry.members.clone();
+            if rank < self.k {
+                members.insert(rank, Member { point: p, cp: *cp });
+                members.truncate(self.k);
             }
+            out.push(KnnEntry {
+                members,
+                interval: sub,
+            });
         }
     }
 
-    /// Merges adjacent entries with the same answer point and control point
-    /// (footnote 6 of the paper). `buf` receives the merged list, then
-    /// swaps with the entry storage — no allocation when `buf` has
-    /// capacity.
-    fn normalize_with(&mut self, buf: &mut Vec<ResultEntry>) {
+    /// Merges adjacent entries with identical member lists (footnote 6 of
+    /// the paper). `buf` receives the merged list, then swaps with the
+    /// entry storage — no allocation when `buf` has capacity.
+    fn normalize_with(&mut self, buf: &mut Vec<KnnEntry>) {
         buf.clear();
-        for &e in &self.entries {
+        for e in self.entries.drain(..) {
             match buf.last_mut() {
-                Some(prev)
-                    if prev.point.map(|p| p.id) == e.point.map(|p| p.id)
-                        && same_opt_cp(&prev.cp, &e.cp) =>
-                {
+                Some(prev) if same_members(&prev.members, &e.members) => {
                     prev.interval.hi = e.interval.hi;
                 }
                 Some(prev) if e.interval.is_empty() => prev.interval.hi = e.interval.hi,
@@ -242,24 +253,8 @@ impl ResultList {
     }
 
     /// Validation helper: the entries exactly cover `[0, qlen]`.
-    pub fn check_cover(&self) -> Result<(), crate::Error> {
-        let mut cursor = 0.0;
-        for e in &self.entries {
-            if (e.interval.lo - cursor).abs() > 1e-6 {
-                return Err(crate::Error::cover_violation(format!(
-                    "gap at {cursor}: next starts {}",
-                    e.interval.lo
-                )));
-            }
-            cursor = e.interval.hi;
-        }
-        if (cursor - self.qlen).abs() > 1e-6 {
-            return Err(crate::Error::cover_violation(format!(
-                "cover ends at {cursor} != {}",
-                self.qlen
-            )));
-        }
-        Ok(())
+    pub(crate) fn check_cover(&self) -> Result<(), crate::Error> {
+        check_cover(self.entries.iter().map(|e| e.interval), self.qlen)
     }
 
     /// Corrupted-fixture hook: forces a cover gap by pretending the query
@@ -270,12 +265,11 @@ impl ResultList {
     }
 }
 
-fn same_opt_cp(a: &Option<ControlPoint>, b: &Option<ControlPoint>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => x.same_as(y),
-        _ => false,
-    }
+fn same_members(a: &[Member], b: &[Member]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.point.id == y.point.id && x.cp.same_as(&y.cp))
 }
 
 #[cfg(test)]
@@ -285,6 +279,26 @@ mod tests {
 
     fn q() -> Segment {
         Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0))
+    }
+
+    /// The CONN list: k = 1 over `q()`.
+    fn conn_list() -> KnnResultList {
+        KnnResultList::new(100.0, 1)
+    }
+
+    fn update(rl: &mut KnnResultList, p: DataPoint, cpl: &ControlPointList) {
+        rl.update_with(
+            &q(),
+            p,
+            cpl,
+            &ConnConfig::default(),
+            &mut RluScratch::default(),
+        );
+    }
+
+    /// The nearest member's id at `t`, if any.
+    fn nn_at(rl: &KnnResultList, t: f64) -> Option<u32> {
+        rl.answers_at(&q(), t).first().map(|(p, _)| p.id)
     }
 
     /// Builds a CPL whose single control point is the data point itself
@@ -302,53 +316,50 @@ mod tests {
 
     #[test]
     fn first_point_takes_everything() {
-        let cfg = ConnConfig::default();
-        let mut rl = ResultList::new(100.0);
+        let mut rl = conn_list();
         assert_eq!(rl.rlmax(&q()), f64::INFINITY);
         let p = DataPoint::new(0, Point::new(30.0, 20.0));
-        rl.update(&q(), p, &direct_cpl(p.pos), &cfg);
+        update(&mut rl, p, &direct_cpl(p.pos));
         rl.check_cover().unwrap();
         assert_eq!(rl.entries().len(), 1);
-        assert_eq!(rl.entries()[0].point.unwrap().id, 0);
+        assert_eq!(rl.entries()[0].members[0].point.id, 0);
         assert!(rl.rlmax(&q()).is_finite());
     }
 
     #[test]
     fn second_point_splits_at_bisector() {
-        let cfg = ConnConfig::default();
-        let mut rl = ResultList::new(100.0);
+        let mut rl = conn_list();
         let a = DataPoint::new(0, Point::new(20.0, 10.0));
         let b = DataPoint::new(1, Point::new(80.0, 10.0));
-        rl.update(&q(), a, &direct_cpl(a.pos), &cfg);
-        rl.update(&q(), b, &direct_cpl(b.pos), &cfg);
+        update(&mut rl, a, &direct_cpl(a.pos));
+        update(&mut rl, b, &direct_cpl(b.pos));
         rl.check_cover().unwrap();
         assert_eq!(rl.entries().len(), 2);
-        assert_eq!(rl.answer_at(&q(), 10.0).unwrap().0.id, 0);
-        assert_eq!(rl.answer_at(&q(), 90.0).unwrap().0.id, 1);
+        assert_eq!(nn_at(&rl, 10.0), Some(0));
+        assert_eq!(nn_at(&rl, 90.0), Some(1));
         let boundary = rl.entries()[0].interval.hi;
         assert!((boundary - 50.0).abs() < 1e-6);
     }
 
     #[test]
     fn worse_point_changes_nothing() {
-        let cfg = ConnConfig::default();
-        let mut rl = ResultList::new(100.0);
+        let mut rl = conn_list();
         let a = DataPoint::new(0, Point::new(50.0, 5.0));
         let b = DataPoint::new(1, Point::new(50.0, 500.0));
-        rl.update(&q(), a, &direct_cpl(a.pos), &cfg);
+        update(&mut rl, a, &direct_cpl(a.pos));
         let before = rl.entries().len();
-        rl.update(&q(), b, &direct_cpl(b.pos), &cfg);
+        update(&mut rl, b, &direct_cpl(b.pos));
         assert_eq!(rl.entries().len(), before);
-        assert_eq!(rl.answer_at(&q(), 50.0).unwrap().0.id, 0);
+        assert_eq!(nn_at(&rl, 50.0), Some(0));
     }
 
     #[test]
     fn pocket_winner_creates_three_entries() {
         let cfg = ConnConfig::default();
-        let mut rl = ResultList::new(100.0);
+        let mut rl = conn_list();
         // a is near the line but pays a base detour; b hovers mid-height
         let a = DataPoint::new(0, Point::new(50.0, 40.0));
-        rl.update(&q(), a, &direct_cpl(a.pos), &cfg);
+        update(&mut rl, a, &direct_cpl(a.pos));
         // challenger with a tight pocket win around t=50
         let b = DataPoint::new(1, Point::new(50.0, 5.0));
         let mut cpl = ControlPointList::new(100.0);
@@ -358,19 +369,19 @@ mod tests {
             &Interval::new(0.0, 100.0),
             &cfg,
         );
-        rl.update(&q(), b, &cpl, &cfg);
+        update(&mut rl, b, &cpl);
         rl.check_cover().unwrap();
         // F_b(50) = 25 < F_a(50) = 40, but at the ends a wins
-        assert_eq!(rl.answer_at(&q(), 0.0).unwrap().0.id, 0);
-        assert_eq!(rl.answer_at(&q(), 50.0).unwrap().0.id, 1);
-        assert_eq!(rl.answer_at(&q(), 100.0).unwrap().0.id, 0);
+        assert_eq!(nn_at(&rl, 0.0), Some(0));
+        assert_eq!(nn_at(&rl, 50.0), Some(1));
+        assert_eq!(nn_at(&rl, 100.0), Some(0));
         assert_eq!(rl.entries().len(), 3);
     }
 
     #[test]
     fn partial_cpl_leaves_unreachable_region_alone() {
         let cfg = ConnConfig::default();
-        let mut rl = ResultList::new(100.0);
+        let mut rl = conn_list();
         let a = DataPoint::new(0, Point::new(10.0, 10.0));
         // a's CPL covers only [0, 40]
         let mut cpl = ControlPointList::new(100.0);
@@ -380,31 +391,51 @@ mod tests {
             &Interval::new(0.0, 40.0),
             &cfg,
         );
-        rl.update(&q(), a, &cpl, &cfg);
+        update(&mut rl, a, &cpl);
         rl.check_cover().unwrap();
-        assert!(rl.answer_at(&q(), 20.0).is_some());
-        assert!(rl.answer_at(&q(), 70.0).is_none());
+        assert!(nn_at(&rl, 20.0).is_some());
+        assert!(nn_at(&rl, 70.0).is_none());
         assert_eq!(rl.rlmax(&q()), f64::INFINITY);
     }
 
     #[test]
     fn rlmax_matches_manual_bound() {
-        let cfg = ConnConfig::default();
-        let mut rl = ResultList::new(100.0);
+        let mut rl = conn_list();
         let a = DataPoint::new(0, Point::new(30.0, 40.0));
-        rl.update(&q(), a, &direct_cpl(a.pos), &cfg);
+        update(&mut rl, a, &direct_cpl(a.pos));
         let want = a.pos.dist(Point::new(100.0, 0.0)); // far endpoint
         assert!((rl.rlmax(&q()) - want).abs() < 1e-9);
     }
 
     #[test]
     fn merging_keeps_single_entry_for_same_cp() {
-        let cfg = ConnConfig::default();
-        let mut rl = ResultList::new(100.0);
+        let mut rl = conn_list();
         let a = DataPoint::new(0, Point::new(50.0, 10.0));
-        rl.update(&q(), a, &direct_cpl(a.pos), &cfg);
+        update(&mut rl, a, &direct_cpl(a.pos));
         // updating with the same point again must not fragment the list
-        rl.update(&q(), a, &direct_cpl(a.pos), &cfg);
+        update(&mut rl, a, &direct_cpl(a.pos));
         assert_eq!(rl.entries().len(), 1);
+    }
+
+    /// A crossing within EPS of a piece's upper end stands in for the end
+    /// after dedup; the last sub-interval must still close at the end, so
+    /// the cover stays exact bit for bit.
+    #[test]
+    fn crossing_next_to_a_piece_end_keeps_the_cover_exact() {
+        // a and b tie at t0, inside the last EPS of q; b sits on q's line,
+        // so Lemma 1 cannot skip the cut
+        let t0 = 100.0 - EPS / 2.0;
+        let a = DataPoint::new(0, Point::new(0.0, 10.0));
+        let b = DataPoint::new(1, Point::new(t0 + (t0 * t0 + 100.0).sqrt(), 0.0));
+        let mut rl = conn_list();
+        update(&mut rl, a, &direct_cpl(a.pos));
+        update(&mut rl, b, &direct_cpl(b.pos));
+        let e = rl.entries();
+        for w in e.windows(2) {
+            assert_eq!(w[0].interval.hi.to_bits(), w[1].interval.lo.to_bits());
+        }
+        assert_eq!(e[0].interval.lo.to_bits(), 0.0f64.to_bits());
+        assert_eq!(e[e.len() - 1].interval.hi.to_bits(), 100.0f64.to_bits());
+        assert_eq!(nn_at(&rl, 50.0), Some(0));
     }
 }

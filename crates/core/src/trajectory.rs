@@ -26,6 +26,7 @@
 
 use conn_geom::{Interval, Point, Segment, EPS};
 
+use crate::error::check_cover;
 use crate::types::DataPoint;
 
 /// A polyline trajectory: consecutive line segments through `vertices`.
@@ -210,25 +211,16 @@ impl TrajectoryResult {
     /// has strictly positive width — the stitcher must never emit the
     /// zero-width slivers that per-leg float drift can produce at joints.
     pub fn check_cover(&self) -> Result<(), crate::Error> {
-        let mut cursor = 0.0;
-        for (_, iv) in &self.segments {
-            if (iv.lo - cursor).abs() > 1e-6 {
-                return Err(crate::Error::cover_violation(format!("gap at {cursor}")));
-            }
-            if iv.hi <= iv.lo {
-                return Err(crate::Error::cover_violation(format!(
-                    "empty tuple at {}",
-                    iv.lo
-                )));
-            }
-            cursor = iv.hi;
-        }
-        if (cursor - self.trajectory.len()).abs() > 1e-6 {
+        if let Some((_, iv)) = self.segments.iter().find(|(_, iv)| iv.hi <= iv.lo) {
             return Err(crate::Error::cover_violation(format!(
-                "cover ends at {cursor}"
+                "empty tuple at {}",
+                iv.lo
             )));
         }
-        Ok(())
+        check_cover(
+            self.segments.iter().map(|(_, iv)| *iv),
+            self.trajectory.len(),
+        )
     }
 }
 

@@ -131,6 +131,19 @@ proptest! {
                 (a, b) => prop_assert_eq!(a.is_none(), b.is_none()),
             }
         }
+        // RLU's Lemma 1 shortcut tests the k-th member at every k
+        for k in [2usize, 5] {
+            let (full, _) = QueryEngine::default().coknn(&dt, &ot, &inst.q, k);
+            let (bare, _) = QueryEngine::new(ConnConfig::no_pruning()).coknn(&dt, &ot, &inst.q, k);
+            for i in 0..=30 {
+                let t = inst.q.len() * (i as f64) / 30.0;
+                let (a, b) = (full.knn_at(t), bare.knn_at(t));
+                prop_assert_eq!(a.len(), b.len(), "k={} t={}", k, t);
+                for (x, y) in a.iter().zip(&b) {
+                    prop_assert!((x.1 - y.1).abs() < 1e-6, "k={} t={} {:?} vs {:?}", k, t, x, y);
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * [`Interval`] / [`IntervalSet`] — exact interval algebra over the
 //!   arclength parameter of a query segment; used for visible regions,
 //!   control-point lists and result lists.
-//! * [`quadratic`] — a verified quadratic solver used by the split-point
+//! * [`solve_quadratic`] — a verified quadratic solver used by the split-point
 //!   computation (Theorem 1 of the paper).
 //!
 //! The one domain-specific predicate is [`Rect::blocks`]: a segment is
@@ -21,16 +21,16 @@
 //! [`batch`]).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod approx;
+mod approx;
 pub mod batch;
-pub mod interval;
-pub mod point;
-pub mod quadratic;
-pub mod rect;
+mod interval;
+mod point;
+mod quadratic;
+mod rect;
 pub mod sanitize;
-pub mod segment;
+mod segment;
 
 pub use approx::{approx_eq, approx_ge, approx_le, OrdF64, EPS};
 pub use batch::{RectLanes, SegProbe};

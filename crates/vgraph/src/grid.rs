@@ -268,7 +268,7 @@ impl ObstacleGrid {
     /// all candidates, as returned by [`ObstacleGrid::candidates_in_rect`]).
     /// Verdicts are bit-identical to calling [`ObstacleGrid::blocks`] per
     /// candidate — the sweep only narrows which rects are *exactly*
-    /// probed; see [`crate::sweep`] for why the filter is conservative.
+    /// probed; see `sweep.rs` for why the filter is conservative.
     pub fn sweep_visibility(
         &mut self,
         pivot: Point,

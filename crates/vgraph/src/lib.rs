@@ -14,7 +14,7 @@
 //!   can both reach and leave that corner along (the classical reduced
 //!   visibility graph).
 //!   Storage is a CSR-style arena with SoA node lanes and `u32` indices
-//!   (see the [`graph`] module docs for the contract, the layout and the
+//!   (see the module docs of `graph.rs` for the contract, the layout and the
 //!   overlay semantics).
 //! * [`ObstacleGrid`] — a dilated spatial-hash grid making each
 //!   "is this sight-line blocked?" test proportional to the cells the
@@ -34,24 +34,24 @@
 //!   vertex's label is its shortest *tangent arrival* (see the module docs).
 //! * [`visible_region`] — the visible region of a vertex over the query
 //!   segment (paper Def. 2), by shadow subtraction.
-//! * [`sweep`] — the rotational plane-sweep that replaces a cache build's
+//! * `sweep.rs` — the rotational plane-sweep that replaces a cache build's
 //!   per-candidate grid walks with one angular pass (selected by
 //!   [`SweepMode`]), built front to back so that rectangles and candidates
 //!   hidden behind nearer rectangles never become events. It only narrows
 //!   which rectangles are tested; each verdict is still the scalar test.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 // No panic in the query path; an infallible site says why in an `#[expect]`.
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 #![warn(clippy::panic, clippy::unreachable)]
 #![warn(clippy::todo, clippy::unimplemented)]
 
-pub mod dijkstra;
-pub mod graph;
-pub mod grid;
-pub mod sweep;
-pub mod visregion;
+mod dijkstra;
+mod graph;
+mod grid;
+mod sweep;
+mod visregion;
 
 pub use dijkstra::{DijkstraEngine, Goal, Prep};
 pub use graph::{NodeId, NodeKind, VisGraph};

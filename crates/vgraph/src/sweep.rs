@@ -135,7 +135,7 @@ const NEAR_PIVOT: f64 = 1e-3;
 /// `serve_mix` / `live_churn`, seed 2009) and raised sweep events by
 /// 16 / 74 / 17 / 7 %: the sweep's fixed cost loses on the small builds
 /// of the point families. ROADMAP item 8 owns the constant.
-pub const AUTO_MIN_CANDIDATES: usize = 48;
+pub(crate) const AUTO_MIN_CANDIDATES: usize = 48;
 
 /// When the plane-sweep replaces per-candidate grid walks during
 /// adjacency-cache construction. Verdicts (and hence CSR edge lists) are
@@ -143,7 +143,7 @@ pub const AUTO_MIN_CANDIDATES: usize = 48;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepMode {
     /// Sweep when the candidate set is large enough to amortize the event
-    /// sort ([`AUTO_MIN_CANDIDATES`]), per-candidate probes below.
+    /// sort (`AUTO_MIN_CANDIDATES`), per-candidate probes below.
     #[default]
     Auto,
     /// Sweep every cache build that has obstacles to filter.

@@ -46,7 +46,7 @@ pub fn visible_region(viewpoint: Point, q: &Segment, obstacles: &[Rect]) -> Inte
 
 /// Like [`visible_region`], also returning the number of midpoint sight
 /// tests performed (the attributable unit of shadow classification work).
-pub fn visible_region_counted(
+pub(crate) fn visible_region_counted(
     viewpoint: Point,
     q: &Segment,
     obstacles: &[Rect],

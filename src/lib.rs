@@ -87,9 +87,9 @@ pub use conn_core::{
     answers_equivalent, build_unified_tree, Admission, AdmissionConfig, Answer, BatchStats,
     CoknnResult, ConnConfig, ConnResult, ConnService, ControlPoint, DataPoint, EnginePool, Error,
     LiveScene, PatchReport, PinnedEpoch, Query, QueryBuilder, QueryEngine, QueryKind, QueryStats,
-    Response, ResultEntry, ResultList, ReuseCounters, Scene, SceneDelta, SceneEpoch, Shard,
-    ShardSet, ShardSpec, SpatialObject, StandingHandle, SweepMode, Ticket, Trajectory,
-    TrajectoryResult, TrajectorySession,
+    Response, ResultEntry, ReuseCounters, Scene, SceneDelta, SceneEpoch, Shard, ShardSet,
+    ShardSpec, SpatialObject, StandingHandle, SweepMode, Ticket, Trajectory, TrajectoryResult,
+    TrajectorySession,
 };
 
 /// Everything a typical user needs, in one import.
