@@ -55,8 +55,23 @@ struct TicketState {
         clippy::disallowed_types,
         reason = "guards only the completion hand-off slot"
     )]
-    done: Mutex<Option<Result<Response, Error>>>,
+    done: Mutex<Slot>,
     cv: Condvar,
+}
+
+/// The completion hand-off slot of one ticket.
+#[derive(Debug)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one slot per ticket, allocated once inside its Arc; boxing the result would add an allocation per query"
+)]
+enum Slot {
+    /// The query has not ended yet.
+    Pending,
+    /// The query's result, not yet taken.
+    Ready(Result<Response, Error>),
+    /// [`Ticket::try_take`] took the result: nothing will arrive any more.
+    Taken,
 }
 
 /// A client's handle on one admitted query: [`Ticket::wait`] blocks until
@@ -70,24 +85,35 @@ pub struct Ticket {
 impl Ticket {
     /// Blocks until the query has run and returns its response — or
     /// [`Error::Internal`] if it was dropped unanswered (its worker
-    /// panicked, or the [`Admission`] holding it was dropped).
+    /// panicked, or the [`Admission`] holding it was dropped), or if
+    /// [`Ticket::try_take`] already took the result.
     pub fn wait(self) -> Result<Response, Error> {
-        let mut done = lock(&self.state.done);
-        loop {
-            if let Some(result) = done.take() {
-                return result;
+        let done = lock(&self.state.done);
+        let mut done = self
+            .state
+            .cv
+            .wait_while(done, |slot| matches!(slot, Slot::Pending))
+            .unwrap_or_else(PoisonError::into_inner);
+        match std::mem::replace(&mut *done, Slot::Taken) {
+            Slot::Ready(result) => result,
+            _ => {
+                let reason = "the ticket's result was already taken by try_take";
+                Err(Error::Internal(reason.to_string()))
             }
-            done = self
-                .state
-                .cv
-                .wait(done)
-                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Non-blocking poll: the response if the query already executed.
+    /// Non-blocking poll: the response if the query already executed and
+    /// no earlier call took it.
     pub fn try_take(&self) -> Option<Result<Response, Error>> {
-        lock(&self.state.done).take()
+        let mut done = lock(&self.state.done);
+        match std::mem::replace(&mut *done, Slot::Taken) {
+            Slot::Ready(result) => Some(result),
+            pending_or_taken => {
+                *done = pending_or_taken;
+                None
+            }
+        }
     }
 }
 
@@ -102,7 +128,7 @@ impl Promise {
     /// answered) and wakes the waiter.
     fn fulfil(&mut self, result: Result<Response, Error>) {
         if let Some(state) = self.0.take() {
-            *lock(&state.done) = Some(result);
+            *lock(&state.done) = Slot::Ready(result);
             state.cv.notify_all();
         }
     }
@@ -159,7 +185,7 @@ impl Admission {
         }
         let state = Arc::new(TicketState {
             #[expect(clippy::disallowed_types, reason = "the ticket lock, see the field")]
-            done: Mutex::new(None),
+            done: Mutex::new(Slot::Pending),
             cv: Condvar::new(),
         });
         queue.push_back((query, Promise(Some(Arc::clone(&state)))));
@@ -320,6 +346,34 @@ mod tests {
         assert!(ticket.try_take().is_none());
         admission.pump(&service, 1);
         assert!(ticket.try_take().unwrap().is_ok());
+    }
+
+    /// Once `try_take` has taken the result, `wait` has nothing left to
+    /// wait for and fails at once. The waiter runs on a helper thread that
+    /// is left behind if it hangs, so a hang fails the test instead.
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a detached waiter, so that a hanging wait fails the test instead of hanging it"
+    )]
+    fn wait_after_try_take_fails_instead_of_hanging() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let service = service();
+        let admission = Admission::new(AdmissionConfig::default());
+        let q = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
+        let ticket = admission.submit(Query::conn(q).build().unwrap()).unwrap();
+        admission.pump(&service, 1);
+        assert!(ticket.try_take().unwrap().is_ok());
+        assert!(ticket.try_take().is_none(), "the result is taken once");
+        let (sent, waited) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = sent.send(ticket.wait());
+        });
+        let waited = waited
+            .recv_timeout(Duration::from_secs(5))
+            .expect("wait hung after try_take");
+        assert!(matches!(waited, Err(Error::Internal(_))));
     }
 
     #[test]

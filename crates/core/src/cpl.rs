@@ -156,8 +156,9 @@ fn same_opt_cp(a: &Option<ControlPoint>, b: &Option<ControlPoint>) -> bool {
     }
 }
 
-/// Cache of visible regions keyed by node slot and obstacle count (a node's
-/// region only changes when obstacles arrive). Slot-indexed so lookups on
+/// Cache of visible regions keyed by node slot and obstacle count: a graph's
+/// obstacle set only grows until its reset, so an unchanged count means an
+/// unchanged set, and a node's region only changes when obstacles arrive. Slot-indexed so lookups on
 /// the CPLC hot path are array accesses, and [`VrCache::clear`] retains the
 /// slot vector's allocation for workspace reuse.
 #[derive(Debug, Default)]

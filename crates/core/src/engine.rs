@@ -133,9 +133,10 @@ impl Workspace {
 
     /// Rewinds the workspace for a standing CONN's warm re-run on the graph
     /// its segment kernel keeps ([`crate::live`]), the one caller: unlike
-    /// [`Workspace::begin_query`] the visibility graph and its endpoint
-    /// nodes are kept — the graph only ever holds real obstacles of the
-    /// pinned scene (a removed one leaves it by surgery). The
+    /// [`Workspace::begin_query`] the visibility graph, its endpoint nodes
+    /// and the loaded set are kept — the graph only ever holds real
+    /// obstacles of the pinned scene (a kernel whose graph holds a removed
+    /// one restarts through [`Workspace::begin_query`] instead). The
     /// visible-region cache and the IOR loading threshold are cleared like
     /// a fresh query's.
     pub(crate) fn begin_leg(&mut self, io: &Meters) {

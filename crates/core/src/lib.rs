@@ -31,7 +31,7 @@
 //! | typed `Query`/`Answer` front door (beyond the paper) | `query.rs` |
 //! | `Scene` + `ConnService` execution handle (beyond the paper) | `service.rs` |
 //! | epoch-snapshot scene publication (beyond the paper) | `epoch.rs` |
-//! | live mutation, surgical invalidation, standing queries (beyond the paper) | `live.rs` |
+//! | live mutation, incremental adjacency, standing queries (beyond the paper) | `live.rs` |
 //! | spatial shard tiling + locality certificate (beyond the paper) | `shard.rs` |
 //! | persistent warm engine pool (beyond the paper) | `pool.rs` |
 //! | admission queue: FIFO pump + backpressure (beyond the paper) | `admission.rs` |

@@ -1,4 +1,4 @@
-//! Live scenes: incremental mutation with surgical invalidation and
+//! Live scenes: incremental mutation with incremental adjacency and
 //! standing queries.
 //!
 //! The serving layer of [`crate::epoch`] publishes whole replacement
@@ -15,15 +15,14 @@
 //!   derived epoch**: the untouched tree is shared by `Arc`, so
 //!   publication cost is proportional to what changed, not to the scene.
 //!
-//! * **Surgical invalidation.** Each mutation is described by a
-//!   [`SceneDelta`], and the resident *adjacency* repairs itself instead
-//!   of rebuilding: an inserted obstacle is loaded into the graph, whose
-//!   cached rows are repaired against it on their next use, and a removed
-//!   one is taken out by [`conn_vgraph::VisGraph::remove_obstacle`], which
-//!   stales only the CSR ranges whose cached visibility window intersects
-//!   it — everything else survives byte-for-byte. The *labels* restart:
-//!   the search after a delta starts cold on the repaired graph (carrying
-//!   labels across the change saved no work — see
+//! * **Incremental adjacency.** Each mutation is described by a
+//!   [`SceneDelta`]. An inserted obstacle is loaded into a resident graph,
+//!   whose cached rows are repaired against it on their next use. A graph
+//!   only grows, so a removed obstacle the graph holds restarts it: the
+//!   next run resets the graph, keeping its allocations, and loads afresh;
+//!   a removal the graph never loaded leaves it untouched. The *labels*
+//!   restart after every delta: the search starts cold on the changed
+//!   graph (carrying labels across the change saved no work — see
 //!   [`conn_vgraph::DijkstraEngine`]'s module docs).
 //!
 //! * **Standing queries.** [`crate::ConnService::register`] keeps a
@@ -41,8 +40,8 @@
 //!   one point-to-point distance evaluation) or **recomputed** (a re-run of
 //!   that one query). The one resident engine is the segment kernel of a
 //!   CONN or COkNN entry, which re-runs warm: the graph loaded by earlier
-//!   runs is kept, an obstacle the scene lost leaves it by the CSR surgery
-//!   above. The cold re-run is also the proptest oracle:
+//!   runs is kept until the scene loses an obstacle it holds, which
+//!   restarts it as above. The cold re-run is also the proptest oracle:
 //!   `live_equivalence.rs` pins every patched answer to a cold rebuild at
 //!   1e-6.
 
@@ -69,7 +68,7 @@ use crate::query::{Answer, Query, QueryKind, Response};
 use crate::rlu::KnnResultList;
 use crate::service::{coknn_dmax, conn_dmax, dispatch, onn_dmax, ConnService, Scene};
 use crate::stats::QueryStats;
-use crate::streams::{LoadedObstacles, SegmentStreams};
+use crate::streams::SegmentStreams;
 use crate::types::DataPoint;
 
 /// One mutation of a live scene, as published alongside its derived
@@ -146,9 +145,11 @@ pub struct PatchReport {
     /// `live.labels_invalidated_per_delta` row reads it, until the next
     /// benchmark change retires that row.
     pub labels_invalidated: u64,
-    /// Adjacency-cache ranges the standing CONN/COkNN segment kernels
-    /// staled in place while taking this delta's removed obstacle out of
-    /// their graphs.
+    /// Always 0: a standing segment kernel whose graph held a removed
+    /// obstacle restarts from a reset graph instead of staling rows in
+    /// place. Kept only because the ledger's
+    /// `live.adjacency_repairs_per_delta` row reads it, until the next
+    /// benchmark change retires that row.
     pub adjacency_repairs: u64,
 }
 
@@ -227,15 +228,16 @@ fn answer_mentions(answer: &Answer, id: u32) -> bool {
 /// The resident segment kernel of a standing CONN/COkNN entry: an engine
 /// of its own whose visibility graph outlives the re-run, so the next
 /// re-run of the same segment is warm — the graph with its cached rows,
-/// both endpoint nodes and the loaded set are kept, and the obstacle
-/// stream skips what is loaded; the searches themselves start cold, as
-/// every search over a changed graph does. A loaded rectangle stays a real
-/// obstacle of every later epoch until a delta removes it — it then leaves
-/// the graph by [`conn_vgraph::VisGraph::remove_obstacle`]'s CSR surgery —
-/// and an inserted one is simply not loaded yet,
-/// so the graph is always a subset of the pinned tree and a superset of
-/// what a cold run loads: every loaded rectangle is real, and extra
-/// loaded obstacles only ever help Algorithm 4 certify.
+/// both endpoint nodes and the workspace's loaded set are kept, and the
+/// obstacle stream skips what is loaded; the searches themselves start
+/// cold, as every search over a changed graph does. An inserted obstacle
+/// is simply not loaded yet, and a removed one the graph never loaded
+/// does not concern it. A graph only grows, so a removed obstacle the
+/// graph holds restarts the kernel ([`SegmentKernel::forget`]): its next
+/// run starts from a reset graph, as a fresh query does. Whenever it runs,
+/// the graph is therefore a subset of the pinned tree and a superset of
+/// what a cold run loads: every loaded rectangle is real, and extra loaded
+/// obstacles only ever help Algorithm 4 certify.
 ///
 /// It stays because it measurably pays: re-running cold instead cost the
 /// ledger's `live_churn` workload 9–36 % of its `ops_per_s` on four paired
@@ -243,7 +245,6 @@ fn answer_mentions(answer: &Answer, id: u32) -> bool {
 #[derive(Debug)]
 struct SegmentKernel {
     engine: QueryEngine,
-    loaded: LoadedObstacles,
     ends: Option<(NodeId, NodeId)>,
 }
 
@@ -251,7 +252,6 @@ impl SegmentKernel {
     fn new(cfg: ConnConfig) -> Self {
         SegmentKernel {
             engine: QueryEngine::new(cfg),
-            loaded: LoadedObstacles::default(),
             ends: None,
         }
     }
@@ -272,15 +272,17 @@ impl SegmentKernel {
             }
             None => {
                 ws.begin_query(io);
-                self.loaded.clear();
                 let s_node = ws.g.add_point(q.a, NodeKind::Endpoint);
                 (s_node, ws.g.add_point(q.b, NodeKind::Endpoint))
             }
         };
         let (data_tree, obstacle_tree) = (scene.data_tree(), scene.obstacle_tree());
-        let mut streams = SegmentStreams::new(data_tree, obstacle_tree, q, io, &mut self.loaded);
+        // lent to the stream for the run, as `QueryEngine` lends it
+        let mut loaded = std::mem::take(&mut ws.loaded);
+        let mut streams = SegmentStreams::new(data_tree, obstacle_tree, q, io, &mut loaded);
         let mut list = KnnResultList::new(q.len(), k);
         let telemetry = run_leg(&mut streams, q, &cfg, &mut list, ws, s_node, e_node);
+        ws.loaded = loaded;
         let stats = QueryStats {
             cpu: started.elapsed(),
             npe: telemetry.npe,
@@ -293,14 +295,11 @@ impl SegmentKernel {
         (list, stats)
     }
 
-    /// Takes a removed obstacle out of the graph and returns the adjacency
-    /// ranges that staled (0 when the graph never held it). `None` when
-    /// the graph should hold it and does not (the caller drops the kernel).
-    fn forget(&mut self, r: &Rect) -> Option<u64> {
-        if self.loaded.remove(r) {
-            self.engine.parts().1.g.remove_obstacle(r)
-        } else {
-            Some(0)
+    /// Follows the removal of `r` from the scene: when the graph holds it,
+    /// the next run restarts from a reset graph; otherwise it stays warm.
+    fn forget(&mut self, r: &Rect) {
+        if self.engine.parts().1.loaded.contains(r) {
+            self.ends = None;
         }
     }
 }
@@ -395,8 +394,8 @@ impl StandingRegistry {
 
     /// Patches every standing entry against the just-published epoch.
     /// Returns the report plus the pooled [`QueryStats`] of the patch work
-    /// (recompute runs and the segment kernels' staled ranges, with
-    /// `delta_publishes` set) for the engine pool's lifetime totals.
+    /// (recompute runs, with `delta_publishes` set) for the engine pool's
+    /// lifetime totals.
     pub(crate) fn apply(
         &self,
         engine: &mut QueryEngine,
@@ -412,14 +411,13 @@ impl StandingRegistry {
         let mut pooled = QueryStats::default();
         pooled.reuse.delta_publishes = 1;
         for entry in &mut inner.entries {
-            let outcome = patch_entry(entry, engine, pin, cfg, delta, &mut report, &mut pooled);
+            let outcome = patch_entry(entry, engine, pin, cfg, delta, &mut pooled);
             match outcome {
                 Outcome::Kept => report.kept += 1,
                 Outcome::TuplePatched => report.tuple_patched += 1,
                 Outcome::Recomputed => report.recomputed += 1,
             }
         }
-        pooled.reuse.adjacency_repairs += report.adjacency_repairs;
         (report, pooled)
     }
 }
@@ -435,15 +433,11 @@ fn patch_entry(
     pin: &PinnedEpoch<'_>,
     cfg: &ConnConfig,
     delta: &SceneDelta,
-    report: &mut PatchReport,
     pooled: &mut QueryStats,
 ) -> Outcome {
     // a resident segment graph follows every removal, kept answer or not
     if let (Some(segment), SceneDelta::ObstacleRemoved(r)) = (entry.segment.as_mut(), delta) {
-        match segment.forget(r) {
-            Some(staled) => report.adjacency_repairs += staled,
-            None => entry.segment = None,
-        }
+        segment.forget(r);
     }
     let decision = match (entry.cert, delta) {
         (Certificate::Always, _) => Outcome::Recomputed,
@@ -1026,24 +1020,40 @@ mod tests {
             1e-6
         ));
     }
+
+    /// A removal the kernel never loaded keeps it warm; one it loaded
+    /// restarts it, and the restarted run is a fresh kernel's, NOE included.
     #[test]
     fn standing_segment_kernels_rerun_warm_and_follow_removals() {
         let scene = Scene::new(points(), obstacles());
         let seg = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
         let mut kernel = SegmentKernel::new(ConnConfig::default());
-        let mut noe = || kernel.run(&scene, &seg, 1).1.noe;
-        assert!(noe() > 0);
-        assert_eq!(noe(), 0, "a warm re-run loads nothing twice");
-        // a removed obstacle leaves the graph; one it never held is fine
-        assert!(kernel
-            .forget(&obstacles()[0])
-            .is_some_and(|staled| staled > 0));
+        assert!(kernel.run(&scene, &seg, 1).1.noe > 0);
+        let warm = |kernel: &mut SegmentKernel| {
+            let (_, stats) = kernel.run(&scene, &seg, 1);
+            (stats.noe, stats.reuse.graph_reuses)
+        };
         assert_eq!(
-            kernel.forget(&Rect::new(500.0, 500.0, 510.0, 510.0)),
-            Some(0)
+            warm(&mut kernel),
+            (0, 1),
+            "a warm re-run loads nothing twice"
         );
-        let (_, again) = kernel.run(&scene, &seg, 1);
-        assert_eq!(again.noe, 1, "the tree still holds it: loaded back by need");
+        kernel.forget(&Rect::new(500.0, 500.0, 510.0, 510.0));
+        assert_eq!(
+            warm(&mut kernel),
+            (0, 1),
+            "an unloaded removal keeps it warm"
+        );
+
+        let gone = obstacles()[0];
+        assert!(kernel.engine.parts().1.loaded.contains(&gone));
+        kernel.forget(&gone);
+        let shrunk = Scene::new(points(), obstacles()[1..].to_vec());
+        let (got, restarted) = kernel.run(&shrunk, &seg, 1);
+        let (want, fresh) = SegmentKernel::new(ConnConfig::default()).run(&shrunk, &seg, 1);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert_eq!(restarted.noe, fresh.noe);
+        assert!(restarted.noe > 0, "a restarted run loads afresh");
 
         // through the service: every mutation near the segment, a twin of an
         // existing obstacle included, against the cold rebuild
@@ -1065,14 +1075,46 @@ mod tests {
                 _ => live.remove_site(site.pos).unwrap().1,
             };
             assert_eq!(report.recomputed, 2, "step {step}: {report:?}");
-            if step == 4 {
-                // both kernels loaded the wall: its removal stales rows
-                assert!(report.adjacency_repairs > 0, "{report:?}");
-            }
             for (q, h) in queries.iter().zip(&handles) {
                 let got = live.service().standing(h).unwrap();
                 let want = cold_answer(&live, q);
                 assert!(answers_equivalent(&got, &want, 1e-9), "step {step}");
+            }
+        }
+    }
+
+    /// A graph only grows between restarts: 20 insert/remove cycles of an
+    /// obstacle that a standing CONN's kernel loads leave the kernel's
+    /// graph no larger than the scene, and the answer equal to a cold run.
+    #[test]
+    fn standing_kernel_graph_stays_bounded_under_churn() {
+        let mut live = LiveScene::new(points(), obstacles(), ConnConfig::default());
+        let q = Query::conn(Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0)))
+            .build()
+            .unwrap();
+        let h = live.service().register(q.clone()).unwrap();
+        let kernel_obstacles = |live: &LiveScene| -> Vec<Rect> {
+            let mut inner = lock(&live.service().standing_registry().inner);
+            let kernel = inner.entries[0].segment.as_mut().unwrap();
+            kernel.engine.parts().1.g.obstacles().to_vec()
+        };
+        let wall = Rect::new(48.0, 2.0, 52.0, 12.0);
+        for cycle in 0..20 {
+            for insert in [true, false] {
+                if insert {
+                    live.insert_obstacle(wall);
+                    assert!(kernel_obstacles(&live).contains(&wall), "cycle {cycle}");
+                } else {
+                    live.remove_obstacle(&wall).unwrap();
+                }
+                let held = kernel_obstacles(&live).len();
+                assert!(
+                    held <= live.num_obstacles(),
+                    "cycle {cycle}: the kernel holds {held} obstacles, the scene {}",
+                    live.num_obstacles()
+                );
+                let got = live.service().standing(&h).unwrap();
+                assert!(answers_equivalent(&got, &cold_answer(&live, &q), 1e-9));
             }
         }
     }

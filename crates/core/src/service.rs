@@ -304,6 +304,12 @@ impl<'a> ConnService<'a> {
         self.standing.answer(handle)
     }
 
+    /// The standing-query registry, for tests that inspect its entries.
+    #[cfg(test)]
+    pub(crate) fn standing_registry(&self) -> &StandingRegistry {
+        &self.standing
+    }
+
     /// Number of standing queries currently resident.
     pub fn standing_count(&self) -> usize {
         self.standing.len()

@@ -70,9 +70,9 @@ pub struct ReuseCounters {
     /// `live.labels_invalidated_per_delta` row reads, until the next
     /// benchmark change retires that row.
     pub labels_invalidated: u64,
-    /// Adjacency-cache ranges the visibility graph repaired or staled in
-    /// place during this query's window — incremental CSR surgery after a
-    /// live mutation, instead of a full rebuild.
+    /// Base rows the visibility graph repaired in place during this
+    /// query's window — re-tested against the obstacles loaded since the
+    /// row was built, instead of rebuilt.
     pub adjacency_repairs: u64,
     /// Scene deltas published through the epoch layer by the live-scene
     /// mutation path ([`crate::LiveScene`]). Zero for plain queries; the

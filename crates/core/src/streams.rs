@@ -35,9 +35,9 @@ pub(crate) trait QueryStreams {
 /// The set of tree obstacles a visibility graph already holds. Loads are
 /// monotone while a graph lives — a loaded rectangle is a real obstacle for
 /// every later anchor of the point-anchored loader ([`crate::odist`]), and
-/// for every later re-run of a standing CONN on the graph its kernel keeps
-/// ([`crate::live`]) — so a stream re-opened over the same graph consults
-/// this set to avoid re-inserting (and re-counting) rectangles.
+/// for every later warm re-run of a standing CONN on the graph its kernel
+/// keeps ([`crate::live`]) — so a stream re-opened over the same graph
+/// consults this set to avoid re-inserting (and re-counting) rectangles.
 #[derive(Debug, Default)]
 pub(crate) struct LoadedObstacles {
     keys: std::collections::HashSet<[u64; 4]>,
@@ -49,13 +49,8 @@ impl LoadedObstacles {
         self.keys.insert(r.bit_key())
     }
 
-    /// Forgets `r` (it was removed from the graph); returns `false` when
-    /// it was not loaded.
-    pub(crate) fn remove(&mut self, r: &Rect) -> bool {
-        self.keys.remove(&r.bit_key())
-    }
-
-    fn contains(&self, r: &Rect) -> bool {
+    /// True when `r` is loaded.
+    pub(crate) fn contains(&self, r: &Rect) -> bool {
         self.keys.contains(&r.bit_key())
     }
 
@@ -68,9 +63,9 @@ impl LoadedObstacles {
 /// Streams over two separate R-trees (the paper's primary setting), the
 /// obstacle stream filtered against a [`LoadedObstacles`]: rectangles
 /// already in the graph are skipped instead of re-inserted, so NOE counts
-/// every obstacle once. A fresh query dedupes against the workspace's own
-/// set, emptied for it; a standing CONN's warm re-run against its kernel's
-/// set, which holds what earlier runs loaded into the graph it keeps.
+/// every obstacle once. Every run dedupes against its workspace's own set:
+/// a fresh query's is emptied for it, a standing CONN's warm re-run keeps
+/// what earlier runs loaded into the graph its kernel keeps.
 pub(crate) struct SegmentStreams<'a, 's> {
     points: NearestIter<'a, DataPoint, Segment>,
     obstacles: NearestIter<'a, Rect, Segment>,

@@ -7,8 +7,8 @@
 //!
 //! An unsound certificate region (keeping an answer a delta actually
 //! touched), a tuple patch inserting at the wrong rank, or a CONN/COkNN
-//! segment kernel whose CSR surgery left a stale row when an obstacle
-//! went would all surface as a divergence somewhere in the sequence —
+//! segment kernel that stayed warm on a graph still holding an obstacle
+//! that went would all surface as a divergence somewhere in the sequence —
 //! the suite re-checks the whole standing set after *every* delta, not
 //! just at the end.
 

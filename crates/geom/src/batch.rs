@@ -74,17 +74,6 @@ impl RectLanes {
         self.maxy.push(r.max_y);
     }
 
-    /// Overwrites the rectangle at lane index `i` in place (no
-    /// normalization). Live-scene removal uses this to collapse a
-    /// tombstoned obstacle's lanes to a zero-area rectangle, which no
-    /// sight test can classify as blocking.
-    pub fn overwrite(&mut self, i: usize, r: &Rect) {
-        self.minx[i] = r.min_x;
-        self.miny[i] = r.min_y;
-        self.maxx[i] = r.max_x;
-        self.maxy[i] = r.max_y;
-    }
-
     /// Reconstructs the rectangle at lane index `i` (no normalization — the
     /// lanes hold coordinates of already-normalized rectangles).
     pub fn rect(&self, i: usize) -> Rect {

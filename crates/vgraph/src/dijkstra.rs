@@ -640,20 +640,21 @@ mod tests {
 
     /// A goal change starts cold, even on an engine holding a finished run
     /// from the same source over the same graph — with and without an
-    /// obstacle load or removal in between — and settles exactly the
-    /// sequence a fresh engine under the new goal settles, bit for bit.
+    /// obstacle load or a node removal in between — and settles exactly
+    /// the sequence a fresh engine under the new goal settles, bit for bit.
     #[test]
     fn goal_change_starts_cold() {
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
-        for i in 0..14 {
-            g.add_point(
-                Point::new((i * 37 % 220) as f64, (i * 19 % 130) as f64 - 30.0),
-                NodeKind::DataPoint,
-            );
-        }
-        let gone = Rect::new(50.0, -10.0, 80.0, 60.0);
-        g.add_obstacle(gone);
+        let points: Vec<NodeId> = (0..14)
+            .map(|i| {
+                g.add_point(
+                    Point::new((i * 37 % 220) as f64, (i * 19 % 130) as f64 - 30.0),
+                    NodeKind::DataPoint,
+                )
+            })
+            .collect();
+        g.add_obstacle(Rect::new(50.0, -10.0, 80.0, 60.0));
         let goal_a = Goal::Point(Point::new(200.0, 0.0));
         let goal_b = Goal::Segment(Segment::new(Point::new(0.0, 90.0), Point::new(220.0, 90.0)));
 
@@ -661,15 +662,15 @@ mod tests {
         assert_eq!(warm.ensure_prepared(&g, s, goal_a, true), Prep::Cold);
         warm.run_all(&mut g);
         for (goal, load, remove) in [
-            (goal_b, None, false),
-            (goal_a, Some(Rect::new(120.0, 20.0, 150.0, 110.0)), false),
-            (goal_b, None, true),
+            (goal_b, None, None),
+            (goal_a, Some(Rect::new(120.0, 20.0, 150.0, 110.0)), None),
+            (goal_b, None, Some(points[5])),
         ] {
             if let Some(r) = load {
                 g.add_obstacle(r);
             }
-            if remove {
-                g.remove_obstacle(&gone).expect("live obstacle");
+            if let Some(p) = remove {
+                g.remove_node(p);
             }
             assert_eq!(warm.ensure_prepared(&g, s, goal, true), Prep::Cold);
             let mut fresh = DijkstraEngine::default();
@@ -721,7 +722,7 @@ mod tests {
     }
 
     /// Every structural change of the graph starts the next search cold —
-    /// an obstacle load, an endpoint or a data point added, an obstacle
+    /// an obstacle load, an endpoint or a data point added, a data point
     /// removed, a node removed and its slot rebound to a different point —
     /// and the cold run settles exactly the sequence a fresh engine
     /// settles, bit for bit. Straight after, with nothing changed, the same
@@ -731,14 +732,15 @@ mod tests {
         let goal = Goal::Point(Point::new(200.0, 0.0));
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
-        for i in 0..12 {
-            g.add_point(
-                Point::new((i * 31 % 210) as f64, (i * 17 % 90) as f64 - 20.0),
-                NodeKind::DataPoint,
-            );
-        }
-        let wall = Rect::new(60.0, 20.0, 90.0, 70.0);
-        g.add_obstacle(wall);
+        let points: Vec<NodeId> = (0..12)
+            .map(|i| {
+                g.add_point(
+                    Point::new((i * 31 % 210) as f64, (i * 17 % 90) as f64 - 20.0),
+                    NodeKind::DataPoint,
+                )
+            })
+            .collect();
+        g.add_obstacle(Rect::new(64.0, -10.0, 90.0, 40.0));
         let mut warm = DijkstraEngine::default();
         assert_eq!(warm.ensure_prepared(&g, s, goal, true), Prep::Cold);
         warm.run_all(&mut g);
@@ -757,7 +759,7 @@ mod tests {
         restarts_cold(&mut warm, &mut g);
         let p = g.add_point(Point::new(60.0, 60.0), NodeKind::DataPoint);
         restarts_cold(&mut warm, &mut g);
-        g.remove_obstacle(&wall).expect("live obstacle");
+        g.remove_node(points[3]);
         restarts_cold(&mut warm, &mut g);
         g.remove_node(p);
         let p2 = g.add_point(Point::new(700.0, 700.0), NodeKind::DataPoint);

@@ -3,9 +3,11 @@
 //! Mirrors the paper's §4.1 usage: the graph starts with the query endpoints
 //! `S`, `E`; IOR streams obstacles in (each contributing its four vertices);
 //! each data point under evaluation is added, queried, and removed again.
-//! Every such change bumps [`VisGraph::version`], and a search over the
-//! changed graph starts cold: `DijkstraEngine` carries labels forward only
-//! by replaying a search on the version it ran on.
+//! The obstacle set only grows: an obstacle leaves the graph only when
+//! [`VisGraph::reset`] clears it for the next query. Every change bumps
+//! [`VisGraph::version`], and a search over the changed graph starts cold:
+//! `DijkstraEngine` carries labels forward only by replaying a search on
+//! the version it ran on.
 //!
 //! Adjacency is **symmetric** and **bitangent**: an edge `u — v` exists
 //! when the two nodes see each other and the segment lies along a tangent
@@ -266,9 +268,8 @@ pub struct VisGraph {
     /// Scratch for visible-region candidate gathering (ids + rects).
     vr_ids: Vec<u32>,
     vr_rects: Vec<Rect>,
-    /// Lifetime count of surgical base-cache operations: incremental
-    /// repairs performed plus caches invalidated by obstacle removal.
-    /// Monotone across resets, like the sight-test counter.
+    /// Lifetime count of incremental base-row repairs. Monotone across
+    /// resets, like the sight-test counter.
     adj_repairs: u64,
 }
 
@@ -368,14 +369,14 @@ impl VisGraph {
         self.node_pos.len()
     }
 
-    /// Number of live obstacle rectangles (loads minus removals).
+    /// Number of obstacle rectangles loaded since the last reset.
     pub fn num_obstacles(&self) -> usize {
-        self.grid.num_live()
+        self.grid.len()
     }
 
-    /// Monotone counter bumped by every structural change — a node or
-    /// obstacle added or removed, a reset. A search prepared at the current
-    /// version may be replayed; any other starts cold.
+    /// Monotone counter bumped by every structural change — a node added
+    /// or removed, an obstacle added, a reset. A search prepared at the
+    /// current version may be replayed; any other starts cold.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -421,11 +422,10 @@ impl VisGraph {
         self.grid.sweep_events()
     }
 
-    /// Lifetime count of surgical base-cache operations: incremental
-    /// repairs performed ([`VisGraph::neighbors_into_ranged`]'s repair
-    /// path) plus caches invalidated by [`VisGraph::remove_obstacle`].
-    /// Monotone across [`VisGraph::reset`]; callers diff marks per query
-    /// window, like [`VisGraph::sight_tests`].
+    /// Lifetime count of incremental base-row repairs
+    /// ([`VisGraph::neighbors_into_ranged`]'s repair path). Monotone across
+    /// [`VisGraph::reset`]; callers diff marks per query window, like
+    /// [`VisGraph::sight_tests`].
     pub fn adjacency_repairs(&self) -> u64 {
         self.adj_repairs
     }
@@ -456,10 +456,9 @@ impl VisGraph {
     }
 
     /// Removes a data point added with [`VisGraph::add_point`] once its
-    /// evaluation ends. Only data points are removed: a query endpoint
-    /// lives until [`VisGraph::reset`], an obstacle vertex until
-    /// [`VisGraph::remove_obstacle`]. The point lives in the transient
-    /// overlay, so no base row is touched.
+    /// evaluation ends. Only data points are removed: query endpoints and
+    /// obstacle vertices live until [`VisGraph::reset`]. The point lives in
+    /// the transient overlay, so no base row is touched.
     pub fn remove_node(&mut self, id: NodeId) {
         let i = id.index();
         debug_assert!(self.node_alive[i], "double removal of node {id:?}");
@@ -490,82 +489,6 @@ impl VisGraph {
         }
         self.rect_corners.push(ids.map(|id| id.0));
         ids
-    }
-
-    /// Removes a previously added obstacle, **surgically**: the grid slot
-    /// is tombstoned, the rectangle's four corner nodes die, and the only
-    /// base adjacency caches invalidated are those whose completeness
-    /// window intersects the removed rectangle.
-    ///
-    /// Why the window test is exact: a cache of node `u` with radius `ρ`
-    /// holds edges only to nodes inside the closed Chebyshev window
-    /// `[u ± ρ]` (the window-membership rule every constructor obeys). If
-    /// that window is disjoint from `r`, the cache (a) holds no edge to
-    /// the departed corners — they lie on `r`'s boundary, inside any
-    /// intersecting window — and (b) lost no blocked sight line to `r`:
-    /// both endpoints of every cached edge are in the convex window, so
-    /// the segment never leaves it and `r` could not have blocked it.
-    /// Such a cache stays byte-for-byte valid, which is what makes one
-    /// removal cost `O(caches near r)` instead of `O(all caches)`.
-    ///
-    /// `version` advances, so the next search starts cold: no label is
-    /// carried across a removal. `base_version` does **not** advance:
-    /// surviving caches are still exactly current. The rect-log
-    /// entry is retained; it is harmless to survivors by the same
-    /// disjointness argument, and tombstoned grid ids are filtered out
-    /// wherever id ranges are synthesized.
-    ///
-    /// `r` must coordinate-match a live obstacle exactly (callers hand
-    /// back the rectangle they inserted). Returns the number of adjacency
-    /// caches invalidated, or `None` when no live obstacle matches.
-    pub fn remove_obstacle(&mut self, r: &Rect) -> Option<u64> {
-        let gid = (0..self.grid.len() as u32).rev().find(|&id| {
-            self.grid.is_live(id) && {
-                let s = self.grid.rects()[id as usize];
-                s.min_x == r.min_x && s.min_y == r.min_y && s.max_x == r.max_x && s.max_y == r.max_y
-            }
-        })?;
-        self.grid.remove(gid);
-        self.version += 1;
-        let corners = self.rect_corners[gid as usize];
-        for cid in corners {
-            let i = cid as usize;
-            debug_assert!(self.node_alive[i], "obstacle corner already dead");
-            debug_assert_eq!(self.node_kind[i], NodeKind::ObstacleVertex);
-            self.node_alive[i] = false;
-            self.free.push(cid);
-        }
-        // dead corners must not resurface through cache repair's
-        // node-append pass
-        self.node_log.retain(|&(_, nid)| !corners.contains(&nid));
-        let mut dropped = 0_u64;
-        // slots past the nodes in use hold no cache (see `reset`)
-        for i in 0..self.node_alive.len() {
-            let m = self.adj[i];
-            if m.version == STALE || !self.node_alive[i] {
-                continue;
-            }
-            let hit = if m.radius.is_finite() {
-                let upos = self.node_pos[i];
-                let window = Rect::new(
-                    upos.x - m.radius,
-                    upos.y - m.radius,
-                    upos.x + m.radius,
-                    upos.y + m.radius,
-                );
-                window.intersects(r)
-            } else {
-                true
-            };
-            if hit {
-                self.retire_range(i);
-                self.adj[i].version = STALE;
-                self.adj[i].radius = 0.0;
-                dropped += 1;
-            }
-        }
-        self.adj_repairs += dropped;
-        Some(dropped)
     }
 
     fn push_node(&mut self, pos: Point, kind: NodeKind, turn: f64) -> NodeId {
@@ -866,10 +789,10 @@ impl VisGraph {
                 }
             }
         } else {
-            // infinite radius: every live obstacle can block, every stable
-            // node is a candidate (tombstoned grid ids are skipped)
+            // infinite radius: every obstacle can block, every stable node
+            // is a candidate
             rect_ids.clear();
-            rect_ids.extend((0..self.grid.len() as u32).filter(|&id| self.grid.is_live(id)));
+            rect_ids.extend(0..self.grid.len() as u32);
             for vid in 0..self.node_pos.len() as u32 {
                 if self.node_kind[vid as usize] == NodeKind::DataPoint {
                     continue;
@@ -939,7 +862,8 @@ impl VisGraph {
         self.vr_rects = rects;
     }
 
-    /// The local obstacle rectangles (ablation baselines iterate these).
+    /// The obstacle rectangles loaded since the last reset, in load order
+    /// (ablation baselines iterate these).
     pub fn obstacles(&self) -> &[Rect] {
         self.grid.rects()
     }
@@ -947,7 +871,7 @@ impl VisGraph {
     /// Sanitizer audit of every up-to-date base adjacency cache:
     ///
     /// * the corner lane agrees with the rectangle list: every corner of a
-    ///   live rectangle carries the sign of its position in the rectangle,
+    ///   rectangle carries the sign of its position in the rectangle,
     ///   every point node carries none;
     /// * every cached edge points at a *live stable* node, with a finite
     ///   non-negative weight equal to the Euclidean distance between the
@@ -970,14 +894,12 @@ impl VisGraph {
         let ctx = "VisGraph adjacency";
         let fresh = |m: &AdjMeta| m.version == self.base_version && m.version != STALE;
         let range = |m: &AdjMeta| (m.start as usize, (m.start + m.len) as usize);
-        // Some(true) at the (min, min) / (max, max) corners of a live
+        // Some(true) at the (min, min) / (max, max) corners of a
         // rectangle, Some(false) at its other two, None for point nodes
         let mut on_diagonal: Vec<Option<bool>> = vec![None; self.node_pos.len()];
-        for (gid, corners) in self.rect_corners.iter().enumerate() {
-            if self.grid.is_live(gid as u32) {
-                for (k, &c) in corners.iter().enumerate() {
-                    on_diagonal[c as usize] = Some(k % 2 == 0);
-                }
+        for corners in &self.rect_corners {
+            for (k, &c) in corners.iter().enumerate() {
+                on_diagonal[c as usize] = Some(k % 2 == 0);
             }
         }
         // the two closed quadrants beside a corner's rectangle: second and
@@ -1049,9 +971,7 @@ impl VisGraph {
                     }
                 }
                 let seg = Segment::new(upos, self.node_pos[vi]);
-                let blocker = (0..self.grid.len() as u32).find(|&gid| {
-                    self.grid.is_live(gid) && self.grid.rects()[gid as usize].blocks(&seg)
-                });
+                let blocker = self.grid.rects().iter().position(|r| r.blocks(&seg));
                 if let Some(gid) = blocker {
                     sanitize::violation(
                         ctx,
@@ -1279,95 +1199,6 @@ mod tests {
         let after: Vec<(u32, f64)> = row(&mut g, a);
         assert_eq!(before, after);
         assert!(!after.iter().any(|e| e.0 == p.0));
-    }
-
-    #[test]
-    fn remove_obstacle_restores_sight_and_kills_corners() {
-        let mut g = graph();
-        let a = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
-        let b = g.add_point(Point::new(200.0, 50.0), NodeKind::Endpoint);
-        let r = Rect::new(90.0, 0.0, 110.0, 100.0);
-        let corners = g.add_obstacle(r);
-        let blocked: Vec<u32> = row(&mut g, a).iter().map(|e| e.0).collect();
-        assert!(!blocked.contains(&b.0));
-
-        let version = g.version();
-        let dropped = g.remove_obstacle(&r).expect("live obstacle");
-        assert!(dropped >= 1, "a's cache intersects the rect");
-        assert!(g.version() > version, "removal must advance the version");
-        assert_eq!(g.num_obstacles(), 0);
-        for c in corners {
-            assert!(!g.is_alive(c), "corner {c:?} must die with its rect");
-        }
-        assert!(sees(&mut g, a, b));
-        assert_eq!(row(&mut g, a), &[(b.0, 200.0)]);
-        assert!(g.remove_obstacle(&r).is_none(), "double removal is None");
-    }
-
-    #[test]
-    fn removal_is_surgical_about_cache_windows() {
-        let mut g = graph();
-        let near = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
-        let far = g.add_point(Point::new(5000.0, 5000.0), NodeKind::Endpoint);
-        let r = Rect::new(90.0, 0.0, 110.0, 100.0);
-        g.add_obstacle(r);
-        let mut out = Vec::new();
-        g.neighbors_into_ranged(near, &mut out, |_, _| true, 300.0);
-        out.clear();
-        g.neighbors_into_ranged(far, &mut out, |_, _| true, 100.0);
-        let far_version = g.adj[far.index()].version;
-        assert_ne!(far_version, STALE);
-
-        let dropped = g.remove_obstacle(&r).unwrap();
-        assert_eq!(dropped, 1, "only the window intersecting the rect drops");
-        assert_eq!(g.adj[near.index()].version, STALE);
-        assert_eq!(
-            g.adj[far.index()].version,
-            far_version,
-            "the far cache must survive removal byte-for-byte"
-        );
-        assert!(g.adjacency_repairs() >= 1);
-    }
-
-    #[test]
-    fn interleaved_add_remove_matches_cold_graph() {
-        // edge sets compare by (target position, weight): node ids differ
-        // between the mutated and the cold-built graph
-        fn edge_set(g: &mut VisGraph, u: NodeId) -> Vec<(u64, u64, u64)> {
-            let mut v: Vec<(u64, u64, u64)> = row(g, u)
-                .iter()
-                .map(|&(t, w)| {
-                    let p = g.node_pos(NodeId(t));
-                    (p.x.to_bits(), p.y.to_bits(), w.to_bits())
-                })
-                .collect();
-            v.sort_unstable();
-            v
-        }
-        let rects = [
-            Rect::new(90.0, 0.0, 110.0, 100.0),
-            Rect::new(150.0, 20.0, 170.0, 90.0),
-            Rect::new(40.0, 40.0, 60.0, 140.0),
-            Rect::new(100.0, 120.0, 130.0, 160.0),
-        ];
-        let mut g = graph();
-        let a = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
-        g.add_obstacle(rects[0]);
-        g.add_obstacle(rects[1]);
-        let _ = row(&mut g, a); // build a cache mid-history
-        g.remove_obstacle(&rects[0]).unwrap();
-        g.add_obstacle(rects[2]);
-        let _ = row(&mut g, a);
-        g.add_obstacle(rects[3]);
-        g.remove_obstacle(&rects[2]).unwrap();
-        // final state: rects[1] and rects[3]
-        let mutated = edge_set(&mut g, a);
-
-        let mut cold = graph();
-        let ca = cold.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
-        cold.add_obstacle(rects[1]);
-        cold.add_obstacle(rects[3]);
-        assert_eq!(mutated, edge_set(&mut cold, ca));
     }
 
     /// A rebuild covers the request times 1.2, and at least two grid

@@ -74,16 +74,6 @@ impl CellTable {
         }
     }
 
-    /// Removes an id from a cell's live list, if present. Out-of-extent or
-    /// stale cells hold nothing, so there is nothing to scrub.
-    fn remove_id(&mut self, cx: i32, cy: i32, id: u32) {
-        if let Some(i) = self.slot(cx, cy) {
-            if self.stamps[i] == self.gen {
-                self.lists[i].retain(|&x| x != id);
-            }
-        }
-    }
-
     /// Appends an id to a cell's list, growing the extent when needed.
     fn push(&mut self, cx: i32, cy: i32, id: u32) {
         let i = match self.slot(cx, cy) {
@@ -152,12 +142,6 @@ struct Store {
     lanes: RectLanes,
     /// query stamp per obstacle, deduplicates candidates during one walk
     stamp: Vec<u64>,
-    /// liveness flag per obstacle id. Ids are never reused: removal
-    /// tombstones the slot (see [`ObstacleGrid::remove`]) so that every
-    /// id handed out stays a valid index into the parallel lanes.
-    live: Vec<bool>,
-    /// live obstacle count (`rects.len()` minus tombstones)
-    n_live: usize,
     /// lifetime count of segment-vs-rect classifications (see
     /// [`ObstacleGrid::sight_tests`])
     sight_tests: u64,
@@ -191,8 +175,6 @@ impl ObstacleGrid {
                 rects: Vec::new(),
                 lanes: RectLanes::new(),
                 stamp: Vec::new(),
-                live: Vec::new(),
-                n_live: 0,
                 sight_tests: 0,
                 sweep_events: 0,
             },
@@ -201,33 +183,19 @@ impl ObstacleGrid {
         }
     }
 
-    /// Size of the obstacle **id space**: every id ever returned by
-    /// [`ObstacleGrid::insert`] is `< len()`, including tombstoned ones.
-    /// Use [`ObstacleGrid::num_live`] for the count of live obstacles.
+    /// Number of registered obstacles: every id returned by
+    /// [`ObstacleGrid::insert`] is `< len()`.
     pub fn len(&self) -> usize {
         self.store.rects.len()
     }
 
-    /// True when no obstacles were ever registered (tombstones count as
-    /// registered — the id space is non-empty).
+    /// True when no obstacle is registered.
     pub fn is_empty(&self) -> bool {
         self.store.rects.is_empty()
     }
 
-    /// Number of live (non-tombstoned) obstacles.
-    pub fn num_live(&self) -> usize {
-        self.store.n_live
-    }
-
-    /// True when the id still addresses a live obstacle (false after
-    /// [`ObstacleGrid::remove`], or for out-of-range ids).
-    pub fn is_live(&self, id: u32) -> bool {
-        self.store.live.get(id as usize).copied().unwrap_or(false)
-    }
-
-    /// The registered obstacle rectangles, in insertion order. Tombstoned
-    /// slots keep their historical rectangle — filter with
-    /// [`ObstacleGrid::is_live`] when liveness matters.
+    /// The registered obstacle rectangles, in insertion order (indexed by
+    /// id).
     pub fn rects(&self) -> &[Rect] {
         &self.store.rects
     }
@@ -296,8 +264,6 @@ impl ObstacleGrid {
         self.store.rects.clear();
         self.store.lanes.clear();
         self.store.stamp.clear();
-        self.store.live.clear();
-        self.store.n_live = 0;
     }
 
     /// The current cell size.
@@ -319,8 +285,6 @@ impl ObstacleGrid {
         self.store.rects.push(r);
         self.store.lanes.push(&r);
         self.store.stamp.push(0);
-        self.store.live.push(true);
-        self.store.n_live += 1;
         let (x0, y0) = self.cell_of(r.min_x, r.min_y);
         let (x1, y1) = self.cell_of(r.max_x, r.max_y);
         // dilate by one ring: queries then walk only exact cells
@@ -330,34 +294,6 @@ impl ObstacleGrid {
             }
         }
         id
-    }
-
-    /// Tombstones an obstacle: scrubs its id from every cell it was
-    /// registered in and collapses its coordinate lanes to a zero-area
-    /// rectangle (which no sight test classifies as blocking, so even a
-    /// caller-retained candidate id is harmless). The id slot itself is
-    /// never reused — parallel arrays stay index-stable. Returns `false`
-    /// when the id is out of range or already tombstoned.
-    pub fn remove(&mut self, id: u32) -> bool {
-        let idx = id as usize;
-        if idx >= self.store.rects.len() || !self.store.live[idx] {
-            return false;
-        }
-        self.store.live[idx] = false;
-        self.store.n_live -= 1;
-        let r = self.store.rects[idx];
-        self.store
-            .lanes
-            .overwrite(idx, &Rect::from_point(Point::new(r.min_x, r.min_y)));
-        // scrub the same dilated one-ring cell range insert registered
-        let (x0, y0) = self.cell_of(r.min_x, r.min_y);
-        let (x1, y1) = self.cell_of(r.max_x, r.max_y);
-        for cx in (x0 - 1)..=(x1 + 1) {
-            for cy in (y0 - 1)..=(y1 + 1) {
-                self.cells.remove_id(cx, cy, id);
-            }
-        }
-        true
     }
 
     /// True when segment `a→b` passes through any obstacle's open interior.
@@ -547,37 +483,6 @@ mod tests {
         assert!(!g.blocks(Point::new(100.0, 100.0), Point::new(100.0, 100.0)));
     }
 
-    #[test]
-    fn remove_tombstones_and_unblocks() {
-        let r0 = Rect::new(100.0, 100.0, 200.0, 150.0);
-        let r1 = Rect::new(400.0, 100.0, 500.0, 150.0);
-        let mut g = grid_with(&[r0, r1]);
-        assert_eq!(g.num_live(), 2);
-        assert!(g.blocks(Point::new(0.0, 120.0), Point::new(300.0, 120.0)));
-
-        assert!(g.remove(0));
-        assert!(!g.remove(0), "double remove is a no-op");
-        assert!(!g.remove(7), "out-of-range remove is a no-op");
-        assert_eq!(g.num_live(), 1);
-        assert_eq!(g.len(), 2, "id space keeps the tombstone");
-        assert!(!g.is_live(0));
-        assert!(g.is_live(1));
-
-        // the removed wall no longer blocks; the surviving one still does
-        assert!(!g.blocks(Point::new(0.0, 120.0), Point::new(300.0, 120.0)));
-        assert!(g.blocks(Point::new(300.0, 120.0), Point::new(600.0, 120.0)));
-
-        // candidate collection no longer surfaces the tombstone
-        let mut out = Vec::new();
-        g.candidates_in_rect(&Rect::new(0.0, 0.0, 600.0, 300.0), &mut out);
-        assert!(!out.contains(&0));
-        assert!(out.contains(&1));
-
-        // even an explicitly retained id cannot block after removal
-        let sight = Segment::new(Point::new(0.0, 120.0), Point::new(300.0, 120.0));
-        assert!(!SegProbe::new(&sight).blocks(&g.store.lanes, 0));
-    }
-
     /// A walk is charged one sight test per rectangle it probes, not per
     /// rectangle its cell lists: the first of twelve rectangles in the
     /// start cell blocks, so the walk stops after one probe.
@@ -592,17 +497,6 @@ mod tests {
         assert_eq!(g.cells.get(2, 2).len(), 12, "one cell lists all twelve");
         assert!(g.blocks(Point::new(120.0, 102.0), Point::new(120.0, 148.0)));
         assert_eq!(g.sight_tests(), 1);
-    }
-
-    #[test]
-    fn reinsert_after_remove_gets_fresh_id() {
-        let r = Rect::new(100.0, 100.0, 200.0, 150.0);
-        let mut g = grid_with(&[r]);
-        assert!(g.remove(0));
-        let id = g.insert(r);
-        assert_eq!(id, 1, "tombstoned ids are never reused");
-        assert_eq!(g.num_live(), 1);
-        assert!(g.blocks(Point::new(0.0, 120.0), Point::new(300.0, 120.0)));
     }
 
     #[test]
