@@ -8,10 +8,9 @@
 //! [`Workspace`] behind reset-and-reuse APIs: answering N queries performs
 //! O(1) substrate allocations instead of O(N). It is what
 //! [`crate::ConnService`] runs every query on, and the direct entry point
-//! for single-threaded figure and bench code and for the two families
-//! without a [`crate::QueryKind`] (the single-tree layout of §4.5 and
-//! [`QueryEngine::visible_knn`]). Its [`ConnConfig`] is fixed at
-//! construction.
+//! for single-threaded figure and bench code and for the one family
+//! without a [`crate::QueryKind`] (the single-tree layout of §4.5). Its
+//! [`ConnConfig`] is fixed at construction.
 //!
 //! The engine is deliberately `!Sync` — one engine serves one thread; the
 //! persistent [`crate::EnginePool`] keeps one engine per worker slot (each
@@ -50,7 +49,7 @@ use crate::config::ConnConfig;
 use crate::conn::{run_search, ConnResult};
 use crate::cpl::VrCache;
 use crate::ior::IorState;
-use crate::odist::Resolver;
+use crate::odist::{Anchor, Resolver};
 use crate::rlu::{KnnResultList, RluScratch};
 use crate::single_tree::{OneTreeStreams, SpatialObject};
 use crate::stats::{QueryStats, ReuseCounters};
@@ -62,8 +61,8 @@ use crate::types::DataPoint;
 /// holds the workspace exclusively.
 #[derive(Debug, Default)]
 pub(crate) struct Meters {
-    /// Point trees: the data tree, both point trees of a join, the unified
-    /// tree of the single-tree layout.
+    /// Point trees: the data tree, or the unified tree of the single-tree
+    /// layout.
     pub(crate) data: IoMeter,
     /// The obstacle tree.
     pub(crate) obstacle: IoMeter,
@@ -171,15 +170,24 @@ impl Workspace {
         }
     }
 
-    /// The point-anchored obstacle loader over this workspace (rewound by
+    /// The obstacle loader at `anchor` over this workspace (rewound by
     /// [`Workspace::begin_query`] first) and `tree`, charging `io`.
     pub(crate) fn resolver<'w>(
         &'w mut self,
         tree: &'w RStarTree<Rect>,
         cfg: &ConnConfig,
         io: &'w IoMeter,
+        anchor: Anchor,
     ) -> Resolver<'w> {
-        Resolver::new(&mut self.g, &mut self.dij, &mut self.loaded, tree, cfg, io)
+        Resolver::new(
+            &mut self.g,
+            &mut self.dij,
+            &mut self.loaded,
+            tree,
+            cfg,
+            io,
+            anchor,
+        )
     }
 
     /// Closes the window of the current query: what the substrate counted
@@ -265,8 +273,8 @@ impl QueryEngine {
     /// counts react to the buffers — Figure 12's experiment — and only
     /// queries run on *this* engine share them, so a buffered workload runs
     /// on one engine. Frames are keyed by tree identity, so a page of one
-    /// tree never hits on a frame of another (another epoch, shard or join
-    /// side) that happens to reuse the page id.
+    /// tree never hits on a frame of another (another epoch or shard) that
+    /// happens to reuse the page id.
     pub fn set_buffer_pages(&mut self, data: usize, obstacle: usize) {
         self.io.data.set_buffer_pages(data);
         self.io.obstacle.set_buffer_pages(obstacle);

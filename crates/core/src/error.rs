@@ -16,8 +16,8 @@ use conn_geom::Interval;
 #[non_exhaustive]
 pub enum Error {
     /// The request is malformed and was rejected up front: a NaN/infinite
-    /// coordinate, a degenerate (zero-length) query segment, `k = 0`, a
-    /// negative radius or join distance, or an empty join set.
+    /// coordinate, a degenerate (zero-length) query segment, `k = 0` or a
+    /// negative radius.
     InvalidQuery(String),
     /// A result list violates its coverage invariant (gaps, zero-width
     /// tuples, or a cover that does not end at the query length).

@@ -65,9 +65,8 @@
 //!
 //! [`ConnService::execute`] (and its batch and pinned-epoch variants) is the
 //! one way to run a query. Underneath it, a [`QueryEngine`] serves
-//! single-threaded figure and bench code directly and carries the two
-//! families that have no [`QueryKind`]: the single-tree layout of §4.5 and
-//! `visible_knn`.
+//! single-threaded figure and bench code directly and carries the one
+//! family that has no [`QueryKind`]: the single-tree layout of §4.5.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
@@ -88,7 +87,6 @@ mod engine;
 mod epoch;
 mod error;
 mod ior;
-mod joins;
 mod live;
 mod odist;
 mod onn;
@@ -96,7 +94,6 @@ mod orange;
 mod pool;
 mod query;
 mod rlu;
-mod rnn;
 mod service;
 mod session;
 mod shard;
@@ -106,7 +103,6 @@ mod stats;
 mod streams;
 mod trajectory;
 mod types;
-mod visible;
 
 pub use admission::{Admission, AdmissionConfig, Ticket};
 pub use batch::BatchStats;

@@ -167,8 +167,7 @@ enum Certificate {
     /// footprint meets the shortest-path ellipse
     /// `mindist(a, R) + mindist(b, R) ≤ dist`.
     Ellipse { a: Point, b: Point, dist: f64 },
-    /// No certificate (reverse NN, joins, trajectories): every delta
-    /// recomputes.
+    /// No certificate (trajectories): every delta recomputes.
     Always,
 }
 
@@ -219,7 +218,7 @@ fn answer_mentions(answer: &Answer, id: u32) -> bool {
             .entries()
             .iter()
             .any(|e| e.members.iter().any(|m| m.point.id == id)),
-        Answer::Onn(v) | Answer::Range(v) | Answer::Rnn(v) => v.iter().any(|(p, _)| p.id == id),
+        Answer::Onn(v) | Answer::Range(v) => v.iter().any(|(p, _)| p.id == id),
         Answer::Odist(_) | Answer::Route { .. } => false,
         _ => true,
     }
@@ -758,24 +757,11 @@ pub fn answers_equivalent(a: &Answer, b: &Answer, tol: f64) -> bool {
                 va.len() == vb.len() && va.iter().zip(&vb).all(|((_, da), (_, db))| close(*da, *db))
             })
         }
-        (Answer::Onn(x), Answer::Onn(y))
-        | (Answer::Range(x), Answer::Range(y))
-        | (Answer::Rnn(x), Answer::Rnn(y)) => {
+        (Answer::Onn(x), Answer::Onn(y)) | (Answer::Range(x), Answer::Range(y)) => {
             x.len() == y.len() && x.iter().zip(y).all(|((_, da), (_, db))| close(*da, *db))
         }
         (Answer::Odist(x), Answer::Odist(y)) => close(*x, *y),
         (Answer::Route { dist: x, .. }, Answer::Route { dist: y, .. }) => close(*x, *y),
-        (Answer::EDistanceJoin(x), Answer::EDistanceJoin(y)) => {
-            x.len() == y.len()
-                && x.iter()
-                    .zip(y)
-                    .all(|((_, _, da), (_, _, db))| close(*da, *db))
-        }
-        (Answer::ClosestPair(x), Answer::ClosestPair(y)) => match (x, y) {
-            (None, None) => true,
-            (Some((_, _, da)), Some((_, _, db))) => close(*da, *db),
-            _ => false,
-        },
         (Answer::Trajectory(x), Answer::Trajectory(y)) => {
             x.segments().len() == y.segments().len()
                 && x.segments()

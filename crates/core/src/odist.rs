@@ -4,30 +4,30 @@
 //!
 //! CONN/COkNN/trajectories load obstacles around a *segment*
 //! ([`crate::streams`], paper Algorithm 1). Everything anchored at points —
-//! odist, route, ONN, range, reverse NN, the joins and visible kNN — loads
-//! through the `Resolver` here, incrementally from the obstacle R\*-tree
-//! and bounded by the current best distance, never from a flat copy of the
-//! field.
+//! odist, route, ONN and range — loads through the `Resolver` here,
+//! incrementally from the obstacle R\*-tree and bounded by the current best
+//! distance, never from a flat copy of the field.
 //!
 //! ## Contract
 //!
-//! After `Resolver::load``(anchor, B)` the graph holds every tree obstacle
-//! `R` with `anchor.dist_rect(R) ≤ B` (`affected` adds float slack):
+//! A resolver serves one query and one `Anchor`, fixed when it is made.
+//! After `Resolver::load``(B)` the graph holds every tree obstacle `R` with
+//! `anchor.dist_rect(R) ≤ B` (`affected` adds float slack):
 //!
 //! * `Anchor::Disc``(s)` — `mindist(s, R) ≤ B`. Every point of a path of
 //!   length `≤ B` that starts or ends at `s` lies within `B` of `s`, so no
 //!   unloaded obstacle can touch such a path (Lemma 3 with `q` degenerated
-//!   to the point `s`). One anchor serves many targets: the `nearest_iter`
-//!   stream stays open while the anchor is unchanged.
+//!   to the point `s`). One anchor serves many targets: ONN settles every
+//!   candidate on one `nearest_iter` stream.
 //! * `Anchor::Ellipse``(a, b)` — `mindist(a, R) + mindist(b, R) ≤ B`. Any
 //!   point `x` of an `a`–`b` path of length `≤ B` has `|ax| + |xb| ≤ B`, so
 //!   again no unloaded obstacle can touch it. The sum lower-bounds itself
 //!   over R-tree nodes (an MBR is no farther from either focus than its
 //!   contents), so the tree streams obstacles in ascending sum directly.
 //!
-//! When the anchor moves the stream is re-opened and deduplicated against
-//! the graph's [`LoadedObstacles`], so a graph shared by many pairs (joins,
-//! reverse NN) accumulates each obstacle once.
+//! The stream opens on the first load, so a query answered without one
+//! reads no obstacle page for it. Each streamed obstacle still passes the
+//! graph's [`LoadedObstacles`], which drops duplicate input rectangles.
 //!
 //! `Resolver::settle` is the fix-point on top: load to `B`, search, and
 //! stop when the distance `d ≤ B` — the graph then holds only real
@@ -59,7 +59,7 @@ pub(crate) fn affected(lower: f64, bound: f64) -> bool {
 }
 
 /// What an obstacle load is anchored at (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Anchor {
     /// Paths that start or end at one point.
     Disc(Point),
@@ -77,9 +77,8 @@ impl DistShape for Anchor {
     }
 }
 
-/// The obstacle stream of the current anchor.
+/// The obstacle stream of the resolver's anchor.
 struct OpenStream<'w> {
-    anchor: Anchor,
     iter: NearestIter<'w, Rect, Anchor>,
     /// Popped but beyond the bound of the load that popped it.
     pending: Option<(Rect, f64)>,
@@ -90,7 +89,8 @@ struct OpenStream<'w> {
 
 /// The loader and resolver over the visibility graph, Dijkstra engine and
 /// loaded set of one query's [`crate::engine::Workspace`] and one obstacle
-/// tree, whose page reads are charged to `io`.
+/// tree, whose page reads are charged to `io`. Every load is anchored at
+/// `anchor`.
 pub(crate) struct Resolver<'w> {
     pub(crate) g: &'w mut VisGraph,
     pub(crate) dij: &'w mut DijkstraEngine,
@@ -98,6 +98,8 @@ pub(crate) struct Resolver<'w> {
     tree: &'w RStarTree<Rect>,
     io: &'w IoMeter,
     kernel: KernelMode,
+    anchor: Anchor,
+    /// Opened by the first load.
     stream: Option<OpenStream<'w>>,
     /// Obstacles this resolver inserted into the graph (the NOE metric).
     pub(crate) noe: u64,
@@ -112,6 +114,7 @@ impl<'w> Resolver<'w> {
         tree: &'w RStarTree<Rect>,
         cfg: &ConnConfig,
         io: &'w IoMeter,
+        anchor: Anchor,
     ) -> Self {
         Resolver {
             g,
@@ -120,6 +123,7 @@ impl<'w> Resolver<'w> {
             tree,
             io,
             kernel: cfg.kernel,
+            anchor,
             stream: None,
             noe: 0,
         }
@@ -136,19 +140,15 @@ impl<'w> Resolver<'w> {
             .any(|(r, _)| r.strictly_contains(p))
     }
 
-    /// Loads every not-yet-loaded tree obstacle within `bound` of `anchor`
-    /// and returns the bound the anchor is now loaded to (a previous call
-    /// may already have gone further).
-    pub(crate) fn load(&mut self, anchor: Anchor, bound: f64) -> f64 {
-        let s = match &mut self.stream {
-            Some(s) if s.anchor == anchor => s,
-            slot => slot.insert(OpenStream {
-                anchor,
-                iter: self.tree.nearest_iter_metered(anchor, self.io),
-                pending: None,
-                upto: f64::NEG_INFINITY,
-            }),
-        };
+    /// Loads every not-yet-loaded tree obstacle within `bound` of the
+    /// anchor and returns the bound the anchor is now loaded to (a previous
+    /// call may already have gone further).
+    pub(crate) fn load(&mut self, bound: f64) -> f64 {
+        let s = self.stream.get_or_insert_with(|| OpenStream {
+            iter: self.tree.nearest_iter_metered(self.anchor, self.io),
+            pending: None,
+            upto: f64::NEG_INFINITY,
+        });
         if bound <= s.upto {
             return s.upto;
         }
@@ -173,18 +173,12 @@ impl<'w> Resolver<'w> {
 
     /// Exact obstructed distance from node `src` to node `dst` (`∞` when
     /// unreachable) by the load–search fix-point of the module docs,
-    /// starting at `bound`. Every `src`–`dst` path must be one `anchor`
+    /// starting at `bound`. Every `src`–`dst` path must be one the anchor
     /// covers.
-    pub(crate) fn settle(
-        &mut self,
-        anchor: Anchor,
-        src: NodeId,
-        dst: NodeId,
-        mut bound: f64,
-    ) -> f64 {
+    pub(crate) fn settle(&mut self, src: NodeId, dst: NodeId, mut bound: f64) -> f64 {
         let goal = self.kernel.point_goal(self.g.node_pos(dst));
         loop {
-            bound = self.load(anchor, bound);
+            bound = self.load(bound);
             // a round that loaded obstacles starts cold; one that loaded
             // none replays the previous round's search
             self.dij
@@ -197,10 +191,11 @@ impl<'w> Resolver<'w> {
         }
     }
 
+    /// Needs the anchor `Ellipse(a, b)`.
     fn pair(&mut self, a: Point, b: Point) -> (f64, NodeId, NodeId) {
         let na = self.g.add_point(a, NodeKind::DataPoint);
         let nb = self.g.add_point(b, NodeKind::DataPoint);
-        let d = self.settle(Anchor::Ellipse(a, b), na, nb, a.dist(b));
+        let d = self.settle(na, nb, a.dist(b));
         (d, na, nb)
     }
 
@@ -231,12 +226,13 @@ impl<'w> Resolver<'w> {
 impl QueryEngine {
     /// Runs one point-anchored family on the rewound workspace: opens the
     /// counter window, hands `body` the [`Resolver`] over `obstacle_tree`
-    /// and the meter its point-tree traversals are charged to, and
-    /// assembles the stats around what it returns — the answer, the points
-    /// evaluated (NPE) and the result tuples.
+    /// at `anchor` and the meter its point-tree traversals are charged to,
+    /// and assembles the stats around what it returns — the answer, the
+    /// points evaluated (NPE) and the result tuples.
     pub(crate) fn point_family<T>(
         &mut self,
         obstacle_tree: &RStarTree<Rect>,
+        anchor: Anchor,
         body: impl FnOnce(&mut Resolver<'_>, &IoMeter) -> (T, u64, u64),
     ) -> (T, QueryStats) {
         #[expect(
@@ -246,7 +242,7 @@ impl QueryEngine {
         let started = Instant::now();
         let (cfg, ws, io) = self.parts();
         ws.begin_query(io);
-        let mut resolver = ws.resolver(obstacle_tree, &cfg, &io.obstacle);
+        let mut resolver = ws.resolver(obstacle_tree, &cfg, &io.obstacle, anchor);
         let (answer, npe, result_tuples) = body(&mut resolver, &io.data);
         let noe = resolver.noe;
         let stats = QueryStats {
@@ -268,7 +264,7 @@ impl QueryEngine {
         b: Point,
         want_path: bool,
     ) -> ((f64, Option<Vec<Point>>), QueryStats) {
-        self.point_family(obstacle_tree, |r, _| {
+        self.point_family(obstacle_tree, Anchor::Ellipse(a, b), |r, _| {
             let route = if r.swallowed(a) || r.swallowed(b) {
                 (f64::INFINITY, None)
             } else if want_path {
@@ -390,31 +386,26 @@ mod tests {
 
     #[test]
     fn loads_follow_the_anchor_and_never_repeat() {
+        let near = Rect::new(10.0, -5.0, 20.0, 5.0);
         let far = Rect::new(500.0, 500.0, 510.0, 510.0);
-        let t = tree(&[
-            Rect::new(10.0, -5.0, 20.0, 5.0),
-            Rect::new(60.0, -5.0, 70.0, 5.0),
-            far,
-        ]);
+        // `near` twice: a duplicate input rectangle enters the graph once
+        let t = tree(&[near, near, Rect::new(60.0, -5.0, 70.0, 5.0), far]);
         let cfg = ConnConfig::default();
         let io = crate::engine::Meters::default();
         let mut ws = crate::engine::Workspace::new(&cfg);
         ws.begin_query(&io);
-        let mut r = ws.resolver(&t, &cfg, &io.obstacle);
-        let s = Point::new(0.0, 0.0);
+        let s = Point::new(10.0, 0.0);
+        let mut r = ws.resolver(&t, &cfg, &io.obstacle, Anchor::Disc(s));
         // a zero bound still loads what touches the anchor
-        r.load(Anchor::Disc(Point::new(10.0, 0.0)), 0.0);
+        assert_eq!(r.load(0.0), 0.0);
         assert_eq!(r.noe, 1);
-        // one anchor, growing bound: the open stream continues
-        assert_eq!(r.load(Anchor::Disc(s), 15.0), 15.0);
-        assert_eq!(r.noe, 1, "already in the graph");
-        assert_eq!(r.load(Anchor::Disc(s), 5.0), 15.0, "already loaded further");
-        r.load(Anchor::Disc(s), 65.0);
+        // a growing bound continues the open stream
+        assert_eq!(r.load(15.0), 15.0);
+        assert_eq!(r.noe, 1, "nothing new within 15");
+        assert_eq!(r.load(5.0), 15.0, "already loaded further");
+        r.load(55.0);
         assert_eq!(r.noe, 2);
-        // a moved anchor re-opens the stream; loaded obstacles are skipped
-        r.load(Anchor::Ellipse(s, Point::new(100.0, 0.0)), 100.0);
-        assert_eq!(r.noe, 2);
-        r.load(Anchor::Ellipse(s, far.center()), 2000.0);
+        r.load(2000.0);
         assert_eq!(r.noe, 3);
         assert_eq!(ws.g.num_obstacles(), 3);
     }

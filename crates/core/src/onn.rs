@@ -51,7 +51,8 @@ impl QueryEngine {
         k: usize,
     ) -> (Vec<(DataPoint, f64)>, QueryStats) {
         assert!(k >= 1, "k must be positive");
-        self.point_family(obstacle_tree, |r, data_io| {
+        // every path ends at `s`, so one disc around it serves all candidates
+        self.point_family(obstacle_tree, Anchor::Disc(s), |r, data_io| {
             // An anchor strictly inside an obstacle reaches nothing: every
             // obstructed distance is ∞, the k-th bound never tightens, and
             // the candidate stream would be walked to exhaustion. The
@@ -70,10 +71,9 @@ impl QueryEngine {
                 }
                 let Some((p, _)) = points.next() else { break };
                 npe += 1;
-                // goal-directed from the candidate toward `s`; every path
-                // ends at `s`, so one disc around it serves all candidates
+                // goal-directed from the candidate toward `s`
                 let p_node = r.g.add_point(p.pos, NodeKind::DataPoint);
-                let od = r.settle(Anchor::Disc(s), p_node, s_node, s.dist(p.pos));
+                let od = r.settle(p_node, s_node, s.dist(p.pos));
                 r.g.remove_node(p_node);
                 if od.is_finite() {
                     let at = results.partition_point(|(_, d)| *d <= od);

@@ -29,11 +29,11 @@ impl QueryEngine {
         radius: f64,
     ) -> (Vec<(DataPoint, f64)>, QueryStats) {
         assert!(radius >= 0.0, "negative radius");
-        self.point_family(obstacle_tree, |r, data_io| {
+        self.point_family(obstacle_tree, Anchor::Disc(s), |r, data_io| {
             let s_node = r.g.add_point(s, NodeKind::Endpoint);
             // every path of length <= radius out of s stays within radius
             // of it, so one load up front serves all candidates
-            r.load(Anchor::Disc(s), radius);
+            r.load(radius);
             // an anchor strictly inside an obstacle reaches nothing; the disc
             // holds any such obstacle (`Resolver::swallowed`, no tree query)
             if r.g.obstacles().iter().any(|o| o.strictly_contains(s)) {

@@ -6,22 +6,19 @@
 //! database exposes one query interface over many plans:
 //!
 //! * a [`QueryKind`] variant per family — CONN, COkNN, snapshot ONN,
-//!   obstructed range / reverse-NN, point-to-point distance and route, the
-//!   two join queries, and trajectory CONN/COkNN;
+//!   obstructed range, point-to-point distance and route, and trajectory
+//!   CONN/COkNN;
 //! * **upfront validation**: [`QueryBuilder::build`] rejects NaN and
-//!   infinite coordinates, degenerate segments, `k = 0`, negative radii and
-//!   empty join sets with [`Error::InvalidQuery`] — inputs that historically
-//!   panicked (or span) deep inside the family internals;
+//!   infinite coordinates, degenerate segments, `k = 0` and negative radii
+//!   with [`Error::InvalidQuery`] — inputs that historically panicked (or
+//!   span) deep inside the family internals;
 //! * a typed [`Answer`] enum (plus [`Response`] with the per-query
 //!   [`QueryStats`]) replacing the ad-hoc tuple returns.
 //!
 //! Execution lives in [`crate::ConnService`]; a built [`Query`] is inert
 //! data and can be cloned, stored and shipped across threads.
 
-use std::sync::Arc;
-
 use conn_geom::{Point, Segment};
-use conn_index::RStarTree;
 
 use crate::coknn::CoknnResult;
 use crate::conn::ConnResult;
@@ -31,10 +28,6 @@ use crate::trajectory::{Trajectory, TrajectoryResult};
 use crate::types::DataPoint;
 
 /// The family a [`Query`] belongs to, with its parameters.
-///
-/// Join variants carry their second point set as a shared tree
-/// (`Arc<RStarTree<DataPoint>>`): the scene owns the *primary* data set,
-/// and the join streams candidate pairs between the two.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum QueryKind {
@@ -64,11 +57,6 @@ pub enum QueryKind {
         /// Obstructed-distance radius.
         radius: f64,
     },
-    /// Obstructed reverse nearest neighbors of a facility at `s`.
-    Rnn {
-        /// The facility location.
-        s: Point,
-    },
     /// Point-to-point obstructed distance over the scene's obstacles.
     Odist {
         /// Path start.
@@ -82,19 +70,6 @@ pub enum QueryKind {
         a: Point,
         /// Path end.
         b: Point,
-    },
-    /// All pairs `(p, o)` with `‖p, o‖ ≤ e` between the scene's data set
-    /// and `other`.
-    EDistanceJoin {
-        /// The second (outer) data set.
-        other: Arc<RStarTree<DataPoint>>,
-        /// The distance threshold.
-        e: f64,
-    },
-    /// The closest pair between the scene's data set and `other`.
-    ClosestPair {
-        /// The second (outer) data set.
-        other: Arc<RStarTree<DataPoint>>,
     },
     /// Trajectory CONN (`k = 1`) or COkNN (`k > 1`) along a polyline.
     Trajectory {
@@ -113,11 +88,8 @@ impl QueryKind {
             QueryKind::Coknn { .. } => "coknn",
             QueryKind::Onn { .. } => "onn",
             QueryKind::Range { .. } => "range",
-            QueryKind::Rnn { .. } => "rnn",
             QueryKind::Odist { .. } => "odist",
             QueryKind::Route { .. } => "route",
-            QueryKind::EDistanceJoin { .. } => "edistance_join",
-            QueryKind::ClosestPair { .. } => "closest_pair",
             QueryKind::Trajectory { .. } => "trajectory",
         }
     }
@@ -169,11 +141,6 @@ impl Query {
         QueryBuilder::new(QueryKind::Range { s, radius })
     }
 
-    /// Obstructed reverse nearest neighbors of `s`.
-    pub fn rnn(s: Point) -> QueryBuilder {
-        QueryBuilder::new(QueryKind::Rnn { s })
-    }
-
     /// Point-to-point obstructed distance.
     pub fn odist(a: Point, b: Point) -> QueryBuilder {
         QueryBuilder::new(QueryKind::Odist { a, b })
@@ -182,16 +149,6 @@ impl Query {
     /// Point-to-point obstructed distance plus the path itself.
     pub fn route(a: Point, b: Point) -> QueryBuilder {
         QueryBuilder::new(QueryKind::Route { a, b })
-    }
-
-    /// Obstructed e-distance join against a second point set.
-    pub fn edistance_join(other: Arc<RStarTree<DataPoint>>, e: f64) -> QueryBuilder {
-        QueryBuilder::new(QueryKind::EDistanceJoin { other, e })
-    }
-
-    /// Obstructed closest pair against a second point set.
-    pub fn closest_pair(other: Arc<RStarTree<DataPoint>>) -> QueryBuilder {
-        QueryBuilder::new(QueryKind::ClosestPair { other })
     }
 
     /// Trajectory CONN (`k = 1`) / COkNN (`k > 1`) along `route`.
@@ -274,29 +231,9 @@ impl QueryBuilder {
                     )));
                 }
             }
-            QueryKind::Rnn { s } => check_point(*s, family, "facility point")?,
             QueryKind::Odist { a, b } | QueryKind::Route { a, b } => {
                 check_point(*a, family, "source point")?;
                 check_point(*b, family, "target point")?;
-            }
-            QueryKind::EDistanceJoin { other, e } => {
-                if !e.is_finite() || *e < 0.0 {
-                    return Err(Error::invalid_query(format!(
-                        "{family}: join distance must be finite and non-negative (got {e})"
-                    )));
-                }
-                if other.is_empty() {
-                    return Err(Error::invalid_query(format!(
-                        "{family}: empty join set (the second tree holds no points)"
-                    )));
-                }
-            }
-            QueryKind::ClosestPair { other } => {
-                if other.is_empty() {
-                    return Err(Error::invalid_query(format!(
-                        "{family}: empty join set (the second tree holds no points)"
-                    )));
-                }
             }
             QueryKind::Trajectory { route, k } => {
                 check_k(*k, family)?;
@@ -334,8 +271,6 @@ pub enum Answer {
     Onn(Vec<(DataPoint, f64)>),
     /// Range search: `(point, obstructed distance)` ascending.
     Range(Vec<(DataPoint, f64)>),
-    /// Reverse NN: the captured points with their distances to `s`.
-    Rnn(Vec<(DataPoint, f64)>),
     /// Obstructed distance (∞ when unreachable).
     Odist(f64),
     /// Obstructed distance plus the path polyline (`None` when
@@ -346,10 +281,6 @@ pub enum Answer {
         /// The shortest path polyline (`None` when unreachable).
         path: Option<Vec<Point>>,
     },
-    /// All join pairs `(a, b, ‖a, b‖)` ascending by distance.
-    EDistanceJoin(Vec<(DataPoint, DataPoint, f64)>),
-    /// The closest pair, or `None` when either set is unreachable.
-    ClosestPair(Option<(DataPoint, DataPoint, f64)>),
     /// Trajectory CONN (`k = 1`): stitched tuples in cumulative arclength.
     Trajectory(TrajectoryResult),
     /// Trajectory COkNN (`k > 1`): one full result per leg.
@@ -364,11 +295,8 @@ impl Answer {
             Answer::Coknn(_) => "coknn",
             Answer::Onn(_) => "onn",
             Answer::Range(_) => "range",
-            Answer::Rnn(_) => "rnn",
             Answer::Odist(_) => "odist",
             Answer::Route { .. } => "route",
-            Answer::EDistanceJoin(_) => "edistance_join",
-            Answer::ClosestPair(_) => "closest_pair",
             Answer::Trajectory(_) => "trajectory",
             Answer::TrajectoryKnn(_) => "trajectory",
         }
@@ -407,10 +335,10 @@ impl Answer {
     }
 
     /// The `(point, distance)` list of a point-anchored family
-    /// ([`Answer::Onn`], [`Answer::Range`] or [`Answer::Rnn`]).
+    /// ([`Answer::Onn`] or [`Answer::Range`]).
     pub fn neighbors(&self) -> Option<&[(DataPoint, f64)]> {
         match self {
-            Answer::Onn(v) | Answer::Range(v) | Answer::Rnn(v) => Some(v),
+            Answer::Onn(v) | Answer::Range(v) => Some(v),
             _ => None,
         }
     }
@@ -430,23 +358,6 @@ impl Answer {
             Answer::Route {
                 path: Some(path), ..
             } => Some(path),
-            _ => None,
-        }
-    }
-
-    /// The pair list of an [`Answer::EDistanceJoin`].
-    pub fn pairs(&self) -> Option<&[(DataPoint, DataPoint, f64)]> {
-        match self {
-            Answer::EDistanceJoin(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The pair of an [`Answer::ClosestPair`] (inner `None` = no
-    /// connected pair).
-    pub fn pair(&self) -> Option<&Option<(DataPoint, DataPoint, f64)>> {
-        match self {
-            Answer::ClosestPair(p) => Some(p),
             _ => None,
         }
     }
@@ -557,10 +468,13 @@ mod tests {
             "non-finite",
         );
         assert_invalid(
-            Query::rnn(Point {
-                x: 0.0,
-                y: f64::INFINITY,
-            }),
+            Query::onn(
+                Point {
+                    x: 0.0,
+                    y: f64::INFINITY,
+                },
+                1,
+            ),
             "non-finite",
         );
         assert_invalid(
@@ -584,22 +498,6 @@ mod tests {
             "non-finite",
         );
         assert!(Query::range(s, 0.0).build().is_ok(), "zero radius is legal");
-    }
-
-    #[test]
-    fn empty_join_sets_are_rejected() {
-        let empty: Arc<RStarTree<DataPoint>> = Arc::new(RStarTree::bulk_load(vec![], 4096));
-        assert_invalid(Query::closest_pair(Arc::clone(&empty)), "empty join set");
-        assert_invalid(Query::edistance_join(empty, 10.0), "empty join set");
-        let one = Arc::new(RStarTree::bulk_load(
-            vec![DataPoint::new(0, Point::new(3.0, 4.0))],
-            4096,
-        ));
-        assert_invalid(
-            Query::edistance_join(Arc::clone(&one), -2.0),
-            "non-negative",
-        );
-        assert!(Query::closest_pair(one).build().is_ok());
     }
 
     #[test]

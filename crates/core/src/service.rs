@@ -367,9 +367,7 @@ impl<'a> ConnService<'a> {
     ///
     /// Note on empty scenes: a scene with no data points (or no
     /// obstacles) is *legal* — CONN reports an unassigned cover, the
-    /// point families report empty answers. Only the emptiness a [`Query`]
-    /// itself can see (the join families' `other` set) is rejected at
-    /// build time.
+    /// point families report empty answers.
     pub fn execute(&self, query: &Query) -> Result<Response, Error> {
         self.execute_at(&self.pin(), query)
     }
@@ -405,8 +403,7 @@ impl<'a> ConnService<'a> {
     /// Answers a **mixed-family** workload across the persistent engine
     /// pool on `threads` workers (`0` = available parallelism). Responses
     /// come back in workload order, each with the same stats — tree I/O
-    /// included, a join's caller-owned `other` tree too —
-    /// [`ConnService::execute`] reports for that query;
+    /// included — [`ConnService::execute`] reports for that query;
     /// [`BatchStats::pooled`] is their sum. The whole batch pins one epoch
     /// up front, so every query of the batch sees the same scene whatever
     /// publishes mid-flight.
@@ -485,8 +482,8 @@ enum ShardOutcome {
     /// the full scene. Discarded-attempt stats are dropped — the final
     /// [`QueryStats`] describe the run that produced the answer.
     Straddles,
-    /// The family has no local expansion bound (joins, reverse NN,
-    /// point-to-point distance, trajectories): always full-scene.
+    /// The family has no local expansion bound (point-to-point distance
+    /// and route, trajectories): always full-scene.
     NotShardable,
 }
 
@@ -618,10 +615,6 @@ pub(crate) fn dispatch(
             let (v, stats) = engine.range(dt, ot, *s, *radius);
             (Answer::Range(v), stats)
         }
-        QueryKind::Rnn { s } => {
-            let (v, stats) = engine.rnn(dt, ot, *s);
-            (Answer::Rnn(v), stats)
-        }
         QueryKind::Odist { a, b } => {
             let ((d, _), stats) = engine.odist(ot, *a, *b, false);
             (Answer::Odist(d), stats)
@@ -629,14 +622,6 @@ pub(crate) fn dispatch(
         QueryKind::Route { a, b } => {
             let ((dist, path), stats) = engine.odist(ot, *a, *b, true);
             (Answer::Route { dist, path }, stats)
-        }
-        QueryKind::EDistanceJoin { other, e } => {
-            let (pairs, stats) = engine.edistance_join(dt, other, ot, *e);
-            (Answer::EDistanceJoin(pairs), stats)
-        }
-        QueryKind::ClosestPair { other } => {
-            let (best, stats) = engine.closest_pair(dt, other, ot);
-            (Answer::ClosestPair(best), stats)
         }
         QueryKind::Trajectory { route, k } => {
             let legs = (0..route.num_legs()).map(|i| run_leg(engine, scene, &route.leg(i), *k));
@@ -771,16 +756,9 @@ mod tests {
         );
     }
 
-    /// One query of each of the ten families.
+    /// One query of each of the seven families.
     fn every_family() -> Vec<Query> {
         let q = Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0));
-        let other = std::sync::Arc::new(RStarTree::bulk_load(
-            vec![
-                DataPoint::new(100, Point::new(5.0, 50.0)),
-                DataPoint::new(101, Point::new(95.0, 55.0)),
-            ],
-            4096,
-        ));
         let route = Trajectory::new(vec![
             Point::new(0.0, 0.0),
             Point::new(60.0, 0.0),
@@ -792,11 +770,8 @@ mod tests {
             Query::coknn(q, 3),
             Query::onn(Point::new(50.0, 0.0), 2),
             Query::range(Point::new(50.0, 0.0), 60.0),
-            Query::rnn(Point::new(20.0, 30.0)),
             Query::odist(a, b),
             Query::route(a, b),
-            Query::edistance_join(std::sync::Arc::clone(&other), 80.0),
-            Query::closest_pair(other),
             Query::trajectory(route, 1),
         ]
         .map(|builder| builder.build().unwrap())
@@ -847,30 +822,6 @@ mod tests {
         assert_eq!(stats.pooled.data_io, sum.data_io);
         assert_eq!(stats.pooled.obstacle_io, sum.obstacle_io);
         assert_eq!(stats.pooled.npe, sum.npe);
-    }
-
-    /// A join reads the caller-owned `other` tree too; those reads are part
-    /// of its `data_io` on the batch path exactly as on the serial one.
-    #[test]
-    fn batched_joins_count_the_other_tree() {
-        let service = ConnService::new(scene());
-        let joins: Vec<Query> = every_family()
-            .into_iter()
-            .filter(|q| {
-                matches!(
-                    q.kind(),
-                    QueryKind::EDistanceJoin { .. } | QueryKind::ClosestPair { .. }
-                )
-            })
-            .collect();
-        assert_eq!(joins.len(), 2);
-        let (batched, _) = service.execute_batch_threads(&joins, 2).unwrap();
-        for (q, b) in joins.iter().zip(&batched) {
-            let serial = service.execute(q).unwrap();
-            assert_eq!(io_of(b), io_of(&serial));
-            // a dual-tree descent reads at least both roots
-            assert!(b.stats.data_io.reads >= 2, "{:?}", b.stats.data_io);
-        }
     }
 
     /// Four clients execute one query list on one pin while a fifth

@@ -223,13 +223,11 @@ fn obstacle_touching_query_endpoint() {
 /// instead of loading the whole obstacle tree to be sure. A walled
 /// courtyard stands in a cleared plaza inside a 10 000-obstacle field;
 /// odist into it, ONN whose Euclidean-nearest candidate is enclosed, and a
-/// closest pair whose Euclidean-closest pair is enclosed all answer
-/// correctly after loading a vanishing share of the field.
+/// range whose radius reaches the enclosed point all answer correctly
+/// after loading a vanishing share of the field.
 #[test]
 fn unreachable_targets_load_a_sliver_of_the_field() {
-    use conn_core::baseline::obstructed_distance;
     use conn_core::{ConnService, Query, Scene};
-    use std::sync::Arc;
 
     let plaza = Rect::new(4800.0, 4800.0, 5200.0, 5200.0);
     let walls = [
@@ -273,22 +271,17 @@ fn unreachable_targets_load_a_sliver_of_the_field() {
     assert_eq!((nn[0].0.id, nn[0].1), (1, 60.0));
     assert!(resp.stats.noe < budget, "onn loaded {}", resp.stats.noe);
 
-    // closest pair: (enclosed, east) is Euclidean-closest and unreachable;
-    // (point 1, east) rounds the courtyard through the cleared plaza
-    let east = DataPoint::new(900, Point::new(5060.0, 5000.0));
-    let other = Arc::new(RStarTree::bulk_load(vec![east], 4096));
+    // range: the enclosed point is within the Euclidean radius, yet absent
     let resp = service
-        .execute(&Query::closest_pair(other).build().unwrap())
+        .execute(&Query::range(west, 70.0).build().unwrap())
         .unwrap();
-    let conn_core::Answer::ClosestPair(Some((a, b, d))) = resp.answer else {
-        panic!("no pair: {:?}", resp.answer);
-    };
-    assert_eq!((a.id, b.id), (1, 900));
-    let want = obstructed_distance(&walls, a.pos, east.pos);
-    assert!((d - want).abs() < 1e-9, "{d} vs {want}");
-    assert!(
-        resp.stats.noe < budget,
-        "closest pair loaded {}",
-        resp.stats.noe
-    );
+    let within: Vec<(u32, f64)> = resp
+        .answer
+        .neighbors()
+        .unwrap()
+        .iter()
+        .map(|(p, d)| (p.id, *d))
+        .collect();
+    assert_eq!(within, vec![(1, 60.0)]);
+    assert!(resp.stats.noe < budget, "range loaded {}", resp.stats.noe);
 }

@@ -12,14 +12,11 @@
 //! the suite re-checks the whole standing set after *every* delta, not
 //! just at the end.
 
-use std::sync::Arc;
-
 use conn_core::{
     answers_equivalent, ConnConfig, ConnService, DataPoint, LiveScene, Query, Scene,
     StandingHandle, SweepMode, Trajectory,
 };
 use conn_geom::{Point, Rect, Segment};
-use conn_index::RStarTree;
 use proptest::prelude::*;
 
 /// One scripted mutation. Removal targets are indices resolved against the
@@ -61,25 +58,9 @@ fn scenario() -> impl Strategy<Value = Scenario> {
     )
 }
 
-/// The second point set the join families run against.
-fn other_set(seed: u64) -> Arc<RStarTree<DataPoint>> {
-    let pts: Vec<DataPoint> = (0..5)
-        .map(|i| {
-            DataPoint::new(
-                9000 + i,
-                Point::new(
-                    ((seed.wrapping_mul(37).wrapping_add(i as u64 * 977)) % 10_000) as f64,
-                    ((seed.wrapping_mul(53).wrapping_add(i as u64 * 613)) % 10_000) as f64,
-                ),
-            )
-        })
-        .collect();
-    Arc::new(RStarTree::bulk_load(pts, 4096))
-}
-
 /// One standing query per family (segment families skipped when the
 /// generated segment is degenerate).
-fn standing_queries(a: Point, b: Point, c: Point, other: &Arc<RStarTree<DataPoint>>) -> Vec<Query> {
+fn standing_queries(a: Point, b: Point, c: Point) -> Vec<Query> {
     let mut out = Vec::new();
     if a.dist(b) > 1e-9 {
         let q = Segment::new(a, b);
@@ -88,15 +69,8 @@ fn standing_queries(a: Point, b: Point, c: Point, other: &Arc<RStarTree<DataPoin
     }
     out.push(Query::onn(a, 2).build().unwrap());
     out.push(Query::range(b, 900.0).build().unwrap());
-    out.push(Query::rnn(c).build().unwrap());
     out.push(Query::odist(a, b).build().unwrap());
     out.push(Query::route(a, c).build().unwrap());
-    out.push(Query::closest_pair(Arc::clone(other)).build().unwrap());
-    out.push(
-        Query::edistance_join(Arc::clone(other), 800.0)
-            .build()
-            .unwrap(),
-    );
     if let Ok(route) = Trajectory::try_new(vec![a, b, c]) {
         out.push(Query::trajectory(route.clone(), 1).build().unwrap());
         out.push(Query::trajectory(route, 2).build().unwrap());
@@ -133,7 +107,6 @@ proptest! {
     #[test]
     fn standing_answers_track_cold_rebuild(scn in scenario()) {
         let ((n_pts, n_obs, seed), (a, b, c), script) = scn;
-        let other = other_set(seed);
         let mut configs = Vec::new();
         for base in [ConnConfig::default(), ConnConfig::baseline_kernel()] {
             for sweep in [SweepMode::Always, SweepMode::Never] {
@@ -142,7 +115,7 @@ proptest! {
         }
         for cfg in configs {
             let mut live = LiveScene::uniform(n_pts, n_obs, seed, cfg);
-            let standing: Vec<(StandingHandle, Query)> = standing_queries(a, b, c, &other)
+            let standing: Vec<(StandingHandle, Query)> = standing_queries(a, b, c)
                 .into_iter()
                 .map(|q| (live.service().register(q.clone()).unwrap(), q))
                 .collect();

@@ -1,5 +1,5 @@
 //! Equivalence suite for the typed front door, for a random *mixed-family*
-//! workload over all ten families (trajectories with k = 1 and k = 2), on
+//! workload over all seven families (trajectories with k = 1 and k = 2), on
 //! uniform and clustered scenes, under both kernels:
 //!
 //! * [`ConnService::execute`] on a warm pool engine (which has served other
@@ -25,8 +25,6 @@
 mod common;
 mod fixtures;
 
-use std::sync::Arc;
-
 use common::{check_route, close};
 use conn_core::baseline::obstructed_route;
 use conn_core::{
@@ -35,7 +33,6 @@ use conn_core::{
 };
 use conn_datasets::ObstacleLookup;
 use conn_geom::{Point, Segment};
-use conn_index::RStarTree;
 use fixtures::paper_scene;
 use proptest::prelude::*;
 
@@ -51,7 +48,7 @@ struct Spec {
     radius: f64,
 }
 
-const FAMILIES: usize = 11;
+const FAMILIES: usize = 8;
 
 fn pt() -> impl Strategy<Value = Point> {
     (0.0..10_000.0f64, 0.0..10_000.0f64).prop_map(|(x, y)| Point::new(x, y))
@@ -83,38 +80,19 @@ fn scenario() -> impl Strategy<Value = Scenario> {
     )
 }
 
-/// The second point set the join families run against.
-fn other_set(seed: u64) -> Arc<RStarTree<DataPoint>> {
-    let pts: Vec<DataPoint> = (0..5)
-        .map(|i| {
-            DataPoint::new(
-                9000 + i,
-                Point::new(
-                    ((seed.wrapping_mul(37).wrapping_add(i as u64 * 977)) % 10_000) as f64,
-                    ((seed.wrapping_mul(53).wrapping_add(i as u64 * 613)) % 10_000) as f64,
-                ),
-            )
-        })
-        .collect();
-    Arc::new(RStarTree::bulk_load(pts, 4096))
-}
-
-fn build_query(s: &Spec, other: &Arc<RStarTree<DataPoint>>) -> Option<Query> {
+fn build_query(s: &Spec) -> Option<Query> {
     let q = (s.a.dist(s.b) > 1e-9).then(|| Segment::new(s.a, s.b));
     let built = match s.family {
         0 => Query::conn(q?),
         1 => Query::coknn(q?, s.k),
         2 => Query::onn(s.a, s.k),
         3 => Query::range(s.a, s.radius),
-        4 => Query::rnn(s.a),
-        5 => Query::odist(s.a, s.b),
-        6 => Query::route(s.a, s.b),
-        7 => Query::closest_pair(Arc::clone(other)),
-        8 => {
+        4 => Query::odist(s.a, s.b),
+        5 => Query::route(s.a, s.b),
+        6 => {
             let route = Trajectory::try_new(vec![s.a, s.b, s.c]).ok()?;
             Query::trajectory(route, 1)
         }
-        9 => Query::edistance_join(Arc::clone(other), s.radius),
         _ => {
             // three legs around the triangle a → b → c → a
             let route = Trajectory::try_new(vec![s.a, s.b, s.c, s.a]).ok()?;
@@ -134,17 +112,10 @@ fn answer_on_fresh_engine(query: &Query, scene: &Scene<'_>, cfg: ConnConfig) -> 
         QueryKind::Coknn { q, k } => Answer::Coknn(engine.coknn(dt, ot, q, *k).0),
         QueryKind::Onn { s, k } => Answer::Onn(engine.onn(dt, ot, *s, *k).0),
         QueryKind::Range { s, radius } => Answer::Range(engine.range(dt, ot, *s, *radius).0),
-        QueryKind::Rnn { s } => Answer::Rnn(engine.rnn(dt, ot, *s).0),
         QueryKind::Odist { a, b } => Answer::Odist(engine.obstructed_distance(ot, *a, *b).0),
         QueryKind::Route { a, b } => {
             let ((dist, path), _) = engine.obstructed_route(ot, *a, *b);
             Answer::Route { dist, path }
-        }
-        QueryKind::EDistanceJoin { other, e } => {
-            Answer::EDistanceJoin(engine.edistance_join(dt, other, ot, *e).0)
-        }
-        QueryKind::ClosestPair { other } => {
-            Answer::ClosestPair(engine.closest_pair(dt, other, ot).0)
         }
         QueryKind::Trajectory { route, k: 1 } => {
             let mut session = TrajectorySession::new(dt, ot, route.vertices()[0], 1, cfg);
@@ -228,24 +199,12 @@ fn assert_kernels_equivalent(served: &Answer, reference: &Answer) -> Result<(), 
                 assert_coknn_equivalent(x, y)?;
             }
         }
-        (Answer::Onn(x), Answer::Onn(y))
-        | (Answer::Range(x), Answer::Range(y))
-        | (Answer::Rnn(x), Answer::Rnn(y)) => assert_neighbors_equivalent(x, y)?,
+        (Answer::Onn(x), Answer::Onn(y)) | (Answer::Range(x), Answer::Range(y)) => {
+            assert_neighbors_equivalent(x, y)?
+        }
         (Answer::Odist(x), Answer::Odist(y)) => prop_assert!(close(*x, *y), "{x} vs {y}"),
         (Answer::Route { dist: x, .. }, Answer::Route { dist: y, .. }) => {
             prop_assert!(close(*x, *y), "{x} vs {y}")
-        }
-        (Answer::ClosestPair(x), Answer::ClosestPair(y)) => {
-            prop_assert_eq!(x.is_some(), y.is_some());
-            if let (Some((.., dx)), Some((.., dy))) = (x, y) {
-                prop_assert!(close(*dx, *dy), "{dx} vs {dy}");
-            }
-        }
-        (Answer::EDistanceJoin(x), Answer::EDistanceJoin(y)) => {
-            prop_assert_eq!(x.len(), y.len());
-            for ((.., dx), (.., dy)) in x.iter().zip(y) {
-                prop_assert!(close(*dx, *dy), "{dx} vs {dy}");
-            }
         }
         (Answer::Trajectory(x), Answer::Trajectory(y)) => {
             // identities agree except within float drift of a split point,
@@ -288,11 +247,7 @@ proptest! {
         let (clustered, n_pts, n_obs, seed, specs) = scn;
         let scene = paper_scene(n_pts, n_obs, seed, clustered);
         let obstacles = scene.obstacles();
-        let other = other_set(seed);
-        let queries: Vec<Query> = specs
-            .iter()
-            .filter_map(|s| build_query(s, &other))
-            .collect();
+        let queries: Vec<Query> = specs.iter().filter_map(build_query).collect();
 
         let mut per_kernel: Vec<Vec<Response>> = Vec::new();
         for cfg in [ConnConfig::default(), ConnConfig::baseline_kernel()] {

@@ -12,10 +12,10 @@
 //! * [`IoMeter`] — logical reads and page faults, observable mid-query,
 //!   and the [`LruBuffer`] page cache that decides which reads fault. The
 //!   meter is *caller-owned*: charged traversals
-//!   ([`RStarTree::nearest_iter_metered`], [`RStarTree::range_metered`],
-//!   [`RStarTree::read_node`]) take it as an argument, the tree itself is
-//!   plain immutable `Send + Sync` data with no counter, lock or cell in it,
-//!   and the meter is `!Sync` — one per thread of execution, so per-query
+//!   ([`RStarTree::nearest_iter_metered`], [`RStarTree::range_metered`])
+//!   take it as an argument, the tree itself is plain immutable
+//!   `Send + Sync` data with no counter, lock or cell in it, and the meter
+//!   is `!Sync` — one per thread of execution, so per-query
 //!   attribution needs no reset and cannot race (its docs also have the
 //!   Figure 12 recipe).
 //! * [`NearestIter`] — incremental best-first (Hjaltason & Samet) neighbor
@@ -42,7 +42,7 @@ mod stats;
 mod tree;
 
 pub use buffer::LruBuffer;
-pub use node::{Mbr, Node, PageId, Slot};
+pub use node::Mbr;
 pub use query::{DistShape, NearestIter};
 pub use stats::{IoMeter, StatsSnapshot};
 pub use tree::{RStarTree, DEFAULT_PAGE_SIZE};

@@ -22,7 +22,7 @@
 use conn_geom::Rect;
 
 /// Index of a node in the simulated page store.
-pub type PageId = u32;
+pub(crate) type PageId = u32;
 
 /// Anything that can live in the tree: must expose a minimum bounding
 /// rectangle (a point item returns a degenerate rectangle).
@@ -49,7 +49,7 @@ impl Mbr for conn_geom::Point {
 /// data item (leaf level). The slot's navigation envelope lives in the
 /// node's parallel `mbrs` lane.
 #[derive(Debug, Clone)]
-pub enum Slot<T> {
+pub(crate) enum Slot<T> {
     /// Pointer to a child node one level below.
     Child(PageId),
     /// A data item stored at the leaf level.
@@ -59,18 +59,18 @@ pub enum Slot<T> {
 /// A tree node occupying one simulated disk page; see the module docs for
 /// the two-lane layout.
 #[derive(Debug, Clone)]
-pub struct Node<T> {
+pub(crate) struct Node<T> {
     /// 0 for leaves; parents of leaves are level 1, and so on up to the root.
-    pub level: u32,
+    pub(crate) level: u32,
     /// Hot lane: navigation envelopes, parallel to `slots`.
-    pub mbrs: Vec<Rect>,
+    pub(crate) mbrs: Vec<Rect>,
     /// Cold lane: payloads, parallel to `mbrs`.
-    pub slots: Vec<Slot<T>>,
+    pub(crate) slots: Vec<Slot<T>>,
 }
 
 impl<T: Mbr> Node<T> {
     /// An empty node at `level`.
-    pub fn new(level: u32) -> Self {
+    pub(crate) fn new(level: u32) -> Self {
         Node {
             level,
             mbrs: Vec::new(),
@@ -80,33 +80,27 @@ impl<T: Mbr> Node<T> {
 
     /// Number of occupied slots.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         debug_assert_eq!(self.mbrs.len(), self.slots.len());
         self.slots.len()
     }
 
-    /// True when the node has no slots.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// True for level-0 (item-holding) nodes.
     #[inline]
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         self.level == 0
     }
 
     /// Appends a slot with its envelope.
     #[inline]
-    pub fn push(&mut self, mbr: Rect, slot: Slot<T>) {
+    pub(crate) fn push(&mut self, mbr: Rect, slot: Slot<T>) {
         self.mbrs.push(mbr);
         self.slots.push(slot);
     }
 
     /// Bounding rectangle of all slots (callers guarantee non-empty nodes
     /// everywhere except a brand-new empty root).
-    pub fn mbr(&self) -> Rect {
+    pub(crate) fn mbr(&self) -> Rect {
         let mut it = self.mbrs.iter();
         let first = it
             .next()

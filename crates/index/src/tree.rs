@@ -132,17 +132,6 @@ impl<T: Mbr + Clone> RStarTree<T> {
         &self.pages[page as usize]
     }
 
-    /// The root page id, for custom traversals (e.g. dual-tree joins).
-    pub fn root(&self) -> PageId {
-        self.root
-    }
-
-    /// Public charged page read for custom traversals: same accounting as
-    /// the built-in queries.
-    pub fn read_node(&self, page: PageId, meter: &IoMeter) -> &Node<T> {
-        self.read(page, Some(meter))
-    }
-
     // ----- whole-tree iteration (untracked; for tests and validation) -------
 
     /// Iterates over all items without charging I/O.
@@ -281,7 +270,7 @@ mod tests {
         let t: RStarTree<Point> = RStarTree::with_fanout(8, 3);
         let mut meter = IoMeter::default();
         t.read(0, Some(&meter));
-        t.read_node(0, &meter);
+        t.read(0, Some(&meter));
         t.read(0, None); // unmetered: charged to nobody
         assert_eq!(meter.snapshot().reads, 2);
         assert_eq!(meter.snapshot().faults, 2); // no buffer
@@ -305,11 +294,11 @@ mod tests {
         let mut meter = IoMeter::default();
         meter.set_buffer_pages(16);
         for tree in [&a, &twin, &fork] {
-            tree.read(tree.root(), Some(&meter));
+            tree.read(tree.root, Some(&meter));
         }
         assert_eq!(meter.snapshot().faults, 3, "one cold read per tree");
         for tree in [&a, &twin, &fork] {
-            tree.read(tree.root(), Some(&meter));
+            tree.read(tree.root, Some(&meter));
         }
         assert_eq!(meter.snapshot().faults, 3, "each hits its own frame");
         assert_eq!(meter.snapshot().reads, 6);

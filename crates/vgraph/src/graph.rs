@@ -529,11 +529,6 @@ impl VisGraph {
         m.len = 0;
     }
 
-    /// Sight-line test against the *local* obstacle set (paper Def. 1).
-    pub fn visible(&mut self, a: Point, b: Point) -> bool {
-        !self.grid.blocks(a, b)
-    }
-
     /// The node's row: `(neighbor, euclidean length)` for every live node
     /// within Chebyshev distance `radius` of it and visible along a
     /// bitangent segment — tangent at the node itself and at the neighbor,
@@ -1011,10 +1006,11 @@ mod tests {
         out
     }
 
-    /// Do nodes `a` and `b` see each other?
+    /// Do nodes `a` and `b` see each other past the local obstacle set
+    /// (paper Def. 1)?
     fn sees(g: &mut VisGraph, a: NodeId, b: NodeId) -> bool {
         let (pa, pb) = (g.node_pos(a), g.node_pos(b));
-        g.visible(pa, pb)
+        !g.grid.blocks(pa, pb)
     }
 
     #[test]

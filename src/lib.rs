@@ -38,8 +38,8 @@
 //! * the serving internals: [`QueryEngine`] (reset-and-reuse workspace —
 //!   answer many queries with O(1) substrate allocations; it also owns the
 //!   page meters and LRU buffers its queries' tree I/O is counted on; the
-//!   direct entry point of single-threaded figure code, the single-tree
-//!   layout of §4.5 and `visible_knn`) and the [`BatchStats`] of
+//!   direct entry point of single-threaded figure code and the single-tree
+//!   layout of §4.5) and the [`BatchStats`] of
 //!   [`ConnService::execute_batch_threads`];
 //! * [`baseline`] — the reference oracles (whole-field obstructed distance,
 //!   brute-force OkNN, sampled / naive CONN) that tests and benches hold
@@ -68,7 +68,7 @@
 //! assert!(response.stats.npe >= 1);
 //!
 //! // the same handle answers every family — kNN variant, point probes,
-//! // ranges, reverse NN, routes, joins, whole trajectories:
+//! // ranges, distances, routes, whole trajectories:
 //! let knn = service.execute(&Query::coknn(highway, 2).build()?)?;
 //! assert!(!knn.answer.as_coknn().expect("coknn answer").entries().is_empty());
 //! # Ok::<(), conn::Error>(())

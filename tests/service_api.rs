@@ -1,9 +1,7 @@
 //! Acceptance test of the unified `Scene`/`Query`/`ConnService` front
-//! door: one **mixed-family** `execute_batch_threads` call covering all ten
-//! families, with every answer checked bit-for-bit against `execute` and
+//! door: one **mixed-family** `execute_batch_threads` call covering all
+//! seven families, with every answer checked bit-for-bit against `execute` and
 //! against the family run directly on a fresh `QueryEngine`.
-
-use std::sync::Arc;
 
 use conn::baseline::obstructed_distance;
 use conn::datasets;
@@ -16,16 +14,6 @@ fn scene() -> Scene<'static> {
     Scene::new(points, obstacles)
 }
 
-fn other_set() -> Arc<RStarTree<DataPoint>> {
-    let obstacles = datasets::la_like(60, 42);
-    let pts: Vec<DataPoint> = datasets::uniform_points(6, 99, &obstacles)
-        .iter()
-        .enumerate()
-        .map(|(i, p)| DataPoint::new(5000 + i as u32, *p))
-        .collect();
-    Arc::new(RStarTree::bulk_load(pts, DEFAULT_PAGE_SIZE))
-}
-
 /// The query answered without the service: a fresh engine, the family's
 /// method called directly.
 fn answer_on_fresh_engine(query: &Query, scene: &Scene<'_>) -> Answer {
@@ -36,17 +24,10 @@ fn answer_on_fresh_engine(query: &Query, scene: &Scene<'_>) -> Answer {
         QueryKind::Coknn { q, k } => Answer::Coknn(engine.coknn(dt, ot, q, *k).0),
         QueryKind::Onn { s, k } => Answer::Onn(engine.onn(dt, ot, *s, *k).0),
         QueryKind::Range { s, radius } => Answer::Range(engine.range(dt, ot, *s, *radius).0),
-        QueryKind::Rnn { s } => Answer::Rnn(engine.rnn(dt, ot, *s).0),
         QueryKind::Odist { a, b } => Answer::Odist(engine.obstructed_distance(ot, *a, *b).0),
         QueryKind::Route { a, b } => {
             let ((dist, path), _) = engine.obstructed_route(ot, *a, *b);
             Answer::Route { dist, path }
-        }
-        QueryKind::EDistanceJoin { other, e } => {
-            Answer::EDistanceJoin(engine.edistance_join(dt, other, ot, *e).0)
-        }
-        QueryKind::ClosestPair { other } => {
-            Answer::ClosestPair(engine.closest_pair(dt, other, ot).0)
         }
         QueryKind::Trajectory { route, .. } => {
             let mut session =
@@ -70,7 +51,6 @@ fn mixed_family_batch_matches_free_functions() {
     let scene = scene();
     let service = ConnService::new(Scene::borrowing(scene.data_tree(), scene.obstacle_tree()));
     let obstacles = scene.obstacles();
-    let other = other_set();
 
     let q1 = Segment::new(Point::new(800.0, 700.0), Point::new(2300.0, 900.0));
     let q2 = Segment::new(Point::new(4000.0, 4100.0), Point::new(5200.0, 3600.0));
@@ -81,18 +61,15 @@ fn mixed_family_batch_matches_free_functions() {
         Point::new(2400.0, 2600.0),
     ]);
 
-    // all ten families in one batch
+    // all seven families in one batch
     let batch = vec![
         Query::conn(q1).build().unwrap(),
         Query::coknn(q2, 3).build().unwrap(),
         Query::range(probe, 900.0).build().unwrap(),
-        Query::rnn(probe).build().unwrap(),
         Query::trajectory(route, 1).build().unwrap(),
         Query::onn(probe, 4).build().unwrap(),
         Query::odist(q1.a, q2.b).build().unwrap(),
         Query::route(q1.a, q2.b).build().unwrap(),
-        Query::closest_pair(Arc::clone(&other)).build().unwrap(),
-        Query::edistance_join(other, 1500.0).build().unwrap(),
     ];
 
     let (responses, stats) = service.execute_batch_threads(&batch, 3).unwrap();
