@@ -77,9 +77,14 @@ impl CoknnResult {
         self.list.entries()
     }
 
+    /// The result list, handed over by value.
+    pub(crate) fn into_list(self) -> KnnResultList {
+        self.list
+    }
+
     /// The k nearest data points (ascending distance) at parameter `t`.
     pub fn knn_at(&self, t: f64) -> Vec<(DataPoint, f64)> {
-        self.list.answers_at(&self.q, t)
+        self.list.answers_at(t, self.q.at(t))
     }
 
     /// `⟨ONNS, R⟩` tuples with adjacent intervals of identical member *id

@@ -185,6 +185,21 @@ fn refine_to_fixpoint<S: QueryStreams>(
     }
 }
 
+/// `⟨p, R⟩` tuples, in order, with adjacent intervals of the same answer
+/// point merged (the paper's Definition 6 output).
+pub(crate) fn merge_by_id(
+    tuples: impl IntoIterator<Item = (Option<DataPoint>, Interval)>,
+) -> Vec<(Option<DataPoint>, Interval)> {
+    let mut out: Vec<(Option<DataPoint>, Interval)> = Vec::new();
+    for (p, iv) in tuples {
+        match out.last_mut() {
+            Some((prev, last)) if prev.map(|x| x.id) == p.map(|x| x.id) => last.hi = iv.hi,
+            _ => out.push((p, iv)),
+        }
+    }
+    out
+}
+
 /// One tuple `⟨p, cp, R⟩` of a CONN answer. `point == None` means no data
 /// point can reach this interval.
 #[derive(Debug, Clone, Copy)]
@@ -253,16 +268,7 @@ impl ConnResult {
     /// the same answer point merged (the paper's Definition 6 output).
     /// `None` marks intervals with no reachable data point.
     pub fn segments(&self) -> Vec<(Option<DataPoint>, Interval)> {
-        let mut out: Vec<(Option<DataPoint>, Interval)> = Vec::new();
-        for e in &self.entries {
-            match out.last_mut() {
-                Some((prev, iv)) if prev.map(|p| p.id) == e.point.map(|p| p.id) => {
-                    iv.hi = e.interval.hi;
-                }
-                _ => out.push((e.point, e.interval)),
-            }
-        }
-        out
+        merge_by_id(self.entries.iter().map(|e| (e.point, e.interval)))
     }
 
     /// The ONN at parameter `t ∈ [0, q.len()]` with its obstructed distance.

@@ -65,7 +65,7 @@ use crate::epoch::PinnedEpoch;
 use crate::error::Error;
 use crate::odist::affected;
 use crate::query::{Answer, Query, QueryKind, Response};
-use crate::rlu::KnnResultList;
+use crate::rlu::{KnnEntry, KnnResultList};
 use crate::service::{coknn_dmax, conn_dmax, dispatch, onn_dmax, ConnService, Scene};
 use crate::stats::QueryStats;
 use crate::streams::SegmentStreams;
@@ -737,25 +737,14 @@ pub fn answers_equivalent(a: &Answer, b: &Answer, tol: f64) -> bool {
     match (a, b) {
         (Answer::Conn(x), Answer::Conn(y)) => x.values_equivalent(y, tol),
         (Answer::Coknn(x), Answer::Coknn(y)) => {
-            if x.query() != y.query() || x.k() != y.k() {
-                return false;
-            }
-            // sample the union of both covers' boundaries: within one
-            // joint interval both sides are fixed member sets
-            let mut ts: Vec<f64> = x
-                .entries()
-                .iter()
-                .chain(y.entries())
-                .flat_map(|e| [e.interval.lo, e.interval.hi])
-                .collect();
-            ts.sort_by(f64::total_cmp);
-            ts.dedup();
-            ts.windows(2).all(|w| {
-                let &[lo, hi] = w else { return true };
-                let t = 0.5 * (lo + hi);
-                let (va, vb) = (x.knn_at(t), y.knn_at(t));
-                va.len() == vb.len() && va.iter().zip(&vb).all(|((_, da), (_, db))| close(*da, *db))
-            })
+            x.query() == y.query()
+                && x.k() == y.k()
+                && knn_lists_close(
+                    x.entries(),
+                    y.entries(),
+                    |t| (x.knn_at(t), y.knn_at(t)),
+                    close,
+                )
         }
         (Answer::Onn(x), Answer::Onn(y)) | (Answer::Range(x), Answer::Range(y)) => {
             x.len() == y.len() && x.iter().zip(y).all(|((_, da), (_, db))| close(*da, *db))
@@ -763,24 +752,46 @@ pub fn answers_equivalent(a: &Answer, b: &Answer, tol: f64) -> bool {
         (Answer::Odist(x), Answer::Odist(y)) => close(*x, *y),
         (Answer::Route { dist: x, .. }, Answer::Route { dist: y, .. }) => close(*x, *y),
         (Answer::Trajectory(x), Answer::Trajectory(y)) => {
-            x.segments().len() == y.segments().len()
-                && x.segments()
-                    .iter()
-                    .zip(y.segments())
-                    .all(|((pa, ia), (pb, ib))| {
-                        pa.map(|p| p.id) == pb.map(|p| p.id)
-                            && close(ia.lo, ib.lo)
-                            && close(ia.hi, ib.hi)
-                    })
-        }
-        (Answer::TrajectoryKnn(x), Answer::TrajectoryKnn(y)) => {
-            x.len() == y.len()
-                && x.iter().zip(y).all(|(ra, rb)| {
-                    answers_equivalent(&Answer::Coknn(ra.clone()), &Answer::Coknn(rb.clone()), tol)
+            let (sx, sy) = (x.segments(), y.segments());
+            x.k() == y.k()
+                && sx.len() == sy.len()
+                && sx.iter().zip(&sy).all(|((pa, ia), (pb, ib))| {
+                    pa.map(|p| p.id) == pb.map(|p| p.id)
+                        && close(ia.lo, ib.lo)
+                        && close(ia.hi, ib.hi)
                 })
+                && knn_lists_close(
+                    x.entries(),
+                    y.entries(),
+                    |t| (x.knn_at(t), y.knn_at(t)),
+                    close,
+                )
         }
         _ => false,
     }
+}
+
+/// Two k-lists agree by value at the midpoint of every piece between the
+/// union of both covers' boundaries: within one such piece both sides are
+/// fixed member sets.
+fn knn_lists_close(
+    x: &[KnnEntry],
+    y: &[KnnEntry],
+    knn_at: impl Fn(f64) -> (Vec<(DataPoint, f64)>, Vec<(DataPoint, f64)>),
+    close: impl Fn(f64, f64) -> bool,
+) -> bool {
+    let mut ts: Vec<f64> = x
+        .iter()
+        .chain(y)
+        .flat_map(|e| [e.interval.lo, e.interval.hi])
+        .collect();
+    ts.sort_by(f64::total_cmp);
+    ts.dedup();
+    ts.windows(2).all(|w| {
+        let &[lo, hi] = w else { return true };
+        let (va, vb) = knn_at(0.5 * (lo + hi));
+        va.len() == vb.len() && va.iter().zip(&vb).all(|((_, da), (_, db))| close(*da, *db))
+    })
 }
 
 #[cfg(test)]

@@ -281,10 +281,9 @@ pub enum Answer {
         /// The shortest path polyline (`None` when unreachable).
         path: Option<Vec<Point>>,
     },
-    /// Trajectory CONN (`k = 1`): stitched tuples in cumulative arclength.
+    /// Trajectory CONN / COkNN at any `k`: the legs' result lists stitched
+    /// into one over cumulative arclength.
     Trajectory(TrajectoryResult),
-    /// Trajectory COkNN (`k > 1`): one full result per leg.
-    TrajectoryKnn(Vec<CoknnResult>),
 }
 
 impl Answer {
@@ -298,7 +297,6 @@ impl Answer {
             Answer::Odist(_) => "odist",
             Answer::Route { .. } => "route",
             Answer::Trajectory(_) => "trajectory",
-            Answer::TrajectoryKnn(_) => "trajectory",
         }
     }
 
@@ -376,14 +374,6 @@ impl Answer {
     pub fn into_trajectory(self) -> Option<TrajectoryResult> {
         match self {
             Answer::Trajectory(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The per-leg results of an [`Answer::TrajectoryKnn`].
-    pub fn as_trajectory_knn(&self) -> Option<&[CoknnResult]> {
-        match self {
-            Answer::TrajectoryKnn(v) => Some(v),
             _ => None,
         }
     }

@@ -18,7 +18,7 @@
     reason = "k-list slots are allocated up front; member indices are bounded by k"
 )]
 
-use conn_geom::{Interval, Segment, EPS};
+use conn_geom::{Interval, Point, Segment, EPS};
 
 use crate::config::ConnConfig;
 use crate::cpl::ControlPointList;
@@ -109,15 +109,16 @@ impl KnnResultList {
         m
     }
 
-    /// The k answers at parameter `t` (ascending obstructed distance).
-    pub(crate) fn answers_at(&self, q: &Segment, t: f64) -> Vec<(DataPoint, f64)> {
+    /// The k answers at parameter `t`, where the query sits at `at`
+    /// (ascending obstructed distance).
+    pub(crate) fn answers_at(&self, t: f64, at: Point) -> Vec<(DataPoint, f64)> {
         self.entries
             .iter()
             .find(|e| e.interval.contains(t))
             .map(|e| {
                 e.members
                     .iter()
-                    .map(|m| (m.point, m.cp.value(q, t)))
+                    .map(|m| (m.point, m.cp.base + m.cp.pos.dist(at)))
                     .collect()
             })
             .unwrap_or_default()
@@ -272,6 +273,57 @@ fn same_members(a: &[Member], b: &[Member]) -> bool {
             .all(|(x, y)| x.point.id == y.point.id && x.cp.same_as(&y.cp))
 }
 
+/// Stitches the result lists of consecutive pieces of one polyline — the
+/// legs of a route, in order — into one list over cumulative arclength.
+/// Each piece comes with its span `[offset, end]` and its entries over its
+/// own parameter `[0, end − offset]`.
+///
+/// Every interval is re-based onto the running cursor, so per-piece float
+/// drift at a joint (a cover ending at `len ± 1e-9`) snaps instead of
+/// leaving a gap or an overlap, and a piece's last entry closes exactly at
+/// its span's end. Adjacent entries merge only when their members and
+/// control points are equal, so every stitched entry keeps the control
+/// points its distances come from.
+pub(crate) fn stitch(
+    k: usize,
+    pieces: impl IntoIterator<Item = (Interval, Vec<KnnEntry>)>,
+) -> KnnResultList {
+    let mut entries: Vec<KnnEntry> = Vec::new();
+    let mut cursor = 0.0;
+    for (span, piece) in pieces {
+        cursor = span.lo;
+        let last = piece.len().saturating_sub(1);
+        for (i, mut e) in piece.into_iter().enumerate() {
+            let raw = span.lo + e.interval.hi;
+            let hi = if i == last {
+                span.hi
+            } else {
+                raw.clamp(cursor, span.hi)
+            };
+            // only genuine float drift may be absorbed; a piece that
+            // under-covers its span is a kernel bug the stitch must not
+            // paper over
+            debug_assert!(
+                (raw - hi).abs() <= 1e-6,
+                "boundary {raw} re-based to {hi}: not drift"
+            );
+            match entries.last_mut() {
+                Some(prev) if same_members(&prev.members, &e.members) => prev.interval.hi = hi,
+                _ => {
+                    e.interval = Interval { lo: cursor, hi };
+                    entries.push(e);
+                }
+            }
+            cursor = hi;
+        }
+    }
+    KnnResultList {
+        entries,
+        k,
+        qlen: cursor,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,7 +350,7 @@ mod tests {
 
     /// The nearest member's id at `t`, if any.
     fn nn_at(rl: &KnnResultList, t: f64) -> Option<u32> {
-        rl.answers_at(&q(), t).first().map(|(p, _)| p.id)
+        rl.answers_at(t, q().at(t)).first().map(|(p, _)| p.id)
     }
 
     /// Builds a CPL whose single control point is the data point itself
@@ -415,6 +467,56 @@ mod tests {
         // updating with the same point again must not fragment the list
         update(&mut rl, a, &direct_cpl(a.pos));
         assert_eq!(rl.entries().len(), 1);
+    }
+
+    /// The stitch re-bases each piece onto its span: drift at a joint
+    /// snaps onto the span's end, equal members merge across a joint, and
+    /// the same point under another control point stays its own entry.
+    #[test]
+    fn stitch_snaps_drift_and_merges_only_equal_members() {
+        let a = DataPoint::new(0, Point::new(50.0, 10.0));
+        let b = DataPoint::new(1, Point::new(150.0, 10.0));
+        let (cp_a, cp1) = (ControlPoint::direct(a.pos), ControlPoint::direct(b.pos));
+        let cp2 = ControlPoint::new(Point::new(120.0, 30.0), 36.0);
+        let entry = |point, cp, lo, hi| KnnEntry {
+            members: vec![Member { point, cp }],
+            interval: Interval::new(lo, hi),
+        };
+        let list = stitch(
+            1,
+            [
+                // the first piece overshoots its length 100 by float drift
+                (
+                    Interval::new(0.0, 100.0),
+                    vec![entry(a, cp_a, 0.0, 60.0), entry(b, cp1, 60.0, 100.0 + 3e-8)],
+                ),
+                // b under the same control point merges across the joint;
+                // this piece undershoots its length 80
+                (
+                    Interval::new(100.0, 180.0),
+                    vec![entry(b, cp1, 0.0, 30.0), entry(b, cp2, 30.0, 80.0 - 1e-9)],
+                ),
+                // b under another control point than the joint's last
+                (Interval::new(180.0, 200.0), vec![entry(b, cp1, 0.0, 20.0)]),
+            ],
+        );
+        list.check_cover().unwrap();
+        let got: Vec<(u32, f64, f64)> = list
+            .entries()
+            .iter()
+            .map(|e| (e.members[0].point.id, e.interval.lo, e.interval.hi))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0, 0.0, 60.0),
+                (1, 60.0, 130.0),
+                (1, 130.0, 180.0),
+                (1, 180.0, 200.0)
+            ]
+        );
+        assert!(list.entries()[2].members[0].cp.same_as(&cp2));
+        assert!(list.entries()[3].members[0].cp.same_as(&cp1));
     }
 
     /// A crossing within EPS of a piece's upper end stands in for the end

@@ -36,7 +36,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use conn_geom::{Rect, Segment};
+use conn_geom::{Interval, Rect, Segment};
 use conn_index::{RStarTree, DEFAULT_PAGE_SIZE};
 
 use crate::batch::BatchStats;
@@ -49,9 +49,10 @@ use crate::error::Error;
 use crate::live::{PatchReport, SceneDelta, StandingHandle, StandingRegistry};
 use crate::pool::EnginePool;
 use crate::query::{Answer, Query, QueryKind, Response};
+use crate::rlu::stitch;
 use crate::shard::{ShardSet, ShardSpec};
 use crate::stats::{QueryStats, ReuseCounters};
-use crate::trajectory::{stitch_leg, Trajectory, TrajectoryResult};
+use crate::trajectory::{Trajectory, TrajectoryResult};
 use crate::types::DataPoint;
 
 /// One R\*-tree: owned by the scene, borrowed from the caller, or shared
@@ -388,9 +389,10 @@ impl<'a> ConnService<'a> {
         let (answer, stats) = match query.kind() {
             QueryKind::Trajectory { route, k } => {
                 let legs: Vec<Segment> = (0..route.num_legs()).map(|i| route.leg(i)).collect();
-                let (answers, _, per_leg) = self.pool.run(&legs, 0, |engine, leg| {
-                    run_leg(engine, pin.scene(), leg, *k)
-                });
+                let (dt, ot) = (pin.scene().data_tree(), pin.scene().obstacle_tree());
+                let (answers, _, per_leg) = self
+                    .pool
+                    .run(&legs, 0, |engine, leg| engine.coknn(dt, ot, leg, *k));
                 assemble_trajectory(route, *k, answers.into_iter().zip(per_leg))
             }
             _ => self
@@ -624,70 +626,39 @@ pub(crate) fn dispatch(
             (Answer::Route { dist, path }, stats)
         }
         QueryKind::Trajectory { route, k } => {
-            let legs = (0..route.num_legs()).map(|i| run_leg(engine, scene, &route.leg(i), *k));
+            let legs = (0..route.num_legs()).map(|i| engine.coknn(dt, ot, &route.leg(i), *k));
             assemble_trajectory(route, *k, legs)
         }
     }
 }
 
-/// One trajectory leg as the query it is: CONN for `k = 1`, COkNN
-/// otherwise (Algorithm 4, §6).
-pub(crate) fn run_leg(
-    engine: &mut QueryEngine,
-    scene: &Scene<'_>,
-    leg: &Segment,
-    k: usize,
-) -> (Answer, QueryStats) {
-    let (dt, ot) = (scene.data_tree(), scene.obstacle_tree());
-    if k == 1 {
-        let (res, stats) = engine.conn(dt, ot, leg);
-        (Answer::Conn(res), stats)
-    } else {
-        let (res, stats) = engine.coknn(dt, ot, leg, k);
-        (Answer::Coknn(res), stats)
-    }
-}
-
-/// The one way a trajectory's answer is assembled from its legs' answers
-/// ([`run_leg`]), given in leg order: stats are summed leg by leg; for
-/// `k = 1` the CONN tuples are stitched at each leg's cumulative offset
-/// and `result_tuples` is the stitched count, for `k > 1` the COkNN
-/// results are kept per leg — exactly what a [`crate::TrajectorySession`]
-/// over the route finishes with.
+/// The one way a trajectory's answer is assembled from its legs' answers,
+/// each a COkNN at the route's `k` (CONN is its `k = 1`), given in leg
+/// order: stats are summed leg by leg, the
+/// legs' result lists are stitched at their cumulative offsets (`rlu.rs`'s
+/// `stitch`), and `result_tuples` is the stitched entry count — exactly
+/// what a [`crate::TrajectorySession`] over the route finishes with.
 pub(crate) fn assemble_trajectory(
     route: &Trajectory,
     k: usize,
-    legs: impl IntoIterator<Item = (Answer, QueryStats)>,
+    legs: impl IntoIterator<Item = (CoknnResult, QueryStats)>,
 ) -> (Answer, QueryStats) {
     let mut stats = QueryStats::default();
-    let answers: Vec<Answer> = legs
-        .into_iter()
-        .map(|(answer, leg_stats)| {
-            stats.accumulate(&leg_stats);
-            answer
-        })
-        .collect();
-    if k > 1 {
-        let legs = answers.into_iter().filter_map(Answer::into_coknn).collect();
-        return (Answer::TrajectoryKnn(legs), stats);
-    }
-    let mut segments = Vec::new();
-    for (i, res) in answers
-        .into_iter()
-        .filter_map(Answer::into_conn)
-        .enumerate()
-    {
-        let (offset, end) = (route.leg_offset(i), route.leg_offset(i + 1));
-        stitch_leg(&mut segments, &res.segments(), offset, end);
-    }
-    stats.result_tuples = segments.len() as u64;
-    let result = TrajectoryResult::new(route.clone(), segments);
+    let pieces = legs.into_iter().enumerate().map(|(i, (res, leg_stats))| {
+        stats.accumulate(&leg_stats);
+        let span = Interval::new(route.leg_offset(i), route.leg_offset(i + 1));
+        (span, res.into_list().into_entries())
+    });
+    let list = stitch(k, pieces);
+    stats.result_tuples = list.entries().len() as u64;
+    let result = TrajectoryResult::new(route.clone(), list);
     (Answer::Trajectory(result), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trajectory::tests::assert_matches_brute_force;
     use crate::{Query, TrajectorySession};
     use conn_geom::Point;
 
@@ -935,10 +906,10 @@ mod tests {
 
     /// A lone `execute` of a trajectory runs its legs on the pool's
     /// workers; its answer is bit-identical to the batch path's serial leg
-    /// loop and to a session on a fresh engine, and so is its work. For
-    /// k > 1, each leg is bit-identical to that leg run as a lone COkNN,
-    /// which shares no stitching with the trajectory paths. A one-leg
-    /// route spawns no worker.
+    /// loop and to a session on a fresh engine, and so is its work. At
+    /// every k the answer is one stitched list whose `knn_at` along the
+    /// route is brute force's, which shares no stitching with the
+    /// trajectory paths. A one-leg route spawns no worker.
     #[test]
     fn trajectory_legs_fan_out_bit_identical() {
         let scene = scene();
@@ -983,19 +954,12 @@ mod tests {
                     "k = {k}: {path} work"
                 );
             }
-            if k > 1 {
-                let legs = fanned.answer.as_trajectory_knn().unwrap();
-                assert_eq!(legs.len(), route.num_legs());
-                for (i, leg) in legs.iter().enumerate() {
-                    let lone = Query::coknn(route.leg(i), k).build().unwrap();
-                    let lone = service.execute(&lone).unwrap().answer;
-                    assert_eq!(
-                        format!("{:?}", Answer::Coknn(leg.clone())),
-                        format!("{lone:?}"),
-                        "k = {k}: leg {i} against a lone COkNN"
-                    );
-                }
-            }
+            // one answer over arclength at every k, against brute force
+            let res = fanned.answer.as_trajectory().unwrap();
+            assert_eq!(res.k(), k);
+            assert_eq!(fanned.stats.result_tuples, res.entries().len() as u64);
+            let ps: Vec<DataPoint> = dt.iter_items().copied().collect();
+            assert_matches_brute_force(res, &ps, &scene.obstacles());
         }
         let service = ConnService::new(Scene::borrowing(dt, ot));
         let one_leg = Trajectory::new(vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)]);

@@ -9,12 +9,13 @@
 //! client reports it and receives that leg's [`Answer`] (`Conn` for
 //! `k = 1`, `Coknn` otherwise), parameterized along the leg; a caller that
 //! wants cumulative arclength shifts it by [`crate::Trajectory::leg_offset`].
-//! Each pushed leg runs through the same leg runner as the service's
-//! trajectory path, and [`TrajectorySession::finish`] assembles the legs
-//! the way the service does, so a session and a [`crate::Query::trajectory`]
-//! over the same vertices answer bit for bit alike. The engine's reuse is
-//! every query's reuse: a leg re-binds the workspace the previous leg (or
-//! query) left.
+//! Each pushed leg runs as the service's trajectory path runs it, a COkNN
+//! at the session's `k`, and [`TrajectorySession::finish`] stitches the
+//! legs' result lists with the service's one assembly into one
+//! [`crate::TrajectoryResult`] at every `k`, so a session and a
+//! [`crate::Query::trajectory`] over the same vertices answer bit for bit
+//! alike. The engine's reuse is every query's
+//! reuse: a leg re-binds the workspace the previous leg (or query) left.
 //!
 //! Nothing else carries from leg to leg — no visibility graph, joint node,
 //! Dijkstra labels or `RLMAX` bound seeded from the previous leg — because
@@ -66,11 +67,13 @@
 use conn_geom::{Point, Rect};
 use conn_index::RStarTree;
 
+use crate::coknn::CoknnResult;
 use crate::config::ConnConfig;
+use crate::conn::ConnResult;
 use crate::engine::QueryEngine;
 use crate::error::Error;
 use crate::query::Answer;
-use crate::service::{assemble_trajectory, run_leg, Scene};
+use crate::service::{assemble_trajectory, Scene};
 use crate::stats::QueryStats;
 use crate::trajectory::Trajectory;
 use crate::types::DataPoint;
@@ -84,7 +87,10 @@ pub struct TrajectorySession<'t> {
     engine: Box<QueryEngine>,
     k: usize,
     vertices: Vec<Point>,
-    legs: Vec<(Answer, QueryStats)>,
+    legs: Vec<(CoknnResult, QueryStats)>,
+    /// The last pushed leg's answer, as [`TrajectorySession::push_leg`]
+    /// hands it out.
+    last: Option<Answer>,
 }
 
 impl<'t> TrajectorySession<'t> {
@@ -103,6 +109,7 @@ impl<'t> TrajectorySession<'t> {
             k,
             vertices: vec![start],
             legs: Vec::new(),
+            last: None,
         }
     }
 
@@ -112,7 +119,7 @@ impl<'t> TrajectorySession<'t> {
     /// [`Error::InvalidQuery`] and leaves the session unchanged.
     #[expect(
         clippy::unwrap_used,
-        reason = "vertices starts with the session origin, and the leg is pushed on the line above"
+        reason = "vertices starts with the session origin"
     )]
     pub fn push_leg(&mut self, to: Point) -> Result<&Answer, Error> {
         if self.k == 0 {
@@ -122,10 +129,16 @@ impl<'t> TrajectorySession<'t> {
         }
         let from = *self.vertices.last().unwrap();
         let leg = Trajectory::try_new(vec![from, to])?.leg(0);
-        let answered = run_leg(&mut self.engine, &self.scene, &leg, self.k);
+        let (dt, ot) = (self.scene.data_tree(), self.scene.obstacle_tree());
+        let (res, stats) = self.engine.coknn(dt, ot, &leg, self.k);
+        let answer = if self.k == 1 {
+            Answer::Conn(ConnResult::new(leg, res.clone().into_list()))
+        } else {
+            Answer::Coknn(res.clone())
+        };
         self.vertices.push(to);
-        self.legs.push(answered);
-        Ok(&self.legs.last().unwrap().0)
+        self.legs.push((res, stats));
+        Ok(self.last.insert(answer))
     }
 
     /// Statistics summed over the legs answered so far.
@@ -149,7 +162,7 @@ impl<'t> TrajectorySession<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{brute_force_oknn, obstructed_distance};
+    use crate::baseline::brute_force_oknn;
 
     fn points() -> Vec<DataPoint> {
         vec![
@@ -184,10 +197,10 @@ mod tests {
         ]
     }
 
-    /// Every leg runs cold, as a lone CONN. Each leg's answer, shifted by
-    /// its offset, and the stitched result answer, at every tuple midpoint
-    /// and on a 48-step grid, what brute force over the whole obstacle list
-    /// answers — or a point tied with it at 1e-6.
+    /// Every leg runs cold, as a lone CONN. Each leg's answer, at its
+    /// offset, and the stitched result answer, at every tuple midpoint and
+    /// on a 48-step grid, the distance brute force over the whole obstacle
+    /// list answers, within 1e-6 (which absorbs exact ties).
     #[test]
     fn session_matches_cold_per_leg() {
         let (dt, ot) = setup();
@@ -196,34 +209,30 @@ mod tests {
         let traj = Trajectory::new(verts.clone());
 
         let mut session = TrajectorySession::new(&dt, &ot, verts[0], 1, ConnConfig::default());
-        let mut shifted = Vec::new();
-        for (i, &v) in verts[1..].iter().enumerate() {
+        let mut legs = Vec::new();
+        for &v in &verts[1..] {
             let leg = session.push_leg(v).unwrap().as_conn().unwrap();
             leg.check_cover().unwrap();
-            let offset = traj.leg_offset(i);
-            for (p, iv) in leg.segments() {
-                shifted.push((p, conn_geom::Interval::new(iv.lo + offset, iv.hi + offset)));
-            }
+            legs.push(leg.clone());
         }
         let (answer, _) = session.finish().unwrap();
         let res = answer.into_trajectory().unwrap();
         res.check_cover().unwrap();
 
+        // the leg holding `t`, asked at its own parameter
         let at = |t: f64| {
-            shifted
-                .iter()
-                .find(|(_, iv)| iv.contains(t))
-                .and_then(|(p, _)| *p)
+            let i = (1..traj.num_legs())
+                .take_while(|&i| traj.leg_offset(i) <= t)
+                .count();
+            legs[i].nn_at(t - traj.leg_offset(i))
         };
         let mut ts: Vec<f64> = res.segments().iter().map(|(_, iv)| iv.midpoint()).collect();
         ts.extend((0..=48).map(|i| traj.len() * f64::from(i) / 48.0));
         for t in ts {
-            let q = traj.at(t);
-            let want = brute_force_oknn(&ps, &rs, q, 1);
+            let want = brute_force_oknn(&ps, &rs, traj.at(t), 1);
             for got in [res.nn_at(t), at(t)] {
                 match (got, want.first()) {
-                    (Some(g), Some((w, wd))) => {
-                        let gd = obstructed_distance(&rs, g.pos, q);
+                    (Some((g, gd)), Some((w, wd))) => {
                         assert!((gd - wd).abs() < 1e-6, "t = {t}: {} vs {}", g.id, w.id);
                     }
                     (g, w) => assert_eq!(g.is_none(), w.is_none(), "t = {t}"),
@@ -244,7 +253,10 @@ mod tests {
         }
         let running = session.stats();
         let (answer, stats) = session.finish().unwrap();
-        assert_eq!(answer.as_trajectory_knn().unwrap().len(), 3);
+        let route = answer.as_trajectory().unwrap();
+        route.check_cover().unwrap();
+        assert_eq!((route.k(), route.trajectory().num_legs()), (2, 3));
+        assert_eq!(route.knn_at(route.trajectory().len() / 2.0).len(), 2);
         assert!(stats.npe >= 3);
         assert_eq!(stats.npe, running.npe);
     }

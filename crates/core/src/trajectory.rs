@@ -3,17 +3,18 @@
 //! consists of several consecutive line segments".
 //!
 //! A trajectory query ([`crate::Query::trajectory`]) is Algorithm 4 run
-//! once per leg, the per-leg result lists stitched into one answer
-//! parameterized by cumulative arclength. The legs share nothing, so each
-//! runs as an ordinary CONN/COkNN query and the exactness argument holds
-//! leg by leg. The service runs a complete route's legs in order on one
-//! engine, or, for a lone `execute`, on the pool's idle workers; a
-//! [`crate::TrajectorySession`] runs them one at a time as the client
-//! reports them. All three share one leg runner and one assembly, which
-//! stitches the legs in leg order. The stitching
-//! re-indexes parameters into cumulative arclength, merges equal answers
-//! across the joints, and absorbs sub-`EPS` slivers produced by per-leg
-//! float drift at the shared vertices.
+//! once per leg at the route's `k`, the legs' result lists stitched into
+//! one list over cumulative arclength. The legs share nothing, so each runs
+//! as an ordinary COkNN query (CONN is its `k = 1`) and the exactness
+//! argument holds leg by leg. The service runs a complete route's legs in
+//! order on one engine, or, for a lone `execute`, on the pool's idle
+//! workers; a [`crate::TrajectorySession`] runs them one at a time as the
+//! client reports them. All three run each leg as one `coknn` call and
+//! share one stitch (`rlu.rs`'s `stitch`), which re-bases each leg onto
+//! cumulative arclength, snaps per-leg float drift at the shared vertices,
+//! and merges adjacent entries only when their members and control points
+//! are equal. So every stitched entry keeps its control points, and a
+//! [`TrajectoryResult`] gives distances at every `k`.
 //!
 //! The `trajectory_session` proptests check sessions against
 //! [`crate::baseline::brute_force_oknn`] over the whole obstacle list,
@@ -24,9 +25,11 @@
     reason = "leg/vertex indices are bounded by the constructor-validated vertex count"
 )]
 
-use conn_geom::{Interval, Point, Segment, EPS};
+use conn_geom::{Interval, Point, Segment};
 
+use crate::conn::merge_by_id;
 use crate::error::check_cover;
+use crate::rlu::{KnnEntry, KnnResultList};
 use crate::types::DataPoint;
 
 /// A polyline trajectory: consecutive line segments through `vertices`.
@@ -134,9 +137,10 @@ impl Trajectory {
     }
 }
 
-/// Answer of a trajectory CONN query: `⟨point, interval⟩` tuples over the
-/// trajectory's cumulative arclength. Statistics are summed over the legs
-/// (each leg is one Algorithm-4 run).
+/// Answer of a trajectory query at any `k`: one result list of
+/// `⟨ONNS, R⟩` tuples over the trajectory's cumulative arclength, each
+/// member with the control point its distance comes from. Statistics are
+/// summed over the legs (each leg is one Algorithm-4 run).
 ///
 /// ```
 /// use conn_core::{ConnService, DataPoint, Query, Scene, Trajectory};
@@ -158,25 +162,28 @@ impl Trajectory {
 /// let response = service.execute(&Query::trajectory(route.clone(), 1).build()?)?;
 /// let plan = response.answer.as_trajectory().expect("trajectory answer");
 /// plan.check_cover().unwrap();
-/// assert_eq!(plan.nn_at(0.0).unwrap().id, 0);
-/// assert_eq!(plan.nn_at(route.len()).unwrap().id, 1);
+/// let (first, d) = plan.nn_at(0.0).unwrap();
+/// assert_eq!((first.id, d), (0, Point::new(0.0, 0.0).dist(first.pos)));
+/// assert_eq!(plan.nn_at(route.len()).unwrap().0.id, 1);
 /// # Ok::<(), conn_core::Error>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct TrajectoryResult {
     trajectory: Trajectory,
-    segments: Vec<(Option<DataPoint>, Interval)>,
+    list: KnnResultList,
 }
 
 impl TrajectoryResult {
-    pub(crate) fn new(
-        trajectory: Trajectory,
-        segments: Vec<(Option<DataPoint>, Interval)>,
-    ) -> Self {
-        TrajectoryResult {
-            trajectory,
-            segments,
+    pub(crate) fn new(trajectory: Trajectory, list: KnnResultList) -> Self {
+        let res = TrajectoryResult { trajectory, list };
+        // Sanitizer choke point: every route answer passes through this
+        // constructor, so the cover audit sees all of them.
+        if conn_geom::sanitize::enabled() {
+            if let Err(e) = res.check_cover() {
+                conn_geom::sanitize::violation("TrajectoryResult cover", &e.to_string());
+            }
         }
+        res
     }
 
     /// The route the result answers.
@@ -184,129 +191,73 @@ impl TrajectoryResult {
         &self.trajectory
     }
 
-    /// The stitched `⟨p, R⟩` tuples (R in cumulative arclength).
-    pub fn segments(&self) -> &[(Option<DataPoint>, Interval)] {
-        &self.segments
+    /// The `k` the query asked for.
+    pub fn k(&self) -> usize {
+        self.list.k()
     }
 
-    /// The ONN at cumulative arclength `t` — identity only. The stitched
-    /// tuples do not retain the per-leg control points, so the obstructed
-    /// distance is not stored here; re-derive it with a
-    /// [`crate::Query::odist`] against the trajectory point, or run a
-    /// [`crate::Query::conn`] per leg when distances are needed along a
-    /// whole leg.
-    pub fn nn_at(&self, t: f64) -> Option<DataPoint> {
-        self.segments
-            .iter()
-            .find(|(_, iv)| iv.contains(t))
-            .and_then(|(p, _)| *p)
+    /// Raw tuples at control-point granularity (R in cumulative arclength).
+    pub fn entries(&self) -> &[KnnEntry] {
+        self.list.entries()
     }
 
-    /// Split points in cumulative arclength (answer changes only here).
+    /// The nearest member's `⟨p, R⟩` tuples with adjacent intervals of the
+    /// same point merged (R in cumulative arclength). `None` marks
+    /// intervals with no reachable data point.
+    pub fn segments(&self) -> Vec<(Option<DataPoint>, Interval)> {
+        merge_by_id(
+            self.entries()
+                .iter()
+                .map(|e| (e.members.first().map(|m| m.point), e.interval)),
+        )
+    }
+
+    /// The k nearest data points (ascending obstructed distance) at
+    /// cumulative arclength `t`.
+    pub fn knn_at(&self, t: f64) -> Vec<(DataPoint, f64)> {
+        self.list.answers_at(t, self.trajectory.at(t))
+    }
+
+    /// The ONN at cumulative arclength `t` with its obstructed distance.
+    pub fn nn_at(&self, t: f64) -> Option<(DataPoint, f64)> {
+        self.knn_at(t).first().copied()
+    }
+
+    /// Split points in cumulative arclength (the nearest point changes
+    /// only here).
     pub fn split_points(&self) -> Vec<f64> {
-        self.segments.windows(2).map(|w| w[0].1.hi).collect()
+        self.segments().windows(2).map(|w| w[0].1.hi).collect()
     }
 
     /// Validation: tuples cover `[0, len]` without gaps, and every tuple
-    /// has strictly positive width — the stitcher must never emit the
-    /// zero-width slivers that per-leg float drift can produce at joints.
+    /// has strictly positive width.
     pub fn check_cover(&self) -> Result<(), crate::Error> {
-        if let Some((_, iv)) = self.segments.iter().find(|(_, iv)| iv.hi <= iv.lo) {
+        let entries = self.entries();
+        if let Some(e) = entries.iter().find(|e| e.interval.hi <= e.interval.lo) {
             return Err(crate::Error::cover_violation(format!(
                 "empty tuple at {}",
-                iv.lo
+                e.interval.lo
             )));
         }
-        check_cover(
-            self.segments.iter().map(|(_, iv)| *iv),
-            self.trajectory.len(),
-        )
+        check_cover(entries.iter().map(|e| e.interval), self.trajectory.len())
     }
-}
-
-/// Appends one leg's merged `⟨p, R⟩` tuples (leg-local parameters) onto a
-/// stitched cumulative list covering `[0, end]`.
-///
-/// Joint hygiene lives here: every interval is re-based onto the running
-/// cursor, so per-leg float drift at a shared vertex (a leg's cover ending
-/// at `len ± 1e-9`) snaps instead of leaking as a gap or a zero-width
-/// sliver; equal answers merge across the joint; and tuples narrower than
-/// `EPS` are absorbed into a neighbor — at such a boundary the two answers
-/// tie to within `EPS`, so the absorbed answer is correct there.
-pub(crate) fn stitch_leg(
-    out: &mut Vec<(Option<DataPoint>, Interval)>,
-    leg: &[(Option<DataPoint>, Interval)],
-    offset: f64,
-    end: f64,
-) {
-    let mut cursor = offset;
-    for (i, (p, iv)) in leg.iter().enumerate() {
-        let hi = if i + 1 == leg.len() {
-            // the leg's last tuple closes exactly at the joint — but only
-            // genuine float drift may be absorbed; a leg result that
-            // under-covers its segment is a kernel bug the stitcher must
-            // not paper over
-            debug_assert!(
-                (offset + iv.hi - end).abs() <= 1e-6,
-                "leg cover ends at {} instead of {} — not joint drift",
-                offset + iv.hi,
-                end
-            );
-            end
-        } else {
-            let raw = offset + iv.hi;
-            let clamped = raw.clamp(cursor, end);
-            debug_assert!(
-                (raw - clamped).abs() <= 1e-6,
-                "mid-leg tuple boundary {raw} re-based by more than drift to {clamped}"
-            );
-            clamped
-        };
-        push_stitched(out, *p, Interval { lo: cursor, hi });
-        cursor = hi;
-    }
-}
-
-fn push_stitched(out: &mut Vec<(Option<DataPoint>, Interval)>, p: Option<DataPoint>, iv: Interval) {
-    let Some((last_p, last_iv)) = out.last_mut() else {
-        out.push((p, iv));
-        return;
-    };
-    if last_p.map(|x| x.id) == p.map(|x| x.id) {
-        // same answer persists across the boundary: extend
-        last_iv.hi = last_iv.hi.max(iv.hi);
-        return;
-    }
-    if iv.hi - iv.lo < EPS {
-        // incoming sub-EPS sliver: absorb into the previous tuple
-        last_iv.hi = last_iv.hi.max(iv.hi);
-        return;
-    }
-    if last_iv.hi - last_iv.lo < EPS {
-        // the previous tuple was a (leading) sliver: hand its span to the
-        // incoming tuple, re-checking the merge against the new last
-        let lo = last_iv.lo;
-        out.pop();
-        push_stitched(out, p, Interval::new(lo, iv.hi));
-        return;
-    }
-    out.push((p, iv));
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::baseline::{brute_force_oknn, obstructed_distance};
+    use crate::baseline::brute_force_oknn;
     use crate::{ConnService, Query, QueryStats, Scene};
     use conn_geom::Rect;
     use conn_index::RStarTree;
 
-    fn trajectory_conn(
+    fn trajectory(
         dt: &RStarTree<DataPoint>,
         ot: &RStarTree<Rect>,
         route: &Trajectory,
+        k: usize,
     ) -> (TrajectoryResult, QueryStats) {
-        let query = Query::trajectory(route.clone(), 1).build().unwrap();
+        let query = Query::trajectory(route.clone(), k).build().unwrap();
         let resp = ConnService::new(Scene::borrowing(dt, ot))
             .execute(&query)
             .unwrap();
@@ -354,61 +305,6 @@ mod tests {
         assert!(t.len() > 0.0);
     }
 
-    /// Regression: joint drift used to leak zero-width sliver tuples into
-    /// the stitched list. The stitcher must re-base intervals onto the
-    /// running cursor, absorb sub-EPS tuples, and close each leg exactly
-    /// at its joint.
-    #[test]
-    fn stitching_absorbs_joint_slivers() {
-        let pa = Some(DataPoint::new(0, Point::new(0.0, 0.0)));
-        let pb = Some(DataPoint::new(1, Point::new(1.0, 0.0)));
-        let mut out: Vec<(Option<DataPoint>, Interval)> = Vec::new();
-        // leg 1 ends with float overshoot past its true length 100
-        stitch_leg(
-            &mut out,
-            &[
-                (pa, Interval::new(0.0, 60.0)),
-                (pb, Interval::new(60.0, 100.0 + 3e-8)),
-            ],
-            0.0,
-            100.0,
-        );
-        // leg 2 opens with a sub-EPS sliver of the *old* answer before
-        // switching — the classic disagreement at the shared vertex
-        stitch_leg(
-            &mut out,
-            &[
-                (pb, Interval::new(0.0, 4e-8)),
-                (pa, Interval::new(4e-8, 80.0)),
-            ],
-            100.0,
-            180.0,
-        );
-        assert_eq!(out.len(), 3, "sliver must merge, not stand alone: {out:?}");
-        let mut cursor = 0.0;
-        for (_, iv) in &out {
-            assert!(iv.hi > iv.lo, "empty tuple {iv:?}");
-            assert_eq!(iv.lo, cursor, "gap/overlap at {cursor}");
-            cursor = iv.hi;
-        }
-        assert_eq!(cursor, 180.0);
-
-        // a leading sliver with a different successor hands its span over
-        let mut lead: Vec<(Option<DataPoint>, Interval)> = Vec::new();
-        stitch_leg(
-            &mut lead,
-            &[
-                (pa, Interval::new(0.0, 2e-8)),
-                (pb, Interval::new(2e-8, 50.0)),
-            ],
-            0.0,
-            50.0,
-        );
-        assert_eq!(lead.len(), 1);
-        assert_eq!(lead[0].0.map(|p| p.id), Some(1));
-        assert_eq!((lead[0].1.lo, lead[0].1.hi), (0.0, 50.0));
-    }
-
     #[test]
     #[should_panic]
     fn rejects_single_vertex() {
@@ -425,8 +321,8 @@ mod tests {
         ]);
     }
 
-    #[test]
-    fn trajectory_conn_matches_brute_force() {
+    /// The scene of the brute-force checks: three points, two obstacles.
+    fn scene() -> (Vec<DataPoint>, Vec<Rect>) {
         let points = vec![
             DataPoint::new(0, Point::new(20.0, 30.0)),
             DataPoint::new(1, Point::new(80.0, -20.0)),
@@ -436,27 +332,48 @@ mod tests {
             Rect::new(40.0, 10.0, 60.0, 25.0),
             Rect::new(110.0, 20.0, 120.0, 60.0),
         ];
-        let dt = RStarTree::bulk_load(points.clone(), 4096);
-        let ot = RStarTree::bulk_load(obstacles.clone(), 4096);
-        let traj = l_shape();
-        let (res, stats) = trajectory_conn(&dt, &ot, &traj);
-        res.check_cover().unwrap();
-        assert!(stats.npe >= 3, "per-leg runs accumulate NPE");
-        for i in 0..=36 {
-            let t = traj.len() * (i as f64) / 36.0;
-            let want = brute_force_oknn(&points, &obstacles, traj.at(t), 1);
-            let got = res.nn_at(t);
-            match (got, want.first()) {
-                (Some(g), Some((w, wd))) => {
-                    if g.id != w.id {
-                        // only acceptable under a tie
-                        let gd = obstructed_distance(&obstacles, g.pos, traj.at(t));
-                        assert!((gd - wd).abs() < 1e-6, "t={t}: {} vs {}", g.id, w.id);
-                    }
-                }
-                (g, w) => assert_eq!(g.is_none(), w.is_none(), "t = {t}"),
+        (points, obstacles)
+    }
+
+    /// The route's `knn_at`, at its entry midpoints and on a 48-step grid,
+    /// is brute force's `k` nearest: the same count, each distance within
+    /// 1e-6 (which absorbs exact ties).
+    pub(crate) fn assert_matches_brute_force(
+        res: &TrajectoryResult,
+        points: &[DataPoint],
+        obstacles: &[Rect],
+    ) {
+        let traj = res.trajectory();
+        let mut ts: Vec<f64> = res
+            .entries()
+            .iter()
+            .map(|e| e.interval.midpoint())
+            .collect();
+        ts.extend((0..=48).map(|i| traj.len() * f64::from(i) / 48.0));
+        for t in ts {
+            let got = res.knn_at(t);
+            let want = brute_force_oknn(points, obstacles, traj.at(t), res.k());
+            assert_eq!(got.len(), want.len(), "t = {t}");
+            for ((g, gd), (w, wd)) in got.iter().zip(&want) {
+                assert!(
+                    (gd - wd).abs() < 1e-6,
+                    "t = {t}: {} ({gd}) vs {} ({wd})",
+                    g.id,
+                    w.id
+                );
             }
         }
+    }
+
+    #[test]
+    fn trajectory_conn_matches_brute_force() {
+        let (points, obstacles) = scene();
+        let dt = RStarTree::bulk_load(points.clone(), 4096);
+        let ot = RStarTree::bulk_load(obstacles.clone(), 4096);
+        let (res, stats) = trajectory(&dt, &ot, &l_shape(), 1);
+        res.check_cover().unwrap();
+        assert!(stats.npe >= 3, "per-leg runs accumulate NPE");
+        assert_matches_brute_force(&res, &points, &obstacles);
     }
 
     #[test]
@@ -465,31 +382,27 @@ mod tests {
         let points = vec![DataPoint::new(0, Point::new(50.0, 40.0))];
         let dt = RStarTree::bulk_load(points, 4096);
         let ot: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
-        let (res, _) = trajectory_conn(&dt, &ot, &l_shape());
+        let (res, stats) = trajectory(&dt, &ot, &l_shape(), 1);
+        assert_eq!(res.entries().len(), 1);
+        assert_eq!(
+            stats.result_tuples, 1,
+            "a route counts its stitched entries"
+        );
         assert_eq!(res.segments().len(), 1);
         assert_eq!(res.split_points().len(), 0);
     }
 
+    /// A k = 2 route is one answer over arclength, with distances.
     #[test]
-    fn trajectory_coknn_per_leg_results() {
-        let points = vec![
-            DataPoint::new(0, Point::new(20.0, 30.0)),
-            DataPoint::new(1, Point::new(80.0, -20.0)),
-            DataPoint::new(2, Point::new(130.0, 50.0)),
-        ];
-        let dt = RStarTree::bulk_load(points, 4096);
-        let ot: RStarTree<Rect> = RStarTree::bulk_load(vec![], 4096);
-        let traj = l_shape();
-        let query = Query::trajectory(traj, 2).build().unwrap();
-        let resp = ConnService::new(Scene::borrowing(&dt, &ot))
-            .execute(&query)
-            .unwrap();
-        let legs = resp.answer.as_trajectory_knn().unwrap();
-        assert_eq!(legs.len(), 2);
-        assert!(resp.stats.npe >= 3);
-        for leg in legs {
-            leg.check_cover().unwrap();
-            assert_eq!(leg.knn_at(10.0).len(), 2);
-        }
+    fn trajectory_coknn_matches_brute_force() {
+        let (points, obstacles) = scene();
+        let dt = RStarTree::bulk_load(points.clone(), 4096);
+        let ot = RStarTree::bulk_load(obstacles.clone(), 4096);
+        let (res, stats) = trajectory(&dt, &ot, &l_shape(), 2);
+        res.check_cover().unwrap();
+        assert_eq!(res.k(), 2);
+        assert!(stats.npe >= 3);
+        assert_eq!(stats.result_tuples, res.entries().len() as u64);
+        assert_matches_brute_force(&res, &points, &obstacles);
     }
 }

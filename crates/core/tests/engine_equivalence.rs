@@ -440,11 +440,11 @@ fn fixed_scene_answers_and_work_counts() {
         .as_trajectory()
         .unwrap()
         .segments()
-        .iter()
+        .into_iter()
         .flat_map(|(p, iv)| {
             [p.map_or(u64::MAX, |p| u64::from(p.id))]
                 .into_iter()
-                .chain(span(iv))
+                .chain(span(&iv))
         });
     // 8 683 sight tests, no sweep events
     assert_pinned(

@@ -4,11 +4,9 @@
 //!
 //! * [`ConnService::execute`] on a warm pool engine (which has served other
 //!   families before) must answer **byte-identically** to a fresh
-//!   [`QueryEngine`] driven directly for that one query (a k = 1
-//!   trajectory: a session pushed through its vertices — `execute` runs its
-//!   legs on several workers, the session runs them in order on one engine;
-//!   a k > 1 trajectory: each leg a lone COkNN, which shares no assembly
-//!   with the served path);
+//!   [`QueryEngine`] driven directly for that one query (a trajectory: a
+//!   session pushed through its vertices — `execute` runs its legs on
+//!   several workers, the session runs them in order on one engine);
 //! * [`ConnService::execute_batch_threads`] must answer byte-identically to
 //!   `execute`;
 //! * the served kernel must answer like a [`ConnConfig::baseline_kernel`]
@@ -28,8 +26,8 @@ mod fixtures;
 use common::{check_route, close};
 use conn_core::baseline::obstructed_route;
 use conn_core::{
-    Answer, CoknnResult, ConnConfig, ConnService, DataPoint, Query, QueryEngine, QueryKind,
-    Response, Scene, Trajectory, TrajectorySession,
+    Answer, ConnConfig, ConnService, DataPoint, Query, QueryEngine, QueryKind, Response, Scene,
+    Trajectory, TrajectorySession,
 };
 use conn_datasets::ObstacleLookup;
 use conn_geom::{Point, Segment};
@@ -117,19 +115,13 @@ fn answer_on_fresh_engine(query: &Query, scene: &Scene<'_>, cfg: ConnConfig) -> 
             let ((dist, path), _) = engine.obstructed_route(ot, *a, *b);
             Answer::Route { dist, path }
         }
-        QueryKind::Trajectory { route, k: 1 } => {
-            let mut session = TrajectorySession::new(dt, ot, route.vertices()[0], 1, cfg);
+        QueryKind::Trajectory { route, k } => {
+            let mut session = TrajectorySession::new(dt, ot, route.vertices()[0], *k, cfg);
             for &v in &route.vertices()[1..] {
                 session.push_leg(v).unwrap();
             }
             session.finish().unwrap().0
         }
-        // each leg a lone COkNN: no session, no stitching
-        QueryKind::Trajectory { route, k } => Answer::TrajectoryKnn(
-            (0..route.num_legs())
-                .map(|i| engine.coknn(dt, ot, &route.leg(i), *k).0)
-                .collect(),
-        ),
         other => unreachable!("family {} is not generated here", other.family()),
     }
 }
@@ -174,12 +166,16 @@ fn assert_neighbors_equivalent(
     Ok(())
 }
 
-/// Two COkNN answers over one segment: the same kNN distances at each
-/// point of a 33-step grid.
-fn assert_coknn_equivalent(x: &CoknnResult, y: &CoknnResult) -> Result<(), TestCaseError> {
+/// Two kNN answers over one polyline of length `len`: the same kNN
+/// distances at each point of a 33-step grid.
+fn assert_knn_equivalent(
+    len: f64,
+    x: impl Fn(f64) -> Vec<(DataPoint, f64)>,
+    y: impl Fn(f64) -> Vec<(DataPoint, f64)>,
+) -> Result<(), TestCaseError> {
     for i in 0..=32 {
-        let t = x.query().len() * f64::from(i) / 32.0;
-        let (kx, ky) = (x.knn_at(t), y.knn_at(t));
+        let t = len * f64::from(i) / 32.0;
+        let (kx, ky) = (x(t), y(t));
         prop_assert_eq!(kx.len(), ky.len(), "t = {}", t);
         for ((_, dx), (_, dy)) in kx.iter().zip(&ky) {
             prop_assert!((dx - dy).abs() <= 1e-6, "t = {t}: {dx} vs {dy}");
@@ -192,12 +188,8 @@ fn assert_coknn_equivalent(x: &CoknnResult, y: &CoknnResult) -> Result<(), TestC
 fn assert_kernels_equivalent(served: &Answer, reference: &Answer) -> Result<(), TestCaseError> {
     match (served, reference) {
         (Answer::Conn(x), Answer::Conn(y)) => prop_assert!(x.values_equivalent(y, 1e-6)),
-        (Answer::Coknn(x), Answer::Coknn(y)) => assert_coknn_equivalent(x, y)?,
-        (Answer::TrajectoryKnn(x), Answer::TrajectoryKnn(y)) => {
-            prop_assert_eq!(x.len(), y.len());
-            for (x, y) in x.iter().zip(y) {
-                assert_coknn_equivalent(x, y)?;
-            }
+        (Answer::Coknn(x), Answer::Coknn(y)) => {
+            assert_knn_equivalent(x.query().len(), |t| x.knn_at(t), |t| y.knn_at(t))?
         }
         (Answer::Onn(x), Answer::Onn(y)) | (Answer::Range(x), Answer::Range(y)) => {
             assert_neighbors_equivalent(x, y)?
@@ -212,14 +204,16 @@ fn assert_kernels_equivalent(served: &Answer, reference: &Answer) -> Result<(), 
             let near_split = |t: f64| {
                 x.segments()
                     .iter()
-                    .chain(y.segments())
+                    .chain(&y.segments())
                     .any(|(_, iv)| (t - iv.lo).abs() < 1e-6 || (t - iv.hi).abs() < 1e-6)
             };
+            let len = x.trajectory().len();
             for i in 0..=64 {
-                let t = x.trajectory().len() * f64::from(i) / 64.0;
-                let same = x.nn_at(t).map(|p| p.id) == y.nn_at(t).map(|p| p.id);
+                let t = len * f64::from(i) / 64.0;
+                let same = x.nn_at(t).map(|p| p.0.id) == y.nn_at(t).map(|p| p.0.id);
                 prop_assert!(same || near_split(t), "t = {t}");
             }
+            assert_knn_equivalent(len, |t| x.knn_at(t), |t| y.knn_at(t))?
         }
         (x, y) => prop_assert!(false, "{} answered beside {}", x.family(), y.family()),
     }

@@ -1,21 +1,26 @@
 //! Trajectory sessions against an independent reference.
 //!
-//! A [`TrajectorySession`] runs each leg as an ordinary CONN or COkNN
-//! query and stitches the results the way the service does, so comparing
-//! it with the service's leg loop would check the stitching against
-//! itself. The reference here is `brute_force_oknn` over the whole
+//! A [`TrajectorySession`] runs each leg as an ordinary COkNN query (CONN
+//! at k = 1) and stitches the results the way the service does, so
+//! comparing it with the service's leg loop would check the stitching
+//! against itself. The reference here is `brute_force_oknn` over the whole
 //! obstacle list — one complete visibility graph, no tree, no obstacle
 //! stream, no warm state — at sampled points of the route. For k = 1 both
 //! the legs' answers, shifted to cumulative arclength, and the stitched
 //! result must agree with it: same answer identities modulo exact ties,
 //! distances within 1e-6, across kernels and across uniform/clustered
-//! point layouts. For k = 2 each leg's two nearest neighbours must. Cover invariants (gap-free, no empty
-//! tuples) are asserted on every generated trajectory, which doubles as
-//! the multi-leg joint-sliver regression suite.
+//! point layouts. For k = 2 each leg's and the stitched route's two
+//! nearest neighbours must. Cover invariants (gap-free, no empty tuples)
+//! are asserted on every generated trajectory, which doubles as the
+//! multi-leg joint regression suite. A segment cut into equal pieces and
+//! stitched must hold the whole segment's entries, control points
+//! included.
 
 use conn_core::baseline::{brute_force_oknn, obstructed_distance};
-use conn_core::{ConnConfig, DataPoint, KernelMode, Trajectory, TrajectorySession};
-use conn_geom::{Interval, Point, Rect};
+use conn_core::{
+    ConnConfig, DataPoint, KernelMode, QueryEngine, Trajectory, TrajectoryResult, TrajectorySession,
+};
+use conn_geom::{Interval, Point, Rect, Segment};
 use conn_index::RStarTree;
 use proptest::prelude::*;
 
@@ -167,20 +172,55 @@ fn check_kernel(scn: &Scenario, kernel: KernelMode) -> Result<(), TestCaseError>
     // force at sampled parameters (tuple midpoints of both plus an even
     // grid)
     let mut ts: Vec<f64> = Vec::new();
-    for (_, iv) in concat.iter().chain(streamed.segments()) {
+    for (_, iv) in concat.iter().chain(&streamed.segments()) {
         ts.push(iv.midpoint());
     }
     ts.extend((0..=48).map(|i| traj.len() * i as f64 / 48.0));
     for t in ts {
         let want = brute_force_oknn(ps, obstacles, traj.at(t), 1)
             .first()
-            .map(|(p, _)| *p);
-        answers_agree(obstacles, &traj, t, want, streamed.nn_at(t))?;
+            .copied();
+        let got = streamed.nn_at(t);
+        answers_agree(obstacles, &traj, t, want.map(|w| w.0), got.map(|g| g.0))?;
+        if let (Some((_, wd)), Some((_, gd))) = (want, got) {
+            prop_assert!((gd - wd).abs() < 1e-6, "t = {t}: distance {gd} vs {wd}");
+        }
         let from_legs = concat
             .iter()
             .find(|(_, iv)| iv.contains(t))
             .and_then(|(p, _)| *p);
-        answers_agree(obstacles, &traj, t, want, from_legs)?;
+        answers_agree(obstacles, &traj, t, want.map(|w| w.0), from_legs)?;
+    }
+    Ok(())
+}
+
+/// The route's `knn_at`, at its entry midpoints and on a 48-step grid, is
+/// brute force's `k` nearest: the same number of reachable points, each
+/// distance within 1e-6 (which absorbs exact ties).
+fn route_matches_brute_force(
+    res: &TrajectoryResult,
+    ps: &[DataPoint],
+    obstacles: &[Rect],
+) -> Result<(), TestCaseError> {
+    let traj = res.trajectory();
+    let mut ts: Vec<f64> = res
+        .entries()
+        .iter()
+        .map(|e| e.interval.midpoint())
+        .collect();
+    ts.extend((0..=48).map(|i| traj.len() * f64::from(i) / 48.0));
+    for t in ts {
+        let got = res.knn_at(t);
+        let want = brute_force_oknn(ps, obstacles, traj.at(t), res.k());
+        prop_assert_eq!(got.len(), want.len(), "route at t = {}", t);
+        for ((g, gd), (w, wd)) in got.iter().zip(&want) {
+            prop_assert!(
+                (gd - wd).abs() < 1e-6,
+                "route at t = {t}: {} (d = {gd}) vs {} (d = {wd})",
+                g.id,
+                w.id
+            );
+        }
     }
     Ok(())
 }
@@ -226,7 +266,59 @@ fn check_coknn(scn: &Scenario) -> Result<(), TestCaseError> {
         }
     }
     let (answer, _) = session.finish().unwrap();
-    prop_assert_eq!(answer.as_trajectory_knn().unwrap().len(), traj.num_legs());
+    let route = answer.into_trajectory().unwrap();
+    prop_assert!(route.check_cover().is_ok(), "{:?}", route.check_cover());
+    route_matches_brute_force(&route, ps, obstacles)
+}
+
+/// Within 1e-9 relative.
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// The route's first leg `q`, cut into `pieces` equal pieces run in order
+/// on one engine and stitched, holds the entries `q` run whole holds: the
+/// same member ids and control points, interval ends within 1e-9 relative.
+fn check_cut(scn: &Scenario, k: usize, pieces: u32) -> Result<(), TestCaseError> {
+    let (obstacles, ps, verts) = scn;
+    let q = Segment::new(verts[0], verts[1]);
+    let data_tree = RStarTree::bulk_load(ps.clone(), 4096);
+    let obstacle_tree = RStarTree::bulk_load(obstacles.clone(), 4096);
+    let cfg = ConnConfig::default();
+    let (whole, _) = QueryEngine::new(cfg).coknn(&data_tree, &obstacle_tree, &q, k);
+
+    let mut session = TrajectorySession::new(&data_tree, &obstacle_tree, q.a, k, cfg);
+    for j in 1..pieces {
+        session
+            .push_leg(q.at(q.len() * f64::from(j) / f64::from(pieces)))
+            .unwrap();
+    }
+    session.push_leg(q.b).unwrap();
+    let cut = session.finish().unwrap().0.into_trajectory().unwrap();
+
+    let (a, b) = (whole.entries(), cut.entries());
+    prop_assert_eq!(
+        a.len(),
+        b.len(),
+        "k = {}, {} pieces: entry count",
+        k,
+        pieces
+    );
+    for (x, y) in a.iter().zip(b) {
+        let ctx = format!("k = {k}, {pieces} pieces: {x:?} vs {y:?}");
+        prop_assert!(close(x.interval.lo, y.interval.lo), "{ctx}");
+        prop_assert!(close(x.interval.hi, y.interval.hi), "{ctx}");
+        prop_assert_eq!(x.members.len(), y.members.len(), "{}", ctx);
+        for (m, n) in x.members.iter().zip(&y.members) {
+            prop_assert_eq!(m.point.id, n.point.id, "{}", ctx);
+            prop_assert!(
+                close(m.cp.pos.x, n.cp.pos.x)
+                    && close(m.cp.pos.y, n.cp.pos.y)
+                    && close(m.cp.base, n.cp.base),
+                "{ctx}"
+            );
+        }
+    }
     Ok(())
 }
 
@@ -247,9 +339,21 @@ proptest! {
         check_kernel(&scn, KernelMode::Blind)?;
     }
 
-    /// A COkNN trajectory (k = 2), leg by leg, against brute force.
+    /// A COkNN trajectory (k = 2), leg by leg and stitched, against brute
+    /// force.
     #[test]
     fn coknn_legs_match_brute_force(scn in scenario()) {
         check_coknn(&scn)?;
+    }
+
+    /// CONN and COkNN (k = 2) over a segment cut into 2 and 4 equal pieces
+    /// and stitched hold the whole segment's entries.
+    #[test]
+    fn cut_and_stitch_matches_whole_segment(scn in scenario()) {
+        for k in [1, 2] {
+            for pieces in [2, 4] {
+                check_cut(&scn, k, pieces)?;
+            }
+        }
     }
 }

@@ -64,18 +64,23 @@ fn main() {
     }
     println!("{} handovers along the loop", plan.split_points().len());
 
-    // Spot check against a direct shortest-path computation.
+    // The plan carries distances; a direct shortest-path query cross-checks
+    // one of them.
     let probe = route.len() * 0.37;
-    let dock = plan.nn_at(probe).expect("answer at probe");
+    let (dock, d) = plan.nn_at(probe).expect("answer at probe");
     let walk = Query::odist(dock.pos, route.at(probe))
         .build()
         .expect("valid endpoints");
-    let d = service
+    let direct = service
         .execute(&walk)
         .expect("odist query")
         .answer
         .distance()
         .expect("odist answer");
+    assert!(
+        (d - direct).abs() <= 1e-6,
+        "plan says {d}, a direct odist says {direct}"
+    );
     println!(
         "\nat route position {probe:.0}: dock {} is {d:.1} m away around the racks",
         dock.id

@@ -65,10 +65,11 @@ fn trajectory_conn_on_workload() {
     assert!(resp.stats.npe >= 1);
     for i in 0..=10 {
         let t = route.len() * (i as f64) / 10.0;
-        if let Some(p) = plan.nn_at(t) {
+        if let Some((p, d)) = plan.nn_at(t) {
             let want = brute_force_oknn(&points, &obstacles, route.at(t), 1)[0];
             let got_d = obstructed_distance(&obstacles, p.pos, route.at(t));
             assert!((got_d - want.1).abs() < 1e-6, "t = {t}");
+            assert!((d - want.1).abs() < 1e-6, "t = {t}: the plan says {d}");
         }
     }
 }
