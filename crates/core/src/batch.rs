@@ -136,12 +136,7 @@ mod tests {
         for (resp, q) in batch.iter().zip(&queries) {
             let (serial, serial_stats) = QueryEngine::new(cfg).conn(&dt, &ot, q);
             let res = resp.answer.as_conn().unwrap();
-            assert_eq!(res.entries().len(), serial.entries().len());
-            for (x, y) in res.entries().iter().zip(serial.entries()) {
-                assert_eq!(x.point.map(|p| p.id), y.point.map(|p| p.id));
-                assert_eq!(x.interval.lo.to_bits(), y.interval.lo.to_bits());
-                assert_eq!(x.interval.hi.to_bits(), y.interval.hi.to_bits());
-            }
+            assert_eq!(format!("{res:?}"), format!("{serial:?}"));
             assert_eq!(resp.stats.data_io, serial_stats.data_io);
             assert_eq!(resp.stats.obstacle_io, serial_stats.obstacle_io);
         }

@@ -1,25 +1,27 @@
 //! COkNN — continuous obstructed k-nearest neighbors (paper §4.5): the
-//! answer type.
+//! answer type of every segment query, CONN's `k = 1` included.
 //!
 //! The result list generalizes to tuples `⟨ONNSᵢ, Rᵢ⟩`: an ordered list of
 //! up to `k` members per interval, each member carrying the control point
 //! its distance function routes through. That list and its RLU live in
-//! `rlu.rs` and serve every `k`, CONN's `k = 1` included; the pruning bound
-//! becomes `RLMAX = maxᵢ max(kth-dist(Rᵢ.l), kth-dist(Rᵢ.r))`, infinite
-//! while any interval holds fewer than `k` members.
+//! `rlu.rs` and serve every `k`; the pruning bound becomes
+//! `RLMAX = maxᵢ max(kth-dist(Rᵢ.l), kth-dist(Rᵢ.r))`, infinite while any
+//! interval holds fewer than `k` members. At `k = 1` the tuples are CONN's
+//! `⟨p, cp, R⟩` (Def. 6), and [`CoknnResult::segments`] reads out its
+//! `⟨p, R⟩` output at every `k`.
 //!
-//! COkNN runs on the same kernel as CONN (the shared loop in
-//! [`crate::conn`]): under [`crate::KernelMode::GoalDirected`] the k-th
-//! bound above is handed to CPLC as its outer expansion cap — a candidate
-//! control point that cannot beat the k-th member anywhere stops the graph
-//! traversal instead of merely being filtered out of the result.
+//! COkNN runs on the same kernel as CONN (the shared loop in `conn.rs`):
+//! under [`crate::KernelMode::GoalDirected`] the k-th bound above is handed
+//! to CPLC as its outer expansion cap — a candidate control point that
+//! cannot beat the k-th member anywhere stops the graph traversal instead
+//! of merely being filtered out of the result.
 
 use conn_geom::{Interval, Segment};
 
 use crate::rlu::{KnnEntry, KnnResultList};
 use crate::types::DataPoint;
 
-/// Answer of a COkNN query.
+/// Answer of a CONN (`k = 1`) or COkNN query over a segment.
 ///
 /// ```
 /// use conn_core::{ConnService, DataPoint, Query, Scene};
@@ -40,6 +42,15 @@ use crate::types::DataPoint;
 /// let two_nearest = result.knn_at(50.0);
 /// assert_eq!(two_nearest.len(), 2);
 /// assert!(two_nearest[0].1 <= two_nearest[1].1);
+///
+/// // a CONN answer is the k = 1 list: its nearest point is the first member
+/// let response = service.execute(&Query::conn(q).build()?)?;
+/// let conn = response.answer.as_conn().expect("conn answer");
+/// assert_eq!(conn.k(), 1);
+/// assert_eq!(conn.nn_at(50.0), result.knn_at(50.0).first().copied());
+/// for (nearest, interval) in conn.segments() {
+///     assert!(nearest.is_some() && interval.hi > interval.lo);
+/// }
 /// # Ok::<(), conn_core::Error>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -52,7 +63,7 @@ pub struct CoknnResult {
 impl CoknnResult {
     pub(crate) fn new(q: Segment, list: KnnResultList) -> Self {
         let res = CoknnResult { q, list };
-        // Sanitizer choke point: every COkNN answer passes through this
+        // Sanitizer choke point: every segment answer passes through this
         // constructor, so the cover audit sees all of them.
         if conn_geom::sanitize::enabled() {
             if let Err(e) = res.check_cover() {
@@ -67,12 +78,12 @@ impl CoknnResult {
         &self.q
     }
 
-    /// The `k` the query asked for.
+    /// The `k` the query asked for (1 for CONN).
     pub fn k(&self) -> usize {
         self.list.k()
     }
 
-    /// Raw tuples at control-point granularity.
+    /// Raw tuples `⟨ONNS, R⟩` at control-point granularity.
     pub fn entries(&self) -> &[KnnEntry] {
         self.list.entries()
     }
@@ -84,22 +95,24 @@ impl CoknnResult {
 
     /// The k nearest data points (ascending distance) at parameter `t`.
     pub fn knn_at(&self, t: f64) -> Vec<(DataPoint, f64)> {
-        self.list.answers_at(t, self.q.at(t))
+        self.list.knn_at(t, self.q.at(t))
     }
 
-    /// `⟨ONNS, R⟩` tuples with adjacent intervals of identical member *id
-    /// sets* merged (order within the set may change inside an interval).
-    pub fn segments(&self) -> Vec<(Vec<u32>, Interval)> {
-        let mut out: Vec<(Vec<u32>, Interval)> = Vec::new();
-        for e in self.list.entries() {
-            let mut ids: Vec<u32> = e.members.iter().map(|m| m.point.id).collect();
-            ids.sort_unstable();
-            match out.last_mut() {
-                Some((prev, iv)) if *prev == ids => iv.hi = e.interval.hi,
-                _ => out.push((ids, e.interval)),
-            }
-        }
-        out
+    /// The ONN at parameter `t ∈ [0, q.len()]` with its obstructed distance.
+    pub fn nn_at(&self, t: f64) -> Option<(DataPoint, f64)> {
+        self.list.nn_at(t, self.q.at(t))
+    }
+
+    /// The nearest member's `⟨p, R⟩` tuples with adjacent intervals of the
+    /// same point merged (the paper's Definition 6 output). `None` marks
+    /// intervals with no reachable data point.
+    pub fn segments(&self) -> Vec<(Option<DataPoint>, Interval)> {
+        self.list.segments()
+    }
+
+    /// Split points: the parameters where the nearest point changes.
+    pub fn split_points(&self) -> Vec<f64> {
+        self.list.split_points()
     }
 
     /// Validates the answer's cover invariants: the entries exactly cover
@@ -166,11 +179,16 @@ mod tests {
     #[test]
     fn member_sets_change_at_segment_boundaries() {
         let (res, _) = search(pts(), vec![], 2);
-        let segs = res.segments();
-        assert!(segs.len() >= 2);
-        for w in segs.windows(2) {
-            assert_ne!(w[0].0, w[1].0, "unmerged identical neighbor sets");
+        // the member id sets along q, adjacent equal sets merged
+        let mut sets: Vec<Vec<u32>> = Vec::new();
+        for e in res.entries() {
+            let mut ids: Vec<u32> = e.members.iter().map(|m| m.point.id).collect();
+            ids.sort_unstable();
+            if sets.last() != Some(&ids) {
+                sets.push(ids);
+            }
         }
+        assert!(sets.len() >= 2, "one neighbor set along all of q");
     }
 
     #[test]

@@ -7,26 +7,19 @@
 //! result list of `rlu.rs` for every `k`, drives the single-tree variant
 //! through the [`crate::streams::QueryStreams`] abstraction, and runs
 //! entirely on a caller-provided [`crate::engine::Workspace`] so a reused
-//! engine performs no per-query substrate allocations. [`ConnResult`] is
-//! the `k = 1` list read out as `⟨p, cp, R⟩` tuples.
+//! engine performs no per-query substrate allocations. The answer of
+//! either is a [`crate::CoknnResult`]; CONN's is the `k = 1` list, whose
+//! tuples are the paper's `⟨p, cp, R⟩`.
 
-#![expect(
-    clippy::indexing_slicing,
-    reason = "indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)"
-)]
-
-use conn_geom::{Interval, Segment, EPS};
-use conn_vgraph::NodeKind;
+use conn_geom::{Segment, EPS};
+use conn_vgraph::{NodeId, NodeKind};
 
 use crate::config::ConnConfig;
 use crate::cpl::{cplc_bounded, ControlPointList};
-use crate::dist::ControlPoint;
-use crate::engine::{Meters, Workspace};
-use crate::error::check_cover;
+use crate::engine::Workspace;
 use crate::ior::ior;
 use crate::rlu::KnnResultList;
 use crate::streams::QueryStreams;
-use crate::types::DataPoint;
 
 /// Loop-level telemetry (everything except R-tree I/O, which the workspace
 /// window reads off the engine's meters).
@@ -40,37 +33,18 @@ pub(crate) struct LoopTelemetry {
     pub svg_nodes: u64,
 }
 
-/// The shared search loop of Algorithm 4, running on a (possibly reused)
-/// workspace: the graph, Dijkstra labels, VR cache and IOR threshold all
-/// come from `ws` and are rewound by `Workspace::begin_query`, which also
-/// opens the counter window over `io` (the meters `streams` charges).
+/// The shared search loop of Algorithm 4 on a prepared workspace: the
+/// engine's one driver has rewound it (`Workspace::begin_query`) or kept
+/// the graph of a standing query's previous run (`Workspace::begin_leg`),
+/// and hands over the two endpoint nodes. The graph, Dijkstra labels, VR
+/// cache and IOR threshold all come from `ws`.
 pub(crate) fn run_search<S: QueryStreams>(
     streams: &mut S,
     q: &Segment,
     cfg: &ConnConfig,
     list: &mut KnnResultList,
     ws: &mut Workspace,
-    io: &Meters,
-) -> LoopTelemetry {
-    ws.begin_query(io);
-    let s_node = ws.g.add_point(q.a, NodeKind::Endpoint);
-    let e_node = ws.g.add_point(q.b, NodeKind::Endpoint);
-    run_leg(streams, q, cfg, list, ws, s_node, e_node)
-}
-
-/// Algorithm 4's loop on an *already prepared* workspace: the caller has
-/// rewound (or deliberately kept) the workspace state and owns the two
-/// endpoint nodes. [`run_search`] is the fresh query; the other caller is a
-/// standing CONN's warm re-run, whose segment kernel keeps the graph and
-/// both endpoint nodes of its previous run ([`crate::live`]).
-pub(crate) fn run_leg<S: QueryStreams>(
-    streams: &mut S,
-    q: &Segment,
-    cfg: &ConnConfig,
-    list: &mut KnnResultList,
-    ws: &mut Workspace,
-    s_node: conn_vgraph::NodeId,
-    e_node: conn_vgraph::NodeId,
+    (s_node, e_node): (NodeId, NodeId),
 ) -> LoopTelemetry {
     let mut npe = 0u64;
 
@@ -145,7 +119,7 @@ pub(crate) fn run_leg<S: QueryStreams>(
 fn refine_to_fixpoint<S: QueryStreams>(
     q: &Segment,
     ws: &mut Workspace,
-    p_node: conn_vgraph::NodeId,
+    p_node: NodeId,
     cfg: &ConnConfig,
     streams: &mut S,
     cpl: &mut ControlPointList,
@@ -185,140 +159,11 @@ fn refine_to_fixpoint<S: QueryStreams>(
     }
 }
 
-/// `⟨p, R⟩` tuples, in order, with adjacent intervals of the same answer
-/// point merged (the paper's Definition 6 output).
-pub(crate) fn merge_by_id(
-    tuples: impl IntoIterator<Item = (Option<DataPoint>, Interval)>,
-) -> Vec<(Option<DataPoint>, Interval)> {
-    let mut out: Vec<(Option<DataPoint>, Interval)> = Vec::new();
-    for (p, iv) in tuples {
-        match out.last_mut() {
-            Some((prev, last)) if prev.map(|x| x.id) == p.map(|x| x.id) => last.hi = iv.hi,
-            _ => out.push((p, iv)),
-        }
-    }
-    out
-}
-
-/// One tuple `⟨p, cp, R⟩` of a CONN answer. `point == None` means no data
-/// point can reach this interval.
-#[derive(Debug, Clone, Copy)]
-pub struct ResultEntry {
-    /// The answer point (`None` = unreachable interval).
-    pub point: Option<DataPoint>,
-    /// The control point realizing the answer's distance function.
-    pub cp: Option<ControlPoint>,
-    /// The interval of the query segment this tuple answers.
-    pub interval: Interval,
-}
-
-impl ResultEntry {
-    /// The obstructed distance from the answer point to `q(t)` (requires
-    /// `t` within the entry's interval).
-    pub fn value(&self, q: &Segment, t: f64) -> Option<f64> {
-        self.cp.as_ref().map(|cp| cp.value(q, t))
-    }
-}
-
-/// Answer of a CONN query.
-#[derive(Debug, Clone)]
-#[must_use]
-pub struct ConnResult {
-    q: Segment,
-    entries: Vec<ResultEntry>,
-}
-
-impl ConnResult {
-    /// Reads the `k = 1` result list out as `⟨p, cp, R⟩` tuples.
-    pub(crate) fn new(q: Segment, list: KnnResultList) -> Self {
-        debug_assert_eq!(list.k(), 1, "a CONN answer is the k = 1 list");
-        // Sanitizer choke point: every CONN answer passes through this
-        // constructor, so the cover audit sees all of them.
-        if conn_geom::sanitize::enabled() {
-            if let Err(e) = list.check_cover() {
-                conn_geom::sanitize::violation("ConnResult cover", &e.to_string());
-            }
-        }
-        let entries = list
-            .into_entries()
-            .into_iter()
-            .map(|e| {
-                let nn = e.members.first();
-                ResultEntry {
-                    point: nn.map(|m| m.point),
-                    cp: nn.map(|m| m.cp),
-                    interval: e.interval,
-                }
-            })
-            .collect();
-        ConnResult { q, entries }
-    }
-
-    /// The query segment.
-    pub fn query(&self) -> &Segment {
-        &self.q
-    }
-
-    /// Raw result tuples `⟨p, cp, R⟩` (control-point granularity).
-    pub fn entries(&self) -> &[ResultEntry] {
-        &self.entries
-    }
-
-    /// The user-facing answer: `⟨p, R⟩` tuples with adjacent intervals of
-    /// the same answer point merged (the paper's Definition 6 output).
-    /// `None` marks intervals with no reachable data point.
-    pub fn segments(&self) -> Vec<(Option<DataPoint>, Interval)> {
-        merge_by_id(self.entries.iter().map(|e| (e.point, e.interval)))
-    }
-
-    /// The ONN at parameter `t ∈ [0, q.len()]` with its obstructed distance.
-    pub fn nn_at(&self, t: f64) -> Option<(DataPoint, f64)> {
-        self.entries
-            .iter()
-            .find(|e| e.interval.contains(t))
-            .and_then(|e| Some((e.point?, e.value(&self.q, t)?)))
-    }
-
-    /// Split points: interval boundaries where the answer object changes.
-    pub fn split_points(&self) -> Vec<f64> {
-        self.segments().windows(2).map(|w| w[0].1.hi).collect()
-    }
-
-    /// Validation helper: the entries exactly cover the segment.
-    pub fn check_cover(&self) -> Result<(), crate::Error> {
-        check_cover(self.entries.iter().map(|e| e.interval), self.q.len())
-    }
-
-    /// Semantic equivalence to another result of the same query: identical
-    /// coverage and answer *values* (within `tol`) at sampled parameters —
-    /// the entry midpoints of both results plus a 33-point even grid.
-    ///
-    /// This is the right gate for comparisons **across kernel modes**:
-    /// blind Dijkstra and A* may settle equal-length shortest paths in
-    /// different order, shifting distances (and the split points derived
-    /// from them) by a few ULPs. Same-kernel comparisons (fresh vs reused
-    /// engine, serial vs batch) should stay bitwise instead.
-    pub fn values_equivalent(&self, other: &ConnResult, tol: f64) -> bool {
-        let mut ts: Vec<f64> = self
-            .entries()
-            .iter()
-            .chain(other.entries())
-            .map(|e| (e.interval.lo + e.interval.hi) * 0.5)
-            .collect();
-        ts.extend((0..=32).map(|i| self.q.len() * i as f64 / 32.0));
-        ts.into_iter()
-            .all(|t| match (self.nn_at(t), other.nn_at(t)) {
-                (None, None) => true,
-                (Some((_, da)), Some((_, db))) => (da - db).abs() <= tol,
-                _ => false,
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QueryEngine, QueryStats};
+    use crate::types::DataPoint;
+    use crate::{CoknnResult, QueryEngine, QueryStats};
     use conn_geom::{Point, Rect};
     use conn_index::RStarTree;
 
@@ -326,7 +171,7 @@ mod tests {
         Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0))
     }
 
-    fn search(points: Vec<DataPoint>, obstacles: Vec<Rect>) -> (ConnResult, QueryStats) {
+    fn search(points: Vec<DataPoint>, obstacles: Vec<Rect>) -> (CoknnResult, QueryStats) {
         let dt = RStarTree::bulk_load(points, 4096);
         let ot = RStarTree::bulk_load(obstacles, 4096);
         QueryEngine::default().conn(&dt, &ot, &q())
@@ -337,13 +182,13 @@ mod tests {
     fn cover_audit_fires_on_gapped_answer() {
         let q = q();
         let intact = KnnResultList::new(q.len(), 1);
-        let _ = ConnResult::new(q, intact.clone()); // full cover passes
+        let _ = CoknnResult::new(q, intact.clone()); // full cover passes
 
         let mut gapped = intact;
         gapped.force_qlen_for_test(q.len() + 5.0); // entries now stop short
         assert!(
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ConnResult::new(q, gapped)
+                CoknnResult::new(q, gapped)
             }))
             .is_err(),
             "cover audit must reject a gapped result list"

@@ -42,18 +42,18 @@ use std::time::Instant;
 
 use conn_geom::{Rect, Segment};
 use conn_index::{IoMeter, Mbr, RStarTree, StatsSnapshot};
-use conn_vgraph::{DijkstraEngine, VisGraph};
+use conn_vgraph::{DijkstraEngine, NodeId, NodeKind, VisGraph};
 
 use crate::coknn::CoknnResult;
 use crate::config::ConnConfig;
-use crate::conn::{run_search, ConnResult};
+use crate::conn::{run_search, LoopTelemetry};
 use crate::cpl::VrCache;
 use crate::ior::IorState;
 use crate::odist::{Anchor, Resolver};
 use crate::rlu::{KnnResultList, RluScratch};
 use crate::single_tree::{OneTreeStreams, SpatialObject};
 use crate::stats::{QueryStats, ReuseCounters};
-use crate::streams::{LoadedObstacles, QueryStreams, SegmentStreams};
+use crate::streams::{LoadedObstacles, SegmentStreams};
 use crate::types::DataPoint;
 
 /// The engine's page meters, one per tree role. They sit *beside* the
@@ -310,9 +310,8 @@ impl QueryEngine {
         data_tree: &RStarTree<DataPoint>,
         obstacle_tree: &RStarTree<Rect>,
         q: &Segment,
-    ) -> (ConnResult, QueryStats) {
-        let (list, stats) = self.segment(data_tree, obstacle_tree, q, 1);
-        (ConnResult::new(*q, list), stats)
+    ) -> (CoknnResult, QueryStats) {
+        self.coknn(data_tree, obstacle_tree, q, 1)
     }
 
     /// COkNN search (paper §4.5) on the reused workspace.
@@ -323,73 +322,86 @@ impl QueryEngine {
         q: &Segment,
         k: usize,
     ) -> (CoknnResult, QueryStats) {
-        let (list, stats) = self.segment(data_tree, obstacle_tree, q, k);
+        let (list, stats, _) = self.segment(data_tree, obstacle_tree, q, k, None);
         (CoknnResult::new(*q, list), stats)
     }
 
-    /// CONN over a single unified R-tree (§4.5) on the reused workspace;
-    /// the unified tree's I/O is reported in `data_io`.
-    pub fn conn_single_tree(
-        &mut self,
-        tree: &RStarTree<SpatialObject>,
-        q: &Segment,
-    ) -> (ConnResult, QueryStats) {
-        let (list, stats) = self.drive(q, |io| OneTreeStreams::new(tree, q, &io.data), 1);
-        (ConnResult::new(*q, list), stats)
-    }
-
-    /// COkNN over a single unified R-tree (§4.5) on the reused workspace.
+    /// COkNN over a single unified R-tree (§4.5) on the reused workspace
+    /// (CONN at `k = 1`); the unified tree's I/O is reported in `data_io`.
     pub fn coknn_single_tree(
         &mut self,
         tree: &RStarTree<SpatialObject>,
         q: &Segment,
         k: usize,
     ) -> (CoknnResult, QueryStats) {
-        let (list, stats) = self.drive(q, |io| OneTreeStreams::new(tree, q, &io.data), k);
+        let cfg = self.cfg;
+        let (list, stats, _) = self.drive(q, k, None, |ws, io, list, ends| {
+            let mut streams = OneTreeStreams::new(tree, q, &io.data);
+            run_search(&mut streams, q, &cfg, list, ws, ends)
+        });
         (CoknnResult::new(*q, list), stats)
     }
 
-    /// [`QueryEngine::drive`] over the two trees. The segment stream dedupes
-    /// against the workspace's own loaded set, lent to it for the query and
-    /// emptied first, as [`Workspace::begin_query`] empties it.
-    fn segment(
+    /// [`QueryEngine::drive`] over the two trees, from the endpoint nodes
+    /// `ends` of a previous run on the kept graph when given. The segment
+    /// stream dedupes against the workspace's own loaded set, lent to it
+    /// for the run. Returns the endpoint nodes for the next run.
+    pub(crate) fn segment(
         &mut self,
         data_tree: &RStarTree<DataPoint>,
         obstacle_tree: &RStarTree<Rect>,
         q: &Segment,
         k: usize,
-    ) -> (KnnResultList, QueryStats) {
-        let mut loaded = std::mem::take(&mut self.ws.loaded);
-        loaded.clear();
-        let out = self.drive(
-            q,
-            |io| SegmentStreams::new(data_tree, obstacle_tree, q, io, &mut loaded),
-            k,
-        );
-        self.ws.loaded = loaded;
-        out
+        ends: Option<(NodeId, NodeId)>,
+    ) -> (KnnResultList, QueryStats, (NodeId, NodeId)) {
+        let cfg = self.cfg;
+        self.drive(q, k, ends, |ws, io, list, ends| {
+            let mut loaded = std::mem::take(&mut ws.loaded);
+            let mut streams = SegmentStreams::new(data_tree, obstacle_tree, q, io, &mut loaded);
+            let telemetry = run_search(&mut streams, q, &cfg, list, ws, ends);
+            ws.loaded = loaded;
+            telemetry
+        })
     }
 
-    /// The one shared query driver: runs Algorithm 4's loop over any
-    /// stream source (opened over the engine's meters) on the reused
-    /// workspace, returning the filled `k`-list plus the query's stats.
-    fn drive<'e, S: QueryStreams>(
-        &'e mut self,
+    /// The one segment driver: opens the workspace — rewound by
+    /// [`Workspace::begin_query`] with fresh endpoint nodes, or, given the
+    /// endpoint nodes a previous run left, kept by
+    /// [`Workspace::begin_leg`] — lets `search` run Algorithm 4's loop on
+    /// it into a fresh `k`-list, and returns the list, the query's stats
+    /// and the endpoint nodes.
+    fn drive(
+        &mut self,
         q: &Segment,
-        open: impl FnOnce(&'e Meters) -> S,
         k: usize,
-    ) -> (KnnResultList, QueryStats) {
+        ends: Option<(NodeId, NodeId)>,
+        search: impl FnOnce(
+            &mut Workspace,
+            &Meters,
+            &mut KnnResultList,
+            (NodeId, NodeId),
+        ) -> LoopTelemetry,
+    ) -> (KnnResultList, QueryStats, (NodeId, NodeId)) {
         assert!(!q.is_degenerate(), "degenerate query segment");
-        let QueryEngine { cfg, ws, io } = self;
-        let io: &'e Meters = io;
+        let QueryEngine { ws, io, .. } = self;
         #[expect(
             clippy::disallowed_methods,
             reason = "query-boundary elapsed time for QueryStats; the kernel loop below never reads the clock"
         )]
         let started = Instant::now();
+        let ends = match ends {
+            Some(ends) => {
+                ws.begin_leg(io);
+                ends
+            }
+            None => {
+                ws.begin_query(io);
+                let s_node = ws.g.add_point(q.a, NodeKind::Endpoint);
+                (s_node, ws.g.add_point(q.b, NodeKind::Endpoint))
+            }
+        };
         let mut list = KnnResultList::new(q.len(), k);
-        let mut streams = open(io);
-        let telemetry = run_search(&mut streams, q, cfg, &mut list, ws, io);
+        let telemetry = search(ws, io, &mut list, ends);
         let stats = QueryStats {
             cpu: started.elapsed(),
             npe: telemetry.npe,
@@ -398,7 +410,7 @@ impl QueryEngine {
             result_tuples: list.entries().len() as u64,
             ..ws.finish_query(io)
         };
-        (list, stats)
+        (list, stats, ends)
     }
 
     /// The configuration, the workspace and the meters, for the family
@@ -437,10 +449,11 @@ mod tests {
         )
     }
 
-    fn assert_same_conn(a: &ConnResult, b: &ConnResult) {
+    fn assert_same_conn(a: &CoknnResult, b: &CoknnResult) {
         assert_eq!(a.entries().len(), b.entries().len());
         for (x, y) in a.entries().iter().zip(b.entries()) {
-            assert_eq!(x.point.map(|p| p.id), y.point.map(|p| p.id));
+            let id = |e: &crate::rlu::KnnEntry| e.members.first().map(|m| m.point.id);
+            assert_eq!(id(x), id(y));
             assert_eq!(x.interval.lo.to_bits(), y.interval.lo.to_bits());
             assert_eq!(x.interval.hi.to_bits(), y.interval.hi.to_bits());
         }

@@ -19,8 +19,8 @@
 //! | IOR — incremental obstacle retrieval (Alg. 1) | `ior.rs` |
 //! | CPLC — control-point-list computation (Alg. 2, Lemmas 5–7) | `cpl.rs` |
 //! | RLU — one result list for every k, CONN's k = 1 included (Alg. 3, §4.5) | `rlu.rs` |
-//! | CONN search (Alg. 4, Lemma 2) and the CONN answer type | `conn.rs` |
-//! | COkNN answer type (§4.5) | `coknn.rs` |
+//! | CONN search (Alg. 4, Lemma 2), the one loop of every k | `conn.rs` |
+//! | the answer of CONN and COkNN: ⟨p, cp, R⟩ is ⟨ONNS, R⟩ at k = 1 (Def. 6, §4.5) | `coknn.rs` |
 //! | single unified R-tree variant (§4.5) | `single_tree.rs` |
 //! | reference baselines and oracles (sampling, brute force, whole-field odist) | [`baseline`] |
 //! | the obstacle loader of every point-anchored family (IOR at a point, Lemma 3) | `odist.rs` |
@@ -108,7 +108,6 @@ pub use admission::{Admission, AdmissionConfig, Ticket};
 pub use batch::BatchStats;
 pub use coknn::CoknnResult;
 pub use config::{ConnConfig, KernelMode};
-pub use conn::{ConnResult, ResultEntry};
 pub use conn_vgraph::SweepMode;
 pub use dist::ControlPoint;
 pub use engine::QueryEngine;

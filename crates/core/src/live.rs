@@ -51,24 +51,21 @@
 )]
 
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use conn_geom::{Point, Rect, Segment};
 use conn_index::{RStarTree, DEFAULT_PAGE_SIZE};
-use conn_vgraph::{NodeId, NodeKind};
+use conn_vgraph::NodeId;
 
 use crate::coknn::CoknnResult;
 use crate::config::ConnConfig;
-use crate::conn::{run_leg, ConnResult};
 use crate::engine::QueryEngine;
 use crate::epoch::PinnedEpoch;
 use crate::error::Error;
 use crate::odist::affected;
 use crate::query::{Answer, Query, QueryKind, Response};
-use crate::rlu::{KnnEntry, KnnResultList};
-use crate::service::{coknn_dmax, conn_dmax, dispatch, onn_dmax, ConnService, Scene};
+use crate::rlu::KnnEntry;
+use crate::service::{coknn_dmax, dispatch, onn_dmax, ConnService, Scene};
 use crate::stats::QueryStats;
-use crate::streams::SegmentStreams;
 use crate::types::DataPoint;
 
 /// One mutation of a live scene, as published alongside its derived
@@ -173,13 +170,10 @@ enum Certificate {
 
 fn certificate_for(query: &Query, answer: &Answer) -> Certificate {
     match (query.kind(), answer) {
-        (QueryKind::Conn { q }, Answer::Conn(r)) => Certificate::Anchored {
+        (QueryKind::Conn { q }, Answer::Conn(r))
+        | (QueryKind::Coknn { q, .. }, Answer::Coknn(r)) => Certificate::Anchored {
             anchor: Rect::from_segment(q),
-            dmax: conn_dmax(r, q),
-        },
-        (QueryKind::Coknn { q, k }, Answer::Coknn(r)) => Certificate::Anchored {
-            anchor: Rect::from_segment(q),
-            dmax: coknn_dmax(r, q, *k),
+            dmax: coknn_dmax(r),
         },
         (QueryKind::Onn { s, k }, Answer::Onn(v)) => Certificate::Anchored {
             anchor: Rect::from_point(*s),
@@ -210,11 +204,7 @@ fn certificate_for(query: &Query, answer: &Answer) -> Certificate {
 /// `true` (always affected).
 fn answer_mentions(answer: &Answer, id: u32) -> bool {
     match answer {
-        Answer::Conn(r) => r
-            .entries()
-            .iter()
-            .any(|e| e.point.map(|p| p.id) == Some(id)),
-        Answer::Coknn(r) => r
+        Answer::Conn(r) | Answer::Coknn(r) => r
             .entries()
             .iter()
             .any(|e| e.members.iter().any(|m| m.point.id == id)),
@@ -256,42 +246,15 @@ impl SegmentKernel {
     }
 
     /// Algorithm 4 for the `k` nearest over `q` against the pinned scene,
-    /// warm from the second run on.
-    fn run(&mut self, scene: &Scene<'_>, q: &Segment, k: usize) -> (KnnResultList, QueryStats) {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "query-boundary elapsed time; the kernel loop never reads the clock"
-        )]
-        let started = Instant::now();
-        let (cfg, ws, io) = self.engine.parts();
-        let (s_node, e_node) = match self.ends {
-            Some(ends) => {
-                ws.begin_leg(io);
-                ends
-            }
-            None => {
-                ws.begin_query(io);
-                let s_node = ws.g.add_point(q.a, NodeKind::Endpoint);
-                (s_node, ws.g.add_point(q.b, NodeKind::Endpoint))
-            }
-        };
+    /// warm from the second run on: the engine's one segment driver, from
+    /// the endpoint nodes of the previous run while the graph is kept.
+    fn run(&mut self, scene: &Scene<'_>, q: &Segment, k: usize) -> (CoknnResult, QueryStats) {
         let (data_tree, obstacle_tree) = (scene.data_tree(), scene.obstacle_tree());
-        // lent to the stream for the run, as `QueryEngine` lends it
-        let mut loaded = std::mem::take(&mut ws.loaded);
-        let mut streams = SegmentStreams::new(data_tree, obstacle_tree, q, io, &mut loaded);
-        let mut list = KnnResultList::new(q.len(), k);
-        let telemetry = run_leg(&mut streams, q, &cfg, &mut list, ws, s_node, e_node);
-        ws.loaded = loaded;
-        let stats = QueryStats {
-            cpu: started.elapsed(),
-            npe: telemetry.npe,
-            noe: telemetry.noe,
-            svg_nodes: telemetry.svg_nodes,
-            result_tuples: list.entries().len() as u64,
-            ..ws.finish_query(io)
-        };
-        self.ends = Some((s_node, e_node));
-        (list, stats)
+        let (list, stats, ends) = self
+            .engine
+            .segment(data_tree, obstacle_tree, q, k, self.ends);
+        self.ends = Some(ends);
+        (CoknnResult::new(*q, list), stats)
     }
 
     /// Follows the removal of `r` from the scene: when the graph holds it,
@@ -524,10 +487,10 @@ fn segment_rerun(
         _ => return None,
     };
     let kernel = kernel.get_or_insert_with(|| SegmentKernel::new(*cfg));
-    let (list, stats) = kernel.run(scene, &q, k);
+    let (res, stats) = kernel.run(scene, &q, k);
     let answer = match query.kind() {
-        QueryKind::Conn { .. } => Answer::Conn(ConnResult::new(q, list)),
-        _ => Answer::Coknn(CoknnResult::new(q, list)),
+        QueryKind::Conn { .. } => Answer::Conn(res),
+        _ => Answer::Coknn(res),
     };
     Some((answer, stats))
 }
@@ -735,8 +698,7 @@ pub fn answers_equivalent(a: &Answer, b: &Answer, tol: f64) -> bool {
             || (x - y).abs() <= tol * x.abs().max(y.abs()).max(1.0)
     };
     match (a, b) {
-        (Answer::Conn(x), Answer::Conn(y)) => x.values_equivalent(y, tol),
-        (Answer::Coknn(x), Answer::Coknn(y)) => {
+        (Answer::Conn(x), Answer::Conn(y)) | (Answer::Coknn(x), Answer::Coknn(y)) => {
             x.query() == y.query()
                 && x.k() == y.k()
                 && knn_lists_close(

@@ -21,7 +21,6 @@
 use conn_geom::{Point, Segment};
 
 use crate::coknn::CoknnResult;
-use crate::conn::ConnResult;
 use crate::error::Error;
 use crate::stats::QueryStats;
 use crate::trajectory::{Trajectory, TrajectoryResult};
@@ -263,8 +262,8 @@ impl QueryBuilder {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum Answer {
-    /// CONN result list.
-    Conn(ConnResult),
+    /// CONN result list: the `k = 1` COkNN list.
+    Conn(CoknnResult),
     /// COkNN result list.
     Coknn(CoknnResult),
     /// Snapshot ONN: `(point, obstructed distance)` ascending.
@@ -300,8 +299,9 @@ impl Answer {
         }
     }
 
-    /// The CONN result, if this is a [`Answer::Conn`].
-    pub fn as_conn(&self) -> Option<&ConnResult> {
+    /// The CONN result (a `k = 1` [`CoknnResult`]), if this is a
+    /// [`Answer::Conn`].
+    pub fn as_conn(&self) -> Option<&CoknnResult> {
         match self {
             Answer::Conn(r) => Some(r),
             _ => None,
@@ -309,7 +309,7 @@ impl Answer {
     }
 
     /// Consumes into the CONN result, if this is a [`Answer::Conn`].
-    pub fn into_conn(self) -> Option<ConnResult> {
+    pub fn into_conn(self) -> Option<CoknnResult> {
         match self {
             Answer::Conn(r) => Some(r),
             _ => None,

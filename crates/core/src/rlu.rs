@@ -36,6 +36,14 @@ pub struct Member {
     pub cp: ControlPoint,
 }
 
+impl Member {
+    /// The member with its obstructed distance to the query position `at`
+    /// (`base + |cp − at|`).
+    fn answer(&self, at: Point) -> (DataPoint, f64) {
+        (self.point, self.cp.base + self.cp.pos.dist(at))
+    }
+}
+
 /// One tuple `⟨ONNS, R⟩`: members sorted ascending by distance over all of
 /// `R` (the order is constant within the interval by construction).
 #[derive(Debug, Clone)]
@@ -109,19 +117,44 @@ impl KnnResultList {
         m
     }
 
+    /// The entry whose interval holds parameter `t`.
+    fn entry_at(&self, t: f64) -> Option<&KnnEntry> {
+        self.entries.iter().find(|e| e.interval.contains(t))
+    }
+
     /// The k answers at parameter `t`, where the query sits at `at`
     /// (ascending obstructed distance).
-    pub(crate) fn answers_at(&self, t: f64, at: Point) -> Vec<(DataPoint, f64)> {
-        self.entries
-            .iter()
-            .find(|e| e.interval.contains(t))
-            .map(|e| {
-                e.members
-                    .iter()
-                    .map(|m| (m.point, m.cp.base + m.cp.pos.dist(at)))
-                    .collect()
-            })
+    pub(crate) fn knn_at(&self, t: f64, at: Point) -> Vec<(DataPoint, f64)> {
+        self.entry_at(t)
+            .map(|e| e.members.iter().map(|m| m.answer(at)).collect())
             .unwrap_or_default()
+    }
+
+    /// The nearest answer at parameter `t`, where the query sits at `at`.
+    pub(crate) fn nn_at(&self, t: f64, at: Point) -> Option<(DataPoint, f64)> {
+        self.entry_at(t)?.members.first().map(|m| m.answer(at))
+    }
+
+    /// The nearest member's `⟨p, R⟩` tuples with adjacent intervals of the
+    /// same point merged (the paper's Definition 6 output). `None` marks
+    /// intervals with no reachable data point.
+    pub(crate) fn segments(&self) -> Vec<(Option<DataPoint>, Interval)> {
+        let mut out: Vec<(Option<DataPoint>, Interval)> = Vec::new();
+        for e in &self.entries {
+            let p = e.members.first().map(|m| m.point);
+            match out.last_mut() {
+                Some((prev, last)) if prev.map(|x| x.id) == p.map(|x| x.id) => {
+                    last.hi = e.interval.hi;
+                }
+                _ => out.push((p, e.interval)),
+            }
+        }
+        out
+    }
+
+    /// Split points: the parameters where the nearest point changes.
+    pub(crate) fn split_points(&self) -> Vec<f64> {
+        self.segments().windows(2).map(|w| w[0].1.hi).collect()
     }
 
     /// RLU — Algorithm 3: folds data point `p` (with its control-point
@@ -350,7 +383,7 @@ mod tests {
 
     /// The nearest member's id at `t`, if any.
     fn nn_at(rl: &KnnResultList, t: f64) -> Option<u32> {
-        rl.answers_at(t, q().at(t)).first().map(|(p, _)| p.id)
+        rl.nn_at(t, q().at(t)).map(|(p, _)| p.id)
     }
 
     /// Builds a CPL whose single control point is the data point itself

@@ -42,7 +42,6 @@ use conn_index::{RStarTree, DEFAULT_PAGE_SIZE};
 use crate::batch::BatchStats;
 use crate::coknn::CoknnResult;
 use crate::config::ConnConfig;
-use crate::conn::ConnResult;
 use crate::engine::QueryEngine;
 use crate::epoch::{EpochCell, PinnedEpoch, SceneEpoch};
 use crate::error::Error;
@@ -500,31 +499,21 @@ fn try_shard(engine: &mut QueryEngine, shards: &ShardSet, query: &Query) -> Shar
     let Some(shard) = shards.route(&anchor) else {
         return ShardOutcome::Straddles;
     };
-    let (dt, ot) = (shard.data_tree(), shard.obstacle_tree());
-    // the answer on the shard, and the expansion bound it turned out to need
-    let (answer, stats, dmax) = match query.kind() {
-        QueryKind::Conn { q } => {
-            let (res, stats) = engine.conn(dt, ot, q);
-            let dmax = conn_dmax(&res, q);
-            (Answer::Conn(res), stats, dmax)
+    // The radius *is* the expansion bound, so the certificate is
+    // decidable before running anything.
+    if let QueryKind::Range { radius, .. } = query.kind() {
+        if !shard.certifies(&anchor, *radius) {
+            return ShardOutcome::Straddles;
         }
-        QueryKind::Coknn { q, k } => {
-            let (res, stats) = engine.coknn(dt, ot, q, *k);
-            let dmax = coknn_dmax(&res, q, *k);
-            (Answer::Coknn(res), stats, dmax)
-        }
-        QueryKind::Onn { s, k } => {
-            let (v, stats) = engine.onn(dt, ot, *s, *k);
-            let dmax = onn_dmax(&v, *k);
-            (Answer::Onn(v), stats, dmax)
-        }
-        // The radius *is* the expansion bound, so the certificate is
-        // decidable before running anything.
-        QueryKind::Range { s, radius } if shard.certifies(&anchor, *radius) => {
-            let (v, stats) = engine.range(dt, ot, *s, *radius);
-            (Answer::Range(v), stats, Some(*radius))
-        }
-        _ => return ShardOutcome::Straddles,
+    }
+    let scene = Scene::borrowing(shard.data_tree(), shard.obstacle_tree());
+    let (answer, stats) = dispatch(engine, &scene, query);
+    // the expansion bound the shard answer turned out to need
+    let dmax = match (query.kind(), &answer) {
+        (_, Answer::Conn(res) | Answer::Coknn(res)) => coknn_dmax(res),
+        (QueryKind::Onn { k, .. }, Answer::Onn(v)) => onn_dmax(v, *k),
+        (QueryKind::Range { radius, .. }, _) => Some(*radius),
+        _ => None,
     };
     match dmax {
         Some(dmax) if shard.certifies(&anchor, dmax) => {
@@ -534,34 +523,19 @@ fn try_shard(engine: &mut QueryEngine, shards: &ShardSet, query: &Query) -> Shar
     }
 }
 
-/// Largest distance a CONN answer reports anywhere on the segment: per
-/// entry, `d(t) = base + |cp − q(t)|` is convex in `t`, so the maximum
-/// over the entry's interval is at an endpoint. `None` when any stretch
-/// is unassigned (the shard saw no candidate — the full scene might).
-pub(crate) fn conn_dmax(res: &ConnResult, q: &Segment) -> Option<f64> {
+/// Largest distance any of the k members of a CONN or COkNN answer
+/// reports anywhere on the segment: per member, `d(t) = base + |cp − q(t)|`
+/// is convex in `t`, so the maximum over an entry's interval is at an
+/// endpoint. `None` when any stretch has fewer than `k` members (the shard
+/// saw too few candidates — the full scene might see more).
+pub(crate) fn coknn_dmax(res: &CoknnResult) -> Option<f64> {
     if res.entries().is_empty() {
         return None;
     }
+    let q = res.query();
     let mut dmax = 0.0f64;
     for e in res.entries() {
-        e.point?;
-        let cp = e.cp?;
-        for t in [e.interval.lo, e.interval.hi] {
-            dmax = dmax.max(cp.base + cp.pos.dist(q.at(t)));
-        }
-    }
-    Some(dmax)
-}
-
-/// Largest distance any of the k members reports anywhere on the segment
-/// (`None` when any stretch has fewer than `k` members in the shard).
-pub(crate) fn coknn_dmax(res: &CoknnResult, q: &Segment, k: usize) -> Option<f64> {
-    if res.entries().is_empty() {
-        return None;
-    }
-    let mut dmax = 0.0f64;
-    for e in res.entries() {
-        if e.members.len() < k {
+        if e.members.len() < res.k() {
             return None;
         }
         for m in &e.members {
@@ -659,7 +633,7 @@ pub(crate) fn assemble_trajectory(
 mod tests {
     use super::*;
     use crate::trajectory::tests::assert_matches_brute_force;
-    use crate::{Query, TrajectorySession};
+    use crate::{answers_equivalent, Query, TrajectorySession};
     use conn_geom::Point;
 
     fn scene() -> Scene<'static> {
@@ -715,7 +689,7 @@ mod tests {
             assert_eq!(resp.stats.noe, fresh_stats.noe);
         }
         let blind = reference.execute(&conn).unwrap().answer;
-        assert!(blind.as_conn().unwrap().values_equivalent(&fresh, 1e-6));
+        assert!(answers_equivalent(&blind, &Answer::Conn(fresh), 1e-6));
 
         let resp = service
             .execute(&Query::coknn(q, 2).build().unwrap())

@@ -7,8 +7,9 @@
 //! them idle — see [`crate::ConnService::execute_at`]). A session answers
 //! it **one leg at a time**: the caller pushes the next vertex as the
 //! client reports it and receives that leg's [`Answer`] (`Conn` for
-//! `k = 1`, `Coknn` otherwise), parameterized along the leg; a caller that
-//! wants cumulative arclength shifts it by [`crate::Trajectory::leg_offset`].
+//! `k = 1`, `Coknn` otherwise, a [`crate::CoknnResult`] either way),
+//! parameterized along the leg; a caller that wants cumulative arclength
+//! shifts it by [`crate::Trajectory::leg_offset`].
 //! Each pushed leg runs as the service's trajectory path runs it, a COkNN
 //! at the session's `k`, and [`TrajectorySession::finish`] stitches the
 //! legs' result lists with the service's one assembly into one
@@ -51,8 +52,10 @@
 //! let mut session =
 //!     TrajectorySession::new(&points, &obstacles, start, 1, ConnConfig::default());
 //! // the client reports positions as it moves; each push answers its leg
-//! let leg = session.push_leg(Point::new(100.0, 0.0))?;
-//! assert_eq!(leg.as_conn().unwrap().segments()[0].0.unwrap().id, 0);
+//! let leg = session.push_leg(Point::new(100.0, 0.0))?.as_conn().unwrap();
+//! assert_eq!(leg.segments()[0].0.unwrap().id, 0);
+//! let (nearest, d) = leg.nn_at(0.0).unwrap();
+//! assert_eq!((nearest.id, d), (0, start.dist(nearest.pos)));
 //! // a repeated position is rejected and leaves the session as it was
 //! assert!(session.push_leg(Point::new(100.0, 0.0)).is_err());
 //! let leg = session.push_leg(Point::new(100.0, 80.0))?;
@@ -69,7 +72,6 @@ use conn_index::RStarTree;
 
 use crate::coknn::CoknnResult;
 use crate::config::ConnConfig;
-use crate::conn::ConnResult;
 use crate::engine::QueryEngine;
 use crate::error::Error;
 use crate::query::Answer;
@@ -132,7 +134,7 @@ impl<'t> TrajectorySession<'t> {
         let (dt, ot) = (self.scene.data_tree(), self.scene.obstacle_tree());
         let (res, stats) = self.engine.coknn(dt, ot, &leg, self.k);
         let answer = if self.k == 1 {
-            Answer::Conn(ConnResult::new(leg, res.clone().into_list()))
+            Answer::Conn(res.clone())
         } else {
             Answer::Coknn(res.clone())
         };

@@ -196,7 +196,7 @@ mod tests {
         let ut = build_unified_tree(&points, &obstacles, 4096);
         let cfg = ConnConfig::default();
         let (two, _) = QueryEngine::new(cfg).conn(&dt, &ot, &q());
-        let (one, _) = QueryEngine::new(cfg).conn_single_tree(&ut, &q());
+        let (one, _) = QueryEngine::new(cfg).coknn_single_tree(&ut, &q(), 1);
         one.check_cover().unwrap();
         for i in 0..=50 {
             let t = 100.0 * (i as f64) / 50.0;
@@ -242,7 +242,7 @@ mod tests {
     fn single_tree_io_reported_on_data_side() {
         let (points, obstacles) = setup();
         let ut = build_unified_tree(&points, &obstacles, 4096);
-        let (_, stats) = QueryEngine::default().conn_single_tree(&ut, &q());
+        let (_, stats) = QueryEngine::default().coknn_single_tree(&ut, &q(), 1);
         assert!(stats.data_io.reads > 0);
         assert_eq!(stats.obstacle_io.reads, 0);
     }

@@ -16,9 +16,11 @@ use conn_index::StatsSnapshot;
 /// Milliseconds charged per R-tree page fault (paper §5.1).
 pub(crate) const IO_MS_PER_FAULT: f64 = 10.0;
 
-/// Allocation-avoidance counters of the reusable query engine. All three
-/// are zero when a query runs on fresh per-query state (a new
-/// [`crate::QueryEngine`]) and grow once the engine is reused.
+/// The substrate counters of one query (summed over a batch or a route's
+/// legs): workspace reuse, search work, shard routing and live-scene
+/// publications, each field documented on its own. `graph_reuses` and
+/// `nodes_retained` are zero when a query runs on fresh per-query state (a
+/// new [`crate::QueryEngine`]) and grow once the engine is reused.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReuseCounters {
     /// Queries that reused an already-allocated visibility graph (i.e. ran
@@ -64,12 +66,6 @@ pub struct ReuseCounters {
     /// shard-local attempt was discarded and the answer merged by running
     /// against the full scene. Zero on unsharded services.
     pub shard_merges: u64,
-    /// Always 0: no search carries labels across a graph change since
-    /// label reseeding was deleted, so none are invalidated. Kept beside
-    /// [`crate::PatchReport::labels_invalidated`], which the ledger's
-    /// `live.labels_invalidated_per_delta` row reads, until the next
-    /// benchmark change retires that row.
-    pub labels_invalidated: u64,
     /// Base rows the visibility graph repaired in place during this
     /// query's window — re-tested against the obstacles loaded since the
     /// row was built, instead of rebuilt.

@@ -27,8 +27,6 @@
 
 use conn_geom::{Interval, Point, Segment};
 
-use crate::conn::merge_by_id;
-use crate::error::check_cover;
 use crate::rlu::{KnnEntry, KnnResultList};
 use crate::types::DataPoint;
 
@@ -205,28 +203,24 @@ impl TrajectoryResult {
     /// same point merged (R in cumulative arclength). `None` marks
     /// intervals with no reachable data point.
     pub fn segments(&self) -> Vec<(Option<DataPoint>, Interval)> {
-        merge_by_id(
-            self.entries()
-                .iter()
-                .map(|e| (e.members.first().map(|m| m.point), e.interval)),
-        )
+        self.list.segments()
     }
 
     /// The k nearest data points (ascending obstructed distance) at
     /// cumulative arclength `t`.
     pub fn knn_at(&self, t: f64) -> Vec<(DataPoint, f64)> {
-        self.list.answers_at(t, self.trajectory.at(t))
+        self.list.knn_at(t, self.trajectory.at(t))
     }
 
     /// The ONN at cumulative arclength `t` with its obstructed distance.
     pub fn nn_at(&self, t: f64) -> Option<(DataPoint, f64)> {
-        self.knn_at(t).first().copied()
+        self.list.nn_at(t, self.trajectory.at(t))
     }
 
     /// Split points in cumulative arclength (the nearest point changes
     /// only here).
     pub fn split_points(&self) -> Vec<f64> {
-        self.segments().windows(2).map(|w| w[0].1.hi).collect()
+        self.list.split_points()
     }
 
     /// Validation: tuples cover `[0, len]` without gaps, and every tuple
@@ -239,7 +233,7 @@ impl TrajectoryResult {
                 e.interval.lo
             )));
         }
-        check_cover(entries.iter().map(|e| e.interval), self.trajectory.len())
+        self.list.check_cover()
     }
 }
 

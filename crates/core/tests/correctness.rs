@@ -3,7 +3,9 @@
 //! of the query segment, across randomized instances.
 
 use conn_core::baseline::{brute_force_oknn, sampled_conn};
-use conn_core::{build_unified_tree, ConnConfig, DataPoint, QueryEngine};
+use conn_core::{
+    build_unified_tree, ConnConfig, ConnService, DataPoint, Query, QueryEngine, QueryStats, Scene,
+};
 use conn_geom::{Point, Rect, Segment};
 use conn_index::RStarTree;
 use proptest::prelude::*;
@@ -165,22 +167,21 @@ proptest! {
         }
     }
 
+    /// The front door's CONN is its COkNN at k = 1, bit for bit: the same
+    /// result list (`Debug` prints every field), the same work and the
+    /// same page reads.
     #[test]
     fn coknn_k1_equals_conn(inst in instance()) {
-        let dt = RStarTree::bulk_load(inst.points.clone(), 4096);
-        let ot = RStarTree::bulk_load(inst.obstacles.clone(), 4096);
-        let cfg = ConnConfig::default();
-        let (conn, _) = QueryEngine::new(cfg).conn(&dt, &ot, &inst.q);
-        let (k1, _) = QueryEngine::new(cfg).coknn(&dt, &ot, &inst.q, 1);
-        for i in 0..=30 {
-            let t = inst.q.len() * (i as f64) / 30.0;
-            let a = conn.nn_at(t);
-            let b = k1.knn_at(t);
-            match (a, b.first()) {
-                (Some((_, d1)), Some((_, d2))) => prop_assert!((d1 - d2).abs() < 1e-6),
-                (a, b) => prop_assert_eq!(a.is_none(), b.is_none()),
-            }
-        }
+        let service = ConnService::new(Scene::new(inst.points.clone(), inst.obstacles.clone()));
+        let run = |query: conn_core::QueryBuilder| service.execute(&query.build().unwrap()).unwrap();
+        let conn = run(Query::conn(inst.q));
+        let k1 = run(Query::coknn(inst.q, 1));
+        let (a, b) = (conn.answer.as_conn().unwrap(), k1.answer.as_coknn().unwrap());
+        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let work = |s: &QueryStats| {
+            (s.npe, s.noe, s.svg_nodes, s.data_io.reads, s.obstacle_io.reads)
+        };
+        prop_assert_eq!(work(&conn.stats), work(&k1.stats));
     }
 
     #[test]

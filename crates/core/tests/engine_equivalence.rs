@@ -16,8 +16,8 @@ mod fixtures;
 use common::{check_route, close};
 use conn_core::baseline::brute_force_oknn;
 use conn_core::{
-    CoknnResult, ConnConfig, ConnResult, ConnService, ControlPoint, DataPoint, Query, QueryEngine,
-    QueryStats, Scene, Trajectory,
+    answers_equivalent, Answer, CoknnResult, ConnConfig, ConnService, ControlPoint, DataPoint,
+    Query, QueryEngine, QueryStats, Scene, Trajectory,
 };
 use conn_datasets::{la_like, uniform_points, ObstacleLookup};
 use conn_geom::{Point, Rect, Segment};
@@ -198,25 +198,6 @@ fn oracle_world() -> impl Strategy<Value = (Vec<DataPoint>, Vec<Rect>)> {
         })
 }
 
-fn assert_conn_identical(fresh: &ConnResult, reused: &ConnResult) -> Result<(), TestCaseError> {
-    prop_assert_eq!(fresh.entries().len(), reused.entries().len());
-    for (a, b) in fresh.entries().iter().zip(reused.entries()) {
-        prop_assert_eq!(a.point.map(|p| p.id), b.point.map(|p| p.id));
-        prop_assert_eq!(a.interval.lo.to_bits(), b.interval.lo.to_bits());
-        prop_assert_eq!(a.interval.hi.to_bits(), b.interval.hi.to_bits());
-        match (&a.cp, &b.cp) {
-            (None, None) => {}
-            (Some(x), Some(y)) => {
-                prop_assert_eq!(x.pos.x.to_bits(), y.pos.x.to_bits());
-                prop_assert_eq!(x.pos.y.to_bits(), y.pos.y.to_bits());
-                prop_assert_eq!(x.base.to_bits(), y.base.to_bits());
-            }
-            _ => prop_assert!(false, "control point presence diverged"),
-        }
-    }
-    Ok(())
-}
-
 fn assert_coknn_identical(fresh: &CoknnResult, reused: &CoknnResult) -> Result<(), TestCaseError> {
     prop_assert_eq!(fresh.entries().len(), reused.entries().len());
     for (a, b) in fresh.entries().iter().zip(reused.entries()) {
@@ -332,8 +313,9 @@ fn fixed_scene_answers_and_work_counts() {
 
     let (conn, stats) = engine.conn(&data_tree, &obstacle_tree, &q);
     let words = conn.entries().iter().flat_map(|e| {
-        let id = e.point.map_or(u64::MAX, |p| u64::from(p.id));
-        let at = e.cp.as_ref().map_or([0; 3], cp);
+        let nn = e.members.first();
+        let id = nn.map_or(u64::MAX, |m| u64::from(m.point.id));
+        let at = nn.map_or([0; 3], |m| cp(&m.cp));
         [id].into_iter().chain(span(&e.interval)).chain(at)
     });
     // 4 121 sight tests, no sweep events
@@ -486,7 +468,7 @@ proptest! {
             if k == 0 {
                 let (fresh, fresh_stats) = QueryEngine::new(cfg).conn(&data_tree, &obstacle_tree, &q);
                 let (reused, stats) = engine.conn(&data_tree, &obstacle_tree, &q);
-                assert_conn_identical(&fresh, &reused)?;
+                assert_coknn_identical(&fresh, &reused)?;
                 // the paper's counters must agree too — they are part of
                 // the reproduction's observable behavior
                 prop_assert_eq!(fresh_stats.npe, stats.npe);
@@ -524,7 +506,7 @@ proptest! {
 
             let (fresh, _) = QueryEngine::new(cfg).conn(&data_tree, &obstacle_tree, &q);
             let (reused, _) = engine.conn(&data_tree, &obstacle_tree, &q);
-            assert_conn_identical(&fresh, &reused)?;
+            assert_coknn_identical(&fresh, &reused)?;
         }
     }
 
@@ -578,7 +560,7 @@ proptest! {
                 let q = Segment::new(a, b);
                 let (fresh, _) = QueryEngine::new(cfg).conn(&data_tree, &obstacle_tree, &q);
                 let (reused, _) = engine.conn(&data_tree, &obstacle_tree, &q);
-                assert_conn_identical(&fresh, &reused)?;
+                assert_coknn_identical(&fresh, &reused)?;
             }
         }
     }
@@ -703,11 +685,10 @@ proptest! {
             // in different order across kernels, shifting split points by
             // a few ULPs (bitwise identity holds *within* a kernel — see
             // the other properties)
+            let (x, y) = (Answer::Conn(x), Answer::Conn(y));
             prop_assert!(
-                x.values_equivalent(&y, 1e-6),
-                "kernels diverged on {q:?}: {:?} vs {:?}",
-                x.entries(),
-                y.entries()
+                answers_equivalent(&x, &y, 1e-6),
+                "kernels diverged on {q:?}: {x:?} vs {y:?}"
             );
         }
     }
@@ -738,7 +719,7 @@ proptest! {
         prop_assert_eq!(stats.queries, segs.len());
         for (resp, q) in batch.iter().zip(&segs) {
             let (fresh, fresh_stats) = QueryEngine::new(cfg).conn(&data_tree, &obstacle_tree, q);
-            assert_conn_identical(&fresh, resp.answer.as_conn().unwrap())?;
+            assert_coknn_identical(&fresh, resp.answer.as_conn().unwrap())?;
             prop_assert_eq!(resp.stats.data_io, fresh_stats.data_io);
             prop_assert_eq!(resp.stats.obstacle_io, fresh_stats.obstacle_io);
         }

@@ -22,8 +22,8 @@ mod fixtures;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use conn_core::{
-    Admission, AdmissionConfig, ConnConfig, ConnService, EnginePool, PinnedEpoch, Query,
-    ReuseCounters, Scene, SceneEpoch, ShardSpec, Ticket,
+    answers_equivalent, Admission, AdmissionConfig, ConnConfig, ConnService, EnginePool,
+    PinnedEpoch, Query, ReuseCounters, Scene, SceneEpoch, ShardSpec, Ticket,
 };
 use conn_geom::{Point, Segment};
 use fixtures::paper_scene;
@@ -254,7 +254,7 @@ proptest! {
         let a = sharded.execute(&q).unwrap();
         let b = unsharded.execute(&q).unwrap();
         prop_assert!(
-            a.answer.as_conn().unwrap().values_equivalent(b.answer.as_conn().unwrap(), 1e-6),
+            answers_equivalent(&a.answer, &b.answer, 1e-6),
             "CONN diverged (shard_local={}, shard_merges={})",
             a.stats.reuse.shard_local,
             a.stats.reuse.shard_merges

@@ -61,7 +61,10 @@
 //!   (`repair_cheaper_than_rebuild`) says it beats a rebuild — a
 //!   measured rule: repairing whenever the radius allowed cost the
 //!   ledger's `continuous` workload 9.7 % more sight tests per op
-//!   (395 604 → 434 025, seed 2009).
+//!   (395 604 → 434 025, seed 2009), and never repairing (every stale row
+//!   rebuilt) cost it more still: at seed 2009, `fam2_mid_ms` 40.9 → 50.0
+//!   (+22 %), `tail_ms` 56.9 → 72.3 (+27 %) and `ops_per_s` −13 %, and
+//!   `live_churn` −8 % `ops_per_s` (2–3 alternating runs per side).
 //! * **rebuild**, for everything else — a new row, a request beyond the
 //!   row's radius: the row is computed afresh out to the request's radius
 //!   times a small growth margin, so the next, slightly larger request is

@@ -67,15 +67,26 @@ fn main() {
         rubble.len(),
         corridor.len()
     );
+    // the stretches of constant top-k id set: adjacent entries with equal
+    // sets merged
+    let mut stretches: Vec<(Vec<u32>, Interval)> = Vec::new();
+    for e in plan.entries() {
+        let mut ids: Vec<u32> = e.members.iter().map(|m| m.point.id).collect();
+        ids.sort_unstable();
+        match stretches.last_mut() {
+            Some((prev, iv)) if *prev == ids => iv.hi = e.interval.hi,
+            _ => stretches.push((ids, e.interval)),
+        }
+    }
     println!(
         "the corridor decomposes into {} stretches with a constant top-{k} set:",
-        plan.segments().len()
+        stretches.len()
     );
-    for (ids, iv) in plan.segments().iter().take(12) {
+    for (ids, iv) in stretches.iter().take(12) {
         println!("  [{:6.1} – {:6.1}] → survivors {:?}", iv.lo, iv.hi, ids);
     }
-    if plan.segments().len() > 12 {
-        println!("  … ({} more stretches)", plan.segments().len() - 12);
+    if stretches.len() > 12 {
+        println!("  … ({} more stretches)", stretches.len() - 12);
     }
 
     // A concrete dispatch decision mid-corridor:

@@ -93,7 +93,7 @@ fn main() {
     );
 }
 
-fn print_segments(result: &ConnResult) {
+fn print_segments(result: &CoknnResult) {
     for (p, iv) in result.segments() {
         match p {
             Some(p) => println!("  ⟨station {}, [{:.1}, {:.1}]⟩", p.id, iv.lo, iv.hi),

@@ -54,7 +54,7 @@ fn main() {
     }
 }
 
-fn render(stations: &[DataPoint], obstacles: &[Rect], q: &Segment, result: &ConnResult) -> String {
+fn render(stations: &[DataPoint], obstacles: &[Rect], q: &Segment, result: &CoknnResult) -> String {
     // world box with margins; SVG y grows downward → flip
     let (w, h) = (1050.0, 340.0);
     let flip = |p: Point| -> (f64, f64) { (p.x + 25.0, h - 40.0 - p.y) };

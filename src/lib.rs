@@ -61,10 +61,13 @@
 //!
 //! let service = ConnService::new(Scene::new(stations, buildings));
 //! let response = service.execute(&Query::conn(highway).build()?)?;
-//! let result = response.answer.as_conn().expect("conn answer");
+//! // a CONN answer is the k = 1 COkNN answer: ⟨p, R⟩ tuples, distances at t
+//! let result: &CoknnResult = response.answer.as_conn().expect("conn answer");
 //! for (station, interval) in result.segments() {
 //!     println!("{station:?} is nearest along [{:.0}, {:.0}]", interval.lo, interval.hi);
 //! }
+//! let (nearest, walk) = result.nn_at(500.0).expect("a reachable station");
+//! assert!(walk >= nearest.pos.dist(highway.at(500.0)));
 //! assert!(response.stats.npe >= 1);
 //!
 //! // the same handle answers every family — kNN variant, point probes,
@@ -85,20 +88,19 @@ pub use conn_vgraph as vgraph;
 pub use conn_core::baseline;
 pub use conn_core::{
     answers_equivalent, build_unified_tree, Admission, AdmissionConfig, Answer, BatchStats,
-    CoknnResult, ConnConfig, ConnResult, ConnService, ControlPoint, DataPoint, EnginePool, Error,
-    LiveScene, PatchReport, PinnedEpoch, Query, QueryBuilder, QueryEngine, QueryKind, QueryStats,
-    Response, ResultEntry, ReuseCounters, Scene, SceneDelta, SceneEpoch, Shard, ShardSet,
-    ShardSpec, SpatialObject, StandingHandle, SweepMode, Ticket, Trajectory, TrajectoryResult,
-    TrajectorySession,
+    CoknnResult, ConnConfig, ConnService, ControlPoint, DataPoint, EnginePool, Error, LiveScene,
+    PatchReport, PinnedEpoch, Query, QueryBuilder, QueryEngine, QueryKind, QueryStats, Response,
+    ReuseCounters, Scene, SceneDelta, SceneEpoch, Shard, ShardSet, ShardSpec, SpatialObject,
+    StandingHandle, SweepMode, Ticket, Trajectory, TrajectoryResult, TrajectorySession,
 };
 
 /// Everything a typical user needs, in one import.
 pub mod prelude {
     pub use conn_core::{
-        Admission, AdmissionConfig, Answer, BatchStats, CoknnResult, ConnConfig, ConnResult,
-        ConnService, DataPoint, Error, LiveScene, PatchReport, PinnedEpoch, Query, QueryEngine,
-        QueryStats, Response, ReuseCounters, Scene, SceneDelta, SceneEpoch, ShardSpec,
-        StandingHandle, Ticket, Trajectory, TrajectorySession,
+        Admission, AdmissionConfig, Answer, BatchStats, CoknnResult, ConnConfig, ConnService,
+        DataPoint, Error, LiveScene, PatchReport, PinnedEpoch, Query, QueryEngine, QueryStats,
+        Response, ReuseCounters, Scene, SceneDelta, SceneEpoch, ShardSpec, StandingHandle, Ticket,
+        Trajectory, TrajectorySession,
     };
     pub use conn_geom::{Interval, Point, Rect, Segment};
     pub use conn_index::{RStarTree, DEFAULT_PAGE_SIZE};

@@ -39,7 +39,7 @@ fn every_prelude_item_is_usable() {
 
     // The engine under the service: CONN / COkNN on two trees, reused.
     let mut engine = QueryEngine::new(cfg);
-    let (conn_res, conn_stats): (ConnResult, QueryStats) = engine.conn(&data_tree, &obs_tree, &q);
+    let (conn_res, conn_stats): (CoknnResult, QueryStats) = engine.conn(&data_tree, &obs_tree, &q);
     assert!(!conn_res.entries().is_empty());
     assert!(conn_stats.npe >= 1);
     let (coknn_res, coknn_stats): (CoknnResult, QueryStats) =
@@ -55,7 +55,7 @@ fn every_prelude_item_is_usable() {
     let service = ConnService::new(Scene::new(points.clone(), obstacles.clone()));
     let query: Query = Query::conn(q).build().expect("valid query");
     let response: Response = service.execute(&query).expect("execution");
-    let front_door: &ConnResult = response.answer.as_conn().expect("conn answer");
+    let front_door: &CoknnResult = response.answer.as_conn().expect("conn answer");
     assert_eq!(front_door.segments().len(), conn_res.segments().len());
     let err: Error = Query::coknn(q, 0).build().unwrap_err();
     assert!(matches!(err, Error::InvalidQuery(_)));
