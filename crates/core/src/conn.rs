@@ -36,8 +36,8 @@ pub(crate) struct LoopTelemetry {
 /// The shared search loop of Algorithm 4 on a prepared workspace: the
 /// engine's one driver has rewound it (`Workspace::begin_query`) or kept
 /// the graph of a standing query's previous run (`Workspace::begin_leg`),
-/// and hands over the two endpoint nodes. The graph, Dijkstra labels, VR
-/// cache and IOR threshold all come from `ws`.
+/// and hands over the two endpoint nodes. The graph, Dijkstra labels and VR
+/// cache come from `ws`; the loading threshold is the obstacle stream's.
 pub(crate) fn run_search<S: QueryStreams>(
     streams: &mut S,
     q: &Segment,
@@ -52,7 +52,7 @@ pub(crate) fn run_search<S: QueryStreams>(
         // Lemma 2 bound: terminates the point stream, and (via
         // `cplc_bounded`) caps control-point expansion and refinement for
         // the point being evaluated — values above it can never win.
-        let outer_bound = list.rlmax(q);
+        let outer_bound = list.rlmax(q, ws.g.obstacles());
         if dist > outer_bound {
             break;
         }
@@ -72,7 +72,6 @@ pub(crate) fn run_search<S: QueryStreams>(
             e_node,
             p_node,
             streams,
-            &mut ws.ior_state,
             &mut ws.dij,
             cfg,
             cfg.kernel.result_cap(outer_bound),
@@ -103,11 +102,12 @@ pub(crate) fn run_search<S: QueryStreams>(
 }
 
 /// Strict refinement loop ([`ConnConfig::strict_refinement`]): re-run CPLC
-/// after loading more obstacles whenever (a) parts of `q` are still
-/// invisible to every local node, or (b) a control-point value exceeds the
+/// after loading more obstacles whenever a control-point value exceeds the
 /// loaded threshold, meaning an unloaded obstacle could still block its
 /// path. Terminates because the threshold grows monotonically and the
-/// obstacle set is finite.
+/// obstacle set is finite. A stretch of `q` that `p` cannot reach under the
+/// loaded obstacles stays unreached under all of them (obstacles only
+/// block), so it asks for no load.
 ///
 /// `outer_bound` (the result list's Lemma 2 bound, under the served
 /// kernel) caps the certification threshold: a recorded value can only
@@ -127,25 +127,11 @@ fn refine_to_fixpoint<S: QueryStreams>(
 ) {
     let cap = cfg.kernel.result_cap(outer_bound);
     loop {
-        // Unassigned intervals mean geometry under-coverage only in an
-        // *uncapped* traversal. Under a finite cap, every parameter whose
-        // true value beats the cap is provably claimed before the cap can
-        // stop the search (see `cplc_bounded`), so what is left unassigned
-        // is territory the incumbent already owns — widening obstacles for
-        // it would load the whole tree chasing irrelevant values.
-        let added = if cpl.has_unassigned() && cap.is_infinite() {
-            // geometry under-covered: widen one obstacle at a time
-            streams.load_next_obstacle(&mut ws.g)
-        } else {
-            let m = cpl.max_assigned_value(q).min(cap);
-            if m <= ws.ior_state.loaded_bound + EPS {
-                return; // every value that can win is certified exact
-            }
-            ws.ior_state.loaded_bound = m;
-            streams.load_obstacles_until(&mut ws.g, m)
-        };
-        if added == 0 {
-            return; // obstacle source exhausted: nothing left to learn
+        // every value that can win certified exact, or the obstacle source
+        // exhausted: nothing left to learn
+        let m = cpl.max_assigned_value(q).min(cap);
+        if m <= streams.loaded_bound() + EPS || streams.load_obstacles_until(&mut ws.g, m) == 0 {
+            return;
         }
         *cpl = cplc_bounded(
             q,

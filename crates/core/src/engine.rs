@@ -26,9 +26,9 @@
 //! ## Reuse contract
 //!
 //! Between queries, `Workspace::begin_query` **clears** all query-visible
-//! state — the node set, the loaded obstacle set (graph and dedupe keys
-//! together), the visible-region cache, the IOR loading threshold and all
-//! Dijkstra labels — so a reused engine is *byte-identical* in its answers
+//! state — the node set, the loaded obstacle set, the visible-region cache
+//! and all Dijkstra labels (the loading threshold is the query's own
+//! obstacle stream's) — so a reused engine is *byte-identical* in its answers
 //! to fresh per-query state (guarded by the `engine_equivalence` proptest
 //! suite). Every family starts from that rewind, the point-anchored ones
 //! included: they load what they need through [`crate::odist`] on this same
@@ -48,12 +48,11 @@ use crate::coknn::CoknnResult;
 use crate::config::ConnConfig;
 use crate::conn::{run_search, LoopTelemetry};
 use crate::cpl::VrCache;
-use crate::ior::IorState;
 use crate::odist::{Anchor, Resolver};
 use crate::rlu::{KnnResultList, RluScratch};
 use crate::single_tree::{OneTreeStreams, SpatialObject};
 use crate::stats::{QueryStats, ReuseCounters};
-use crate::streams::{LoadedObstacles, SegmentStreams};
+use crate::streams::SegmentStreams;
 use crate::types::DataPoint;
 
 /// The engine's page meters, one per tree role. They sit *beside* the
@@ -80,11 +79,7 @@ pub(crate) struct Workspace {
     pub(crate) g: VisGraph,
     pub(crate) dij: DijkstraEngine,
     pub(crate) vr_cache: VrCache,
-    pub(crate) ior_state: IorState,
     pub(crate) rlu_scratch: RluScratch,
-    /// The tree obstacles `g` holds, for the segment stream and the
-    /// point-anchored loader ([`crate::odist`]) to skip.
-    pub(crate) loaded: LoadedObstacles,
     /// Set once the workspace has served a query (reuse is counted from the
     /// second query on).
     primed: bool,
@@ -107,9 +102,7 @@ impl Workspace {
             g,
             dij: DijkstraEngine::default(),
             vr_cache: VrCache::default(),
-            ior_state: IorState::default(),
             rlu_scratch: RluScratch::default(),
-            loaded: LoadedObstacles::default(),
             primed: false,
             current: ReuseCounters::default(),
             mark: ReuseCounters::default(),
@@ -126,18 +119,16 @@ impl Workspace {
             self.current.graph_reuses = 1;
             self.current.nodes_retained = self.g.reset() as u64;
         }
-        self.loaded.clear();
         self.begin_window(io);
     }
 
     /// Rewinds the workspace for a standing CONN's warm re-run on the graph
     /// its segment kernel keeps ([`crate::live`]), the one caller: unlike
-    /// [`Workspace::begin_query`] the visibility graph, its endpoint nodes
-    /// and the loaded set are kept — the graph only ever holds real
-    /// obstacles of the pinned scene (a kernel whose graph holds a removed
-    /// one restarts through [`Workspace::begin_query`] instead). The
-    /// visible-region cache and the IOR loading threshold are cleared like
-    /// a fresh query's.
+    /// [`Workspace::begin_query`] the visibility graph and its endpoint
+    /// nodes are kept — the graph only ever holds real obstacles of the
+    /// pinned scene (a kernel whose graph holds a removed one restarts
+    /// through [`Workspace::begin_query`] instead). The visible-region
+    /// cache is cleared like a fresh query's.
     pub(crate) fn begin_leg(&mut self, io: &Meters) {
         self.current = ReuseCounters::default();
         self.current.graph_reuses = 1; // the graph survives, loaded
@@ -152,7 +143,6 @@ impl Workspace {
     fn begin_window(&mut self, io: &Meters) {
         self.primed = true;
         self.vr_cache.clear();
-        self.ior_state = IorState::default();
         self.mark = self.lifetime();
         self.io_mark = io.snapshot();
     }
@@ -179,15 +169,7 @@ impl Workspace {
         io: &'w IoMeter,
         anchor: Anchor,
     ) -> Resolver<'w> {
-        Resolver::new(
-            &mut self.g,
-            &mut self.dij,
-            &mut self.loaded,
-            tree,
-            cfg,
-            io,
-            anchor,
-        )
+        Resolver::new(&mut self.g, &mut self.dij, tree, cfg, io, anchor)
     }
 
     /// Closes the window of the current query: what the substrate counted
@@ -343,9 +325,9 @@ impl QueryEngine {
     }
 
     /// [`QueryEngine::drive`] over the two trees, from the endpoint nodes
-    /// `ends` of a previous run on the kept graph when given. The segment
-    /// stream dedupes against the workspace's own loaded set, lent to it
-    /// for the run. Returns the endpoint nodes for the next run.
+    /// `ends` of a previous run on the kept graph when given (the obstacle
+    /// stream skips what that graph holds). Returns the endpoint nodes for
+    /// the next run.
     pub(crate) fn segment(
         &mut self,
         data_tree: &RStarTree<DataPoint>,
@@ -356,11 +338,8 @@ impl QueryEngine {
     ) -> (KnnResultList, QueryStats, (NodeId, NodeId)) {
         let cfg = self.cfg;
         self.drive(q, k, ends, |ws, io, list, ends| {
-            let mut loaded = std::mem::take(&mut ws.loaded);
-            let mut streams = SegmentStreams::new(data_tree, obstacle_tree, q, io, &mut loaded);
-            let telemetry = run_search(&mut streams, q, &cfg, list, ws, ends);
-            ws.loaded = loaded;
-            telemetry
+            let mut streams = SegmentStreams::new(data_tree, obstacle_tree, q, io);
+            run_search(&mut streams, q, &cfg, list, ws, ends)
         })
     }
 

@@ -8,9 +8,14 @@
 //! alternates Dijkstra runs with obstacle loading until the bound stops
 //! growing (Lemma 3 certifies the fix-point paths as exact).
 //!
-//! The graph — and the loading threshold in [`IorState`] — is shared across
-//! all data points of one query, so the obstacle R-tree is traversed at most
-//! once per query.
+//! The graph and the obstacle stream — which owns the bound it has been
+//! drained to (`streams.rs`) — are shared across all data points of one
+//! query, so the obstacle R-tree is traversed at most once per query.
+//!
+//! An endpoint the loaded obstacles already cut off from `p` is final:
+//! obstacles only block, so no further load can reconnect it, and IOR
+//! returns with it unsettled (the stretches of `q` that `p` does reach are
+//! CPLC's, and strict refinement certifies their values).
 //!
 //! Under [`crate::KernelMode::GoalDirected`] the Dijkstra runs are A*
 //! searches keyed toward the query segment (`S` and `E` both lie on it, so
@@ -27,19 +32,11 @@ use conn_vgraph::{DijkstraEngine, NodeId, VisGraph};
 use crate::config::ConnConfig;
 use crate::streams::QueryStreams;
 
-/// Cross-point state: how far (in `mindist` to `q`) obstacles have been
-/// loaded — the paper's "previous search distance d".
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct IorState {
-    /// `mindist` to `q` up to which obstacles are fully loaded.
-    pub loaded_bound: f64,
-}
-
 /// Runs Algorithm 1 for the data point at `p_node`. On return the graph
-/// holds every obstacle with `mindist(o, q) ≤ state.loaded_bound`, and
+/// holds every obstacle with `mindist(o, q) ≤ streams.loaded_bound()`, and
 /// `dij` holds the settled endpoint distances — exact, or unsettled when
-/// an endpoint is unreachable within `cap`. `dij` is the caller's reusable
-/// Dijkstra scratch (re-prepared on every retrieval round).
+/// an endpoint is unreachable (within `cap`). `dij` is the caller's
+/// reusable Dijkstra scratch (re-prepared on every retrieval round).
 ///
 /// `cap` (∞ when the caller has no bound) prunes the retrieval itself: a
 /// value of `p` can only decide the result below the caller's incumbent
@@ -53,7 +50,7 @@ pub(crate) struct IorState {
 /// incumbent already owns.
 #[expect(
     clippy::too_many_arguments,
-    reason = "Algorithm 1 borrows the graph, streams, IOR state and search engine separately, beside the query, its three anchor nodes, the config and the cap"
+    reason = "Algorithm 1 borrows the graph, streams and search engine separately, beside the query, its three anchor nodes, the config and the cap"
 )]
 pub(crate) fn ior<S: QueryStreams>(
     q: &Segment,
@@ -62,7 +59,6 @@ pub(crate) fn ior<S: QueryStreams>(
     e_node: NodeId,
     p_node: NodeId,
     streams: &mut S,
-    state: &mut IorState,
     dij: &mut DijkstraEngine,
     cfg: &ConnConfig,
     cap: f64,
@@ -76,45 +72,21 @@ pub(crate) fn ior<S: QueryStreams>(
         let dist_s = dij.run_until_settled(g, s_node);
         let dist_e = dij.run_until_settled(g, e_node);
         let d_prime = dist_s.max(dist_e);
-
-        if d_prime.is_infinite() {
-            if cap.is_finite() {
-                // Bounded out (or genuinely walled in — indistinguishable,
-                // and equally irrelevant past the cap): make the loaded
-                // set sub-cap complete, give the new corners one re-run,
-                // then accept.
-                if state.loaded_bound < cap {
-                    let added = streams.load_obstacles_until(g, cap);
-                    state.loaded_bound = cap;
-                    if added > 0 {
-                        continue;
-                    }
-                }
-                return;
-            }
-            // No path with the current obstacle set: with disjoint obstacles
-            // this only happens transiently (or when p is genuinely walled
-            // in) — widen one obstacle at a time until connectivity returns
-            // or the source is exhausted.
-            if streams.load_next_obstacle(g) == 0 {
-                return;
-            }
-            continue;
+        // a bounded-out endpoint (or one walled in — indistinguishable, and
+        // equally irrelevant past the cap) makes the loaded set sub-cap
+        // complete; an unreachable one under no cap is final
+        let bound = if d_prime.is_finite() { d_prime } else { cap };
+        // revalidate the paths against whatever the load added
+        if !bound.is_finite() || streams.load_obstacles_until(g, bound) == 0 {
+            return;
         }
-        if d_prime > state.loaded_bound {
-            state.loaded_bound = d_prime;
-            if streams.load_obstacles_until(g, d_prime) > 0 {
-                continue; // revalidate the paths against the new obstacles
-            }
-        }
-        return;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streams::{LoadedObstacles, SegmentStreams};
+    use crate::streams::SegmentStreams;
     use crate::types::DataPoint;
     use conn_geom::{Point, Rect};
     use conn_index::RStarTree;
@@ -143,13 +115,11 @@ mod tests {
         let obs = RStarTree::bulk_load(obstacles, 4096);
         let q = q();
         let io = crate::engine::Meters::default();
-        let mut loaded = LoadedObstacles::default();
-        let mut streams = SegmentStreams::new(&data, &obs, &q, &io, &mut loaded);
+        let mut streams = SegmentStreams::new(&data, &obs, &q, &io);
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(q.a, NodeKind::Endpoint);
         let e = g.add_point(q.b, NodeKind::Endpoint);
         let p = g.add_point(ppos, NodeKind::DataPoint);
-        let mut state = IorState::default();
         let mut dij = DijkstraEngine::default();
         let cfg = ConnConfig::default();
         ior(
@@ -159,13 +129,12 @@ mod tests {
             e,
             p,
             &mut streams,
-            &mut state,
             &mut dij,
             &cfg,
             f64::INFINITY,
         );
         let paths = endpoint_paths(&dij, s, e);
-        (paths, streams.obstacles_loaded(), state.loaded_bound)
+        (paths, streams.obstacles_loaded(), streams.loaded_bound())
     }
 
     #[test]
@@ -214,27 +183,14 @@ mod tests {
         let obs = RStarTree::bulk_load(vec![far_wall], 4096);
         let q = q();
         let io = crate::engine::Meters::default();
-        let mut loaded = LoadedObstacles::default();
-        let mut streams = SegmentStreams::new(&data, &obs, &q, &io, &mut loaded);
+        let mut streams = SegmentStreams::new(&data, &obs, &q, &io);
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(q.a, NodeKind::Endpoint);
         let e = g.add_point(q.b, NodeKind::Endpoint);
         let p = g.add_point(Point::new(50.0, 30.0), NodeKind::DataPoint);
-        let mut state = IorState::default();
         let mut dij = DijkstraEngine::default();
         let cfg = ConnConfig::default();
-        ior(
-            &q,
-            &mut g,
-            s,
-            e,
-            p,
-            &mut streams,
-            &mut state,
-            &mut dij,
-            &cfg,
-            200.0,
-        );
+        ior(&q, &mut g, s, e, p, &mut streams, &mut dij, &cfg, 200.0);
         let paths = endpoint_paths(&dij, s, e);
         // within the cap everything is exact and the far wall stays out
         assert!((paths.dist_s - Point::new(50.0, 30.0).dist(q.a)).abs() < 1e-9);
@@ -243,21 +199,23 @@ mod tests {
         // a cap below the true endpoint distances bounds the search out
         // without loading past the cap either
         let p2 = g.add_point(Point::new(50.0, 2000.0), NodeKind::DataPoint);
-        ior(
-            &q,
-            &mut g,
-            s,
-            e,
-            p2,
-            &mut streams,
-            &mut state,
-            &mut dij,
-            &cfg,
-            100.0,
-        );
+        ior(&q, &mut g, s, e, p2, &mut streams, &mut dij, &cfg, 100.0);
         let paths = endpoint_paths(&dij, s, e);
         assert!(paths.dist_s.is_infinite() && paths.dist_e.is_infinite());
         assert_eq!(streams.obstacles_loaded(), 0, "mindist 500 > cap 100");
+    }
+
+    /// An endpoint the loaded obstacles cut off stays cut off under any
+    /// superset, so IOR stops instead of widening the load: `S` sits inside
+    /// the near obstacle, and the far one is never read.
+    #[test]
+    fn an_unreachable_endpoint_is_final() {
+        let around_s = Rect::new(-10.0, -10.0, 10.0, 10.0);
+        let far = Rect::new(3000.0, 3000.0, 3100.0, 3100.0);
+        let (paths, loaded, bound) = run_ior(Point::new(50.0, 30.0), vec![around_s, far]);
+        assert!(paths.dist_s.is_infinite() && paths.dist_e.is_finite());
+        assert_eq!(loaded, 1, "only the obstacle within the first bound");
+        assert!(bound < 100.0);
     }
 
     #[test]
@@ -286,12 +244,10 @@ mod tests {
         let obs = RStarTree::bulk_load(vec![Rect::new(40.0, 10.0, 60.0, 20.0)], 4096);
         let q = q();
         let io = crate::engine::Meters::default();
-        let mut loaded = LoadedObstacles::default();
-        let mut streams = SegmentStreams::new(&data, &obs, &q, &io, &mut loaded);
+        let mut streams = SegmentStreams::new(&data, &obs, &q, &io);
         let mut g = VisGraph::new(50.0);
         let s = g.add_point(q.a, NodeKind::Endpoint);
         let e = g.add_point(q.b, NodeKind::Endpoint);
-        let mut state = IorState::default();
         let mut dij = DijkstraEngine::default();
         let cfg = ConnConfig::default();
 
@@ -303,13 +259,12 @@ mod tests {
             e,
             p0,
             &mut streams,
-            &mut state,
             &mut dij,
             &cfg,
             f64::INFINITY,
         );
         g.remove_node(p0);
-        let bound_after_first = state.loaded_bound;
+        let bound_after_first = streams.loaded_bound();
         let loaded_after_first = streams.obstacles_loaded();
 
         let p1 = g.add_point(Point::new(55.0, 28.0), NodeKind::DataPoint);
@@ -320,7 +275,6 @@ mod tests {
             e,
             p1,
             &mut streams,
-            &mut state,
             &mut dij,
             &cfg,
             f64::INFINITY,
@@ -328,6 +282,6 @@ mod tests {
         g.remove_node(p1);
         // second, similar point: bound may grow slightly but nothing new to load
         assert_eq!(streams.obstacles_loaded(), loaded_after_first);
-        assert!(state.loaded_bound >= bound_after_first);
+        assert!(streams.loaded_bound() >= bound_after_first);
     }
 }

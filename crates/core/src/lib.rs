@@ -16,14 +16,15 @@
 //! |---|---|
 //! | control points (Def. 8/9) | `dist.rs` |
 //! | split points, Thm. 1, Cases 1–4, Lemma 1 | `split.rs` |
-//! | IOR — incremental obstacle retrieval (Alg. 1) | `ior.rs` |
+//! | IOR — incremental obstacle retrieval (Alg. 1, Lemmas 3–4) | `ior.rs` |
+//! | the one obstacle loader (a bounded `mindist` stream per anchor) and the point streams | `streams.rs` |
 //! | CPLC — control-point-list computation (Alg. 2, Lemmas 5–7) | `cpl.rs` |
 //! | RLU — one result list for every k, CONN's k = 1 included (Alg. 3, §4.5) | `rlu.rs` |
 //! | CONN search (Alg. 4, Lemma 2), the one loop of every k | `conn.rs` |
 //! | the answer of CONN and COkNN: ⟨p, cp, R⟩ is ⟨ONNS, R⟩ at k = 1 (Def. 6, §4.5) | `coknn.rs` |
 //! | single unified R-tree variant (§4.5) | `single_tree.rs` |
 //! | reference baselines and oracles (sampling, brute force, whole-field odist) | [`baseline`] |
-//! | the obstacle loader of every point-anchored family (IOR at a point, Lemma 3) | `odist.rs` |
+//! | the point-anchored resolver: the loader at a point or a pair (Lemma 3 at a point) | `odist.rs` |
 //! | reusable engine & per-query workspace (beyond the paper) | `engine.rs` |
 //! | batch telemetry (beyond the paper) | `batch.rs` |
 //! | trajectory CONN/COkNN (§6 future work) | `trajectory.rs` |

@@ -216,17 +216,17 @@ fn answer_mentions(answer: &Answer, id: u32) -> bool {
 
 /// The resident segment kernel of a standing CONN/COkNN entry: an engine
 /// of its own whose visibility graph outlives the re-run, so the next
-/// re-run of the same segment is warm — the graph with its cached rows,
-/// both endpoint nodes and the workspace's loaded set are kept, and the
-/// obstacle stream skips what is loaded; the searches themselves start
-/// cold, as every search over a changed graph does. An inserted obstacle
-/// is simply not loaded yet, and a removed one the graph never loaded
-/// does not concern it. A graph only grows, so a removed obstacle the
-/// graph holds restarts the kernel ([`SegmentKernel::forget`]): its next
-/// run starts from a reset graph, as a fresh query does. Whenever it runs,
-/// the graph is therefore a subset of the pinned tree and a superset of
-/// what a cold run loads: every loaded rectangle is real, and extra loaded
-/// obstacles only ever help Algorithm 4 certify.
+/// re-run of the same segment is warm — the graph with its cached rows
+/// and both endpoint nodes are kept, and the obstacle stream skips what
+/// the graph holds; the searches themselves start cold, as every search
+/// over a changed graph does. An inserted obstacle is simply not loaded
+/// yet, and a removed one the graph never loaded does not concern it. A
+/// graph only grows, so a removed obstacle the graph holds restarts the
+/// kernel ([`SegmentKernel::forget`]): its next run starts from a reset
+/// graph, as a fresh query does. Whenever it runs, the graph is therefore
+/// a subset of the pinned tree and a superset of what a cold run loads:
+/// every loaded rectangle is real, and extra loaded obstacles only ever
+/// help Algorithm 4 certify.
 ///
 /// It stays because it measurably pays: re-running cold instead cost the
 /// ledger's `live_churn` workload 9–36 % of its `ops_per_s` on four paired
@@ -260,7 +260,7 @@ impl SegmentKernel {
     /// Follows the removal of `r` from the scene: when the graph holds it,
     /// the next run restarts from a reset graph; otherwise it stays warm.
     fn forget(&mut self, r: &Rect) {
-        if self.engine.parts().1.loaded.contains(r) {
+        if self.engine.parts().1.g.holds(r) {
             self.ends = None;
         }
     }
@@ -1005,7 +1005,7 @@ mod tests {
         );
 
         let gone = obstacles()[0];
-        assert!(kernel.engine.parts().1.loaded.contains(&gone));
+        assert!(kernel.engine.parts().1.g.holds(&gone));
         kernel.forget(&gone);
         let shrunk = Scene::new(points(), obstacles()[1..].to_vec());
         let (got, restarted) = kernel.run(&shrunk, &seg, 1);

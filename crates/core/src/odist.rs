@@ -1,12 +1,11 @@
-//! The obstacle loader: the one way a point-anchored query family gets
-//! obstacles into a visibility graph, and the point-to-point resolver built
-//! on it.
+//! The point-anchored loader and the point-to-point resolver built on it.
 //!
-//! CONN/COkNN/trajectories load obstacles around a *segment*
-//! ([`crate::streams`], paper Algorithm 1). Everything anchored at points —
-//! odist, route, ONN and range — loads through the `Resolver` here,
-//! incrementally from the obstacle R\*-tree and bounded by the current best
-//! distance, never from a flat copy of the field.
+//! Every family loads obstacles through the one `ObstacleStream` of
+//! [`crate::streams`], incrementally from the obstacle R\*-tree and bounded
+//! by the current best distance, never from a flat copy of the field.
+//! CONN/COkNN/trajectories anchor it at a *segment* (paper Algorithm 1);
+//! everything anchored at points — odist, route, ONN and range — goes
+//! through the `Resolver` here.
 //!
 //! ## Contract
 //!
@@ -26,8 +25,8 @@
 //!   contents), so the tree streams obstacles in ascending sum directly.
 //!
 //! The stream opens on the first load, so a query answered without one
-//! reads no obstacle page for it. Each streamed obstacle still passes the
-//! graph's [`LoadedObstacles`], which drops duplicate input rectangles.
+//! reads no obstacle page for it. A streamed obstacle the graph already
+//! holds (a duplicate input rectangle) is skipped.
 //!
 //! `Resolver::settle` is the fix-point on top: load to `B`, search, and
 //! stop when the distance `d ≤ B` — the graph then holds only real
@@ -43,13 +42,13 @@
 use std::time::Instant;
 
 use conn_geom::{Point, Rect};
-use conn_index::{DistShape, IoMeter, NearestIter, RStarTree};
+use conn_index::{DistShape, IoMeter, RStarTree};
 use conn_vgraph::{DijkstraEngine, NodeId, NodeKind, VisGraph};
 
 use crate::config::{ConnConfig, KernelMode};
 use crate::engine::QueryEngine;
 use crate::stats::QueryStats;
-use crate::streams::LoadedObstacles;
+use crate::streams::ObstacleStream;
 
 /// Can something at lower-bound distance `lower` matter to paths of length
 /// `≤ bound`? Conservative float slack: the loader must err toward loading,
@@ -77,40 +76,24 @@ impl DistShape for Anchor {
     }
 }
 
-/// The obstacle stream of the resolver's anchor.
-struct OpenStream<'w> {
-    iter: NearestIter<'w, Rect, Anchor>,
-    /// Popped but beyond the bound of the load that popped it.
-    pending: Option<(Rect, f64)>,
-    /// The largest bound this stream has been drained to (none yet: even
-    /// a zero bound loads what touches the anchor).
-    upto: f64,
-}
-
-/// The loader and resolver over the visibility graph, Dijkstra engine and
-/// loaded set of one query's [`crate::engine::Workspace`] and one obstacle
-/// tree, whose page reads are charged to `io`. Every load is anchored at
-/// `anchor`.
+/// The loader and resolver over the visibility graph and Dijkstra engine
+/// of one query's [`crate::engine::Workspace`] and one obstacle tree, whose
+/// page reads are charged to `io`. Every load is anchored at `anchor`.
 pub(crate) struct Resolver<'w> {
     pub(crate) g: &'w mut VisGraph,
     pub(crate) dij: &'w mut DijkstraEngine,
-    loaded: &'w mut LoadedObstacles,
     tree: &'w RStarTree<Rect>,
     io: &'w IoMeter,
     kernel: KernelMode,
     anchor: Anchor,
     /// Opened by the first load.
-    stream: Option<OpenStream<'w>>,
-    /// Obstacles this resolver inserted into the graph (the NOE metric).
-    pub(crate) noe: u64,
+    stream: Option<ObstacleStream<'w, Anchor>>,
 }
 
 impl<'w> Resolver<'w> {
-    /// `loaded` must describe `g`: exactly the tree obstacles it holds.
     pub(crate) fn new(
         g: &'w mut VisGraph,
         dij: &'w mut DijkstraEngine,
-        loaded: &'w mut LoadedObstacles,
         tree: &'w RStarTree<Rect>,
         cfg: &ConnConfig,
         io: &'w IoMeter,
@@ -119,14 +102,17 @@ impl<'w> Resolver<'w> {
         Resolver {
             g,
             dij,
-            loaded,
             tree,
             io,
             kernel: cfg.kernel,
             anchor,
             stream: None,
-            noe: 0,
         }
+    }
+
+    /// Obstacles this resolver inserted into the graph (the NOE metric).
+    pub(crate) fn noe(&self) -> u64 {
+        self.stream.as_ref().map_or(0, |s| s.added() as u64)
     }
 
     /// True when `p` lies strictly inside some tree obstacle: nothing is
@@ -144,31 +130,11 @@ impl<'w> Resolver<'w> {
     /// anchor and returns the bound the anchor is now loaded to (a previous
     /// call may already have gone further).
     pub(crate) fn load(&mut self, bound: f64) -> f64 {
-        let s = self.stream.get_or_insert_with(|| OpenStream {
-            iter: self.tree.nearest_iter_metered(self.anchor, self.io),
-            pending: None,
-            upto: f64::NEG_INFINITY,
-        });
-        if bound <= s.upto {
-            return s.upto;
-        }
-        loop {
-            if s.pending.is_none() {
-                s.pending = s.iter.next();
-            }
-            match s.pending {
-                Some((r, d)) if affected(d, bound) => {
-                    s.pending = None;
-                    if self.loaded.insert(&r) {
-                        self.g.add_obstacle(r);
-                        self.noe += 1;
-                    }
-                }
-                _ => break,
-            }
-        }
-        s.upto = bound;
-        bound
+        let s = self
+            .stream
+            .get_or_insert_with(|| ObstacleStream::new(self.tree, self.anchor, self.io, affected));
+        s.load(self.g, bound);
+        s.upto()
     }
 
     /// Exact obstructed distance from node `src` to node `dst` (`∞` when
@@ -244,7 +210,7 @@ impl QueryEngine {
         ws.begin_query(io);
         let mut resolver = ws.resolver(obstacle_tree, &cfg, &io.obstacle, anchor);
         let (answer, npe, result_tuples) = body(&mut resolver, &io.data);
-        let noe = resolver.noe;
+        let noe = resolver.noe();
         let stats = QueryStats {
             cpu: started.elapsed(),
             npe,
@@ -398,15 +364,15 @@ mod tests {
         let mut r = ws.resolver(&t, &cfg, &io.obstacle, Anchor::Disc(s));
         // a zero bound still loads what touches the anchor
         assert_eq!(r.load(0.0), 0.0);
-        assert_eq!(r.noe, 1);
+        assert_eq!(r.noe(), 1);
         // a growing bound continues the open stream
         assert_eq!(r.load(15.0), 15.0);
-        assert_eq!(r.noe, 1, "nothing new within 15");
+        assert_eq!(r.noe(), 1, "nothing new within 15");
         assert_eq!(r.load(5.0), 15.0, "already loaded further");
         r.load(55.0);
-        assert_eq!(r.noe, 2);
+        assert_eq!(r.noe(), 2);
         r.load(2000.0);
-        assert_eq!(r.noe, 3);
+        assert_eq!(r.noe(), 3);
         assert_eq!(ws.g.num_obstacles(), 3);
     }
 }

@@ -18,7 +18,7 @@
     reason = "k-list slots are allocated up front; member indices are bounded by k"
 )]
 
-use conn_geom::{Interval, Point, Segment, EPS};
+use conn_geom::{Interval, IntervalSet, Point, Rect, Segment, EPS};
 
 use crate::config::ConnConfig;
 use crate::cpl::ControlPointList;
@@ -105,16 +105,45 @@ impl KnnResultList {
     /// `RLMAX` (Lemma 2): ∞ until every interval holds `k` members. A data
     /// point whose `mindist` to `q` exceeds this bound cannot change the
     /// list.
-    pub(crate) fn rlmax(&self, q: &Segment) -> f64 {
+    ///
+    /// An interval with no members that lies inside the open interiors of
+    /// `obstacles` (the graph's) counts as full: no data point can reach
+    /// such a stretch of `q` (the segment form of `Resolver::swallowed`),
+    /// so waiting for a member there would never stop the point stream.
+    /// Touching interiors merge: the one parameter where two rectangles
+    /// touch may be reachable, but no interval of the list can hold it.
+    pub(crate) fn rlmax(&self, q: &Segment, obstacles: &[Rect]) -> f64 {
+        let mut inside: Option<IntervalSet> = None;
         let mut m = 0.0f64;
         for e in &self.entries {
             if e.members.len() < self.k {
+                let walled = e.members.is_empty()
+                    && inside
+                        .get_or_insert_with(|| self.interiors(q, obstacles))
+                        .intervals()
+                        .iter()
+                        .any(|u| u.lo - EPS <= e.interval.lo && e.interval.hi <= u.hi + EPS);
+                if walled {
+                    continue;
+                }
                 return f64::INFINITY;
             }
             let kth = &e.members[self.k - 1].cp;
             m = m.max(kth.max_over(q, &e.interval));
         }
         m
+    }
+
+    /// The stretches of `q` inside the open interior of some obstacle.
+    fn interiors(&self, q: &Segment, obstacles: &[Rect]) -> IntervalSet {
+        IntervalSet::from_intervals(
+            obstacles
+                .iter()
+                .filter(|r| r.blocks(q))
+                .filter_map(|r| r.clip_segment(q))
+                .map(|(t0, t1)| Interval::new(t0 * self.qlen, t1 * self.qlen))
+                .collect(),
+        )
     }
 
     /// The entry whose interval holds parameter `t`.
@@ -402,13 +431,13 @@ mod tests {
     #[test]
     fn first_point_takes_everything() {
         let mut rl = conn_list();
-        assert_eq!(rl.rlmax(&q()), f64::INFINITY);
+        assert_eq!(rl.rlmax(&q(), &[]), f64::INFINITY);
         let p = DataPoint::new(0, Point::new(30.0, 20.0));
         update(&mut rl, p, &direct_cpl(p.pos));
         rl.check_cover().unwrap();
         assert_eq!(rl.entries().len(), 1);
         assert_eq!(rl.entries()[0].members[0].point.id, 0);
-        assert!(rl.rlmax(&q()).is_finite());
+        assert!(rl.rlmax(&q(), &[]).is_finite());
     }
 
     #[test]
@@ -480,7 +509,14 @@ mod tests {
         rl.check_cover().unwrap();
         assert!(nn_at(&rl, 20.0).is_some());
         assert!(nn_at(&rl, 70.0).is_none());
-        assert_eq!(rl.rlmax(&q()), f64::INFINITY);
+        assert_eq!(rl.rlmax(&q(), &[]), f64::INFINITY);
+        // an obstacle whose interior holds only part of the stretch leaves
+        // the rest to wait for a member; one that holds all of it does not
+        let part = Rect::new(60.0, -10.0, 120.0, 10.0);
+        assert_eq!(rl.rlmax(&q(), &[part]), f64::INFINITY);
+        let whole = Rect::new(40.0, -10.0, 120.0, 10.0);
+        let want = a.pos.dist(Point::new(40.0, 0.0));
+        assert!((rl.rlmax(&q(), &[part, whole]) - want).abs() < 1e-9);
     }
 
     #[test]
@@ -489,7 +525,7 @@ mod tests {
         let a = DataPoint::new(0, Point::new(30.0, 40.0));
         update(&mut rl, a, &direct_cpl(a.pos));
         let want = a.pos.dist(Point::new(100.0, 0.0)); // far endpoint
-        assert!((rl.rlmax(&q()) - want).abs() < 1e-9);
+        assert!((rl.rlmax(&q(), &[]) - want).abs() < 1e-9);
     }
 
     #[test]

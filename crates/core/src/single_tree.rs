@@ -5,7 +5,10 @@
 //! pop in ascending order for the main loop, and obstacles stream into the
 //! visibility graph on demand. Because the underlying iterator yields items
 //! in globally ascending `mindist`, buffering whichever kind the current
-//! consumer does not want preserves each kind's ordering.
+//! consumer does not want preserves each kind's ordering. This buffer is
+//! the layout's own obstacle loader: the two-tree `ObstacleStream` cannot
+//! serve it, since its traversal yields points too. Like that stream, it
+//! skips what the graph already holds (a duplicate input rectangle).
 //!
 //! The 1T variant inherits the configured obstructed-distance kernel
 //! unchanged — goal-directed A*, label continuation and the RLU expansion
@@ -59,6 +62,8 @@ pub(crate) struct OneTreeStreams<'a> {
     iter: NearestIter<'a, SpatialObject, Segment>,
     point_buf: VecDeque<(DataPoint, f64)>,
     obstacle_buf: VecDeque<(Rect, f64)>,
+    /// The largest bound obstacles have been loaded to.
+    upto: f64,
     loaded: usize,
 }
 
@@ -70,6 +75,7 @@ impl<'a> OneTreeStreams<'a> {
             iter: tree.nearest_iter_metered(*q, io),
             point_buf: VecDeque::new(),
             obstacle_buf: VecDeque::new(),
+            upto: 0.0,
             loaded: 0,
         }
     }
@@ -118,44 +124,33 @@ impl QueryStreams for OneTreeStreams<'_> {
     }
 
     fn load_obstacles_until(&mut self, g: &mut VisGraph, bound: f64) -> usize {
-        let mut added = 0;
+        if bound < self.upto {
+            return 0;
+        }
+        self.upto = bound;
+        let before = self.loaded;
         loop {
             // drain buffered obstacles within the bound
-            while let Some((_, d)) = self.obstacle_buf.front() {
-                if *d > bound {
-                    self.loaded += added;
-                    return added;
+            while let Some(&(r, d)) = self.obstacle_buf.front() {
+                if d > bound {
+                    return self.loaded - before;
                 }
-                #[expect(clippy::expect_used, reason = "guarded by the peek on the line above")]
-                let (r, _) = self.obstacle_buf.pop_front().expect("front checked");
-                g.add_obstacle(r);
-                added += 1;
+                self.obstacle_buf.pop_front();
+                if !g.holds(&r) {
+                    g.add_obstacle(r);
+                    self.loaded += 1;
+                }
             }
             // buffer empty: anything unseen is at least at the frontier dist
             match self.iter.peek_dist() {
-                Some(d) if d <= bound => {
-                    if !self.pull() {
-                        break;
-                    }
-                }
-                _ => break,
+                Some(d) if d <= bound && self.pull() => {}
+                _ => return self.loaded - before,
             }
         }
-        self.loaded += added;
-        added
     }
 
-    fn load_next_obstacle(&mut self, g: &mut VisGraph) -> usize {
-        loop {
-            if let Some((r, _)) = self.obstacle_buf.pop_front() {
-                g.add_obstacle(r);
-                self.loaded += 1;
-                return 1;
-            }
-            if !self.pull() {
-                return 0;
-            }
-        }
+    fn loaded_bound(&self) -> f64 {
+        self.upto
     }
 
     fn obstacles_loaded(&self) -> usize {
@@ -236,6 +231,19 @@ mod tests {
             obstacles.len()
         );
         assert_eq!(s.obstacles_loaded(), obstacles.len());
+    }
+
+    /// A rectangle given twice enters the graph, and NOE, once.
+    #[test]
+    fn duplicate_obstacles_load_once() {
+        let (points, mut obstacles) = setup();
+        obstacles.push(obstacles[0]);
+        let ut = build_unified_tree(&points, &obstacles, 4096);
+        let io = IoMeter::default();
+        let mut s = OneTreeStreams::new(&ut, &q(), &io);
+        let mut g = VisGraph::new(50.0);
+        assert_eq!(s.load_obstacles_until(&mut g, f64::INFINITY), 3);
+        assert_eq!((s.obstacles_loaded(), g.num_obstacles()), (3, 3));
     }
 
     #[test]

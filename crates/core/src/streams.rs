@@ -4,9 +4,18 @@
 //! The two-R-tree setup of Algorithm 4 and the unified single-R-tree setup
 //! of §4.5 differ only in where these streams come from, so the search core
 //! is written against the [`QueryStreams`] trait.
+//!
+//! [`ObstacleStream`] is the one obstacle loader over an obstacle tree: the
+//! segment streams here hold one ordered by `mindist` to `q` (Algorithm 1),
+//! the point-anchored resolver of `odist.rs` one ordered by its anchor. A
+//! load drains the stream up to a bound and skips every rectangle the graph
+//! already [holds](VisGraph::holds), so a duplicate input rectangle, or one
+//! a standing query's kept graph loaded in an earlier run, enters (and is
+//! counted) once. The single-tree layout keeps its own buffer
+//! (`single_tree.rs`), since one mixed traversal feeds points and obstacles.
 
 use conn_geom::{Rect, Segment};
-use conn_index::{NearestIter, RStarTree};
+use conn_index::{DistShape, IoMeter, NearestIter, RStarTree};
 use conn_vgraph::VisGraph;
 
 use crate::engine::Meters;
@@ -20,100 +29,111 @@ pub(crate) trait QueryStreams {
     /// Pops the next data point (ascending `mindist(p, q)`).
     fn next_point(&mut self) -> Option<(DataPoint, f64)>;
 
-    /// Loads every not-yet-loaded obstacle with `mindist(o, q) ≤ bound`
-    /// into the graph; returns how many were added.
+    /// Loads every obstacle with `mindist(o, q) ≤ bound` the graph does not
+    /// hold yet; returns how many were added. A bound below
+    /// [`QueryStreams::loaded_bound`] loads nothing.
     fn load_obstacles_until(&mut self, g: &mut VisGraph, bound: f64) -> usize;
 
-    /// Loads the single nearest not-yet-loaded obstacle regardless of
-    /// bound; returns 0 when the obstacle source is exhausted.
-    fn load_next_obstacle(&mut self, g: &mut VisGraph) -> usize;
+    /// The largest bound obstacles have been loaded to — the paper's
+    /// "previous search distance d" (0 before the first load).
+    fn loaded_bound(&self) -> f64;
 
     /// Number of obstacles loaded so far (the NOE metric).
     fn obstacles_loaded(&self) -> usize;
 }
 
-/// The set of tree obstacles a visibility graph already holds. Loads are
-/// monotone while a graph lives — a loaded rectangle is a real obstacle for
-/// every later anchor of the point-anchored loader ([`crate::odist`]), and
-/// for every later warm re-run of a standing CONN on the graph its kernel
-/// keeps ([`crate::live`]) — so a stream re-opened over the same graph
-/// consults this set to avoid re-inserting (and re-counting) rectangles.
-#[derive(Debug, Default)]
-pub(crate) struct LoadedObstacles {
-    keys: std::collections::HashSet<[u64; 4]>,
+/// One obstacle stream in ascending `mindist` to its anchor, drained up to
+/// a bound by each load.
+pub(crate) struct ObstacleStream<'a, A: DistShape> {
+    iter: NearestIter<'a, Rect, A>,
+    /// Popped but beyond the bound of the load that popped it.
+    pending: Option<(Rect, f64)>,
+    /// The stopping rule: does an obstacle at `mindist` `d` fall within a
+    /// load to `bound`?
+    within: fn(f64, f64) -> bool,
+    /// The largest bound the stream has been drained to (0 at first: a
+    /// zero bound still loads what touches the anchor).
+    upto: f64,
+    /// Obstacles this stream added to the graph.
+    added: usize,
 }
 
-impl LoadedObstacles {
-    /// Records `r` as loaded; returns `false` when it already was.
-    pub(crate) fn insert(&mut self, r: &Rect) -> bool {
-        self.keys.insert(r.bit_key())
+impl<'a, A: DistShape> ObstacleStream<'a, A> {
+    /// Streams `tree` by `mindist` to `anchor`, charged to `io`.
+    pub(crate) fn new(
+        tree: &'a RStarTree<Rect>,
+        anchor: A,
+        io: &'a IoMeter,
+        within: fn(f64, f64) -> bool,
+    ) -> Self {
+        ObstacleStream {
+            iter: tree.nearest_iter_metered(anchor, io),
+            pending: None,
+            within,
+            upto: 0.0,
+            added: 0,
+        }
     }
 
-    /// True when `r` is loaded.
-    pub(crate) fn contains(&self, r: &Rect) -> bool {
-        self.keys.contains(&r.bit_key())
+    /// Adds every streamed obstacle `within` `bound` that `g` does not hold
+    /// yet; returns how many were added.
+    pub(crate) fn load(&mut self, g: &mut VisGraph, bound: f64) -> usize {
+        if bound < self.upto {
+            return 0;
+        }
+        let before = self.added;
+        loop {
+            if self.pending.is_none() {
+                self.pending = self.iter.next();
+            }
+            match self.pending {
+                Some((r, d)) if (self.within)(d, bound) => {
+                    self.pending = None;
+                    if !g.holds(&r) {
+                        g.add_obstacle(r);
+                        self.added += 1;
+                    }
+                }
+                _ => break,
+            }
+        }
+        self.upto = bound;
+        self.added - before
     }
 
-    /// Forgets everything (the owning graph was reset).
-    pub(crate) fn clear(&mut self) {
-        self.keys.clear();
+    /// The largest bound the stream has been drained to.
+    pub(crate) fn upto(&self) -> f64 {
+        self.upto
+    }
+
+    /// Obstacles this stream added to the graph (the NOE metric).
+    pub(crate) fn added(&self) -> usize {
+        self.added
     }
 }
 
-/// Streams over two separate R-trees (the paper's primary setting), the
-/// obstacle stream filtered against a [`LoadedObstacles`]: rectangles
-/// already in the graph are skipped instead of re-inserted, so NOE counts
-/// every obstacle once. Every run dedupes against its workspace's own set:
-/// a fresh query's is emptied for it, a standing CONN's warm re-run keeps
-/// what earlier runs loaded into the graph its kernel keeps.
-pub(crate) struct SegmentStreams<'a, 's> {
+/// Streams over two separate R-trees (the paper's primary setting).
+pub(crate) struct SegmentStreams<'a> {
     points: NearestIter<'a, DataPoint, Segment>,
-    obstacles: NearestIter<'a, Rect, Segment>,
-    pending_obstacle: Option<(Rect, f64)>,
-    loaded: &'s mut LoadedObstacles,
-    loaded_now: usize,
+    obstacles: ObstacleStream<'a, Segment>,
 }
 
-impl<'a, 's> SegmentStreams<'a, 's> {
-    /// Opens both mindist-ordered streams for `q`, charged to `io`,
-    /// deduplicating against `loaded`.
+impl<'a> SegmentStreams<'a> {
+    /// Opens both mindist-ordered streams for `q`, charged to `io`.
     pub(crate) fn new(
         data_tree: &'a RStarTree<DataPoint>,
         obstacle_tree: &'a RStarTree<Rect>,
         q: &Segment,
         io: &'a Meters,
-        loaded: &'s mut LoadedObstacles,
     ) -> Self {
         SegmentStreams {
             points: data_tree.nearest_iter_metered(*q, &io.data),
-            obstacles: obstacle_tree.nearest_iter_metered(*q, &io.obstacle),
-            pending_obstacle: None,
-            loaded,
-            loaded_now: 0,
+            obstacles: ObstacleStream::new(obstacle_tree, *q, &io.obstacle, |d, bound| d <= bound),
         }
-    }
-
-    /// Next not-yet-loaded obstacle's mindist to `q`.
-    fn peek_obstacle_dist(&mut self) -> Option<f64> {
-        while self.pending_obstacle.is_none() {
-            match self.obstacles.next() {
-                Some((r, _)) if self.loaded.contains(&r) => continue,
-                next => {
-                    self.pending_obstacle = next;
-                    break;
-                }
-            }
-        }
-        self.pending_obstacle.as_ref().map(|(_, d)| *d)
-    }
-
-    fn pop_obstacle(&mut self) -> Option<Rect> {
-        self.peek_obstacle_dist();
-        self.pending_obstacle.take().map(|(r, _)| r)
     }
 }
 
-impl QueryStreams for SegmentStreams<'_, '_> {
+impl QueryStreams for SegmentStreams<'_> {
     fn peek_point_dist(&mut self) -> Option<f64> {
         self.points.peek_dist()
     }
@@ -123,35 +143,15 @@ impl QueryStreams for SegmentStreams<'_, '_> {
     }
 
     fn load_obstacles_until(&mut self, g: &mut VisGraph, bound: f64) -> usize {
-        let mut added = 0;
-        while let Some(d) = self.peek_obstacle_dist() {
-            if d > bound {
-                break;
-            }
-            #[expect(clippy::expect_used, reason = "guarded by the peek on the line above")]
-            let r = self.pop_obstacle().expect("peeked obstacle");
-            self.loaded.insert(&r);
-            g.add_obstacle(r);
-            added += 1;
-        }
-        self.loaded_now += added;
-        added
+        self.obstacles.load(g, bound)
     }
 
-    fn load_next_obstacle(&mut self, g: &mut VisGraph) -> usize {
-        match self.pop_obstacle() {
-            Some(r) => {
-                self.loaded.insert(&r);
-                g.add_obstacle(r);
-                self.loaded_now += 1;
-                1
-            }
-            None => 0,
-        }
+    fn loaded_bound(&self) -> f64 {
+        self.obstacles.upto()
     }
 
     fn obstacles_loaded(&self) -> usize {
-        self.loaded_now
+        self.obstacles.added()
     }
 }
 
@@ -183,8 +183,7 @@ mod tests {
     fn points_arrive_in_mindist_order() {
         let (dt, ot, q) = setup();
         let io = Meters::default();
-        let mut loaded = LoadedObstacles::default();
-        let mut s = SegmentStreams::new(&dt, &ot, &q, &io, &mut loaded);
+        let mut s = SegmentStreams::new(&dt, &ot, &q, &io);
         let mut prev = 0.0;
         while let Some(d) = s.peek_point_dist() {
             let (_, got) = s.next_point().unwrap();
@@ -199,44 +198,41 @@ mod tests {
     fn load_until_respects_bound_and_counts() {
         let (dt, ot, q) = setup();
         let io = Meters::default();
-        let mut loaded = LoadedObstacles::default();
-        let mut s = SegmentStreams::new(&dt, &ot, &q, &io, &mut loaded);
+        let mut s = SegmentStreams::new(&dt, &ot, &q, &io);
         let mut g = VisGraph::new(50.0);
         // nearest obstacle at dist 20, second at 50, third ~ 283
         assert_eq!(s.load_obstacles_until(&mut g, 10.0), 0);
         assert_eq!(s.load_obstacles_until(&mut g, 25.0), 1);
         assert_eq!(s.obstacles_loaded(), 1);
+        assert_eq!(s.loaded_bound(), 25.0);
         assert_eq!(s.load_obstacles_until(&mut g, 100.0), 1);
         assert_eq!(s.load_obstacles_until(&mut g, 100.0), 0); // idempotent
-        assert_eq!(s.load_next_obstacle(&mut g), 1);
-        assert_eq!(s.load_next_obstacle(&mut g), 0); // exhausted
+        assert_eq!(s.load_obstacles_until(&mut g, 60.0), 0);
+        assert_eq!(s.loaded_bound(), 100.0, "the bound never shrinks");
+        assert_eq!(s.load_obstacles_until(&mut g, 1e9), 1);
         assert_eq!(s.obstacles_loaded(), 3);
         assert_eq!(g.num_obstacles(), 3);
     }
 
-    /// A stream skips the rectangles an earlier stream over the same
-    /// loaded set put in the graph — even though the new segment's mindist
+    /// A stream skips the rectangles the graph already holds — here put
+    /// there by an earlier stream over a different segment, whose mindist
     /// ordering differs.
     #[test]
     fn streams_skip_what_the_graph_already_holds() {
         let (dt, ot, q1) = setup();
         let io = Meters::default();
-        let mut loaded = LoadedObstacles::default();
         let mut g = VisGraph::new(50.0);
         {
-            let mut s = SegmentStreams::new(&dt, &ot, &q1, &io, &mut loaded);
+            let mut s = SegmentStreams::new(&dt, &ot, &q1, &io);
             assert_eq!(s.load_obstacles_until(&mut g, 60.0), 2);
             assert_eq!(s.obstacles_loaded(), 2);
         }
-        assert_eq!(loaded.keys.len(), 2);
         // a segment near the far obstacle: the two already-loaded rects
         // must not be re-inserted, the third must
         let q2 = Segment::new(Point::new(200.0, 205.0), Point::new(260.0, 205.0));
-        let mut s = SegmentStreams::new(&dt, &ot, &q2, &io, &mut loaded);
+        let mut s = SegmentStreams::new(&dt, &ot, &q2, &io);
         assert_eq!(s.load_obstacles_until(&mut g, 1e9), 1);
         assert_eq!(s.obstacles_loaded(), 1, "NOE counts new loads only");
         assert_eq!(g.num_obstacles(), 3);
-        assert_eq!(s.load_next_obstacle(&mut g), 0);
-        assert_eq!(loaded.keys.len(), 3);
     }
 }

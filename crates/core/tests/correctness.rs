@@ -28,7 +28,7 @@ fn obstacles() -> impl Strategy<Value = Vec<Rect>> {
     })
 }
 
-/// An instance: obstacles, free data points, and a free query segment.
+/// An instance: obstacles, free data points, and a query segment.
 #[derive(Debug, Clone)]
 struct Instance {
     points: Vec<DataPoint>,
@@ -36,10 +36,17 @@ struct Instance {
     q: Segment,
 }
 
+/// Instances whose query trajectory does not cross obstacle interiors.
 fn instance() -> impl Strategy<Value = Instance> {
+    instance_crossing(false)
+}
+
+/// Instances whose query segment crosses an obstacle's interior (`crossing`)
+/// or does not.
+fn instance_crossing(crossing: bool) -> impl Strategy<Value = Instance> {
     (obstacles(), prop::collection::vec(pt(), 1..25), pt(), pt()).prop_filter_map(
         "bad query",
-        |(obs, raw_points, qa, qb)| {
+        move |(obs, raw_points, qa, qb)| {
             let free = |p: Point| !obs.iter().any(|r| r.strictly_contains(p));
             let points: Vec<DataPoint> = raw_points
                 .into_iter()
@@ -54,8 +61,7 @@ fn instance() -> impl Strategy<Value = Instance> {
             if q.len() < 50.0 {
                 return None;
             }
-            // the query trajectory must not cross obstacle interiors
-            if obs.iter().any(|r| r.blocks(&q)) {
+            if obs.iter().any(|r| r.blocks(&q)) != crossing {
                 return None;
             }
             Some(Instance {
@@ -118,6 +124,18 @@ proptest! {
     #[test]
     fn coknn_matches_brute_force_k3(inst in instance()) {
         check_against_brute_force(&inst, 3, &ConnConfig::default());
+    }
+
+    /// A segment through an obstacle: at every sample the answer is brute
+    /// force's, which is empty strictly inside an obstacle.
+    #[test]
+    fn crossing_conn_matches_brute_force(inst in instance_crossing(true)) {
+        check_against_brute_force(&inst, 1, &ConnConfig::default());
+    }
+
+    #[test]
+    fn crossing_coknn_matches_brute_force_k2(inst in instance_crossing(true)) {
+        check_against_brute_force(&inst, 2, &ConnConfig::default());
     }
 
     #[test]

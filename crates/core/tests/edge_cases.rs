@@ -285,3 +285,69 @@ fn unreachable_targets_load_a_sliver_of_the_field() {
     assert_eq!(within, vec![(1, 60.0)]);
     assert!(resp.stats.noe < budget, "range loaded {}", resp.stats.noe);
 }
+
+/// A segment through an obstacle's interior leaves a stretch no data point
+/// can reach. It must not hold Lemma 2's bound at ∞ — which would evaluate
+/// every data point and leave every control-point search unbounded — yet
+/// the answer must stay exact everywhere else. Two queries on the largest
+/// obstacle of a 300-obstacle field: one through it along its long axis
+/// (CONN and COkNN at k = 3), one starting at its centre.
+#[test]
+fn a_segment_through_an_obstacle_evaluates_a_few_points() {
+    let obstacles = conn_datasets::la_like(300, 21);
+    let points: Vec<DataPoint> = conn_datasets::uniform_points(1_000, 22, &obstacles)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| DataPoint::new(i as u32, p))
+        .collect();
+    let area = |r: &Rect| (r.max_x - r.min_x) * (r.max_y - r.min_y);
+    let o = *obstacles
+        .iter()
+        .max_by(|a, b| area(a).total_cmp(&area(b)))
+        .unwrap();
+    let c = Point::new((o.min_x + o.max_x) / 2.0, (o.min_y + o.max_y) / 2.0);
+    let (w, h) = (o.max_x - o.min_x, o.max_y - o.min_y);
+    // from the centre out past either end of the long axis
+    let half = if w >= h {
+        Point::new(w / 2.0 + 150.0, 0.0)
+    } else {
+        Point::new(0.0, h / 2.0 + 150.0)
+    };
+    let (through, from_centre) = (Segment::new(c - half, c + half), Segment::new(c, c + half));
+    let dt = RStarTree::bulk_load(points.clone(), 4096);
+    let ot = RStarTree::bulk_load(obstacles.clone(), 4096);
+    let mut engine = QueryEngine::default();
+    for q in [through, from_centre] {
+        let (conn, conn_stats) = engine.conn(&dt, &ot, &q);
+        let (knn, knn_stats) = engine.coknn(&dt, &ot, &q, 3);
+        for stats in [conn_stats, knn_stats] {
+            assert!(
+                stats.npe as usize * 20 <= points.len(),
+                "{q:?}: NPE {} of {}",
+                stats.npe,
+                points.len()
+            );
+        }
+        conn.check_cover().unwrap();
+        knn.check_cover().unwrap();
+        for i in 0..=14 {
+            let t = q.len() * f64::from(i) / 14.0;
+            let at = q.at(t);
+            let want = brute_force_oknn(&points, &obstacles, at, 3);
+            if o.strictly_contains(at) {
+                assert!(want.is_empty());
+                assert!(
+                    conn.knn_at(t).is_empty() && knn.knn_at(t).is_empty(),
+                    "t = {t}"
+                );
+                continue;
+            }
+            for (got, k) in [(conn.knn_at(t), 1), (knn.knn_at(t), 3)] {
+                assert_eq!(got.len(), want.len().min(k), "t = {t}, k = {k}");
+                for ((_, gd), (_, wd)) in got.iter().zip(&want) {
+                    assert!((gd - wd).abs() < 1e-6, "t = {t}, k = {k}: {gd} vs {wd}");
+                }
+            }
+        }
+    }
+}

@@ -4,8 +4,10 @@
 //! query line segment are randomly generated, while its length is controlled
 //! by the parameter ql" (a percentage of the space side). The query segment
 //! models a movement trajectory — nobody drives through a building — so
-//! segments crossing obstacle interiors are rejection-resampled (the library
-//! itself tolerates crossing segments; the *workload* avoids them).
+//! segments crossing obstacle interiors are rejection-resampled. The
+//! library answers crossing segments exactly — no data point reaches the
+//! stretch inside an obstacle, and that stretch does not hold the search
+//! open — but the *workload* avoids them.
 
 use conn_geom::{Point, Rect, Segment};
 use rand::rngs::StdRng;

@@ -4,7 +4,8 @@
 //! `S`, `E`; IOR streams obstacles in (each contributing its four vertices);
 //! each data point under evaluation is added, queried, and removed again.
 //! The obstacle set only grows: an obstacle leaves the graph only when
-//! [`VisGraph::reset`] clears it for the next query. Every change bumps
+//! [`VisGraph::reset`] clears it for the next query, and loaders ask
+//! [`VisGraph::holds`] what it holds. Every change bumps
 //! [`VisGraph::version`], and a search over the changed graph starts cold:
 //! `DijkstraEngine` carries labels forward only by replaying a search on
 //! the version it ran on.
@@ -224,6 +225,8 @@ pub struct VisGraph {
     node_turn: Vec<f64>,
     free: Vec<u32>,
     grid: ObstacleGrid,
+    /// [`Rect::bit_key`]s of the rectangles in `grid`, for [`VisGraph::holds`].
+    held: std::collections::HashSet<[u64; 4]>,
     /// Bumped by every structural change: it guards running searches, and
     /// an unchanged version is what lets `DijkstraEngine` replay one.
     version: u64,
@@ -287,6 +290,7 @@ impl VisGraph {
             node_turn: Vec::new(),
             free: Vec::new(),
             grid: ObstacleGrid::new(cell),
+            held: Default::default(),
             version: 0,
             base_version: 0,
             transients: Vec::new(),
@@ -353,6 +357,7 @@ impl VisGraph {
         self.endpoints.clear();
         self.rect_corners.clear();
         self.grid.reset();
+        self.held.clear();
         self.adj_targets.clear();
         self.adj_weights.clear();
         self.adj_dead = 0;
@@ -375,6 +380,12 @@ impl VisGraph {
     /// Number of obstacle rectangles loaded since the last reset.
     pub fn num_obstacles(&self) -> usize {
         self.grid.len()
+    }
+
+    /// True when an obstacle bit-identical to `r` was added since the last
+    /// reset: loaders skip it instead of adding it twice.
+    pub fn holds(&self, r: &Rect) -> bool {
+        self.held.contains(&r.bit_key())
     }
 
     /// Monotone counter bumped by every structural change — a node added
@@ -482,6 +493,7 @@ impl VisGraph {
         self.version += 1;
         self.base_version = self.version;
         self.grid.insert(r);
+        self.held.insert(r.bit_key());
         self.rect_log.push((self.base_version, r));
         let corners = r.corners();
         let ids: [NodeId; 4] = std::array::from_fn(|k| {
@@ -1143,13 +1155,16 @@ mod tests {
     fn reset_retains_slots_and_restarts_clean() {
         let mut g = graph();
         let a = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);
-        g.add_obstacle(Rect::new(90.0, 0.0, 110.0, 100.0));
+        let wall = Rect::new(90.0, 0.0, 110.0, 100.0);
+        g.add_obstacle(wall);
+        assert!(g.holds(&wall) && !g.holds(&Rect::new(90.0, 0.0, 110.0, 99.0)));
         let _ = row(&mut g, a); // populate a cache
         let v_before = g.version();
         let retained = g.reset();
         assert!(retained >= 1, "cached edge lists should be retained");
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.num_obstacles(), 0);
+        assert!(!g.holds(&wall), "a reset forgets what the graph held");
         assert!(g.version() > v_before, "version must stay monotone");
         // rebuild: slots are re-bound, stale caches are not served
         let a2 = g.add_point(Point::new(0.0, 50.0), NodeKind::Endpoint);

@@ -135,6 +135,12 @@ const NEAR_PIVOT: f64 = 1e-3;
 /// `serve_mix` / `live_churn`, seed 2009) and raised sweep events by
 /// 16 / 74 / 17 / 7 %: the sweep's fixed cost loses on the small builds
 /// of the point families. ROADMAP item 8 owns the constant.
+///
+/// Walk-only loses too: commit `3eecc20` with [`SweepMode::Never`] as the
+/// default, ledger `continuous`, seed 2009, 2 alternating pairs against
+/// that commit: `fam1_mid_ms` 10.5 / 11.2 → 14.4 / 13.4, `fam2_mid_ms`
+/// 29.1 / 30.0 → 36.3 / 34.6, `ops_per_s` 66.3 / 61.8 → 51.7 / 54.6. So the
+/// sweep stays until cutting `q` (ROADMAP item 13(a)) shrinks the builds.
 pub(crate) const AUTO_MIN_CANDIDATES: usize = 48;
 
 /// When the plane-sweep replaces per-candidate grid walks during
