@@ -311,11 +311,11 @@ fn fig13(args: &Args) {
     }
 }
 
-/// Ablation: what each pruning lemma, the strict refinement loop and the
-/// goal-directed + continued kernel cost or buy, one switch off at a time
-/// against the all-on default.
+/// Ablation: what each pruning lemma and the goal-directed + continued
+/// kernel cost or buy, one switch off at a time against the all-on
+/// default.
 fn ablation(args: &Args) {
-    println!("\n## Ablation — pruning lemmas, strict mode & kernel (UL, k = 5, ql = 4.5%)");
+    println!("\n## Ablation — pruning lemmas & kernel (UL, k = 5, ql = 4.5%)");
     let w = Workload::with_ratio(
         Combo::Ul,
         args.scale,
@@ -325,9 +325,8 @@ fn ablation(args: &Args) {
         args.seed,
     );
     print_header("config");
-    let configs: [(&str, ConnConfig); 6] = [
+    let configs: [(&str, ConnConfig); 5] = [
         ("all-on", ConnConfig::default()),
-        ("paper(literal)", ConnConfig::paper()),
         (
             "no-lemma1",
             ConnConfig {

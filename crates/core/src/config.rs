@@ -26,9 +26,9 @@ pub enum KernelMode {
     /// source, goal and graph); a search after an obstacle load starts
     /// cold, as under the reference kernel. Result-list cap: the list's
     /// Lemma 2 bound (`RLMAX`, or the k-th bound for COkNN) caps CPLC's
-    /// expansion and the
-    /// strict-refinement loads — control points whose best possible value
-    /// exceeds it can never change the result.
+    /// expansion and the refinement loads that certify its values —
+    /// control points whose best possible value exceeds it can never change
+    /// the result.
     #[default]
     GoalDirected,
 }
@@ -89,17 +89,6 @@ pub struct ConnConfig {
     pub use_lemma6: bool,
     /// Lemma 7 early termination of the CPLC graph traversal.
     pub use_lemma7: bool,
-    /// Strict refinement loop: after CPLC, if a control-point value exceeds
-    /// the obstacle-loading threshold, load further obstacles and
-    /// recompute. IOR (Lemma 4) loads the obstacles within
-    /// `max(‖p,S‖, ‖p,E‖)` of `q`, but the obstructed distance from `p` to
-    /// an *interior* point of `q` can exceed both endpoint distances (a
-    /// stretch of `q` deep in an obstacle's shadow), and a path that long
-    /// may cross obstacles IOR never loaded. A control-point value is exact
-    /// only once every obstacle within that value of `q` is loaded; the
-    /// loop loads up to it and recomputes until that holds. Off = the
-    /// paper's literal algorithm.
-    pub strict_refinement: bool,
     /// Spatial-hash cell size for the local visibility graph's obstacle
     /// index, in workspace units.
     pub vgraph_cell: f64,
@@ -118,7 +107,6 @@ impl Default for ConnConfig {
             use_lemma1: true,
             use_lemma6: true,
             use_lemma7: true,
-            strict_refinement: true,
             vgraph_cell: 50.0,
             kernel: KernelMode::GoalDirected,
             sweep: SweepMode::Auto,
@@ -127,16 +115,6 @@ impl Default for ConnConfig {
 }
 
 impl ConnConfig {
-    /// The paper's literal algorithm: all pruning lemmas, the reference
-    /// kernel, no strict refinement loop.
-    pub fn paper() -> Self {
-        ConnConfig {
-            strict_refinement: false,
-            kernel: KernelMode::Blind,
-            ..ConnConfig::default()
-        }
-    }
-
     /// All optional pruning off (ablation baseline).
     pub fn no_pruning() -> Self {
         ConnConfig {
@@ -148,8 +126,9 @@ impl ConnConfig {
     }
 
     /// The reference kernel ([`KernelMode::Blind`]) on otherwise default
-    /// settings — the `blind-kernel` row of `repro ablation` and the
-    /// reference the kernel-equivalence suites compare the served kernel to.
+    /// settings — the paper's algorithm with its traversal order, the
+    /// `blind-kernel` row of `repro ablation` and the reference the
+    /// kernel-equivalence suites compare the served kernel to.
     pub fn baseline_kernel() -> Self {
         ConnConfig {
             kernel: KernelMode::Blind,
@@ -165,7 +144,7 @@ mod tests {
     #[test]
     fn default_enables_everything() {
         let c = ConnConfig::default();
-        assert!(c.use_lemma1 && c.use_lemma6 && c.use_lemma7 && c.strict_refinement);
+        assert!(c.use_lemma1 && c.use_lemma6 && c.use_lemma7);
         assert!(c.vgraph_cell > 0.0);
         assert_eq!(c.kernel, KernelMode::GoalDirected);
         assert!(c.kernel.warm_labels());
@@ -175,12 +154,9 @@ mod tests {
 
     #[test]
     fn presets_differ_as_documented() {
-        assert!(!ConnConfig::paper().strict_refinement);
-        assert!(ConnConfig::paper().use_lemma7);
-        assert_eq!(ConnConfig::paper().kernel, KernelMode::Blind);
         let np = ConnConfig::no_pruning();
         assert!(!np.use_lemma1 && !np.use_lemma6 && !np.use_lemma7);
-        assert!(np.strict_refinement);
+        assert_eq!(np.kernel, KernelMode::GoalDirected);
         let base = ConnConfig::baseline_kernel();
         assert!(!base.kernel.warm_labels());
         assert_eq!(base.kernel.result_cap(7.0), f64::INFINITY);

@@ -15,11 +15,12 @@ use conn_geom::{Segment, EPS};
 use conn_vgraph::{NodeId, NodeKind};
 
 use crate::config::ConnConfig;
-use crate::cpl::{cplc_bounded, ControlPointList};
+use crate::cpl::cplc_bounded;
 use crate::engine::Workspace;
 use crate::ior::ior;
 use crate::rlu::KnnResultList;
 use crate::streams::QueryStreams;
+use crate::types::DataPoint;
 
 /// Loop-level telemetry (everything except R-tree I/O, which the workspace
 /// window reads off the engine's meters).
@@ -76,22 +77,9 @@ pub(crate) fn run_search<S: QueryStreams>(
             cfg,
             cfg.kernel.result_cap(outer_bound),
         );
-        let mut cpl = cplc_bounded(
-            q,
-            &mut ws.g,
-            p_node,
-            cfg,
-            &mut ws.vr_cache,
-            &mut ws.dij,
-            outer_bound,
-        );
-
-        if cfg.strict_refinement {
-            refine_to_fixpoint(q, ws, p_node, cfg, streams, &mut cpl, outer_bound);
-        }
-
+        let cpl = refine_to_fixpoint(q, ws, p, p_node, cfg, streams, outer_bound);
         ws.g.remove_node(p_node);
-        list.update_with(q, p, &cpl, cfg, &mut ws.rlu_scratch);
+        list.update_with(q, &cpl, cfg, &mut ws.rlu_scratch);
     }
 
     LoopTelemetry {
@@ -101,13 +89,24 @@ pub(crate) fn run_search<S: QueryStreams>(
     }
 }
 
-/// Strict refinement loop ([`ConnConfig::strict_refinement`]): re-run CPLC
-/// after loading more obstacles whenever a control-point value exceeds the
-/// loaded threshold, meaning an unloaded obstacle could still block its
-/// path. Terminates because the threshold grows monotonically and the
-/// obstacle set is finite. A stretch of `q` that `p` cannot reach under the
-/// loaded obstacles stays unreached under all of them (obstacles only
-/// block), so it asks for no load.
+/// CPLC for `p`, refined until every value that can win is exact: while
+/// a control-point value exceeds the obstacle-loading threshold, load the
+/// obstacles up to it and recompute. A value is exact once every obstacle
+/// within it of `q` is loaded. The loop terminates because the threshold
+/// grows monotonically and the obstacle set is finite. A stretch of `q`
+/// that `p` cannot reach under the loaded obstacles stays unreached under
+/// all of them (obstacles only block), so it asks for no load.
+///
+/// The loop is the certificate for segments that meet an obstacle
+/// interior. IOR (Lemma 4) loads the obstacles within
+/// `max(‖p,S‖, ‖p,E‖)` of `q`. In the paper's model `q` meets no obstacle
+/// interior: a shortest path to `q(t)` can then be chosen to cross neither
+/// `SP(p,S)` nor `SP(p,E)`, and since `mindist(·, q)` is convex every
+/// obstacle such a path can touch lies within IOR's bound, so the loop
+/// changes no answer (it may still load a few obstacles to certify a
+/// value). Beyond an obstacle that `q` crosses, a path can be longer than
+/// both endpoint distances and run past obstacles IOR never loaded
+/// (`edge_cases.rs` pins one such scene).
 ///
 /// `outer_bound` (the result list's Lemma 2 bound, under the served
 /// kernel) caps the certification threshold: a recorded value can only
@@ -119,36 +118,27 @@ pub(crate) fn run_search<S: QueryStreams>(
 fn refine_to_fixpoint<S: QueryStreams>(
     q: &Segment,
     ws: &mut Workspace,
+    p: DataPoint,
     p_node: NodeId,
     cfg: &ConnConfig,
     streams: &mut S,
-    cpl: &mut ControlPointList,
     outer_bound: f64,
-) {
+) -> KnnResultList {
     let cap = cfg.kernel.result_cap(outer_bound);
     loop {
+        let cpl = cplc_bounded(q, ws, p, p_node, cfg, outer_bound);
         // every value that can win certified exact, or the obstacle source
         // exhausted: nothing left to learn
         let m = cpl.max_assigned_value(q).min(cap);
         if m <= streams.loaded_bound() + EPS || streams.load_obstacles_until(&mut ws.g, m) == 0 {
-            return;
+            return cpl;
         }
-        *cpl = cplc_bounded(
-            q,
-            &mut ws.g,
-            p_node,
-            cfg,
-            &mut ws.vr_cache,
-            &mut ws.dij,
-            outer_bound,
-        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::DataPoint;
     use crate::{CoknnResult, QueryEngine, QueryStats};
     use conn_geom::{Point, Rect};
     use conn_index::RStarTree;

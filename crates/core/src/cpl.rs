@@ -1,9 +1,12 @@
-//! Control-point lists and the CPLC algorithm (paper §4.2, Algorithm 2).
+//! The CPLC algorithm (paper §4.2, Algorithm 2).
 //!
 //! For a data point `p`, `CPL(p, q)` partitions the query segment into
 //! intervals, each annotated with the control point governing `p`'s
 //! obstructed distance there (or nothing, while no node covering the
-//! interval has been found). CPLC builds the list by walking the local
+//! interval has been found). CPL(p) is p's `k = 1` list: a
+//! `KnnResultList` (`rlu.rs`) whose members are `p` under its control
+//! points, so it is cut, merged and bounded by the same code as the result
+//! list it is folded into. CPLC builds the list by walking the local
 //! visibility graph from `p` in ascending obstructed distance (Dijkstra
 //! order), offering each settled node `v` as a control-point candidate on
 //! the region allowed by:
@@ -22,139 +25,13 @@
 )]
 
 use conn_geom::{Interval, IntervalSet, Point, Segment, EPS};
-use conn_vgraph::{DijkstraEngine, NodeId, VisGraph};
+use conn_vgraph::{NodeId, VisGraph};
 
 use crate::config::ConnConfig;
 use crate::dist::ControlPoint;
-use crate::split::{lemma1_incumbent_wins, split, Winner};
-
-/// The control-point list: a sorted, disjoint cover of `[0, q.len()]`.
-#[derive(Debug, Clone)]
-pub(crate) struct ControlPointList {
-    entries: Vec<(Option<ControlPoint>, Interval)>,
-}
-
-impl ControlPointList {
-    /// A list with the whole segment uncovered.
-    pub(crate) fn new(qlen: f64) -> Self {
-        ControlPointList {
-            entries: vec![(None, Interval::new(0.0, qlen))],
-        }
-    }
-
-    /// The `(control point, interval)` tuples, ascending in parameter.
-    pub(crate) fn entries(&self) -> &[(Option<ControlPoint>, Interval)] {
-        &self.entries
-    }
-
-    /// Any interval still without a control point?
-    pub(crate) fn has_unassigned(&self) -> bool {
-        self.entries.iter().any(|(cp, _)| cp.is_none())
-    }
-
-    /// `CPLMAX` (Lemma 7): the largest endpoint value over assigned
-    /// entries; ∞ while any entry is unassigned (footnote 5).
-    pub(crate) fn max_value(&self, q: &Segment) -> f64 {
-        let mut m = 0.0f64;
-        for (cp, iv) in &self.entries {
-            match cp {
-                None => return f64::INFINITY,
-                Some(cp) => m = m.max(cp.max_over(q, iv)),
-            }
-        }
-        m
-    }
-
-    /// Largest endpoint value over *assigned* entries only (the strict
-    /// refinement loop's reload threshold; unassigned entries are handled
-    /// separately there).
-    pub(crate) fn max_assigned_value(&self, q: &Segment) -> f64 {
-        self.entries
-            .iter()
-            .filter_map(|(cp, iv)| cp.as_ref().map(|cp| cp.max_over(q, iv)))
-            .fold(0.0, f64::max)
-    }
-
-    /// Offers `candidate` as control point over `region`; keeps whichever of
-    /// the incumbent/candidate is closer on every sub-interval.
-    pub(crate) fn offer(
-        &mut self,
-        q: &Segment,
-        candidate: ControlPoint,
-        region: &Interval,
-        cfg: &ConnConfig,
-    ) {
-        if region.is_empty() {
-            return;
-        }
-        let mut out: Vec<(Option<ControlPoint>, Interval)> =
-            Vec::with_capacity(self.entries.len() + 2);
-        for (cp, iv) in std::mem::take(&mut self.entries) {
-            let Some(overlap) = iv.intersect(region) else {
-                out.push((cp, iv));
-                continue;
-            };
-            // untouched left part
-            let left = Interval::new(iv.lo, overlap.lo);
-            if !left.is_empty() {
-                out.push((cp, left));
-            }
-            match cp {
-                None => out.push((Some(candidate), overlap)),
-                Some(incumbent) => {
-                    if incumbent.same_as(&candidate)
-                        || (cfg.use_lemma1
-                            && lemma1_incumbent_wins(q, &incumbent, &candidate, &overlap))
-                    {
-                        out.push((Some(incumbent), overlap));
-                    } else {
-                        for (piece, winner) in split(q, &incumbent, &candidate, overlap) {
-                            let w = match winner {
-                                Winner::Incumbent => incumbent,
-                                Winner::Challenger => candidate,
-                            };
-                            out.push((Some(w), piece));
-                        }
-                    }
-                }
-            }
-            // untouched right part
-            let right = Interval::new(overlap.hi, iv.hi);
-            if !right.is_empty() {
-                out.push((cp, right));
-            }
-        }
-        self.entries = out;
-        self.normalize();
-    }
-
-    /// Merges adjacent entries carrying the same control point and drops
-    /// empty slivers (the cover of `[0, qlen]` is preserved).
-    fn normalize(&mut self) {
-        let mut out: Vec<(Option<ControlPoint>, Interval)> = Vec::with_capacity(self.entries.len());
-        for (cp, iv) in std::mem::take(&mut self.entries) {
-            match out.last_mut() {
-                Some((prev_cp, prev_iv)) if same_opt_cp(prev_cp, &cp) => prev_iv.hi = iv.hi,
-                Some((_, prev_iv)) if iv.is_empty() => prev_iv.hi = iv.hi,
-                _ => {
-                    if iv.is_empty() && !out.is_empty() {
-                        continue;
-                    }
-                    out.push((cp, iv));
-                }
-            }
-        }
-        self.entries = out;
-    }
-}
-
-fn same_opt_cp(a: &Option<ControlPoint>, b: &Option<ControlPoint>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => x.same_as(y),
-        _ => false,
-    }
-}
+use crate::engine::Workspace;
+use crate::rlu::{KnnResultList, Member};
+use crate::types::DataPoint;
 
 /// Cache of visible regions keyed by node slot and obstacle count: a graph's
 /// obstacle set only grows until its reset, so an unchanged count means an
@@ -213,7 +90,9 @@ impl VrCache {
     }
 }
 
-/// CPLC with an outer value cap (the result list's Lemma 2 bound).
+/// CPLC with an outer value cap (the result list's Lemma 2 bound): the
+/// control-point list of data point `p`, whose graph node is `p_node`, on
+/// the workspace's graph, Dijkstra labels, VR cache and RLU scratch.
 ///
 /// The traversal runs on the configured kernel: under
 /// [`crate::KernelMode::GoalDirected`] nodes settle in ascending
@@ -233,35 +112,35 @@ impl VrCache {
 /// (loaded distances under-approximate true ones and loaded visible
 /// regions over-approximate true ones), so `c` settles and claims `t`
 /// before the cap can stop the traversal. Intervals left unassigned by
-/// the cap therefore carry only values the incumbent already beats; the
-/// result-list update keeps the incumbent there
-/// (RLU's challenger-can't-reach arm). Values recorded above the
-/// cap may be non-tight upper bounds; every value that can win stays
-/// exact.
+/// the cap therefore carry only values the incumbent already beats; RLU
+/// offers only the intervals `p` reaches, so the incumbent keeps them.
+/// Values recorded above the cap may be non-tight upper bounds; every
+/// value that can win stays exact.
 pub(crate) fn cplc_bounded(
     q: &Segment,
-    g: &mut VisGraph,
+    ws: &mut Workspace,
+    p: DataPoint,
     p_node: NodeId,
     cfg: &ConnConfig,
-    vr_cache: &mut VrCache,
-    dij: &mut DijkstraEngine,
     outer_bound: f64,
-) -> ControlPointList {
-    let mut cpl = ControlPointList::new(q.len());
+) -> KnnResultList {
+    let Workspace {
+        g,
+        dij,
+        vr_cache,
+        rlu_scratch,
+        ..
+    } = ws;
+    let mut cpl = KnnResultList::new(q.len(), 1);
     let goal = cfg.kernel.goal(q);
     let outer = cfg.kernel.result_cap(outer_bound);
     dij.ensure_prepared(g, p_node, goal, cfg.kernel.warm_labels());
-    // The break threshold mirrors the engine's expansion bound (the outer
-    // cap while any interval is unassigned, then `min(CPLMAX, outer)`); it
-    // must be checked here too because a replayed settlement tape bypasses
-    // the engine's heap-side bound check.
-    let cap = |cpl: &ControlPointList| {
-        if cpl.has_unassigned() {
-            outer // safe even before full cover — see the doc comment
-        } else {
-            cpl.max_value(q).min(outer)
-        }
-    };
+    // The break threshold mirrors the engine's expansion bound: `CPLMAX`
+    // (the list's `rlmax`, ∞ while any interval is unassigned) under the
+    // outer cap, which is safe even before full cover (see the doc
+    // comment). It must be checked here too because a replayed settlement
+    // tape bypasses the engine's heap-side bound check.
+    let cap = |cpl: &KnnResultList| cpl.rlmax(q, &[]).min(outer);
     if cfg.use_lemma7 {
         // bound the very first relaxations too (a cold run's source, or a
         // replayed run's retained heap, would otherwise relax unbounded
@@ -297,9 +176,12 @@ pub(crate) fn cplc_bounded(
                 region
             }
         };
-        let candidate = ControlPoint::new(g.node_pos(v), dv);
+        let member = Member {
+            point: p,
+            cp: ControlPoint::new(g.node_pos(v), dv),
+        };
         for iv in region.intervals() {
-            cpl.offer(q, candidate, iv, cfg);
+            cpl.offer(q, member, iv, cfg, rlu_scratch);
         }
         if cfg.use_lemma7 {
             // Stop *expansion* at the evolving threshold, not just the
@@ -352,95 +234,110 @@ fn point_in_triangle_inclusive(p: Point, a: Point, b: Point, c: Point) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rlu::RluScratch;
     use conn_vgraph::NodeKind;
-
-    impl ControlPointList {
-        /// The control point in charge at parameter `t`, with the induced
-        /// distance value.
-        fn value_at(&self, q: &Segment, t: f64) -> Option<f64> {
-            self.entries
-                .iter()
-                .find(|(_, iv)| iv.contains(t))
-                .and_then(|(cp, _)| cp.as_ref().map(|cp| cp.value(q, t)))
-        }
-
-        /// The entries cover `q()` without gaps.
-        fn check_cover(&self) -> Result<(), crate::Error> {
-            crate::error::check_cover(self.entries.iter().map(|(_, iv)| *iv), q().len())
-        }
-    }
 
     fn q() -> Segment {
         Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0))
     }
 
+    /// A control-point list over `q()`: the k = 1 list of data point 0.
+    fn new_cpl() -> KnnResultList {
+        KnnResultList::new(q().len(), 1)
+    }
+
+    fn offer(cpl: &mut KnnResultList, cp: ControlPoint, region: Interval) {
+        let point = DataPoint::new(0, Point::new(0.0, 0.0));
+        cpl.offer(
+            &q(),
+            Member { point, cp },
+            &region,
+            &ConnConfig::default(),
+            &mut RluScratch::default(),
+        );
+    }
+
+    /// The distance the control point in charge at `t` induces, if any.
+    fn value_at(cpl: &KnnResultList, t: f64) -> Option<f64> {
+        cpl.nn_at(t, q().at(t)).map(|(_, d)| d)
+    }
+
+    /// `CPLMAX` (Lemma 7): the list's `RLMAX` at k = 1.
+    fn cplmax(cpl: &KnnResultList) -> f64 {
+        cpl.rlmax(&q(), &[])
+    }
+
     #[test]
     fn new_list_is_unassigned() {
-        let cpl = ControlPointList::new(100.0);
-        assert!(cpl.has_unassigned());
-        assert_eq!(cpl.max_value(&q()), f64::INFINITY);
-        assert!(cpl.value_at(&q(), 50.0).is_none());
+        let cpl = new_cpl();
+        assert_eq!(cplmax(&cpl), f64::INFINITY);
+        assert!(value_at(&cpl, 50.0).is_none());
         cpl.check_cover().unwrap();
     }
 
     #[test]
     fn offer_fills_unassigned_then_competes() {
-        let cfg = ConnConfig::default();
-        let mut cpl = ControlPointList::new(100.0);
+        let mut cpl = new_cpl();
         let near = ControlPoint::new(Point::new(20.0, 10.0), 0.0);
-        cpl.offer(&q(), near, &Interval::new(0.0, 100.0), &cfg);
-        assert!(!cpl.has_unassigned());
+        offer(&mut cpl, near, Interval::new(0.0, 100.0));
+        assert!(cplmax(&cpl).is_finite());
         cpl.check_cover().unwrap();
         // a second cp closer to the right half takes it over
         let right = ControlPoint::new(Point::new(80.0, 10.0), 0.0);
-        cpl.offer(&q(), right, &Interval::new(0.0, 100.0), &cfg);
+        offer(&mut cpl, right, Interval::new(0.0, 100.0));
         cpl.check_cover().unwrap();
         assert_eq!(cpl.entries().len(), 2);
-        let v_left = cpl.value_at(&q(), 10.0).unwrap();
+        let v_left = value_at(&cpl, 10.0).unwrap();
         assert!((v_left - near.value(&q(), 10.0)).abs() < 1e-9);
-        let v_right = cpl.value_at(&q(), 90.0).unwrap();
+        let v_right = value_at(&cpl, 90.0).unwrap();
         assert!((v_right - right.value(&q(), 90.0)).abs() < 1e-9);
     }
 
     #[test]
     fn partial_region_offer_leaves_rest() {
-        let cfg = ConnConfig::default();
-        let mut cpl = ControlPointList::new(100.0);
+        let mut cpl = new_cpl();
         let cp = ControlPoint::new(Point::new(50.0, 5.0), 0.0);
-        cpl.offer(&q(), cp, &Interval::new(30.0, 60.0), &cfg);
+        offer(&mut cpl, cp, Interval::new(30.0, 60.0));
         cpl.check_cover().unwrap();
-        assert!(cpl.value_at(&q(), 10.0).is_none());
-        assert!(cpl.value_at(&q(), 45.0).is_some());
-        assert!(cpl.value_at(&q(), 80.0).is_none());
-        assert!(cpl.has_unassigned());
+        assert!(value_at(&cpl, 10.0).is_none());
+        assert!(value_at(&cpl, 45.0).is_some());
+        assert!(value_at(&cpl, 80.0).is_none());
+        assert_eq!(cplmax(&cpl), f64::INFINITY);
     }
 
     #[test]
     fn cplmax_is_max_endpoint_value() {
-        let cfg = ConnConfig::default();
-        let mut cpl = ControlPointList::new(100.0);
+        let mut cpl = new_cpl();
         let cp = ControlPoint::new(Point::new(0.0, 30.0), 5.0);
-        cpl.offer(&q(), cp, &Interval::new(0.0, 100.0), &cfg);
+        offer(&mut cpl, cp, Interval::new(0.0, 100.0));
         let want = 5.0 + Point::new(0.0, 30.0).dist(Point::new(100.0, 0.0));
-        assert!((cpl.max_value(&q()) - want).abs() < 1e-9);
+        assert!((cplmax(&cpl) - want).abs() < 1e-9);
+    }
+
+    /// CPLC for the data point at `ppos` on a workspace whose graph holds
+    /// `q()`'s endpoints and `obstacles`.
+    fn cplc(ppos: Point, obstacles: &[conn_geom::Rect]) -> KnnResultList {
+        let cfg = ConnConfig::default();
+        let mut ws = Workspace::new(&cfg);
+        let _s = ws.g.add_point(q().a, NodeKind::Endpoint);
+        let _e = ws.g.add_point(q().b, NodeKind::Endpoint);
+        for r in obstacles {
+            ws.g.add_obstacle(*r);
+        }
+        let p_node = ws.g.add_point(ppos, NodeKind::DataPoint);
+        let p = DataPoint::new(0, ppos);
+        cplc_bounded(&q(), &mut ws, p, p_node, &cfg, f64::INFINITY)
     }
 
     /// CPLC on an empty obstacle field: the data point itself controls all
     /// of `q`.
     #[test]
     fn cplc_free_space() {
-        let cfg = ConnConfig::default();
-        let mut g = VisGraph::new(50.0);
-        let _s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
-        let _e = g.add_point(Point::new(100.0, 0.0), NodeKind::Endpoint);
-        let p = g.add_point(Point::new(40.0, 30.0), NodeKind::DataPoint);
-        let mut cache = VrCache::default();
-        let mut dij = DijkstraEngine::default();
-        let cpl = cplc_bounded(&q(), &mut g, p, &cfg, &mut cache, &mut dij, f64::INFINITY);
+        let cpl = cplc(Point::new(40.0, 30.0), &[]);
         cpl.check_cover().unwrap();
-        assert!(!cpl.has_unassigned());
+        assert!(cplmax(&cpl).is_finite());
         for t in [0.0, 25.0, 70.0, 100.0] {
-            let v = cpl.value_at(&q(), t).unwrap();
+            let v = value_at(&cpl, t).unwrap();
             assert!((v - Point::new(40.0, 30.0).dist(q().at(t))).abs() < 1e-9);
         }
     }
@@ -449,32 +346,24 @@ mod tests {
     /// corner, which becomes the control point for the shadowed part.
     #[test]
     fn cplc_single_obstacle_detour() {
-        let cfg = ConnConfig::default();
-        let mut g = VisGraph::new(50.0);
-        let _s = g.add_point(Point::new(0.0, 0.0), NodeKind::Endpoint);
-        let _e = g.add_point(Point::new(100.0, 0.0), NodeKind::Endpoint);
         // box above the middle of q; p above the box. The sight-line from p
         // to q(0) passes above the (40,40) corner (at x = 40 it is at
         // y = 48), so the segment ends stay directly visible.
-        g.add_obstacle(conn_geom::Rect::new(40.0, 20.0, 60.0, 40.0));
         let ppos = Point::new(50.0, 60.0);
-        let p = g.add_point(ppos, NodeKind::DataPoint);
-        let mut cache = VrCache::default();
-        let mut dij = DijkstraEngine::default();
-        let cpl = cplc_bounded(&q(), &mut g, p, &cfg, &mut cache, &mut dij, f64::INFINITY);
+        let cpl = cplc(ppos, &[conn_geom::Rect::new(40.0, 20.0, 60.0, 40.0)]);
         cpl.check_cover().unwrap();
-        assert!(!cpl.has_unassigned());
+        assert!(cplmax(&cpl).is_finite());
         // directly under the box, the distance must route around a side:
         // p → (40,40) → (40,20) → q(50), or the mirror path
-        let v_mid = cpl.value_at(&q(), 50.0).unwrap();
+        let v_mid = value_at(&cpl, 50.0).unwrap();
         assert!(v_mid > ppos.dist(q().at(50.0)) + 1.0);
         let around =
             ppos.dist(Point::new(40.0, 40.0)) + 20.0 + Point::new(40.0, 20.0).dist(q().at(50.0));
         assert!((v_mid - around).abs() < 1e-9, "v_mid {v_mid} vs {around}");
         // near the segment ends, p sees q directly
-        let v0 = cpl.value_at(&q(), 0.0).unwrap();
+        let v0 = value_at(&cpl, 0.0).unwrap();
         assert!((v0 - ppos.dist(q().at(0.0))).abs() < 1e-9);
-        let v100 = cpl.value_at(&q(), 100.0).unwrap();
+        let v100 = value_at(&cpl, 100.0).unwrap();
         assert!((v100 - ppos.dist(q().at(100.0))).abs() < 1e-9);
     }
 

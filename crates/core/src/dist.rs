@@ -54,14 +54,6 @@ impl ControlPoint {
         self.value(q, iv.lo).max(self.value(q, iv.hi))
     }
 
-    /// Minimum of the distance function over an interval (at the projection
-    /// of `pos` onto the segment, clamped into the interval).
-    #[inline]
-    pub fn min_over(&self, q: &Segment, iv: &Interval) -> f64 {
-        let proj = q.closest_param(self.pos).clamp(iv.lo, iv.hi);
-        self.value(q, proj)
-    }
-
     /// Two control points are interchangeable when they sit at the same
     /// place with the same accumulated cost.
     pub fn same_as(&self, other: &ControlPoint) -> bool {
@@ -96,13 +88,14 @@ mod tests {
     fn extrema_over_interval() {
         let cp = ControlPoint::new(Point::new(50.0, 30.0), 0.0);
         let iv = Interval::new(20.0, 90.0);
-        // min at the projection t = 50
-        assert_eq!(cp.min_over(&q(), &iv), 30.0);
+        // min at the projection t = 50, below both endpoints
+        assert_eq!(cp.value(&q(), 50.0), 30.0);
+        assert!(cp.value(&q(), 20.0) > 30.0 && cp.value(&q(), 90.0) > 30.0);
         // max at the farther endpoint: |90-50| = 40 > |20-50| = 30 → t = 90
         assert_eq!(cp.max_over(&q(), &iv), cp.value(&q(), 90.0));
-        // clamped projection when outside the interval
+        // past the projection the function rises: the max is the far end
         let iv2 = Interval::new(60.0, 90.0);
-        assert_eq!(cp.min_over(&q(), &iv2), cp.value(&q(), 60.0));
+        assert_eq!(cp.max_over(&q(), &iv2), cp.value(&q(), 90.0));
     }
 
     #[test]

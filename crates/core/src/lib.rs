@@ -15,11 +15,11 @@
 //! | Paper | Source file |
 //! |---|---|
 //! | control points (Def. 8/9) | `dist.rs` |
-//! | split points, Thm. 1, Cases 1–4, Lemma 1 | `split.rs` |
+//! | split points: Thm. 1's roots, Lemma 1 | `split.rs` |
 //! | IOR — incremental obstacle retrieval (Alg. 1, Lemmas 3–4) | `ior.rs` |
 //! | the one obstacle loader (a bounded `mindist` stream per anchor) and the point streams | `streams.rs` |
-//! | CPLC — control-point-list computation (Alg. 2, Lemmas 5–7) | `cpl.rs` |
-//! | RLU — one result list for every k, CONN's k = 1 included (Alg. 3, §4.5) | `rlu.rs` |
+//! | CPLC — control-point-list computation (Alg. 2, Lemmas 5–7); CPL(p) is p's k = 1 list | `cpl.rs` |
+//! | the one lower envelope: RLU and CPLC's offers, Cases 1–4 (Alg. 3, §3, §4.5) — one result list for every k, CONN's k = 1 included | `rlu.rs` |
 //! | CONN search (Alg. 4, Lemma 2), the one loop of every k | `conn.rs` |
 //! | the answer of CONN and COkNN: ⟨p, cp, R⟩ is ⟨ONNS, R⟩ at k = 1 (Def. 6, §4.5) | `coknn.rs` |
 //! | single unified R-tree variant (§4.5) | `single_tree.rs` |

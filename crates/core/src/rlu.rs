@@ -1,17 +1,24 @@
-//! The result list and RLU — Result List Update (paper §4.3, Algorithm 3,
-//! in the `k`-member form of §4.5).
+//! The one lower envelope: the result list, RLU — Result List Update
+//! (paper §4.3, Algorithm 3, in the `k`-member form of §4.5) — and the
+//! control-point list CPLC builds (§4.2).
 //!
-//! The result list partitions `q` into intervals, each holding an ordered
-//! set of up to `k` members (`⟨ONNSᵢ, Rᵢ⟩` in the paper); every member
-//! carries the control point its distance function routes through. CONN is
-//! the `k = 1` case, whose tuples are the paper's `⟨pᵢ, cpᵢ, Rᵢ⟩`.
-//! Evaluating a new data point `p` walks its control-point list against the
-//! result list and cuts each piece at every crossing between `p`'s function
-//! and a member's (the quadratic Split of §3), so the member order is
-//! constant within each interval. Lemma 1 skips the cutting where the k-th
-//! member beats `p` over the whole piece. The pruning bound is
-//! `RLMAX = maxᵢ max(kth-dist(Rᵢ.l), kth-dist(Rᵢ.r))` (Lemma 2), infinite
-//! while any interval holds fewer than `k` members (footnote 3).
+//! The list partitions `q` into intervals, each holding an ordered set of
+//! up to `k` members (`⟨ONNSᵢ, Rᵢ⟩` in the paper); every member carries the
+//! control point its distance function `base + |cp − q(t)|` routes through.
+//! CONN is the `k = 1` case, whose tuples are the paper's `⟨pᵢ, cpᵢ, Rᵢ⟩`,
+//! and CPL(p) is p's own `k = 1` list, whose members are `p` under each of
+//! its control points (`cpl.rs`).
+//!
+//! [`KnnResultList::offer`] is the one update. It offers a member over a
+//! region of `q` and cuts each overlapped piece at every crossing between
+//! the member's function and an incumbent's (the quadratic Split of §3,
+//! Theorem 1), so the member order is constant within each interval.
+//! Lemma 1 skips the cutting where the k-th member beats the newcomer over
+//! the whole piece. CPLC offers each settled node on its region; RLU offers
+//! each reached piece of `p`'s control-point list. The pruning bound is
+//! `RLMAX = maxᵢ max(kth-dist(Rᵢ.l), kth-dist(Rᵢ.r))` (Lemma 2, and CPLC's
+//! `CPLMAX` of Lemma 7 at `k = 1`), infinite while any interval holds fewer
+//! than `k` members (footnotes 3 and 5).
 
 #![expect(
     clippy::indexing_slicing,
@@ -21,7 +28,6 @@
 use conn_geom::{Interval, IntervalSet, Point, Rect, Segment, EPS};
 
 use crate::config::ConnConfig;
-use crate::cpl::ControlPointList;
 use crate::dist::ControlPoint;
 use crate::error::check_cover;
 use crate::split::{crossing_params, lemma1_incumbent_wins};
@@ -41,6 +47,11 @@ impl Member {
     /// (`base + |cp − at|`).
     fn answer(&self, at: Point) -> (DataPoint, f64) {
         (self.point, self.cp.base + self.cp.pos.dist(at))
+    }
+
+    /// The same point under an interchangeable control point.
+    fn same_as(&self, other: &Member) -> bool {
+        self.point.id == other.point.id && self.cp.same_as(&other.cp)
     }
 }
 
@@ -114,24 +125,29 @@ impl KnnResultList {
     /// touch may be reachable, but no interval of the list can hold it.
     pub(crate) fn rlmax(&self, q: &Segment, obstacles: &[Rect]) -> f64 {
         let mut inside: Option<IntervalSet> = None;
-        let mut m = 0.0f64;
-        for e in &self.entries {
-            if e.members.len() < self.k {
-                let walled = e.members.is_empty()
+        let mut waits = |e: &KnnEntry| {
+            e.members.len() < self.k
+                && !(e.members.is_empty()
                     && inside
                         .get_or_insert_with(|| self.interiors(q, obstacles))
                         .intervals()
                         .iter()
-                        .any(|u| u.lo - EPS <= e.interval.lo && e.interval.hi <= u.hi + EPS);
-                if walled {
-                    continue;
-                }
-                return f64::INFINITY;
-            }
-            let kth = &e.members[self.k - 1].cp;
-            m = m.max(kth.max_over(q, &e.interval));
+                        .any(|u| u.lo - EPS <= e.interval.lo && e.interval.hi <= u.hi + EPS))
+        };
+        if self.entries.iter().any(&mut waits) {
+            return f64::INFINITY;
         }
-        m
+        self.max_assigned_value(q)
+    }
+
+    /// The largest k-th-member value over the intervals that hold `k`
+    /// members, 0 when none does: `RLMAX` without the ∞ of the others (the
+    /// refinement loop's reload threshold).
+    pub(crate) fn max_assigned_value(&self, q: &Segment) -> f64 {
+        self.entries
+            .iter()
+            .filter_map(|e| Some(e.members.get(self.k - 1)?.cp.max_over(q, &e.interval)))
+            .fold(0.0, f64::max)
     }
 
     /// The stretches of `q` inside the open interior of some obstacle.
@@ -186,62 +202,73 @@ impl KnnResultList {
         self.segments().windows(2).map(|w| w[0].1.hi).collect()
     }
 
-    /// RLU — Algorithm 3: folds data point `p` (with its control-point
-    /// list) into the result list, rotating the list's storage through the
-    /// workspace's `scratch`.
+    /// RLU — Algorithm 3: folds a data point into the list by offering
+    /// every reached piece of `cpl`, the point's control-point list (its
+    /// own `k = 1` list). A stretch the point cannot reach holds no member
+    /// and is not offered: the members there stay.
     pub(crate) fn update_with(
         &mut self,
         q: &Segment,
-        p: DataPoint,
-        cpl: &ControlPointList,
+        cpl: &KnnResultList,
+        cfg: &ConnConfig,
+        scratch: &mut RluScratch,
+    ) {
+        for e in cpl.entries() {
+            if let Some(m) = e.members.first() {
+                self.offer(q, *m, &e.interval, cfg, scratch);
+            }
+        }
+    }
+
+    /// Offers `member` over `region`, rotating the list's storage through
+    /// the workspace's `scratch`. An interval that overlaps the region is
+    /// cut into its untouched left and right parts and the overlap, which
+    /// `challenge` ranks the member into. The interval stays as it is when
+    /// its k-th member is `member` itself (CPLC settling the same control
+    /// point again) or beats it over the whole overlap (Lemma 1,
+    /// Algorithm 3 line 7: it cannot enter the set anywhere there).
+    pub(crate) fn offer(
+        &mut self,
+        q: &Segment,
+        member: Member,
+        region: &Interval,
         cfg: &ConnConfig,
         scratch: &mut RluScratch,
     ) {
         let mut old = std::mem::take(&mut self.entries);
         let mut out = std::mem::take(&mut scratch.knn);
         out.clear();
-        out.reserve(old.len() * 2);
-        let cpl_entries = cpl.entries();
-
+        out.reserve(old.len() + 2);
         for entry in old.drain(..) {
-            let mut cursor = entry.interval.lo;
-            let mut j = cpl_entries
-                .iter()
-                .position(|(_, iv)| iv.hi > cursor + EPS)
-                .unwrap_or(cpl_entries.len() - 1);
-            while cursor < entry.interval.hi - EPS {
-                let (ref new_cp, cpl_iv) = cpl_entries[j];
-                let hi = entry.interval.hi.min(cpl_iv.hi);
-                let piece = Interval::new(cursor, hi.max(cursor));
-                if !piece.is_empty() {
-                    // Lemma 1 fast path (Algorithm 3 line 7): a candidate
-                    // the k-th member beats over the whole piece cannot
-                    // enter the set anywhere on it
-                    let kth_wins = |cp: &ControlPoint| {
-                        cfg.use_lemma1
-                            && entry
-                                .members
-                                .get(self.k - 1)
-                                .is_some_and(|kth| lemma1_incumbent_wins(q, &kth.cp, cp, &piece))
-                    };
-                    match new_cp {
-                        Some(cp) if !kth_wins(cp) => {
-                            self.challenge(q, &entry, p, cp, piece, &mut out);
-                        }
-                        // out of the candidate's reach, or lost to the
-                        // k-th member: the members stay
-                        _ => out.push(KnnEntry {
-                            members: entry.members.clone(),
-                            interval: piece,
-                        }),
-                    }
-                }
-                cursor = hi;
-                if cpl_iv.hi < entry.interval.hi - EPS && j + 1 < cpl_entries.len() {
-                    j += 1;
-                } else {
-                    break;
-                }
+            let Some(o) = entry.interval.intersect(region) else {
+                out.push(entry);
+                continue;
+            };
+            // a part beside the overlap too short to hold an answer joins
+            // it instead of leaving a gap
+            let (lo, hi) = (entry.interval.lo, entry.interval.hi);
+            let snap = |end: f64, to: f64| if (end - to).abs() <= EPS { to } else { end };
+            let overlap = Interval::new(snap(o.lo, lo), snap(o.hi, hi));
+            let holds = entry.members.get(self.k - 1).is_some_and(|kth| {
+                kth.same_as(&member)
+                    || (cfg.use_lemma1 && lemma1_incumbent_wins(q, &kth.cp, &member.cp, &overlap))
+            });
+            if holds {
+                out.push(entry);
+                continue;
+            }
+            if lo < overlap.lo {
+                out.push(KnnEntry {
+                    members: entry.members.clone(),
+                    interval: Interval::new(lo, overlap.lo),
+                });
+            }
+            self.challenge(q, &entry.members, member, overlap, &mut out);
+            if overlap.hi < hi {
+                out.push(KnnEntry {
+                    members: entry.members,
+                    interval: Interval::new(overlap.hi, hi),
+                });
             }
         }
         self.entries = out;
@@ -249,20 +276,20 @@ impl KnnResultList {
         scratch.knn = old; // recycle the pre-update storage
     }
 
-    /// Inserts candidate `(p, cp)` into one piece: cut at every crossing
-    /// with a member, then rank the candidate per sub-piece.
+    /// Ranks `member` into one piece held by `members`: cut at every
+    /// crossing with a member, then rank the newcomer per sub-piece (an
+    /// incumbent wins a tie).
     fn challenge(
         &self,
         q: &Segment,
-        entry: &KnnEntry,
-        p: DataPoint,
-        cp: &ControlPoint,
+        members: &[Member],
+        member: Member,
         piece: Interval,
         out: &mut Vec<KnnEntry>,
     ) {
         let mut cuts: Vec<f64> = vec![piece.lo, piece.hi];
-        for m in &entry.members {
-            cuts.extend(crossing_params(q, &m.cp, cp, &piece));
+        for m in members {
+            cuts.extend(crossing_params(q, &m.cp, &member.cp, &piece));
         }
         cuts.sort_by(f64::total_cmp);
         cuts.dedup_by(|a, b| (*a - *b).abs() <= EPS);
@@ -276,18 +303,16 @@ impl KnnResultList {
         for w in cuts.windows(2) {
             let sub = Interval::new(w[0], w[1]);
             let mid = sub.midpoint();
-            let cand_v = cp.value(q, mid);
+            let cand_v = member.cp.value(q, mid);
             // members are sorted by value at mid (order constant on sub)
-            let rank = entry
-                .members
-                .partition_point(|m| m.cp.value(q, mid) <= cand_v + EPS);
-            let mut members = entry.members.clone();
+            let rank = members.partition_point(|m| m.cp.value(q, mid) <= cand_v + EPS);
+            let mut ranked = members.to_vec();
             if rank < self.k {
-                members.insert(rank, Member { point: p, cp: *cp });
-                members.truncate(self.k);
+                ranked.insert(rank, member);
+                ranked.truncate(self.k);
             }
             out.push(KnnEntry {
-                members,
+                members: ranked,
                 interval: sub,
             });
         }
@@ -329,10 +354,7 @@ impl KnnResultList {
 }
 
 fn same_members(a: &[Member], b: &[Member]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.point.id == y.point.id && x.cp.same_as(&y.cp))
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_as(y))
 }
 
 /// Stitches the result lists of consecutive pieces of one polyline — the
@@ -400,10 +422,9 @@ mod tests {
         KnnResultList::new(100.0, 1)
     }
 
-    fn update(rl: &mut KnnResultList, p: DataPoint, cpl: &ControlPointList) {
+    fn update(rl: &mut KnnResultList, cpl: &KnnResultList) {
         rl.update_with(
             &q(),
-            p,
             cpl,
             &ConnConfig::default(),
             &mut RluScratch::default(),
@@ -415,17 +436,24 @@ mod tests {
         rl.nn_at(t, q().at(t)).map(|(p, _)| p.id)
     }
 
-    /// Builds a CPL whose single control point is the data point itself
-    /// (free-space shortcut for tests).
-    fn direct_cpl(p: Point) -> ControlPointList {
-        let mut cpl = ControlPointList::new(100.0);
+    /// `p`'s control-point list (its k = 1 list) with `cp` in charge of
+    /// `region` and the rest unreached.
+    fn cpl(p: DataPoint, cp: ControlPoint, region: Interval) -> KnnResultList {
+        let mut cpl = conn_list();
         cpl.offer(
             &q(),
-            ControlPoint::direct(p),
-            &Interval::new(0.0, 100.0),
+            Member { point: p, cp },
+            &region,
             &ConnConfig::default(),
+            &mut RluScratch::default(),
         );
         cpl
+    }
+
+    /// Builds a CPL whose single control point is the data point itself
+    /// (free-space shortcut for tests).
+    fn direct_cpl(p: DataPoint) -> KnnResultList {
+        cpl(p, ControlPoint::direct(p.pos), Interval::new(0.0, 100.0))
     }
 
     #[test]
@@ -433,7 +461,7 @@ mod tests {
         let mut rl = conn_list();
         assert_eq!(rl.rlmax(&q(), &[]), f64::INFINITY);
         let p = DataPoint::new(0, Point::new(30.0, 20.0));
-        update(&mut rl, p, &direct_cpl(p.pos));
+        update(&mut rl, &direct_cpl(p));
         rl.check_cover().unwrap();
         assert_eq!(rl.entries().len(), 1);
         assert_eq!(rl.entries()[0].members[0].point.id, 0);
@@ -445,8 +473,8 @@ mod tests {
         let mut rl = conn_list();
         let a = DataPoint::new(0, Point::new(20.0, 10.0));
         let b = DataPoint::new(1, Point::new(80.0, 10.0));
-        update(&mut rl, a, &direct_cpl(a.pos));
-        update(&mut rl, b, &direct_cpl(b.pos));
+        update(&mut rl, &direct_cpl(a));
+        update(&mut rl, &direct_cpl(b));
         rl.check_cover().unwrap();
         assert_eq!(rl.entries().len(), 2);
         assert_eq!(nn_at(&rl, 10.0), Some(0));
@@ -460,30 +488,27 @@ mod tests {
         let mut rl = conn_list();
         let a = DataPoint::new(0, Point::new(50.0, 5.0));
         let b = DataPoint::new(1, Point::new(50.0, 500.0));
-        update(&mut rl, a, &direct_cpl(a.pos));
+        update(&mut rl, &direct_cpl(a));
         let before = rl.entries().len();
-        update(&mut rl, b, &direct_cpl(b.pos));
+        update(&mut rl, &direct_cpl(b));
         assert_eq!(rl.entries().len(), before);
         assert_eq!(nn_at(&rl, 50.0), Some(0));
     }
 
     #[test]
     fn pocket_winner_creates_three_entries() {
-        let cfg = ConnConfig::default();
         let mut rl = conn_list();
         // a is near the line but pays a base detour; b hovers mid-height
         let a = DataPoint::new(0, Point::new(50.0, 40.0));
-        update(&mut rl, a, &direct_cpl(a.pos));
+        update(&mut rl, &direct_cpl(a));
         // challenger with a tight pocket win around t=50
         let b = DataPoint::new(1, Point::new(50.0, 5.0));
-        let mut cpl = ControlPointList::new(100.0);
-        cpl.offer(
-            &q(),
+        let cpl = cpl(
+            b,
             ControlPoint::new(Point::new(50.0, 5.0), 20.0),
-            &Interval::new(0.0, 100.0),
-            &cfg,
+            Interval::new(0.0, 100.0),
         );
-        update(&mut rl, b, &cpl);
+        update(&mut rl, &cpl);
         rl.check_cover().unwrap();
         // F_b(50) = 25 < F_a(50) = 40, but at the ends a wins
         assert_eq!(nn_at(&rl, 0.0), Some(0));
@@ -494,18 +519,11 @@ mod tests {
 
     #[test]
     fn partial_cpl_leaves_unreachable_region_alone() {
-        let cfg = ConnConfig::default();
         let mut rl = conn_list();
         let a = DataPoint::new(0, Point::new(10.0, 10.0));
         // a's CPL covers only [0, 40]
-        let mut cpl = ControlPointList::new(100.0);
-        cpl.offer(
-            &q(),
-            ControlPoint::direct(a.pos),
-            &Interval::new(0.0, 40.0),
-            &cfg,
-        );
-        update(&mut rl, a, &cpl);
+        let cpl = cpl(a, ControlPoint::direct(a.pos), Interval::new(0.0, 40.0));
+        update(&mut rl, &cpl);
         rl.check_cover().unwrap();
         assert!(nn_at(&rl, 20.0).is_some());
         assert!(nn_at(&rl, 70.0).is_none());
@@ -523,7 +541,7 @@ mod tests {
     fn rlmax_matches_manual_bound() {
         let mut rl = conn_list();
         let a = DataPoint::new(0, Point::new(30.0, 40.0));
-        update(&mut rl, a, &direct_cpl(a.pos));
+        update(&mut rl, &direct_cpl(a));
         let want = a.pos.dist(Point::new(100.0, 0.0)); // far endpoint
         assert!((rl.rlmax(&q(), &[]) - want).abs() < 1e-9);
     }
@@ -532,9 +550,9 @@ mod tests {
     fn merging_keeps_single_entry_for_same_cp() {
         let mut rl = conn_list();
         let a = DataPoint::new(0, Point::new(50.0, 10.0));
-        update(&mut rl, a, &direct_cpl(a.pos));
+        update(&mut rl, &direct_cpl(a));
         // updating with the same point again must not fragment the list
-        update(&mut rl, a, &direct_cpl(a.pos));
+        update(&mut rl, &direct_cpl(a));
         assert_eq!(rl.entries().len(), 1);
     }
 
@@ -599,8 +617,8 @@ mod tests {
         let a = DataPoint::new(0, Point::new(0.0, 10.0));
         let b = DataPoint::new(1, Point::new(t0 + (t0 * t0 + 100.0).sqrt(), 0.0));
         let mut rl = conn_list();
-        update(&mut rl, a, &direct_cpl(a.pos));
-        update(&mut rl, b, &direct_cpl(b.pos));
+        update(&mut rl, &direct_cpl(a));
+        update(&mut rl, &direct_cpl(b));
         let e = rl.entries();
         for w in e.windows(2) {
             assert_eq!(w[0].interval.hi.to_bits(), w[1].interval.lo.to_bits());

@@ -12,77 +12,14 @@
 //! most two real roots (Theorem 1) — the *split points*. Because squaring
 //! introduces spurious roots and the paper's Cases 1–4 depend on a
 //! coordinate frame with many degenerate special cases, this implementation
-//! solves the same quadratic and then (a) verifies every candidate root
-//! against the unsquared equation and (b) classifies the elementary
-//! sub-intervals by midpoint evaluation. The output is therefore exactly the
-//! Case 1–4 partition, computed robustly.
-
-#![expect(
-    clippy::indexing_slicing,
-    reason = "indices derive from lengths computed in the same function (enumerate, push-then-access, partition bounds)"
-)]
+//! solves the same quadratic and verifies every candidate root against the
+//! unsquared equation; the list's `offer` (`rlu.rs`) then classifies the
+//! elementary sub-intervals by midpoint evaluation. The output is therefore
+//! exactly the Case 1–4 partition, computed robustly.
 
 use conn_geom::{solve_quadratic, Interval, Segment, EPS};
 
 use crate::dist::ControlPoint;
-
-/// Which function wins (is the smaller) on a sub-interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Winner {
-    /// The incumbent `F` keeps the sub-interval (ties favour it).
-    Incumbent,
-    /// The challenger `G` takes the sub-interval.
-    Challenger,
-}
-
-/// Partition of `iv` into maximal sub-intervals with a constant winner.
-///
-/// `f` is the incumbent and wins ties. The pieces are returned in ascending
-/// order and exactly cover `iv`.
-#[expect(
-    clippy::unwrap_used,
-    reason = "out is only unwrapped in the non-empty branch of the emptiness check"
-)]
-pub(crate) fn split(
-    q: &Segment,
-    f: &ControlPoint,
-    g: &ControlPoint,
-    iv: Interval,
-) -> Vec<(Interval, Winner)> {
-    debug_assert!(!iv.is_empty());
-    let mut cuts = crossing_params(q, f, g, &iv);
-    cuts.push(iv.lo);
-    cuts.push(iv.hi);
-    cuts.sort_by(f64::total_cmp);
-    cuts.dedup_by(|a, b| (*a - *b).abs() <= EPS);
-
-    let mut out: Vec<(Interval, Winner)> = Vec::with_capacity(cuts.len());
-    for w in cuts.windows(2) {
-        let piece = Interval::new(w[0], w[1]);
-        if piece.is_empty() {
-            continue;
-        }
-        let mid = piece.midpoint();
-        let winner = if f.value(q, mid) <= g.value(q, mid) + EPS {
-            Winner::Incumbent
-        } else {
-            Winner::Challenger
-        };
-        match out.last_mut() {
-            Some((prev, pw)) if *pw == winner => prev.hi = piece.hi,
-            _ => out.push((piece, winner)),
-        }
-    }
-    if out.is_empty() {
-        // iv was a sliver below EPS resolution; incumbent keeps it
-        out.push((iv, Winner::Incumbent));
-    } else {
-        // make the partition exactly cover iv
-        out.first_mut().unwrap().0.lo = iv.lo;
-        out.last_mut().unwrap().0.hi = iv.hi;
-    }
-    out
-}
 
 /// The candidate split parameters inside `iv` where `F(t) = G(t)`
 /// (paper Equation 1, at most two — Theorem 1).
@@ -155,10 +92,56 @@ pub(crate) fn lemma1_incumbent_wins(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ConnConfig;
+    use crate::rlu::{KnnResultList, Member, RluScratch};
+    use crate::types::DataPoint;
     use conn_geom::Point;
 
     fn q() -> Segment {
         Segment::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0))
+    }
+
+    /// Which function holds a piece.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Winner {
+        /// The incumbent `F` keeps the piece (ties favour it).
+        Incumbent,
+        /// The challenger `G` takes the piece.
+        Challenger,
+    }
+
+    /// The partition of `iv` into maximal pieces with a constant winner:
+    /// `g` offered over `iv` to a k = 1 list whose one member is `f`, with
+    /// Lemma 1 off so every overlap is cut at the quadratic's roots.
+    fn split(
+        q: &Segment,
+        f: &ControlPoint,
+        g: &ControlPoint,
+        iv: Interval,
+    ) -> Vec<(Interval, Winner)> {
+        let cfg = ConnConfig {
+            use_lemma1: false,
+            ..ConnConfig::default()
+        };
+        let mut scratch = RluScratch::default();
+        let mut list = KnnResultList::new(q.len(), 1);
+        for (id, cp, region) in [(0, f, Interval::new(0.0, q.len())), (1, g, iv)] {
+            let member = Member {
+                point: DataPoint::new(id, cp.pos),
+                cp: *cp,
+            };
+            list.offer(q, member, &region, &cfg, &mut scratch);
+        }
+        list.entries()
+            .iter()
+            .filter_map(|e| {
+                let winner = match e.members[0].point.id {
+                    0 => Winner::Incumbent,
+                    _ => Winner::Challenger,
+                };
+                Some((e.interval.intersect(&iv)?, winner))
+            })
+            .collect()
     }
 
     fn check_partition(pieces: &[(Interval, Winner)], iv: &Interval) {

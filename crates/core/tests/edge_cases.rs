@@ -351,3 +351,78 @@ fn a_segment_through_an_obstacle_evaluates_a_few_points() {
         }
     }
 }
+
+/// A segment that starts inside an obstacle, where the refinement loop
+/// after CPLC is what keeps the answer exact. IOR loads the obstacles
+/// within the data points' distances to `q`'s endpoints; the path from
+/// point 0 to the middle of `q` is longer than both and bends around an
+/// obstacle IOR never loaded. Without the loop, COkNN at k = 2 answers
+/// 811.854 at t ≈ 30.09 where the true second distance is 812.823.
+#[test]
+fn a_crossing_segment_reloads_obstacles_past_its_endpoint_bounds() {
+    let points: Vec<DataPoint> = [
+        (700.5988798368013, 691.5321141032399),
+        (1.5269465858824827, 210.3451164007385),
+        (513.2464782558365, 957.8747823048373),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, (x, y))| DataPoint::new(i as u32, Point::new(x, y)))
+    .collect();
+    let obstacles = vec![
+        Rect::new(
+            367.8794367457009,
+            542.0604156277159,
+            432.00046831010667,
+            587.0205766169067,
+        ),
+        Rect::new(
+            683.8848707186885,
+            369.49679711098037,
+            755.955471350426,
+            389.03359937018615,
+        ),
+        Rect::new(
+            468.5249216043312,
+            513.4528169663705,
+            565.563108502426,
+            604.4997835938914,
+        ),
+        Rect::new(
+            122.16297376195551,
+            35.04741390827426,
+            211.64425771043057,
+            84.08052908088891,
+        ),
+        Rect::new(
+            386.49591740038534,
+            240.4072280145193,
+            414.6305823518681,
+            299.7987911364519,
+        ),
+        Rect::new(
+            235.79148004254057,
+            558.8155136044761,
+            341.81778193066305,
+            609.5344516524432,
+        ),
+    ];
+    let q = Segment::new(
+        Point::new(174.6701794341624, 59.07821347087827),
+        Point::new(92.80390080121836, 210.26506964271596),
+    );
+    assert!(obstacles[3].strictly_contains(q.a));
+    for k in [1, 2] {
+        let (res, _) = run(points.clone(), obstacles.clone(), &q, k);
+        res.check_cover().unwrap();
+        for i in 0..=40 {
+            let t = q.len() * f64::from(i) / 40.0;
+            let want = brute_force_oknn(&points, &obstacles, q.at(t), k);
+            let got = res.knn_at(t);
+            assert_eq!(got.len(), want.len().min(k), "t = {t}, k = {k}");
+            for ((_, gd), (_, wd)) in got.iter().zip(&want) {
+                assert!((gd - wd).abs() < 1e-6, "t = {t}, k = {k}: {gd} vs {wd}");
+            }
+        }
+    }
+}
